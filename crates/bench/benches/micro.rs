@@ -10,7 +10,7 @@ use tdmatch_core::builder::build_graph;
 use tdmatch_core::config::TdConfig;
 use tdmatch_datasets::{imdb, Scale};
 use tdmatch_embed::corpus::FlatCorpus;
-use tdmatch_embed::hogwild::SharedMatrix;
+use tdmatch_embed::hogwild::{OwnedMatrix, Rows, SharedMatrix};
 use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, ScoreMatrix};
 use tdmatch_embed::vectors::top_k_cosine;
 use tdmatch_embed::walks::{
@@ -188,30 +188,42 @@ fn bench_topk(c: &mut Criterion) {
     });
 }
 
-/// The SharedMatrix row kernels Word2Vec hammers: unrolled 4-wide chunked
-/// loops over the atomic cells (relaxed loads are plain movs).
+/// The row kernels Word2Vec hammers, over both weight storages at the
+/// dims the fits use: `owned` is the plain-`f32` matrix a single worker
+/// trains on, whose slice loops the compiler vectorizes; `shared` is the
+/// Hogwild matrix of atomic cells, whose relaxed loads and stores are
+/// plain `mov`s but are never combined into vector ops, so it runs one
+/// element per instruction. The gap between the two is what a
+/// single-worker fit saves.
 fn bench_hogwild(c: &mut Criterion) {
-    let dim = 128;
-    let m = SharedMatrix::uniform_init(64, dim, 7);
+    for dim in [80, 128] {
+        let shared = SharedMatrix::uniform_init(64, dim, 7);
+        bench_row_kernels(c, "shared", dim, &shared);
+        bench_row_kernels(c, "owned", dim, OwnedMatrix::uniform_init(64, dim, 7));
+    }
+    let buf: Vec<f32> = (0..128).map(|i| (i as f32 * 0.37).sin()).collect();
+    c.bench_function("score/dot_unrolled_128", |b| {
+        b.iter(|| black_box(dot_unrolled(&buf, &buf)))
+    });
+}
+
+fn bench_row_kernels<M: Rows>(c: &mut Criterion, storage: &str, dim: usize, mut m: M) {
     let buf: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
     let mut acc = vec![0.0f32; dim];
-    c.bench_function("hogwild/dot_with_row_128", |b| {
-        b.iter(|| black_box(m.dot_with_row(5, &buf)))
+    c.bench_function(&format!("hogwild/{storage}/dot_with_row_{dim}"), |b| {
+        b.iter(|| black_box(m.dot_with_row(5, black_box(&buf))))
     });
-    c.bench_function("hogwild/axpy_row_into_128", |b| {
+    c.bench_function(&format!("hogwild/{storage}/axpy_row_into_{dim}"), |b| {
         b.iter(|| {
             m.axpy_row_into(5, 0.5, &mut acc);
             black_box(acc[0]);
         })
     });
-    c.bench_function("hogwild/add_scaled_to_row_128", |b| {
-        b.iter(|| m.add_scaled_to_row(9, 1e-6, &buf))
+    c.bench_function(&format!("hogwild/{storage}/add_scaled_to_row_{dim}"), |b| {
+        b.iter(|| m.add_scaled_to_row(9, 1e-6, black_box(&buf)))
     });
-    c.bench_function("hogwild/add_to_row_128", |b| {
-        b.iter(|| m.add_to_row(9, &buf))
-    });
-    c.bench_function("score/dot_unrolled_128", |b| {
-        b.iter(|| black_box(dot_unrolled(&buf, &buf)))
+    c.bench_function(&format!("hogwild/{storage}/add_to_row_{dim}"), |b| {
+        b.iter(|| m.add_to_row(9, black_box(&buf)))
     });
 }
 

@@ -64,12 +64,41 @@ pub struct StageTimings {
     pub walks: f64,
     /// Word2Vec training.
     pub train: f64,
+    /// Tokens the training stage streamed: walk tokens × epochs.
+    pub train_tokens: u64,
 }
 
 impl StageTimings {
     /// Total training-side time (everything up to matching).
     pub fn total(&self) -> f64 {
         self.build + self.expand + self.compress + self.walks + self.train
+    }
+}
+
+impl std::fmt::Display for StageTimings {
+    /// The per-stage split on one line, stages that did not run left out.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (name, secs) in [
+            ("build", self.build),
+            ("expand", self.expand),
+            ("compress", self.compress),
+            ("walks", self.walks),
+        ] {
+            if secs > 0.0 {
+                write!(f, "{name} {secs:.3}s, ")?;
+            }
+        }
+        let tokens_per_s = if self.train > 0.0 {
+            self.train_tokens as f64 / self.train
+        } else {
+            0.0
+        };
+        write!(
+            f,
+            "train {:.3}s ({tokens_per_s:.0} tokens/s), total {:.3}s",
+            self.train,
+            self.total()
+        )
     }
 }
 
@@ -165,6 +194,7 @@ impl TdMatch {
         let t = Instant::now();
         let matrix = self.train_matrix(&graph, &walk_corpus);
         timings.train = t.elapsed().as_secs_f64();
+        timings.train_tokens = walk_corpus.total_tokens() as u64 * self.config.epochs as u64;
 
         let dim = self.config.dim;
         let extract = |side: CorpusSide, len: usize| -> Vec<Option<Vec<f32>>> {
@@ -342,6 +372,7 @@ impl TdMatch {
         let t = Instant::now();
         let matrix = self.train_matrix(&graph, &walk_corpus);
         timings.train = t.elapsed().as_secs_f64();
+        timings.train_tokens = walk_corpus.total_tokens() as u64 * self.config.epochs as u64;
 
         // 6. Metadata vectors per (side, document index).
         let dim = self.config.dim;
@@ -801,8 +832,12 @@ mod tests {
         assert!(model.timings.build > 0.0);
         assert!(model.timings.walks > 0.0);
         assert!(model.timings.train > 0.0);
+        assert!(model.timings.train_tokens > 0);
         assert!(model.timings.total() > 0.0);
         assert_eq!(model.timings.expand, 0.0);
+        let line = model.timings.to_string();
+        assert!(line.starts_with("build ") && line.contains("tokens/s"), "{line}");
+        assert!(!line.contains("expand"), "{line}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::corpus::FlatCorpus;
-use crate::hogwild::SharedMatrix;
+use crate::hogwild::{OwnedMatrix, Rows};
 use crate::neg_table::NegativeTable;
 use crate::vocab::Vocab;
 
@@ -129,8 +129,10 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
     if n_docs == 0 || counts.is_empty() || total_tokens == 0 {
         return vec![0.0; n_docs * config.dim];
     }
-    let docs_mat = SharedMatrix::uniform_init(n_docs, config.dim, config.seed);
-    let words_mat = SharedMatrix::zeroed(counts.len(), config.dim);
+    // Training is single-threaded, so the weights are plain owned `f32`
+    // and the row kernels vectorize (see `crate::hogwild`).
+    let mut docs_mat = OwnedMatrix::uniform_init(n_docs, config.dim, config.seed);
+    let mut words_mat = OwnedMatrix::zeroed(counts.len(), config.dim);
     let neg_table = NegativeTable::new(counts, (counts.len() * 32).max(1 << 18));
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
@@ -168,7 +170,7 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
             }
         }
     }
-    let mut out = docs_mat.to_vec();
+    let mut out = docs_mat.into_vec();
     // Empty documents never trained: return zeros, not the random init
     // (consumers reading the full matrix must not see noise rows).
     for (doc_id, &words) in docs.iter().enumerate() {

@@ -1,13 +1,139 @@
-//! Lock-free shared parameter matrix for Hogwild-style SGD.
+//! Weight-matrix storage for Word2Vec / PV-DBOW training.
 //!
-//! Word2Vec training is embarrassingly parallel if one accepts benign data
-//! races on the weight matrix (Recht et al., "Hogwild!"). Instead of `unsafe`
-//! aliasing, rows are stored as relaxed [`AtomicU32`] bit-casts of `f32`:
-//! on x86-64 a relaxed atomic load/store compiles to a plain `mov`, so this
-//! is sound Rust with Hogwild semantics (occasional lost updates) and no
-//! measurable overhead.
+//! The trainers run five row kernels ([`Rows`]) over one of two storages,
+//! chosen by the resolved worker count alone:
+//!
+//! * [`OwnedMatrix`] — plain `f32`, for a single worker. Nothing is
+//!   shared, so the kernels run over `&[f32]` / `&mut [f32]` slices and
+//!   the compiler vectorizes them (SSE2 at the default target, no flags).
+//! * [`SharedMatrix`] — lock-free cells for Hogwild-style SGD with several
+//!   workers. Word2Vec training is embarrassingly parallel if one accepts
+//!   benign data races on the weight matrix (Recht et al., "Hogwild!").
+//!   Instead of `unsafe` aliasing, rows are stored as relaxed
+//!   [`AtomicU32`] bit-casts of `f32`, which is sound Rust with Hogwild
+//!   semantics (occasional lost updates). On x86-64 a relaxed atomic
+//!   load/store is a plain `mov`, but LLVM never merges atomic accesses
+//!   into vector operations, so these kernels stay scalar — one element
+//!   per instruction, roughly half the owned path's training throughput.
+//!   That is the price of sharing, and why one worker does not pay it.
+//!
+//! Both storages compute every element with the same operations in the
+//! same order (the dot keeps its 8 accumulator lanes, reduction tree and
+//! scalar remainder loop; every other kernel is element-wise), so a single
+//! worker produces bit-identical weights over either — property-tested in
+//! `word2vec.rs` and pinned by the root `tests/train_bits.rs`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+
+use crate::score::dot_unrolled;
+
+/// The row kernels training runs against a `rows × dim` weight matrix.
+///
+/// Updates take `&mut self`: the owned storage really is exclusive, and
+/// the shared storage implements the trait on `&SharedMatrix`, a handle
+/// every worker holds its own copy of.
+pub trait Rows {
+    /// Copies row `r` into `buf` (`buf.len() == dim`).
+    fn read_row(&self, r: usize, buf: &mut [f32]);
+    /// `Σ buf[i] * row_r[i]` without materializing the row.
+    fn dot_with_row(&self, r: usize, buf: &[f32]) -> f32;
+    /// `acc[i] += g * row_r[i]` — accumulate a scaled row.
+    fn axpy_row_into(&self, r: usize, g: f32, acc: &mut [f32]);
+    /// `row_r[i] += g * buf[i]` — scaled vector into a row.
+    fn add_scaled_to_row(&mut self, r: usize, g: f32, buf: &[f32]);
+    /// Adds `delta` element-wise into row `r`.
+    fn add_to_row(&mut self, r: usize, delta: &[f32]);
+}
+
+/// The classic word2vec.c initialization: cell `i` uniform in
+/// `[-0.5/dim, 0.5/dim)` from a deterministic per-cell hash of `seed`, so
+/// initialization is reproducible regardless of storage or thread count.
+#[inline]
+fn init_cell(seed: u64, i: usize, scale: f32) -> f32 {
+    let h = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // Map the top 24 bits to [0, 1).
+    let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
+    (unit - 0.5) * 2.0 * scale
+}
+
+/// A `rows × dim` matrix of plain `f32` owned by a single worker.
+pub struct OwnedMatrix {
+    data: Vec<f32>,
+    dim: usize,
+}
+
+impl OwnedMatrix {
+    /// Creates a zero-initialized matrix.
+    pub fn zeroed(rows: usize, dim: usize) -> Self {
+        Self {
+            data: vec![0.0; rows * dim],
+            dim,
+        }
+    }
+
+    /// Creates a matrix with the word2vec.c uniform initialization — cell
+    /// for cell the values of [`SharedMatrix::uniform_init`].
+    pub fn uniform_init(rows: usize, dim: usize, seed: u64) -> Self {
+        let scale = 0.5 / dim as f32;
+        Self {
+            data: (0..rows * dim).map(|i| init_cell(seed, i, scale)).collect(),
+            dim,
+        }
+    }
+
+    /// The full matrix as a dense row-major `Vec<f32>`.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[f32] {
+        &self.data[r * self.dim..(r + 1) * self.dim]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.data[r * self.dim..(r + 1) * self.dim]
+    }
+}
+
+impl Rows for OwnedMatrix {
+    #[inline]
+    fn read_row(&self, r: usize, buf: &mut [f32]) {
+        buf.copy_from_slice(self.row(r));
+    }
+
+    /// The scoring engine's dot: the same 8 lanes, reduction tree and
+    /// remainder loop as [`SharedMatrix::dot_with_row`], term for term.
+    #[inline]
+    fn dot_with_row(&self, r: usize, buf: &[f32]) -> f32 {
+        dot_unrolled(buf, self.row(r))
+    }
+
+    #[inline]
+    fn axpy_row_into(&self, r: usize, g: f32, acc: &mut [f32]) {
+        debug_assert_eq!(acc.len(), self.dim);
+        for (a, &x) in acc.iter_mut().zip(self.row(r)) {
+            *a += g * x;
+        }
+    }
+
+    #[inline]
+    fn add_scaled_to_row(&mut self, r: usize, g: f32, buf: &[f32]) {
+        debug_assert_eq!(buf.len(), self.dim);
+        for (x, &b) in self.row_mut(r).iter_mut().zip(buf) {
+            *x += g * b;
+        }
+    }
+
+    #[inline]
+    fn add_to_row(&mut self, r: usize, delta: &[f32]) {
+        debug_assert_eq!(delta.len(), self.dim);
+        for (x, &d) in self.row_mut(r).iter_mut().zip(delta) {
+            *x += d;
+        }
+    }
+}
 
 /// A `rows × dim` matrix of `f32` shareable across threads without locks.
 pub struct SharedMatrix {
@@ -30,12 +156,7 @@ impl SharedMatrix {
     pub fn uniform_init(rows: usize, dim: usize, seed: u64) -> Self {
         let scale = 0.5 / dim as f32;
         let data: Box<[AtomicU32]> = (0..rows * dim)
-            .map(|i| {
-                let h = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                // Map the top 24 bits to [0, 1).
-                let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
-                AtomicU32::new(((unit - 0.5) * 2.0 * scale).to_bits())
-            })
+            .map(|i| AtomicU32::new(init_cell(seed, i, scale).to_bits()))
             .collect();
         Self { data, rows, dim }
     }
@@ -69,10 +190,11 @@ impl SharedMatrix {
 
     // The row kernels below are unrolled into chunked loops over the
     // atomic cells (4-wide for the store kernels, 8 accumulator lanes for
-    // the dot): relaxed atomic loads/stores compile to plain `mov`s, so
-    // exposing independent element operations per iteration lets the
-    // compiler keep them in vector registers instead of a serial
-    // one-element loop.
+    // the dot). That trims loop overhead and splits the dot's chain of
+    // dependent adds eight ways, but every cell access is still its own
+    // scalar `mov`: atomic loads and stores are never combined into
+    // vector ops. The dot's lane layout and reduction tree are what
+    // `OwnedMatrix` reproduces bit for bit.
 
     /// Adds `delta` element-wise into row `r` (racy read-modify-write:
     /// concurrent updates may occasionally be lost — Hogwild semantics).
@@ -160,6 +282,33 @@ impl SharedMatrix {
     }
 }
 
+impl Rows for &SharedMatrix {
+    #[inline]
+    fn read_row(&self, r: usize, buf: &mut [f32]) {
+        SharedMatrix::read_row(self, r, buf);
+    }
+
+    #[inline]
+    fn dot_with_row(&self, r: usize, buf: &[f32]) -> f32 {
+        SharedMatrix::dot_with_row(self, r, buf)
+    }
+
+    #[inline]
+    fn axpy_row_into(&self, r: usize, g: f32, acc: &mut [f32]) {
+        SharedMatrix::axpy_row_into(self, r, g, acc);
+    }
+
+    #[inline]
+    fn add_scaled_to_row(&mut self, r: usize, g: f32, buf: &[f32]) {
+        SharedMatrix::add_scaled_to_row(self, r, g, buf);
+    }
+
+    #[inline]
+    fn add_to_row(&mut self, r: usize, delta: &[f32]) {
+        SharedMatrix::add_to_row(self, r, delta);
+    }
+}
+
 /// SplitMix64 — tiny, high-quality 64-bit mixer for reproducible init.
 #[inline]
 fn splitmix64(mut x: u64) -> u64 {
@@ -213,6 +362,54 @@ mod tests {
         let mut acc = [1.0f32, 1.0];
         m.axpy_row_into(0, 0.5, &mut acc);
         assert_eq!(acc, [2.0, 3.0]);
+    }
+
+    /// Dims covering every remainder of the 4-wide and 8-lane chunked
+    /// loops, plus the dims the fits and the contract test use.
+    const TWIN_DIMS: [usize; 22] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 80, 100, 128,
+    ];
+
+    /// Runs `kernel(matrix, operand, out)` over an owned matrix and its
+    /// atomic twin (same init, same operand) at every dim in `TWIN_DIMS`
+    /// and requires the same bits in `out` and in the matrix afterwards.
+    fn assert_twins(kernel: impl Fn(&mut dyn Rows, &[f32], &mut [f32])) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for dim in TWIN_DIMS {
+            let operand: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let mut owned = OwnedMatrix::uniform_init(3, dim, 11);
+            let shared = SharedMatrix::uniform_init(3, dim, 11);
+            let (mut out_o, mut out_s) = (operand.clone(), operand.clone());
+            kernel(&mut owned, &operand, &mut out_o);
+            kernel(&mut &shared, &operand, &mut out_s);
+            assert_eq!(bits(&out_o), bits(&out_s), "dim {dim}: output");
+            assert_eq!(bits(&owned.into_vec()), bits(&shared.to_vec()), "dim {dim}: matrix");
+        }
+    }
+
+    #[test]
+    fn owned_read_row_matches_atomic_twin() {
+        assert_twins(|m, _, out| m.read_row(1, out));
+    }
+
+    #[test]
+    fn owned_dot_with_row_matches_atomic_twin() {
+        assert_twins(|m, operand, out| out[0] = m.dot_with_row(1, operand));
+    }
+
+    #[test]
+    fn owned_axpy_row_into_matches_atomic_twin() {
+        assert_twins(|m, _, out| m.axpy_row_into(1, -0.7, out));
+    }
+
+    #[test]
+    fn owned_add_scaled_to_row_matches_atomic_twin() {
+        assert_twins(|m, operand, _| m.add_scaled_to_row(1, 0.3, operand));
+    }
+
+    #[test]
+    fn owned_add_to_row_matches_atomic_twin() {
+        assert_twins(|m, operand, _| m.add_to_row(1, operand));
     }
 
     #[test]

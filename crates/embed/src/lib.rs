@@ -9,8 +9,10 @@
 //!
 //! * [`vocab`] — frequency-ranked vocabulary construction;
 //! * [`corpus`] — the [`FlatCorpus`] token arena all trainers consume;
-//! * [`word2vec`] — Skip-gram & CBOW with negative sampling, trained in
-//!   parallel Hogwild-style over a lock-free shared matrix ([`hogwild`]);
+//! * [`word2vec`] — Skip-gram & CBOW with negative sampling: one worker
+//!   trains over plain `f32` weights it owns (vectorized, deterministic),
+//!   several train Hogwild-style over a lock-free shared matrix
+//!   ([`hogwild`] holds both storages);
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
 //! * [`walks`] — parallel random-walk corpus generation over a
 //!   [`tdmatch_graph::Graph`] or its [`tdmatch_graph::CsrGraph`] snapshot;

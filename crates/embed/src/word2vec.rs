@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::corpus::FlatCorpus;
-use crate::hogwild::SharedMatrix;
+use crate::hogwild::{OwnedMatrix, Rows, SharedMatrix};
 use crate::neg_table::NegativeTable;
 use crate::vectors::Embeddings;
 use crate::vocab::Vocab;
@@ -176,130 +176,171 @@ pub fn train_ids(sentences: &[Vec<u32>], counts: &[u64], config: &Word2VecConfig
 /// are node ids and no string vocabulary is needed. Workers stream
 /// contiguous sentence ranges straight out of the arena — no per-sentence
 /// pointer chasing.
+///
+/// When training resolves to one worker — the only configuration with a
+/// determinism contract — the weights are plain `f32` the worker owns, so
+/// the row kernels vectorize; several workers share atomic cells
+/// Hogwild-style (see [`crate::hogwild`]). One worker produces the same
+/// bits over either storage.
 pub fn train_corpus(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig) -> Vec<f32> {
-    let vocab_size = counts.len();
-    if vocab_size == 0 || corpus.is_empty() {
+    if counts.is_empty() || corpus.is_empty() {
         return Vec::new();
     }
-    let syn0 = SharedMatrix::uniform_init(vocab_size, config.dim, config.seed);
-    let syn1 = SharedMatrix::zeroed(vocab_size, config.dim);
-    let neg_table = NegativeTable::new(counts, (vocab_size * 32).max(1 << 20));
-    let sigmoid = SigmoidTable::new();
-    let total_work = ((corpus.total_tokens() as u64) * config.epochs as u64).max(1);
-    let processed = AtomicU64::new(0);
-    let total_count: u64 = counts.iter().sum();
-
-    let threads = config.threads.max(1).min(corpus.len().max(1));
-    let chunk_size = corpus.len().div_ceil(threads);
-
-    crossbeam::thread::scope(|scope| {
-        for tid in 0..threads {
-            let (lo, hi) = (
-                tid * chunk_size,
-                ((tid + 1) * chunk_size).min(corpus.len()),
-            );
-            if lo >= hi {
-                continue;
-            }
-            let syn0 = &syn0;
-            let syn1 = &syn1;
-            let neg_table = &neg_table;
-            let sigmoid = &sigmoid;
-            let processed = &processed;
-            scope.spawn(move |_| {
-                let mut rng =
-                    SmallRng::seed_from_u64(config.seed.wrapping_add(0x9E37 * (tid as u64 + 1)));
-                let mut worker = Worker::new(config, sigmoid, neg_table, syn0, syn1);
-                // Batched progress accounting (word2vec.c style): a
-                // contended fetch_add per sentence would bounce the
-                // counter's cache line between workers, so each thread
-                // accumulates locally and flushes every ~10k tokens.
-                // `base + local` never decreases (the global counter only
-                // grows, and a flush folds `local` into `base`), so the
-                // lr-decay schedule stays monotone per worker.
-                let mut base = processed.load(Ordering::Relaxed);
-                let mut local: u64 = 0;
-                for epoch in 0..config.epochs {
-                    for sent in corpus.sentences_range(lo, hi) {
-                        let progress = (base + local) as f32 / total_work as f32;
-                        let lr = (config.initial_lr * (1.0 - progress))
-                            .max(config.initial_lr * 1e-4);
-                        worker.train_sentence(sent, lr, counts, total_count, &mut rng);
-                        local += sent.len() as u64;
-                        if local >= PROGRESS_FLUSH_TOKENS {
-                            base = processed.fetch_add(local, Ordering::Relaxed) + local;
-                            local = 0;
-                        }
-                    }
-                    // Stir the RNG between epochs so window draws differ.
-                    let _ = rng.random::<u64>().wrapping_add(epoch as u64);
-                }
-                if local > 0 {
-                    processed.fetch_add(local, Ordering::Relaxed);
-                }
-            });
-        }
-    })
-    .expect("word2vec worker thread panicked");
-
-    syn0.to_vec()
+    let job = TrainJob::new(corpus, counts, config);
+    match config.threads.max(1).min(corpus.len()) {
+        1 => job.run_owned(),
+        threads => job.run_shared(threads),
+    }
 }
 
-/// Per-thread training state (scratch buffers reused across pairs).
-struct Worker<'a> {
+/// Everything the workers of one training run read but never write, plus
+/// the progress counter they share.
+struct TrainJob<'a> {
+    corpus: &'a FlatCorpus,
+    counts: &'a [u64],
     config: &'a Word2VecConfig,
-    sigmoid: &'a SigmoidTable,
-    neg_table: &'a NegativeTable,
-    syn0: &'a SharedMatrix,
-    syn1: &'a SharedMatrix,
+    neg_table: NegativeTable,
+    sigmoid: SigmoidTable,
+    total_count: u64,
+    total_work: u64,
+    processed: AtomicU64,
+}
+
+impl<'a> TrainJob<'a> {
+    fn new(corpus: &'a FlatCorpus, counts: &'a [u64], config: &'a Word2VecConfig) -> Self {
+        Self {
+            corpus,
+            counts,
+            config,
+            neg_table: NegativeTable::new(counts, (counts.len() * 32).max(1 << 20)),
+            sigmoid: SigmoidTable::new(),
+            total_count: counts.iter().sum(),
+            total_work: ((corpus.total_tokens() as u64) * config.epochs as u64).max(1),
+            processed: AtomicU64::new(0),
+        }
+    }
+
+    /// One worker over weights it owns.
+    fn run_owned(&self) -> Vec<f32> {
+        let (rows, dim) = (self.counts.len(), self.config.dim);
+        let mut worker = Worker::new(
+            self,
+            OwnedMatrix::uniform_init(rows, dim, self.config.seed),
+            OwnedMatrix::zeroed(rows, dim),
+        );
+        worker.train_range(0, 0, self.corpus.len());
+        worker.syn0.into_vec()
+    }
+
+    /// `threads` Hogwild workers, each over its own contiguous sentence
+    /// range, sharing lock-free atomic weights.
+    fn run_shared(&self, threads: usize) -> Vec<f32> {
+        let (rows, dim) = (self.counts.len(), self.config.dim);
+        let syn0 = SharedMatrix::uniform_init(rows, dim, self.config.seed);
+        let syn1 = SharedMatrix::zeroed(rows, dim);
+        let chunk_size = self.corpus.len().div_ceil(threads);
+        crossbeam::thread::scope(|scope| {
+            for tid in 0..threads {
+                let (lo, hi) = (
+                    tid * chunk_size,
+                    ((tid + 1) * chunk_size).min(self.corpus.len()),
+                );
+                if lo >= hi {
+                    continue;
+                }
+                let (syn0, syn1) = (&syn0, &syn1);
+                scope.spawn(move |_| Worker::new(self, syn0, syn1).train_range(tid, lo, hi));
+            }
+        })
+        .expect("word2vec worker thread panicked");
+        syn0.to_vec()
+    }
+}
+
+/// Per-thread training state (scratch buffers reused across pairs),
+/// generic over the weight storage so the training step is written once.
+struct Worker<'a, M> {
+    job: &'a TrainJob<'a>,
+    syn0: M,
+    syn1: M,
     buf_in: Vec<f32>,
     neu1: Vec<f32>,
     err: Vec<f32>,
 }
 
-impl<'a> Worker<'a> {
-    fn new(
-        config: &'a Word2VecConfig,
-        sigmoid: &'a SigmoidTable,
-        neg_table: &'a NegativeTable,
-        syn0: &'a SharedMatrix,
-        syn1: &'a SharedMatrix,
-    ) -> Self {
+impl<'a, M: Rows> Worker<'a, M> {
+    fn new(job: &'a TrainJob<'a>, syn0: M, syn1: M) -> Self {
+        let dim = job.config.dim;
         Self {
-            config,
-            sigmoid,
-            neg_table,
+            job,
             syn0,
             syn1,
-            buf_in: vec![0.0; config.dim],
-            neu1: vec![0.0; config.dim],
-            err: vec![0.0; config.dim],
+            buf_in: vec![0.0; dim],
+            neu1: vec![0.0; dim],
+            err: vec![0.0; dim],
+        }
+    }
+
+    /// Trains every epoch over sentences `lo..hi` as worker `tid`.
+    fn train_range(&mut self, tid: usize, lo: usize, hi: usize) {
+        let TrainJob {
+            corpus,
+            config,
+            total_work,
+            processed,
+            ..
+        } = self.job;
+        let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(0x9E37 * (tid as u64 + 1)));
+        // Batched progress accounting (word2vec.c style): a contended
+        // fetch_add per sentence would bounce the counter's cache line
+        // between workers, so each thread accumulates locally and flushes
+        // every ~10k tokens. `base + local` never decreases (the global
+        // counter only grows, and a flush folds `local` into `base`), so
+        // the lr-decay schedule stays monotone per worker.
+        let mut base = processed.load(Ordering::Relaxed);
+        let mut local: u64 = 0;
+        for _ in 0..config.epochs {
+            for sent in corpus.sentences_range(lo, hi) {
+                let progress = (base + local) as f32 / *total_work as f32;
+                let lr = (config.initial_lr * (1.0 - progress)).max(config.initial_lr * 1e-4);
+                self.train_sentence(sent, lr, &mut rng);
+                local += sent.len() as u64;
+                if local >= PROGRESS_FLUSH_TOKENS {
+                    base = processed.fetch_add(local, Ordering::Relaxed) + local;
+                    local = 0;
+                }
+            }
+            // One draw between epochs, so the next pass over the same
+            // sentences does not replay this one's window draws. The
+            // value is unused; the draw itself is part of the pinned
+            // single-worker trajectory.
+            let _ = rng.random::<u64>();
+        }
+        if local > 0 {
+            processed.fetch_add(local, Ordering::Relaxed);
         }
     }
 
     // Index loops: positions matter (skip `pos`) and this is the hot path.
     #[allow(clippy::needless_range_loop)]
-    fn train_sentence(
-        &mut self,
-        sent: &[u32],
-        lr: f32,
-        counts: &[u64],
-        total_count: u64,
-        rng: &mut SmallRng,
-    ) {
+    fn train_sentence(&mut self, sent: &[u32], lr: f32, rng: &mut SmallRng) {
+        let TrainJob {
+            counts,
+            config,
+            total_count,
+            ..
+        } = self.job;
         // Frequency subsampling (word2vec.c formula), if enabled. The
         // common no-subsampling path borrows the sentence straight from
         // the corpus arena — no per-sentence copy in the training loop.
         let subsampled: Vec<u32>;
-        let kept: &[u32] = if self.config.subsample > 0.0 {
+        let kept: &[u32] = if config.subsample > 0.0 {
             subsampled = sent
                 .iter()
                 .copied()
                 .filter(|&w| {
-                    let f = counts[w as usize] as f64 / total_count as f64;
-                    let keep = ((self.config.subsample / f).sqrt()
-                        + self.config.subsample / f)
-                        .min(1.0);
+                    let f = counts[w as usize] as f64 / *total_count as f64;
+                    let keep = ((config.subsample / f).sqrt() + config.subsample / f).min(1.0);
                     rng.random::<f64>() < keep
                 })
                 .collect();
@@ -310,13 +351,13 @@ impl<'a> Worker<'a> {
         if kept.len() < 2 {
             return;
         }
-        let window = self.config.window.max(1);
+        let window = config.window.max(1);
         for pos in 0..kept.len() {
             let reduced = rng.random_range(0..window);
             let span = window - reduced;
             let lo = pos.saturating_sub(span);
             let hi = (pos + span).min(kept.len() - 1);
-            match self.config.mode {
+            match config.mode {
                 W2vMode::SkipGram => {
                     for ctx in lo..=hi {
                         if ctx != pos {
@@ -335,18 +376,18 @@ impl<'a> Worker<'a> {
     fn train_pair(&mut self, input: usize, output: usize, lr: f32, rng: &mut SmallRng) {
         self.syn0.read_row(input, &mut self.buf_in);
         self.err.fill(0.0);
-        for d in 0..=self.config.negative {
+        for d in 0..=self.job.config.negative {
             let (target, label) = if d == 0 {
                 (output, 1.0f32)
             } else {
-                let t = self.neg_table.sample(rng) as usize;
+                let t = self.job.neg_table.sample(rng) as usize;
                 if t == output {
                     continue;
                 }
                 (t, 0.0)
             };
             let f = self.syn1.dot_with_row(target, &self.buf_in);
-            let g = (label - self.sigmoid.get(f)) * lr;
+            let g = (label - self.job.sigmoid.get(f)) * lr;
             self.syn1.axpy_row_into(target, g, &mut self.err);
             self.syn1.add_scaled_to_row(target, g, &self.buf_in);
         }
@@ -383,18 +424,18 @@ impl<'a> Worker<'a> {
         }
         let output = sent[pos] as usize;
         self.err.fill(0.0);
-        for d in 0..=self.config.negative {
+        for d in 0..=self.job.config.negative {
             let (target, label) = if d == 0 {
                 (output, 1.0f32)
             } else {
-                let t = self.neg_table.sample(rng) as usize;
+                let t = self.job.neg_table.sample(rng) as usize;
                 if t == output {
                     continue;
                 }
                 (t, 0.0)
             };
             let f = self.syn1.dot_with_row(target, &self.neu1);
-            let g = (label - self.sigmoid.get(f)) * lr;
+            let g = (label - self.job.sigmoid.get(f)) * lr;
             self.syn1.axpy_row_into(target, g, &mut self.err);
             self.syn1.add_scaled_to_row(target, g, &self.neu1);
         }
@@ -410,6 +451,7 @@ impl<'a> Worker<'a> {
 mod tests {
     use super::*;
     use crate::vectors::cosine;
+    use proptest::prelude::*;
 
     /// Two disjoint "topics"; words within a topic must embed closer than
     /// words across topics.
@@ -519,6 +561,42 @@ mod tests {
             },
         );
         assert_eq!(m.embeddings().len(), 10);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One worker computes the same weights, bit for bit, whether it
+        /// owns plain `f32` or goes through the Hogwild atomic cells — so
+        /// choosing the storage by worker count cannot move a result.
+        #[test]
+        fn one_worker_is_bit_identical_over_either_storage(
+            sentences in prop::collection::vec(prop::collection::vec(0u32..24, 0..20), 1..24),
+            mode in prop::sample::select(vec![W2vMode::SkipGram, W2vMode::Cbow]),
+            dim in prop::sample::select(vec![1usize, 7, 8, 9, 100]),
+            subsample in prop::sample::select(vec![0.0f64, 5e-3]),
+            window in 1usize..16,
+            seed in 0u64..1000,
+        ) {
+            let corpus = FlatCorpus::from_nested(&sentences);
+            let counts = corpus.token_counts(24, true);
+            let config = Word2VecConfig {
+                dim,
+                window,
+                epochs: 2,
+                mode,
+                threads: 1,
+                seed,
+                subsample,
+                ..Default::default()
+            };
+            // A job per run: each carries its own progress counter.
+            let owned = TrainJob::new(&corpus, &counts, &config).run_owned();
+            let shared = TrainJob::new(&corpus, &counts, &config).run_shared(1);
+            prop_assert_eq!(owned.len(), 24 * dim);
+            let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&owned), bits(&shared));
+        }
     }
 
     #[test]

@@ -269,10 +269,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
 
     let (nodes, edges) = model.graph_size();
-    eprintln!(
-        "graph: {nodes} nodes, {edges} edges — train {:.2}s",
-        model.timings.total()
-    );
+    eprintln!("graph: {nodes} nodes, {edges} edges — {}", model.timings);
     if flag_present(args, "--stats") {
         eprintln!("{}", tdmatch::graph::GraphStats::of(&model.graph));
     }
@@ -338,7 +335,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let model = TdMatch::new(config)
         .fit_prebuilt(graph)
         .map_err(|e| e.to_string())?;
-    eprintln!("re-embedded in {:.2}s", model.timings.total());
+    eprintln!("re-embedded: {}", model.timings);
     for result in model.match_top_k(k) {
         let ranked: Vec<String> = result
             .ranked
