@@ -17,6 +17,7 @@ use tdmatch_embed::walks::{
     generate_walk_corpus, generate_walks, walk_counts, WalkConfig, WalkStrategy,
 };
 use tdmatch_embed::word2vec::{train_corpus, train_ids, Word2VecConfig};
+use tdmatch_graph::codec::crc32;
 use tdmatch_graph::traverse::{all_shortest_paths, bfs_distances};
 use tdmatch_graph::{CorpusSide, CsrGraph, EdgeTypeWeights, Graph};
 use tdmatch_text::Preprocessor;
@@ -246,11 +247,60 @@ fn bench_compression(c: &mut Criterion) {
     });
 }
 
+/// The one-byte-per-step CRC-32 loop `codec::crc32` used before the
+/// slice-by-16 kernel: the baseline the kernel's GB/s is read against.
+fn crc32_reference(data: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, entry) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+        *entry = c;
+    }
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// Checksum throughput at the two artifact sizes the repository
+/// benchmark writes: 424 KB (`ingest`, fits L2) and 12 MB (`serve-scan`,
+/// streams from memory). Timed here rather than through `bench_function`
+/// because the figure of merit is GB/s — the checksum as a fraction of
+/// what the machine can read — and the harness reports only time.
+fn bench_crc32(_: &mut Criterion) {
+    type Checksum = fn(&[u8]) -> u32;
+    let impls: [(&str, Checksum); 2] = [("reference", crc32_reference), ("kernel", crc32)];
+    for (label, len) in [("424KB", 424 << 10), ("12MB", 12 << 20)] {
+        let buf: Vec<u8> = (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        assert_eq!(crc32(&buf), crc32_reference(&buf));
+        for (name, checksum) in impls {
+            let best = (0..12)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    black_box(checksum(black_box(&buf)));
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!(
+                "{:<40} min {:>9.3} ms  {:>6.2} GB/s",
+                format!("crc32/{name}/{label}"),
+                best * 1e3,
+                len as f64 / best / 1e9
+            );
+        }
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_preprocess, bench_graph_build, bench_traversal,
               bench_walks_and_train, bench_walk_representations, bench_topk,
-              bench_hogwild, bench_compression
+              bench_hogwild, bench_compression, bench_crc32
 }
 criterion_main!(benches);

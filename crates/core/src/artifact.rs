@@ -348,7 +348,7 @@ impl MatchArtifact {
     ) -> Option<Vec<usize>> {
         let ann = self.ann.as_ref()?;
         let mut cands = ann.search_with(&self.first, qrow, pool, ef, scratch);
-        cands.extend((0..self.first.rows()).filter(|&t| !self.first.is_valid(t)));
+        cands.extend(self.first.invalid_rows());
         Some(cands)
     }
 

@@ -250,6 +250,25 @@ impl ScoreMatrix {
         self.valid.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The missing rows, ascending — `(0..rows).filter(|&i| !is_valid(i))`
+    /// computed a bitmap word at a time, so a mostly-valid matrix costs
+    /// one load per 64 rows instead of one bit test per row.
+    pub fn invalid_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let rows = self.rows;
+        self.valid.iter().enumerate().flat_map(move |(w, &word)| {
+            let live = (rows - w * 64).min(64);
+            let mask = u64::MAX >> (64 - live);
+            let mut missing = !word & mask;
+            std::iter::from_fn(move || {
+                (missing != 0).then(|| {
+                    let bit = missing.trailing_zeros() as usize;
+                    missing &= missing - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
     /// The normalized row `i` (all-zero when invalid).
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
@@ -1078,6 +1097,31 @@ mod tests {
         mapped.grow_rows(71);
         assert!(!mapped.is_zero_copy());
         assert_eq!(mapped.valid_rows(), 70);
+    }
+
+    #[test]
+    fn invalid_rows_equals_the_per_row_filter() {
+        let mut state = 0x1D_5EEDu64;
+        let mut coin = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 63 == 1
+        };
+        for rows in [0usize, 1, 63, 64, 65, 200] {
+            let all_valid = vec![true; rows];
+            let all_invalid = vec![false; rows];
+            let random: Vec<bool> = (0..rows).map(|_| coin()).collect();
+            for present in [all_valid, all_invalid, random] {
+                let mut m = ScoreMatrix::invalid(rows, 2);
+                for (i, _) in present.iter().enumerate().filter(|(_, &p)| p) {
+                    m.set_row(i, &[1.0, i as f32]);
+                }
+                let expected: Vec<usize> = (0..rows).filter(|&i| !m.is_valid(i)).collect();
+                assert_eq!(m.invalid_rows().collect::<Vec<_>>(), expected, "rows {rows}");
+                assert_eq!(expected.len(), rows - m.valid_rows());
+            }
+        }
     }
 
     #[test]

