@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use tdmatch_bench::alloc_probe::{AllocProbe, CountingAlloc};
 use tdmatch_core::matcher::{
-    top_k_matches, top_k_matches_matrix, top_k_matches_matrix_parallel, top_k_matches_naive,
+    top_k_matches_matrix, top_k_matches_matrix_parallel, top_k_matches_naive,
     MatchResult,
 };
 use tdmatch_datasets::{sts, Scale};
@@ -137,7 +137,11 @@ fn main() {
 
     // --- Engine, one-shot: per-call matrix build + batch top-k ---------
     let (engine_out, engine_oneshot) =
-        measure(pairs, REPS, || top_k_matches(&queries, &targets, k, None, None));
+        measure(pairs, REPS, || {
+            let q = ScoreMatrix::from_options(&queries);
+            let t = ScoreMatrix::from_options(&targets);
+            top_k_matches_matrix(&q, &t, k, None, None)
+        });
 
     // --- Engine, normalize-once: pre-built matrices (the TdModel path) --
     let t = Instant::now();

@@ -7,8 +7,7 @@
 //! * **cold** — graph build + walks + Word2Vec training + normalization
 //!   (`TdMatch::fit`), the price of not having a snapshot;
 //! * **warm** — `TDZ1` container bytes → zero-copy `MatchArtifact`
-//!   (`from_storage`: borrowed matrices, no re-normalization), plus the
-//!   legacy `TDM1` decode-and-upgrade path for comparison;
+//!   (`from_storage`: borrowed matrices, no re-normalization);
 //! * **load-then-match** — warm load followed by a full `match_top_k`
 //!   sweep, i.e. end-to-end time-to-first-ranking from bytes;
 //! * **CSR snapshot** — freeze-from-graph vs zero-copy snapshot load;
@@ -434,24 +433,19 @@ fn main() {
     let cold_secs = t.elapsed().as_secs_f64();
     let live = model.match_top_k(k);
 
-    // --- Artifact save (v2 container + legacy v1 stream) ---------------
+    // --- Artifact save ---------------------------------------------------
     let artifact = model.artifact();
     let t = Instant::now();
     let mut v2_bytes = Vec::new();
     artifact.write_to(&mut v2_bytes).unwrap();
     let save_secs = t.elapsed().as_secs_f64();
-    let mut v1_bytes = Vec::new();
-    artifact.write_to_v1(&mut v1_bytes).unwrap();
 
-    // --- Warm: zero-copy container load vs legacy decode --------------
+    // --- Warm: zero-copy container load ---------------------------------
     let (warm, v2_load) = measure(REPS, || {
         let storage = Storage::from_bytes(&v2_bytes);
         MatchArtifact::from_storage(&storage).unwrap()
     });
     assert!(warm.is_zero_copy(), "v2 load fell off the zero-copy path");
-    let (_, v1_load) = measure(REPS, || {
-        MatchArtifact::read_from(&mut v1_bytes.as_slice()).unwrap()
-    });
 
     // The warm artifact must rank exactly like the live model.
     let warm_results = warm.match_top_k(k);
@@ -637,14 +631,12 @@ fn main() {
     );
 
     let speedup_warm_vs_cold = cold_secs / v2_load.secs;
-    let speedup_v2_vs_v1 = v1_load.secs / v2_load.secs;
     let speedup_csr = csr_cold.secs / csr_load.secs;
     println!(
         "cold fit: {cold_secs:.3}s | warm v2 load: {:.6}s ({speedup_warm_vs_cold:.0}x) | \
-         v1 load: {:.6}s (v2 is {speedup_v2_vs_v1:.1}x) | load+match: {:.4}s \
+         load+match: {:.4}s \
          ({:.1}M pairs/s) | csr build+freeze {:.4}s vs load {:.6}s ({speedup_csr:.1}x)",
         v2_load.secs,
-        v1_load.secs,
         load_match.secs,
         pairs / load_match.secs / 1e6,
         csr_cold.secs,
@@ -665,14 +657,12 @@ fn main() {
             "  \"artifact_bytes\": {},\n",
             "  \"artifact_save_secs\": {:.6},\n",
             "  \"warm_load_v2\": {},\n",
-            "  \"warm_load_v1_legacy\": {},\n",
             "  \"load_then_match\": {{\"secs\": {:.6}, \"pairs_per_sec\": {:.1}}},\n",
             "  \"csr_snapshot\": {{\"bytes\": {}, \"build_freeze_secs\": {:.6}, ",
             "\"load_secs\": {:.6}}},\n",
             "  \"serving\": {},\n",
             "  \"ingest\": {},\n",
             "  \"speedup_warm_vs_cold\": {:.1},\n",
-            "  \"speedup_v2_vs_v1_load\": {:.2},\n",
             "  \"speedup_csr_load_vs_build\": {:.2}\n",
             "}}\n"
         ),
@@ -685,7 +675,6 @@ fn main() {
         v2_bytes.len(),
         save_secs,
         json_load_stats(&v2_load),
-        json_load_stats(&v1_load),
         load_match.secs,
         pairs / load_match.secs,
         csr_bytes.len(),
@@ -694,7 +683,6 @@ fn main() {
         serving_json,
         ingest_json,
         speedup_warm_vs_cold,
-        speedup_v2_vs_v1,
         speedup_csr,
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persist.json");

@@ -32,11 +32,9 @@
 //! their absence.
 //!
 //! Loading via [`MatchArtifact::from_storage`] is zero-copy: both
-//! document matrices are views into the container buffer. The legacy v1
-//! stream (`TDM1` magic: raw `Option<Vec<f32>>` rows, whole-stream CRC)
-//! is still readable — [`read_from`](MatchArtifact::read_from) detects
-//! the magic and upgrades v1 payloads into the flat layout on load
-//! (normalizing once, at load time instead of per match call).
+//! document matrices are views into the container buffer. `TDZ1` is the
+//! only format read or written; anything else — the retired `TDM1`
+//! stream included — is [`PersistError::BadMagic`].
 //!
 //! # Cross-process serving
 //!
@@ -54,8 +52,8 @@ use std::path::Path;
 
 use tdmatch_embed::ann::{HnswIndex, HnswParams, SearchScratch};
 use tdmatch_embed::score::ScoreMatrix;
+use tdmatch_graph::codec::{put_str, DecodeError};
 use tdmatch_graph::container::{pod_bytes, ContainerWriter, SectionTag, Storage};
-use tdmatch_graph::persist::{crc32, put_f32s, put_u32, ByteReader, DecodeError};
 
 use crate::delta::{DeltaBatch, DeltaOp, DeltaSummary};
 use crate::matcher::{top_k_matches_matrix, MatchResult};
@@ -66,9 +64,6 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Largest embedding dimensionality the decoders accept. Far above any
 /// real configuration; a header claiming more is hostile or corrupt.
 pub const MAX_DIM: usize = 1 << 20;
-
-const MAGIC_V1: [u8; 4] = *b"TDM1";
-const MAGIC_CONTAINER: [u8; 4] = *b"TDZ1";
 
 /// Section: `[format_version, dim, term count]` as `u64`s.
 pub const SEC_ARTIFACT_HEADER: SectionTag = *b"AHDR";
@@ -87,7 +82,7 @@ pub const SECOND_SLOT: u8 = 1;
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with a known TDmatch magic.
+    /// The file does not start with the `TDZ1` container magic.
     BadMagic,
     /// The file's format version is not supported by this build.
     UnsupportedVersion {
@@ -115,7 +110,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Io(e) => write!(f, "I/O error: {e}"),
             PersistError::BadMagic => write!(f, "not a TDmatch artifact (bad magic)"),
             PersistError::UnsupportedVersion { found } => {
-                write!(f, "unsupported artifact version {found} (supported: 1, {FORMAT_VERSION})")
+                write!(f, "unsupported artifact version {found} (supported: {FORMAT_VERSION})")
             }
             PersistError::Corrupt => write!(f, "artifact checksum mismatch (corrupt file)"),
             PersistError::BadLabel => write!(f, "artifact contains a non-UTF-8 label"),
@@ -519,8 +514,7 @@ impl MatchArtifact {
         let mut labels: Vec<u8> = Vec::new();
         let mut vecs: Vec<f32> = Vec::with_capacity(self.terms.len() * self.dim);
         for (label, vec) in &self.terms {
-            put_u32(&mut labels, label.len() as u32);
-            labels.extend_from_slice(label.as_bytes());
+            put_str(&mut labels, label);
             vecs.extend_from_slice(vec);
         }
         let mut cw = ContainerWriter::new();
@@ -542,32 +536,12 @@ impl MatchArtifact {
         cw.write_to(w).map_err(PersistError::from)
     }
 
-    /// Dispatches on the magic bytes of fully-loaded storage: `TDZ1`
-    /// containers take the zero-copy path
-    /// ([`from_storage`](MatchArtifact::from_storage)), legacy `TDM1`
-    /// streams are decoded and upgraded into the flat layout. This is
-    /// the format-agnostic entry point [`load`](MatchArtifact::load) and
-    /// [`read_from`](MatchArtifact::read_from) route through; use it
-    /// directly when you already hold a [`Storage`] (e.g. to report its
-    /// backing alongside the artifact).
-    pub fn from_storage_any(storage: &Storage) -> Result<Self, PersistError> {
-        let bytes = storage.as_bytes();
-        if bytes.len() >= 4 && bytes[..4] == MAGIC_CONTAINER {
-            return Self::from_storage(storage);
-        }
-        if bytes.len() >= 4 && bytes[..4] == MAGIC_V1 {
-            return Self::read_v1(bytes);
-        }
-        Err(PersistError::BadMagic)
-    }
-
     /// Deserializes from a reader: one buffer read into aligned storage,
-    /// then the magic-dispatched load (zero-copy for `TDZ1`, upgrade for
-    /// legacy `TDM1`).
+    /// then the zero-copy [`from_storage`](MatchArtifact::from_storage).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
         let mut buf = Vec::new();
         r.read_to_end(&mut buf)?;
-        Self::from_storage_any(&Storage::from_bytes(&buf))
+        Self::from_storage(&Storage::from_bytes(&buf))
     }
 
     /// Loads from container storage, zero-copy: both document matrices
@@ -637,100 +611,6 @@ impl MatchArtifact {
         })
     }
 
-    /// Decodes the legacy v1 stream (raw optional rows, whole-stream
-    /// CRC), normalizing the document rows once into the flat layout.
-    ///
-    /// Header fields are sanity-limited *before* any allocation sized by
-    /// them: a hostile header whose claimed sizes exceed the stream
-    /// length (or overflow) is rejected up front.
-    fn read_v1(buf: &[u8]) -> Result<Self, PersistError> {
-        if buf.len() < MAGIC_V1.len() + 8 {
-            return Err(PersistError::Corrupt);
-        }
-        let body_len = buf.len() - 4;
-        let stored_crc = u32::from_le_bytes(buf[body_len..].try_into().unwrap());
-        if crc32(&buf[..body_len]) != stored_crc {
-            return Err(PersistError::Corrupt);
-        }
-        let mut cur = ByteReader::new(&buf[..body_len], 4);
-        let version = cur.u32()?;
-        if version != 1 {
-            return Err(PersistError::UnsupportedVersion { found: version });
-        }
-        let dim = cur.u32()? as usize;
-        if dim > MAX_DIM {
-            return Err(PersistError::Invalid("implausible dimensionality"));
-        }
-        let vec_bytes = dim * 4; // ≤ 4 MiB by the MAX_DIM check
-        let n_terms = cur.u32()? as usize;
-        // Every term costs at least a length prefix plus one vector;
-        // reject counts the stream cannot possibly hold before reserving.
-        if n_terms
-            .checked_mul(4 + vec_bytes)
-            .is_none_or(|need| need > cur.remaining())
-        {
-            return Err(PersistError::Invalid("term count exceeds stream length"));
-        }
-        let mut terms = Vec::with_capacity(n_terms);
-        for _ in 0..n_terms {
-            let len = cur.u32()? as usize;
-            let label = String::from_utf8(cur.bytes(len)?.to_vec())
-                .map_err(|_| PersistError::BadLabel)?;
-            terms.push((label, cur.f32s(dim)?));
-        }
-        let mut sides: [Vec<Option<Vec<f32>>>; 2] = [Vec::new(), Vec::new()];
-        for side in &mut sides {
-            let n = cur.u32()? as usize;
-            // Each document costs at least its presence byte.
-            if n > cur.remaining() {
-                return Err(PersistError::Invalid("corpus size exceeds stream length"));
-            }
-            side.reserve(n);
-            for _ in 0..n {
-                let present = cur.bytes(1)?[0];
-                side.push(if present == 1 {
-                    Some(cur.f32s(dim)?)
-                } else {
-                    None
-                });
-            }
-        }
-        let [first, second] = sides;
-        Ok(Self::new(dim, terms, first, second))
-    }
-
-    /// Serializes into the *legacy* v1 stream (`TDM1`). Document rows are
-    /// written as stored — normalized — so a v1 re-import ranks
-    /// identically. Kept for downgrade compatibility and decoder tests;
-    /// new files should use [`write_to`](MatchArtifact::write_to).
-    pub fn write_to_v1<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(&MAGIC_V1);
-        put_u32(&mut buf, 1);
-        put_u32(&mut buf, self.dim as u32);
-        put_u32(&mut buf, self.terms.len() as u32);
-        for (label, vec) in &self.terms {
-            put_u32(&mut buf, label.len() as u32);
-            buf.extend_from_slice(label.as_bytes());
-            put_f32s(&mut buf, vec);
-        }
-        for side in [&self.first, &self.second] {
-            put_u32(&mut buf, side.rows() as u32);
-            for i in 0..side.rows() {
-                if side.is_valid(i) {
-                    buf.push(1);
-                    put_f32s(&mut buf, side.row(i));
-                } else {
-                    buf.push(0);
-                }
-            }
-        }
-        let crc = crc32(&buf);
-        put_u32(&mut buf, crc);
-        w.write_all(&buf)?;
-        Ok(())
-    }
-
     /// Saves to a file path (format v2), crash-safely: the container is
     /// written to a same-directory temp file, fsynced, and renamed over
     /// `path` ([`publish_atomic`](tdmatch_graph::publish::publish_atomic)).
@@ -743,9 +623,9 @@ impl MatchArtifact {
         tdmatch_graph::publish::publish_atomic(path.as_ref(), |f| self.write_to(f))
     }
 
-    /// Loads from a file path (v2 zero-copy, or legacy v1 upgraded).
+    /// Loads from a file path, zero-copy.
     ///
-    /// v2 containers are **memory-mapped** where the platform allows
+    /// The container is **memory-mapped** where the platform allows
     /// ([`Storage::open`]; heap read elsewhere or when mapping fails):
     /// every serving process that loads the same artifact file shares one
     /// physical copy of the matrices through the OS page cache, and the
@@ -777,7 +657,7 @@ impl MatchArtifact {
     /// # Ok::<(), tdmatch_core::artifact::PersistError>(())
     /// ```
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
-        Self::from_storage_any(&Storage::open(path)?)
+        Self::from_storage(&Storage::open(path)?)
     }
 }
 
@@ -866,9 +746,12 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut buf = Vec::new();
         sample().write_to(&mut buf).unwrap();
-        buf[0] = b'X';
-        let err = MatchArtifact::read_from(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PersistError::BadMagic));
+        // The retired `TDM1` magic is what any other non-container is.
+        for magic in [b"XDZ1", b"TDM1"] {
+            buf[..4].copy_from_slice(magic);
+            let err = MatchArtifact::read_from(&mut buf.as_slice()).unwrap_err();
+            assert!(matches!(err, PersistError::BadMagic));
+        }
     }
 
     #[test]
@@ -900,71 +783,6 @@ mod tests {
                 "truncated file of {cut} bytes loaded"
             );
         }
-    }
-
-    #[test]
-    fn legacy_v1_stream_upgrades_on_load() {
-        let a = sample();
-        let mut v1 = Vec::new();
-        a.write_to_v1(&mut v1).unwrap();
-        assert_eq!(&v1[..4], b"TDM1");
-        let b = MatchArtifact::read_from(&mut v1.as_slice()).unwrap();
-        // v1 payloads are the normalized rows; re-normalizing a unit
-        // vector is identity up to fp, and here the rows are exact units.
-        assert_eq!(a.match_top_k(3), b.match_top_k(3));
-        assert_eq!(a.term_vector("willis"), b.term_vector("willis"));
-        assert_eq!(a.corpus_sizes(), b.corpus_sizes());
-        assert!(!b.is_zero_copy()); // upgraded, not mapped
-
-        // v1 corruption is still detected everywhere.
-        for pos in 4..v1.len() {
-            let mut bad = v1.clone();
-            bad[pos] ^= 0x10;
-            assert!(
-                MatchArtifact::read_from(&mut bad.as_slice()).is_err(),
-                "v1 bit flip at {pos} loaded silently"
-            );
-        }
-    }
-
-    #[test]
-    fn hostile_v1_header_is_rejected_before_allocating() {
-        // A syntactically valid v1 stream whose header claims far more
-        // content than the stream holds. The CRC is stamped correctly, so
-        // only the sanity limits stand between the header and a huge
-        // allocation.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TDM1");
-        put_u32(&mut buf, 1); // version
-        put_u32(&mut buf, 64); // dim (plausible)
-        put_u32(&mut buf, u32::MAX); // term count (hostile)
-        let crc = crc32(&buf);
-        put_u32(&mut buf, crc);
-        let err = MatchArtifact::read_from(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PersistError::Invalid(_)), "got {err:?}");
-
-        // Same for an implausible dimensionality…
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TDM1");
-        put_u32(&mut buf, 1);
-        put_u32(&mut buf, u32::MAX); // dim (hostile)
-        put_u32(&mut buf, 1);
-        let crc = crc32(&buf);
-        put_u32(&mut buf, crc);
-        let err = MatchArtifact::read_from(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PersistError::Invalid(_)), "got {err:?}");
-
-        // …and for a corpus size the stream cannot hold.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TDM1");
-        put_u32(&mut buf, 1);
-        put_u32(&mut buf, 2); // dim
-        put_u32(&mut buf, 0); // no terms
-        put_u32(&mut buf, u32::MAX); // first-corpus size (hostile)
-        let crc = crc32(&buf);
-        put_u32(&mut buf, crc);
-        let err = MatchArtifact::read_from(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PersistError::Invalid(_)), "got {err:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Corpus deltas for incremental ingest — append / update / tombstone
-//! of first-corpus (target-side) documents, applied to a loaded
-//! [`MatchArtifact`](crate::artifact::MatchArtifact) or a live
-//! [`TdModel`](crate::pipeline::TdModel) without a refit.
+//! of first-corpus (target-side) documents, applied to a
+//! [`MatchArtifact`](crate::artifact::MatchArtifact) — loaded, or freshly
+//! exported from a fitted model — without a refit.
 //!
 //! The fit is expensive (graph build → walks → Word2Vec, tens of
 //! seconds on the benchmark corpus) while the quantity that matching
@@ -168,8 +168,7 @@ impl DeltaBatch {
 }
 
 /// What applying a delta changed — returned by
-/// [`MatchArtifact::apply_delta`](crate::artifact::MatchArtifact::apply_delta)
-/// and [`TdModel::apply_delta`](crate::pipeline::TdModel::apply_delta).
+/// [`MatchArtifact::apply_delta`](crate::artifact::MatchArtifact::apply_delta).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaSummary {
     /// Rows appended to the target matrix.

@@ -39,8 +39,8 @@
 //!    views into the shared storage buffer, so time-to-first-ranking is
 //!    load + dot-many — no graph rebuild, no re-normalization, no
 //!    per-row allocation (`BENCH_persist.json` tracks the warm/cold
-//!    ratio). Legacy `TDM1` streams load through the same entry points
-//!    and are upgraded into the flat layout once, at load time.
+//!    ratio). `TDZ1` is the only format read: any other file is
+//!    [`artifact::PersistError::BadMagic`].
 //! 5. **Delta ingest** — when the target corpus changes, a
 //!    [`delta::DeltaBatch`] (append / update / tombstone ops) applied
 //!    via [`artifact::MatchArtifact::apply_delta`] re-embeds only the
@@ -50,12 +50,13 @@
 //!    (`crates/core/tests/delta_prop.rs`), at a fraction of the cost
 //!    (the `ingest` tier of `BENCH_persist.json`).
 //!
-//! Two heavier warm-start paths complement the artifact: a mutable
-//! graph persisted with `tdmatch_graph::persist` resumes the *training*
-//! side via [`pipeline::TdMatch::fit_prebuilt`] (walks + training, no
-//! graph build), and a frozen `CsrGraph` snapshot
-//! (`tdmatch_graph::csr::CsrGraph::save_snapshot`) maps the walk
-//! substrate back without even re-freezing.
+//! Two heavier warm-start paths complement the artifact, both `TDZ1`
+//! files too: a mutable graph saved with
+//! `tdmatch_graph::Graph::save_snapshot` resumes the *training* side via
+//! [`pipeline::TdMatch::fit_prebuilt`] (walks + training, no graph
+//! build), and the same file — or a label-less
+//! `tdmatch_graph::CsrGraph::save_snapshot` — maps the walk substrate
+//! back as a frozen `CsrGraph` without even re-freezing.
 //!
 //! Entry point: [`pipeline::TdMatch`].
 

@@ -16,9 +16,8 @@
 //!   averaging), ranking behind every reachable cosine;
 //! * ties break by ascending target index, at any thread count.
 //!
-//! The slice-based [`top_k_matches`] / [`top_k_matches_parallel`] build
-//! throwaway matrices per call; long-lived callers (the fitted
-//! [`crate::pipeline::TdModel`]) pre-normalize once and use
+//! Callers pre-normalize once ([`ScoreMatrix::from_options`] for rows
+//! still held as `Option<Vec<f32>>`) and rank with
 //! [`top_k_matches_matrix`] / [`top_k_matches_matrix_parallel`].
 //! [`top_k_matches_naive`] preserves the legacy cosine-per-pair + full
 //! sort path as the equivalence oracle for property tests and the
@@ -89,43 +88,11 @@ pub fn top_k_matches_matrix_parallel(
     ))
 }
 
-/// Ranks the top-`k` targets for every query by cosine similarity.
-///
-/// Compatibility wrapper over [`top_k_matches_matrix`] for callers still
-/// holding `Option<Vec<f32>>` rows; packs both sides into throwaway
-/// [`ScoreMatrix`]es per call.
-pub fn top_k_matches(
-    queries: &[Option<Vec<f32>>],
-    targets: &[Option<Vec<f32>>],
-    k: usize,
-    extra_score: Option<&dyn Fn(usize, usize) -> f32>,
-    candidates: Option<&dyn Fn(usize) -> Vec<usize>>,
-) -> Vec<MatchResult> {
-    let q = ScoreMatrix::from_options(queries);
-    let t = ScoreMatrix::from_options(targets);
-    top_k_matches_matrix(&q, &t, k, extra_score, candidates)
-}
-
-/// Parallel [`top_k_matches`]: splits the queries over `threads` workers.
-/// Output is identical to the sequential version (each query's ranking is
-/// independent and the scorers are deterministic).
-pub fn top_k_matches_parallel(
-    queries: &[Option<Vec<f32>>],
-    targets: &[Option<Vec<f32>>],
-    k: usize,
-    extra_score: Option<&(dyn Fn(usize, usize) -> f32 + Sync)>,
-    candidates: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)>,
-    threads: usize,
-) -> Vec<MatchResult> {
-    let q = ScoreMatrix::from_options(queries);
-    let t = ScoreMatrix::from_options(targets);
-    top_k_matches_matrix_parallel(&q, &t, k, extra_score, candidates, threads)
-}
-
 /// The seed implementation — cosine recomputed per pair over nested
 /// `Option` rows, full sort, truncate — kept verbatim as the equivalence
 /// oracle for property tests and the `bench_matcher` baseline. Not a hot
 /// path; do not use in new code.
+#[doc(hidden)]
 pub fn top_k_matches_naive(
     queries: &[Option<Vec<f32>>],
     targets: &[Option<Vec<f32>>],
@@ -174,6 +141,19 @@ mod tests {
 
     fn v(x: f32, y: f32) -> Option<Vec<f32>> {
         Some(vec![x, y])
+    }
+
+    /// Packs `Option` rows and ranks them through the matrix entry point.
+    fn top_k_matches(
+        queries: &[Option<Vec<f32>>],
+        targets: &[Option<Vec<f32>>],
+        k: usize,
+        extra_score: Option<&dyn Fn(usize, usize) -> f32>,
+        candidates: Option<&dyn Fn(usize) -> Vec<usize>>,
+    ) -> Vec<MatchResult> {
+        let q = ScoreMatrix::from_options(queries);
+        let t = ScoreMatrix::from_options(targets);
+        top_k_matches_matrix(&q, &t, k, extra_score, candidates)
     }
 
     #[test]
@@ -245,34 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_entry_point_equals_slice_wrapper() {
-        let queries: Vec<Option<Vec<f32>>> = (0..9)
-            .map(|i| {
-                if i % 4 == 1 {
-                    None
-                } else {
-                    v((i as f32 * 0.9).cos(), (i as f32 * 0.9).sin())
-                }
-            })
-            .collect();
-        let targets: Vec<Option<Vec<f32>>> = (0..15)
-            .map(|i| {
-                if i % 5 == 2 {
-                    None
-                } else {
-                    v((i as f32 * 1.7).cos(), (i as f32 * 1.7).sin())
-                }
-            })
-            .collect();
-        let qm = ScoreMatrix::from_options(&queries);
-        let tm = ScoreMatrix::from_options(&targets);
-        assert_eq!(
-            top_k_matches(&queries, &targets, 4, None, None),
-            top_k_matches_matrix(&qm, &tm, 4, None, None),
-        );
-    }
-
-    #[test]
     fn parallel_matches_sequential_exactly() {
         let queries: Vec<Option<Vec<f32>>> = (0..37)
             .map(|i| v((i as f32 * 0.7).cos(), (i as f32 * 0.7).sin()))
@@ -287,9 +239,9 @@ mod tests {
             })
             .collect();
         let seq = top_k_matches(&queries, &targets, 5, None, None);
+        let (q, t) = (ScoreMatrix::from_options(&queries), ScoreMatrix::from_options(&targets));
         for threads in [1, 2, 4, 64] {
-            let par =
-                top_k_matches_parallel(&queries, &targets, 5, None, None, threads);
+            let par = top_k_matches_matrix_parallel(&q, &t, 5, None, None, threads);
             assert_eq!(seq, par, "threads = {threads}");
         }
     }
@@ -304,7 +256,8 @@ mod tests {
         let extra = |q: usize, t: usize| if t == q % 6 { 1.0 } else { 0.0 };
         let cand = |q: usize| vec![q % 6, (q + 1) % 6];
         let seq = top_k_matches(&queries, &targets, 1, Some(&extra), Some(&cand));
-        let par = top_k_matches_parallel(&queries, &targets, 1, Some(&extra), Some(&cand), 3);
+        let (q, t) = (ScoreMatrix::from_options(&queries), ScoreMatrix::from_options(&targets));
+        let par = top_k_matches_matrix_parallel(&q, &t, 1, Some(&extra), Some(&cand), 3);
         assert_eq!(seq, par);
         for (q, r) in par.iter().enumerate() {
             assert_eq!(r.query, q);

@@ -7,7 +7,7 @@ use tdmatch_compress::{msp_compress, ssp_compress, ssum_compress, MspConfig, Ssp
 use tdmatch_embed::corpus::FlatCorpus;
 use tdmatch_embed::walks::generate_walk_corpus;
 use tdmatch_embed::word2vec::train_corpus;
-use tdmatch_graph::{CorpusSide, CsrGraph, EdgeKind, Graph, MetaKind, NodeKind};
+use tdmatch_graph::{CorpusSide, CsrGraph, Graph};
 use tdmatch_kb::{KnowledgeBase, PretrainedModel};
 use tdmatch_text::Preprocessor;
 
@@ -23,11 +23,10 @@ use tdmatch_embed::score::ScoreMatrix;
 use crate::lsh::LshIndex;
 use crate::matcher::{top_k_matches_matrix, top_k_matches_matrix_parallel, MatchResult};
 
-/// Fitted blocking state, matching the configured [`BlockingMode`].
+/// Fitted blocking state, matching the configured [`BlockingMode`]
+/// (`BlockingMode::None` fits no `BlockData`: all pairs are scored).
 #[derive(Debug)]
 enum BlockData {
-    /// No blocking: score all pairs.
-    None,
     /// Inverted token index over the first corpus plus the pre-tokenized
     /// queries of the second corpus.
     Inverted {
@@ -144,8 +143,8 @@ impl TdMatch {
         )
     }
 
-    /// Resumes the pipeline from a pre-built graph — e.g. one persisted
-    /// with [`tdmatch_graph::persist::save_graph`] after an expensive
+    /// Resumes the pipeline from a pre-built graph — e.g. one saved with
+    /// [`Graph::save_snapshot`] after an expensive
     /// expansion/compression — skipping graph creation entirely. Runs
     /// walks, training, and vector extraction on `graph` as-is.
     ///
@@ -180,62 +179,15 @@ impl TdMatch {
             return Err(TdError::EmptyCorpus { which: "second" });
         }
 
-        let mut timings = StageTimings::default();
-
-        // Freeze once: all walk generation runs against the CSR snapshot.
-        let t = Instant::now();
-        let csr = CsrGraph::from_graph(&graph);
-        let walk_corpus = generate_walk_corpus(&csr, &self.config.walk_config());
-        timings.walks = t.elapsed().as_secs_f64();
-        if walk_corpus.is_empty() {
-            return Err(TdError::EmptyWalkCorpus);
-        }
-
-        let t = Instant::now();
-        let matrix = self.train_matrix(&graph, &walk_corpus);
-        timings.train = t.elapsed().as_secs_f64();
-        timings.train_tokens = walk_corpus.total_tokens() as u64 * self.config.epochs as u64;
-
-        let dim = self.config.dim;
-        let extract = |side: CorpusSide, len: usize| -> Vec<Option<Vec<f32>>> {
-            (0..len)
-                .map(|i| {
-                    graph.meta_node(&doc_label(side, i)).map(|n| {
-                        matrix[n.index() * dim..(n.index() + 1) * dim].to_vec()
-                    })
-                })
-                .collect()
-        };
-        let first_vecs = extract(CorpusSide::First, first_len);
-        let second_vecs = extract(CorpusSide::Second, second_len);
-
-        let blocks = match self.config.blocking {
-            BlockingMode::Lsh(lsh_config) => {
-                BlockData::Lsh(LshIndex::build(&first_vecs, dim, &lsh_config))
-            }
-            _ => BlockData::None,
-        };
-
-        // Normalize once: every subsequent match call is dot-many over
-        // these pre-normalized matrices.
-        let first_norm = ScoreMatrix::from_options_dim(&first_vecs, dim);
-        let second_norm = ScoreMatrix::from_options_dim(&second_vecs, dim);
-
-        Ok(TdModel {
-            config: self.config.clone(),
+        self.embed_and_index(
             graph,
-            matrix,
-            first_vecs,
-            second_vecs,
-            first_norm,
-            second_norm,
-            build_stats: BuildStats::default(),
-            expand_stats: ExpandStats::default(),
-            timings,
-            blocks,
-        })
+            (first_len, second_len),
+            None,
+            BuildStats::default(),
+            ExpandStats::default(),
+            StageTimings::default(),
+        )
     }
-
 
     /// Trains node embeddings from the walk corpus with the configured
     /// [`EmbedMethod`], returning an `id_bound × dim` row-major matrix.
@@ -358,8 +310,31 @@ impl TdMatch {
             timings.compress = t.elapsed().as_secs_f64();
         }
 
-        // 4. Random walks (Alg. 4, first half). The graph is final now:
-        //    freeze it once and run walk generation on the CSR snapshot.
+        self.embed_and_index(
+            graph,
+            (first.len(), second.len()),
+            Some((first, second)),
+            build_stats,
+            expand_stats,
+            timings,
+        )
+    }
+
+    /// The stages every fit ends with, on a graph that is final: freeze →
+    /// walks → train → per-document vectors → blocking index →
+    /// normalize. `corpora` is `None` for a resumed fit, which has only
+    /// the graph.
+    fn embed_and_index(
+        &self,
+        graph: Graph,
+        (first_len, second_len): (usize, usize),
+        corpora: Option<(&Corpus, &Corpus)>,
+        build_stats: BuildStats,
+        expand_stats: ExpandStats,
+        mut timings: StageTimings,
+    ) -> Result<TdModel, TdError> {
+        // Random walks (Alg. 4, first half): freeze once and run walk
+        // generation on the CSR snapshot.
         let t = Instant::now();
         let csr = CsrGraph::from_graph(&graph);
         let walk_corpus = generate_walk_corpus(&csr, &self.config.walk_config());
@@ -368,13 +343,13 @@ impl TdMatch {
             return Err(TdError::EmptyWalkCorpus);
         }
 
-        // 5. Embedding model over walks (Alg. 4, second half).
+        // Embedding model over walks (Alg. 4, second half).
         let t = Instant::now();
         let matrix = self.train_matrix(&graph, &walk_corpus);
         timings.train = t.elapsed().as_secs_f64();
         timings.train_tokens = walk_corpus.total_tokens() as u64 * self.config.epochs as u64;
 
-        // 6. Metadata vectors per (side, document index).
+        // Metadata vectors per (side, document index).
         let dim = self.config.dim;
         let extract = |side: CorpusSide, len: usize| -> Vec<Option<Vec<f32>>> {
             (0..len)
@@ -385,15 +360,16 @@ impl TdMatch {
                 })
                 .collect()
         };
-        let first_vecs = extract(CorpusSide::First, first.len());
-        let second_vecs = extract(CorpusSide::Second, second.len());
+        let first_vecs = extract(CorpusSide::First, first_len);
+        let second_vecs = extract(CorpusSide::Second, second_len);
 
-        // 7. Optional blocking index (future-work extension): lexical
-        //    blocking indexes the first corpus's tokens; LSH blocking
-        //    hashes the just-trained first-corpus embeddings.
-        let blocks = match self.config.blocking {
-            BlockingMode::None => BlockData::None,
-            BlockingMode::InvertedIndex => {
+        // Optional blocking index (future-work extension): lexical
+        // blocking indexes the first corpus's tokens; LSH blocking
+        // hashes the just-trained first-corpus embeddings.
+        let blocks = match (self.config.blocking, corpora) {
+            (BlockingMode::None, _) => None,
+            (BlockingMode::InvertedIndex, None) => return Err(TdError::PrebuiltNeedsCorpora),
+            (BlockingMode::InvertedIndex, Some((first, second))) => {
                 let pre = Preprocessor::new(self.config.preprocess.clone());
                 let index = BlockIndex::build(first, &pre);
                 let query_tokens: Vec<Vec<String>> = (0..second.len())
@@ -405,13 +381,13 @@ impl TdMatch {
                             .collect()
                     })
                     .collect();
-                BlockData::Inverted {
+                Some(BlockData::Inverted {
                     index,
                     query_tokens,
-                }
+                })
             }
-            BlockingMode::Lsh(lsh_config) => {
-                BlockData::Lsh(LshIndex::build(&first_vecs, dim, &lsh_config))
+            (BlockingMode::Lsh(lsh_config), _) => {
+                Some(BlockData::Lsh(LshIndex::build(&first_vecs, dim, &lsh_config)))
             }
         };
 
@@ -458,7 +434,7 @@ pub struct TdModel {
     pub expand_stats: ExpandStats,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,
-    blocks: BlockData,
+    blocks: Option<BlockData>,
 }
 
 impl TdModel {
@@ -484,6 +460,23 @@ impl TdModel {
         Some(&self.matrix[n.index() * dim..(n.index() + 1) * dim])
     }
 
+    /// The fitted blocking index as a per-query candidate function —
+    /// `None` when no blocking is configured and every pair is scored.
+    fn blocking(&self) -> Option<impl Fn(usize) -> Vec<usize> + Sync + '_> {
+        self.blocks.as_ref().map(|blocks| {
+            move |q: usize| match blocks {
+                BlockData::Inverted {
+                    index,
+                    query_tokens,
+                } => index.candidates(&query_tokens[q]),
+                BlockData::Lsh(index) => match &self.second_vecs[q] {
+                    Some(v) => index.candidates(v),
+                    None => Vec::new(),
+                },
+            }
+        })
+    }
+
     /// Ranks the top-`k` first-corpus documents for every second-corpus
     /// document (the default direction: queries are the text side).
     pub fn match_top_k(&self, k: usize) -> Vec<MatchResult> {
@@ -499,25 +492,8 @@ impl TdModel {
         k: usize,
         extra_score: Option<&dyn Fn(usize, usize) -> f32>,
     ) -> Vec<MatchResult> {
-        let inverted_fn;
-        let lsh_fn;
-        let candidates: Option<&dyn Fn(usize) -> Vec<usize>> = match &self.blocks {
-            BlockData::None => None,
-            BlockData::Inverted {
-                index,
-                query_tokens,
-            } => {
-                inverted_fn = move |q: usize| index.candidates(&query_tokens[q]);
-                Some(&inverted_fn)
-            }
-            BlockData::Lsh(index) => {
-                lsh_fn = move |q: usize| match &self.second_vecs[q] {
-                    Some(v) => index.candidates(v),
-                    None => Vec::new(),
-                };
-                Some(&lsh_fn)
-            }
-        };
+        let blocking = self.blocking();
+        let candidates = blocking.as_ref().map(|f| f as &dyn Fn(usize) -> Vec<usize>);
         top_k_matches_matrix(&self.second_norm, &self.first_norm, k, extra_score, candidates)
     }
 
@@ -532,25 +508,10 @@ impl TdModel {
     /// over `threads` workers. Output is identical to the sequential
     /// version; worthwhile when the query corpus is large.
     pub fn match_top_k_parallel(&self, k: usize, threads: usize) -> Vec<MatchResult> {
-        let inverted_fn;
-        let lsh_fn;
-        let candidates: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)> = match &self.blocks {
-            BlockData::None => None,
-            BlockData::Inverted {
-                index,
-                query_tokens,
-            } => {
-                inverted_fn = move |q: usize| index.candidates(&query_tokens[q]);
-                Some(&inverted_fn)
-            }
-            BlockData::Lsh(index) => {
-                lsh_fn = move |q: usize| match &self.second_vecs[q] {
-                    Some(v) => index.candidates(v),
-                    None => Vec::new(),
-                };
-                Some(&lsh_fn)
-            }
-        };
+        let blocking = self.blocking();
+        let candidates = blocking
+            .as_ref()
+            .map(|f| f as &(dyn Fn(usize) -> Vec<usize> + Sync));
         top_k_matches_matrix_parallel(
             &self.second_norm,
             &self.first_norm,
@@ -594,127 +555,6 @@ impl TdModel {
             self.first_norm.clone(),
             self.second_norm.clone(),
         )
-    }
-
-    /// Applies a corpus delta to the fitted model in place — the
-    /// live-model counterpart of
-    /// [`MatchArtifact::apply_delta`](crate::artifact::MatchArtifact::apply_delta).
-    ///
-    /// Touched first-corpus rows are re-embedded against the **frozen**
-    /// vocabulary (the mean of their known terms' trained vectors — the
-    /// same aggregation the artifact path runs, so exporting after the
-    /// delta equals exporting first and applying the delta to the
-    /// artifact, bit for bit). Graph membership tracks the delta:
-    /// appended documents gain a metadata node wired by `Contains`
-    /// edges to their known terms (unknown terms are *not* interned —
-    /// the vocabulary stays frozen), tombstoned documents are removed.
-    /// Updates re-embed the row only; the document's existing graph
-    /// edges are left as fitted, since walks and training are not
-    /// re-run on a delta — re-freeze or refit when the graph itself
-    /// must reflect edited content.
-    pub fn apply_delta(
-        &mut self,
-        batch: &crate::delta::DeltaBatch,
-    ) -> Result<crate::delta::DeltaSummary, crate::artifact::PersistError> {
-        use crate::delta::{DeltaOp, DeltaSummary};
-        let old_rows = self.first_norm.rows();
-        let mut rows = old_rows;
-        for op in &batch.ops {
-            match op {
-                DeltaOp::Append { .. } => rows += 1,
-                DeltaOp::Update { target, .. } | DeltaOp::Tombstone { target } => {
-                    if *target >= rows {
-                        return Err(crate::artifact::PersistError::Invalid(
-                            "delta target out of bounds",
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Appended documents mirror the metadata kind of the fitted
-        // first side (tuple / text doc / taxonomy node).
-        let doc_kind = self
-            .graph
-            .meta_node(&doc_label(CorpusSide::First, 0))
-            .map(|n| match self.graph.kind(n) {
-                NodeKind::Meta { kind, .. } => kind,
-                _ => MetaKind::TextDoc,
-            })
-            .unwrap_or(MetaKind::TextDoc);
-
-        let dim = self.config.dim;
-        // The frozen-vocab aggregation, arithmetic-identical to
-        // `MatchArtifact::embed_tokens` over this model's exported term
-        // table: sum known term vectors in token order, scale by 1/hits.
-        let embed = |graph: &Graph, matrix: &[f32], tokens: &[String]| -> Option<Vec<f32>> {
-            let mut sum = vec![0.0f32; dim];
-            let mut hits = 0usize;
-            for tok in tokens {
-                if let Some(n) = graph.data_node(tok) {
-                    let v = &matrix[n.index() * dim..(n.index() + 1) * dim];
-                    for (s, x) in sum.iter_mut().zip(v) {
-                        *s += x;
-                    }
-                    hits += 1;
-                }
-            }
-            if hits == 0 {
-                return None;
-            }
-            let inv = 1.0 / hits as f32;
-            for s in &mut sum {
-                *s *= inv;
-            }
-            Some(sum)
-        };
-
-        let mut summary = DeltaSummary { rows, ..Default::default() };
-        self.first_norm.grow_rows(rows);
-        self.first_vecs.resize(rows, None);
-        let mut next = old_rows;
-        for op in &batch.ops {
-            match op {
-                DeltaOp::Append { tokens } => {
-                    let v = embed(&self.graph, &self.matrix, tokens);
-                    let doc = self.graph.add_meta(
-                        &doc_label(CorpusSide::First, next),
-                        CorpusSide::First,
-                        doc_kind,
-                        next as u32,
-                    );
-                    for tok in tokens {
-                        if let Some(n) = self.graph.data_node(tok) {
-                            self.graph.add_edge_typed(doc, n, EdgeKind::Contains);
-                        }
-                    }
-                    if let Some(v) = &v {
-                        self.first_norm.set_row(next, v);
-                    }
-                    self.first_vecs[next] = v;
-                    next += 1;
-                    summary.appended += 1;
-                }
-                DeltaOp::Update { target, tokens } => {
-                    let v = embed(&self.graph, &self.matrix, tokens);
-                    match &v {
-                        Some(v) => self.first_norm.set_row(*target, v),
-                        None => self.first_norm.clear_row(*target),
-                    }
-                    self.first_vecs[*target] = v;
-                    summary.updated += 1;
-                }
-                DeltaOp::Tombstone { target } => {
-                    if let Some(n) = self.graph.meta_node(&doc_label(CorpusSide::First, *target)) {
-                        self.graph.remove_node(n);
-                    }
-                    self.first_norm.clear_row(*target);
-                    self.first_vecs[*target] = None;
-                    summary.tombstoned += 1;
-                }
-            }
-        }
-        Ok(summary)
     }
 
     /// Exports the match artifact and writes it straight to `path` —
@@ -785,32 +625,6 @@ mod tests {
             }
         }
         assert!(correct >= 2, "at least 2/3 top-1 correct, got {correct}");
-    }
-
-    #[test]
-    fn delta_on_model_commutes_with_artifact_export() {
-        let (first, second) = corpora();
-        let mut model = TdMatch::new(TdConfig::for_tests())
-            .fit(&first, &second)
-            .unwrap();
-        let pre = Preprocessor::new(model.config.preprocess.clone());
-        let batch = crate::delta::DeltaBatch::new()
-            .append(pre.terms_of_fields(["Leon", "Besson", "Jean Reno", "Thriller"]))
-            .update(1, pre.terms_of_fields(["Pulp Fiction", "Tarantino", "Travolta", "Crime"]))
-            .tombstone(0);
-
-        // Export-then-delta vs delta-then-export must agree bit for bit.
-        let mut via_artifact = model.artifact();
-        via_artifact.apply_delta(&batch).unwrap();
-        let s = model.apply_delta(&batch).unwrap();
-        assert_eq!((s.appended, s.updated, s.tombstoned, s.rows), (1, 1, 1, 4));
-        assert_eq!(model.artifact(), via_artifact);
-
-        // Graph membership tracked the delta: the appended document has
-        // a metadata node, the tombstoned one is gone.
-        let appended = model.graph.meta_node(&doc_label(CorpusSide::First, 3));
-        assert!(appended.is_some_and(|n| model.graph.degree(n) > 0));
-        assert!(model.graph.meta_node(&doc_label(CorpusSide::First, 0)).is_none());
     }
 
     #[test]
@@ -936,10 +750,12 @@ mod tests {
         let model = trainer.fit(&first, &second).unwrap();
 
         // Persist the fitted graph and resume from it.
-        let mut buf = Vec::new();
-        tdmatch_graph::persist::write_graph(&model.graph, &mut buf).unwrap();
-        let restored = tdmatch_graph::persist::read_graph(&mut buf.as_slice()).unwrap();
-        let resumed = trainer.fit_prebuilt(restored).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("tdmatch-fit-prebuilt-{}.tdz", std::process::id()));
+        model.graph.save_snapshot(&path).unwrap();
+        let restored = Graph::load_snapshot(&path);
+        std::fs::remove_file(&path).ok();
+        let resumed = trainer.fit_prebuilt(restored.unwrap()).unwrap();
 
         assert_eq!(resumed.graph_size(), model.graph_size());
         // Matching still works and mostly agrees at top-1 (walk RNG keys

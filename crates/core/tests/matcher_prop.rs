@@ -1,5 +1,5 @@
 //! Property tests pinning the engine-backed matcher to the seed
-//! implementation: [`top_k_matches`] (and its parallel/matrix variants)
+//! implementation: [`top_k_matches_matrix`] (and its parallel variant)
 //! must produce exactly the same rankings — indices and tie-breaks — as
 //! the legacy nested-`Option` cosine + full-sort path
 //! ([`top_k_matches_naive`]), with scores within 1e-5, across random
@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 
 use tdmatch_core::matcher::{
-    top_k_matches, top_k_matches_matrix, top_k_matches_matrix_parallel, top_k_matches_naive,
-    top_k_matches_parallel,
+    top_k_matches_matrix, top_k_matches_matrix_parallel, top_k_matches_naive,
 };
 use tdmatch_embed::score::ScoreMatrix;
 
@@ -46,7 +45,7 @@ fn gen_rows(n: usize, dim: usize, state: &mut u64) -> Vec<Option<Vec<f32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine wrapper ≡ seed path ≡ matrix entry points ≡ parallel, for
+    /// Engine ≡ seed path under either packing, sequential ≡ parallel, for
     /// every combination of blocking / extra-score, at any thread count.
     #[test]
     fn matcher_is_pinned_to_the_seed_path(
@@ -84,7 +83,9 @@ proptest! {
         let cand_plain = cand.map(|f| f as &dyn Fn(usize) -> Vec<usize>);
 
         let naive = top_k_matches_naive(&queries, &targets, k, extra_plain, cand_plain);
-        let engine = top_k_matches(&queries, &targets, k, extra_plain, cand_plain);
+        // Dimension-inferring packing: an all-`None` side packs to dim 0.
+        let (qi, ti) = (ScoreMatrix::from_options(&queries), ScoreMatrix::from_options(&targets));
+        let engine = top_k_matches_matrix(&qi, &ti, k, extra_plain, cand_plain);
 
         prop_assert_eq!(naive.len(), engine.len());
         for (n, e) in naive.iter().zip(&engine) {
@@ -101,18 +102,18 @@ proptest! {
             }
         }
 
-        // The pre-normalized matrix entry points agree bit-for-bit with
-        // the slice wrapper, sequentially and at any thread count.
+        // Packing with the dimension given agrees bit-for-bit with the
+        // inferred one, sequentially and at any thread count.
         let qm = ScoreMatrix::from_options_dim(&queries, dim);
         let tm = ScoreMatrix::from_options_dim(&targets, dim);
         let matrix = top_k_matches_matrix(&qm, &tm, k, extra_plain, cand_plain);
         prop_assert_eq!(&engine, &matrix);
         for threads in [1usize, 2, 3, 7] {
-            let par = top_k_matches_parallel(&queries, &targets, k, extra, cand, threads);
-            prop_assert_eq!(&engine, &par, "slice parallel, threads = {}", threads);
+            let par = top_k_matches_matrix_parallel(&qi, &ti, k, extra, cand, threads);
+            prop_assert_eq!(&engine, &par, "inferred dim, threads = {}", threads);
             let mpar =
                 top_k_matches_matrix_parallel(&qm, &tm, k, extra, cand, threads);
-            prop_assert_eq!(&engine, &mpar, "matrix parallel, threads = {}", threads);
+            prop_assert_eq!(&engine, &mpar, "given dim, threads = {}", threads);
         }
     }
 }

@@ -188,7 +188,8 @@ proptest! {
         fill in prop::collection::vec(-1.0f32..1.0, 0..400),
         missing in prop::collection::vec(0usize..8, 0..4),
     ) {
-        use tdmatch_core::matcher::top_k_matches;
+        use tdmatch_core::matcher::top_k_matches_matrix;
+        use tdmatch_embed::score::ScoreMatrix;
         use tdmatch_graph::container::Storage;
 
         let mut it = fill.into_iter().cycle();
@@ -204,7 +205,13 @@ proptest! {
 
         // What the live model computes: normalize-once + dot-many over
         // the same raw rows.
-        let live = top_k_matches(&second, &first, k, None, None);
+        let live = top_k_matches_matrix(
+            &ScoreMatrix::from_options(&second),
+            &ScoreMatrix::from_options(&first),
+            k,
+            None,
+            None,
+        );
 
         let a = MatchArtifact::new(dim, Vec::new(), first, second);
         let mut buf = Vec::new();
@@ -220,67 +227,6 @@ proptest! {
             // paths run the same normalized dot kernel).
             prop_assert_eq!(l, w);
         }
-    }
-
-    /// Legacy v1 streams (raw, un-normalized rows) decode and upgrade
-    /// into exactly the artifact built from the same raw parts.
-    #[test]
-    fn legacy_v1_stream_upgrades_losslessly(
-        dim in 1usize..6,
-        n_terms in 0usize..5,
-        n_first in 0usize..6,
-        n_second in 0usize..4,
-        fill in prop::collection::vec(-1.0f32..1.0, 0..300),
-    ) {
-        use tdmatch_graph::persist::{crc32, put_f32s, put_u32};
-
-        let mut it = fill.into_iter().cycle();
-        let mut vec_of = || -> Vec<f32> {
-            (0..dim).map(|_| it.next().unwrap_or(0.25)).collect()
-        };
-        let terms: Vec<(String, Vec<f32>)> = (0..n_terms)
-            .map(|i| (format!("t{i}"), vec_of()))
-            .collect();
-        let first: Vec<Option<Vec<f32>>> = (0..n_first)
-            .map(|i| (i % 3 != 2).then(&mut vec_of))
-            .collect();
-        let second: Vec<Option<Vec<f32>>> = (0..n_second)
-            .map(|_| Some(vec_of()))
-            .collect();
-
-        // Encode the v1 stream exactly like the historical writer did:
-        // raw rows, whole-stream CRC.
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(b"TDM1");
-        put_u32(&mut buf, 1);
-        put_u32(&mut buf, dim as u32);
-        put_u32(&mut buf, terms.len() as u32);
-        for (label, vec) in &terms {
-            put_u32(&mut buf, label.len() as u32);
-            buf.extend_from_slice(label.as_bytes());
-            put_f32s(&mut buf, vec);
-        }
-        for side in [&first, &second] {
-            put_u32(&mut buf, side.len() as u32);
-            for doc in side.iter() {
-                match doc {
-                    Some(v) => {
-                        buf.push(1);
-                        put_f32s(&mut buf, v);
-                    }
-                    None => buf.push(0),
-                }
-            }
-        }
-        let crc = crc32(&buf);
-        put_u32(&mut buf, crc);
-
-        let upgraded = MatchArtifact::read_from(&mut buf.as_slice()).unwrap();
-        let direct = MatchArtifact::new(dim, terms, first, second);
-        // Same raw inputs → same normalized matrices, bit for bit.
-        prop_assert_eq!(&upgraded, &direct);
-        let (ra, rb) = (upgraded.match_top_k(5), direct.match_top_k(5));
-        prop_assert_eq!(ra, rb);
     }
 
     /// Every corrupted byte of an artifact is detected at load time.

@@ -1,11 +1,9 @@
-//! Low-level binary codec shared by every persisted format in the
-//! workspace: the legacy `TDG1` graph stream, the legacy `TDM1` match
-//! artifact, and the `TDZ1` zero-copy container.
+//! Low-level binary codec under the workspace's one persisted format,
+//! the `TDZ1` zero-copy container.
 //!
 //! The one CRC-32 implementation, the little-endian integer writers, and
-//! the bounds-checked [`ByteReader`] lives here; `tdmatch_graph::persist`
-//! re-exports everything for backwards compatibility, and
-//! [`crate::container`] builds the section-table format on top.
+//! the bounds-checked [`ByteReader`] live here; [`crate::container`]
+//! builds the section-table format on top.
 
 use std::io;
 
@@ -38,7 +36,7 @@ impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DecodeError::Io(e) => write!(f, "I/O error: {e}"),
-            DecodeError::BadMagic => write!(f, "bad magic (not a persisted TDmatch format)"),
+            DecodeError::BadMagic => write!(f, "bad magic (not a TDZ1 container)"),
             DecodeError::UnsupportedVersion { found } => {
                 write!(f, "unsupported format version {found}")
             }
@@ -142,7 +140,7 @@ impl Crc32 {
 /// CRC-32/ISO-HDLC — the zlib/PNG/Ethernet checksum: polynomial
 /// `0x04C11DB7` reflected (`0xEDB88320`), init and xorout `0xFFFFFFFF`,
 /// check value `crc32(b"123456789") == 0xCBF43926`. The one checksum of
-/// every persisted format in the workspace.
+/// every persisted file in the workspace.
 ///
 /// Slice-by-16: sixteen bytes per step, a bytewise step for the
 /// under-16-byte tail. About 2 GB/s on the reference host — 0.5 ms per
@@ -164,11 +162,11 @@ pub fn put_u64(buf: &mut Vec<u8>, x: u64) {
     buf.extend_from_slice(&x.to_le_bytes());
 }
 
-/// Appends little-endian `f32`s.
-pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
-    for x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+/// Appends a `u32`-length-prefixed UTF-8 string — what
+/// [`ByteReader::string`] reads back.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Bounds-checked reader over a byte slice; any overrun yields
@@ -200,11 +198,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.bytes(1)?[0])
-    }
-
     /// A little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
@@ -213,15 +206,6 @@ impl<'a> ByteReader<'a> {
     /// A little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// `n` little-endian `f32`s.
-    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
-        let raw = self.bytes(n.checked_mul(4).ok_or(DecodeError::Corrupt)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
     }
 
     /// A `u32`-length-prefixed UTF-8 string.
@@ -314,6 +298,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.remaining(), 8);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert!(matches!(r.u8(), Err(DecodeError::Corrupt)));
+        assert!(matches!(r.bytes(1), Err(DecodeError::Corrupt)));
     }
 }

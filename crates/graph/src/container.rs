@@ -397,7 +397,8 @@ impl Storage {
     /// Opens a container file (mapped where possible, like
     /// [`open`](Storage::open)) and verifies **every** payload CRC before
     /// returning. The whole file is touched — O(bytes) — so corruption
-    /// anywhere fails here rather than at first access.
+    /// anywhere fails here rather than at first access, and a file that
+    /// is not a container at all is [`DecodeError::BadMagic`] here.
     pub fn open_verified<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
         Self::open_with(path, Verification::Eager)
     }
@@ -410,23 +411,17 @@ impl Storage {
         mode: Verification,
     ) -> Result<Self, DecodeError> {
         let backing = Self::open_backing(path.as_ref())?;
-        let (crcs, lazy) = match mode {
-            Verification::Lazy => (Some(LazyCrcs::for_buffer(backing.as_slice())), true),
-            Verification::Eager if backing.as_slice().starts_with(&CONTAINER_MAGIC) => {
-                // Fail fast: one full verifying parse up front, memoized
-                // in a fully-marked bitmap so later `container()` calls
-                // (and section accesses) never repeat the payload pass.
-                Container::parse(backing.as_slice())?;
-                let crcs = LazyCrcs::for_buffer(backing.as_slice());
-                crcs.mark_all();
-                (Some(crcs), false)
-            }
-            // Non-TDZ1 bytes (e.g. a legacy TDM1 stream loaded through
-            // the same storage) are the caller's to validate.
-            Verification::Eager => (None, false),
-        };
+        let crcs = LazyCrcs::for_buffer(backing.as_slice());
+        let lazy = mode == Verification::Lazy;
+        if !lazy {
+            // Fail fast: one full verifying parse up front, memoized in
+            // a fully-marked bitmap so later `container()` calls (and
+            // section accesses) never repeat the payload pass.
+            Container::parse(backing.as_slice())?;
+            crcs.mark_all();
+        }
         Ok(Self {
-            inner: Arc::new(StorageInner { backing, crcs, lazy }),
+            inner: Arc::new(StorageInner { backing, crcs: Some(crcs), lazy }),
         })
     }
 
@@ -1278,7 +1273,7 @@ mod tests {
     }
 
     #[test]
-    fn open_verified_accepts_clean_files_and_non_containers() {
+    fn open_verified_accepts_clean_files_and_rejects_non_containers() {
         let mut w = ContainerWriter::new();
         w.add_pod(tag(b"DATA"), &[1u32]);
         let path = write_temp("tdmatch-container-verified.tdz", &w.finish());
@@ -1286,10 +1281,15 @@ mod tests {
         assert!(!storage.lazy_verification());
         storage.container().unwrap();
         std::fs::remove_file(&path).ok();
-        // Non-TDZ1 bytes (e.g. a legacy stream) open fine — magic
-        // dispatch and validation are the caller's job.
-        let path = write_temp("tdmatch-container-legacy.bin", b"TDM1 something else");
-        assert!(Storage::open_verified(&path).is_ok());
-        std::fs::remove_file(&path).ok();
+        // Anything that is not a TDZ1 container — the retired TDM1 and
+        // TDG1 magics included — fails at open, not at first use.
+        for bytes in [&b"TDM1 something else"[..], b"TDG1 something else", b""] {
+            let path = write_temp("tdmatch-container-retired.bin", bytes);
+            assert!(matches!(Storage::open_verified(&path), Err(DecodeError::BadMagic)));
+            // The lazy open defers the same verdict to the first parse.
+            let lazy = Storage::open_with(&path, Verification::Lazy).unwrap();
+            assert!(matches!(lazy.container(), Err(DecodeError::BadMagic)));
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

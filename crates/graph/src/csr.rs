@@ -40,9 +40,13 @@
 //! copy — and a warm start skips graph creation and the freeze entirely:
 //! one linear validation + checksum scan, no per-element copies or
 //! allocation.
-//! Node *labels* are not part of the snapshot (walks and sampling never
-//! touch them); a warm start that also needs label lookups persists the
-//! mutable graph via [`crate::persist`] alongside.
+//! Node *labels* are not part of the frozen snapshot (walks and sampling
+//! never touch them). A warm start that must *resume training* — and so
+//! needs the mutable, label-indexed [`Graph`] back — saves through
+//! [`Graph::save_snapshot`], which writes the same sections plus one
+//! label section ([`SEC_GRAPH_LABELS`]); [`Graph::load_snapshot`]
+//! rebuilds the graph from it, and the file still opens with
+//! [`load_snapshot`] (readers ignore unknown tags).
 //!
 //! [`has_edge`]: CsrGraph::has_edge
 //! [`edge_type_cum`]: CsrGraph::edge_type_cum
@@ -53,7 +57,7 @@
 
 use std::path::Path;
 
-use crate::codec::DecodeError;
+use crate::codec::{put_str, DecodeError};
 use crate::container::{Container, ContainerWriter, FlatBuf, Pod, SectionTag, Storage};
 use crate::edge::{EdgeKind, EdgeTypeWeights};
 use crate::graph::Graph;
@@ -75,6 +79,11 @@ pub const SEC_CSR_SORTED_KINDS: SectionTag = *b"CSKD";
 pub const SEC_CSR_NODE_KINDS: SectionTag = *b"CNKD";
 /// Section: tombstone bitmap (`u64` words, bit `i` set ⇔ node `i` removed).
 pub const SEC_CSR_REMOVED: SectionTag = *b"CRMV";
+
+/// Section of a saved *graph* ([`Graph::save_snapshot`]): the label of
+/// every live node in ascending id order, each a `u32` length followed by
+/// that many UTF-8 bytes. The count is the header's live-node count.
+pub const SEC_GRAPH_LABELS: SectionTag = *b"GLBL";
 
 /// Tag for a persisted cumulative edge-type weight table in `slot`.
 pub fn cum_section_tag(slot: u8) -> SectionTag {
@@ -759,6 +768,99 @@ impl CsrGraph {
     }
 }
 
+impl Graph {
+    /// Saves the graph — labels included — so a later process can resume
+    /// training from it (`tdmatch run --save-graph` / `tdmatch resume`):
+    /// the frozen [`CsrGraph`] sections plus [`SEC_GRAPH_LABELS`], in one
+    /// `TDZ1` container published crash-safely
+    /// ([`publish_atomic`](crate::publish::publish_atomic)).
+    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
+        let csr = CsrGraph::from_graph(self);
+        let mut labels: Vec<u8> = Vec::new();
+        for n in self.nodes() {
+            put_str(&mut labels, self.label(n));
+        }
+        let mut w = ContainerWriter::new();
+        csr.write_sections(&mut w);
+        w.add(SEC_GRAPH_LABELS, labels);
+        crate::publish::publish_atomic(path.as_ref(), |f| w.write_to(f))
+    }
+
+    /// Loads a graph saved by [`save_snapshot`](Graph::save_snapshot).
+    ///
+    /// Node ids are *not* preserved: tombstones are skipped and live
+    /// nodes are renumbered densely, in ascending id order; every
+    /// label-based lookup (`data_node`, `meta_node`) behaves as before
+    /// the save. The graph is rebuilt through the public mutators — live
+    /// nodes in ascending id order, then per node `a` its neighbours `b`
+    /// with `a < b` in row order (the order of
+    /// [`edges_with_kinds`](Graph::edges_with_kinds) on the saved graph)
+    /// — so the result is a function of the saved graph alone, and a fit
+    /// resumed from it is reproducible bit for bit.
+    ///
+    /// Any file that fails [`CsrGraph::from_sections`], or whose label
+    /// section disagrees with the snapshot, is an error, never a panic.
+    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
+        let storage = Storage::open(path)?;
+        let container = storage.container()?;
+        let csr = CsrGraph::from_sections(&storage, &container)?;
+        let mut labels = container
+            .section(SEC_GRAPH_LABELS)
+            .ok_or(DecodeError::Invalid("snapshot has no graph label section"))?
+            .reader()?;
+
+        let mut g = Graph::with_capacity(csr.node_count());
+        let mut dense: Vec<Option<NodeId>> = vec![None; csr.id_bound()];
+        // The i-th live node becomes node i.
+        for (i, old) in csr.nodes().enumerate() {
+            // The section passed its CRC, so running out of bytes here is
+            // a structural fault of the file, not bit rot.
+            let label = labels.string().map_err(|e| match e {
+                DecodeError::Corrupt => DecodeError::Invalid("fewer labels than live nodes"),
+                other => other,
+            })?;
+            let expected = NodeId(i as u32);
+            let new = match csr.kind(old) {
+                NodeKind::Data => g.intern_data(&label),
+                NodeKind::External => g.intern_external(&label),
+                NodeKind::Meta { side, kind, index } => g.add_meta(&label, side, kind, index),
+            };
+            // The interning mutators hand back the existing node for a
+            // label they already hold.
+            if new != expected {
+                return Err(DecodeError::Invalid("duplicate node label"));
+            }
+            dense[old.index()] = Some(new);
+        }
+        if labels.remaining() != 0 {
+            return Err(DecodeError::Invalid("trailing bytes in graph label section"));
+        }
+
+        for (i, a) in csr.nodes().enumerate() {
+            let na = NodeId(i as u32);
+            for (&b, &kind) in csr.neighbors(a).iter().zip(csr.neighbor_kinds(a)) {
+                if a < b {
+                    let nb = dense[b.index()]
+                        .ok_or(DecodeError::Invalid("edge references a removed node"))?;
+                    g.add_edge_typed(na, nb, kind);
+                }
+            }
+        }
+        // `add_edge_typed` drops self-loops and duplicates, and only the
+        // `a < b` half of each row was replayed: the degrees agree with
+        // the rows exactly when the rows describe a simple undirected
+        // graph, which is what a genuine snapshot holds.
+        let rows_agree = csr
+            .nodes()
+            .enumerate()
+            .all(|(i, a)| g.degree(NodeId(i as u32)) == csr.degree(a));
+        if !rows_agree || g.edge_count() != csr.edge_count() {
+            return Err(DecodeError::Invalid("snapshot rows are not an undirected simple graph"));
+        }
+        Ok(g)
+    }
+}
+
 /// One appended node for [`CsrGraph::apply_delta`]: its kind plus its
 /// undirected edges. Edge targets may be live existing nodes or earlier
 /// entries of the same batch.
@@ -1109,6 +1211,186 @@ mod tests {
         let c2 = storage2.container().unwrap();
         let reloaded = CsrGraph::from_sections(&storage2, &c2).unwrap();
         snapshot_eq(&mapped, &reloaded);
+    }
+
+    /// Metadata of every kind, a data and an external node, every edge
+    /// kind but `Generic`, and a tombstone in the middle of the id range.
+    fn labelled() -> Graph {
+        let mut g = Graph::new();
+        let t0 = g.add_meta("A:doc0", CorpusSide::First, MetaKind::Tuple, 0);
+        let c0 = g.add_meta("A:col0", CorpusSide::First, MetaKind::Attribute, 0);
+        let gone = g.intern_data("ephemeral");
+        let p0 = g.add_meta("B:doc0", CorpusSide::Second, MetaKind::TextDoc, 0);
+        let tax = g.add_meta("A:doc1", CorpusSide::First, MetaKind::Taxonomy, 1);
+        let willis = g.intern_data("willis");
+        let pulp = g.intern_external("pulp fiction");
+        g.add_edge_typed(t0, willis, EdgeKind::Contains);
+        g.add_edge_typed(c0, willis, EdgeKind::ColumnOf);
+        g.add_edge(gone, willis);
+        g.add_edge_typed(p0, willis, EdgeKind::Contains);
+        g.add_edge_typed(willis, pulp, EdgeKind::External);
+        g.add_edge_typed(t0, tax, EdgeKind::Hierarchy);
+        g.remove_node(gone);
+        g
+    }
+
+    fn temp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("tdmatch-graph-{name}-{}.tdz", std::process::id()))
+    }
+
+    fn saved_bytes(g: &Graph, name: &str) -> Vec<u8> {
+        let path = temp(name);
+        g.save_snapshot(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    fn load_bytes(bytes: &[u8], name: &str) -> Result<Graph, DecodeError> {
+        let path = temp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = Graph::load_snapshot(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn graph_snapshot_roundtrips_labels_kinds_and_drops_tombstones() {
+        let g = labelled();
+        let bytes = saved_bytes(&g, "roundtrip");
+        assert_eq!(&bytes[..4], b"TDZ1");
+        let h = load_bytes(&bytes, "roundtrip").unwrap();
+        assert_eq!((h.node_count(), h.edge_count()), (g.node_count(), g.edge_count()));
+        assert_eq!(h.id_bound(), h.node_count(), "loaded ids are dense");
+        assert!(h.data_node("ephemeral").is_none());
+        for n in g.nodes() {
+            let label = g.label(n);
+            let m = match g.kind(n) {
+                NodeKind::Meta { .. } => h.meta_node(label),
+                _ => h.data_node(label),
+            }
+            .unwrap_or_else(|| panic!("node {label} missing after the round-trip"));
+            assert_eq!(g.kind(n), h.kind(m), "kind of {label}");
+            assert_eq!(g.degree(n), h.degree(m), "degree of {label}");
+        }
+        // Dense ids are canonical: a second save of the loaded graph is
+        // byte-identical to a save of its own reload.
+        let again = saved_bytes(&h, "roundtrip");
+        assert_eq!(again, saved_bytes(&load_bytes(&again, "roundtrip").unwrap(), "roundtrip"));
+        // An empty graph saves and loads too.
+        let empty = load_bytes(&saved_bytes(&Graph::new(), "roundtrip"), "roundtrip").unwrap();
+        assert_eq!((empty.node_count(), empty.edge_count()), (0, 0));
+    }
+
+    #[test]
+    fn saved_graph_opens_as_a_zero_copy_csr_snapshot() {
+        let g = labelled();
+        let path = temp("as-csr");
+        g.save_snapshot(&path).unwrap();
+        Storage::open_verified(&path).unwrap();
+        let csr = CsrGraph::load_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(csr.is_zero_copy());
+        snapshot_eq(&csr, &CsrGraph::from_graph(&g));
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_saved_graph_is_an_error() {
+        let clean = saved_bytes(&labelled(), "damage");
+        for cut in 0..clean.len() {
+            assert!(load_bytes(&clean[..cut], "damage").is_err(), "truncation at {cut}");
+        }
+        for pos in 0..clean.len() {
+            for bit in 0..8 {
+                let mut bad = clean.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(
+                    load_bytes(&bad, "damage").is_err(),
+                    "flipped bit {bit} of byte {pos} loaded silently"
+                );
+            }
+        }
+    }
+
+    /// Rewrites one section of a saved graph (`None` drops it) through
+    /// the writer, so every CRC is valid and only the structural checks
+    /// stand between the file and the loader.
+    fn with_section(clean: &[u8], tag: SectionTag, payload: Option<Vec<u8>>) -> Vec<u8> {
+        let storage = Storage::from_bytes(clean);
+        let container = storage.container().unwrap();
+        let mut w = ContainerWriter::new();
+        for t in container.tags() {
+            if t != tag {
+                w.add(t, container.section(t).unwrap().bytes().to_vec());
+            } else if let Some(payload) = &payload {
+                w.add(t, payload.clone());
+            }
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn crc_valid_but_malformed_label_sections_are_invalid() {
+        let clean = saved_bytes(&labelled(), "labels");
+        let labels = {
+            let storage = Storage::from_bytes(&clean);
+            let container = storage.container().unwrap();
+            container.require(SEC_GRAPH_LABELS).unwrap().bytes().to_vec()
+        };
+        let label = |text: &[u8]| {
+            let mut out = (text.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(text);
+            out
+        };
+        let first = label(b"A:doc0");
+        assert!(labels.starts_with(&first));
+        let cases: Vec<(&str, Option<Vec<u8>>)> = vec![
+            ("section missing", None),
+            ("one label short", Some(labels[first.len()..].to_vec())),
+            ("one label extra", Some([&labels[..], &label(b"extra")[..]].concat())),
+            ("trailing byte", Some([&labels[..], &[0u8][..]].concat())),
+            ("invalid UTF-8", Some([&label(b"A:d\xFFc0")[..], &labels[first.len()..]].concat())),
+            // "A:col0" is the second metadata label; repeating it makes
+            // two metadata nodes share a label.
+            ("duplicate label", Some([&label(b"A:col0")[..], &labels[first.len()..]].concat())),
+        ];
+        for (what, payload) in cases {
+            let bad = with_section(&clean, SEC_GRAPH_LABELS, payload);
+            assert!(
+                matches!(load_bytes(&bad, "labels"), Err(DecodeError::Invalid(_))),
+                "{what} was not rejected as Invalid"
+            );
+            // The CSR half of the same file is untouched and still loads.
+            let storage = Storage::from_bytes(&bad);
+            CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
+        }
+    }
+
+    #[test]
+    fn crc_valid_rows_that_are_not_a_simple_graph_are_invalid() {
+        // Node 0's row names node 1, node 1's row is empty: every array
+        // passes `from_sections`, but no undirected graph has these rows.
+        let mut g = Graph::new();
+        let a = g.intern_data("a");
+        let b = g.intern_data("b");
+        let c = g.intern_data("c");
+        g.add_edge(a, b);
+        g.add_edge(b, c);
+        let clean = saved_bytes(&g, "rows");
+        let u32s = |v: &[u32]| crate::container::pod_bytes(v);
+        // Rows: a → [b], b → [], c → [b]; one directed entry each way short.
+        let mut bad = with_section(&clean, SEC_CSR_OFFSETS, Some(u32s(&[0, 1, 1, 2])));
+        for (tag, payload) in [
+            (SEC_CSR_TARGETS, u32s(&[1, 1])),
+            (SEC_CSR_SORTED_TARGETS, u32s(&[1, 1])),
+            (SEC_CSR_KINDS, vec![0, 0]),
+            (SEC_CSR_SORTED_KINDS, vec![0, 0]),
+        ] {
+            bad = with_section(&bad, tag, Some(payload));
+        }
+        let storage = Storage::from_bytes(&bad);
+        CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
+        assert!(matches!(load_bytes(&bad, "rows"), Err(DecodeError::Invalid(_))));
     }
 
     #[test]

@@ -30,17 +30,20 @@
 //!
 //! # Persistence
 //!
-//! Two on-disk formats live here. [`persist`] is the legacy `TDG1`
-//! stream for the *mutable* [`Graph`] (labels included, ids renumbered).
-//! [`container`] is the `TDZ1` zero-copy section container shared by the
-//! whole workspace (byte-level spec: `docs/FORMAT.md` at the repository
-//! root); a frozen [`CsrGraph`] serializes its flat arrays straight into
+//! One on-disk format lives here: [`container`] is the `TDZ1` zero-copy
+//! section container shared by the whole workspace (byte-level spec:
+//! `docs/FORMAT.md` at the repository root). Anything else — the retired
+//! `TDM1` / `TDG1` magics included — is [`DecodeError::BadMagic`]. A
+//! frozen [`CsrGraph`] serializes its flat arrays straight into
 //! it ([`CsrGraph::write_sections`]) and a warm start maps them back
 //! without rebuilding ([`CsrGraph::from_sections`]). Serving processes
 //! open snapshots through [`container::Storage::open`], which
 //! memory-maps the file ([`mmap`]) so N processes share one physical
 //! copy through the OS page cache and defers per-section CRC checks to
-//! first access. Snapshot files are published crash-safely via
+//! first access. The *mutable* [`Graph`] — labels included, for resuming
+//! training after an expensive expansion — saves as the same sections
+//! plus one label section ([`Graph::save_snapshot`] /
+//! [`Graph::load_snapshot`]). Snapshot files are published crash-safely via
 //! [`publish::publish_atomic`] (same-directory temp file, fsync,
 //! rename): a writer killed mid-save can never leave a torn file at a
 //! published path.
@@ -52,7 +55,6 @@ pub mod mmap;
 pub mod edge;
 pub mod graph;
 pub mod node;
-pub mod persist;
 pub mod publish;
 pub mod sample;
 pub mod stats;

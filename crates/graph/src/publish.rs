@@ -1,7 +1,7 @@
 //! Crash-safe snapshot publication: write-temp / fsync / rename.
 //!
-//! Every on-disk snapshot in this workspace (TDZ1 containers, legacy
-//! streams) is consumed by long-lived readers that memory-map the file
+//! Every on-disk snapshot in this workspace (a TDZ1 container) is
+//! consumed by long-lived readers that memory-map the file
 //! ([`Storage::open`](crate::container::Storage::open)) — so a *torn*
 //! file at a published path is the one corruption the CRC layer cannot
 //! fully absorb: a daemon that maps a half-written file at startup

@@ -126,7 +126,7 @@ proptest! {
         let mut header_crc_input = Vec::new();
         header_crc_input.extend_from_slice(&bytes[..12]);
         header_crc_input.extend_from_slice(&bytes[16..table_end]);
-        let crc = tdmatch_graph::persist::crc32(&header_crc_input);
+        let crc = tdmatch_graph::codec::crc32(&header_crc_input);
         bytes[12..16].copy_from_slice(&crc.to_le_bytes());
         prop_assert!(Container::parse(&bytes).is_err());
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use tdmatch_graph::traverse::{all_shortest_paths, bfs_distances, connected_components, shortest_path_len};
-use tdmatch_graph::{EdgeKind, Graph, NodeId};
+use tdmatch_graph::{CorpusSide, EdgeKind, Graph, MetaKind, NodeId, NodeKind};
 
 /// Builds a graph from `n` nodes and arbitrary edge pairs (mod n).
 fn build(n: usize, edges: &[(usize, usize)]) -> Graph {
@@ -192,35 +192,75 @@ proptest! {
         prop_assert_eq!(actual, expected);
     }
 
-    /// Persisting any graph and reading it back preserves node labels,
-    /// kinds, degrees, and edge kinds.
+    /// Saving any graph and loading it back preserves node labels, kinds,
+    /// degrees, and edge kinds — and the loaded adjacency *order* is that
+    /// of the source replayed under the dense renumbering: live nodes in
+    /// ascending id order, then `edges_with_kinds()` in order. Walks pick
+    /// neighbours by position, so this order is what makes a resumed fit
+    /// a function of the saved graph alone.
     #[test]
-    fn persist_roundtrip_preserves_structure(
+    fn graph_snapshot_roundtrip_preserves_structure_and_order(
         n in 1usize..12,
         edges in prop::collection::vec((0usize..12, 0usize..12, 0usize..5), 0..40),
         removals in prop::collection::vec(0usize..12, 0..4),
     ) {
-        use tdmatch_graph::persist::{read_graph, write_graph};
         let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..n).map(|i| g.intern_data(&format!("n{i}"))).collect();
+        let ids: Vec<NodeId> = (0..n)
+            .map(|i| match i % 3 {
+                0 => g.add_meta(&format!("n{i}"), CorpusSide::First, MetaKind::Tuple, i as u32),
+                1 => g.intern_external(&format!("n{i}")),
+                _ => g.intern_data(&format!("n{i}")),
+            })
+            .collect();
         for &(a, b, k) in &edges {
             g.add_edge_typed(ids[a % n], ids[b % n], EdgeKind::ALL[k]);
         }
         for &r in &removals {
             g.remove_node(ids[r % n]);
         }
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf).unwrap();
-        let h = read_graph(&mut buf.as_slice()).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("tdmatch-graph-prop-{}.tdz", std::process::id()));
+        g.save_snapshot(&path).unwrap();
+        let h = Graph::load_snapshot(&path);
+        std::fs::remove_file(&path).ok();
+        let h = h.unwrap();
+
+        let find = |x: &Graph, label: &str, kind: NodeKind| match kind {
+            NodeKind::Meta { .. } => x.meta_node(label),
+            _ => x.data_node(label),
+        };
         prop_assert_eq!(g.node_count(), h.node_count());
         prop_assert_eq!(g.edge_count(), h.edge_count());
+        prop_assert_eq!(h.id_bound(), h.node_count(), "loaded ids are dense");
         for u in g.nodes() {
-            let hu = h.data_node(g.label(u)).expect("node survives");
+            let hu = find(&h, g.label(u), g.kind(u)).expect("node survives");
+            prop_assert_eq!(g.kind(u), h.kind(hu));
             prop_assert_eq!(g.degree(u), h.degree(hu));
             for (&v, &kind) in g.neighbors(u).iter().zip(g.neighbor_kinds(u)) {
-                let hv = h.data_node(g.label(v)).unwrap();
+                let hv = find(&h, g.label(v), g.kind(v)).unwrap();
                 prop_assert_eq!(h.edge_kind(hu, hv), Some(kind));
             }
+        }
+
+        // The oracle: replay the source under the dense renumbering.
+        let mut replay = Graph::new();
+        let mut dense = vec![None; g.id_bound()];
+        for u in g.nodes() {
+            dense[u.index()] = Some(match g.kind(u) {
+                NodeKind::Data => replay.intern_data(g.label(u)),
+                NodeKind::External => replay.intern_external(g.label(u)),
+                NodeKind::Meta { side, kind, index } => {
+                    replay.add_meta(g.label(u), side, kind, index)
+                }
+            });
+        }
+        for (a, b, kind) in g.edges_with_kinds() {
+            replay.add_edge_typed(dense[a.index()].unwrap(), dense[b.index()].unwrap(), kind);
+        }
+        for u in replay.nodes() {
+            prop_assert_eq!(replay.label(u), h.label(u));
+            prop_assert_eq!(replay.neighbors(u), h.neighbors(u));
+            prop_assert_eq!(replay.neighbor_kinds(u), h.neighbor_kinds(u));
         }
     }
 }

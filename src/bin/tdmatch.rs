@@ -94,7 +94,7 @@ RUN OPTIONS:
     --stats            print graph composition (node/edge kinds, degrees, components)
 
 SERVE OPTIONS:
-    --artifact PATH    TDZ1/TDM1 artifact to serve (memory-mapped)
+    --artifact PATH    TDZ1 artifact to serve (memory-mapped)
     --socket PATH      Unix socket to listen on (default tdmatch.sock;
                        must not exist — the daemon unlinks it on exit)
     --window-us N      batching window in microseconds (default 500):
@@ -301,7 +301,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         eprintln!("artifact written to {path}");
     }
     if let Some(path) = flag_value(args, "--save-graph")? {
-        tdmatch::graph::persist::save_graph(&model.graph, path)
+        model
+            .graph
+            .save_snapshot(path)
             .map_err(|e| format!("saving graph: {e}"))?;
         eprintln!("graph written to {path}");
     }
@@ -314,7 +316,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         Some(s) => parse_num(s, "k")?,
         None => 5,
     };
-    let graph = tdmatch::graph::persist::load_graph(path).map_err(|e| e.to_string())?;
+    let graph = tdmatch::graph::Graph::load_snapshot(path).map_err(|e| e.to_string())?;
     eprintln!(
         "loaded graph: {} nodes, {} edges",
         graph.node_count(),
@@ -800,21 +802,13 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let storage =
         tdmatch::graph::container::Storage::open(path).map_err(|e| e.to_string())?;
     let backing = if storage.is_mapped() { "mmap (shared)" } else { "heap (private)" };
-    let is_container = storage
-        .as_bytes()
-        .starts_with(&tdmatch::graph::container::CONTAINER_MAGIC);
-    // The CRC schedule is a property of the format actually decoded:
-    // legacy TDM1 streams are always whole-stream-checked during decode,
-    // whatever the storage wrapper's mode says.
-    let verify = if !is_container {
-        "eager (legacy whole-stream)"
-    } else if storage.lazy_verification() {
+    let verify = if storage.lazy_verification() {
         "lazy (per-section, on first access)"
     } else {
         "eager"
     };
     let bytes = storage.as_bytes().len();
-    let artifact = MatchArtifact::from_storage_any(&storage).map_err(|e| e.to_string())?;
+    let artifact = MatchArtifact::from_storage(&storage).map_err(|e| e.to_string())?;
     let (first, second) = artifact.corpus_sizes();
     println!("dim:     {}", artifact.dim());
     println!("terms:   {}", artifact.term_count());
