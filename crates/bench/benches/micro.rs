@@ -12,7 +12,6 @@ use tdmatch_datasets::{imdb, Scale};
 use tdmatch_embed::corpus::FlatCorpus;
 use tdmatch_embed::hogwild::{OwnedMatrix, Rows, SharedMatrix};
 use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, ScoreMatrix};
-use tdmatch_embed::vectors::top_k_cosine;
 use tdmatch_embed::walks::{
     generate_walk_corpus, generate_walks, walk_counts, WalkConfig, WalkStrategy,
 };
@@ -173,12 +172,7 @@ fn bench_topk(c: &mut Criterion) {
         .collect();
     let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
     let query: Vec<f32> = (0..dim).map(|d| d as f32 / dim as f32).collect();
-    c.bench_function("match/top_k_cosine_1000", |b| {
-        b.iter(|| black_box(top_k_cosine(&query, &refs, 20)))
-    });
-
-    // The flat engine on the same workload: one-off matrix build vs the
-    // normalize-once / dot-many steady state.
+    // One-off matrix build vs the normalize-once / dot-many steady state.
     let tm = ScoreMatrix::from_rows(refs.iter().copied(), dim);
     let qm = ScoreMatrix::from_rows(std::iter::once(query.as_slice()), dim);
     c.bench_function("match/score_matrix_build_1000", |b| {

@@ -1,5 +1,5 @@
 //! Shared allocation instrumentation for the perf-recorder benches
-//! (`bench_walks`, `bench_matcher`).
+//! (`bench_walks`, `bench_ann`, `bench_persist`).
 //!
 //! A recorder binary registers the wrapper as its global allocator:
 //!

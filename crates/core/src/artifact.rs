@@ -46,6 +46,7 @@
 //! mapping fails). The byte-level container spec lives in
 //! `docs/FORMAT.md` at the repository root.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -140,6 +141,38 @@ impl From<DecodeError> for PersistError {
             DecodeError::Corrupt => PersistError::Corrupt,
             DecodeError::Invalid(what) => PersistError::Invalid(what),
         }
+    }
+}
+
+/// How wide one ANN retrieval runs — the `ann` argument of
+/// [`MatchArtifact::rank`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnnSearch {
+    /// Candidates the index returns per query for exact rescoring
+    /// (clamped up to 1).
+    pub pool: usize,
+    /// Layer-0 beam width of the graph walk (`ef_search`), clamped up to
+    /// `pool`: a wider beam buys recall without widening the rescore.
+    pub ef: usize,
+}
+
+/// How many ANN candidates a [`MatchArtifact::rank`] call actually
+/// retrieved — the raw material for the daemon's `ann_queries` /
+/// `mean_pool` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnnUsage {
+    /// Queries whose candidates came from the ANN index.
+    pub queries: u64,
+    /// Total candidates offered to the exact rescorer across those
+    /// queries (pool hits plus the invalid-row appendix).
+    pub pooled: u64,
+}
+
+impl AnnUsage {
+    /// Accumulates another call's usage.
+    pub fn add(&mut self, other: AnnUsage) {
+        self.queries += other.queries;
+        self.pooled += other.pooled;
     }
 }
 
@@ -294,10 +327,54 @@ impl MatchArtifact {
     /// Ranks the top-`k` first-corpus documents for every second-corpus
     /// document — the same matching as
     /// [`TdModel::match_top_k`](crate::pipeline::TdModel::match_top_k),
-    /// without the graph: a dot-many scan over the stored pre-normalized
-    /// matrices.
+    /// without the graph: [`rank`](MatchArtifact::rank)'s exact scan over
+    /// the stored query matrix.
     pub fn match_top_k(&self, k: usize) -> Vec<MatchResult> {
-        top_k_matches_matrix(&self.second, &self.first, k, None, None)
+        self.rank(&self.second, k, None).0
+    }
+
+    /// The one retrieval entry: ranks the top-`k` first-corpus documents
+    /// for every row of `queries` (pre-normalized, of the artifact's
+    /// dimensionality) under the engine's total order — decreasing
+    /// score, ties by ascending index, missing queries rank empty.
+    ///
+    /// `ann = None` scans every target exactly. `ann = Some(search)`
+    /// retrieves each query's candidates from the stored HNSW index
+    /// ([`ann_pool_with`](MatchArtifact::ann_pool_with), one
+    /// [`SearchScratch`] for the whole call) and rescores them with the
+    /// same kernels, so the published ranking is the exact order over
+    /// the pool; an artifact without an index scans exactly instead.
+    /// The returned [`AnnUsage`] counts what the index was asked for —
+    /// zeros whenever the exact scan ran.
+    pub fn rank(
+        &self,
+        queries: &ScoreMatrix,
+        k: usize,
+        ann: Option<AnnSearch>,
+    ) -> (Vec<MatchResult>, AnnUsage) {
+        assert_eq!(queries.dim(), self.dim, "query matrix dim must equal artifact dim");
+        let (Some(AnnSearch { pool, ef }), true) = (ann, self.ann.is_some()) else {
+            let ranked = top_k_matches_matrix(queries, &self.first, k, None, None);
+            return (ranked, AnnUsage::default());
+        };
+        // A zero pool would rank nothing but the invalid-row appendix.
+        let pool = pool.max(1);
+        let scratch = RefCell::new(SearchScratch::new());
+        let (asked, pooled) = (Cell::new(0u64), Cell::new(0u64));
+        let cand = |q: usize| {
+            let c = self
+                .ann_pool_with(queries.row(q), pool, ef, &mut scratch.borrow_mut())
+                .expect("index presence checked above");
+            asked.set(asked.get() + 1);
+            pooled.set(pooled.get() + c.len() as u64);
+            c
+        };
+        let ranked = top_k_matches_matrix(queries, &self.first, k, None, Some(&cand));
+        let usage = AnnUsage {
+            queries: asked.get(),
+            pooled: pooled.get(),
+        };
+        (ranked, usage)
     }
 
     /// Builds (or rebuilds) the HNSW index over the first (target-side)
@@ -317,23 +394,18 @@ impl MatchArtifact {
         self.ann.as_ref()
     }
 
-    /// The candidate pool for one query row: the ANN index's widened
-    /// pool **plus every invalid target row** — the exact scan offers
-    /// invalid rows too (they score exactly `-1.0`), so appending them
-    /// keeps missing-target semantics identical, and a pool widened to
-    /// the corpus size reproduces the exact scan bit-for-bit.
+    /// The candidate pool for one query row: the best `pool` nodes of an
+    /// `ef`-wide walk of the ANN index (`ef` clamped up to `pool`)
+    /// **plus every invalid target row** — the exact scan offers invalid
+    /// rows too (they score exactly `-1.0`), so appending them keeps
+    /// missing-target semantics identical, and a pool widened to the
+    /// corpus size reproduces the exact scan bit-for-bit. A `scratch`
+    /// reused across queries saves the per-query visited-set allocation,
+    /// bit-identical results either way.
     ///
-    /// Returns `None` when no index is stored.
-    pub fn ann_pool(&self, qrow: &[f32], pool: usize) -> Option<Vec<usize>> {
-        self.ann_pool_with(qrow, pool, pool, &mut SearchScratch::new())
-    }
-
-    /// [`ann_pool`](MatchArtifact::ann_pool) with an explicit beam
-    /// width (`ef`, clamped up to `pool`) and a caller-owned
-    /// [`SearchScratch`]. Batching callers keep one scratch per worker
-    /// and reuse it across every query of a batch — one visited-set
-    /// allocation per batch instead of one per query, bit-identical
-    /// results either way.
+    /// [`rank`](MatchArtifact::rank) is the caller; public so a recorder
+    /// can time the walk on its own. Returns `None` when no index is
+    /// stored.
     pub fn ann_pool_with(
         &self,
         qrow: &[f32],
@@ -345,30 +417,6 @@ impl MatchArtifact {
         let mut cands = ann.search_with(&self.first, qrow, pool, ef, scratch);
         cands.extend(self.first.invalid_rows());
         Some(cands)
-    }
-
-    /// [`match_top_k`](MatchArtifact::match_top_k) through the ANN
-    /// index: each query retrieves a widened pool of `pool` candidates
-    /// which is then exact-rescored with the engine's own kernels — the
-    /// published ranking keeps the engine's exact total order over the
-    /// pool. Falls back to the exact scan when no index is stored.
-    pub fn match_top_k_ann(&self, k: usize, pool: usize) -> Vec<MatchResult> {
-        self.match_top_k_ann_with(k, pool, pool)
-    }
-
-    /// [`match_top_k_ann`](MatchArtifact::match_top_k_ann) with an
-    /// explicit search beam (`ef`, clamped up to `pool`). One
-    /// [`SearchScratch`] is reused across the whole batch.
-    pub fn match_top_k_ann_with(&self, k: usize, pool: usize, ef: usize) -> Vec<MatchResult> {
-        if self.ann.is_none() {
-            return self.match_top_k(k);
-        }
-        let scratch = std::cell::RefCell::new(SearchScratch::new());
-        let cand = |q: usize| {
-            self.ann_pool_with(self.second.row(q), pool, ef, &mut scratch.borrow_mut())
-                .expect("index presence checked above")
-        };
-        top_k_matches_matrix(&self.second, &self.first, k, None, Some(&cand))
     }
 
     /// Embeds an *unseen* document as the mean of its known terms' vectors
@@ -398,18 +446,6 @@ impl MatchArtifact {
             *s *= inv;
         }
         Some(sum)
-    }
-
-    /// Ranks the top-`k` first-corpus documents for one *out-of-corpus*
-    /// query given as pre-processed tokens. Queries whose tokens are all
-    /// unknown yield an empty ranking.
-    pub fn match_new_query<S: AsRef<str>>(&self, tokens: &[S], k: usize) -> MatchResult {
-        let mut query = ScoreMatrix::invalid(1, self.dim);
-        if let Some(v) = self.embed_tokens(tokens) {
-            query.set_row(0, &v);
-        }
-        let mut results = top_k_matches_matrix(&query, &self.first, k, None, None);
-        results.swap_remove(0)
     }
 
     /// Applies a corpus delta in place: appends / re-embeds / tombstones
@@ -732,17 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn new_query_ranks_against_first_corpus() {
-        let a = sample();
-        // Query = "tarantino" → [1, 0]: nearest is first doc [1,0].
-        let r = a.match_new_query(&["tarantino"], 2);
-        assert_eq!(r.target_indices()[0], 0);
-        // Unknown query gets an empty ranking, not a panic.
-        let r = a.match_new_query(&["zzz"], 2);
-        assert!(r.ranked.is_empty());
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let mut buf = Vec::new();
         sample().write_to(&mut buf).unwrap();
@@ -834,6 +859,11 @@ mod tests {
         a
     }
 
+    /// The stored queries through the index at `pool` (beam = pool).
+    fn ann_ranked(a: &MatchArtifact, k: usize, pool: usize) -> Vec<MatchResult> {
+        a.rank(a.second_matrix(), k, Some(AnnSearch { pool, ef: pool })).0
+    }
+
     #[test]
     fn ann_index_roundtrips_bit_identical() {
         let a = sample_with_ann(120, 8);
@@ -852,11 +882,31 @@ mod tests {
         let a = sample_with_ann(120, 8);
         // Pool as wide as the corpus ⇒ identical to the exact scan,
         // indices, tie-breaks, and score bits alike.
-        assert_eq!(a.match_top_k(5), a.match_top_k_ann(5, 120));
-        // Without an index the ANN entry point is the exact scan.
+        assert_eq!(a.match_top_k(5), ann_ranked(&a, 5, 120));
+        // Without an index a requested ANN ranking is the exact scan,
+        // and reports that the index was never asked.
         let mut plain = sample_with_ann(120, 8);
         plain.clear_ann();
-        assert_eq!(plain.match_top_k(5), plain.match_top_k_ann(5, 16));
+        let search = Some(AnnSearch { pool: 16, ef: 16 });
+        let (ranked, usage) = plain.rank(plain.second_matrix(), 5, search);
+        assert_eq!(plain.match_top_k(5), ranked);
+        assert_eq!(usage, AnnUsage::default());
+    }
+
+    #[test]
+    fn rank_clamps_a_zero_pool_and_counts_what_it_pooled() {
+        let a = sample_with_ann(120, 8);
+        let queries = a.second_matrix();
+        // Pool 0 is pool 1, not "rank the missing rows only".
+        let zero = a.rank(queries, 3, Some(AnnSearch { pool: 0, ef: 0 }));
+        let one = a.rank(queries, 3, Some(AnnSearch { pool: 1, ef: 1 }));
+        assert_eq!(zero, one);
+        assert!(zero.0.iter().all(|r| r.ranked[0].1 > -1.0), "{:?}", zero.0);
+        // Four valid queries, each offered its one hit plus the 11
+        // missing rows (i % 11 == 7 below 120).
+        assert_eq!(zero.1, AnnUsage { queries: 4, pooled: 4 * 12 });
+        // The exact scan never touches the index.
+        assert_eq!(a.rank(queries, 3, None).1, AnnUsage::default());
     }
 
     #[test]
@@ -962,7 +1012,7 @@ mod tests {
         let ann = a.ann().unwrap();
         assert_eq!(ann.rows(), 121, "index must track the grown matrix");
         // Wide-pool ANN rescoring stays the exact scan, bit-for-bit.
-        assert_eq!(a.match_top_k(6), a.match_top_k_ann(6, 121));
+        assert_eq!(a.match_top_k(6), ann_ranked(&a, 6, 121));
 
         // The delta-updated artifact still saves and reloads: the
         // from_storage shape check (index rows == matrix rows) passes.
@@ -970,7 +1020,7 @@ mod tests {
         a.write_to(&mut buf).unwrap();
         let b = MatchArtifact::from_storage(&Storage::from_bytes(&buf)).unwrap();
         assert_eq!(a, b);
-        assert_eq!(b.match_top_k(6), b.match_top_k_ann(6, 121));
+        assert_eq!(b.match_top_k(6), ann_ranked(&b, 6, 121));
     }
 
     #[test]

@@ -16,9 +16,13 @@
 //! 4. [`pipeline`] generates random walks, trains Word2Vec over them —
 //!    Algorithm 4 — and exposes metadata-node embeddings;
 //! 5. [`matcher`] ranks cross-corpus documents by cosine similarity
-//!    (sequentially or query-parallel), with optional score combination
-//!    (Fig. 10) and candidate [`blocking`] — inverted token index or
-//!    multiprobe [`lsh`] (the paper's future-work extension).
+//!    under one total order (score desc, index asc), with optional score
+//!    combination (Fig. 10) and candidate [`blocking`] — inverted token
+//!    index or multiprobe [`lsh`] (the paper's future-work extension).
+//!    A saved artifact reaches that order through one retrieval entry,
+//!    [`artifact::MatchArtifact::rank`] (exact scan, or HNSW pool +
+//!    exact rescore), which the CLI, the [`serving`] facade and the
+//!    daemon all call.
 //!
 //! # Persistence lifecycle
 //!

@@ -1,29 +1,23 @@
 //! Metadata matching (§IV-B): cosine top-k over metadata-node embeddings,
-//! optional score combination with another method (Fig. 10), with a
-//! parallel variant for large query sets.
+//! optionally combined with another method's scores (Fig. 10).
 //!
-//! # Engine-backed since PR 2
-//!
-//! All entry points are thin wrappers over the flat similarity engine in
-//! [`tdmatch_embed::score`]: query/target rows are packed into
-//! L2-pre-normalized [`ScoreMatrix`]es once (normalize-once / dot-many),
-//! scored with unrolled dot kernels, and ranked with a bounded top-k heap
-//! instead of a full sort. Missing-row semantics are unchanged from the
-//! nested-`Option` days:
+//! [`top_k_matches_matrix`] is the one ranking call, a thin wrapper over
+//! the flat similarity engine in [`tdmatch_embed::score`]: query/target
+//! rows are packed into L2-pre-normalized [`ScoreMatrix`]es once
+//! (normalize-once / dot-many), scored with unrolled dot kernels, and
+//! ranked with a bounded top-k heap under one total order:
 //!
 //! * a missing (`None`) **query** yields an empty ranking;
 //! * a missing **target** scores exactly `-1.0` (before any `extra_score`
 //!   averaging), ranking behind every reachable cosine;
-//! * ties break by ascending target index, at any thread count.
+//! * ties break by ascending target index.
 //!
 //! Callers pre-normalize once ([`ScoreMatrix::from_options`] for rows
-//! still held as `Option<Vec<f32>>`) and rank with
-//! [`top_k_matches_matrix`] / [`top_k_matches_matrix_parallel`].
-//! [`top_k_matches_naive`] preserves the legacy cosine-per-pair + full
-//! sort path as the equivalence oracle for property tests and the
-//! `bench_matcher` recorder.
+//! still held as `Option<Vec<f32>>`). [`top_k_matches_naive`] preserves
+//! the legacy cosine-per-pair + full sort path as the equivalence oracle
+//! for property tests.
 
-use tdmatch_embed::score::{batch_top_k, batch_top_k_seq, ScoreMatrix};
+use tdmatch_embed::score::{batch_top_k_seq, ScoreMatrix};
 use tdmatch_embed::vectors::cosine;
 
 /// Ranked matches for one query document: `(target index, score)` sorted
@@ -67,31 +61,9 @@ pub fn top_k_matches_matrix(
     wrap_results(batch_top_k_seq(queries, targets, k, extra_score, candidates))
 }
 
-/// Parallel [`top_k_matches_matrix`]: splits the queries over `threads`
-/// workers. Output is bit-identical to the sequential version at any
-/// thread count.
-pub fn top_k_matches_matrix_parallel(
-    queries: &ScoreMatrix,
-    targets: &ScoreMatrix,
-    k: usize,
-    extra_score: Option<&(dyn Fn(usize, usize) -> f32 + Sync)>,
-    candidates: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)>,
-    threads: usize,
-) -> Vec<MatchResult> {
-    wrap_results(batch_top_k(
-        queries,
-        targets,
-        k,
-        extra_score,
-        candidates,
-        threads,
-    ))
-}
-
 /// The seed implementation — cosine recomputed per pair over nested
 /// `Option` rows, full sort, truncate — kept verbatim as the equivalence
-/// oracle for property tests and the `bench_matcher` baseline. Not a hot
-/// path; do not use in new code.
+/// oracle for property tests. Not a hot path; do not use in new code.
 #[doc(hidden)]
 pub fn top_k_matches_naive(
     queries: &[Option<Vec<f32>>],
@@ -225,41 +197,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_exactly() {
-        let queries: Vec<Option<Vec<f32>>> = (0..37)
-            .map(|i| v((i as f32 * 0.7).cos(), (i as f32 * 0.7).sin()))
-            .collect();
-        let targets: Vec<Option<Vec<f32>>> = (0..23)
-            .map(|i| {
-                if i % 7 == 3 {
-                    None
-                } else {
-                    v((i as f32 * 1.3).cos(), (i as f32 * 1.3).sin())
-                }
-            })
-            .collect();
-        let seq = top_k_matches(&queries, &targets, 5, None, None);
-        let (q, t) = (ScoreMatrix::from_options(&queries), ScoreMatrix::from_options(&targets));
-        for threads in [1, 2, 4, 64] {
-            let par = top_k_matches_matrix_parallel(&q, &t, 5, None, None, threads);
-            assert_eq!(seq, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_preserves_query_indices_and_scorers() {
-        let queries: Vec<Option<Vec<f32>>> =
-            (0..10).map(|_| v(1.0, 0.0)).collect();
+    fn scorers_and_blocking_see_the_query_index() {
+        let queries: Vec<Option<Vec<f32>>> = (0..10).map(|_| v(1.0, 0.0)).collect();
         let targets: Vec<Option<Vec<f32>>> = (0..6).map(|_| v(1.0, 0.0)).collect();
-        // Extra scorer keyed on the *global* query index: query q prefers
-        // target q % 6. Blocking restricts to two candidates.
+        // Every cosine ties: query q prefers target q % 6 through the
+        // extra scorer alone, out of two blocked candidates.
         let extra = |q: usize, t: usize| if t == q % 6 { 1.0 } else { 0.0 };
         let cand = |q: usize| vec![q % 6, (q + 1) % 6];
-        let seq = top_k_matches(&queries, &targets, 1, Some(&extra), Some(&cand));
-        let (q, t) = (ScoreMatrix::from_options(&queries), ScoreMatrix::from_options(&targets));
-        let par = top_k_matches_matrix_parallel(&q, &t, 1, Some(&extra), Some(&cand), 3);
-        assert_eq!(seq, par);
-        for (q, r) in par.iter().enumerate() {
+        let got = top_k_matches(&queries, &targets, 1, Some(&extra), Some(&cand));
+        for (q, r) in got.iter().enumerate() {
             assert_eq!(r.query, q);
             assert_eq!(r.target_indices()[0], q % 6);
         }

@@ -21,7 +21,7 @@ use crate::expand::{expand_graph, ExpandStats};
 use tdmatch_embed::score::ScoreMatrix;
 
 use crate::lsh::LshIndex;
-use crate::matcher::{top_k_matches_matrix, top_k_matches_matrix_parallel, MatchResult};
+use crate::matcher::{top_k_matches_matrix, MatchResult};
 
 /// Fitted blocking state, matching the configured [`BlockingMode`]
 /// (`BlockingMode::None` fits no `BlockData`: all pairs are scored).
@@ -462,7 +462,7 @@ impl TdModel {
 
     /// The fitted blocking index as a per-query candidate function —
     /// `None` when no blocking is configured and every pair is scored.
-    fn blocking(&self) -> Option<impl Fn(usize) -> Vec<usize> + Sync + '_> {
+    fn blocking(&self) -> Option<impl Fn(usize) -> Vec<usize> + '_> {
         self.blocks.as_ref().map(|blocks| {
             move |q: usize| match blocks {
                 BlockData::Inverted {
@@ -495,31 +495,6 @@ impl TdModel {
         let blocking = self.blocking();
         let candidates = blocking.as_ref().map(|f| f as &dyn Fn(usize) -> Vec<usize>);
         top_k_matches_matrix(&self.second_norm, &self.first_norm, k, extra_score, candidates)
-    }
-
-    /// Ranks the top-`k` second-corpus documents for every first-corpus
-    /// document (the reverse direction; §IV-B default "start from the
-    /// larger corpus" is the caller's choice).
-    pub fn match_top_k_reverse(&self, k: usize) -> Vec<MatchResult> {
-        top_k_matches_matrix(&self.first_norm, &self.second_norm, k, None, None)
-    }
-
-    /// Like [`match_top_k`](TdModel::match_top_k) but splits the queries
-    /// over `threads` workers. Output is identical to the sequential
-    /// version; worthwhile when the query corpus is large.
-    pub fn match_top_k_parallel(&self, k: usize, threads: usize) -> Vec<MatchResult> {
-        let blocking = self.blocking();
-        let candidates = blocking
-            .as_ref()
-            .map(|f| f as &(dyn Fn(usize) -> Vec<usize> + Sync));
-        top_k_matches_matrix_parallel(
-            &self.second_norm,
-            &self.first_norm,
-            k,
-            None,
-            candidates,
-            threads,
-        )
     }
 
     /// `(nodes, edges)` of the final graph (Table VIII's #N / #E).
@@ -797,18 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matching_equals_sequential() {
-        let (first, second) = corpora();
-        let model = TdMatch::new(TdConfig::for_tests())
-            .fit(&first, &second)
-            .unwrap();
-        let seq = model.match_top_k(3);
-        for threads in [1, 2, 8] {
-            assert_eq!(seq, model.match_top_k_parallel(3, threads));
-        }
-    }
-
-    #[test]
     fn artifact_roundtrip_matches_like_the_model() {
         let (first, second) = corpora();
         let model = TdMatch::new(TdConfig::for_tests())
@@ -828,16 +791,5 @@ mod tests {
             model.term_vector("tarantino"),
             loaded.term_vector("tarantino")
         );
-    }
-
-    #[test]
-    fn reverse_direction_ranks_reviews() {
-        let (first, second) = corpora();
-        let model = TdMatch::new(TdConfig::for_tests())
-            .fit(&first, &second)
-            .unwrap();
-        let results = model.match_top_k_reverse(2);
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|r| r.ranked.len() == 2));
     }
 }

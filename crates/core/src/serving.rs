@@ -16,9 +16,12 @@
 //!   [`MatchArtifact::embed_tokens`];
 //! * **batches** — several concurrent requests coalesced into **one**
 //!   scoring call over the pre-normalized matrices
-//!   ([`Matcher::query_batch`] / [`Matcher::query_batch_with`]), so N
-//!   clients ride the tiled batch kernel instead of issuing N scalar
-//!   scans.
+//!   ([`Matcher::query_batch_with_mode`]), so N clients ride the tiled
+//!   batch kernel instead of issuing N scalar scans.
+//!
+//! Every shape gathers its rows into a [`QueryBlock`] and hands the
+//! block's matrix to [`MatchArtifact::rank`] — the facade validates and
+//! embeds, the artifact ranks.
 //!
 //! # Bit-identical batching
 //!
@@ -32,27 +35,7 @@
 
 use tdmatch_embed::score::QueryBlock;
 
-use crate::artifact::{MatchArtifact, PersistError};
-use crate::matcher::top_k_matches_matrix;
-
-/// How many ANN candidates a batch actually retrieved — the raw
-/// material for the daemon's `ann_queries` / `mean_pool` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnnUsage {
-    /// Queries whose candidates came from the ANN index.
-    pub queries: u64,
-    /// Total candidates offered to the exact rescorer across those
-    /// queries (pool hits plus the invalid-row appendix).
-    pub pooled: u64,
-}
-
-impl AnnUsage {
-    /// Accumulates another batch's usage.
-    pub fn add(&mut self, other: AnnUsage) {
-        self.queries += other.queries;
-        self.pooled += other.pooled;
-    }
-}
+use crate::artifact::{AnnSearch, AnnUsage, MatchArtifact, PersistError};
 
 /// One serving request: which query row to rank against the artifact's
 /// target corpus.
@@ -109,7 +92,7 @@ pub type Ranked = Vec<(usize, f32)>;
 /// `Matcher` is `Send + Sync` and interior-mutability-free: any number
 /// of threads can query it concurrently; batch state lives in a
 /// caller-owned [`QueryBlock`] (see
-/// [`query_batch_with`](Matcher::query_batch_with)).
+/// [`query_batch_with_mode`](Matcher::query_batch_with_mode)).
 ///
 /// ```
 /// use tdmatch_core::artifact::MatchArtifact;
@@ -124,9 +107,12 @@ pub type Ranked = Vec<(usize, f32)>;
 /// let matcher = Matcher::new(artifact);
 ///
 /// // Two concurrent requests coalesce into one batched kernel call…
-/// let batch = matcher.query_batch(
+/// let mut block = matcher.query_block(); // allocate once, reuse per batch
+/// let (batch, _) = matcher.query_batch_with_mode(
+///     &mut block,
 ///     &[Query::ById(0), Query::ByVector(vec![0.0, 3.0])],
 ///     1,
+///     false, // exact scan
 /// );
 /// assert_eq!(batch[0].as_ref().unwrap()[0].0, 0); // [0.9,0.1] → target 0
 /// assert_eq!(batch[1].as_ref().unwrap()[0].0, 1); // [0,3]    → target 1
@@ -234,7 +220,7 @@ impl Matcher {
 
     /// A [`QueryBlock`] of the artifact's dimensionality at the engine's
     /// default coalescing width — allocate once per scheduler, reuse via
-    /// [`query_batch_with`](Matcher::query_batch_with).
+    /// [`query_batch_with_mode`](Matcher::query_batch_with_mode).
     pub fn query_block(&self) -> QueryBlock {
         QueryBlock::new(self.dim())
     }
@@ -243,14 +229,23 @@ impl Matcher {
     /// whose embedding is missing yields an empty ranking (the engine's
     /// missing-query semantics); an out-of-range id is an error.
     pub fn query_by_id(&self, id: usize, k: usize) -> Result<Ranked, QueryError> {
-        let mut out = self.query_batch(&[Query::ById(id)], k);
-        out.pop().expect("one query in, one answer out")
+        self.query_one(Query::ById(id), k)
     }
 
     /// Ranks the top-`k` targets for a raw out-of-corpus vector
     /// (normalized on entry, like every scored row).
     pub fn query_by_vector(&self, v: &[f32], k: usize) -> Result<Ranked, QueryError> {
-        let mut out = self.query_batch(&[Query::ByVector(v.to_vec())], k);
+        self.query_one(Query::ByVector(v.to_vec()), k)
+    }
+
+    /// One request through a fresh block, in the configured default mode.
+    fn query_one(&self, query: Query, k: usize) -> Result<Ranked, QueryError> {
+        let (mut out, _) = self.query_batch_with_mode(
+            &mut self.query_block(),
+            &[query],
+            k,
+            self.ann_pool.is_some(),
+        );
         out.pop().expect("one query in, one answer out")
     }
 
@@ -268,37 +263,21 @@ impl Matcher {
         }
     }
 
-    /// Scores a coalesced batch with a fresh block; see
-    /// [`query_batch_with`](Matcher::query_batch_with).
-    pub fn query_batch(&self, queries: &[Query], k: usize) -> Vec<Result<Ranked, QueryError>> {
-        self.query_batch_with(&mut self.query_block(), queries, k)
-    }
-
     /// Scores a coalesced batch of requests through a caller-owned
     /// (reusable) [`QueryBlock`], chunking by the block's capacity.
-    /// Each chunk is **one** call into the tiled batch kernel: the
-    /// per-scan fixed costs and every streamed target block are shared
-    /// by the whole chunk.
+    /// Each chunk is **one** [`MatchArtifact::rank`] call: the per-scan
+    /// fixed costs and every streamed target block are shared by the
+    /// whole chunk.
     ///
     /// Results come back in request order. A request that fails
     /// validation gets its `Err` slot; the others are unaffected.
-    pub fn query_batch_with(
-        &self,
-        block: &mut QueryBlock,
-        queries: &[Query],
-        k: usize,
-    ) -> Vec<Result<Ranked, QueryError>> {
-        self.query_batch_with_mode(block, queries, k, self.ann_pool.is_some())
-            .0
-    }
-
-    /// [`query_batch_with`](Matcher::query_batch_with) with the
-    /// retrieval mode chosen per call: `ann = true` routes every query
-    /// in the batch through the ANN index's widened pool (falling back
-    /// to the exact scan when the artifact has no index), `ann = false`
-    /// forces the exact scan regardless of the configured default. The
-    /// daemon's scheduler uses this to honour the protocol's per-request
-    /// `ann` flag.
+    ///
+    /// The retrieval mode is chosen per call: `ann = true` routes every
+    /// query in the batch through the ANN index at the configured pool
+    /// and beam (falling back to the exact scan when the artifact has
+    /// no index), `ann = false` forces the exact scan regardless of the
+    /// configured default. The daemon's scheduler uses this to honour
+    /// the protocol's per-request `ann` flag.
     ///
     /// The returned [`AnnUsage`] reports how many queries actually
     /// pooled through the index and how many candidates they offered —
@@ -310,15 +289,13 @@ impl Matcher {
         k: usize,
         ann: bool,
     ) -> (Vec<Result<Ranked, QueryError>>, AnnUsage) {
-        let use_ann = ann && self.ann_ready();
-        let pool = self
-            .ann_pool
-            .unwrap_or(tdmatch_embed::ann::DEFAULT_POOL)
-            .max(1);
-        let ef = self.ann_ef.unwrap_or(pool);
-        // One visited-set scratch reused across every ANN query of the
-        // batch (instead of a ~rows-sized allocation per query).
-        let scratch = std::cell::RefCell::new(tdmatch_embed::ann::SearchScratch::new());
+        let search = ann.then(|| {
+            let pool = self.ann_pool.unwrap_or(tdmatch_embed::ann::DEFAULT_POOL);
+            AnnSearch {
+                pool,
+                ef: self.ann_ef.unwrap_or(pool),
+            }
+        });
         let mut usage = AnnUsage::default();
         let second = self.artifact.second_matrix();
         let mut out: Vec<Result<Ranked, QueryError>> = Vec::with_capacity(queries.len());
@@ -360,29 +337,8 @@ impl Matcher {
                 };
                 errs.push(err);
             }
-            let ranked = if use_ann {
-                let qm = block.matrix();
-                let pooled = std::sync::atomic::AtomicU64::new(0);
-                let ann_queries = std::sync::atomic::AtomicU64::new(0);
-                let cand = |q: usize| {
-                    let c = self
-                        .artifact
-                        .ann_pool_with(qm.row(q), pool, ef, &mut scratch.borrow_mut())
-                        .expect("use_ann implies a stored index");
-                    ann_queries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    pooled.fetch_add(c.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                    c
-                };
-                let ranked =
-                    top_k_matches_matrix(qm, self.artifact.first_matrix(), k, None, Some(&cand));
-                usage.add(AnnUsage {
-                    queries: ann_queries.into_inner(),
-                    pooled: pooled.into_inner(),
-                });
-                ranked
-            } else {
-                top_k_matches_matrix(block.matrix(), self.artifact.first_matrix(), k, None, None)
-            };
+            let (ranked, used) = self.artifact.rank(block.matrix(), k, search);
+            usage.add(used);
             for (result, err) in ranked.into_iter().take(chunk.len()).zip(errs) {
                 out.push(match err {
                     Some(e) => Err(e),
@@ -503,6 +459,12 @@ mod tests {
         )
     }
 
+    /// One batch through a fresh block, in the matcher's default mode.
+    fn batch(m: &Matcher, queries: &[Query], k: usize) -> Vec<Result<Ranked, QueryError>> {
+        let ann = m.ann_pool().is_some();
+        m.query_batch_with_mode(&mut m.query_block(), queries, k, ann).0
+    }
+
     #[test]
     fn by_id_is_bit_identical_to_one_shot_matching() {
         let m = Matcher::new(artifact());
@@ -523,11 +485,11 @@ mod tests {
         let serial = m.artifact().match_top_k(4);
         // 11 queries through a capacity-8 block: two kernel calls, mixed
         // with an out-of-corpus vector and two error slots.
-        let mut batch: Vec<Query> = (0..m.queries()).map(Query::ById).collect();
-        batch.push(Query::ByVector(vec![0.5, 0.5]));
-        batch.push(Query::ById(999));
-        batch.push(Query::ByVector(vec![1.0])); // wrong dim
-        let got = m.query_batch(&batch, 4);
+        let mut queries: Vec<Query> = (0..m.queries()).map(Query::ById).collect();
+        queries.push(Query::ByVector(vec![0.5, 0.5]));
+        queries.push(Query::ById(999));
+        queries.push(Query::ByVector(vec![1.0])); // wrong dim
+        let got = batch(&m, &queries, 4);
         for id in 0..m.queries() {
             let ranked = got[id].as_ref().unwrap();
             assert_eq!(ranked.len(), serial[id].ranked.len(), "id {id}");
@@ -562,6 +524,9 @@ mod tests {
             m.query_by_vector(&v, 3).unwrap()
         };
         assert_eq!(m.query_by_tokens(&["term"], 3), direct);
+        // "term" = [1, 0]: nearest is target 0, the same unit vector.
+        assert_eq!(direct[0].0, 0);
+        // An all-unknown query gets an empty ranking, not a panic.
         assert!(m.query_by_tokens(&["nope"], 3).is_empty());
     }
 
@@ -570,12 +535,13 @@ mod tests {
         let m = Matcher::new(artifact());
         let mut block = m.query_block();
         let full: Vec<Query> = (0..8).map(Query::ById).collect();
-        let first = m.query_batch_with(&mut block, &full, 3);
+        let mut run = |queries: &[Query]| m.query_batch_with_mode(&mut block, queries, 3, false).0;
+        let first = run(&full);
         // A smaller second batch through the same block must not see the
         // first batch's rows.
-        let second = m.query_batch_with(&mut block, &[Query::ById(0)], 3);
+        let second = run(&[Query::ById(0)]);
         assert_eq!(second[0], first[0]);
-        let errs = m.query_batch_with(&mut block, &[Query::ById(usize::MAX)], 3);
+        let errs = run(&[Query::ById(usize::MAX)]);
         assert!(errs[0].is_err());
     }
 
@@ -642,10 +608,10 @@ mod tests {
         // Pool ≥ corpus size ⇒ the widened pool is the whole corpus and
         // the rescorer reproduces the exact scan bit-for-bit.
         let ann = Matcher::new(a).with_ann_pool(1_000);
-        let mut batch: Vec<Query> = (0..exact.queries()).map(Query::ById).collect();
-        batch.push(Query::ByVector(vec![0.3, 0.7]));
-        let want = exact.query_batch(&batch, 6);
-        let got = ann.query_batch(&batch, 6);
+        let mut queries: Vec<Query> = (0..exact.queries()).map(Query::ById).collect();
+        queries.push(Query::ByVector(vec![0.3, 0.7]));
+        let want = batch(&exact, &queries, 6);
+        let got = batch(&ann, &queries, 6);
         assert_eq!(want.len(), got.len());
         for (w, g) in want.iter().zip(&got) {
             let (w, g) = (w.as_ref().unwrap(), g.as_ref().unwrap());
@@ -717,9 +683,9 @@ mod tests {
         // Pool ≥ corpus takes the all-valid-rows shortcut regardless of
         // ef — the decoupled beam must not break the exactness pin.
         let ann = Matcher::new(a).with_ann_pool(1_000).with_ann_ef(7);
-        let batch: Vec<Query> = (0..exact.queries()).map(Query::ById).collect();
-        let want = exact.query_batch(&batch, 6);
-        let got = ann.query_batch(&batch, 6);
+        let queries: Vec<Query> = (0..exact.queries()).map(Query::ById).collect();
+        let want = batch(&exact, &queries, 6);
+        let got = batch(&ann, &queries, 6);
         for (w, g) in want.iter().zip(&got) {
             let (w, g) = (w.as_ref().unwrap(), g.as_ref().unwrap());
             assert_eq!(w.len(), g.len());

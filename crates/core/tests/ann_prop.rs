@@ -1,9 +1,9 @@
 //! Property tests pinning ANN retrieval to the exact engine:
 //!
 //! * an ANN pool widened to the corpus size reproduces the exact scan
-//!   **bit-for-bit** (indices, tie-breaks, score bits), sequentially
-//!   and at any thread count — the widened-pool rerank is a pure
-//!   candidate filter over the same kernels, never a different scorer;
+//!   **bit-for-bit** (indices, tie-breaks, score bits) — the
+//!   widened-pool rerank is a pure candidate filter over the same
+//!   kernels, never a different scorer;
 //! * the ANN-off default path is bit-identical whether or not the
 //!   artifact carries an index (the index is dormant until asked for);
 //! * an indexed artifact round-trips through save → mapped load with
@@ -11,10 +11,10 @@
 
 use proptest::prelude::*;
 
-use tdmatch_core::artifact::MatchArtifact;
+use tdmatch_core::artifact::{AnnSearch, MatchArtifact};
 use tdmatch_core::delta::DeltaBatch;
-use tdmatch_core::matcher::{top_k_matches_matrix, top_k_matches_matrix_parallel};
-use tdmatch_core::serving::{Matcher, Query};
+use tdmatch_core::matcher::MatchResult;
+use tdmatch_core::serving::Matcher;
 use tdmatch_embed::ann::HnswParams;
 
 /// SplitMix64 — deterministic vector material from a proptest seed.
@@ -63,8 +63,14 @@ fn indexed_artifact(
     artifact
 }
 
+/// The stored queries ranked through the index at `pool` (beam = pool).
+fn ann_ranked(artifact: &MatchArtifact, k: usize, pool: usize) -> Vec<MatchResult> {
+    let search = Some(AnnSearch { pool, ef: pool });
+    artifact.rank(artifact.second_matrix(), k, search).0
+}
+
 /// Rankings with scores demoted to bits, so equality is bit-exact.
-fn result_bits(results: &[tdmatch_core::matcher::MatchResult]) -> Vec<(usize, Vec<(usize, u32)>)> {
+fn result_bits(results: &[MatchResult]) -> Vec<(usize, Vec<(usize, u32)>)> {
     results
         .iter()
         .map(|r| {
@@ -79,8 +85,7 @@ fn result_bits(results: &[tdmatch_core::matcher::MatchResult]) -> Vec<(usize, Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pool ≥ corpus ⟹ ANN ≡ exact scan, bit for bit, at any thread
-    /// count.
+    /// Pool ≥ corpus ⟹ ANN ≡ exact scan, bit for bit, at any beam.
     #[test]
     fn wide_pool_ann_reproduces_the_exact_scan(
         dim in 1usize..10,
@@ -93,38 +98,15 @@ proptest! {
         let artifact = indexed_artifact(dim, n_targets, n_queries, &mut state);
 
         let exact = artifact.match_top_k(k);
-        let ann = artifact.match_top_k_ann(k, n_targets.max(1));
-        prop_assert_eq!(result_bits(&exact), result_bits(&ann));
-
-        // The same pool closure through the parallel matrix kernel.
         let pool = n_targets.max(1);
-        let cand = |q: usize| {
-            artifact
-                .ann_pool(artifact.second_matrix().row(q), pool)
-                .expect("index was built")
-        };
-        let cand_sync: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)> = Some(&cand);
-        let sequential = top_k_matches_matrix(
-            artifact.second_matrix(),
-            artifact.first_matrix(),
-            k,
-            None,
-            Some(&cand),
-        );
-        prop_assert_eq!(result_bits(&exact), result_bits(&sequential));
-        for threads in [1usize, 2, 7] {
-            let par = top_k_matches_matrix_parallel(
-                artifact.second_matrix(),
-                artifact.first_matrix(),
-                k,
-                None,
-                cand_sync,
-                threads,
-            );
-            prop_assert_eq!(
-                result_bits(&exact), result_bits(&par),
-                "threads = {}", threads
-            );
+        for ef in [0usize, pool, 4 * pool] {
+            let (ranked, usage) =
+                artifact.rank(artifact.second_matrix(), k, Some(AnnSearch { pool, ef }));
+            prop_assert_eq!(result_bits(&exact), result_bits(&ranked), "ef = {}", ef);
+            // One pool per valid query, every one as wide as the corpus.
+            let valid = artifact.second_matrix().valid_rows() as u64;
+            prop_assert_eq!(usage.queries, valid);
+            prop_assert_eq!(usage.pooled, valid * n_targets as u64);
         }
     }
 
@@ -147,12 +129,9 @@ proptest! {
         let without = Matcher::new(plain);
         prop_assert!(with_index.ann_pool().is_none(), "ANN must default off");
 
-        let queries: Vec<Query> = (0..n_queries + 1).map(Query::ById).collect();
-        let a = with_index.query_batch(&queries, k);
-        let b = without.query_batch(&queries, k);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            match (x, y) {
+        // One id past the corpus: both must refuse it alike.
+        for id in 0..n_queries + 1 {
+            match (with_index.query_by_id(id, k), without.query_by_id(id, k)) {
                 (Ok(rx), Ok(ry)) => {
                     let bx: Vec<(usize, u32)> =
                         rx.iter().map(|&(t, s)| (t, s.to_bits())).collect();
@@ -188,8 +167,8 @@ proptest! {
         prop_assert_eq!(&artifact, &loaded);
         for pool in [1usize, 7, n_targets.max(1)] {
             prop_assert_eq!(
-                result_bits(&artifact.match_top_k_ann(k, pool)),
-                result_bits(&loaded.match_top_k_ann(k, pool)),
+                result_bits(&ann_ranked(&artifact, k, pool)),
+                result_bits(&ann_ranked(&loaded, k, pool)),
                 "pool = {}", pool
             );
         }
@@ -233,11 +212,11 @@ proptest! {
         let exact = artifact.match_top_k(k);
         prop_assert_eq!(
             result_bits(&exact),
-            result_bits(&artifact.match_top_k_ann(k, rows.max(1)))
+            result_bits(&ann_ranked(&artifact, k, rows.max(1)))
         );
         // Narrow pools still answer (no panics, no duplicate
         // candidates) and every ranked target is in range.
-        for r in artifact.match_top_k_ann(k, 3) {
+        for r in ann_ranked(&artifact, k, 3) {
             let mut seen: Vec<usize> = r.ranked.iter().map(|&(t, _)| t).collect();
             prop_assert!(seen.iter().all(|&t| t < rows));
             seen.sort_unstable();
@@ -277,8 +256,8 @@ proptest! {
         let rows = n_targets + 2;
         for pool in [1usize, 7, rows] {
             prop_assert_eq!(
-                result_bits(&artifact.match_top_k_ann(k, pool)),
-                result_bits(&loaded.match_top_k_ann(k, pool)),
+                result_bits(&ann_ranked(&artifact, k, pool)),
+                result_bits(&ann_ranked(&loaded, k, pool)),
                 "pool = {}", pool
             );
         }

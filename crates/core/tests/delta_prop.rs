@@ -3,7 +3,7 @@
 //!
 //! * for **random delta sequences** (append / update / tombstone in any
 //!   interleaving), the delta-updated artifact is bit-identical — matrix
-//!   bits and top-k rankings, at any thread count — to a from-scratch
+//!   bits and top-k rankings — to a from-scratch
 //!   assembly of the same *final* corpus under the same frozen
 //!   vocabulary, where the reference embedding is an independent
 //!   re-implementation of the mean-of-known-terms aggregation;
@@ -15,9 +15,8 @@
 
 use proptest::prelude::*;
 
-use tdmatch_core::artifact::MatchArtifact;
+use tdmatch_core::artifact::{AnnSearch, MatchArtifact};
 use tdmatch_core::delta::{DeltaBatch, DeltaOp};
-use tdmatch_core::matcher::top_k_matches_matrix_parallel;
 use tdmatch_embed::ann::HnswParams;
 
 /// SplitMix64 — deterministic material from a proptest seed.
@@ -137,8 +136,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random delta sequences land bit-identically on a refit of the
-    /// final corpus: matrix bits, exact rankings, parallel rankings at
-    /// several thread counts, and (when indexed) wide-pool ANN answers.
+    /// final corpus: matrix bits, exact rankings, and (when indexed)
+    /// wide-pool ANN answers.
     #[test]
     fn random_delta_sequences_match_a_refit_of_the_final_corpus(
         dim in 1usize..8,
@@ -182,21 +181,14 @@ proptest! {
             result_bits(&artifact.match_top_k(k)),
             result_bits(&reference.match_top_k(k))
         );
-        for threads in [1usize, 2, 5] {
-            let a = top_k_matches_matrix_parallel(
-                artifact.second_matrix(), artifact.first_matrix(), k, None, None, threads,
-            );
-            let b = top_k_matches_matrix_parallel(
-                reference.second_matrix(), reference.first_matrix(), k, None, None, threads,
-            );
-            prop_assert_eq!(result_bits(&a), result_bits(&b), "threads = {}", threads);
-        }
         if with_ann {
             // The incrementally-updated index keeps the widened-pool ≡
             // exact-scan contract over the *post-delta* corpus.
+            let pool = docs.len().max(1);
+            let search = Some(AnnSearch { pool, ef: pool });
             prop_assert_eq!(
                 result_bits(&artifact.match_top_k(k)),
-                result_bits(&artifact.match_top_k_ann(k, docs.len().max(1)))
+                result_bits(&artifact.rank(artifact.second_matrix(), k, search).0)
             );
         }
     }

@@ -1,16 +1,13 @@
 //! Property tests pinning the engine-backed matcher to the seed
-//! implementation: [`top_k_matches_matrix`] (and its parallel variant)
-//! must produce exactly the same rankings — indices and tie-breaks — as
-//! the legacy nested-`Option` cosine + full-sort path
-//! ([`top_k_matches_naive`]), with scores within 1e-5, across random
-//! dims, missing rows, k above/below the target count, blocking,
-//! extra-score combination, and any thread count.
+//! implementation: [`top_k_matches_matrix`] must produce exactly the
+//! same rankings — indices and tie-breaks — as the legacy
+//! nested-`Option` cosine + full-sort path ([`top_k_matches_naive`]),
+//! with scores within 1e-5, across random dims, missing rows, k
+//! above/below the target count, blocking, and extra-score combination.
 
 use proptest::prelude::*;
 
-use tdmatch_core::matcher::{
-    top_k_matches_matrix, top_k_matches_matrix_parallel, top_k_matches_naive,
-};
+use tdmatch_core::matcher::{top_k_matches_matrix, top_k_matches_naive};
 use tdmatch_embed::score::ScoreMatrix;
 
 /// SplitMix64 — deterministic vector material from a proptest seed.
@@ -45,8 +42,8 @@ fn gen_rows(n: usize, dim: usize, state: &mut u64) -> Vec<Option<Vec<f32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine ≡ seed path under either packing, sequential ≡ parallel, for
-    /// every combination of blocking / extra-score, at any thread count.
+    /// Engine ≡ seed path under either packing, for every combination of
+    /// blocking / extra-score.
     #[test]
     fn matcher_is_pinned_to_the_seed_path(
         dim in 1usize..12,
@@ -75,17 +72,15 @@ proptest! {
             }
             c
         };
-        let extra: Option<&(dyn Fn(usize, usize) -> f32 + Sync)> =
+        let extra: Option<&dyn Fn(usize, usize) -> f32> =
             if use_extra == 1 { Some(&extra_fn) } else { None };
-        let cand: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)> =
+        let cand: Option<&dyn Fn(usize) -> Vec<usize>> =
             if blocking > 0 { Some(&cand_fn) } else { None };
-        let extra_plain = extra.map(|f| f as &dyn Fn(usize, usize) -> f32);
-        let cand_plain = cand.map(|f| f as &dyn Fn(usize) -> Vec<usize>);
 
-        let naive = top_k_matches_naive(&queries, &targets, k, extra_plain, cand_plain);
+        let naive = top_k_matches_naive(&queries, &targets, k, extra, cand);
         // Dimension-inferring packing: an all-`None` side packs to dim 0.
         let (qi, ti) = (ScoreMatrix::from_options(&queries), ScoreMatrix::from_options(&targets));
-        let engine = top_k_matches_matrix(&qi, &ti, k, extra_plain, cand_plain);
+        let engine = top_k_matches_matrix(&qi, &ti, k, extra, cand);
 
         prop_assert_eq!(naive.len(), engine.len());
         for (n, e) in naive.iter().zip(&engine) {
@@ -103,17 +98,9 @@ proptest! {
         }
 
         // Packing with the dimension given agrees bit-for-bit with the
-        // inferred one, sequentially and at any thread count.
+        // inferred one.
         let qm = ScoreMatrix::from_options_dim(&queries, dim);
         let tm = ScoreMatrix::from_options_dim(&targets, dim);
-        let matrix = top_k_matches_matrix(&qm, &tm, k, extra_plain, cand_plain);
-        prop_assert_eq!(&engine, &matrix);
-        for threads in [1usize, 2, 3, 7] {
-            let par = top_k_matches_matrix_parallel(&qi, &ti, k, extra, cand, threads);
-            prop_assert_eq!(&engine, &par, "inferred dim, threads = {}", threads);
-            let mpar =
-                top_k_matches_matrix_parallel(&qm, &tm, k, extra, cand, threads);
-            prop_assert_eq!(&engine, &mpar, "given dim, threads = {}", threads);
-        }
+        prop_assert_eq!(&engine, &top_k_matches_matrix(&qm, &tm, k, extra, cand));
     }
 }

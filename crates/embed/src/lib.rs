@@ -16,7 +16,7 @@
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
 //! * [`walks`] — parallel random-walk corpus generation over a
 //!   [`tdmatch_graph::Graph`] or its [`tdmatch_graph::CsrGraph`] snapshot;
-//! * [`vectors`] — dense embedding stores, cosine similarity, top-k search;
+//! * [`vectors`] — dense embedding stores and cosine similarity;
 //! * [`score`] — the flat similarity engine: pre-normalized
 //!   [`ScoreMatrix`] rows, unrolled dot kernels, and bounded top-k batch
 //!   matching (the §IV-B hot path);

@@ -38,13 +38,13 @@
 //!
 //! # Batch scoring
 //!
-//! [`batch_top_k`] / [`batch_top_k_seq`] walk query blocks × target
-//! blocks: a block of target rows (sized to fit L1/L2) is scored against
-//! up to [`QUERY_BLOCK`] queries before moving on, so hot target rows are
-//! reused from cache across the query block. Query blocks are
-//! independent, which makes the parallel variant (crossbeam scoped
-//! threads over disjoint output chunks) bit-identical to the sequential
-//! one at any thread count.
+//! [`batch_top_k_seq`] is the one scorer: it walks query blocks × target
+//! blocks, so a block of target rows (sized to fit L1/L2) is scored
+//! against up to [`QUERY_BLOCK`] queries before moving on and hot target
+//! rows are reused from cache across the query block. Every query's
+//! ranking is computed independently of its batch neighbours, so a
+//! caller that shards a batch across threads (the daemon's worker pool)
+//! gets bit-identical answers at any shard count.
 
 use tdmatch_graph::container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
 use tdmatch_graph::DecodeError;
@@ -369,7 +369,7 @@ impl ScoreMatrix {
 /// A long-lived matcher (the `tdmatch serve` daemon) coalesces requests
 /// arriving within its batching window into one scoring call. This
 /// buffer is the coalescing surface: a small owned [`ScoreMatrix`] of
-/// [`QUERY_BLOCK`] rows (the tile width [`batch_top_k`] scores against
+/// [`QUERY_BLOCK`] rows (the tile width [`batch_top_k_seq`] scores against
 /// one cache-resident target block) that queries are pushed into and
 /// that is [`clear`](QueryBlock::clear)ed and refilled batch after batch
 /// without reallocating.
@@ -624,24 +624,21 @@ fn target_block_len(dim: usize) -> usize {
     (TARGET_BLOCK_BYTES / (dim.max(1) * std::mem::size_of::<f32>())).clamp(16, 1024)
 }
 
-/// Sequential batch scorer over pre-normalized matrices; results land in
-/// `out[i]` for global query `q_lo + i`. Closures receive *global* query
-/// indices.
+/// Batch scorer over pre-normalized matrices; query `q`'s ranking lands
+/// in `out[q]`.
 fn score_queries_into(
     queries: &ScoreMatrix,
     targets: &ScoreMatrix,
     k: usize,
-    q_lo: usize,
     extra: Option<&dyn Fn(usize, usize) -> f32>,
     candidates: Option<&dyn Fn(usize) -> Vec<usize>>,
     out: &mut [Vec<(usize, f32)>],
 ) {
     if extra.is_none() && candidates.is_none() {
-        return score_dense_into(queries, targets, k, q_lo, out);
+        return score_dense_into(queries, targets, k, out);
     }
     let mut top = TopK::new(k);
-    for (oi, slot) in out.iter_mut().enumerate() {
-        let q = q_lo + oi;
+    for (q, slot) in out.iter_mut().enumerate() {
         if !queries.is_valid(q) {
             continue; // missing query ⇒ empty ranking
         }
@@ -682,7 +679,6 @@ fn score_dense_into(
     queries: &ScoreMatrix,
     targets: &ScoreMatrix,
     k: usize,
-    q_lo: usize,
     out: &mut [Vec<(usize, f32)>],
 ) {
     let t_rows = targets.rows();
@@ -700,7 +696,7 @@ fn score_dense_into(
         while tb < t_rows {
             let te = (tb + block).min(t_rows);
             for (qi, top) in tops[..qe - qb].iter_mut().enumerate() {
-                let q = q_lo + qb + qi;
+                let q = qb + qi;
                 if !queries.is_valid(q) {
                     continue;
                 }
@@ -726,8 +722,7 @@ fn score_dense_into(
             tb = te;
         }
         for (qi, top) in tops[..qe - qb].iter_mut().enumerate() {
-            let q = q_lo + qb + qi;
-            if queries.is_valid(q) {
+            if queries.is_valid(qb + qi) {
                 out[qb + qi] = top.drain_sorted();
             }
         }
@@ -735,7 +730,7 @@ fn score_dense_into(
     }
 }
 
-/// Sequential batch top-k: for every query row, the `k` best targets by
+/// Batch top-k: for every query row, the `k` best targets by
 /// normalized dot product (= cosine of the original vectors), with the
 /// missing-row and ranking semantics described in the [module
 /// docs](self). `extra`, when given, is averaged with the base score over
@@ -749,52 +744,7 @@ pub fn batch_top_k_seq(
     candidates: Option<&dyn Fn(usize) -> Vec<usize>>,
 ) -> Vec<Vec<(usize, f32)>> {
     let mut out = vec![Vec::new(); queries.rows()];
-    score_queries_into(queries, targets, k, 0, extra, candidates, &mut out);
-    out
-}
-
-/// Parallel [`batch_top_k_seq`]: splits the queries over `threads`
-/// workers (crossbeam scoped threads over disjoint output chunks). Every
-/// query's ranking is computed by the same deterministic code path, so
-/// the output is bit-identical to the sequential scorer at any thread
-/// count.
-pub fn batch_top_k(
-    queries: &ScoreMatrix,
-    targets: &ScoreMatrix,
-    k: usize,
-    extra: Option<&(dyn Fn(usize, usize) -> f32 + Sync)>,
-    candidates: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)>,
-    threads: usize,
-) -> Vec<Vec<(usize, f32)>> {
-    let n = queries.rows();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return batch_top_k_seq(
-            queries,
-            targets,
-            k,
-            extra.map(|f| f as &dyn Fn(usize, usize) -> f32),
-            candidates.map(|f| f as &dyn Fn(usize) -> Vec<usize>),
-        );
-    }
-    let mut out = vec![Vec::new(); n];
-    let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (ci, out_chunk) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move |_| {
-                score_queries_into(
-                    queries,
-                    targets,
-                    k,
-                    ci * chunk,
-                    extra.map(|f| f as &dyn Fn(usize, usize) -> f32),
-                    candidates.map(|f| f as &dyn Fn(usize) -> Vec<usize>),
-                    out_chunk,
-                );
-            });
-        }
-    })
-    .expect("batch scorer worker panicked");
+    score_queries_into(queries, targets, k, extra, candidates, &mut out);
     out
 }
 
@@ -945,21 +895,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_sequential() {
-        let rows: Vec<Option<Vec<f32>>> = (0..41)
-            .map(|i| Some(vec![(i as f32).sin(), (i as f32).cos(), 0.1 * i as f32]))
-            .collect();
-        let m = ScoreMatrix::from_options(&rows);
-        let extra = |q: usize, t: usize| ((q * 7 + t) % 5) as f32 / 5.0 - 0.4;
-        let cand = |q: usize| (0..41).filter(|t| !(q + t).is_multiple_of(3)).collect::<Vec<_>>();
-        let seq = batch_top_k(&m, &m, 6, Some(&extra), Some(&cand), 1);
-        for threads in [2, 3, 8, 64] {
-            let par = batch_top_k(&m, &m, 6, Some(&extra), Some(&cand), threads);
-            assert_eq!(seq, par, "threads = {threads}");
         }
     }
 

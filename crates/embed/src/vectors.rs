@@ -1,4 +1,5 @@
-//! Dense embedding stores and similarity search.
+//! Dense embedding stores and cosine similarity. Ranking lives in
+//! [`crate::score`].
 
 use std::collections::HashMap;
 
@@ -53,21 +54,6 @@ pub fn mean_of<'a, I: IntoIterator<Item = &'a [f32]>>(vectors: I) -> Option<Vec<
         *a *= inv;
     }
     Some(acc)
-}
-
-/// Indices and scores of the `k` highest-cosine `candidates` w.r.t.
-/// `query`, sorted by decreasing score (ties keep candidate order).
-///
-/// Compatibility shim over the flat engine: builds a one-off
-/// [`crate::score::ScoreMatrix`] per call. Callers scoring the same
-/// candidate set repeatedly should build the matrix once and use
-/// [`crate::score::batch_top_k`] directly (normalize once, dot many).
-pub fn top_k_cosine(query: &[f32], candidates: &[&[f32]], k: usize) -> Vec<(usize, f32)> {
-    let targets = crate::score::ScoreMatrix::from_rows(candidates.iter().copied(), query.len());
-    let queries = crate::score::ScoreMatrix::from_rows(std::iter::once(query), query.len());
-    crate::score::batch_top_k_seq(&queries, &targets, k, None, None)
-        .pop()
-        .unwrap_or_default()
 }
 
 /// A word → vector store, the output of Word2Vec / Doc2Vec training.
@@ -196,18 +182,6 @@ mod tests {
         e.insert("a", &[0.0, 2.0]);
         assert_eq!(e.get("a").unwrap(), &[0.0, 2.0]);
         assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn top_k_orders_by_score() {
-        let q = [1.0f32, 0.0];
-        let c1 = [1.0f32, 0.0];
-        let c2 = [0.5f32, 0.5];
-        let c3 = [-1.0f32, 0.0];
-        let cands: Vec<&[f32]> = vec![&c3, &c1, &c2];
-        let top = top_k_cosine(&q, &cands, 2);
-        assert_eq!(top[0].0, 1);
-        assert_eq!(top[1].0, 2);
     }
 
     #[test]

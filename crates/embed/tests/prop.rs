@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use tdmatch_embed::neg_table::NegativeTable;
-use tdmatch_embed::vectors::{cosine, mean_of, normalize, top_k_cosine};
+use tdmatch_embed::vectors::{cosine, mean_of, normalize};
 use tdmatch_embed::vocab::Vocab;
 use tdmatch_embed::walks::{generate_walks, walk_counts, WalkConfig, WalkStrategy};
 use tdmatch_graph::{Graph, NodeId};
@@ -46,21 +46,6 @@ proptest! {
             let lo = vs.iter().map(|v| v[d]).fold(f32::INFINITY, f32::min);
             let hi = vs.iter().map(|v| v[d]).fold(f32::NEG_INFINITY, f32::max);
             prop_assert!(mean[d] >= lo - 1e-4 && mean[d] <= hi + 1e-4);
-        }
-    }
-
-    /// top-k returns descending scores and at most k items.
-    #[test]
-    fn top_k_descending(
-        cands in prop::collection::vec(prop::collection::vec(-3.0f32..3.0, 4), 1..20),
-        k in 1usize..10,
-    ) {
-        let refs: Vec<&[f32]> = cands.iter().map(|v| v.as_slice()).collect();
-        let q = [1.0f32, -0.5, 0.25, 2.0];
-        let top = top_k_cosine(&q, &refs, k);
-        prop_assert!(top.len() <= k);
-        for w in top.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1);
         }
     }
 

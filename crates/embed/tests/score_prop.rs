@@ -1,13 +1,11 @@
 //! Property tests for the flat similarity engine: the pre-normalized
 //! [`ScoreMatrix`] + bounded [`TopK`] batch path must rank exactly like
 //! the naive cosine + full-sort oracle (indices and tie-breaks; scores
-//! within 1e-5), at any thread count.
+//! within 1e-5).
 
 use proptest::prelude::*;
 
-use tdmatch_embed::score::{
-    batch_top_k, batch_top_k_seq, dot_unrolled, naive_rank, select_top_k, ScoreMatrix,
-};
+use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, naive_rank, select_top_k, ScoreMatrix};
 
 /// SplitMix64 — deterministic vector material from a proptest seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -135,42 +133,10 @@ proptest! {
         }
     }
 
-    /// The parallel scorer is bit-identical to the sequential one at any
-    /// thread count, including with blocking and extra-score closures.
-    #[test]
-    fn parallel_is_thread_count_invariant(
-        dim in 1usize..10,
-        n_queries in 0usize..14,
-        n_targets in 0usize..20,
-        k in 0usize..12,
-        seed in 0u64..1_000_000,
-        use_extra in 0u8..2,
-        use_cand in 0u8..2,
-    ) {
-        let mut state = seed ^ 0x5A5A;
-        let queries = gen_rows(n_queries, dim, &mut state);
-        let targets = gen_rows(n_targets, dim, &mut state);
-        let qm = ScoreMatrix::from_options_dim(&queries, dim);
-        let tm = ScoreMatrix::from_options_dim(&targets, dim);
-        let extra_fn = |q: usize, t: usize| ((q * 31 + t * 17) % 13) as f32 / 13.0 - 0.5;
-        let cand_fn = |q: usize| {
-            (0..n_targets).filter(|t| !(t * 7 + q * 3).is_multiple_of(3)).collect::<Vec<_>>()
-        };
-        let extra: Option<&(dyn Fn(usize, usize) -> f32 + Sync)> =
-            if use_extra == 1 { Some(&extra_fn) } else { None };
-        let cand: Option<&(dyn Fn(usize) -> Vec<usize> + Sync)> =
-            if use_cand == 1 { Some(&cand_fn) } else { None };
-        let seq = batch_top_k(&qm, &tm, k, extra, cand, 1);
-        for threads in [2usize, 3, 5, 16] {
-            let par = batch_top_k(&qm, &tm, k, extra, cand, threads);
-            prop_assert_eq!(&seq, &par, "threads = {}", threads);
-        }
-    }
-
     /// A matrix round-trips through `TDZ1` container sections losslessly
     /// — borrowed (zero-copy) and owned loads are both bit-identical to
     /// the original, and rankings computed from the loaded matrices are
-    /// exactly the in-memory rankings, at any thread count.
+    /// exactly the in-memory rankings.
     #[test]
     fn matrix_container_roundtrip_is_lossless(
         dim in 0usize..10,
@@ -208,8 +174,5 @@ proptest! {
         let want = batch_top_k_seq(&qm, &tm, k, None, None);
         prop_assert_eq!(&want, &batch_top_k_seq(&qb, &tb, k, None, None));
         prop_assert_eq!(&want, &batch_top_k_seq(&qo, &to, k, None, None));
-        for threads in [2usize, 7] {
-            prop_assert_eq!(&want, &batch_top_k(&qb, &tb, k, None, None, threads));
-        }
     }
 }

@@ -275,146 +275,6 @@ impl CsrGraph {
         }
     }
 
-    /// Applies a corpus delta to the snapshot in place: tombstones
-    /// `removed` and appends `appended` as a tail segment of fresh node
-    /// ids (`old id_bound ..`), returning the new ids in batch order.
-    ///
-    /// This is the incremental-ingest path: instead of rebuilding the
-    /// mutable [`Graph`] and re-freezing (which needs the label tables a
-    /// snapshot deliberately drops), the flat arrays are rewritten in one
-    /// O(V + E) pass — linear in the *snapshot*, independent of fit cost:
-    ///
-    /// * removed nodes keep their id slot, get their bit set in the
-    ///   tombstone bitmap, lose their adjacency range, and disappear from
-    ///   every surviving neighbor list (so [`has_edge`] and walks never
-    ///   surface them);
-    /// * appended nodes extend the same eight CSR sections at the tail —
-    ///   no new section kinds, so a republished snapshot loads in any
-    ///   reader of the base format. Each appended edge is installed in
-    ///   both endpoints' rows, appended after the endpoint's existing
-    ///   neighbors (matching the mutable graph's push order).
-    ///
-    /// Appended edges may target live existing nodes or earlier entries
-    /// of the same batch (`t <` the new node's own id). Targets must not
-    /// be tombstoned — neither previously nor by this call.
-    ///
-    /// [`has_edge`]: CsrGraph::has_edge
-    pub fn apply_delta(&mut self, removed: &[NodeId], appended: &[CsrAppend]) -> Vec<NodeId> {
-        let old_bound = self.id_bound();
-        let new_bound = old_bound + appended.len();
-        assert!(new_bound <= u32::MAX as usize, "node ids exceed u32");
-
-        let mut dead = vec![false; old_bound];
-        let mut newly_removed = 0usize;
-        for &id in removed {
-            assert!(id.index() < old_bound, "removed id {id} out of bounds");
-            if !self.is_removed(id) && !dead[id.index()] {
-                dead[id.index()] = true;
-                newly_removed += 1;
-            }
-        }
-
-        // Reverse entries: for every declared edge (new → t), node t's row
-        // gains the mirrored (t → new) entry, in batch order.
-        let mut reverse: Vec<Vec<(NodeId, EdgeKind)>> = vec![Vec::new(); new_bound];
-        for (k, ap) in appended.iter().enumerate() {
-            let id = old_bound + k;
-            let mut seen: Vec<u32> = ap.edges.iter().map(|&(t, _)| t.0).collect();
-            seen.sort_unstable();
-            assert!(
-                seen.windows(2).all(|w| w[0] != w[1]),
-                "duplicate edge target in appended node {id}"
-            );
-            for &(t, kind) in &ap.edges {
-                assert!(
-                    t.index() < id,
-                    "appended edge target {t} must precede new node {id}"
-                );
-                if t.index() < old_bound {
-                    assert!(
-                        !self.is_removed(t) && !dead[t.index()],
-                        "appended edge target {t} is tombstoned"
-                    );
-                }
-                reverse[t.index()].push((NodeId(id as u32), kind));
-            }
-        }
-
-        let mut offsets = Vec::with_capacity(new_bound + 1);
-        offsets.push(0u32);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(self.targets.len());
-        let mut kinds: Vec<EdgeKind> = Vec::with_capacity(self.kinds.len());
-        for u in 0..new_bound {
-            if u < old_bound {
-                let id = NodeId(u as u32);
-                if !self.is_removed(id) && !dead[u] {
-                    let (lo, hi) = self.range(id);
-                    for pos in lo..hi {
-                        let t = self.targets[pos];
-                        if !dead[t.index()] {
-                            targets.push(t);
-                            kinds.push(self.kinds[pos]);
-                        }
-                    }
-                }
-            } else {
-                for &(t, kind) in &appended[u - old_bound].edges {
-                    targets.push(t);
-                    kinds.push(kind);
-                }
-            }
-            for &(t, kind) in &reverse[u] {
-                targets.push(t);
-                kinds.push(kind);
-            }
-            assert!(targets.len() <= u32::MAX as usize, "graph too large for u32 CSR offsets");
-            offsets.push(targets.len() as u32);
-        }
-        // Every undirected edge appears in exactly two rows (the graph
-        // builder rejects self-loops, and appended targets are `< id`).
-        debug_assert_eq!(targets.len() % 2, 0);
-        let edge_count = targets.len() / 2;
-
-        let mut sorted_targets = targets.clone();
-        let mut sorted_kinds = kinds.clone();
-        let mut pairs: Vec<(NodeId, EdgeKind)> = Vec::new();
-        for u in 0..new_bound {
-            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-            pairs.clear();
-            pairs.extend(targets[lo..hi].iter().copied().zip(kinds[lo..hi].iter().copied()));
-            pairs.sort_unstable_by_key(|&(t, _)| t);
-            for (i, &(t, k)) in pairs.iter().enumerate() {
-                sorted_targets[lo + i] = t;
-                sorted_kinds[lo + i] = k;
-            }
-        }
-
-        let node_kinds_buf = self.node_kinds.make_mut();
-        node_kinds_buf.extend(appended.iter().map(|ap| PackedNodeKind::pack(ap.kind)));
-        let removed_buf = self.removed.make_mut();
-        removed_buf.resize(new_bound.div_ceil(64), 0);
-        for (u, &d) in dead.iter().enumerate() {
-            if d {
-                removed_buf[u / 64] |= 1 << (u % 64);
-            }
-        }
-
-        self.offsets = offsets.into();
-        self.targets = targets.into();
-        self.kinds = kinds.into();
-        self.sorted_targets = sorted_targets.into();
-        self.sorted_kinds = sorted_kinds.into();
-        self.live_nodes = self.live_nodes + appended.len() - newly_removed;
-        self.edge_count = edge_count;
-        (old_bound..new_bound).map(|u| NodeId(u as u32)).collect()
-    }
-
-    /// Tombstones nodes in place — [`apply_delta`](CsrGraph::apply_delta)
-    /// with an empty append segment.
-    pub fn remove_nodes(&mut self, removed: &[NodeId]) {
-        self.apply_delta(removed, &[]);
-    }
-
     /// Upper bound of node ids (including tombstones), as in
     /// [`Graph::id_bound`].
     #[inline]
@@ -861,17 +721,6 @@ impl Graph {
     }
 }
 
-/// One appended node for [`CsrGraph::apply_delta`]: its kind plus its
-/// undirected edges. Edge targets may be live existing nodes or earlier
-/// entries of the same batch.
-#[derive(Debug, Clone)]
-pub struct CsrAppend {
-    /// Kind of the new node.
-    pub kind: NodeKind,
-    /// Undirected edges incident to the new node, in insertion order.
-    pub edges: Vec<(NodeId, EdgeKind)>,
-}
-
 /// Precomputed per-node cumulative edge-type weights; build once per
 /// (snapshot, weight table) pair via [`CsrGraph::edge_type_cum`], or load
 /// a persisted one via [`CsrGraph::cum_from_sections`].
@@ -1079,138 +928,6 @@ mod tests {
                 "hostile header {header:?} loaded"
             );
         }
-    }
-
-    /// Set-based equivalence: `Graph::remove_node` swap-removes from
-    /// neighbor rows while `apply_delta` filter-preserves order, so the
-    /// rows agree as sets, and everything else agrees exactly.
-    fn snapshot_set_eq(a: &CsrGraph, b: &CsrGraph) {
-        assert_eq!(a.id_bound(), b.id_bound());
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        for id in 0..a.id_bound() as u32 {
-            let id = NodeId(id);
-            assert_eq!(a.is_removed(id), b.is_removed(id), "{id}");
-            assert_eq!(a.kind(id), b.kind(id), "{id}");
-            let mut na: Vec<_> = a
-                .neighbors(id)
-                .iter()
-                .copied()
-                .zip(a.neighbor_kinds(id).iter().copied())
-                .collect();
-            let mut nb: Vec<_> = b
-                .neighbors(id)
-                .iter()
-                .copied()
-                .zip(b.neighbor_kinds(id).iter().copied())
-                .collect();
-            na.sort_unstable_by_key(|&(t, _)| t);
-            nb.sort_unstable_by_key(|&(t, _)| t);
-            assert_eq!(na, nb, "{id}");
-        }
-    }
-
-    #[test]
-    fn apply_delta_matches_a_refreeze_of_the_mutated_graph() {
-        let (mut g, a, b, _, d) = diamond();
-        let mut csr = CsrGraph::from_graph(&g);
-
-        // Same delta on both representations: drop b, append e—a and e—d.
-        g.remove_node(b);
-        let e = g.intern_data("e");
-        g.add_edge_typed(e, a, EdgeKind::Contains);
-        g.add_edge_typed(e, d, EdgeKind::Generic);
-        let refrozen = CsrGraph::from_graph(&g);
-
-        let new_ids = csr.apply_delta(
-            &[b],
-            &[CsrAppend {
-                kind: NodeKind::Data,
-                edges: vec![(a, EdgeKind::Contains), (d, EdgeKind::Generic)],
-            }],
-        );
-        assert_eq!(new_ids, vec![e]);
-        snapshot_set_eq(&csr, &refrozen);
-        for x in [a, b, d, e] {
-            for y in [a, b, d, e] {
-                assert_eq!(csr.has_edge(x, y), g.has_edge(x, y), "{x} {y}");
-                assert_eq!(csr.edge_kind(x, y), g.edge_kind(x, y));
-            }
-        }
-    }
-
-    #[test]
-    fn apply_delta_links_nodes_within_one_batch() {
-        let (g, a, ..) = diamond();
-        let mut csr = CsrGraph::from_graph(&g);
-        let ids = csr.apply_delta(
-            &[],
-            &[
-                CsrAppend { kind: NodeKind::Data, edges: vec![(a, EdgeKind::Contains)] },
-                CsrAppend {
-                    kind: NodeKind::Meta {
-                        side: CorpusSide::First,
-                        kind: MetaKind::Tuple,
-                        index: 9,
-                    },
-                    edges: vec![(NodeId(4), EdgeKind::Hierarchy)],
-                },
-            ],
-        );
-        assert_eq!(ids, vec![NodeId(4), NodeId(5)]);
-        assert!(csr.has_edge(ids[0], ids[1]));
-        assert_eq!(csr.edge_kind(ids[0], ids[1]), Some(EdgeKind::Hierarchy));
-        assert_eq!(csr.neighbors(ids[0]), &[a, ids[1]]);
-        assert_eq!(csr.node_count(), 6);
-        assert_eq!(csr.edge_count(), 6);
-        assert_eq!(
-            csr.kind(ids[1]),
-            NodeKind::Meta { side: CorpusSide::First, kind: MetaKind::Tuple, index: 9 }
-        );
-    }
-
-    #[test]
-    fn apply_delta_tombstones_purge_adjacency_and_counts() {
-        let (g, a, b, c, d) = diamond();
-        let mut csr = CsrGraph::from_graph(&g);
-        csr.remove_nodes(&[b, b]); // duplicate ids collapse
-        assert_eq!(csr.node_count(), 3);
-        assert_eq!(csr.edge_count(), 2);
-        assert!(csr.is_removed(b));
-        assert!(csr.neighbors(b).is_empty());
-        assert!(!csr.has_edge(a, b) && !csr.has_edge(b, d));
-        assert_eq!(csr.neighbors(a), &[c]);
-        // Removing an already-tombstoned id is a no-op.
-        csr.remove_nodes(&[b]);
-        assert_eq!(csr.node_count(), 3);
-    }
-
-    #[test]
-    fn delta_snapshot_roundtrips_and_detaches_zero_copy_storage() {
-        let (g, a, b, ..) = diamond();
-        let base = CsrGraph::from_graph(&g);
-        let mut w = ContainerWriter::new();
-        base.write_sections(&mut w);
-        let bytes = w.finish();
-        let storage = Storage::from_bytes(&bytes);
-        let container = storage.container().unwrap();
-        let mut mapped = CsrGraph::from_sections(&storage, &container).unwrap();
-        assert!(mapped.is_zero_copy());
-
-        mapped.apply_delta(
-            &[b],
-            &[CsrAppend { kind: NodeKind::External, edges: vec![(a, EdgeKind::External)] }],
-        );
-        assert!(!mapped.is_zero_copy(), "delta must detach from storage");
-
-        // The mutated snapshot passes full section validation on reload.
-        let mut w2 = ContainerWriter::new();
-        mapped.write_sections(&mut w2);
-        let bytes2 = w2.finish();
-        let storage2 = Storage::from_bytes(&bytes2);
-        let c2 = storage2.container().unwrap();
-        let reloaded = CsrGraph::from_sections(&storage2, &c2).unwrap();
-        snapshot_eq(&mapped, &reloaded);
     }
 
     /// Metadata of every kind, a data and an external node, every edge

@@ -62,7 +62,7 @@ pub mod traverse;
 
 pub use codec::DecodeError;
 pub use container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage, Verification};
-pub use csr::{CsrAppend, CsrGraph, EdgeTypeCum};
+pub use csr::{CsrGraph, EdgeTypeCum};
 pub use edge::{EdgeKind, EdgeTypeWeights};
 pub use graph::Graph;
 pub use node::{CorpusSide, MetaKind, NodeId, NodeKind};

@@ -11,8 +11,8 @@
 //! rest of the way: the artifact is mapped **once**, and queries arrive
 //! over a Unix-domain socket where a batching scheduler coalesces
 //! concurrent requests into the engine's query blocks — N clients ride
-//! one tiled [`batch_top_k`](tdmatch_embed::score::batch_top_k) scan
-//! instead of issuing N scalar ones.
+//! one tiled [`MatchArtifact::rank`](tdmatch_core::artifact::MatchArtifact::rank)
+//! scan instead of issuing N scalar ones.
 //!
 //! * [`protocol`] — length-prefixed JSON frames: requests, responses,
 //!   error codes (spec: `docs/SERVING.md`);

@@ -131,12 +131,16 @@ fn text_and_vector_queries_match_the_one_shot_paths() {
     let art = artifact();
     let mut client = Client::connect(&socket).expect("connect");
 
-    // query_text ≡ MatchArtifact::match_new_query (same tokenizer).
+    let facade = Matcher::new(art);
+
+    // query_text ≡ Matcher::query_by_tokens (same tokenizer) — what the
+    // one-shot `tdmatch query --artifact` runs.
     let text = "A Tarantino THRILLER!";
     let tokens = tdmatch_text::Preprocessor::default().base_tokens(text);
-    let want = art.match_new_query(&tokens, 5);
+    let want = facade.query_by_tokens(&tokens, 5);
+    assert!(!want.is_empty(), "the text must hit the vocabulary");
     let (ranked, _) = client.query_text(text, 5).expect("text query");
-    assert_bit_identical(&ranked, &want.ranked, "text query");
+    assert_bit_identical(&ranked, &want, "text query");
 
     // Unknown-vocabulary text: empty ranking, answered without scoring.
     let (ranked, batch) = client.query_text("zzz qqq", 5).expect("unknown text");
@@ -145,7 +149,7 @@ fn text_and_vector_queries_match_the_one_shot_paths() {
 
     // query_vector ≡ Matcher::query_by_vector.
     let v: Vec<f32> = (0..8).map(|d| (d as f32 * 0.9).cos()).collect();
-    let want = Matcher::new(art).query_by_vector(&v, 4).unwrap();
+    let want = facade.query_by_vector(&v, 4).unwrap();
     let (ranked, _) = client.query_vector(v, 4).expect("vector query");
     assert_bit_identical(&ranked, &want, "vector query");
     drop(server);

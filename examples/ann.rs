@@ -7,6 +7,7 @@
 //! cargo run --release --example ann
 //! ```
 
+use tdmatch::core::artifact::AnnSearch;
 use tdmatch::core::pipeline::TdMatch;
 use tdmatch::datasets::{imdb, Scale};
 use tdmatch::embed::ann::HnswParams;
@@ -54,11 +55,14 @@ fn main() {
     //    the exact scan bit for bit — the rerank uses the same kernels.
     let k = 5;
     let exact = mapped.match_top_k(k);
-    let wide = mapped.match_top_k_ann(k, targets);
-    assert_eq!(exact, wide, "pool ≥ corpus must equal the exact scan");
+    let through_index = |pool: usize| {
+        let search = Some(AnnSearch { pool, ef: pool });
+        mapped.rank(mapped.second_matrix(), k, search).0
+    };
+    assert_eq!(exact, through_index(targets), "pool ≥ corpus must equal the exact scan");
 
     // 5. A narrow pool trades a little recall for sub-linear retrieval.
-    let narrow = mapped.match_top_k_ann(k, 32);
+    let narrow = through_index(32);
     let mut hits = 0usize;
     let mut total = 0usize;
     for (e, n) in exact.iter().zip(&narrow) {

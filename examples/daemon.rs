@@ -64,7 +64,7 @@ fn main() {
     // One engine call answers the whole batch (reuse the block across
     // batches in a real scheduler loop).
     let mut block = matcher.query_block();
-    let answers = matcher.query_batch_with(&mut block, &batch, 2);
+    let (answers, _) = matcher.query_batch_with_mode(&mut block, &batch, 2, false);
     for (request, answer) in batch.iter().zip(&answers) {
         let ranked = answer.as_ref().expect("all requests are valid");
         let label = match request {

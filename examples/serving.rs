@@ -17,6 +17,7 @@ use tdmatch::core::artifact::MatchArtifact;
 use tdmatch::core::config::TdConfig;
 use tdmatch::core::corpus::{Corpus, Table, TextCorpus};
 use tdmatch::core::pipeline::TdMatch;
+use tdmatch::core::serving::Matcher;
 use tdmatch::graph::container::Storage;
 
 fn main() {
@@ -75,17 +76,18 @@ fn main() {
     }
 
     // …while handle B answers ad-hoc, out-of-corpus queries against the
-    // same mapped matrices.
+    // same mapped matrices, behind the facade a daemon serves through.
+    let serve_b = Matcher::new(serve_b);
     let query = "a tarantino drama";
     let tokens = tdmatch::text::Preprocessor::default().base_tokens(query);
-    let result = serve_b.match_new_query(&tokens, 2);
+    let ranked = serve_b.query_by_tokens(&tokens, 2);
     println!("reader B: {query:?} -> ");
-    for (rank, (target, score)) in result.ranked.iter().enumerate() {
+    for (rank, (target, score)) in ranked.iter().enumerate() {
         println!("  #{} tuple {target} (score {score:.3})", rank + 1);
     }
 
     // Both handles rank identically — they are views of the same bytes.
-    assert_eq!(serve_a.match_top_k(2), serve_b.match_top_k(2));
+    assert_eq!(serve_a.match_top_k(2), serve_b.artifact().match_top_k(2));
     println!("\nreaders agree; dropping the last handle unmaps the file");
     std::fs::remove_file(&path).ok();
 }

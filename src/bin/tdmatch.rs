@@ -23,9 +23,10 @@
 use std::collections::HashSet;
 use std::process::ExitCode;
 
-use tdmatch::core::artifact::MatchArtifact;
+use tdmatch::core::artifact::{AnnSearch, MatchArtifact};
 use tdmatch::core::config::TdConfig;
 use tdmatch::core::pipeline::{FitOptions, TdMatch};
+use tdmatch::core::serving::Matcher;
 use tdmatch::datasets::{Scale, Scenario};
 use tdmatch::eval::ranking::mean_metrics;
 
@@ -373,19 +374,18 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
             Some(s) => parse_num(s, "pool")?,
             None => tdmatch::embed::ann::DEFAULT_POOL,
         };
-        match flag_value(args, "--ef-search")? {
-            Some(s) => {
-                let ef: usize = parse_num(s, "ef-search")?;
-                if ef < pool {
-                    eprintln!(
-                        "note: --ef-search {ef} is below --pool {pool}; \
-                         the beam is clamped up to the pool width"
-                    );
-                }
-                artifact.match_top_k_ann_with(k, pool, ef)
-            }
-            None => artifact.match_top_k_ann(k, pool),
+        let ef: usize = match flag_value(args, "--ef-search")? {
+            Some(s) => parse_num(s, "ef-search")?,
+            None => pool,
+        };
+        if ef < pool {
+            eprintln!(
+                "note: --ef-search {ef} is below --pool {pool}; \
+                 the beam is clamped up to the pool width"
+            );
         }
+        let search = Some(AnnSearch { pool, ef });
+        artifact.rank(artifact.second_matrix(), k, search).0
     } else {
         artifact.match_top_k(k)
     };
@@ -412,13 +412,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         Some(s) => parse_num(s, "k")?,
         None => 5,
     };
-    let artifact = MatchArtifact::load(path).map_err(|e| e.to_string())?;
+    let matcher = Matcher::load(path).map_err(|e| e.to_string())?;
     let tokens = tdmatch::text::Preprocessor::default().base_tokens(text);
-    let result = artifact.match_new_query(&tokens, k);
-    if result.ranked.is_empty() {
+    let ranked = matcher.query_by_tokens(&tokens, k);
+    if ranked.is_empty() {
         return Err("no query token is in the model vocabulary".into());
     }
-    for (rank, (target, score)) in result.ranked.iter().enumerate() {
+    for (rank, (target, score)) in ranked.iter().enumerate() {
         println!("#{:<3} target {:<6} score {score:.3}", rank + 1, target);
     }
     Ok(())
@@ -534,7 +534,6 @@ fn cmd_query_socket(_args: &[String]) -> Result<(), String> {
 #[cfg(unix)]
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::time::Duration;
-    use tdmatch::core::serving::Matcher;
     use tdmatch::serve::batch::BatchOptions;
     use tdmatch::serve::server::{ServeOptions, Server};
 

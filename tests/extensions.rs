@@ -6,6 +6,7 @@ use tdmatch::core::artifact::MatchArtifact;
 use tdmatch::core::config::{BlockingMode, TdConfig};
 use tdmatch::core::lsh::LshConfig;
 use tdmatch::core::pipeline::{FitOptions, TdMatch, TdModel};
+use tdmatch::core::serving::Matcher;
 use tdmatch::datasets::{audit, imdb, Scale, Scenario};
 use tdmatch::embed::walks::WalkStrategy;
 use tdmatch::graph::{EdgeKind, EdgeTypeWeights};
@@ -154,7 +155,7 @@ fn artifact_survives_disk_roundtrip_on_scenario_data() {
 fn out_of_corpus_query_finds_related_tuples() {
     let scenario = imdb::generate(Scale::Tiny, 7, true);
     let model = fit(&scenario, test_config(&scenario.config), false);
-    let artifact = model.artifact();
+    let matcher = Matcher::new(model.artifact());
     // Build a fresh query from the first labeled query document's text —
     // the artifact has never seen it as a *new* query, but its tokens are
     // in vocabulary, so the ranking should hit that document's true match
@@ -166,20 +167,11 @@ fn out_of_corpus_query_finds_related_tuples() {
         .expect("some labeled query");
     let text = scenario.second.fields(qi).join(" ");
     let tokens = Preprocessor::default().base_tokens(&text);
-    let result = artifact.match_new_query(&tokens, 10);
-    assert!(!result.ranked.is_empty());
+    let ranked = matcher.query_by_tokens(&tokens, 10);
+    assert!(!ranked.is_empty());
     let truth = &scenario.ground_truth[qi];
     assert!(
-        result.target_indices().iter().any(|t| truth.contains(t)),
+        ranked.iter().any(|(t, _)| truth.contains(t)),
         "true match not in top-10 for replayed query"
     );
-}
-
-#[test]
-fn parallel_matching_agrees_with_sequential_on_scenarios() {
-    let scenario = audit::generate(Scale::Tiny, 7);
-    let model = fit(&scenario, test_config(&scenario.config), false);
-    let seq = model.match_top_k(5);
-    let par = model.match_top_k_parallel(5, 4);
-    assert_eq!(seq, par);
 }
