@@ -11,8 +11,8 @@
 //!   sentence encoder from `tdmatch-kb`).
 //!
 //! Supervised (starred in the paper; trained with 5-fold cross-validation
-//! on the annotated pairs, as feature-based neural models — see DESIGN.md
-//! for the transformer-substitution rationale):
+//! on the annotated pairs, as feature-based neural models — the
+//! `tdmatch_nn` crate docs give the transformer-substitution rationale):
 //! * [`rank`] — **RANK\***: pairwise learning-to-rank \[39\];
 //! * [`supervised`] — **DITTO\***, **DEEP-M\***, **TAPAS\*** (binary
 //!   match classifiers with per-system feature sets) and **L-BE\***

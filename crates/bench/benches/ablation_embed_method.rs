@@ -11,8 +11,9 @@
 //! per node — and finds it substantially weaker: a DBOW doc vector only
 //! models the first-order word distribution of its own walks, losing the
 //! higher-order signal of metadata nodes appearing in *each other's*
-//! walks that Word2Vec's context windows capture. Measured and recorded
-//! in EXPERIMENTS.md as a negative result supporting the paper's default.
+//! walks that Word2Vec's context windows capture. A negative result
+//! supporting the paper's default; the table this bench prints is its
+//! only record.
 
 use tdmatch_bench::{bench_config, evaluate, run_with_config};
 use tdmatch_core::config::EmbedMethod;

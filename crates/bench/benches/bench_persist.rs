@@ -18,12 +18,7 @@
 //!   file mapped vs heap and report their own `/proc/self/smaps_rollup`
 //!   footprint: mapped readers carry file-backed shared pages (one
 //!   physical copy for the whole fleet), heap readers each pay a private
-//!   anonymous copy;
-//! * **ingest** — a ≤1% delta (append / re-embed / tombstone against
-//!   the frozen vocabulary) driven through the full incremental path —
-//!   mapped load → `apply_delta` → atomic republish → daemon hot-reload
-//!   → first post-delta query on the wire — versus paying the cold fit
-//!   again. Sub-second visibility is asserted, not just recorded.
+//!   anonymous copy.
 //!
 //! The warm rankings are asserted identical to the live model's before
 //! anything is recorded. Results land in `BENCH_persist.json` at the
@@ -40,7 +35,6 @@ use tdmatch_bench::alloc_probe::{AllocProbe, CountingAlloc};
 use tdmatch_bench::bench_config;
 use tdmatch_core::artifact::MatchArtifact;
 use tdmatch_core::corpus::{Corpus, TextCorpus};
-use tdmatch_core::delta::DeltaBatch;
 use tdmatch_core::pipeline::TdMatch;
 use tdmatch_datasets::{sts, Scale};
 use tdmatch_graph::container::{Storage, Verification};
@@ -260,133 +254,6 @@ fn reader_fleet(_path: &std::path::Path, _mode: &str, _n: usize) -> Vec<MemFootp
     Vec::new()
 }
 
-/// The incremental-ingest tier: a live daemon serves the published
-/// artifact while the delta is applied and republished over it; the
-/// clock covers mapped load → `apply_delta` → atomic republish →
-/// `reload` → the first post-delta wire answer. The served answer is
-/// asserted bit-identical to a fresh facade over the republished file
-/// before anything is recorded.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn ingest_tier(
-    artifact_path: &std::path::Path,
-    batch: &DeltaBatch,
-    n_targets: usize,
-    appends: usize,
-    updates: usize,
-    tombstones: usize,
-    k: usize,
-    cold_secs: f64,
-) -> String {
-    use tdmatch_core::serving::Matcher;
-    use tdmatch_serve::client::Client;
-    use tdmatch_serve::server::{ServeOptions, Server};
-
-    let socket = std::env::temp_dir().join(format!(
-        "tdmatch-bench-ingest-{}.sock",
-        std::process::id()
-    ));
-    std::fs::remove_file(&socket).ok();
-    let server = Server::start(
-        Matcher::load(artifact_path).expect("serving load"),
-        ServeOptions::at(&socket).artifact(artifact_path),
-    )
-    .expect("ingest daemon start");
-    let mut client = Client::connect(&socket).expect("ingest connect");
-    let (_, _) = client.query_id(0, k).expect("pre-delta query");
-    let pre_artifact = MatchArtifact::load(artifact_path).expect("pre-delta load");
-
-    // The clock: everything between "delta arrives" and "a live client
-    // sees post-delta answers".
-    let t = Instant::now();
-    let mut live = MatchArtifact::load(artifact_path).expect("ingest load");
-    let summary = live.apply_delta(batch).expect("ingest delta");
-    live.save(artifact_path).expect("ingest republish");
-    let apply_publish_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let generation = client.reload().expect("ingest reload");
-    let reload_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let (post, _) = client.query_id(0, k).expect("post-delta query");
-    let first_query_secs = t.elapsed().as_secs_f64();
-    let e2e_secs = apply_publish_secs + reload_secs + first_query_secs;
-
-    assert_eq!(generation, 1, "ingest reload skipped a generation");
-    assert_eq!(summary.rows, n_targets + appends, "unexpected post-delta shape");
-    // The republished target matrix must actually have changed (the
-    // pre-delta mapping pins the old inode, so both are comparable). A
-    // ≤1% delta need not move any one query's top-k, so the wire-level
-    // check below is equality against the post-delta facade instead.
-    let post_artifact = MatchArtifact::load(artifact_path).expect("post-delta load");
-    assert_ne!(
-        pre_artifact.first_matrix(),
-        post_artifact.first_matrix(),
-        "the delta changed nothing in the republished artifact"
-    );
-    let facade = Matcher::load(artifact_path).expect("post-delta facade load");
-    let want = facade.query_by_id(0, k).expect("post-delta facade query");
-    assert_eq!(
-        post.iter().map(|&(t, s)| (t, s.to_bits())).collect::<Vec<_>>(),
-        want.iter().map(|&(t, s)| (t, s.to_bits())).collect::<Vec<_>>(),
-        "served post-delta answer diverged from the republished artifact"
-    );
-    assert!(
-        e2e_secs < 1.0,
-        "delta visibility regressed past a second: {e2e_secs:.3}s end-to-end"
-    );
-
-    client.shutdown().expect("ingest shutdown");
-    server.join();
-    std::fs::remove_file(&socket).ok();
-
-    println!(
-        "ingest: {} ops ({appends} append / {updates} update / {tombstones} tombstone) \
-         visible in {e2e_secs:.4}s (apply+publish {apply_publish_secs:.4}s, reload \
-         {reload_secs:.4}s, first query {first_query_secs:.4}s) vs {cold_secs:.1}s cold fit \
-         ({:.0}x)",
-        batch.len(),
-        cold_secs / e2e_secs,
-    );
-    format!(
-        concat!(
-            "{{\n",
-            "    \"delta_ops\": {}, \"appends\": {}, \"updates\": {}, \"tombstones\": {},\n",
-            "    \"rows_after\": {},\n",
-            "    \"apply_publish_secs\": {:.6},\n",
-            "    \"reload_secs\": {:.6},\n",
-            "    \"first_query_secs\": {:.6},\n",
-            "    \"e2e_secs\": {:.6},\n",
-            "    \"speedup_vs_cold_fit\": {:.1}\n",
-            "  }}"
-        ),
-        batch.len(),
-        appends,
-        updates,
-        tombstones,
-        summary.rows,
-        apply_publish_secs,
-        reload_secs,
-        first_query_secs,
-        e2e_secs,
-        cold_secs / e2e_secs,
-    )
-}
-
-#[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
-fn ingest_tier(
-    _artifact_path: &std::path::Path,
-    _batch: &DeltaBatch,
-    _n_targets: usize,
-    _appends: usize,
-    _updates: usize,
-    _tombstones: usize,
-    _k: usize,
-    _cold_secs: f64,
-) -> String {
-    "null".into()
-}
-
 fn main() {
     // Reader-subprocess mode for the RSS measurement (see child_serve).
     if let (Ok(path), Ok(mode)) = (
@@ -567,32 +434,6 @@ fn main() {
     let rss_mapped = rss_json(&mapped_readers);
     let rss_heap = rss_json(&heap_readers);
 
-    // --- Incremental ingest: sub-second delta visibility vs cold refit --
-    // A ≤1% delta batch over the same frozen vocabulary: half appends,
-    // the rest split between re-embeds and tombstones.
-    let n_targets = first.len();
-    let delta_ops = (n_targets / 100).max(4);
-    let vocab: Vec<String> = artifact.term_labels().take(5).map(str::to_string).collect();
-    let mut batch = DeltaBatch::new();
-    let (mut appends, mut updates, mut tombstones) = (0usize, 0usize, 0usize);
-    for i in 0..delta_ops {
-        batch = match i % 4 {
-            0 | 1 => {
-                appends += 1;
-                batch.append(vocab.clone())
-            }
-            2 => {
-                updates += 1;
-                batch.update(i, vocab.clone())
-            }
-            _ => {
-                tombstones += 1;
-                batch.tombstone(n_targets - 1 - i)
-            }
-        };
-    }
-    let ingest_json = ingest_tier(&artifact_path, &batch, n_targets, appends, updates, tombstones, k, cold_secs);
-
     std::fs::remove_file(&artifact_path).ok();
 
     let serving_json = format!(
@@ -661,7 +502,6 @@ fn main() {
             "  \"csr_snapshot\": {{\"bytes\": {}, \"build_freeze_secs\": {:.6}, ",
             "\"load_secs\": {:.6}}},\n",
             "  \"serving\": {},\n",
-            "  \"ingest\": {},\n",
             "  \"speedup_warm_vs_cold\": {:.1},\n",
             "  \"speedup_csr_load_vs_build\": {:.2}\n",
             "}}\n"
@@ -681,7 +521,6 @@ fn main() {
         csr_cold.secs,
         csr_load.secs,
         serving_json,
-        ingest_json,
         speedup_warm_vs_cold,
         speedup_csr,
     );

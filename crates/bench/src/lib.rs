@@ -7,7 +7,8 @@
 //! targets in `benches/` and adds the bench-only allocation probe.
 //!
 //! Scales are controlled by environment variables so a paper-scale run is
-//! one `TDMATCH_SCALE=paper cargo bench` away (see EXPERIMENTS.md):
+//! one `TDMATCH_SCALE=paper cargo bench` away (the tiers' presets are
+//! listed under "Scale tiers" in `docs/SCENARIOS.md`):
 //!
 //! * `TDMATCH_SCALE` — `tiny` | `small` (default) | `paper`;
 //! * `TDMATCH_WALKS`, `TDMATCH_WALK_LEN`, `TDMATCH_DIM`,

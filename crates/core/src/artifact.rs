@@ -6,10 +6,10 @@
 //! to outlive the fitting process. A [`MatchArtifact`] holds everything
 //! matching needs: the term vectors and both corpora's document vectors,
 //! the latter as pre-normalized [`ScoreMatrix`]es — the same
-//! normalize-once / dot-many layout the live
-//! [`TdModel`](crate::pipeline::TdModel) scores with, so a loaded
-//! artifact matches at full engine speed with **no per-call
-//! re-normalization**.
+//! normalize-once / dot-many layout. A fitted
+//! [`TdModel`](crate::pipeline::TdModel) holds one and matches through
+//! it, so a loaded artifact *is* the live model's matching state, at
+//! full engine speed with **no per-call re-normalization**.
 //!
 //! # Format (version 2, `TDZ1` container)
 //!
@@ -246,15 +246,22 @@ impl MatchArtifact {
     }
 
     /// Assembles an artifact from already-normalized score matrices —
-    /// the allocation-free path used by
-    /// [`TdModel::artifact`](crate::pipeline::TdModel::artifact).
+    /// the path a fit builds its model's artifact through, once. Panics
+    /// if a term vector or a matrix is not `dim` wide: such an artifact
+    /// would save a file no loader accepts.
     pub fn from_matrices(
         dim: usize,
         terms: Vec<(String, Vec<f32>)>,
         first: ScoreMatrix,
         second: ScoreMatrix,
     ) -> Self {
-        debug_assert!(terms.iter().all(|(_, v)| v.len() == dim));
+        for (label, v) in &terms {
+            assert!(
+                v.len() == dim,
+                "term {label:?} has a vector of length {}, artifact dim is {dim}",
+                v.len()
+            );
+        }
         assert_eq!(first.dim(), dim, "first matrix dim must equal artifact dim");
         assert_eq!(second.dim(), dim, "second matrix dim must equal artifact dim");
         let (terms, term_index) = sort_and_index(terms);
@@ -325,10 +332,10 @@ impl MatchArtifact {
     }
 
     /// Ranks the top-`k` first-corpus documents for every second-corpus
-    /// document — the same matching as
-    /// [`TdModel::match_top_k`](crate::pipeline::TdModel::match_top_k),
-    /// without the graph: [`rank`](MatchArtifact::rank)'s exact scan over
-    /// the stored query matrix.
+    /// document: [`rank`](MatchArtifact::rank)'s exact scan over the
+    /// stored query matrix. This is what
+    /// [`TdModel::match_top_k`](crate::pipeline::TdModel::match_top_k)
+    /// calls.
     pub fn match_top_k(&self, k: usize) -> Vec<MatchResult> {
         self.rank(&self.second, k, None).0
     }
@@ -729,6 +736,13 @@ mod tests {
         assert_eq!(b.corpus_sizes(), (3, 1));
         // Unit rows round-trip exactly.
         assert_eq!(b.first_vector(0), Some(&[1.0f32, 0.0][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "term \"t\" has a vector of length 3, artifact dim is 2")]
+    fn term_vector_of_the_wrong_length_is_rejected_at_construction() {
+        // Accepted, this saved a file `read_from` refuses to load.
+        MatchArtifact::new(2, vec![("t".into(), vec![1.0, 2.0, 3.0])], vec![], vec![]);
     }
 
     #[test]

@@ -36,22 +36,6 @@ pub enum EmbedMethod {
     WalkDoc2Vec,
 }
 
-/// Candidate blocking before cosine scoring (the §VII "blocking to speed
-/// up performance" future-work extension). Blocking trades a little
-/// recall for sub-quadratic matching; [`BlockingMode::None`] reproduces
-/// the paper exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BlockingMode {
-    /// Score every (query, target) pair — the paper's behaviour.
-    None,
-    /// Inverted token index: only score targets sharing ≥ 1 base token
-    /// with the query (lexical blocking).
-    InvertedIndex,
-    /// Random-hyperplane LSH over the metadata embeddings (embedding
-    /// blocking; sees non-lexical similarity the token index misses).
-    Lsh(crate::lsh::LshConfig),
-}
-
 /// Compression to apply after (optional) expansion — Table VIII.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Compression {
@@ -103,9 +87,6 @@ pub struct TdConfig {
     /// Connect taxonomy metadata nodes to their parents (§II-A). On by
     /// default; the §V-F2 ablation turns it off.
     pub taxonomy_edges: bool,
-    /// Candidate blocking before cosine scoring (future-work extension;
-    /// changes speed, not semantics, on overlapping corpora).
-    pub blocking: BlockingMode,
     /// Cap on relations fetched per node during expansion.
     pub max_relations_per_node: usize,
     /// Transition rule for the walk generator. [`WalkStrategy::Uniform`]
@@ -135,7 +116,6 @@ impl TdConfig {
             threads: default_threads(),
             seed: 42,
             taxonomy_edges: true,
-            blocking: BlockingMode::None,
             max_relations_per_node: 64,
             walk_strategy: WalkStrategy::Uniform,
             embed_method: EmbedMethod::WalkWord2Vec,

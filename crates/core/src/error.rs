@@ -13,10 +13,6 @@ pub enum TdError {
     NoSharedTerms,
     /// The walk corpus came out empty (e.g. all nodes isolated).
     EmptyWalkCorpus,
-    /// `fit_prebuilt` was called with a configuration that needs the raw
-    /// corpora (inverted-index blocking tokenizes the inputs, which a
-    /// persisted graph no longer carries).
-    PrebuiltNeedsCorpora,
 }
 
 impl std::fmt::Display for TdError {
@@ -27,10 +23,6 @@ impl std::fmt::Display for TdError {
                 write!(f, "no shared terms between the corpora after filtering")
             }
             TdError::EmptyWalkCorpus => write!(f, "random-walk corpus is empty"),
-            TdError::PrebuiltNeedsCorpora => write!(
-                f,
-                "inverted-index blocking needs the raw corpora; use BlockingMode::None or Lsh with fit_prebuilt"
-            ),
         }
     }
 }

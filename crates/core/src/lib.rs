@@ -14,15 +14,15 @@
 //! 3. compression (from `tdmatch-compress`) optionally shrinks the graph
 //!    while preserving metadata shortest paths — Algorithm 3;
 //! 4. [`pipeline`] generates random walks, trains Word2Vec over them —
-//!    Algorithm 4 — and exposes metadata-node embeddings;
+//!    Algorithm 4 — and keeps the result as one
+//!    [`artifact::MatchArtifact`] inside the fitted model;
 //! 5. [`matcher`] ranks cross-corpus documents by cosine similarity
 //!    under one total order (score desc, index asc), with optional score
-//!    combination (Fig. 10) and candidate [`blocking`] — inverted token
-//!    index or multiprobe [`lsh`] (the paper's future-work extension).
-//!    A saved artifact reaches that order through one retrieval entry,
-//!    [`artifact::MatchArtifact::rank`] (exact scan, or HNSW pool +
-//!    exact rescore), which the CLI, the [`serving`] facade and the
-//!    daemon all call.
+//!    combination (Fig. 10). The fitted model and a saved artifact reach
+//!    that order through one retrieval entry,
+//!    [`artifact::MatchArtifact::rank`] (exact scan, or — the one
+//!    candidate generator — a persisted HNSW pool + exact rescore), which
+//!    the CLI, the [`serving`] facade and the daemon all call.
 //!
 //! # Persistence lifecycle
 //!
@@ -31,10 +31,12 @@
 //!
 //! 1. **Fit** — [`pipeline::TdMatch::fit`] builds the graph, runs walks,
 //!    trains embeddings, and L2-normalizes both corpora's document
-//!    vectors *once* into flat `ScoreMatrix`es (`tdmatch_embed::score`).
-//! 2. **Export** — [`pipeline::TdModel::artifact`] packages term vectors
-//!    plus those pre-normalized matrices into a
-//!    [`artifact::MatchArtifact`] without re-copying rows.
+//!    vectors *once* into flat `ScoreMatrix`es (`tdmatch_embed::score`);
+//!    those plus the term vectors are the [`artifact::MatchArtifact`]
+//!    the returned [`pipeline::TdModel`] holds and matches through.
+//! 2. **Export** — [`pipeline::TdModel::artifact`] is a clone of that
+//!    artifact (to index, mutate or keep past the model);
+//!    [`pipeline::TdModel::save_artifact`] saves it without the clone.
 //! 3. **Save** — [`artifact::MatchArtifact::save`] writes a versioned
 //!    `TDZ1` container (`tdmatch_graph::container`): 64-byte-aligned
 //!    little-endian sections, each CRC-32 sealed.
@@ -52,7 +54,8 @@
 //!    persisted HNSW index incrementally, and republishes atomically —
 //!    bit-identical to a full refit of the final corpus
 //!    (`crates/core/tests/delta_prop.rs`), at a fraction of the cost
-//!    (the `ingest` tier of `BENCH_persist.json`).
+//!    (2.6 ms delta-to-visible at the median: `op_p50_ms` of the
+//!    repository benchmark's `ingest` workload).
 //!
 //! Two heavier warm-start paths complement the artifact, both `TDZ1`
 //! files too: a mutable graph saved with
@@ -65,20 +68,18 @@
 //! Entry point: [`pipeline::TdMatch`].
 
 pub mod artifact;
-pub mod blocking;
 pub mod builder;
 pub mod config;
 pub mod corpus;
 pub mod delta;
 pub mod error;
 pub mod expand;
-pub mod lsh;
 pub mod matcher;
 pub mod merging;
 pub mod pipeline;
 pub mod serving;
 
-pub use config::{BlockingMode, Compression, EmbedMethod, FilterMode, TdConfig};
+pub use config::{Compression, EmbedMethod, FilterMode, TdConfig};
 pub use corpus::{Corpus, StructuredText, Table, TaxonomyNode, TextCorpus};
 pub use artifact::{MatchArtifact, PersistError};
 pub use delta::{DeltaBatch, DeltaOp, DeltaSummary};

@@ -50,7 +50,11 @@ fn wrap_results(ranked: Vec<Vec<(usize, f32)>>) -> Vec<MatchResult> {
 ///
 /// * `extra_score`, when given, is averaged with the cosine over the full
 ///   candidate pool — the Fig. 10 combination with SentenceBERT.
-/// * `candidates`, when given, restricts scoring per query (blocking).
+/// * `candidates`, when given, restricts scoring per query to the indices
+///   it returns — the hook [`MatchArtifact::rank`] feeds each query's ANN
+///   pool through for exact rescoring.
+///
+/// [`MatchArtifact::rank`]: crate::artifact::MatchArtifact::rank
 pub fn top_k_matches_matrix(
     queries: &ScoreMatrix,
     targets: &ScoreMatrix,
@@ -197,11 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn scorers_and_blocking_see_the_query_index() {
+    fn scorers_and_candidates_see_the_query_index() {
         let queries: Vec<Option<Vec<f32>>> = (0..10).map(|_| v(1.0, 0.0)).collect();
         let targets: Vec<Option<Vec<f32>>> = (0..6).map(|_| v(1.0, 0.0)).collect();
         // Every cosine ties: query q prefers target q % 6 through the
-        // extra scorer alone, out of two blocked candidates.
+        // extra scorer alone, out of two offered candidates.
         let extra = |q: usize, t: usize| if t == q % 6 { 1.0 } else { 0.0 };
         let cand = |q: usize| vec![q % 6, (q + 1) % 6];
         let got = top_k_matches(&queries, &targets, 1, Some(&extra), Some(&cand));

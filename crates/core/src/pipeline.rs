@@ -5,37 +5,19 @@ use std::time::Instant;
 
 use tdmatch_compress::{msp_compress, ssp_compress, ssum_compress, MspConfig, SspConfig, SsumConfig};
 use tdmatch_embed::corpus::FlatCorpus;
+use tdmatch_embed::score::ScoreMatrix;
 use tdmatch_embed::walks::generate_walk_corpus;
 use tdmatch_embed::word2vec::train_corpus;
-use tdmatch_graph::{CorpusSide, CsrGraph, Graph};
+use tdmatch_graph::{CorpusSide, CsrGraph, Graph, NodeId};
 use tdmatch_kb::{KnowledgeBase, PretrainedModel};
-use tdmatch_text::Preprocessor;
 
 use crate::artifact::MatchArtifact;
-use crate::blocking::BlockIndex;
 use crate::builder::{build_graph, doc_label, BuildStats};
-use crate::config::{BlockingMode, Compression, EmbedMethod, TdConfig};
+use crate::config::{Compression, EmbedMethod, TdConfig};
 use crate::corpus::Corpus;
 use crate::error::TdError;
 use crate::expand::{expand_graph, ExpandStats};
-use tdmatch_embed::score::ScoreMatrix;
-
-use crate::lsh::LshIndex;
 use crate::matcher::{top_k_matches_matrix, MatchResult};
-
-/// Fitted blocking state, matching the configured [`BlockingMode`]
-/// (`BlockingMode::None` fits no `BlockData`: all pairs are scored).
-#[derive(Debug)]
-enum BlockData {
-    /// Inverted token index over the first corpus plus the pre-tokenized
-    /// queries of the second corpus.
-    Inverted {
-        index: BlockIndex,
-        query_tokens: Vec<Vec<String>>,
-    },
-    /// LSH index over the first corpus's metadata embeddings.
-    Lsh(LshIndex),
-}
 
 /// Optional resources for a fit.
 #[derive(Default)]
@@ -149,12 +131,8 @@ impl TdMatch {
     /// walks, training, and vector extraction on `graph` as-is.
     ///
     /// Corpus sizes are recovered from the metadata nodes' document
-    /// indices. [`BlockingMode::InvertedIndex`] is rejected (it needs the
-    /// raw corpora); use `None` or `Lsh`.
+    /// indices.
     pub fn fit_prebuilt(&self, graph: Graph) -> Result<TdModel, TdError> {
-        if matches!(self.config.blocking, BlockingMode::InvertedIndex) {
-            return Err(TdError::PrebuiltNeedsCorpora);
-        }
         let has_terms = graph.nodes().any(|n| !graph.kind(n).is_metadata());
         if !has_terms {
             return Err(TdError::NoSharedTerms);
@@ -182,7 +160,6 @@ impl TdMatch {
         self.embed_and_index(
             graph,
             (first_len, second_len),
-            None,
             BuildStats::default(),
             ExpandStats::default(),
             StageTimings::default(),
@@ -313,7 +290,6 @@ impl TdMatch {
         self.embed_and_index(
             graph,
             (first.len(), second.len()),
-            Some((first, second)),
             build_stats,
             expand_stats,
             timings,
@@ -321,14 +297,13 @@ impl TdMatch {
     }
 
     /// The stages every fit ends with, on a graph that is final: freeze →
-    /// walks → train → per-document vectors → blocking index →
-    /// normalize. `corpora` is `None` for a resumed fit, which has only
-    /// the graph.
+    /// walks → train → the match artifact (normalized document rows and
+    /// the data nodes' term vectors, copied out of the trained matrix,
+    /// which is then dropped).
     fn embed_and_index(
         &self,
         graph: Graph,
         (first_len, second_len): (usize, usize),
-        corpora: Option<(&Corpus, &Corpus)>,
         build_stats: BuildStats,
         expand_stats: ExpandStats,
         mut timings: StageTimings,
@@ -349,92 +324,63 @@ impl TdMatch {
         timings.train = t.elapsed().as_secs_f64();
         timings.train_tokens = walk_corpus.total_tokens() as u64 * self.config.epochs as u64;
 
-        // Metadata vectors per (side, document index).
         let dim = self.config.dim;
-        let extract = |side: CorpusSide, len: usize| -> Vec<Option<Vec<f32>>> {
-            (0..len)
-                .map(|i| {
-                    graph.meta_node(&doc_label(side, i)).map(|n| {
-                        matrix[n.index() * dim..(n.index() + 1) * dim].to_vec()
-                    })
-                })
-                .collect()
-        };
-        let first_vecs = extract(CorpusSide::First, first_len);
-        let second_vecs = extract(CorpusSide::Second, second_len);
+        let node_row = |n: NodeId| &matrix[n.index() * dim..(n.index() + 1) * dim];
 
-        // Optional blocking index (future-work extension): lexical
-        // blocking indexes the first corpus's tokens; LSH blocking
-        // hashes the just-trained first-corpus embeddings.
-        let blocks = match (self.config.blocking, corpora) {
-            (BlockingMode::None, _) => None,
-            (BlockingMode::InvertedIndex, None) => return Err(TdError::PrebuiltNeedsCorpora),
-            (BlockingMode::InvertedIndex, Some((first, second))) => {
-                let pre = Preprocessor::new(self.config.preprocess.clone());
-                let index = BlockIndex::build(first, &pre);
-                let query_tokens: Vec<Vec<String>> = (0..second.len())
-                    .map(|i| {
-                        second
-                            .fields(i)
-                            .iter()
-                            .flat_map(|f| pre.base_tokens(f))
-                            .collect()
-                    })
-                    .collect();
-                Some(BlockData::Inverted {
-                    index,
-                    query_tokens,
-                })
+        // Metadata vectors per (side, document index), normalized once:
+        // every subsequent match call is dot-many over these rows. A
+        // document whose metadata node did not survive keeps an invalid
+        // row.
+        let extract = |side: CorpusSide, len: usize| -> ScoreMatrix {
+            let mut rows = ScoreMatrix::invalid(len, dim);
+            for i in 0..len {
+                if let Some(n) = graph.meta_node(&doc_label(side, i)) {
+                    rows.set_row(i, node_row(n));
+                }
             }
-            (BlockingMode::Lsh(lsh_config), _) => {
-                Some(BlockData::Lsh(LshIndex::build(&first_vecs, dim, &lsh_config)))
-            }
+            rows
         };
+        let first = extract(CorpusSide::First, first_len);
+        let second = extract(CorpusSide::Second, second_len);
 
-        // Normalize once: every subsequent match call is dot-many over
-        // these pre-normalized matrices.
-        let first_norm = ScoreMatrix::from_options_dim(&first_vecs, dim);
-        let second_norm = ScoreMatrix::from_options_dim(&second_vecs, dim);
+        // Term vectors (data nodes), raw.
+        let terms = graph
+            .nodes()
+            .filter(|&n| !graph.kind(n).is_metadata())
+            .map(|n| (graph.label(n).to_string(), node_row(n).to_vec()))
+            .collect();
+        let artifact = MatchArtifact::from_matrices(dim, terms, first, second);
 
         Ok(TdModel {
             config: self.config.clone(),
             graph,
-            matrix,
-            first_vecs,
-            second_vecs,
-            first_norm,
-            second_norm,
+            artifact,
             build_stats,
             expand_stats,
             timings,
-            blocks,
         })
     }
 }
 
-/// A fitted TDmatch model: the final graph, node embeddings, and matching
-/// entry points.
+/// A fitted TDmatch model: the final graph plus the [`MatchArtifact`]
+/// built from its trained embeddings. The artifact is the model's only
+/// copy of those embeddings — matching, the vector accessors and
+/// [`save_artifact`](TdModel::save_artifact) all read it — so what a
+/// saved file answers is what the live model answers, by construction.
 #[derive(Debug)]
 pub struct TdModel {
     config: TdConfig,
     /// The graph embeddings were trained on (post expansion/compression).
     pub graph: Graph,
-    matrix: Vec<f32>,
-    first_vecs: Vec<Option<Vec<f32>>>,
-    second_vecs: Vec<Option<Vec<f32>>>,
-    /// Pre-normalized first-corpus rows (targets in the default match
-    /// direction); built once at fit time, scored many times.
-    first_norm: ScoreMatrix,
-    /// Pre-normalized second-corpus rows (queries in the default match
-    /// direction).
-    second_norm: ScoreMatrix,
+    /// Term vectors (raw) and both corpora's document rows
+    /// (pre-normalized), built once at fit time.
+    artifact: MatchArtifact,
     /// Graph-creation statistics.
     pub build_stats: BuildStats,
     /// Expansion statistics (zeroed when expansion was off).
     pub expand_stats: ExpandStats,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,
-    blocks: Option<BlockData>,
 }
 
 impl TdModel {
@@ -444,43 +390,24 @@ impl TdModel {
     }
 
     /// Embedding of document `idx` on `side`, if its metadata node
-    /// survived the pipeline.
+    /// survived the pipeline — the stored row, **L2-normalized** (unit
+    /// length), as the artifact keeps it.
     pub fn doc_vector(&self, side: CorpusSide, idx: usize) -> Option<&[f32]> {
-        let store = match side {
-            CorpusSide::First => &self.first_vecs,
-            CorpusSide::Second => &self.second_vecs,
-        };
-        store.get(idx).and_then(|v| v.as_deref())
+        match side {
+            CorpusSide::First => self.artifact.first_vector(idx),
+            CorpusSide::Second => self.artifact.second_vector(idx),
+        }
     }
 
     /// Embedding of a term (data node), if present in the final graph.
     pub fn term_vector(&self, term: &str) -> Option<&[f32]> {
-        let n = self.graph.data_node(term)?;
-        let dim = self.config.dim;
-        Some(&self.matrix[n.index() * dim..(n.index() + 1) * dim])
-    }
-
-    /// The fitted blocking index as a per-query candidate function —
-    /// `None` when no blocking is configured and every pair is scored.
-    fn blocking(&self) -> Option<impl Fn(usize) -> Vec<usize> + '_> {
-        self.blocks.as_ref().map(|blocks| {
-            move |q: usize| match blocks {
-                BlockData::Inverted {
-                    index,
-                    query_tokens,
-                } => index.candidates(&query_tokens[q]),
-                BlockData::Lsh(index) => match &self.second_vecs[q] {
-                    Some(v) => index.candidates(v),
-                    None => Vec::new(),
-                },
-            }
-        })
+        self.artifact.term_vector(term)
     }
 
     /// Ranks the top-`k` first-corpus documents for every second-corpus
     /// document (the default direction: queries are the text side).
     pub fn match_top_k(&self, k: usize) -> Vec<MatchResult> {
-        self.match_top_k_combined(k, None)
+        self.artifact.match_top_k(k)
     }
 
     /// Like [`match_top_k`], averaging cosine scores with an external
@@ -492,9 +419,13 @@ impl TdModel {
         k: usize,
         extra_score: Option<&dyn Fn(usize, usize) -> f32>,
     ) -> Vec<MatchResult> {
-        let blocking = self.blocking();
-        let candidates = blocking.as_ref().map(|f| f as &dyn Fn(usize) -> Vec<usize>);
-        top_k_matches_matrix(&self.second_norm, &self.first_norm, k, extra_score, candidates)
+        top_k_matches_matrix(
+            self.artifact.second_matrix(),
+            self.artifact.first_matrix(),
+            k,
+            extra_score,
+            None,
+        )
     }
 
     /// `(nodes, edges)` of the final graph (Table VIII's #N / #E).
@@ -502,46 +433,25 @@ impl TdModel {
         (self.graph.node_count(), self.graph.edge_count())
     }
 
-    /// Exports the model's matching state (term vectors + both corpora's
-    /// document vectors) as a persistable [`MatchArtifact`]. The artifact
-    /// matches exactly like [`match_top_k`](TdModel::match_top_k) does
-    /// without blocking, and can be saved/loaded without re-training.
-    ///
-    /// The document sides are taken from the model's pre-normalized
-    /// score matrices — two flat memcpy-style clones, not a per-row
-    /// `Option<Vec<f32>>` copy — so the artifact scores without ever
-    /// re-normalizing.
+    /// A copy of the model's matching state (term vectors + both
+    /// corpora's document vectors) as an owned [`MatchArtifact`]: it
+    /// matches exactly like [`match_top_k`](TdModel::match_top_k),
+    /// because that *is* this artifact's ranking, and can be indexed,
+    /// saved and loaded without re-training.
     pub fn artifact(&self) -> MatchArtifact {
-        let dim = self.config.dim;
-        let terms: Vec<(String, Vec<f32>)> = self
-            .graph
-            .nodes()
-            .filter(|&n| !self.graph.kind(n).is_metadata())
-            .map(|n| {
-                (
-                    self.graph.label(n).to_string(),
-                    self.matrix[n.index() * dim..(n.index() + 1) * dim].to_vec(),
-                )
-            })
-            .collect();
-        MatchArtifact::from_matrices(
-            dim,
-            terms,
-            self.first_norm.clone(),
-            self.second_norm.clone(),
-        )
+        self.artifact.clone()
     }
 
-    /// Exports the match artifact and writes it straight to `path` —
-    /// fit-once / match-many in one call. The saved `TDZ1` container is
-    /// what serving processes later memory-map with
-    /// [`MatchArtifact::load`]: every reader of the same file shares one
-    /// physical copy of the matrices through the OS page cache.
+    /// Writes the match artifact straight to `path` — fit-once /
+    /// match-many in one call. The saved `TDZ1` container is what serving
+    /// processes later memory-map with [`MatchArtifact::load`]: every
+    /// reader of the same file shares one physical copy of the matrices
+    /// through the OS page cache.
     pub fn save_artifact<P: AsRef<std::path::Path>>(
         &self,
         path: P,
     ) -> Result<(), crate::artifact::PersistError> {
-        self.artifact().save(path)
+        self.artifact.save(path)
     }
 }
 
@@ -630,46 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_does_not_change_top1_here() {
-        let (first, second) = corpora();
-        let plain = TdMatch::new(TdConfig::for_tests())
-            .fit(&first, &second)
-            .unwrap();
-        let blocked = TdMatch::new(TdConfig {
-            blocking: BlockingMode::InvertedIndex,
-            ..TdConfig::for_tests()
-        })
-        .fit(&first, &second)
-        .unwrap();
-        for (a, b) in plain.match_top_k(1).iter().zip(blocked.match_top_k(1)) {
-            assert_eq!(a.target_indices(), b.target_indices());
-        }
-    }
-
-    #[test]
-    fn lsh_blocking_keeps_matching_usable() {
-        use crate::lsh::LshConfig;
-        let (first, second) = corpora();
-        let blocked = TdMatch::new(TdConfig {
-            // Generous parameters on a 3-document corpus: every true match
-            // should survive the hashing.
-            blocking: BlockingMode::Lsh(LshConfig {
-                tables: 12,
-                bits: 2,
-                probes: 1,
-                seed: 42,
-            }),
-            ..TdConfig::for_tests()
-        })
-        .fit(&first, &second)
-        .unwrap();
-        let results = blocked.match_top_k(3);
-        assert_eq!(results.len(), 3);
-        // Every query still gets at least one ranked target.
-        assert!(results.iter().all(|r| !r.ranked.is_empty()));
-    }
-
-    #[test]
     fn term_vectors_are_accessible() {
         let (first, second) = corpora();
         let model = TdMatch::new(TdConfig::for_tests())
@@ -747,20 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_prebuilt_rejects_inverted_blocking_and_empty_sides() {
-        let (first, second) = corpora();
-        let model = TdMatch::new(TdConfig::for_tests())
-            .fit(&first, &second)
-            .unwrap();
-        let trainer = TdMatch::new(TdConfig {
-            blocking: BlockingMode::InvertedIndex,
-            ..TdConfig::for_tests()
-        });
-        assert_eq!(
-            trainer.fit_prebuilt(model.graph.clone()).unwrap_err(),
-            TdError::PrebuiltNeedsCorpora
-        );
-        // A graph with no metadata on one side is rejected.
+    fn fit_prebuilt_rejects_a_one_sided_graph() {
         let mut g = tdmatch_graph::Graph::new();
         let m = g.add_meta("A:doc0", CorpusSide::First, tdmatch_graph::MetaKind::Tuple, 0);
         let d = g.intern_data("term");

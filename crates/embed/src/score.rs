@@ -672,7 +672,7 @@ fn score_queries_into(
     }
 }
 
-/// The tiled hot path (no blocking, no score combination): query blocks ×
+/// The tiled hot path (no candidate hook, no score combination): query blocks ×
 /// target blocks, so each cache-resident target block is scored against
 /// up to [`QUERY_BLOCK`] queries before the next block streams in.
 fn score_dense_into(
@@ -734,8 +734,8 @@ fn score_dense_into(
 /// normalized dot product (= cosine of the original vectors), with the
 /// missing-row and ranking semantics described in the [module
 /// docs](self). `extra`, when given, is averaged with the base score over
-/// the full candidate pool; `candidates` restricts scoring per query
-/// (blocking).
+/// the full candidate pool; `candidates` restricts scoring per query to
+/// the indices it returns (how an ANN pool is rescored exactly).
 pub fn batch_top_k_seq(
     queries: &ScoreMatrix,
     targets: &ScoreMatrix,

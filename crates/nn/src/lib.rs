@@ -2,9 +2,11 @@
 //!
 //! The paper fine-tunes transformer models (BERT-large, Ditto, DeepMatcher,
 //! TAPAS) and trains a pairwise re-ranker \[39\] on 60 % of the annotated
-//! pairs. We reproduce those baselines as feature-based neural models (see
-//! DESIGN.md for the substitution rationale); this crate supplies the
-//! machinery:
+//! pairs. We reproduce those baselines as feature-based neural models:
+//! the workspace builds offline with no tensor runtime and no pre-trained
+//! weights (README, "Workspace map"), so each system keeps its feature
+//! set and training protocol over a shared small MLP. This crate supplies
+//! the machinery:
 //!
 //! * [`mlp`] — multi-layer perceptrons with ReLU hidden layers, trained by
 //!   backpropagation with Adam;

@@ -9,7 +9,8 @@
 //! ([`crate::methods`]) build on the same surface.
 //!
 //! Scales are controlled by environment variables so a paper-scale run
-//! is one `TDMATCH_SCALE=paper cargo bench` away (see EXPERIMENTS.md):
+//! is one `TDMATCH_SCALE=paper cargo bench` away (the tiers' presets are
+//! listed under "Scale tiers" in `docs/SCENARIOS.md`):
 //!
 //! * `TDMATCH_SCALE` — `tiny` | `small` (default) | `paper`;
 //! * `TDMATCH_WALKS`, `TDMATCH_WALK_LEN`, `TDMATCH_DIM`,

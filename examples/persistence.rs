@@ -35,10 +35,10 @@ fn main() {
         model.graph_size().0
     );
 
-    // 2. Export and save the match artifact (embeddings only, versioned
+    // 2. Save the model's match artifact (embeddings only, versioned
     //    binary with a checksum).
     let path = std::env::temp_dir().join("tdmatch-example.tdm");
-    model.artifact().save(&path).expect("save artifact");
+    model.save_artifact(&path).expect("save artifact");
     let bytes = std::fs::metadata(&path).expect("stat").len();
     println!("saved {} ({bytes} bytes)", path.display());
 

@@ -18,7 +18,8 @@
 //!
 //! Flag parsing is hand-rolled (`--flag value` / boolean `--flag`): a
 //! handful of subcommands and flags do not justify an argument-parsing
-//! dependency (see DESIGN.md §dependencies).
+//! dependency, and the offline build would have to vendor a stand-in for
+//! it (README, "Workspace map", `vendor/` row).
 
 use std::collections::HashSet;
 use std::process::ExitCode;
@@ -93,6 +94,15 @@ RUN OPTIONS:
     --save PATH        write the fitted match artifact to PATH
     --save-graph PATH  write the fitted joint graph to PATH (reusable via `resume`)
     --stats            print graph composition (node/edge kinds, degrees, components)
+
+RESUME OPTIONS:
+    --graph PATH       joint graph written by `run --save-graph`
+    --k N              ranked matches per query (default 5)
+    --walks N          random walks per node (default 30)
+    --walk-len N       steps per walk (default 18)
+    --dim N            embedding dimensionality (default 80)
+    --epochs N         Word2Vec epochs (default 4)
+    --save PATH        write the re-embedded match artifact to PATH
 
 SERVE OPTIONS:
     --artifact PATH    TDZ1 artifact to serve (memory-mapped)
@@ -296,8 +306,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     if let Some(path) = flag_value(args, "--save")? {
         model
-            .artifact()
-            .save(path)
+            .save_artifact(path)
             .map_err(|e| format!("saving artifact: {e}"))?;
         eprintln!("artifact written to {path}");
     }
@@ -349,8 +358,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     }
     if let Some(out) = flag_value(args, "--save")? {
         model
-            .artifact()
-            .save(out)
+            .save_artifact(out)
             .map_err(|e| format!("saving artifact: {e}"))?;
         eprintln!("artifact written to {out}");
     }
@@ -704,9 +712,9 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
 
 /// `ingest`: the incremental-ingest producer — apply a delta batch to a
 /// published artifact, republish it atomically, and (optionally) tell a
-/// running daemon to hot-swap. Sub-second end to end for small deltas,
-/// vs tens of seconds for a cold refit (`BENCH_persist.json`, `ingest`
-/// tier).
+/// running daemon to hot-swap. 2.6 ms end to end for an 8-op delta at
+/// the median (the repository benchmark's `ingest` `op_p50_ms`), vs a
+/// refit of the corpus.
 fn cmd_ingest(args: &[String]) -> Result<(), String> {
     use std::io::Read as _;
     use tdmatch::core::delta::DeltaBatch;
