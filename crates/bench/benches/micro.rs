@@ -3,6 +3,8 @@
 //! top-k, and MSP compression.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 use tdmatch_compress::{msp_compress, MspConfig};
@@ -11,11 +13,12 @@ use tdmatch_core::config::TdConfig;
 use tdmatch_datasets::{imdb, Scale};
 use tdmatch_embed::corpus::FlatCorpus;
 use tdmatch_embed::hogwild::{OwnedMatrix, Rows, SharedMatrix};
+use tdmatch_embed::neg_table::NegativeTable;
 use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, ScoreMatrix};
 use tdmatch_embed::walks::{
     generate_walk_corpus, generate_walks, walk_counts, WalkConfig, WalkStrategy,
 };
-use tdmatch_embed::word2vec::{train_corpus, train_ids, Word2VecConfig};
+use tdmatch_embed::word2vec::{train_corpus, Word2VecConfig};
 use tdmatch_graph::codec::crc32;
 use tdmatch_graph::traverse::{all_shortest_paths, bfs_distances};
 use tdmatch_graph::{CorpusSide, CsrGraph, EdgeTypeWeights, Graph};
@@ -88,9 +91,6 @@ fn bench_walks_and_train(c: &mut Criterion) {
         threads: 1,
         ..Default::default()
     };
-    c.bench_function("embed/w2v_epoch", |b| {
-        b.iter(|| black_box(train_ids(&corpus, &counts, &w2v)))
-    });
     let flat = FlatCorpus::from_nested(&corpus);
     c.bench_function("embed/w2v_epoch_flat", |b| {
         b.iter(|| black_box(train_corpus(&flat, &counts, &w2v)))
@@ -214,11 +214,29 @@ fn bench_row_kernels<M: Rows>(c: &mut Criterion, storage: &str, dim: usize, mut 
             black_box(acc[0]);
         })
     });
-    c.bench_function(&format!("hogwild/{storage}/add_scaled_to_row_{dim}"), |b| {
-        b.iter(|| m.add_scaled_to_row(9, 1e-6, black_box(&buf)))
+    c.bench_function(&format!("hogwild/{storage}/update_row_{dim}"), |b| {
+        b.iter(|| {
+            m.update_row(9, 1e-6, black_box(&buf), &mut acc);
+            black_box(acc[0]);
+        })
     });
     c.bench_function(&format!("hogwild/{storage}/add_to_row_{dim}"), |b| {
         b.iter(|| m.add_to_row(9, black_box(&buf)))
+    });
+}
+
+/// One negative draw — a range draw mapped through the sampler's index —
+/// at the `fit-table` vocabulary and table size. This times the lookup
+/// alone: a tight loop keeps *any* table cache-resident, the 4 MiB one
+/// this index replaced included, so it cannot show what the index is
+/// for. The evidence for that is `word2vec.train_s` in the repository
+/// benchmark, where draws interleave with the weight rows they evicted.
+fn bench_neg_table(c: &mut Criterion) {
+    let counts: Vec<u64> = (0..2792u64).map(|w| 1 + 20_000 / (w + 1)).collect();
+    let table = NegativeTable::new(&counts, 1 << 20);
+    let mut rng = SmallRng::seed_from_u64(7);
+    c.bench_function("neg_table/sample_v2792_1m", |b| {
+        b.iter(|| black_box(table.sample(&mut rng)))
     });
 }
 
@@ -295,6 +313,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_preprocess, bench_graph_build, bench_traversal,
               bench_walks_and_train, bench_walk_representations, bench_topk,
-              bench_hogwild, bench_compression, bench_crc32
+              bench_hogwild, bench_neg_table, bench_compression, bench_crc32
 }
 criterion_main!(benches);

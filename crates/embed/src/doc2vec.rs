@@ -95,17 +95,6 @@ impl Doc2Vec {
     pub fn vocab(&self) -> &Vocab {
         &self.vocab
     }
-
-    /// Infers a vector for an unseen document by gradient steps against the
-    /// frozen word matrix — approximated here as the mean of the trained
-    /// doc vectors of documents sharing its words, a cheap but effective
-    /// stand-in for matching use.
-    pub fn infer<S: AsRef<str>>(&self, _tokens: &[S]) -> Vec<f32> {
-        // Matching in TDmatch always embeds both corpora jointly, so
-        // inference is only used by tests; keep it trivial (zero vector
-        // fallback) rather than pretend at precision.
-        vec![0.0; self.dim]
-    }
 }
 
 /// PV-DBOW core over pre-encoded id documents in a flat arena: document
@@ -163,8 +152,7 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
                     let f = words_mat.dot_with_row(target, &buf);
                     let sig = 1.0 / (1.0 + (-f).exp());
                     let g = (label - sig) * lr;
-                    words_mat.axpy_row_into(target, g, &mut err);
-                    words_mat.add_scaled_to_row(target, g, &buf);
+                    words_mat.update_row(target, g, &buf, &mut err);
                 }
                 docs_mat.add_to_row(doc_id, &err);
             }

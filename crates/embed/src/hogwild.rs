@@ -1,7 +1,9 @@
 //! Weight-matrix storage for Word2Vec / PV-DBOW training.
 //!
-//! The trainers run five row kernels ([`Rows`]) over one of two storages,
-//! chosen by the resolved worker count alone:
+//! The trainers run five row kernels ([`Rows`]: read a row, dot with a
+//! row, accumulate a scaled row, the fused negative-sampling update, add
+//! into a row) over one of two storages, chosen by the resolved worker
+//! count alone:
 //!
 //! * [`OwnedMatrix`] — plain `f32`, for a single worker. Nothing is
 //!   shared, so the kernels run over `&[f32]` / `&mut [f32]` slices and
@@ -22,6 +24,13 @@
 //! scalar remainder loop; every other kernel is element-wise), so a single
 //! worker produces bit-identical weights over either — property-tested in
 //! `word2vec.rs` and pinned by the root `tests/train_bits.rs`.
+//!
+//! The fused update ([`Rows::update_row`]) is the second half of a
+//! negative-sampling step in one pass over the target row: per element it
+//! loads the row's old value once, adds `g ·` old into the error
+//! accumulator, and stores old `+ g · buf` back — read-old-then-write, so
+//! it is element for element the accumulate-then-add pair it replaced,
+//! without walking the row twice.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -39,8 +48,9 @@ pub trait Rows {
     fn dot_with_row(&self, r: usize, buf: &[f32]) -> f32;
     /// `acc[i] += g * row_r[i]` — accumulate a scaled row.
     fn axpy_row_into(&self, r: usize, g: f32, acc: &mut [f32]);
-    /// `row_r[i] += g * buf[i]` — scaled vector into a row.
-    fn add_scaled_to_row(&mut self, r: usize, g: f32, buf: &[f32]);
+    /// `acc[i] += g * row_r[i]; row_r[i] += g * buf[i]`, both from the
+    /// row's old value — one pass over the row.
+    fn update_row(&mut self, r: usize, g: f32, buf: &[f32], acc: &mut [f32]);
     /// Adds `delta` element-wise into row `r`.
     fn add_to_row(&mut self, r: usize, delta: &[f32]);
 }
@@ -119,10 +129,13 @@ impl Rows for OwnedMatrix {
     }
 
     #[inline]
-    fn add_scaled_to_row(&mut self, r: usize, g: f32, buf: &[f32]) {
+    fn update_row(&mut self, r: usize, g: f32, buf: &[f32], acc: &mut [f32]) {
         debug_assert_eq!(buf.len(), self.dim);
-        for (x, &b) in self.row_mut(r).iter_mut().zip(buf) {
-            *x += g * b;
+        debug_assert_eq!(acc.len(), self.dim);
+        for ((x, &b), a) in self.row_mut(r).iter_mut().zip(buf).zip(acc) {
+            let old = *x;
+            *a += g * old;
+            *x = old + g * b;
         }
     }
 
@@ -254,21 +267,27 @@ impl SharedMatrix {
         }
     }
 
-    /// `row_r[i] += g * buf[i]` — scaled vector into a row (racy, Hogwild).
+    /// `acc[i] += g * row_r[i]; row_r[i] += g * buf[i]`, each cell loaded
+    /// once and both computed from that value (racy, Hogwild).
     #[inline]
-    pub fn add_scaled_to_row(&self, r: usize, g: f32, buf: &[f32]) {
+    pub fn update_row(&self, r: usize, g: f32, buf: &[f32], acc: &mut [f32]) {
         debug_assert_eq!(buf.len(), self.dim);
+        debug_assert_eq!(acc.len(), self.dim);
         let row = self.row_cells(r);
         let mut cells = row.chunks_exact(4);
         let mut bs = buf.chunks_exact(4);
-        for (cell4, b4) in (&mut cells).zip(&mut bs) {
+        let mut accs = acc.chunks_exact_mut(4);
+        for ((cell4, b4), a4) in (&mut cells).zip(&mut bs).zip(&mut accs) {
             for l in 0..4 {
                 let cur = f32::from_bits(cell4[l].load(Ordering::Relaxed));
+                a4[l] += g * cur;
                 cell4[l].store((cur + g * b4[l]).to_bits(), Ordering::Relaxed);
             }
         }
-        for (cell, &b) in cells.remainder().iter().zip(bs.remainder()) {
+        let tail = cells.remainder().iter().zip(bs.remainder());
+        for ((cell, &b), a) in tail.zip(accs.into_remainder()) {
             let cur = f32::from_bits(cell.load(Ordering::Relaxed));
+            *a += g * cur;
             cell.store((cur + g * b).to_bits(), Ordering::Relaxed);
         }
     }
@@ -299,8 +318,8 @@ impl Rows for &SharedMatrix {
     }
 
     #[inline]
-    fn add_scaled_to_row(&mut self, r: usize, g: f32, buf: &[f32]) {
-        SharedMatrix::add_scaled_to_row(self, r, g, buf);
+    fn update_row(&mut self, r: usize, g: f32, buf: &[f32], acc: &mut [f32]) {
+        SharedMatrix::update_row(self, r, g, buf, acc);
     }
 
     #[inline]
@@ -370,11 +389,14 @@ mod tests {
         1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 80, 100, 128,
     ];
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Runs `kernel(matrix, operand, out)` over an owned matrix and its
     /// atomic twin (same init, same operand) at every dim in `TWIN_DIMS`
     /// and requires the same bits in `out` and in the matrix afterwards.
     fn assert_twins(kernel: impl Fn(&mut dyn Rows, &[f32], &mut [f32])) {
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for dim in TWIN_DIMS {
             let operand: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
             let mut owned = OwnedMatrix::uniform_init(3, dim, 11);
@@ -403,8 +425,32 @@ mod tests {
     }
 
     #[test]
-    fn owned_add_scaled_to_row_matches_atomic_twin() {
-        assert_twins(|m, operand, _| m.add_scaled_to_row(1, 0.3, operand));
+    fn owned_update_row_matches_atomic_twin() {
+        assert_twins(|m, operand, out| m.update_row(1, 0.3, operand, out));
+    }
+
+    /// The fused kernel against the two passes it replaced: accumulate
+    /// the scaled old row, then add the scaled vector into the row.
+    #[test]
+    fn update_row_equals_axpy_then_add() {
+        for dim in TWIN_DIMS {
+            let buf: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let acc0: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.11).cos()).collect();
+            let g = -0.0173f32;
+
+            let mut fused = OwnedMatrix::uniform_init(3, dim, 11);
+            let mut acc = acc0.clone();
+            fused.update_row(1, g, &buf, &mut acc);
+
+            let mut two_pass = OwnedMatrix::uniform_init(3, dim, 11);
+            let mut want_acc = acc0;
+            two_pass.axpy_row_into(1, g, &mut want_acc);
+            let scaled: Vec<f32> = buf.iter().map(|&b| g * b).collect();
+            two_pass.add_to_row(1, &scaled);
+
+            assert_eq!(bits(&acc), bits(&want_acc), "dim {dim}: accumulator");
+            assert_eq!(bits(&fused.into_vec()), bits(&two_pass.into_vec()), "dim {dim}: matrix");
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //! 2. [`word2vec::train_corpus`] / [`doc2vec::train_pv_dbow`] train
 //!    straight off the arena via sentence-slice iterators.
 //!
-//! The nested `Vec<Vec<u32>>` entry points ([`walks::generate_walks`],
-//! [`word2vec::train_ids`]) remain as compatibility shims for baselines
-//! and as equivalence oracles in tests.
+//! The nested `Vec<Vec<u32>>` walk generator ([`walks::generate_walks`])
+//! remains as a compatibility shim for baselines and as an equivalence
+//! oracle in tests.
 
 pub mod ann;
 pub mod corpus;

@@ -162,13 +162,6 @@ impl Word2Vec {
     }
 }
 
-/// Trains over pre-encoded id sentences and returns the input matrix
-/// (`counts.len() × config.dim`, row-major). Compatibility wrapper around
-/// [`train_corpus`] for callers still holding `Vec<Vec<u32>>`.
-pub fn train_ids(sentences: &[Vec<u32>], counts: &[u64], config: &Word2VecConfig) -> Vec<f32> {
-    train_corpus(&FlatCorpus::from_nested(sentences), counts, config)
-}
-
 /// Trains over a flat token arena and returns the input matrix
 /// (`counts.len() × config.dim`, row-major).
 ///
@@ -194,7 +187,9 @@ pub fn train_corpus(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig
 }
 
 /// Everything the workers of one training run read but never write, plus
-/// the progress counter they share.
+/// the progress counter they share. All of it is small — the negative
+/// sampler is a ~27 KB index, the sigmoid 2 KB — so what a step pulls
+/// through the cache is the weight rows it trains and little else.
 struct TrainJob<'a> {
     corpus: &'a FlatCorpus,
     counts: &'a [u64],
@@ -375,22 +370,7 @@ impl<'a, M: Rows> Worker<'a, M> {
     /// One (input word, output word) update with negative sampling.
     fn train_pair(&mut self, input: usize, output: usize, lr: f32, rng: &mut SmallRng) {
         self.syn0.read_row(input, &mut self.buf_in);
-        self.err.fill(0.0);
-        for d in 0..=self.job.config.negative {
-            let (target, label) = if d == 0 {
-                (output, 1.0f32)
-            } else {
-                let t = self.job.neg_table.sample(rng) as usize;
-                if t == output {
-                    continue;
-                }
-                (t, 0.0)
-            };
-            let f = self.syn1.dot_with_row(target, &self.buf_in);
-            let g = (label - self.job.sigmoid.get(f)) * lr;
-            self.syn1.axpy_row_into(target, g, &mut self.err);
-            self.syn1.add_scaled_to_row(target, g, &self.buf_in);
-        }
+        negative_step(&mut self.syn1, self.job, &self.buf_in, &mut self.err, output, lr, rng);
         self.syn0.add_to_row(input, &self.err);
     }
 
@@ -423,27 +403,44 @@ impl<'a, M: Rows> Worker<'a, M> {
             *x *= inv;
         }
         let output = sent[pos] as usize;
-        self.err.fill(0.0);
-        for d in 0..=self.job.config.negative {
-            let (target, label) = if d == 0 {
-                (output, 1.0f32)
-            } else {
-                let t = self.job.neg_table.sample(rng) as usize;
-                if t == output {
-                    continue;
-                }
-                (t, 0.0)
-            };
-            let f = self.syn1.dot_with_row(target, &self.neu1);
-            let g = (label - self.job.sigmoid.get(f)) * lr;
-            self.syn1.axpy_row_into(target, g, &mut self.err);
-            self.syn1.add_scaled_to_row(target, g, &self.neu1);
-        }
+        negative_step(&mut self.syn1, self.job, &self.neu1, &mut self.err, output, lr, rng);
         for ctx in lo..=hi {
             if ctx != pos {
                 self.syn0.add_to_row(sent[ctx] as usize, &self.err);
             }
         }
+    }
+}
+
+/// The negative-sampling step both objectives share: `input` (a word's
+/// row for Skip-gram, the context mean for CBOW) against the true
+/// `output` and then `negative` sampled words, each target row updated in
+/// place and the input-side gradient left in `err`. One sampler draw per
+/// negative, in order — part of the pinned single-worker trajectory.
+#[inline]
+fn negative_step<M: Rows>(
+    syn1: &mut M,
+    job: &TrainJob<'_>,
+    input: &[f32],
+    err: &mut [f32],
+    output: usize,
+    lr: f32,
+    rng: &mut SmallRng,
+) {
+    err.fill(0.0);
+    for d in 0..=job.config.negative {
+        let (target, label) = if d == 0 {
+            (output, 1.0f32)
+        } else {
+            let t = job.neg_table.sample(rng) as usize;
+            if t == output {
+                continue;
+            }
+            (t, 0.0)
+        };
+        let f = syn1.dot_with_row(target, input);
+        let g = (label - job.sigmoid.get(f)) * lr;
+        syn1.update_row(target, g, input, err);
     }
 }
 

@@ -1,0 +1,66 @@
+//! The fixed 64 × 8 artifact material and the ranking hash the root
+//! `rank_bits.rs` and `delta_bits.rs` contracts share. Moving either
+//! moves every constant pinned in those files.
+#![allow(dead_code)]
+
+use tdmatch::core::matcher::MatchResult;
+
+pub const DIM: usize = 8;
+pub const TARGETS: usize = 64;
+pub const QUERIES: usize = 8;
+pub const K: usize = 5;
+
+pub type Rows = Vec<Option<Vec<f32>>>;
+
+/// 64 targets (rows 7, 18, 29, 40, 51, 62 missing) × 8 queries (row 5
+/// missing) × 5 terms, xorshift material, default index parameters.
+pub fn fixture_rows() -> (Vec<(String, Vec<f32>)>, Rows, Rows) {
+    let mut state = 0x5EEDu64;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 / (1 << 24) as f32 - 0.5
+    };
+    let mut row = move || -> Vec<f32> { (0..DIM).map(|_| next()).collect() };
+    let terms = ["alpha", "beta", "gamma", "delta", "epsilon"]
+        .iter()
+        .map(|t| (t.to_string(), row()))
+        .collect();
+    let first = (0..TARGETS).map(|i| (i % 11 != 7).then(&mut row)).collect();
+    let second = (0..QUERIES).map(|i| (i != 5).then(&mut row)).collect();
+    (terms, first, second)
+}
+
+/// FNV-1a over little-endian `u64` words.
+pub struct Fnv(pub u64);
+
+impl Fnv {
+    pub fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    pub fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The ranking's length, then `(query, target, score bits)` per entry.
+    pub fn ranked(&mut self, query: usize, ranked: &[(usize, f32)]) {
+        self.word(ranked.len() as u64);
+        for &(t, s) in ranked {
+            self.word(query as u64);
+            self.word(t as u64);
+            self.word(s.to_bits() as u64);
+        }
+    }
+}
+
+pub fn hash_results(results: &[MatchResult]) -> u64 {
+    let mut h = Fnv::new();
+    for r in results {
+        h.ranked(r.query, &r.ranked);
+    }
+    h.0
+}

@@ -18,17 +18,17 @@
 //! `Matcher::query_by_tokens` there) — the way `train_bits.rs`,
 //! `crc_bits.rs` and `resume_bits.rs` were pinned.
 
+mod common;
+
 use std::process::Command;
 
+use common::{fixture_rows, hash_results, Fnv, DIM, K, QUERIES, TARGETS};
+
 use tdmatch::core::artifact::{AnnSearch, AnnUsage, MatchArtifact};
-use tdmatch::core::matcher::{top_k_matches_naive, MatchResult};
+use tdmatch::core::matcher::top_k_matches_naive;
 use tdmatch::core::serving::{Matcher, Query, QueryError, Ranked};
 use tdmatch::embed::ann::HnswParams;
 
-const DIM: usize = 8;
-const TARGETS: usize = 64;
-const QUERIES: usize = 8;
-const K: usize = 5;
 /// Narrow enough that the index walks instead of returning every row.
 const POOL: usize = 8;
 /// Above `POOL`: the tail of each narrow ranking is the missing-row
@@ -40,28 +40,6 @@ const NARROW_HASH: u64 = 0x923A_CD29_60AC_675D;
 const FACADE_HASH: u64 = 0x573C_3CFC_E223_ED32;
 const TOKENS_HASH: u64 = 0x33B0_D40C_84D5_B6EB;
 
-type Rows = Vec<Option<Vec<f32>>>;
-
-/// 64 targets (rows 7, 18, 29, 40, 51, 62 missing) × 8 queries (row 5
-/// missing) × 5 terms, xorshift material, default index parameters.
-fn fixture_rows() -> (Vec<(String, Vec<f32>)>, Rows, Rows) {
-    let mut state = 0x5EEDu64;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 / (1 << 24) as f32 - 0.5
-    };
-    let mut row = move || -> Vec<f32> { (0..DIM).map(|_| next()).collect() };
-    let terms = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        .iter()
-        .map(|t| (t.to_string(), row()))
-        .collect();
-    let first = (0..TARGETS).map(|i| (i % 11 != 7).then(&mut row)).collect();
-    let second = (0..QUERIES).map(|i| (i != 5).then(&mut row)).collect();
-    (terms, first, second)
-}
-
 fn fixture() -> MatchArtifact {
     let (terms, first, second) = fixture_rows();
     let mut a = MatchArtifact::new(DIM, terms, first, second);
@@ -71,39 +49,6 @@ fn fixture() -> MatchArtifact {
 
 fn narrow() -> Option<AnnSearch> {
     Some(AnnSearch { pool: POOL, ef: POOL })
-}
-
-/// FNV-1a over little-endian `u64` words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// The ranking's length, then `(query, target, score bits)` per entry.
-    fn ranked(&mut self, query: usize, ranked: &[(usize, f32)]) {
-        self.word(ranked.len() as u64);
-        for &(t, s) in ranked {
-            self.word(query as u64);
-            self.word(t as u64);
-            self.word(s.to_bits() as u64);
-        }
-    }
-}
-
-fn hash_results(results: &[MatchResult]) -> u64 {
-    let mut h = Fnv::new();
-    for r in results {
-        h.ranked(r.query, &r.ranked);
-    }
-    h.0
 }
 
 /// Twelve requests — two chunks of the facade's 8-row block: every

@@ -15,6 +15,7 @@
 //! chunk boundary.
 
 use tdmatch::embed::corpus::FlatCorpus;
+use tdmatch::embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
 use tdmatch::embed::word2vec::{train_corpus, W2vMode, Word2VecConfig};
 
 const NODES: u32 = 300;
@@ -126,4 +127,26 @@ fn skipgram_window_3_dim_100_bits_are_pinned() {
         0xDE09_29A0_3554_83C3,
         "SG w3 d100"
     );
+}
+
+/// PV-DBOW shares the row kernels and the negative sampler but keeps its
+/// own exact sigmoid, so it has its own trajectory: the walks above as
+/// documents. Recorded on e4f7e5a, before `doc2vec.rs` moved to the
+/// fused update kernel.
+#[test]
+fn pv_dbow_dim_80_bits_are_pinned() {
+    let corpus = walk_corpus();
+    let counts = corpus.token_counts(NODES as usize, true);
+    let config = Doc2VecConfig {
+        dim: 80,
+        negative: 5,
+        epochs: 2,
+        initial_lr: 0.025,
+        min_count: 1,
+        seed: 7,
+    };
+    let matrix = train_pv_dbow(&corpus, &counts, &config);
+    assert_eq!(matrix.len(), WALKS * 80);
+    assert!(matrix.iter().all(|x| x.is_finite()));
+    assert_eq!(hash_bits(&matrix), 0xE593_BA1F_AA4A_B3E2, "PV-DBOW d80");
 }
