@@ -164,10 +164,11 @@ fn main() {
             index.ef_construction(),
         );
 
-        // Scratch-reuse probe: `search` allocates a fresh ~rows-sized
-        // visited set per query; `search_with` + one generation-stamped
-        // scratch allocates it once per worker. Count both over one
-        // pass of the query batch at the narrowest pool.
+        // Scratch-reuse probe: `search` allocates a fresh scratch (the
+        // ~rows-byte visited set, heaps and layer buffers) per query;
+        // `search_with` + one warm scratch allocates only the returned
+        // pool. Count both over one pass of the query batch at the
+        // narrowest pool.
         let probe_pool = pools.first().copied().unwrap_or(128);
         let valid_queries: Vec<usize> = (0..qm.rows()).filter(|&q| qm.is_valid(q)).collect();
         let probe = AllocProbe::start();

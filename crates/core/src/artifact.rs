@@ -176,6 +176,12 @@ impl AnnUsage {
     }
 }
 
+thread_local! {
+    /// The walk scratch every [`MatchArtifact::rank`] on this thread
+    /// reuses; it re-sizes itself to each index it walks.
+    static WALK: RefCell<SearchScratch> = RefCell::default();
+}
+
 /// A self-contained, persistable matching state: term embeddings plus
 /// both corpora's document embeddings as pre-normalized score matrices.
 ///
@@ -347,12 +353,15 @@ impl MatchArtifact {
     ///
     /// `ann = None` scans every target exactly. `ann = Some(search)`
     /// retrieves each query's candidates from the stored HNSW index
-    /// ([`ann_pool_with`](MatchArtifact::ann_pool_with), one
-    /// [`SearchScratch`] for the whole call) and rescores them with the
-    /// same kernels, so the published ranking is the exact order over
-    /// the pool; an artifact without an index scans exactly instead.
-    /// The returned [`AnnUsage`] counts what the index was asked for —
-    /// zeros whenever the exact scan ran.
+    /// ([`ann_pool_with`](MatchArtifact::ann_pool_with)) and rescores
+    /// them with the same kernels, so the published ranking is the exact
+    /// order over the pool; an artifact without an index scans exactly
+    /// instead. The walks run through the calling thread's one
+    /// [`SearchScratch`], kept across calls — a daemon worker reuses it
+    /// batch after batch — and re-sized when this artifact's row count
+    /// differs from the last one it walked (another artifact, or this
+    /// one after a delta). The returned [`AnnUsage`] counts what the
+    /// index was asked for — zeros whenever the exact scan ran.
     pub fn rank(
         &self,
         queries: &ScoreMatrix,
@@ -366,11 +375,10 @@ impl MatchArtifact {
         };
         // A zero pool would rank nothing but the invalid-row appendix.
         let pool = pool.max(1);
-        let scratch = RefCell::new(SearchScratch::new());
         let (asked, pooled) = (Cell::new(0u64), Cell::new(0u64));
         let cand = |q: usize| {
-            let c = self
-                .ann_pool_with(queries.row(q), pool, ef, &mut scratch.borrow_mut())
+            let c = WALK
+                .with_borrow_mut(|scratch| self.ann_pool_with(queries.row(q), pool, ef, scratch))
                 .expect("index presence checked above");
             asked.set(asked.get() + 1);
             pooled.set(pooled.get() + c.len() as u64);
@@ -407,12 +415,12 @@ impl MatchArtifact {
     /// rows too (they score exactly `-1.0`), so appending them keeps
     /// missing-target semantics identical, and a pool widened to the
     /// corpus size reproduces the exact scan bit-for-bit. A `scratch`
-    /// reused across queries saves the per-query visited-set allocation,
-    /// bit-identical results either way.
+    /// reused across queries allocates nothing for the walk once warm
+    /// (only the returned pool is new), bit-identical results either way.
     ///
-    /// [`rank`](MatchArtifact::rank) is the caller; public so a recorder
-    /// can time the walk on its own. Returns `None` when no index is
-    /// stored.
+    /// [`rank`](MatchArtifact::rank) is the caller, with its thread's
+    /// scratch; public so a recorder can time the walk on its own.
+    /// Returns `None` when no index is stored.
     pub fn ann_pool_with(
         &self,
         qrow: &[f32],
@@ -868,7 +876,11 @@ mod tests {
             .collect();
         let second: Vec<Option<Vec<f32>>> =
             (0..4).map(|_| Some((0..dim).map(|_| next()).collect())).collect();
-        let mut a = MatchArtifact::new(dim, Vec::new(), first, second);
+        let terms = ["alpha", "beta"]
+            .iter()
+            .map(|t| (t.to_string(), (0..dim).map(|_| next()).collect()))
+            .collect();
+        let mut a = MatchArtifact::new(dim, terms, first, second);
         a.build_ann(&HnswParams::default());
         a
     }
@@ -921,6 +933,27 @@ mod tests {
         assert_eq!(zero.1, AnnUsage { queries: 4, pooled: 4 * 12 });
         // The exact scan never touches the index.
         assert_eq!(a.rank(queries, 3, None).1, AnnUsage::default());
+    }
+
+    #[test]
+    fn the_threads_walk_scratch_follows_the_artifact() {
+        use crate::delta::DeltaBatch;
+        let search = Some(AnnSearch { pool: 8, ef: 16 });
+        let here = |x: &MatchArtifact| x.rank(x.second_matrix(), 5, search);
+        let on_a_fresh_thread =
+            |x: &MatchArtifact| std::thread::scope(|s| s.spawn(|| here(x)).join().unwrap());
+        let mut a = sample_with_ann(120, 8);
+        let b = sample_with_ann(300, 8);
+        for x in [&a, &b, &a] {
+            assert_eq!(here(x), on_a_fresh_thread(x), "{} rows", x.corpus_sizes().0);
+        }
+        let batch = DeltaBatch::new()
+            .append(["alpha"])
+            .append(["beta", "alpha"])
+            .tombstone(3);
+        a.apply_delta(&batch).unwrap();
+        assert_eq!(a.corpus_sizes().0, 122);
+        assert_eq!(here(&a), on_a_fresh_thread(&a), "after the delta");
     }
 
     #[test]

@@ -151,18 +151,20 @@ impl PartialOrd for Cand {
     }
 }
 
-/// O(1)-reset visited set: generation-stamped, allocated once per
-/// search/build instead of once per layer traversal.
+/// O(1)-reset visited set: one byte stamp per row (32 KB at 32k rows,
+/// resident in L1), refilled with zeros once every 255 layer walks.
+#[derive(Default)]
 struct Visited {
-    stamp: Vec<u32>,
-    generation: u32,
+    stamp: Vec<u8>,
+    generation: u8,
 }
 
 impl Visited {
-    fn new(n: usize) -> Self {
-        Visited {
-            stamp: vec![0; n],
-            generation: 0,
+    /// Re-sizes (and clears) the set when the row count changes.
+    fn fit(&mut self, rows: usize) {
+        if self.stamp.len() != rows {
+            self.stamp = vec![0; rows];
+            self.generation = 0;
         }
     }
 
@@ -186,17 +188,25 @@ impl Visited {
     }
 }
 
-/// Reusable search scratch: the generation-stamped visited set one
-/// [`HnswIndex::search_with`] call needs. A search allocates a
-/// ~`rows`-sized stamp array; batching layers keep one `SearchScratch`
-/// per worker and reuse it across every query in a batch, turning N
-/// per-query allocations into one. Reuse never changes results — the
-/// visited set is logically cleared (O(1), by generation bump) at every
-/// layer traversal — and a scratch sized for one matrix transparently
-/// resizes when handed a different one.
+/// Reusable walk scratch: everything one graph walk needs besides the
+/// index — the byte-per-row visited set, the frontier and best heaps,
+/// the gather buffer, and the buffer that carries each layer's result
+/// to the next layer as its entry points. [`HnswIndex::search_with`],
+/// [`HnswIndex::build`] and [`HnswIndex::insert`] all walk through one,
+/// which clears its buffers between walks instead of reallocating them,
+/// so a scratch allocates nothing once warm. Reuse never changes results
+/// — the visited set is logically cleared (by generation bump) at every
+/// layer walk — and a scratch sized for one matrix re-sizes itself when
+/// handed a matrix with a different row count.
 #[derive(Default)]
 pub struct SearchScratch {
-    visited: Option<Visited>,
+    visited: Visited,
+    frontier: BinaryHeap<Reverse<Cand>>,
+    best: BinaryHeap<Cand>,
+    /// Unvisited neighbours of the node being expanded.
+    gathered: Vec<u32>,
+    /// A layer walk's entry points in, its result out.
+    eps: Vec<Cand>,
 }
 
 impl SearchScratch {
@@ -205,13 +215,12 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// The visited set, (re)sized for `rows` rows.
-    fn visited_for(&mut self, rows: usize) -> &mut Visited {
-        match &mut self.visited {
-            Some(v) if v.stamp.len() == rows => {}
-            slot => *slot = Some(Visited::new(rows)),
-        }
-        self.visited.as_mut().expect("just ensured")
+    /// Starts a walk over a `rows`-row matrix from the single entry
+    /// point `entry`.
+    fn start(&mut self, rows: usize, entry: Cand) {
+        self.visited.fit(rows);
+        self.eps.clear();
+        self.eps.push(entry);
     }
 }
 
@@ -222,25 +231,48 @@ fn dist_to(matrix: &ScoreMatrix, qrow: &[f32], t: u32) -> f32 {
     1.0 - dot_unrolled(qrow, matrix.row(t as usize))
 }
 
-/// Greedy beam search within one layer: starting from `eps`, expands
-/// the closest unexpanded candidate until the `ef` best found can no
-/// longer improve. Returns the best ≤`ef` nodes sorted by ascending
-/// `(distance, index)`.
+/// Loads one `f32` from each 64-byte line of `row` — every 16th, plus
+/// the last for a row that does not start on a line — and folds them,
+/// so the loads must happen. Issued for every gathered neighbour before
+/// any is scored, the misses run in parallel instead of one after
+/// another behind the heap's branches.
+#[inline]
+fn touch(row: &[f32]) -> u32 {
+    let last = row.last().map_or(0, |x| x.to_bits());
+    row.iter()
+        .step_by(16)
+        .fold(last, |acc, x| acc ^ x.to_bits())
+}
+
+/// Greedy beam search within one layer: starting from the entry points
+/// in `s.eps`, expands the closest unexpanded candidate until the `ef`
+/// best found can no longer improve, and leaves the best ≤`ef` nodes in
+/// `s.eps`, sorted by ascending `(distance, index)`.
+///
+/// Each expansion gathers first — marks its unvisited neighbours and
+/// touches their rows — then scores the gathered rows in list order.
+/// The visits, distances and heap operations are those of a loop that
+/// scores each neighbour as it marks it, in the same order.
 fn search_layer<'a, F>(
     matrix: &ScoreMatrix,
     qrow: &[f32],
-    eps: &[Cand],
     ef: usize,
-    visited: &mut Visited,
+    s: &mut SearchScratch,
     neigh: F,
-) -> Vec<Cand>
-where
+) where
     F: Fn(u32) -> &'a [u32],
 {
+    let SearchScratch {
+        visited,
+        frontier,
+        best,
+        gathered,
+        eps,
+    } = s;
     visited.next_generation();
-    let mut frontier: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-    let mut best: BinaryHeap<Cand> = BinaryHeap::new();
-    for &ep in eps {
+    frontier.clear();
+    best.clear();
+    for &ep in eps.iter() {
         if visited.insert(ep.node) {
             frontier.push(Reverse(ep));
             best.push(ep);
@@ -249,6 +281,7 @@ where
     while best.len() > ef {
         best.pop();
     }
+    let mut touched = 0u32;
     while let Some(Reverse(c)) = frontier.pop() {
         if best.len() >= ef {
             if let Some(worst) = best.peek() {
@@ -257,12 +290,18 @@ where
                 }
             }
         }
+        gathered.clear();
         for &nb in neigh(c.node) {
-            if !visited.insert(nb) {
-                continue;
+            if visited.insert(nb) {
+                gathered.push(nb);
+                touched ^= touch(matrix.row(nb as usize));
             }
-            let d = dist_to(matrix, qrow, nb);
-            let cand = Cand { dist: d, node: nb };
+        }
+        for &nb in gathered.iter() {
+            let cand = Cand {
+                dist: dist_to(matrix, qrow, nb),
+                node: nb,
+            };
             if best.len() < ef || cand < *best.peek().expect("ef > 0") {
                 frontier.push(Reverse(cand));
                 best.push(cand);
@@ -272,9 +311,10 @@ where
             }
         }
     }
-    let mut out = best.into_vec();
-    out.sort_unstable();
-    out
+    std::hint::black_box(touched);
+    eps.clear();
+    eps.extend(best.drain());
+    eps.sort_unstable();
 }
 
 /// The paper's `SELECT-NEIGHBORS-HEURISTIC`: from candidates sorted by
@@ -311,12 +351,13 @@ fn select_neighbors(matrix: &ScoreMatrix, cands: &[Cand], m_max: usize) -> Vec<u
 /// (`graph[layer][node]`, every inner vec `rows` long), updating
 /// `entry`/`count`. The one insertion routine shared by
 /// [`HnswIndex::build`] and [`HnswIndex::insert`], so the incremental
-/// path connects nodes exactly like construction does.
+/// path connects nodes exactly like construction does; both pass one
+/// [`SearchScratch`] through every insertion.
 #[allow(clippy::too_many_arguments)]
 fn insert_node(
     matrix: &ScoreMatrix,
     graph: &mut Vec<Vec<Vec<u32>>>,
-    visited: &mut Visited,
+    scratch: &mut SearchScratch,
     entry: &mut usize,
     count: &mut usize,
     i: usize,
@@ -339,27 +380,25 @@ fn insert_node(
         return;
     }
 
-    let mut eps = vec![Cand {
-        dist: dist_to(matrix, qrow, *entry as u32),
-        node: *entry as u32,
-    }];
+    scratch.start(
+        rows,
+        Cand {
+            dist: dist_to(matrix, qrow, *entry as u32),
+            node: *entry as u32,
+        },
+    );
     // Greedy descent (ef = 1) through layers above the node's.
     for l in ((level + 1)..top).rev() {
         let layer = &graph[l];
-        eps = search_layer(matrix, qrow, &eps, 1, visited, |n| {
-            layer[n as usize].as_slice()
-        });
+        search_layer(matrix, qrow, 1, scratch, |n| layer[n as usize].as_slice());
     }
-    // Connect on every layer the node occupies.
+    // Connect on every layer the node occupies; each layer's candidates
+    // stay in `scratch.eps` as the next layer's entry points.
     for l in (0..=level.min(top - 1)).rev() {
-        let cands = {
-            let layer = &graph[l];
-            search_layer(matrix, qrow, &eps, efc, visited, |n| {
-                layer[n as usize].as_slice()
-            })
-        };
+        let layer = &graph[l];
+        search_layer(matrix, qrow, efc, scratch, |n| layer[n as usize].as_slice());
         let m_max = if l == 0 { 2 * m } else { m };
-        let sel = select_neighbors(matrix, &cands, m);
+        let sel = select_neighbors(matrix, &scratch.eps, m);
         for &nb in &sel {
             graph[l][nb as usize].push(node);
             if graph[l][nb as usize].len() > m_max {
@@ -377,7 +416,6 @@ fn insert_node(
             }
         }
         graph[l][i] = sel;
-        eps = cands;
     }
     if level >= top {
         for _ in top..=level {
@@ -429,7 +467,7 @@ impl HnswIndex {
 
         // Build-time adjacency: graph[layer][node] — flattened below.
         let mut graph: Vec<Vec<Vec<u32>>> = Vec::new();
-        let mut visited = Visited::new(rows);
+        let mut scratch = SearchScratch::new();
         let mut entry = 0usize;
         let mut count = 0usize;
 
@@ -440,7 +478,7 @@ impl HnswIndex {
             let u: f64 = rng.random();
             let level = level_from_draw(u, ml);
             insert_node(
-                matrix, &mut graph, &mut visited, &mut entry, &mut count, i, level, m, efc, rows,
+                matrix, &mut graph, &mut scratch, &mut entry, &mut count, i, level, m, efc, rows,
             );
         }
 
@@ -577,7 +615,7 @@ impl HnswIndex {
 
         // Insert the delta rows through the construction routine, each
         // with an order-independent deterministic layer draw.
-        let mut visited = Visited::new(rows);
+        let mut scratch = SearchScratch::new();
         let mut to_add: Vec<usize> = added
             .iter()
             .copied()
@@ -591,7 +629,7 @@ impl HnswIndex {
             let u: f64 = rng.random();
             let level = level_from_draw(u, ml);
             insert_node(
-                matrix, &mut graph, &mut visited, &mut entry, &mut count, i, level, m, efc, rows,
+                matrix, &mut graph, &mut scratch, &mut entry, &mut count, i, level, m, efc, rows,
             );
         }
 
@@ -675,9 +713,10 @@ impl HnswIndex {
     /// to `pool` (a beam can't return more nodes than it explored), so
     /// `ef == pool` — the [`search`](HnswIndex::search) default — is
     /// the floor, and raising `ef` buys recall without widening the
-    /// exact-rescore pool downstream. Reusing one `scratch` across a
-    /// batch of queries skips the per-query visited-set allocation and
-    /// is bit-identical to a fresh scratch per call.
+    /// exact-rescore pool downstream. A `scratch` reused across queries
+    /// allocates nothing once warm — only the returned pool is new — and
+    /// is bit-identical to a fresh scratch per call, whatever `pool`,
+    /// `ef` or matrix it walked before.
     pub fn search_with(
         &self,
         matrix: &ScoreMatrix,
@@ -698,24 +737,18 @@ impl HnswIndex {
             return (0..self.rows).filter(|&i| matrix.is_valid(i)).collect();
         }
         let beam = ef.max(pool);
-        let visited = scratch.visited_for(self.rows);
-        let mut eps = vec![Cand {
-            dist: dist_to(matrix, qrow, self.entry as u32),
-            node: self.entry as u32,
-        }];
+        scratch.start(
+            self.rows,
+            Cand {
+                dist: dist_to(matrix, qrow, self.entry as u32),
+                node: self.entry as u32,
+            },
+        );
         for l in (1..self.layers).rev() {
-            eps = search_layer(matrix, qrow, &eps, 1, visited, |n| {
-                self.neighbors_of(l, n as usize)
-            });
+            search_layer(matrix, qrow, 1, scratch, |n| self.neighbors_of(l, n as usize));
         }
-        let found = search_layer(matrix, qrow, &eps, beam, visited, |n| {
-            self.neighbors_of(0, n as usize)
-        });
-        found
-            .into_iter()
-            .take(pool)
-            .map(|c| c.node as usize)
-            .collect()
+        search_layer(matrix, qrow, beam, scratch, |n| self.neighbors_of(0, n as usize));
+        scratch.eps.iter().take(pool).map(|c| c.node as usize).collect()
     }
 
     /// Tag of this index's header section under `slot`.
@@ -986,22 +1019,27 @@ mod tests {
     fn reused_scratch_matches_fresh_scratch_bit_for_bit() {
         let m = random_matrix(600, 16, 21);
         let idx = HnswIndex::build(&m, &HnswParams::default());
-        let mut scratch = SearchScratch::new();
-        for q in (0..m.rows()).step_by(29) {
-            if !m.is_valid(q) {
-                continue;
-            }
-            let fresh = idx.search(&m, m.row(q), 48);
-            let reused = idx.search_with(&m, m.row(q), 48, 48, &mut scratch);
-            assert_eq!(fresh, reused, "query {q} diverged under scratch reuse");
-        }
-        // The same scratch survives a differently-shaped matrix.
         let m2 = random_matrix(150, 16, 22);
         let idx2 = HnswIndex::build(&m2, &HnswParams::default());
-        assert_eq!(
-            idx2.search(&m2, m2.row(0), 32),
-            idx2.search_with(&m2, m2.row(0), 32, 32, &mut scratch),
-        );
+        // One scratch across both matrices and every width, for well
+        // over 255 layer walks, so the byte stamps wrap and refill.
+        let mut scratch = SearchScratch::new();
+        let widths = [(48, 48), (8, 8), (32, 128), (1, 1), (64, 16)];
+        for round in 0..3 {
+            for q in (0..m.rows()).step_by(29) {
+                for &(pool, ef) in &widths {
+                    let (idx, m) = if (q + round) % 3 == 0 {
+                        (&idx2, &m2)
+                    } else {
+                        (&idx, &m)
+                    };
+                    let qrow = m.row(q % m.rows());
+                    let fresh = idx.search_with(m, qrow, pool, ef, &mut SearchScratch::new());
+                    let reused = idx.search_with(m, qrow, pool, ef, &mut scratch);
+                    assert_eq!(fresh, reused, "query {q}, pool {pool}, ef {ef}, round {round}");
+                }
+            }
+        }
     }
 
     #[test]

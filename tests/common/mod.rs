@@ -1,6 +1,7 @@
 //! The fixed 64 × 8 artifact material and the ranking hash the root
-//! `rank_bits.rs` and `delta_bits.rs` contracts share. Moving either
-//! moves every constant pinned in those files.
+//! `rank_bits.rs` and `delta_bits.rs` contracts share (`ann_bits.rs`
+//! uses the hash). Moving either moves every constant pinned in those
+//! files.
 #![allow(dead_code)]
 
 use tdmatch::core::matcher::MatchResult;
@@ -41,7 +42,11 @@ impl Fnv {
     }
 
     pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
