@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot components: preprocessing,
 //! graph construction, traversal, random walks, Word2Vec epochs, cosine
-//! top-k, and MSP compression.
+//! top-k, and MSP compression — plus hand-timed GB/s for the checksum
+//! and for the exact scan against the host's read roofline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -14,7 +15,7 @@ use tdmatch_datasets::{imdb, Scale};
 use tdmatch_embed::corpus::FlatCorpus;
 use tdmatch_embed::hogwild::{OwnedMatrix, Rows, SharedMatrix};
 use tdmatch_embed::neg_table::NegativeTable;
-use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, ScoreMatrix};
+use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, dot_unrolled4, ScoreMatrix};
 use tdmatch_embed::walks::{
     generate_walk_corpus, generate_walks, walk_counts, WalkConfig, WalkStrategy,
 };
@@ -259,6 +260,18 @@ fn bench_compression(c: &mut Criterion) {
     });
 }
 
+/// Best-of-12 wall time of `run`, in seconds: the hand-timed benches
+/// below report GB/s, which the criterion harness cannot.
+fn best_of_12(mut run: impl FnMut()) -> f64 {
+    (0..12)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            run();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// The one-byte-per-step CRC-32 loop `codec::crc32` used before the
 /// slice-by-16 kernel: the baseline the kernel's GB/s is read against.
 fn crc32_reference(data: &[u8]) -> u32 {
@@ -291,13 +304,9 @@ fn bench_crc32(_: &mut Criterion) {
             .collect();
         assert_eq!(crc32(&buf), crc32_reference(&buf));
         for (name, checksum) in impls {
-            let best = (0..12)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    black_box(checksum(black_box(&buf)));
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
+            let best = best_of_12(|| {
+                black_box(checksum(black_box(&buf)));
+            });
             println!(
                 "{:<40} min {:>9.3} ms  {:>6.2} GB/s",
                 format!("crc32/{name}/{label}"),
@@ -308,11 +317,77 @@ fn bench_crc32(_: &mut Criterion) {
     }
 }
 
+/// A streaming read with 32 independent accumulator lanes (eight `xmm`
+/// registers): enough adds in flight that memory, not the add chain,
+/// bounds it.
+fn stream_sum(data: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 32];
+    let mut chunks = data.chunks_exact(32);
+    for c in &mut chunks {
+        for l in 0..32 {
+            lanes[l] += c[l];
+        }
+    }
+    black_box(lanes).iter().chain(chunks.remainder()).sum()
+}
+
+/// The exact scan against this host's read roofline, at `serve-scan`'s
+/// size: a 32,768 × 96 matrix, 12.6 MB against a 4 MiB L2. The
+/// roofline is [`stream_sum`] over the same bytes; the scan is one query
+/// dotted with every row, per row through `dot_unrolled` and four rows
+/// at a time through `dot_unrolled4` (the exact scan's tile fill). Timed
+/// by hand like the checksum, because the figure of merit is GB/s and
+/// the scan's share of the roofline.
+fn bench_scan_roofline(_: &mut Criterion) {
+    let (rows, dim) = (32_768, 96);
+    let matrix: Vec<f32> = (0..(rows * dim) as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 8) as f32 / (1 << 24) as f32 - 0.5)
+        .collect();
+    let query = matrix[..dim].to_vec();
+    let bytes = (rows * dim * 4) as f64;
+    let mut scores = vec![0.0f32; rows];
+
+    let roofline = best_of_12(|| {
+        black_box(stream_sum(black_box(&matrix)));
+    });
+    let per_row = best_of_12(|| {
+        for (s, row) in scores.iter_mut().zip(matrix.chunks_exact(dim)) {
+            *s = dot_unrolled(&query, row);
+        }
+        black_box(&scores);
+    });
+    let want = scores.clone();
+    let four_row = best_of_12(|| {
+        for (s, four) in scores.chunks_exact_mut(4).zip(matrix.chunks_exact(4 * dim)) {
+            let (r0, rest) = four.split_at(dim);
+            let (r1, rest) = rest.split_at(dim);
+            let (r2, r3) = rest.split_at(dim);
+            s.copy_from_slice(&dot_unrolled4(&query, [r0, r1, r2, r3]));
+        }
+        black_box(&scores);
+    });
+    assert_eq!(scores, want, "the four-row kernel must match the per-row kernel");
+
+    for (name, secs) in [
+        ("score/read_roofline_12mb", roofline),
+        ("score/scan_32k_x96/per_row", per_row),
+        ("score/scan_32k_x96/four_row", four_row),
+    ] {
+        println!(
+            "{name:<40} min {:>9.3} ms  {:>6.2} GB/s  {:>5.1}% of roofline",
+            secs * 1e3,
+            bytes / secs / 1e9,
+            100.0 * roofline / secs
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_preprocess, bench_graph_build, bench_traversal,
               bench_walks_and_train, bench_walk_representations, bench_topk,
-              bench_hogwild, bench_neg_table, bench_compression, bench_crc32
+              bench_hogwild, bench_neg_table, bench_compression, bench_crc32,
+              bench_scan_roofline
 }
 criterion_main!(benches);

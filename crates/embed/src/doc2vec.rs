@@ -11,6 +11,7 @@ use crate::corpus::FlatCorpus;
 use crate::hogwild::{OwnedMatrix, Rows};
 use crate::neg_table::NegativeTable;
 use crate::vocab::Vocab;
+use crate::word2vec::NegativeStep;
 
 /// Hyper-parameters for PV-DBOW training.
 #[derive(Debug, Clone)]
@@ -123,7 +124,10 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
     let mut docs_mat = OwnedMatrix::uniform_init(n_docs, config.dim, config.seed);
     let mut words_mat = OwnedMatrix::zeroed(counts.len(), config.dim);
     let neg_table = NegativeTable::new(counts, (counts.len() * 32).max(1 << 18));
+    let mut step = NegativeStep::new(&neg_table, config.negative);
     let mut rng = SmallRng::seed_from_u64(config.seed);
+    // PV-DBOW evaluates the exact sigmoid, not Word2Vec's table.
+    let sigmoid = |f: f32| 1.0 / (1.0 + (-f).exp());
 
     let total_pairs: u64 = total_tokens as u64 * config.epochs as u64;
     let mut done = 0u64;
@@ -138,22 +142,7 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
                     .max(config.initial_lr * 1e-4);
                 done += 1;
                 docs_mat.read_row(doc_id, &mut buf);
-                err.fill(0.0);
-                for d in 0..=config.negative {
-                    let (target, label) = if d == 0 {
-                        (word as usize, 1.0f32)
-                    } else {
-                        let t = neg_table.sample(&mut rng) as usize;
-                        if t == word as usize {
-                            continue;
-                        }
-                        (t, 0.0)
-                    };
-                    let f = words_mat.dot_with_row(target, &buf);
-                    let sig = 1.0 / (1.0 + (-f).exp());
-                    let g = (label - sig) * lr;
-                    words_mat.update_row(target, g, &buf, &mut err);
-                }
+                step.run(&mut words_mat, &buf, &mut err, word as usize, lr, &mut rng, sigmoid);
                 docs_mat.add_to_row(doc_id, &err);
             }
         }

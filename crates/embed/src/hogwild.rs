@@ -1,9 +1,9 @@
 //! Weight-matrix storage for Word2Vec / PV-DBOW training.
 //!
-//! The trainers run five row kernels ([`Rows`]: read a row, dot with a
-//! row, accumulate a scaled row, the fused negative-sampling update, add
-//! into a row) over one of two storages, chosen by the resolved worker
-//! count alone:
+//! The trainers run six row kernels ([`Rows`]: read a row, dot with a
+//! row, dot with four rows, accumulate a scaled row, the fused
+//! negative-sampling update, add into a row) over one of two storages,
+//! chosen by the resolved worker count alone:
 //!
 //! * [`OwnedMatrix`] — plain `f32`, for a single worker. Nothing is
 //!   shared, so the kernels run over `&[f32]` / `&mut [f32]` slices and
@@ -23,7 +23,10 @@
 //! same order (the dot keeps its 8 accumulator lanes, reduction tree and
 //! scalar remainder loop; every other kernel is element-wise), so a single
 //! worker produces bit-identical weights over either — property-tested in
-//! `word2vec.rs` and pinned by the root `tests/train_bits.rs`.
+//! `word2vec.rs` and pinned by the root `tests/train_bits.rs`. The
+//! four-row dot is four one-row dots on the shared storage and one pass
+//! of [`dot_unrolled4`] over the operand on the owned one; per row it is
+//! the same bits either way.
 //!
 //! The fused update ([`Rows::update_row`]) is the second half of a
 //! negative-sampling step in one pass over the target row: per element it
@@ -34,7 +37,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::score::dot_unrolled;
+use crate::score::{dot_unrolled, dot_unrolled4};
 
 /// The row kernels training runs against a `rows × dim` weight matrix.
 ///
@@ -46,6 +49,12 @@ pub trait Rows {
     fn read_row(&self, r: usize, buf: &mut [f32]);
     /// `Σ buf[i] * row_r[i]` without materializing the row.
     fn dot_with_row(&self, r: usize, buf: &[f32]) -> f32;
+    /// [`dot_with_row`](Rows::dot_with_row) for four rows, same bits
+    /// per row. The default makes four calls; the owned storage
+    /// overrides it with [`dot_unrolled4`]'s one pass over `buf`.
+    fn dot_with_rows4(&self, rows: [usize; 4], buf: &[f32]) -> [f32; 4] {
+        rows.map(|r| self.dot_with_row(r, buf))
+    }
     /// `acc[i] += g * row_r[i]` — accumulate a scaled row.
     fn axpy_row_into(&self, r: usize, g: f32, acc: &mut [f32]);
     /// `acc[i] += g * row_r[i]; row_r[i] += g * buf[i]`, both from the
@@ -118,6 +127,11 @@ impl Rows for OwnedMatrix {
     #[inline]
     fn dot_with_row(&self, r: usize, buf: &[f32]) -> f32 {
         dot_unrolled(buf, self.row(r))
+    }
+
+    #[inline]
+    fn dot_with_rows4(&self, rows: [usize; 4], buf: &[f32]) -> [f32; 4] {
+        dot_unrolled4(buf, rows.map(|r| self.row(r)))
     }
 
     #[inline]
@@ -417,6 +431,22 @@ mod tests {
     #[test]
     fn owned_dot_with_row_matches_atomic_twin() {
         assert_twins(|m, operand, out| out[0] = m.dot_with_row(1, operand));
+    }
+
+    /// Owned (one pass of the four-row kernel) ≡ shared (four one-row
+    /// dots) ≡ four owned one-row dots, with a row repeated in the four.
+    #[test]
+    fn owned_dot_with_rows4_matches_atomic_twin() {
+        for dim in TWIN_DIMS {
+            let operand: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let owned = OwnedMatrix::uniform_init(3, dim, 11);
+            let shared = SharedMatrix::uniform_init(3, dim, 11);
+            let rows = [2, 0, 1, 2];
+            let got = owned.dot_with_rows4(rows, &operand);
+            let one_by_one = rows.map(|r| owned.dot_with_row(r, &operand));
+            assert_eq!(bits(&got), bits(&(&shared).dot_with_rows4(rows, &operand)), "dim {dim}");
+            assert_eq!(bits(&got), bits(&one_by_one), "dim {dim}");
+        }
     }
 
     #[test]

@@ -258,6 +258,7 @@ struct Worker<'a, M> {
     job: &'a TrainJob<'a>,
     syn0: M,
     syn1: M,
+    step: NegativeStep<'a>,
     buf_in: Vec<f32>,
     neu1: Vec<f32>,
     err: Vec<f32>,
@@ -270,6 +271,7 @@ impl<'a, M: Rows> Worker<'a, M> {
             job,
             syn0,
             syn1,
+            step: NegativeStep::new(&job.neg_table, job.config.negative),
             buf_in: vec![0.0; dim],
             neu1: vec![0.0; dim],
             err: vec![0.0; dim],
@@ -369,8 +371,9 @@ impl<'a, M: Rows> Worker<'a, M> {
 
     /// One (input word, output word) update with negative sampling.
     fn train_pair(&mut self, input: usize, output: usize, lr: f32, rng: &mut SmallRng) {
+        let sigmoid = |f| self.job.sigmoid.get(f);
         self.syn0.read_row(input, &mut self.buf_in);
-        negative_step(&mut self.syn1, self.job, &self.buf_in, &mut self.err, output, lr, rng);
+        self.step.run(&mut self.syn1, &self.buf_in, &mut self.err, output, lr, rng, sigmoid);
         self.syn0.add_to_row(input, &self.err);
     }
 
@@ -403,7 +406,8 @@ impl<'a, M: Rows> Worker<'a, M> {
             *x *= inv;
         }
         let output = sent[pos] as usize;
-        negative_step(&mut self.syn1, self.job, &self.neu1, &mut self.err, output, lr, rng);
+        let sigmoid = |f| self.job.sigmoid.get(f);
+        self.step.run(&mut self.syn1, &self.neu1, &mut self.err, output, lr, rng, sigmoid);
         for ctx in lo..=hi {
             if ctx != pos {
                 self.syn0.add_to_row(sent[ctx] as usize, &self.err);
@@ -412,35 +416,82 @@ impl<'a, M: Rows> Worker<'a, M> {
     }
 }
 
-/// The negative-sampling step both objectives share: `input` (a word's
-/// row for Skip-gram, the context mean for CBOW) against the true
-/// `output` and then `negative` sampled words, each target row updated in
-/// place and the input-side gradient left in `err`. One sampler draw per
-/// negative, in order — part of the pinned single-worker trajectory.
-#[inline]
-fn negative_step<M: Rows>(
-    syn1: &mut M,
-    job: &TrainJob<'_>,
-    input: &[f32],
-    err: &mut [f32],
-    output: usize,
-    lr: f32,
-    rng: &mut SmallRng,
-) {
-    err.fill(0.0);
-    for d in 0..=job.config.negative {
-        let (target, label) = if d == 0 {
-            (output, 1.0f32)
-        } else {
-            let t = job.neg_table.sample(rng) as usize;
-            if t == output {
-                continue;
+/// The one negative-sampling step: both Word2Vec objectives and PV-DBOW
+/// run it, each with its own sigmoid, over a reused target buffer.
+pub(crate) struct NegativeStep<'a> {
+    table: &'a NegativeTable,
+    negative: usize,
+    /// This step's target rows: the true output, then every negative
+    /// draw that is not the output, in draw order.
+    targets: Vec<usize>,
+    /// `input · row` per target, when the targets are distinct.
+    dots: Vec<f32>,
+}
+
+impl<'a> NegativeStep<'a> {
+    pub(crate) fn new(table: &'a NegativeTable, negative: usize) -> Self {
+        Self {
+            table,
+            negative,
+            targets: Vec::with_capacity(negative + 1),
+            dots: Vec::with_capacity(negative + 1),
+        }
+    }
+
+    /// `input` (a word's row for Skip-gram, the context mean for CBOW, a
+    /// document's row for PV-DBOW) against the true `output` and then
+    /// `negative` sampled words: each target row of `syn1` is updated in
+    /// place and the input-side gradient is left in `err`.
+    ///
+    /// Every draw is taken first, one per negative and in order, as the
+    /// pinned single-worker trajectory requires; nothing else draws from
+    /// `rng` in between. When the targets are distinct, no update can
+    /// reach another target's dot, so the dots are taken four rows at a
+    /// time ([`Rows::dot_with_rows4`]) against the unchanged `input`
+    /// before any update. A repeated target needs its second dot to see
+    /// its first update, so such a step dots and updates one target at a
+    /// time. Both orders give the same bits.
+    // `syn1`, `input` and `err` are borrowed from disjoint worker fields.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn run<M: Rows>(
+        &mut self,
+        syn1: &mut M,
+        input: &[f32],
+        err: &mut [f32],
+        output: usize,
+        lr: f32,
+        rng: &mut SmallRng,
+        sigmoid: impl Fn(f32) -> f32,
+    ) {
+        self.targets.clear();
+        self.targets.push(output);
+        for _ in 0..self.negative {
+            let t = self.table.sample(rng) as usize;
+            if t != output {
+                self.targets.push(t);
             }
-            (t, 0.0)
-        };
-        let f = syn1.dot_with_row(target, input);
-        let g = (label - job.sigmoid.get(f)) * lr;
-        syn1.update_row(target, g, input, err);
+        }
+        let targets = &self.targets;
+        let distinct = targets.iter().enumerate().all(|(i, t)| !targets[..i].contains(t));
+        self.dots.clear();
+        if distinct {
+            let mut fours = targets.chunks_exact(4);
+            for t in &mut fours {
+                self.dots.extend(syn1.dot_with_rows4([t[0], t[1], t[2], t[3]], input));
+            }
+            self.dots.extend(fours.remainder().iter().map(|&t| syn1.dot_with_row(t, input)));
+        }
+        err.fill(0.0);
+        for (i, &target) in targets.iter().enumerate() {
+            let f = match self.dots.get(i) {
+                Some(&f) => f,
+                None => syn1.dot_with_row(target, input),
+            };
+            let label = if i == 0 { 1.0 } else { 0.0 };
+            let g = (label - sigmoid(f)) * lr;
+            syn1.update_row(target, g, input, err);
+        }
     }
 }
 
@@ -593,6 +644,97 @@ mod tests {
             prop_assert_eq!(owned.len(), 24 * dim);
             let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&owned), bits(&shared));
+        }
+    }
+
+    /// The negative-sampling loop as it was before targets were drawn
+    /// up front and dotted in fours: draw, dot, update, one target at a
+    /// time. The reference `NegativeStep::run` is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn negative_step_sequential(
+        syn1: &mut OwnedMatrix,
+        table: &NegativeTable,
+        negative: usize,
+        input: &[f32],
+        err: &mut [f32],
+        output: usize,
+        lr: f32,
+        rng: &mut SmallRng,
+    ) {
+        let sigmoid = SigmoidTable::new();
+        err.fill(0.0);
+        for d in 0..=negative {
+            let (target, label) = if d == 0 {
+                (output, 1.0f32)
+            } else {
+                let t = table.sample(rng) as usize;
+                if t == output {
+                    continue;
+                }
+                (t, 0.0)
+            };
+            let f = syn1.dot_with_row(target, input);
+            let g = (label - sigmoid.get(f)) * lr;
+            syn1.update_row(target, g, input, err);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The batched step ≡ the sequential loop, bit for bit in both
+        /// weight matrices, in `err` after every step and in the sampler's
+        /// stream. Vocabularies of 2–6 words with up to 12 negatives make
+        /// repeated targets (the sequential fallback) the common case;
+        /// larger vocabularies with few negatives take the batched dots.
+        #[test]
+        fn batched_negative_step_equals_the_sequential_loop(
+            vocab in 2usize..=6,
+            negative in 1usize..=12,
+            dim in prop::sample::select(vec![1usize, 7, 8, 9, 80]),
+            mode in prop::sample::select(vec![W2vMode::SkipGram, W2vMode::Cbow]),
+            seed in 0u64..1000,
+        ) {
+            let counts: Vec<u64> = (0..vocab as u64).map(|w| 1 + (w * 7 + seed) % 9).collect();
+            let table = NegativeTable::new(&counts, 1 << 12);
+            let sigmoid = SigmoidTable::new();
+            let mut step = NegativeStep::new(&table, negative);
+            let [mut syn0, mut syn0_ref] =
+                [0, 0].map(|_| OwnedMatrix::uniform_init(vocab, dim, seed));
+            let [mut syn1, mut syn1_ref] =
+                [0, 0].map(|_| OwnedMatrix::uniform_init(vocab, dim, seed + 1));
+            let [mut rng, mut rng_ref] = [0, 0].map(|_| SmallRng::seed_from_u64(seed));
+            let mut plan = SmallRng::seed_from_u64(!seed);
+            let [mut input, mut err, mut err_ref] = [0, 0, 0].map(|_| vec![0.0f32; dim]);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for _ in 0..24 {
+                let output = plan.random_range(0..vocab);
+                // Skip-gram's input is one word's row, CBOW's the mean
+                // of its context rows, built the way `train_cbow` does.
+                let context: Vec<usize> = match mode {
+                    W2vMode::SkipGram => vec![plan.random_range(0..vocab)],
+                    W2vMode::Cbow => (0..3).map(|_| plan.random_range(0..vocab)).collect(),
+                };
+                input.fill(0.0);
+                for &c in &context {
+                    syn0.axpy_row_into(c, 1.0, &mut input);
+                }
+                let inv = 1.0 / context.len() as f32;
+                input.iter_mut().for_each(|x| *x *= inv);
+                let lr = 0.05;
+                step.run(&mut syn1, &input, &mut err, output, lr, &mut rng, |f| sigmoid.get(f));
+                negative_step_sequential(
+                    &mut syn1_ref, &table, negative, &input, &mut err_ref, output, lr, &mut rng_ref,
+                );
+                prop_assert_eq!(bits(&err), bits(&err_ref));
+                for &c in &context {
+                    syn0.add_to_row(c, &err);
+                    syn0_ref.add_to_row(c, &err_ref);
+                }
+            }
+            prop_assert_eq!(bits(&syn1.into_vec()), bits(&syn1_ref.into_vec()));
+            prop_assert_eq!(bits(&syn0.into_vec()), bits(&syn0_ref.into_vec()));
+            prop_assert_eq!(rng.random::<u64>(), rng_ref.random::<u64>());
         }
     }
 

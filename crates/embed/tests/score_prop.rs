@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 
-use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, naive_rank, select_top_k, ScoreMatrix};
+use tdmatch_embed::score::{
+    batch_top_k_seq, dot_unrolled, dot_unrolled4, naive_rank, select_top_k, ScoreMatrix,
+};
 
 /// SplitMix64 — deterministic vector material from a proptest seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -75,6 +77,49 @@ proptest! {
         let fast = dot_unrolled(a, b);
         let tol = 1e-4 * (1.0 + scalar.abs());
         prop_assert!((scalar - fast).abs() < tol, "{scalar} vs {fast}");
+    }
+
+    /// The four-row kernel is four `dot_unrolled` calls, bit for bit, at
+    /// every dim from 0 to 130 (every lane remainder) and on IEEE edge
+    /// values (−0.0, ±inf, NaN, subnormals, products that overflow).
+    ///
+    /// A NaN result is held to being NaN: Rust leaves the sign and
+    /// payload of an arithmetic NaN unspecified, and LLVM may commute a
+    /// multiply or an add, which picks a different operand's NaN (this
+    /// test saw `0x7fc00000` against `0xffc00000`). Every other result
+    /// is compared by `to_bits`, so −0.0 against +0.0 still fails.
+    #[test]
+    fn dot_unrolled4_is_four_dot_unrolled(
+        edges_in_8 in 0u64..4,
+        seed in 0u64..1_000_000,
+    ) {
+        const EDGES: [f32; 7] =
+            [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0e-45, -1.1e-38, 3.0e38];
+        let bits = |x: f32| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
+        let mut state = seed;
+        for dim in 0..=130 {
+            // `edges_in_8` of every 8 elements, in expectation, are edge
+            // values; the rest are ordinary.
+            let mut vector = || -> Vec<f32> {
+                (0..dim)
+                    .map(|_| {
+                        let r = splitmix(&mut state);
+                        if r % 8 < edges_in_8 {
+                            EDGES[(r >> 8) as usize % EDGES.len()]
+                        } else {
+                            unit(&mut state) * 4.0
+                        }
+                    })
+                    .collect()
+            };
+            let a = vector();
+            let rows = [vector(), vector(), vector(), vector()];
+            let got = dot_unrolled4(&a, [&rows[0], &rows[1], &rows[2], &rows[3]]);
+            for (r, (row, g)) in rows.iter().zip(got).enumerate() {
+                let want = dot_unrolled(&a, row);
+                prop_assert_eq!(bits(g), bits(want), "dim {} row {}: {} vs {}", dim, r, g, want);
+            }
+        }
     }
 
     /// Matrix rows are unit-norm (or zero), and validity mirrors `Some`.

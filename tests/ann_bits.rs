@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{hash_results, Fnv};
+use common::{hash_results, Fnv, SplitMix};
 
 use tdmatch::core::artifact::{AnnSearch, MatchArtifact};
 use tdmatch::core::delta::DeltaBatch;
@@ -33,50 +33,17 @@ const POOL_32_EF_32_HASH: u64 = 0x10D8_14BA_6867_22DD;
 const POOL_32_EF_128_HASH: u64 = 0x2F72_C9C4_6540_D658;
 const DELTA_BYTES_HASH: u64 = 0x5CA5_D1F9_67B5_90F1;
 
-/// SplitMix64, as the benchmark's generator draws.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// Uniform in [-1, 1).
-    fn unit(&mut self) -> f32 {
-        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
-    }
-}
-
 /// Five terms, 4,096 clustered targets (2% missing) and 64 queries —
 /// even ones a valid target perturbed by the same noise, odd ones a
 /// uniform point between clusters where a narrow beam misses, query 5
 /// missing — with the default index built over the targets.
 fn fixture() -> MatchArtifact {
-    let mut rng = Rng(0x0A77_B175);
+    let mut rng = SplitMix(0x0A77_B175);
     let terms = ["alpha", "beta", "gamma", "delta", "epsilon"]
         .iter()
         .map(|t| (t.to_string(), (0..DIM).map(|_| rng.unit()).collect()))
         .collect();
-    let centres: Vec<Vec<f32>> = (0..TARGETS / 64)
-        .map(|_| (0..DIM).map(|_| rng.unit()).collect())
-        .collect();
-    let first: Vec<Option<Vec<f32>>> = (0..TARGETS)
-        .map(|_| {
-            if rng.below(50) == 0 {
-                return None;
-            }
-            let c = &centres[rng.below(centres.len())];
-            Some(c.iter().map(|x| x + 0.3 * rng.unit()).collect())
-        })
-        .collect();
+    let first = rng.clustered(TARGETS, DIM);
     let second = (0..QUERIES)
         .map(|q| {
             let row: Vec<f32> = if q % 2 == 1 {

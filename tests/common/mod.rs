@@ -1,7 +1,8 @@
 //! The fixed 64 × 8 artifact material and the ranking hash the root
-//! `rank_bits.rs` and `delta_bits.rs` contracts share (`ann_bits.rs`
-//! uses the hash). Moving either moves every constant pinned in those
-//! files.
+//! `rank_bits.rs` and `delta_bits.rs` contracts share, and the
+//! clustered generator `ann_bits.rs` and `scan_bits.rs` draw their
+//! corpora from (both also use the hash). Moving any of them moves every
+//! constant pinned in those files.
 #![allow(dead_code)]
 
 use tdmatch::core::matcher::MatchResult;
@@ -31,6 +32,46 @@ pub fn fixture_rows() -> (Vec<(String, Vec<f32>)>, Rows, Rows) {
     let first = (0..TARGETS).map(|i| (i % 11 != 7).then(&mut row)).collect();
     let second = (0..QUERIES).map(|i| (i != 5).then(&mut row)).collect();
     (terms, first, second)
+}
+
+/// SplitMix64, as the benchmark's generator draws.
+pub struct SplitMix(pub u64);
+
+impl SplitMix {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in [-1, 1).
+    pub fn unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+
+    /// `rows` targets in the benchmark's clustered shape: `rows / 64`
+    /// centres, each row its centre ± 0.3 per dimension, 2% of rows
+    /// missing.
+    pub fn clustered(&mut self, rows: usize, dim: usize) -> Rows {
+        let centres: Vec<Vec<f32>> = (0..(rows / 64).max(1))
+            .map(|_| (0..dim).map(|_| self.unit()).collect())
+            .collect();
+        (0..rows)
+            .map(|_| {
+                if self.below(50) == 0 {
+                    return None;
+                }
+                let c = &centres[self.below(centres.len())];
+                Some(c.iter().map(|x| x + 0.3 * self.unit()).collect())
+            })
+            .collect()
+    }
 }
 
 /// FNV-1a over little-endian `u64` words.
