@@ -24,10 +24,17 @@
 //! # Distance
 //!
 //! Rows are L2-pre-normalized, so cosine distance is `1 − dot(a, b)`
-//! with the engine's own [`dot_unrolled`] kernel. Only *valid* rows are
-//! inserted; invalid (missing) rows never appear in a pool — the
+//! with the engine's own [`dot_unrolled`] kernel, or four rows at a time
+//! with [`dot_unrolled4`], which gives the same bits. Only *valid* rows
+//! are inserted; invalid (missing) rows never appear in a pool — the
 //! serving layer appends them separately so missing-target semantics
 //! (score exactly `-1.0`) survive ANN retrieval.
+//!
+//! `dot_unrolled(a, b)` and `dot_unrolled(b, a)` are the same bits too:
+//! each lane sums the same products in the same order (a NaN, which only
+//! a non-finite row produces, is NaN both ways). So a distance
+//! computed once from either end of an edge stays exact for the other,
+//! and construction stores it with the edge instead of recomputing it.
 //!
 //! # Persistence
 //!
@@ -49,7 +56,7 @@ use rand::{RngExt, SeedableRng};
 use tdmatch_graph::container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
 use tdmatch_graph::DecodeError;
 
-use crate::score::{dot_unrolled, ScoreMatrix};
+use crate::score::{dot_unrolled, dot_unrolled4, ScoreMatrix};
 
 /// Default widened candidate-pool size for ANN retrieval (~4k): a
 /// recall-first default — recall@20 ≈ 1.0 on every benchmarked tier,
@@ -190,14 +197,15 @@ impl Visited {
 
 /// Reusable walk scratch: everything one graph walk needs besides the
 /// index — the byte-per-row visited set, the frontier and best heaps,
-/// the gather buffer, and the buffer that carries each layer's result
-/// to the next layer as its entry points. [`HnswIndex::search_with`],
-/// [`HnswIndex::build`] and [`HnswIndex::insert`] all walk through one,
-/// which clears its buffers between walks instead of reallocating them,
-/// so a scratch allocates nothing once warm. Reuse never changes results
-/// — the visited set is logically cleared (by generation bump) at every
-/// layer walk — and a scratch sized for one matrix re-sizes itself when
-/// handed a matrix with a different row count.
+/// the gather and score buffers, and the buffer that carries each
+/// layer's result to the next layer as its entry points.
+/// [`HnswIndex::search_with`], [`HnswIndex::build`] and
+/// [`HnswIndex::insert`] all walk through one, which clears its buffers
+/// between walks instead of reallocating them, so a scratch allocates
+/// nothing once warm. Reuse never changes results — the visited set is
+/// logically cleared (by generation bump) at every layer walk — and a
+/// scratch sized for one matrix re-sizes itself when handed a matrix
+/// with a different row count.
 #[derive(Default)]
 pub struct SearchScratch {
     visited: Visited,
@@ -205,6 +213,8 @@ pub struct SearchScratch {
     best: BinaryHeap<Cand>,
     /// Unvisited neighbours of the node being expanded.
     gathered: Vec<u32>,
+    /// Their distances from the query, in `gathered` order.
+    scores: Vec<f32>,
     /// A layer walk's entry points in, its result out.
     eps: Vec<Cand>,
 }
@@ -250,9 +260,10 @@ fn touch(row: &[f32]) -> u32 {
 /// `s.eps`, sorted by ascending `(distance, index)`.
 ///
 /// Each expansion gathers first — marks its unvisited neighbours and
-/// touches their rows — then scores the gathered rows in list order.
-/// The visits, distances and heap operations are those of a loop that
-/// scores each neighbour as it marks it, in the same order.
+/// touches their rows — then dots the gathered rows four at a time, then
+/// runs the heap operations in list order. The visits, distances and
+/// heap operations are those of a loop that scores each neighbour as it
+/// marks it, in the same order.
 fn search_layer<'a, F>(
     matrix: &ScoreMatrix,
     qrow: &[f32],
@@ -267,6 +278,7 @@ fn search_layer<'a, F>(
         frontier,
         best,
         gathered,
+        scores,
         eps,
     } = s;
     visited.next_generation();
@@ -297,11 +309,15 @@ fn search_layer<'a, F>(
                 touched ^= touch(matrix.row(nb as usize));
             }
         }
-        for &nb in gathered.iter() {
-            let cand = Cand {
-                dist: dist_to(matrix, qrow, nb),
-                node: nb,
-            };
+        scores.clear();
+        let mut fours = gathered.chunks_exact(4);
+        for g in &mut fours {
+            let rows = [0, 1, 2, 3].map(|j| matrix.row(g[j] as usize));
+            scores.extend(dot_unrolled4(qrow, rows).map(|d| 1.0 - d));
+        }
+        scores.extend(fours.remainder().iter().map(|&nb| dist_to(matrix, qrow, nb)));
+        for (&nb, &dist) in gathered.iter().zip(scores.iter()) {
+            let cand = Cand { dist, node: nb };
             if best.len() < ef || cand < *best.peek().expect("ef > 0") {
                 frontier.push(Reverse(cand));
                 best.push(cand);
@@ -317,133 +333,322 @@ fn search_layer<'a, F>(
     eps.sort_unstable();
 }
 
-/// The paper's `SELECT-NEIGHBORS-HEURISTIC`: from candidates sorted by
-/// ascending distance, keep one only when it is closer to the query
-/// point than to every already-selected neighbor (diversity), then
-/// backfill with the closest pruned candidates up to `m_max`.
-fn select_neighbors(matrix: &ScoreMatrix, cands: &[Cand], m_max: usize) -> Vec<u32> {
-    let mut selected: Vec<u32> = Vec::with_capacity(m_max.min(cands.len()));
-    let mut pruned: Vec<u32> = Vec::new();
-    for c in cands {
-        if selected.len() >= m_max {
-            break;
-        }
-        let crow = matrix.row(c.node as usize);
-        let diverse = selected
-            .iter()
-            .all(|&s| 1.0 - dot_unrolled(crow, matrix.row(s as usize)) > c.dist);
-        if diverse {
-            selected.push(c.node);
-        } else {
-            pruned.push(c.node);
-        }
-    }
-    for p in pruned {
-        if selected.len() >= m_max {
-            break;
-        }
-        selected.push(p);
-    }
-    selected
+/// The paper's `SELECT-NEIGHBORS-HEURISTIC`, with reusable buffers.
+#[derive(Default)]
+struct Selection {
+    /// The selected neighbours, with their distances from the owner.
+    kept: Vec<Cand>,
+    pruned: Vec<Cand>,
 }
 
-/// Inserts node `i` at `level` into build-time adjacency `graph`
-/// (`graph[layer][node]`, every inner vec `rows` long), updating
-/// `entry`/`count`. The one insertion routine shared by
-/// [`HnswIndex::build`] and [`HnswIndex::insert`], so the incremental
-/// path connects nodes exactly like construction does; both pass one
-/// [`SearchScratch`] through every insertion.
-#[allow(clippy::too_many_arguments)]
+impl Selection {
+    /// From `cands` sorted by ascending distance, keeps one only when it
+    /// is closer to the owner than to every already-kept neighbour
+    /// (diversity), then backfills with the closest pruned candidates up
+    /// to `m_max`. The result is left in `kept`.
+    fn run(&mut self, matrix: &ScoreMatrix, cands: &[Cand], m_max: usize) {
+        let Selection { kept, pruned } = self;
+        kept.clear();
+        pruned.clear();
+        for c in cands {
+            if kept.len() >= m_max {
+                break;
+            }
+            if diverse(matrix, c, kept) {
+                kept.push(*c);
+            } else {
+                pruned.push(*c);
+            }
+        }
+        let room = m_max.saturating_sub(kept.len());
+        kept.extend(pruned.iter().take(room));
+    }
+}
+
+/// True when candidate `c` is farther from every `kept` neighbour than
+/// from the owner (`c.dist`). The kept rows are dotted four at a time; a
+/// group with a failure ends the check, so the answer is that of a
+/// check that stops at the first failure.
+fn diverse(matrix: &ScoreMatrix, c: &Cand, kept: &[Cand]) -> bool {
+    let crow = matrix.row(c.node as usize);
+    let mut fours = kept.chunks_exact(4);
+    for g in &mut fours {
+        let rows = [0, 1, 2, 3].map(|j| matrix.row(g[j].node as usize));
+        if !dot_unrolled4(crow, rows).iter().all(|&d| 1.0 - d > c.dist) {
+            return false;
+        }
+    }
+    fours
+        .remainder()
+        .iter()
+        .all(|s| 1.0 - dot_unrolled(crow, matrix.row(s.node as usize)) > c.dist)
+}
+
+/// One layer of the build-time adjacency: `rows × stride` node slots,
+/// as many distance slots, and a length per node — the bounded per-node
+/// edge set, edited in place. Each edge keeps its distance from its
+/// owner, set when the edge is made (see the [module docs](self)), so an
+/// overflowing list re-selects from stored distances.
+struct Layer {
+    /// Neighbour cap: `2·m` on layer 0, `m` above.
+    m_max: usize,
+    /// Slots per node: room for one edge past the cap.
+    stride: usize,
+    nodes: Vec<u32>,
+    dists: Vec<f32>,
+    len: Vec<u32>,
+    /// Lists inflated from a persisted index, whose slots hold no
+    /// distances until their first re-selection computes them.
+    unscored: Vec<bool>,
+}
+
+impl Layer {
+    /// An empty layer over `rows` nodes whose lists can hold `longest`
+    /// edges as well as the cap. A list of distinct nodes never holds
+    /// more than `rows`, so the slots count the cap at most that high.
+    fn new(rows: usize, m_max: usize, longest: usize) -> Self {
+        let stride = m_max.min(rows).max(longest) + 1;
+        Layer {
+            m_max,
+            stride,
+            nodes: vec![0; rows * stride],
+            dists: vec![0.0; rows * stride],
+            len: vec![0; rows],
+            unscored: vec![false; rows],
+        }
+    }
+
+    /// `n`'s slot range.
+    #[inline]
+    fn span(&self, n: usize) -> std::ops::Range<usize> {
+        let s = n * self.stride;
+        s..s + self.len[n] as usize
+    }
+
+    #[inline]
+    fn neighbors(&self, n: u32) -> &[u32] {
+        &self.nodes[self.span(n as usize)]
+    }
+
+    /// Replaces `n`'s list with `edges`, distances included.
+    fn set(&mut self, n: usize, edges: &[Cand]) {
+        let s = n * self.stride;
+        for (j, e) in edges.iter().enumerate() {
+            self.nodes[s + j] = e.node;
+            self.dists[s + j] = e.dist;
+        }
+        self.len[n] = edges.len() as u32;
+        self.unscored[n] = false;
+    }
+
+    /// Adds `edge` to `owner`'s list and, when that overflows the cap,
+    /// re-selects the list from its stored distances (recomputed once
+    /// for an [`unscored`](Layer::unscored) list). `owned` and `sel` are
+    /// scratch.
+    fn link(
+        &mut self,
+        matrix: &ScoreMatrix,
+        owner: usize,
+        edge: Cand,
+        owned: &mut Vec<Cand>,
+        sel: &mut Selection,
+    ) {
+        let at = owner * self.stride + self.len[owner] as usize;
+        self.nodes[at] = edge.node;
+        self.dists[at] = edge.dist;
+        self.len[owner] += 1;
+        // Only a hostile persisted list (one with repeats) can fill its
+        // slots below `m_max`; capping at the slots keeps it in bounds.
+        let cap = self.m_max.min(self.stride - 1);
+        if self.len[owner] as usize <= cap {
+            return;
+        }
+        let span = self.span(owner);
+        owned.clear();
+        if self.unscored[owner] {
+            let orow = matrix.row(owner);
+            owned.extend(self.nodes[span].iter().map(|&x| Cand {
+                dist: dist_to(matrix, orow, x),
+                node: x,
+            }));
+        } else {
+            owned.extend(
+                self.nodes[span.clone()]
+                    .iter()
+                    .zip(&self.dists[span])
+                    .map(|(&node, &dist)| Cand { dist, node }),
+            );
+        }
+        owned.sort_unstable();
+        sel.run(matrix, owned, cap);
+        self.set(owner, &sel.kept);
+    }
+
+    /// Drops every edge to a `dead` node, keeping the rest in order.
+    fn retain_live(&mut self, n: usize, dead: &[bool]) {
+        let s = n * self.stride;
+        let mut kept = 0;
+        for j in 0..self.len[n] as usize {
+            let x = self.nodes[s + j];
+            if !dead[x as usize] {
+                self.nodes[s + kept] = x;
+                self.dists[s + kept] = self.dists[s + j];
+                kept += 1;
+            }
+        }
+        self.len[n] = kept as u32;
+    }
+}
+
+/// Build-time adjacency: one [`Layer`] per level, with the entry point
+/// and member count. [`HnswIndex::build`] grows one from empty,
+/// [`HnswIndex::insert`] inflates one from the persisted CSR, and both
+/// flatten it back with [`Graph::store`].
+struct Graph {
+    rows: usize,
+    m: usize,
+    layers: Vec<Layer>,
+    entry: usize,
+    count: usize,
+}
+
+impl Graph {
+    fn new(rows: usize, m: usize) -> Self {
+        Graph {
+            rows,
+            m,
+            layers: Vec::new(),
+            entry: 0,
+            count: 0,
+        }
+    }
+
+    /// Adds an empty top layer whose lists can hold `longest` edges.
+    fn push_layer(&mut self, longest: usize) {
+        let m_max = if self.layers.is_empty() { 2 * self.m } else { self.m };
+        self.layers.push(Layer::new(self.rows, m_max, longest));
+    }
+
+    /// Inflates `index` over a matrix of `rows ≥ index.rows` rows. Its
+    /// lists start [`unscored`](Layer::unscored): a delta computes the
+    /// distances of the few lists it re-selects, not of every edge.
+    fn inflate(index: &HnswIndex, rows: usize, m: usize) -> Self {
+        let mut g = Graph::new(rows, m);
+        for l in 0..index.layers {
+            let longest = (0..index.rows)
+                .map(|n| index.neighbors_of(l, n).len())
+                .max()
+                .unwrap_or(0);
+            g.push_layer(longest);
+            let layer = g.layers.last_mut().expect("just pushed");
+            for n in 0..index.rows {
+                let adj = index.neighbors_of(l, n);
+                let s = n * layer.stride;
+                layer.nodes[s..s + adj.len()].copy_from_slice(adj);
+                layer.len[n] = adj.len() as u32;
+                layer.unscored[n] = !adj.is_empty();
+            }
+        }
+        g.entry = index.entry;
+        g.count = index.count;
+        g
+    }
+
+    /// Writes the graph into `index` in the persisted per-layer CSR form.
+    fn store(&self, index: &mut HnswIndex) {
+        let mut seg: Vec<u64> = Vec::with_capacity(self.layers.len() + 1);
+        let mut offsets: Vec<u32> = Vec::with_capacity(self.layers.len() * (self.rows + 1));
+        let mut neighbors: Vec<u32> = Vec::new();
+        seg.push(0);
+        for layer in &self.layers {
+            let base = neighbors.len();
+            offsets.push(0);
+            for n in 0..self.rows {
+                neighbors.extend_from_slice(layer.neighbors(n as u32));
+                offsets.push((neighbors.len() - base) as u32);
+            }
+            seg.push(neighbors.len() as u64);
+        }
+        index.rows = self.rows;
+        index.count = self.count;
+        index.layers = self.layers.len();
+        index.entry = self.entry;
+        index.seg = seg.into();
+        index.offsets = offsets.into();
+        index.neighbors = neighbors.into();
+    }
+}
+
+/// Scratch one build or insert reuses across its insertions.
+#[derive(Default)]
+struct BuildScratch {
+    walk: SearchScratch,
+    /// The new node's neighbours.
+    picked: Selection,
+    /// An overflowing list's candidates and their re-selection.
+    owned: Vec<Cand>,
+    reselect: Selection,
+}
+
+/// Inserts node `i` at `level` into `graph`. The one insertion routine
+/// shared by [`HnswIndex::build`] and [`HnswIndex::insert`], so the
+/// incremental path connects nodes exactly like construction does.
 fn insert_node(
     matrix: &ScoreMatrix,
-    graph: &mut Vec<Vec<Vec<u32>>>,
-    scratch: &mut SearchScratch,
-    entry: &mut usize,
-    count: &mut usize,
+    graph: &mut Graph,
+    s: &mut BuildScratch,
     i: usize,
     level: usize,
-    m: usize,
     efc: usize,
-    rows: usize,
 ) {
     let node = i as u32;
     let qrow = matrix.row(i);
-    let top = graph.len();
+    let top = graph.layers.len();
 
-    if *count == 0 {
-        graph.clear();
+    if graph.count == 0 {
+        graph.layers.clear();
         for _ in 0..=level {
-            graph.push(vec![Vec::new(); rows]);
+            graph.push_layer(0);
         }
-        *entry = i;
-        *count = 1;
+        graph.entry = i;
+        graph.count = 1;
         return;
     }
 
-    scratch.start(
-        rows,
+    let entry = graph.entry as u32;
+    s.walk.start(
+        graph.rows,
         Cand {
-            dist: dist_to(matrix, qrow, *entry as u32),
-            node: *entry as u32,
+            dist: dist_to(matrix, qrow, entry),
+            node: entry,
         },
     );
     // Greedy descent (ef = 1) through layers above the node's.
     for l in ((level + 1)..top).rev() {
-        let layer = &graph[l];
-        search_layer(matrix, qrow, 1, scratch, |n| layer[n as usize].as_slice());
+        let layer = &graph.layers[l];
+        search_layer(matrix, qrow, 1, &mut s.walk, |n| layer.neighbors(n));
     }
     // Connect on every layer the node occupies; each layer's candidates
-    // stay in `scratch.eps` as the next layer's entry points.
+    // stay in `s.walk.eps` as the next layer's entry points. A candidate's
+    // distance from the node is also the node's distance from it, so the
+    // reverse edge stores it too.
     for l in (0..=level.min(top - 1)).rev() {
-        let layer = &graph[l];
-        search_layer(matrix, qrow, efc, scratch, |n| layer[n as usize].as_slice());
-        let m_max = if l == 0 { 2 * m } else { m };
-        let sel = select_neighbors(matrix, &scratch.eps, m);
-        for &nb in &sel {
-            graph[l][nb as usize].push(node);
-            if graph[l][nb as usize].len() > m_max {
-                // Re-select the owner's neighbors to respect m_max.
-                let owner_row = matrix.row(nb as usize);
-                let mut owned: Vec<Cand> = graph[l][nb as usize]
-                    .iter()
-                    .map(|&x| Cand {
-                        dist: dist_to(matrix, owner_row, x),
-                        node: x,
-                    })
-                    .collect();
-                owned.sort_unstable();
-                graph[l][nb as usize] = select_neighbors(matrix, &owned, m_max);
-            }
+        let layer = &mut graph.layers[l];
+        search_layer(matrix, qrow, efc, &mut s.walk, |n| layer.neighbors(n));
+        s.picked.run(matrix, &s.walk.eps, graph.m);
+        for c in &s.picked.kept {
+            let back = Cand { dist: c.dist, node };
+            layer.link(matrix, c.node as usize, back, &mut s.owned, &mut s.reselect);
         }
-        graph[l][i] = sel;
+        layer.set(i, &s.picked.kept);
     }
     if level >= top {
         for _ in top..=level {
-            graph.push(vec![Vec::new(); rows]);
+            graph.push_layer(0);
         }
-        *entry = i;
+        graph.entry = i;
     }
-    *count += 1;
-}
-
-/// Flattens build-time adjacency into the persisted per-layer CSR form:
-/// `(seg, offsets, neighbors)`.
-fn flatten(graph: &[Vec<Vec<u32>>], rows: usize) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
-    let layers = graph.len();
-    let mut seg: Vec<u64> = Vec::with_capacity(layers + 1);
-    let mut offsets: Vec<u32> = Vec::with_capacity(layers * (rows + 1));
-    let mut neighbors: Vec<u32> = Vec::new();
-    seg.push(0);
-    for layer in graph {
-        let base = neighbors.len();
-        offsets.push(0);
-        for adj in layer {
-            neighbors.extend_from_slice(adj);
-            offsets.push((neighbors.len() - base) as u32);
-        }
-        seg.push(neighbors.len() as u64);
-    }
-    (seg, offsets, neighbors)
+    graph.count += 1;
 }
 
 /// Deterministic layer assignment for one insertion draw `u ∈ [0, 1)`:
@@ -461,40 +666,31 @@ impl HnswIndex {
     pub fn build(matrix: &ScoreMatrix, params: &HnswParams) -> Self {
         let m = params.m.max(2);
         let efc = params.ef_construction.max(m);
+        let mut index = HnswIndex {
+            m: m as u64,
+            ef_construction: efc as u64,
+            seed: params.seed,
+            ..HnswIndex::default()
+        };
+        Self::built_graph(matrix, m, efc, params.seed).store(&mut index);
+        index
+    }
+
+    /// [`build`](HnswIndex::build)'s adjacency, before it is flattened.
+    fn built_graph(matrix: &ScoreMatrix, m: usize, efc: usize, seed: u64) -> Graph {
         let ml = 1.0 / (m as f64).ln();
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        let rows = matrix.rows();
-
-        // Build-time adjacency: graph[layer][node] — flattened below.
-        let mut graph: Vec<Vec<Vec<u32>>> = Vec::new();
-        let mut scratch = SearchScratch::new();
-        let mut entry = 0usize;
-        let mut count = 0usize;
-
-        for i in 0..rows {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut graph = Graph::new(matrix.rows(), m);
+        let mut scratch = BuildScratch::default();
+        for i in 0..matrix.rows() {
             if !matrix.is_valid(i) {
                 continue;
             }
             let u: f64 = rng.random();
             let level = level_from_draw(u, ml);
-            insert_node(
-                matrix, &mut graph, &mut scratch, &mut entry, &mut count, i, level, m, efc, rows,
-            );
+            insert_node(matrix, &mut graph, &mut scratch, i, level, efc);
         }
-
-        let (seg, offsets, neighbors) = flatten(&graph, rows);
-        HnswIndex {
-            m: m as u64,
-            ef_construction: efc as u64,
-            seed: params.seed,
-            rows,
-            count,
-            layers: graph.len(),
-            entry,
-            seg: seg.into(),
-            offsets: offsets.into(),
-            neighbors: neighbors.into(),
-        }
+        graph
     }
 
     /// Incrementally applies a delta to the index — the ingest path, so
@@ -526,6 +722,11 @@ impl HnswIndex {
     /// unaffected: a pool ≥ the inserted-node count still returns every
     /// valid row (the exact scan's candidate set, property-pinned).
     pub fn insert(&mut self, matrix: &ScoreMatrix, added: &[usize], removed: &[usize]) {
+        self.inserted_graph(matrix, added, removed).store(self);
+    }
+
+    /// [`insert`](HnswIndex::insert)'s adjacency, before it is flattened.
+    fn inserted_graph(&self, matrix: &ScoreMatrix, added: &[usize], removed: &[usize]) -> Graph {
         let rows = matrix.rows();
         assert!(
             rows >= self.rows,
@@ -537,21 +738,7 @@ impl HnswIndex {
 
         // Re-inflate the flat CSR into build-time adjacency, grown to
         // the new row count.
-        let mut graph: Vec<Vec<Vec<u32>>> = (0..self.layers)
-            .map(|l| {
-                (0..rows)
-                    .map(|n| {
-                        if n < self.rows {
-                            self.neighbors_of(l, n).to_vec()
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut entry = self.entry;
-        let mut count = self.count;
+        let mut graph = Graph::inflate(self, rows, m);
 
         // Drop removed nodes from the adjacency entirely.
         let mut dead = vec![false; rows];
@@ -563,36 +750,34 @@ impl HnswIndex {
             }
         }
         if dead_members > 0 {
-            for layer in &mut graph {
-                for (n, adj) in layer.iter_mut().enumerate() {
+            for layer in &mut graph.layers {
+                for n in 0..rows {
                     if dead[n] {
-                        adj.clear();
+                        layer.len[n] = 0;
                     } else {
-                        adj.retain(|&x| !dead[x as usize]);
+                        layer.retain_live(n, &dead);
                     }
                 }
             }
-            count = count.saturating_sub(dead_members);
-            if count == 0 {
-                graph.clear();
-                entry = 0;
-            } else if dead[entry] {
+            graph.count = graph.count.saturating_sub(dead_members);
+            if graph.count == 0 {
+                graph.layers.clear();
+                graph.entry = 0;
+            } else if dead[graph.entry] {
                 // New entry: the deepest remaining node (highest layer
                 // with any adjacency), ties to the smallest index.
                 let deepest = graph
+                    .layers
                     .iter()
                     .enumerate()
                     .rev()
                     .find_map(|(l, layer)| {
-                        layer
-                            .iter()
-                            .position(|adj| !adj.is_empty())
-                            .map(|n| (l, n))
+                        layer.len.iter().position(|&len| len > 0).map(|n| (l, n))
                     });
                 match deepest {
                     Some((l, n)) => {
-                        entry = n;
-                        graph.truncate(l + 1);
+                        graph.entry = n;
+                        graph.layers.truncate(l + 1);
                     }
                     None => {
                         // Members remain but no edges (e.g. one lone
@@ -604,10 +789,10 @@ impl HnswIndex {
                                 in_added[a] = true;
                             }
                         }
-                        entry = (0..rows)
+                        graph.entry = (0..rows)
                             .find(|&n| matrix.is_valid(n) && !dead[n] && !in_added[n])
                             .unwrap_or(0);
-                        graph.truncate(1);
+                        graph.layers.truncate(1);
                     }
                 }
             }
@@ -615,7 +800,7 @@ impl HnswIndex {
 
         // Insert the delta rows through the construction routine, each
         // with an order-independent deterministic layer draw.
-        let mut scratch = SearchScratch::new();
+        let mut scratch = BuildScratch::default();
         let mut to_add: Vec<usize> = added
             .iter()
             .copied()
@@ -628,19 +813,9 @@ impl HnswIndex {
                 SmallRng::seed_from_u64(self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let u: f64 = rng.random();
             let level = level_from_draw(u, ml);
-            insert_node(
-                matrix, &mut graph, &mut scratch, &mut entry, &mut count, i, level, m, efc, rows,
-            );
+            insert_node(matrix, &mut graph, &mut scratch, i, level, efc);
         }
-
-        let (seg, offsets, neighbors) = flatten(&graph, rows);
-        self.rows = rows;
-        self.count = count;
-        self.layers = graph.len();
-        self.entry = entry;
-        self.seg = seg.into();
-        self.offsets = offsets.into();
-        self.neighbors = neighbors.into();
+        graph
     }
 
     /// Max neighbors per upper-layer node.
@@ -1077,6 +1252,104 @@ mod tests {
             idx.search_with(&m, m.row(0), 64, 1, &mut scratch),
             idx.search(&m, m.row(0), 64),
         );
+    }
+
+    /// Asserts that every distance `g` stores equals a fresh `dist_to`
+    /// from the list's owner, to the bit, and returns how many non-empty
+    /// lists store distances. An unscored list stores none.
+    fn assert_stored_distances_exact(m: &ScoreMatrix, g: &Graph) -> usize {
+        let mut scored = 0;
+        for (l, layer) in g.layers.iter().enumerate() {
+            for n in (0..g.rows).filter(|&n| !layer.unscored[n]) {
+                let span = layer.span(n);
+                let edges = layer.nodes[span.clone()].iter().zip(&layer.dists[span]);
+                for (&nb, &d) in edges {
+                    let fresh = dist_to(m, m.row(n), nb);
+                    assert_eq!(d.to_bits(), fresh.to_bits(), "layer {l}: {n} -> {nb}");
+                }
+                scored += usize::from(layer.len[n] > 0);
+            }
+        }
+        scored
+    }
+
+    #[test]
+    fn stored_edge_distances_are_fresh_distances() {
+        let p = HnswParams::default();
+        let m0 = random_matrix(500, 20, 31);
+        let built = HnswIndex::built_graph(&m0, p.m, p.ef_construction, p.seed);
+        assert!(built.layers.len() >= 2);
+        assert!(assert_stored_distances_exact(&m0, &built) > m0.valid_rows());
+
+        // Tombstone every 9th valid row, update every 13th other one and
+        // append 20 rows, in one insert.
+        let idx = HnswIndex::build(&m0, &p);
+        let mut m = m0.clone();
+        m.grow_rows(520);
+        let valid: Vec<usize> = (0..500).filter(|&i| m0.is_valid(i)).collect();
+        let dead: Vec<usize> = valid.iter().copied().step_by(9).collect();
+        let updated: Vec<usize> = valid
+            .iter()
+            .copied()
+            .filter(|i| !dead.contains(i))
+            .step_by(13)
+            .collect();
+        for &d in &dead {
+            m.clear_row(d);
+        }
+        let added: Vec<usize> = updated.iter().copied().chain(500..520).collect();
+        for &i in &added {
+            let row: Vec<f32> = (0..20).map(|d| ((i * 7 + d) as f32).sin()).collect();
+            m.set_row(i, &row);
+        }
+        let removed: Vec<usize> = dead.iter().chain(&updated).copied().collect();
+        let g = idx.inserted_graph(&m, &added, &removed);
+        assert_stored_distances_exact(&m, &g);
+        // The inserts re-selected (and so scored) some inflated lists,
+        // and left the rest of them unscored.
+        let layer = &g.layers[0];
+        let inflated = (0..500).filter(|n| layer.len[*n] > 0 && !added.contains(n));
+        let rescored = inflated.clone().filter(|&n| !layer.unscored[n]).count();
+        assert!(rescored > 0 && rescored < inflated.count(), "{rescored} re-scored lists");
+    }
+
+    /// A CRC-valid file may hold lists no build writes: longer than
+    /// `m_max`, or one neighbour repeated past the row count. `insert`
+    /// keeps every list inside its slots, and the result validates.
+    #[test]
+    fn insert_keeps_hostile_persisted_lists_in_bounds() {
+        // m 4: lists longer than the cap; m 16: a cap above the rows.
+        for m in [4, 16] {
+            let mut mat = random_matrix(24, 8, 41);
+            let params = HnswParams {
+                m,
+                ..HnswParams::default()
+            };
+            let mut idx = HnswIndex::build(&mat, &params);
+            let (rows, len) = (idx.rows, 30);
+            idx.layers = 1;
+            idx.seg = vec![0, (rows * len) as u64].into();
+            idx.offsets = (0..=rows).map(|n| (n * len) as u32).collect::<Vec<_>>().into();
+            idx.neighbors = vec![idx.entry as u32; rows * len].into();
+            mat.grow_rows(30);
+            for i in 24..30 {
+                let row: Vec<f32> = (0..8).map(|d| ((i * 5 + d) as f32).cos()).collect();
+                mat.set_row(i, &row);
+            }
+            let g = idx.inserted_graph(&mat, &(24..30).collect::<Vec<_>>(), &[]);
+            for layer in &g.layers {
+                assert!(layer.len.iter().all(|&l| (l as usize) < layer.stride), "m {m}");
+            }
+            g.store(&mut idx);
+            let mut w = ContainerWriter::new();
+            idx.write_sections(0, &mut w);
+            let bytes = w.finish();
+            let storage = Storage::from_bytes(&bytes);
+            let container = storage.container().expect("parse");
+            let loaded = HnswIndex::from_sections(&storage, &container, 0).expect("valid");
+            assert_eq!(idx, loaded, "m {m}");
+            assert!(!idx.search(&mat, mat.row(25), 4).is_empty());
+        }
     }
 
     #[test]

@@ -39,6 +39,38 @@ fn gen_rows(n: usize, dim: usize, state: &mut u64) -> Vec<Option<Vec<f32>>> {
         .collect()
 }
 
+/// IEEE edge values: −0.0, ±inf, NaN, subnormals, a product that
+/// overflows.
+const EDGES: [f32; 7] = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0e-45, -1.1e-38, 3.0e38];
+
+/// A `dim`-long vector in which `edges_in_8` of every 8 elements, in
+/// expectation, are [`EDGES`]; the rest are ordinary.
+fn edge_vector(dim: usize, edges_in_8: u64, state: &mut u64) -> Vec<f32> {
+    (0..dim)
+        .map(|_| {
+            let r = splitmix(state);
+            if r % 8 < edges_in_8 {
+                EDGES[(r >> 8) as usize % EDGES.len()]
+            } else {
+                unit(state) * 4.0
+            }
+        })
+        .collect()
+}
+
+/// `to_bits`, with every NaN held to one value: Rust leaves the sign and
+/// payload of an arithmetic NaN unspecified, and LLVM may commute a
+/// multiply or an add, which picks a different operand's NaN (this suite
+/// saw `0x7fc00000` against `0xffc00000`). Every other value keeps its
+/// bits, so −0.0 against +0.0 still differs.
+fn bits(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -81,44 +113,41 @@ proptest! {
 
     /// The four-row kernel is four `dot_unrolled` calls, bit for bit, at
     /// every dim from 0 to 130 (every lane remainder) and on IEEE edge
-    /// values (−0.0, ±inf, NaN, subnormals, products that overflow).
-    ///
-    /// A NaN result is held to being NaN: Rust leaves the sign and
-    /// payload of an arithmetic NaN unspecified, and LLVM may commute a
-    /// multiply or an add, which picks a different operand's NaN (this
-    /// test saw `0x7fc00000` against `0xffc00000`). Every other result
-    /// is compared by `to_bits`, so −0.0 against +0.0 still fails.
+    /// values (−0.0, ±inf, NaN, subnormals, products that overflow). A
+    /// NaN result is held to being NaN (see [`bits`]).
     #[test]
     fn dot_unrolled4_is_four_dot_unrolled(
         edges_in_8 in 0u64..4,
         seed in 0u64..1_000_000,
     ) {
-        const EDGES: [f32; 7] =
-            [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0e-45, -1.1e-38, 3.0e38];
-        let bits = |x: f32| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
         let mut state = seed;
         for dim in 0..=130 {
-            // `edges_in_8` of every 8 elements, in expectation, are edge
-            // values; the rest are ordinary.
-            let mut vector = || -> Vec<f32> {
-                (0..dim)
-                    .map(|_| {
-                        let r = splitmix(&mut state);
-                        if r % 8 < edges_in_8 {
-                            EDGES[(r >> 8) as usize % EDGES.len()]
-                        } else {
-                            unit(&mut state) * 4.0
-                        }
-                    })
-                    .collect()
-            };
-            let a = vector();
-            let rows = [vector(), vector(), vector(), vector()];
+            let a = edge_vector(dim, edges_in_8, &mut state);
+            let rows: [Vec<f32>; 4] =
+                std::array::from_fn(|_| edge_vector(dim, edges_in_8, &mut state));
             let got = dot_unrolled4(&a, [&rows[0], &rows[1], &rows[2], &rows[3]]);
             for (r, (row, g)) in rows.iter().zip(got).enumerate() {
                 let want = dot_unrolled(&a, row);
                 prop_assert_eq!(bits(g), bits(want), "dim {} row {}: {} vs {}", dim, r, g, want);
             }
+        }
+    }
+
+    /// `dot_unrolled(a, b)` and `dot_unrolled(b, a)` are the same bits,
+    /// on the same dims and edge values: each product commutes and each
+    /// lane sums in the same order. The HNSW build relies on it — an edge
+    /// keeps the distance computed from its other end.
+    #[test]
+    fn dot_unrolled_is_symmetric(
+        edges_in_8 in 0u64..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut state = seed;
+        for dim in 0..=130 {
+            let a = edge_vector(dim, edges_in_8, &mut state);
+            let b = edge_vector(dim, edges_in_8, &mut state);
+            let (ab, ba) = (dot_unrolled(&a, &b), dot_unrolled(&b, &a));
+            prop_assert_eq!(bits(ab), bits(ba), "dim {}: {} vs {}", dim, ab, ba);
         }
     }
 
