@@ -219,7 +219,7 @@ impl Matcher {
     }
 
     /// A [`QueryBlock`] of the artifact's dimensionality at the engine's
-    /// default coalescing width — allocate once per scheduler, reuse via
+    /// default coalescing width — allocate once per worker, reuse via
     /// [`query_batch_with_mode`](Matcher::query_batch_with_mode).
     pub fn query_block(&self) -> QueryBlock {
         QueryBlock::new(self.dim())
@@ -276,7 +276,7 @@ impl Matcher {
     /// query in the batch through the ANN index at the configured pool
     /// and beam (falling back to the exact scan when the artifact has
     /// no index), `ann = false` forces the exact scan regardless of the
-    /// configured default. The daemon's scheduler uses this to honour
+    /// configured default. The daemon's workers use this to honour
     /// the protocol's per-request `ann` flag.
     ///
     /// The returned [`AnnUsage`] reports how many queries actually

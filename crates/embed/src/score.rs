@@ -42,9 +42,9 @@
 //! blocks, so a block of target rows (sized to fit L1/L2) is scored
 //! against up to [`QUERY_BLOCK`] queries before moving on and hot target
 //! rows are reused from cache across the query block. Every query's
-//! ranking is computed independently of its batch neighbours, so a
-//! caller that shards a batch across threads (the daemon's worker pool)
-//! gets bit-identical answers at any shard count.
+//! ranking is computed independently of its batch neighbours, so
+//! however a caller groups queries into batches (the daemon's workers
+//! each score whichever batch they take), the answers are bit-identical.
 
 use tdmatch_graph::container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
 use tdmatch_graph::DecodeError;

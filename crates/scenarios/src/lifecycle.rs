@@ -11,7 +11,7 @@
 //!    rename);
 //! 5. **load** the published file as a read-only mapping;
 //! 6. **serve** it from a live daemon — Unix socket *and* TCP front on
-//!    one process, a sharded scoring pool (`workers ≥ 2`), queried in
+//!    one process, two or more workers (`workers ≥ 2`), queried in
 //!    both retrieval modes (exact scan and ANN);
 //! 7. **ingest** a delta (when [`LifecycleOptions::delta`] is set):
 //!    append / re-embed / tombstone against the frozen vocabulary,
@@ -57,8 +57,8 @@ pub struct LifecycleOptions {
     pub seed: u64,
     /// Ranking depth for every query (the tables' k = 20 by default).
     pub k: usize,
-    /// Scoring-pool width for the daemon (the conformance suite runs
-    /// with a sharded pool, ≥ 2).
+    /// Worker threads for the daemon (the conformance suite runs with
+    /// ≥ 2).
     pub workers: usize,
     /// Directory the artifact is published into.
     pub dir: PathBuf,
@@ -70,7 +70,7 @@ pub struct LifecycleOptions {
 
 impl LifecycleOptions {
     /// The conformance defaults at a given tier: seed 42, k = 20, a
-    /// 2-worker scoring pool, publishing into `dir`, no delta stage.
+    /// daemon with 2 workers, publishing into `dir`, no delta stage.
     pub fn at_tier(scale: Scale, dir: PathBuf) -> LifecycleOptions {
         LifecycleOptions {
             scale,
@@ -242,7 +242,7 @@ pub fn run_lifecycle(spec: &ScenarioSpec, opts: &LifecycleOptions) -> ScenarioRe
         );
     }
 
-    // Serve: one daemon, Unix socket + TCP front, sharded scoring pool.
+    // Serve: one daemon, Unix socket + TCP front, several workers.
     // The pool is sized for the *post-delta* corpus when the ingest
     // stage will run — `reload_from` carries the pool across the swap,
     // and the corpus-wide ANN invariant must keep holding afterwards.
@@ -283,7 +283,7 @@ pub fn run_lifecycle(spec: &ScenarioSpec, opts: &LifecycleOptions) -> ScenarioRe
     assert_eq!(tcp_ann, reference, "{}: tcp ANN answers diverged from the exact scan", spec.key);
 
     // The daemon must have actually exercised both retrieval paths and
-    // the sharded pool we asked for.
+    // run with the workers we asked for.
     let stats = unix.stats().unwrap_or_else(|e| panic!("{}: stats failed: {e}", spec.key));
     assert!(stats.ann_queries > 0, "{}: no query ran the ANN path", spec.key);
     assert!(stats.exact_queries > 0, "{}: no query ran the exact path", spec.key);

@@ -1,11 +1,14 @@
-//! The batching scheduler's core: a closable queue that coalesces items
+//! The daemon's batching core: a closable queue that coalesces items
 //! into bounded batches within a time window.
 //!
 //! The daemon's whole point is that concurrent clients should ride the
 //! engine's tiled batch kernel instead of issuing N scalar scans. The
-//! policy lives here, free of sockets so it is directly testable:
+//! policy lives here, free of sockets so it is directly testable. Any
+//! number of consumers (the daemon's workers) may call
+//! [`next_batch`](BatchQueue::next_batch) at once; each item lands in
+//! exactly one consumer's batch:
 //!
-//! * the scheduler blocks until at least one item is queued;
+//! * a consumer blocks until at least one item is queued;
 //! * from the moment the first item of a batch is taken, it waits at
 //!   most `window` for more, leaving early once `max_batch` items are
 //!   in hand (`max_batch` defaults to the engine's [`QUERY_BLOCK`] —
@@ -21,10 +24,10 @@
 //! * a zero window disables coalescing-by-waiting: the batch is
 //!   whatever is *already* queued (still up to `max_batch` — bursty
 //!   arrivals batch even without waiting);
-//! * closing the queue wakes the scheduler; remaining items are still
+//! * closing the queue wakes every consumer; remaining items are still
 //!   drained in batches, then [`BatchQueue::next_batch`] returns `None`
-//!   — the graceful-shutdown path: accepted queries are answered, new
-//!   ones are refused at the door.
+//!   to each of them — the graceful-shutdown path: accepted queries are
+//!   answered, new ones are refused at the door.
 //!
 //! [`QUERY_BLOCK`]: tdmatch_embed::score::QUERY_BLOCK
 
@@ -38,8 +41,8 @@ use tdmatch_embed::score::QUERY_BLOCK;
 /// may grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchOptions {
-    /// How long the scheduler waits for companions after the first item
-    /// of a batch arrives.
+    /// How long a consumer waits for companions after the first item of
+    /// a batch arrives.
     pub window: Duration,
     /// Maximum items per batch (≥ 1).
     pub max_batch: usize,
@@ -65,10 +68,11 @@ struct QueueState<T> {
     pending: usize,
 }
 
-/// A multi-producer, single-consumer coalescing queue.
+/// A multi-producer, multi-consumer coalescing queue.
 ///
-/// Producers [`push`](BatchQueue::push) items from any thread; one
-/// scheduler thread repeatedly calls [`next_batch`](BatchQueue::next_batch).
+/// Producers [`push`](BatchQueue::push) items from any thread; any
+/// number of consumer threads call [`next_batch`](BatchQueue::next_batch),
+/// and each item is handed to exactly one of them.
 pub struct BatchQueue<T> {
     state: Mutex<QueueState<T>>,
     cv: Condvar,
@@ -242,7 +246,7 @@ mod tests {
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                // Arrives well inside the scheduler's window.
+                // Arrives well inside the consumer's window.
                 std::thread::sleep(Duration::from_millis(20));
                 assert!(q.push(1));
                 q.end_intent();
@@ -330,5 +334,54 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(waiter.join().unwrap(), None);
+    }
+
+    #[test]
+    fn several_consumers_each_get_every_item_once_and_all_see_close() {
+        const PER_PRODUCER: u32 = 1000;
+        let q: Arc<BatchQueue<u32>> = Arc::new(BatchQueue::new());
+        let o = opts(Duration::from_micros(200), 5);
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(batch) = q.next_batch(&o) {
+                        assert!((1..=5).contains(&batch.len()), "batch of {}", batch.len());
+                        got.extend(batch);
+                    }
+                    got
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..4)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        // As a daemon reader does: announce, push, release.
+                        q.begin_intent();
+                        assert!(q.push(p * PER_PRODUCER + i));
+                        q.end_intent();
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        // Let the consumers drain and block in phase 1 on the empty
+        // queue: close must wake every one of them.
+        while !q.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        let mut delivered: Vec<u32> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        delivered.sort_unstable();
+        assert_eq!(delivered, (0..4 * PER_PRODUCER).collect::<Vec<_>>());
     }
 }

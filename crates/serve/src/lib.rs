@@ -9,18 +9,18 @@
 //! pays process startup per query, burying the open cost under
 //! millisecond-scale exec costs. `tdmatch serve` amortizes startup the
 //! rest of the way: the artifact is mapped **once**, and queries arrive
-//! over a Unix-domain socket where a batching scheduler coalesces
+//! over a Unix-domain socket where a batching queue coalesces
 //! concurrent requests into the engine's query blocks — N clients ride
 //! one tiled [`MatchArtifact::rank`](tdmatch_core::artifact::MatchArtifact::rank)
 //! scan instead of issuing N scalar ones.
 //!
 //! * [`protocol`] — length-prefixed JSON frames: requests, responses,
 //!   error codes (spec: `docs/SERVING.md`);
-//! * [`batch`] — the coalescing queue (window / max-batch policy);
-//! * [`pool`] — the fixed worker pool that scores batch shards and
-//!   writes responses off the scheduler thread;
+//! * [`batch`] — the multi-consumer coalescing queue (window /
+//!   max-batch policy);
 //! * [`server`] — the daemon: listeners (Unix socket, optional TCP),
-//!   per-connection readers, the scheduler (Unix only);
+//!   per-connection readers, and worker threads that take batches
+//!   from the queue, score them and write the responses (Unix only);
 //! * [`client`] — the synchronous client (`tdmatch query --socket`),
 //!   with capped-backoff retries for retryable errors;
 //! * [`signals`] — `SIGHUP` → hot-swap reload trigger (Unix only).
@@ -65,7 +65,6 @@
 
 pub mod batch;
 pub mod json;
-pub mod pool;
 pub mod protocol;
 
 #[cfg(unix)]

@@ -182,7 +182,7 @@ pub struct Request {
 pub struct StatsSnapshot {
     /// Query requests answered (all kinds, including error answers).
     pub requests: u64,
-    /// Queries that went through the batching scheduler.
+    /// Queries that went through the batch queue.
     pub batched_requests: u64,
     /// Scoring batches executed.
     pub batches: u64,
@@ -210,18 +210,18 @@ pub struct StatsSnapshot {
     /// (divide by `ann_queries` for the mean pool — see
     /// [`mean_pool`](StatsSnapshot::mean_pool)).
     pub pooled: u64,
-    /// Scoring-pool width the daemon runs with (configured workers).
+    /// Worker threads the daemon runs with (configured workers).
     pub workers: u64,
-    /// Shard scoring calls executed by the pool (one coalesced batch
-    /// fans out into up to `workers` shards per retrieval mode).
+    /// Engine calls executed: one per retrieval-mode partition of a
+    /// batch that had anything to score.
     pub shards: u64,
     /// Admitted-but-unanswered queries right now (gauge, not a
     /// counter): queued plus being scored plus awaiting their response
     /// write. The `max_inflight` admission budget is enforced against
     /// exactly this number.
     pub inflight: u64,
-    /// Queries and shard tasks waiting for a thread right now (gauge):
-    /// the batch queue plus the scoring pool's backlog.
+    /// Queries waiting in the batch queue for a worker right now
+    /// (gauge).
     pub queue_depth: u64,
     /// Seconds since the daemon started.
     pub uptime_secs: f64,
@@ -461,14 +461,26 @@ impl FrameReader {
 
 /// Writes one frame: length prefix, the JSON text, a closing newline
 /// (included in the length).
+///
+/// The frame is assembled in one buffer and handed over in a single
+/// `write_all`: on an unbuffered socket, separate writes for prefix,
+/// text and newline can each wake the peer's blocked reader. A frame
+/// whose payload would exceed [`MAX_FRAME`] is refused with
+/// `InvalidInput` before any byte is written, so the stream stays in
+/// sync — the peer would reject it and lose its place.
 pub fn write_frame<W: Write>(w: &mut W, json_text: &str) -> io::Result<()> {
     let len = json_text.len() + 1; // + trailing newline
-    let len = u32::try_from(len).map_err(|_| {
-        io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length")
-    })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(json_text.as_bytes())?;
-    w.write_all(b"\n")?;
+    if len > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
+        ));
+    }
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    frame.extend_from_slice(json_text.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -1013,6 +1025,51 @@ mod tests {
         // Truncated prefix.
         let p = [1u8, 0];
         assert!(matches!(read_frame(&mut &p[..]), Err(FrameError::Truncated)));
+    }
+
+    /// A writer that accepts everything and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let text = r#"{"id":1,"ok":true,"pong":true}"#;
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, text).unwrap();
+        assert_eq!(w.writes, 1, "prefix, text and newline in one write");
+        let mut want = ((text.len() + 1) as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(text.as_bytes());
+        want.push(b'\n');
+        assert_eq!(w.bytes, want);
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_before_any_byte() {
+        // Text plus newline exactly at the limit still goes out...
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &" ".repeat(MAX_FRAME as usize - 1)).unwrap();
+        assert_eq!(w.bytes.len(), 4 + MAX_FRAME as usize);
+        // ...one byte more is refused, and nothing reaches the writer.
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, &" ".repeat(MAX_FRAME as usize)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0);
+        assert!(w.bytes.is_empty());
     }
 
     /// A reader yielding its bytes in timed-out dribbles, to exercise

@@ -8,46 +8,41 @@
 //!  (unix / --tcp)                    │ decode + validate + tokenize
 //!                                    ▼
 //!                              BatchQueue (window / QUERY_BLOCK coalescing)
-//!                                    │
-//!                                    ▼
-//!                           scheduler thread: snapshot + partition by
-//!                           mode, shard into query chunks
-//!                                    │
-//!                                    ▼
-//!                           WorkerPool (--workers): one
+//!                                    │ next_batch, by whichever worker
+//!                                    ▼ is free
+//!                           worker threads (--workers): snapshot,
+//!                           partition by mode, one
 //!                           Matcher::query_batch_with_mode call per
-//!                           shard ──► responses written by the worker
+//!                           partition ──► responses written by the worker
 //! ```
 //!
 //! Reader threads do the cheap per-request work (framing, JSON,
-//! tokenizing text queries). The scheduler only *plans*: it snapshots
-//! the matcher, partitions the coalesced batch by retrieval mode, and
-//! hands query-chunk shards to a fixed [`WorkerPool`] — it never runs
-//! the engine and never touches a client socket. Workers score their
-//! shard and write its responses themselves, so a slow peer (bounded by
-//! the SO_SNDTIMEO eviction deadline) stalls one worker, not the
-//! scheduler. With `workers = 1` (the default) the daemon behaves like
-//! the previous single-thread scheduler, just pipelined one batch
-//! ahead.
+//! tokenizing text queries). Each of the `--workers` threads takes a
+//! coalesced batch straight from the queue, snapshots the matcher,
+//! partitions the batch by retrieval mode, scores each partition with
+//! one engine call and writes the responses itself — one hand-off
+//! between the reader and the engine. A slow peer (bounded by the
+//! SO_SNDTIMEO eviction deadline) stalls the one worker writing to it;
+//! the others keep taking batches.
 //!
-//! Sharding is **bit-transparent**: each partition's `k` ceiling is
-//! computed over the whole partition before chunking, every per-query
-//! ranking is independent of its batch neighbours (property-pinned in
-//! the engine), and the wire `batch` field reports the whole coalesced
-//! batch. The only observable difference under `workers > 1` is
-//! response *order* on a connection with several requests in flight —
-//! clients must match responses by `id` (ours does).
+//! Several workers run in parallel by each taking *its own* batch; a
+//! batch is never split. Every per-query ranking is independent of its
+//! batch neighbours (property-pinned in the engine), so answers are
+//! bit-identical at any worker count. The only observable difference
+//! under `workers > 1` is response *order* on a connection with several
+//! requests in flight — clients must match responses by `id` (ours
+//! does).
 //!
 //! # Snapshot rotation (hot swap)
 //!
 //! The daemon serves an [`Arc<Matcher>`] held in a
 //! [`MatcherCell`]; a `reload` request (or a `SIGHUP`, when
 //! [`ServeOptions::reload_signal`] is wired up) re-opens
-//! [`ServeOptions::artifact`] and swaps the cell. The scheduler clones
-//! the `Arc` **once per batch** and every shard of that batch carries
-//! the same clone, so every batch — including batches straddling the
-//! swap — is answered entirely by one snapshot, and the old mapping is
-//! unmapped only when the last in-flight shard drops its handle. A
+//! [`ServeOptions::artifact`] and swaps the cell. A worker clones the
+//! `Arc` **once per batch** and scores every partition of that batch
+//! with it, so every batch — including batches straddling the swap — is
+//! answered entirely by one snapshot, and the old mapping is unmapped
+//! only when the last batch holding it drops its handle. A
 //! failed reload (torn file, wrong dimension, missing path) leaves the
 //! old snapshot serving and bumps the `reload_failures` counter; it
 //! never crashes the daemon.
@@ -60,10 +55,12 @@
 //! `evicted`); idle-but-healthy connections are unaffected because a
 //! read timeout *between* frames just keeps waiting. When more than
 //! [`ServeOptions::max_inflight`] queries are admitted-but-unanswered —
-//! the budget spans the coalescing queue, queued shards, and shards
-//! being scored — new queries are shed with the retryable `overloaded`
-//! error (counted in `shed`) instead of growing the queue without
-//! bound.
+//! the budget spans the coalescing queue and the batches being scored —
+//! new queries are shed with the retryable `overloaded` error (counted
+//! in `shed`) instead of growing the queue without bound. A response
+//! too large for one frame ([`MAX_FRAME`]) is replaced by an
+//! `oversized` error for that request id (counted in `errors`), so the
+//! connection stays in sync.
 //!
 //! # Lifecycle
 //!
@@ -74,7 +71,7 @@
 //! refused with `AddrInUse`. Shutdown — via a `shutdown` request or
 //! [`Server::shutdown`] — is *draining*: the listeners stop accepting
 //! and the socket file is removed, queued queries are still answered
-//! (the worker pool drains before connections are severed), then
+//! (the workers drain the queue before connections are severed), then
 //! connections are closed. Requests arriving after the drain began get
 //! a `shutting_down` error.
 //!
@@ -94,15 +91,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tdmatch_core::serving::{Matcher, MatcherCell, Query, QueryError};
-use tdmatch_embed::score::{QueryBlock, QUERY_BLOCK};
+use tdmatch_embed::score::QueryBlock;
 use tdmatch_text::Preprocessor;
 
 use crate::batch::{BatchOptions, BatchQueue};
 use crate::net;
-use crate::pool::WorkerPool;
 use crate::protocol::{
     write_frame, ErrorCode, FrameError, FrameReader, Request, RequestBody, Response, ResponseBody,
-    StatsSnapshot,
+    StatsSnapshot, MAX_FRAME,
 };
 
 /// Daemon configuration.
@@ -122,8 +118,8 @@ pub struct ServeOptions {
     /// is evicted. Zero disables the deadlines.
     pub io_timeout: Duration,
     /// Maximum admitted-but-unanswered queries before new ones are shed
-    /// with `overloaded`. The budget spans the coalescing queue, queued
-    /// shards, and shards being scored. Zero means unlimited.
+    /// with `overloaded`. The budget spans the coalescing queue and the
+    /// batches being scored. Zero means unlimited.
     pub max_inflight: usize,
     /// External reload trigger: when the flag flips to `true` (e.g.
     /// from the [`signals`](crate::signals) SIGHUP handler), the
@@ -140,10 +136,10 @@ pub struct ServeOptions {
     /// `None` keeps the bit-identical default `ef = pool`; values below
     /// the pool width are clamped up to it at query time.
     pub ann_ef: Option<usize>,
-    /// Scoring-pool width: how many worker threads score batch shards
-    /// and write their responses. Clamped to ≥ 1; the default `1`
-    /// reproduces the single-thread scheduler's behaviour (including
-    /// response ordering) exactly.
+    /// Worker threads: each takes a batch straight from the queue,
+    /// scores it and writes its responses, so up to this many batches
+    /// are scored at once. Clamped to ≥ 1; with the default `1`, batches
+    /// are answered one at a time in arrival order.
     pub workers: usize,
     /// Optional TCP listener address (`HOST:PORT`) speaking the same
     /// length-prefixed protocol as the Unix socket. **No
@@ -153,7 +149,7 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Default policy at the given socket path: 30 s I/O deadlines, no
-    /// inflight cap, reload disabled, one scoring worker, no TCP.
+    /// inflight cap, reload disabled, one worker, no TCP.
     pub fn at<P: Into<PathBuf>>(socket: P) -> Self {
         ServeOptions {
             socket: socket.into(),
@@ -207,7 +203,7 @@ impl ServeOptions {
         self
     }
 
-    /// Sets the scoring-pool width (clamped to ≥ 1 at start).
+    /// Sets the worker count (clamped to ≥ 1 at start).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -220,7 +216,7 @@ impl ServeOptions {
     }
 }
 
-/// A queued query: either engine-ready, or text tokens the scheduler
+/// A queued query: either engine-ready, or text tokens the worker
 /// embeds against the *batch's* snapshot (embedding in the reader would
 /// let a hot swap mix vocabularies between embed and score).
 enum PendingQuery {
@@ -228,7 +224,7 @@ enum PendingQuery {
     Text(Vec<String>),
 }
 
-/// One query waiting for the scheduler.
+/// One query waiting for a worker.
 struct Pending {
     req_id: u64,
     query: PendingQuery,
@@ -238,26 +234,8 @@ struct Pending {
     conn: Arc<Conn>,
 }
 
-/// One query-chunk shard of a coalesced batch: scored by a pool worker
-/// with **one** engine call, responses written by that worker.
-struct ShardTask {
-    /// The batch's snapshot — every shard of a batch carries the same
-    /// `Arc`, preserving the one-snapshot-per-batch guarantee.
-    matcher: Arc<Matcher>,
-    ann: bool,
-    /// The whole mode-partition's `k` ceiling (not this shard's):
-    /// keeps scoring depth — and therefore the wire bytes — identical
-    /// to the unsharded scheduler.
-    k_max: usize,
-    /// Queries scored in the whole coalesced batch (the wire `batch`
-    /// field), likewise batch-wide, not per-shard.
-    scored: usize,
-    queries: Vec<Query>,
-    routes: Vec<(u64, usize, Arc<Conn>)>,
-}
-
 /// A connection's write half, shared by its reader thread and the
-/// scoring workers.
+/// workers.
 struct Conn {
     stream: Mutex<net::Stream>,
     /// Set once the connection is evicted or hung up; later sends are
@@ -266,16 +244,19 @@ struct Conn {
 }
 
 impl Conn {
-    /// Writes a response frame. On failure the connection is marked
-    /// dead and severed; the error kind is returned so the caller can
-    /// distinguish a deadline eviction from an ordinary hangup.
-    fn send(&self, response: &Response) -> Result<(), std::io::ErrorKind> {
+    /// Writes one frame of JSON text. A frame `write_frame` refuses as
+    /// too large (`InvalidInput`, nothing written) leaves the connection
+    /// as it was; on any other failure it is marked dead and severed.
+    /// The error kind is returned so the caller can distinguish a
+    /// deadline eviction from an ordinary hangup.
+    fn send(&self, json_text: &str) -> Result<(), std::io::ErrorKind> {
         if self.dead.load(Ordering::Relaxed) {
             return Err(std::io::ErrorKind::NotConnected);
         }
         let mut stream = self.stream.lock().expect("connection writer poisoned");
-        match write_frame(&mut *stream, &response.encode()) {
+        match write_frame(&mut *stream, json_text) {
             Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => Err(e.kind()),
             Err(e) => {
                 self.dead.store(true, Ordering::Relaxed);
                 let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -315,9 +296,6 @@ struct ServerInner {
     running: AtomicBool,
     counters: Counters,
     inflight: AtomicUsize,
-    /// Shards submitted to the pool but not yet picked up by a worker
-    /// (feeds the `queue_depth` gauge without referencing the pool).
-    shard_queued: AtomicUsize,
     started: Instant,
     conns: Mutex<Vec<Weak<Conn>>>,
     options: ServeOptions,
@@ -347,7 +325,7 @@ impl ServerInner {
             workers: self.options.workers.max(1) as u64,
             shards: self.counters.shards.load(Ordering::Relaxed),
             inflight: self.inflight.load(Ordering::SeqCst) as u64,
-            queue_depth: (self.queue.len() + self.shard_queued.load(Ordering::SeqCst)) as u64,
+            queue_depth: self.queue.len() as u64,
             uptime_secs: self.started.elapsed().as_secs_f64(),
         }
     }
@@ -357,9 +335,28 @@ impl ServerInner {
     }
 
     /// Sends a response, counting an eviction when the write deadline
-    /// fired (as opposed to the peer simply having gone away).
+    /// fired (as opposed to the peer simply having gone away). A
+    /// response too large for one frame is answered with an `oversized`
+    /// error for the same id instead, and counted as an error.
     fn send_to(&self, conn: &Conn, response: &Response) {
-        match conn.send(response) {
+        let text = response.encode();
+        let sent = match conn.send(&text) {
+            Err(std::io::ErrorKind::InvalidInput) => {
+                self.count_error();
+                let refusal = Response::error(
+                    response.id,
+                    ErrorCode::Oversized,
+                    format!(
+                        "a response of {} bytes exceeds the {MAX_FRAME}-byte frame limit; \
+                         retry with a smaller k",
+                        text.len()
+                    ),
+                );
+                conn.send(&refusal.encode())
+            }
+            sent => sent,
+        };
+        match sent {
             Ok(()) => {}
             Err(std::io::ErrorKind::WouldBlock) | Err(std::io::ErrorKind::TimedOut) => {
                 self.counters.evicted.fetch_add(1, Ordering::Relaxed);
@@ -420,10 +417,9 @@ impl ServerInner {
 /// Dropping the handle shuts the daemon down and waits for its threads.
 pub struct Server {
     inner: Arc<ServerInner>,
-    pool: Arc<WorkerPool<ShardTask>>,
     listener: Option<JoinHandle<()>>,
     tcp_listener: Option<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -480,7 +476,6 @@ impl Server {
             running: AtomicBool::new(true),
             counters: Counters::default(),
             inflight: AtomicUsize::new(0),
-            shard_queued: AtomicUsize::new(0),
             started: Instant::now(),
             conns: Mutex::new(Vec::new()),
             options,
@@ -488,14 +483,15 @@ impl Server {
             preprocessor: Preprocessor::default(),
         });
 
-        // The scoring pool: each worker owns a reusable QueryBlock
-        // (recreated only when a reload changes the dimension).
-        let pool = Arc::new(WorkerPool::new(inner.options.workers.max(1), |_| {
-            let inner = Arc::clone(&inner);
-            let mut block: Option<QueryBlock> = None;
-            move |task: ShardTask| run_shard(&inner, &mut block, task)
-        }));
-
+        let workers = (0..inner.options.workers.max(1))
+            .map(|i| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("tdmatch-worker-{i}"))
+                    .spawn(move || work_loop(&inner))
+                    .expect("spawn worker thread")
+            })
+            .collect();
         let listener_thread = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || listen_loop(&inner, listener))
@@ -504,17 +500,11 @@ impl Server {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || tcp_listen_loop(&inner, l))
         });
-        let scheduler_thread = {
-            let inner = Arc::clone(&inner);
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || schedule_loop(&inner, &pool))
-        };
         Ok(Server {
             inner,
-            pool,
             listener: Some(listener_thread),
             tcp_listener: tcp_thread,
-            scheduler: Some(scheduler_thread),
+            workers,
         })
     }
 
@@ -568,14 +558,13 @@ impl Server {
         if let Some(t) = self.tcp_listener.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.scheduler.take() {
+        // The listeners stop only after the drain began, which closed
+        // the queue; the workers empty it (answering every accepted
+        // query) and exit.
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
-        // The scheduler has exited, so every shard it will ever submit
-        // is in the pool; drain them (answering their queries) before
-        // severing connections.
-        self.pool.join();
-        // Sever connections only now: the pool has drained (every
+        // Sever connections only now: the workers have drained (every
         // accepted query is answered) AND the listeners have stopped,
         // so no connection can register after this sweep — a
         // registration racing an earlier sweep would leak a blocked
@@ -648,7 +637,16 @@ fn spawn_connection(inner: &Arc<ServerInner>, stream: net::Stream) {
     std::thread::spawn(move || serve_connection(&inner, &conn));
 }
 
+/// A listener's pause between polls of its non-blocking `accept`:
+/// `ACCEPT_PAUSE_MIN` right after a connection arrives, doubling up to
+/// `ACCEPT_PAUSE_MAX` while none do. Clients that connect together are
+/// accepted together, and an idle listener still wakes only once a
+/// millisecond.
+const ACCEPT_PAUSE_MIN: Duration = Duration::from_micros(50);
+const ACCEPT_PAUSE_MAX: Duration = Duration::from_millis(1);
+
 fn listen_loop(inner: &Arc<ServerInner>, listener: UnixListener) {
+    let mut pause = ACCEPT_PAUSE_MAX;
     while inner.running.load(Ordering::SeqCst) {
         if let Some(flag) = inner.options.reload_signal {
             if flag.swap(false, Ordering::Relaxed) {
@@ -657,15 +655,16 @@ fn listen_loop(inner: &Arc<ServerInner>, listener: UnixListener) {
         }
         match listener.accept() {
             Ok((stream, _addr)) => {
+                pause = ACCEPT_PAUSE_MIN;
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
                 spawn_connection(inner, net::Stream::Unix(stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+            Err(_) => {
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(ACCEPT_PAUSE_MAX);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
     // Unbind before the drain finishes so late connectors fail fast.
@@ -676,18 +675,20 @@ fn listen_loop(inner: &Arc<ServerInner>, listener: UnixListener) {
 /// The optional TCP front: same accept handling as the Unix listener
 /// (reload-signal polling stays with the Unix loop, which always runs).
 fn tcp_listen_loop(inner: &Arc<ServerInner>, listener: TcpListener) {
+    let mut pause = ACCEPT_PAUSE_MAX;
     while inner.running.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _addr)) => {
+                pause = ACCEPT_PAUSE_MIN;
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
                 spawn_connection(inner, net::Stream::tcp(stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+            Err(_) => {
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(ACCEPT_PAUSE_MAX);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 }
@@ -702,7 +703,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: &Arc<Conn>) {
     let mut frames = FrameReader::new();
     // True while this connection holds a batching intent: the first
     // bytes of its next frame have arrived but the request has not yet
-    // been enqueued or answered. The scheduler's coalescing window
+    // been enqueued or answered. A worker's coalescing window
     // waits for announced requests (and only those) instead of always
     // sleeping out its cap — see `BatchQueue::begin_intent`.
     let mut intent = false;
@@ -824,7 +825,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: &Arc<Conn>) {
             }
             RequestBody::QueryText { text, k, ann } => {
                 // Tokenize here (cheap, snapshot-independent); embedding
-                // waits for the scheduler so it uses the same snapshot
+                // waits for the worker so it uses the same snapshot
                 // that scores the batch.
                 (
                     PendingQuery::Text(inner.preprocessor.base_tokens(&text)),
@@ -837,7 +838,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: &Arc<Conn>) {
         enqueue(inner, conn, id, query, k, ann);
     }
     // Every exit path (hangup, eviction, framing error, drain) may
-    // leave a frame mid-read; release its intent so the scheduler's
+    // leave a frame mid-read; release its intent so a worker's
     // window does not wait for a request that will never arrive.
     if intent {
         inner.queue.end_intent();
@@ -853,8 +854,8 @@ fn enqueue(
     ann: Option<bool>,
 ) {
     // Admission control: count the query inflight, shedding it when the
-    // cap is hit. The count spans the coalescing queue, queued shards,
-    // and scoring — it drops as the response is handed to the writer.
+    // cap is hit. The count spans the coalescing queue and scoring — it
+    // drops as the response is handed to the writer.
     let cap = inner.options.max_inflight;
     let admitted = inner.inflight.fetch_add(1, Ordering::SeqCst);
     if cap > 0 && admitted >= cap {
@@ -887,126 +888,76 @@ fn enqueue(
     }
 }
 
-/// Scheduler: snapshot, partition by mode, shard, submit — no scoring,
-/// no socket writes. Each batch is served entirely by one snapshot.
-fn schedule_loop(inner: &Arc<ServerInner>, pool: &Arc<WorkerPool<ShardTask>>) {
-    let workers = inner.options.workers.max(1);
+/// A worker: takes coalesced batches straight from the queue and
+/// answers them until the queue is closed and drained. Its
+/// `QueryBlock` is reused across batches (recreated only when a reload
+/// changes the dimension).
+fn work_loop(inner: &ServerInner) {
+    let mut block: Option<QueryBlock> = None;
     while let Some(batch) = inner.queue.next_batch(&inner.options.batch) {
-        // One snapshot per batch: the hot swap can land at any time,
-        // but every query in this batch sees exactly this snapshot —
-        // every shard below carries a clone of this Arc.
-        let matcher = inner.matcher.get();
-
-        let n = batch.len();
-        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-        inner
-            .counters
-            .batched_requests
-            .fetch_add(n as u64, Ordering::Relaxed);
-        if n >= 2 {
-            inner.counters.coalesced.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        inner.counters.max_batch.fetch_max(n as u64, Ordering::Relaxed);
-
-        // Resolve text queries against this batch's snapshot. A text
-        // query with no in-vocabulary token keeps the engine's
-        // missing-query semantics: empty matches, batch 0. Queries are
-        // partitioned by their effective retrieval mode (per-request
-        // flag, falling back to the daemon default): each partition is
-        // sharded separately, every shard served by this batch's
-        // snapshot.
-        let default_ann = matcher.ann_pool().is_some();
-        let mut parts = [
-            (false, Vec::new(), Vec::with_capacity(n)),
-            (true, Vec::new(), Vec::new()),
-        ];
-        for pending in batch {
-            let query = match pending.query {
-                PendingQuery::Ready(query) => query,
-                PendingQuery::Text(tokens) => match matcher.artifact().embed_tokens(&tokens) {
-                    Some(vector) => Query::ByVector(vector),
-                    None => {
-                        inner.inflight.fetch_sub(1, Ordering::SeqCst);
-                        inner.send_to(
-                            &pending.conn,
-                            &Response {
-                                id: pending.req_id,
-                                body: ResponseBody::Matches {
-                                    matches: Vec::new(),
-                                    batch: 0,
-                                },
-                            },
-                        );
-                        continue;
-                    }
-                },
-            };
-            let part = &mut parts[usize::from(pending.ann.unwrap_or(default_ann))];
-            part.1.push((pending.req_id, pending.k, pending.conn));
-            part.2.push(query);
-        }
-        let scored = parts.iter().map(|(_, _, q)| q.len()).sum::<usize>();
-        if scored == 0 {
-            continue;
-        }
-
-        for (ann, routes, queries) in parts {
-            if queries.is_empty() {
-                continue;
-            }
-            // The partition's k ceiling is fixed BEFORE sharding so
-            // every shard scores at the same depth the single-thread
-            // scheduler would; truncation per request then yields
-            // byte-identical wire output. Shards stay at least an
-            // engine block wide — narrower chunks would fragment the
-            // tiled kernel for no concurrency gain.
-            let k_max = routes.iter().map(|&(_, k, _)| k).max().unwrap_or(0);
-            let width = queries.len().div_ceil(workers).max(QUERY_BLOCK);
-            let mut queries = queries.into_iter();
-            let mut routes = routes.into_iter();
-            loop {
-                let shard_queries: Vec<Query> = queries.by_ref().take(width).collect();
-                if shard_queries.is_empty() {
-                    break;
-                }
-                let shard_routes: Vec<(u64, usize, Arc<Conn>)> =
-                    routes.by_ref().take(shard_queries.len()).collect();
-                let task = ShardTask {
-                    matcher: Arc::clone(&matcher),
-                    ann,
-                    k_max,
-                    scored,
-                    queries: shard_queries,
-                    routes: shard_routes,
-                };
-                inner.shard_queued.fetch_add(1, Ordering::SeqCst);
-                if let Err(task) = pool.submit(task) {
-                    // Unreachable in the normal lifecycle (the pool
-                    // closes only after this thread exits); fail the
-                    // shard's queries explicitly rather than dropping
-                    // them with inflight counts stuck.
-                    inner.shard_queued.fetch_sub(1, Ordering::SeqCst);
-                    for (req_id, _, conn) in task.routes {
-                        inner.count_error();
-                        inner.inflight.fetch_sub(1, Ordering::SeqCst);
-                        inner.send_to(
-                            &conn,
-                            &Response::error(req_id, ErrorCode::ShuttingDown, "daemon is draining"),
-                        );
-                    }
-                }
-            }
-        }
+        answer_batch(inner, &mut block, batch);
     }
 }
 
-/// Worker-side shard execution: one engine call, then the shard's
-/// responses are written by this worker — the scheduler never blocks on
-/// a peer's socket.
-fn run_shard(inner: &ServerInner, block: &mut Option<QueryBlock>, task: ShardTask) {
-    inner.shard_queued.fetch_sub(1, Ordering::SeqCst);
-    inner.counters.shards.fetch_add(1, Ordering::Relaxed);
-    let dim = task.matcher.dim();
+/// Scores one batch — one engine call per retrieval-mode partition —
+/// and writes its responses. The whole batch is served by one snapshot.
+fn answer_batch(inner: &ServerInner, block: &mut Option<QueryBlock>, batch: Vec<Pending>) {
+    // One snapshot per batch: the hot swap can land at any time, but
+    // every query in this batch sees exactly this snapshot.
+    let matcher = inner.matcher.get();
+
+    let n = batch.len();
+    inner.counters.batches.fetch_add(1, Ordering::Relaxed);
+    inner
+        .counters
+        .batched_requests
+        .fetch_add(n as u64, Ordering::Relaxed);
+    if n >= 2 {
+        inner.counters.coalesced.fetch_add(n as u64, Ordering::Relaxed);
+    }
+    inner.counters.max_batch.fetch_max(n as u64, Ordering::Relaxed);
+
+    // Resolve text queries against this batch's snapshot. A text query
+    // with no in-vocabulary token keeps the engine's missing-query
+    // semantics: empty matches, batch 0. Queries are partitioned by
+    // their effective retrieval mode (per-request flag, falling back to
+    // the daemon default).
+    let default_ann = matcher.ann_pool().is_some();
+    let mut parts = [
+        (false, Vec::new(), Vec::with_capacity(n)),
+        (true, Vec::new(), Vec::new()),
+    ];
+    for pending in batch {
+        let query = match pending.query {
+            PendingQuery::Ready(query) => query,
+            PendingQuery::Text(tokens) => match matcher.artifact().embed_tokens(&tokens) {
+                Some(vector) => Query::ByVector(vector),
+                None => {
+                    inner.inflight.fetch_sub(1, Ordering::SeqCst);
+                    inner.send_to(
+                        &pending.conn,
+                        &Response {
+                            id: pending.req_id,
+                            body: ResponseBody::Matches {
+                                matches: Vec::new(),
+                                batch: 0,
+                            },
+                        },
+                    );
+                    continue;
+                }
+            },
+        };
+        let part = &mut parts[usize::from(pending.ann.unwrap_or(default_ann))];
+        part.1.push((pending.req_id, pending.k, pending.conn));
+        part.2.push(query);
+    }
+    // The wire `batch` field: queries scored across the whole batch.
+    let scored = parts.iter().map(|(_, _, q)| q.len()).sum::<usize>();
+    if scored == 0 {
+        return;
+    }
+    let dim = matcher.dim();
     if block.as_ref().is_none_or(|b| b.dim() != dim) {
         *block = Some(QueryBlock::with_capacity(
             inner.options.batch.max_batch.max(1),
@@ -1014,45 +965,51 @@ fn run_shard(inner: &ServerInner, block: &mut Option<QueryBlock>, task: ShardTas
         ));
     }
     let block = block.as_mut().expect("query block just ensured");
-    let (results, usage) = task
-        .matcher
-        .query_batch_with_mode(block, &task.queries, task.k_max, task.ann);
-    let answered = results.iter().filter(|r| r.is_ok()).count() as u64;
-    inner
-        .counters
-        .ann_queries
-        .fetch_add(usage.queries, Ordering::Relaxed);
-    inner
-        .counters
-        .exact_queries
-        .fetch_add(answered.saturating_sub(usage.queries), Ordering::Relaxed);
-    inner.counters.pooled.fetch_add(usage.pooled, Ordering::Relaxed);
-    for ((req_id, k, conn), result) in task.routes.into_iter().zip(results) {
-        let body = match result {
-            Ok(mut ranked) => {
-                ranked.truncate(k);
-                ResponseBody::Matches {
-                    matches: ranked,
-                    batch: task.scored,
+
+    for (ann, routes, queries) in parts {
+        if queries.is_empty() {
+            continue;
+        }
+        let k_max = routes.iter().map(|&(_, k, _)| k).max().unwrap_or(0);
+        inner.counters.shards.fetch_add(1, Ordering::Relaxed);
+        let (results, usage) = matcher.query_batch_with_mode(block, &queries, k_max, ann);
+        let answered = results.iter().filter(|r| r.is_ok()).count() as u64;
+        inner
+            .counters
+            .ann_queries
+            .fetch_add(usage.queries, Ordering::Relaxed);
+        inner
+            .counters
+            .exact_queries
+            .fetch_add(answered.saturating_sub(usage.queries), Ordering::Relaxed);
+        inner.counters.pooled.fetch_add(usage.pooled, Ordering::Relaxed);
+        for ((req_id, k, conn), result) in routes.into_iter().zip(results) {
+            let body = match result {
+                Ok(mut ranked) => {
+                    ranked.truncate(k);
+                    ResponseBody::Matches {
+                        matches: ranked,
+                        batch: scored,
+                    }
                 }
-            }
-            Err(e) => {
-                inner.count_error();
-                ResponseBody::Error {
-                    code: match e {
-                        QueryError::UnknownId { .. } => ErrorCode::UnknownId,
-                        QueryError::DimMismatch { .. } => ErrorCode::BadVector,
-                    },
-                    message: e.to_string(),
+                Err(e) => {
+                    inner.count_error();
+                    ResponseBody::Error {
+                        code: match e {
+                            QueryError::UnknownId { .. } => ErrorCode::UnknownId,
+                            QueryError::DimMismatch { .. } => ErrorCode::BadVector,
+                        },
+                        message: e.to_string(),
+                    }
                 }
-            }
-        };
-        // Decrement BEFORE the write so "client holds the response"
-        // implies the budget slot is free: a stats read taken after the
-        // last response lands must see inflight 0, not a stale count.
-        // The slack (a response mid-write no longer holds budget) is
-        // bounded by the pool width.
-        inner.inflight.fetch_sub(1, Ordering::SeqCst);
-        inner.send_to(&conn, &Response { id: req_id, body });
+            };
+            // Decrement BEFORE the write so "client holds the response"
+            // implies the budget slot is free: a stats read taken after
+            // the last response lands must see inflight 0, not a stale
+            // count. The slack (a response mid-write no longer holds
+            // budget) is bounded by the worker count.
+            inner.inflight.fetch_sub(1, Ordering::SeqCst);
+            inner.send_to(&conn, &Response { id: req_id, body });
+        }
     }
 }

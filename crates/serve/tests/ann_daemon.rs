@@ -97,9 +97,9 @@ fn daemon_ann_mode_rescoring_overrides_and_counters() {
     server.join();
 }
 
-/// Satellite coverage for the sharded scheduler: a batch that
-/// partitions by retrieval mode AND shards across the worker pool must
-/// still answer every request bit-identically to the facade.
+/// Coverage for several workers: batches that partition by retrieval
+/// mode, taken by four workers at once, must still answer every
+/// request bit-identically to the facade.
 #[test]
 fn mixed_mode_batches_under_a_worker_pool_stay_bit_identical() {
     use tdmatch_serve::batch::BatchOptions;

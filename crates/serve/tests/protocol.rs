@@ -15,7 +15,9 @@ use tdmatch_core::matcher::top_k_matches_matrix;
 use tdmatch_core::serving::Matcher;
 use tdmatch_serve::batch::BatchOptions;
 use tdmatch_serve::client::{Client, ClientError};
-use tdmatch_serve::protocol::{read_frame, ErrorCode, Response, ResponseBody, MAX_FRAME};
+use tdmatch_serve::protocol::{
+    read_frame, write_frame, ErrorCode, Request, RequestBody, Response, ResponseBody, MAX_FRAME,
+};
 use tdmatch_serve::server::{ServeOptions, Server};
 
 /// A deterministic artifact big enough that rankings are non-trivial.
@@ -116,6 +118,73 @@ fn batched_socket_answers_are_bit_identical_to_serial_matrix_scan() {
     // With a 300 ms window and lockstep clients, essentially every
     // round coalesces; require it happened at all (the bit-identity
     // above must hold at *any* batch composition).
+    assert!(coalesced > 0, "no request was ever coalesced");
+    let stats = server.stats();
+    assert_eq!(stats.requests, 24);
+    assert!(stats.max_batch >= 2);
+    assert!(stats.batches < 24, "every request got its own batch");
+    drop(server);
+    assert!(!socket.exists());
+}
+
+#[test]
+fn pipelined_bursts_coalesce_and_stay_bit_identical() {
+    // A long window: it holds for every request already announced.
+    let (server, socket) = start(
+        "pipelined",
+        BatchOptions {
+            window: Duration::from_millis(300),
+            max_batch: 8,
+        },
+    );
+    let art = artifact();
+    // The serial oracle: the exact one-shot path `tdmatch match` uses.
+    let serial = top_k_matches_matrix(art.second_matrix(), art.first_matrix(), 7, None, None);
+
+    // Two clients, interleaved ids, each pipelining its twelve requests
+    // in one burst rather than waiting for each answer. A reader
+    // announces each frame as its first byte arrives, so the window
+    // holds for the rest of a burst and requests coalesce.
+    let client = |docs: Vec<usize>, socket: PathBuf| {
+        std::thread::spawn(move || {
+            let mut stream = UnixStream::connect(&socket).expect("connect");
+            let mut burst = Vec::new();
+            for &doc in &docs {
+                let request = Request {
+                    id: doc as u64,
+                    body: RequestBody::QueryId {
+                        doc,
+                        k: 7,
+                        ann: None,
+                    },
+                };
+                write_frame(&mut burst, &request.encode()).expect("frame");
+            }
+            stream.write_all(&burst).expect("write burst");
+            docs.iter()
+                .map(|_| {
+                    let payload = read_frame(&mut stream).expect("readable").expect("answer");
+                    let response = Response::decode(&payload).expect("decodable");
+                    match response.body {
+                        ResponseBody::Matches { matches, batch } => {
+                            (response.id as usize, matches, batch)
+                        }
+                        other => panic!("expected matches, got {other:?}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    let a = client((0..24).step_by(2).collect(), socket.clone());
+    let b = client((1..24).step_by(2).collect(), socket.clone());
+    let mut coalesced = 0usize;
+    for (doc, ranked, batch) in a.join().unwrap().into_iter().chain(b.join().unwrap()) {
+        assert_bit_identical(&ranked, &serial[doc].ranked, &format!("doc {doc}"));
+        assert!((1..=8).contains(&batch));
+        coalesced += usize::from(batch >= 2);
+    }
+    // Require coalescing happened at all (the bit-identity above must
+    // hold at *any* batch composition).
     assert!(coalesced > 0, "no request was ever coalesced");
     let stats = server.stats();
     assert_eq!(stats.requests, 24);
@@ -287,6 +356,48 @@ fn oversized_but_parseable_requests_never_reach_the_scheduler() {
         ResponseBody::Error { code: ErrorCode::Oversized, .. }
     ));
     assert_eq!(server.stats().requests, 0);
+    drop(server);
+}
+
+#[test]
+fn responses_over_the_frame_limit_become_errors_and_keep_the_connection() {
+    // 45,000 targets: a full ranking encodes to ~1.28 MB, over MAX_FRAME.
+    let (targets, dim) = (45_000, 4);
+    let row = |i: usize| -> Vec<f32> { (0..dim).map(|d| ((i * 7 + d) as f32).sin()).collect() };
+    let art = MatchArtifact::new(
+        dim,
+        vec![("tarantino".into(), row(1))],
+        (0..targets).map(|i| Some(row(i))).collect(),
+        vec![Some(row(3))],
+    );
+    let want = Matcher::new(art.clone())
+        .query_by_id(0, 3)
+        .expect("doc exists");
+    let socket = socket_path("oversized-response");
+    // A short deadline: a daemon that tries to push the oversized frame
+    // into a connection nobody drains gives up quickly.
+    let server = Server::start(
+        Matcher::new(art),
+        ServeOptions::at(&socket).io_timeout(Duration::from_millis(500)),
+    )
+    .expect("daemon start");
+    let mut client = Client::connect(&socket).expect("connect");
+    client
+        .set_io_timeout(Some(Duration::from_secs(5)))
+        .expect("client deadline");
+
+    match client.query_id(0, targets) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Oversized);
+            assert!(message.contains(&MAX_FRAME.to_string()), "{message}");
+            assert!(message.contains("smaller k"), "{message}");
+        }
+        other => panic!("expected an oversized error, got {other:?}"),
+    }
+    // The same connection is still in sync and answers a normal query.
+    let (ranked, _) = client.query_id(0, 3).expect("connection survived");
+    assert_bit_identical(&ranked, &want, "after the oversized response");
+    assert_eq!(client.stats().expect("stats").errors, 1);
     drop(server);
 }
 

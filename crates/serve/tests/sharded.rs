@@ -1,6 +1,6 @@
-//! The scale-out serving path, pinned: sharding a coalesced batch
-//! across the scoring pool must be invisible on the wire (bit-identical
-//! to the single-thread scheduler and to the facade), the TCP front
+//! The scale-out serving path, pinned: several workers taking batches
+//! at once must be invisible on the wire (bit-identical to a single
+//! worker and to the facade), the TCP front
 //! must speak the exact same protocol, and a saturated many-client run
 //! must drain cleanly with sane backpressure accounting.
 
@@ -94,8 +94,8 @@ fn hammer_and_verify(
     }
 }
 
-/// Tentpole pin: the sharded scheduler (workers > 1, wide batches) and
-/// the single-thread scheduler produce byte-for-byte identical wire
+/// Tentpole pin: four workers and one (wide batches either way)
+/// produce byte-for-byte identical wire
 /// rankings — both equal to the facade — even with heterogeneous k in
 /// one batch.
 #[test]

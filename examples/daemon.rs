@@ -5,10 +5,10 @@
 //! cargo run --release --example daemon
 //! ```
 //!
-//! This is exactly what the `tdmatch serve` daemon's scheduler does per
-//! batching window — embed it directly when your application already
-//! lives in the serving process and needs no protocol hop. For the
-//! socket-fronted version, see `tdmatch serve` / `docs/SERVING.md`.
+//! This is exactly what each `tdmatch serve` worker does with a batch it
+//! takes from the queue — embed it directly when your application
+//! already lives in the serving process and needs no protocol hop. For
+//! the socket-fronted version, see `tdmatch serve` / `docs/SERVING.md`.
 
 use tdmatch::core::config::TdConfig;
 use tdmatch::core::corpus::{Corpus, Table, TextCorpus};
@@ -62,7 +62,7 @@ fn main() {
     ];
 
     // One engine call answers the whole batch (reuse the block across
-    // batches in a real scheduler loop).
+    // batches in a real worker loop).
     let mut block = matcher.query_block();
     let (answers, _) = matcher.query_batch_with_mode(&mut block, &batch, 2, false);
     for (request, answer) in batch.iter().zip(&answers) {

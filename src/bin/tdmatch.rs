@@ -119,10 +119,10 @@ SERVE OPTIONS:
     --max-inflight N   shed queries past N admitted-but-unanswered with
                        a retryable `overloaded` error (default 1024;
                        0 = unlimited)
-    --workers N        scoring-pool width (default 1): batch shards are
-                       scored, and their responses written, by N worker
-                       threads instead of the scheduler — wire output is
-                       bit-identical at any width
+    --workers N        worker threads (default 1): each takes the next
+                       batch from the queue, scores it and writes its
+                       responses, so up to N batches are scored at
+                       once — wire output is bit-identical at any count
     --tcp HOST:PORT    additionally listen on TCP with the same framed
                        protocol (NO authentication — bind loopback
                        unless the network is trusted)
@@ -497,7 +497,7 @@ fn cmd_query_socket(args: &[String]) -> Result<(), String> {
         println!("generation: {}", s.generation);
         println!("ann:        {} queries (mean pool {:.0})", s.ann_queries, s.mean_pool());
         println!("exact:      {} queries", s.exact_queries);
-        println!("workers:    {} ({} shards scored)", s.workers, s.shards);
+        println!("workers:    {} ({} engine calls)", s.workers, s.shards);
         println!("inflight:   {} (queue depth {})", s.inflight, s.queue_depth);
         println!("uptime:     {:.1}s", s.uptime_secs);
         return Ok(());
@@ -638,7 +638,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     eprintln!("hot swap:  republish {path}, then `kill -HUP {}`", std::process::id());
     let stats = server.join();
     eprintln!(
-        "daemon stopped: {} requests in {} batches (mean {:.2}, max {}) over {} shards, \
+        "daemon stopped: {} requests in {} batches (mean {:.2}, max {}) over {} engine calls, \
          {} errors, {} shed, {} evicted, {} reloads ({} failed)",
         stats.requests,
         stats.batches,

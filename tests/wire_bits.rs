@@ -1,12 +1,12 @@
 //! Root-level contract: what the daemon sends on the wire is what the
-//! facade computes, bit for bit, however the daemon batches and shards.
+//! facade computes, bit for bit, however the daemon batches its queries.
 //!
-//! Two in-process daemons — two scoring workers and one — serve
+//! Two in-process daemons — two workers and one — serve
 //! `tests/common`'s 64 × 8 fixture with its index, at the narrow pool
 //! `rank_bits.rs` pins. Two clients each pipeline one mixed batch in
 //! exact and in ANN mode: every stored query by id, a text query, a raw
 //! vector, an unknown id and a wrong-dim vector. Pipelined frames
-//! coalesce into batches wide enough to shard across two workers. Every
+//! coalesce into wide batches, and each worker scores whole batches. Every
 //! answer — scores by `to_bits`, errors by code — must equal
 //! `Matcher::query_batch_with_mode` on the same artifact, and the two
 //! daemons must agree. No constant: `rank_bits.rs` pins the facade.
