@@ -21,8 +21,6 @@ pub struct W2vecOptions {
     pub dim: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Threads (1 = deterministic).
-    pub threads: usize,
     /// Seed.
     pub seed: u64,
 }
@@ -32,7 +30,6 @@ impl Default for W2vecOptions {
         Self {
             dim: 64,
             epochs: 5,
-            threads: 1,
             seed: 42,
         }
     }
@@ -54,7 +51,6 @@ pub fn run(first: &Corpus, second: &Corpus, opts: &W2vecOptions, k: usize) -> Ra
             window: 5,
             epochs: opts.epochs,
             mode: W2vMode::SkipGram,
-            threads: opts.threads,
             seed: opts.seed,
             ..Default::default()
         },

@@ -13,7 +13,6 @@ use tdmatch_core::builder::build_graph;
 use tdmatch_core::config::TdConfig;
 use tdmatch_datasets::{imdb, Scale};
 use tdmatch_embed::corpus::FlatCorpus;
-use tdmatch_embed::hogwild::{OwnedMatrix, Rows, SharedMatrix};
 use tdmatch_embed::neg_table::NegativeTable;
 use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, dot_unrolled4, ScoreMatrix};
 use tdmatch_embed::walks::{
@@ -89,7 +88,6 @@ fn bench_walks_and_train(c: &mut Criterion) {
     let w2v = Word2VecConfig {
         dim: 32,
         epochs: 1,
-        threads: 1,
         ..Default::default()
     };
     let flat = FlatCorpus::from_nested(&corpus);
@@ -181,48 +179,6 @@ fn bench_topk(c: &mut Criterion) {
     });
     c.bench_function("match/engine_top_k_1000", |b| {
         b.iter(|| black_box(batch_top_k_seq(&qm, &tm, 20, None, None)))
-    });
-}
-
-/// The row kernels Word2Vec hammers, over both weight storages at the
-/// dims the fits use: `owned` is the plain-`f32` matrix a single worker
-/// trains on, whose slice loops the compiler vectorizes; `shared` is the
-/// Hogwild matrix of atomic cells, whose relaxed loads and stores are
-/// plain `mov`s but are never combined into vector ops, so it runs one
-/// element per instruction. The gap between the two is what a
-/// single-worker fit saves.
-fn bench_hogwild(c: &mut Criterion) {
-    for dim in [80, 128] {
-        let shared = SharedMatrix::uniform_init(64, dim, 7);
-        bench_row_kernels(c, "shared", dim, &shared);
-        bench_row_kernels(c, "owned", dim, OwnedMatrix::uniform_init(64, dim, 7));
-    }
-    let buf: Vec<f32> = (0..128).map(|i| (i as f32 * 0.37).sin()).collect();
-    c.bench_function("score/dot_unrolled_128", |b| {
-        b.iter(|| black_box(dot_unrolled(&buf, &buf)))
-    });
-}
-
-fn bench_row_kernels<M: Rows>(c: &mut Criterion, storage: &str, dim: usize, mut m: M) {
-    let buf: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
-    let mut acc = vec![0.0f32; dim];
-    c.bench_function(&format!("hogwild/{storage}/dot_with_row_{dim}"), |b| {
-        b.iter(|| black_box(m.dot_with_row(5, black_box(&buf))))
-    });
-    c.bench_function(&format!("hogwild/{storage}/axpy_row_into_{dim}"), |b| {
-        b.iter(|| {
-            m.axpy_row_into(5, 0.5, &mut acc);
-            black_box(acc[0]);
-        })
-    });
-    c.bench_function(&format!("hogwild/{storage}/update_row_{dim}"), |b| {
-        b.iter(|| {
-            m.update_row(9, 1e-6, black_box(&buf), &mut acc);
-            black_box(acc[0]);
-        })
-    });
-    c.bench_function(&format!("hogwild/{storage}/add_to_row_{dim}"), |b| {
-        b.iter(|| m.add_to_row(9, black_box(&buf)))
     });
 }
 
@@ -387,7 +343,7 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_preprocess, bench_graph_build, bench_traversal,
               bench_walks_and_train, bench_walk_representations, bench_topk,
-              bench_hogwild, bench_neg_table, bench_compression, bench_crc32,
+              bench_neg_table, bench_compression, bench_crc32,
               bench_scan_roofline
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Pipeline configuration.
 
-use tdmatch_embed::walks::{WalkConfig, WalkStrategy};
-use tdmatch_embed::word2vec::{default_threads, W2vMode, Word2VecConfig};
+use tdmatch_embed::walks::{default_threads, WalkConfig, WalkStrategy};
+use tdmatch_embed::word2vec::{W2vMode, Word2VecConfig};
 use tdmatch_text::PreprocessOptions;
 
 /// Which data-node filtering to apply during graph creation (§II-B and the
@@ -80,7 +80,9 @@ pub struct TdConfig {
     pub epochs: usize,
     /// Negative samples per positive pair.
     pub negative: usize,
-    /// Worker threads for walks and training.
+    /// Walk-generation threads. Training runs on one, and the walk
+    /// corpus is the same at any count, so a fit is the same bits at any
+    /// `threads`.
     pub threads: usize,
     /// Master seed (walks, training init, compression sampling).
     pub seed: u64,
@@ -169,7 +171,6 @@ impl TdConfig {
             },
             min_count: 1,
             mode: self.w2v_mode,
-            threads: self.threads,
             seed: self.seed,
             subsample: 0.0,
         }

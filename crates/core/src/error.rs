@@ -13,6 +13,12 @@ pub enum TdError {
     NoSharedTerms,
     /// The walk corpus came out empty (e.g. all nodes isolated).
     EmptyWalkCorpus,
+    /// A fit setting that must be at least 1 is 0, which would train
+    /// nothing and publish meaningless vectors.
+    ZeroSetting {
+        /// The `TdConfig` field (`dim`, `epochs` or `walk_len`).
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for TdError {
@@ -23,6 +29,7 @@ impl std::fmt::Display for TdError {
                 write!(f, "no shared terms between the corpora after filtering")
             }
             TdError::EmptyWalkCorpus => write!(f, "random-walk corpus is empty"),
+            TdError::ZeroSetting { field } => write!(f, "`{field}` must be at least 1"),
         }
     }
 }
@@ -38,5 +45,7 @@ mod tests {
         let e = TdError::EmptyCorpus { which: "first" };
         assert!(e.to_string().contains("first"));
         assert!(TdError::NoSharedTerms.to_string().contains("shared"));
+        let e = TdError::ZeroSetting { field: "dim" };
+        assert_eq!(e.to_string(), "`dim` must be at least 1");
     }
 }

@@ -308,6 +308,17 @@ impl TdMatch {
         expand_stats: ExpandStats,
         mut timings: StageTimings,
     ) -> Result<TdModel, TdError> {
+        // Zero of any of these trains nothing: the artifact would hold
+        // all-zero vectors or the untrained random init.
+        for (field, value) in [
+            ("dim", self.config.dim),
+            ("epochs", self.config.epochs),
+            ("walk_len", self.config.walk_len),
+        ] {
+            if value == 0 {
+                return Err(TdError::ZeroSetting { field });
+            }
+        }
         // Random walks (Alg. 4, first half): freeze once and run walk
         // generation on the CSR snapshot.
         let t = Instant::now();
@@ -520,6 +531,33 @@ mod tests {
             .fit(&first, &empty)
             .unwrap_err();
         assert_eq!(err, TdError::EmptyCorpus { which: "second" });
+    }
+
+    #[test]
+    fn a_zero_dim_is_rejected() {
+        assert_zero_rejected("dim", |c| c.dim = 0);
+    }
+
+    #[test]
+    fn zero_epochs_are_rejected() {
+        assert_zero_rejected("epochs", |c| c.epochs = 0);
+    }
+
+    #[test]
+    fn a_zero_walk_len_is_rejected() {
+        assert_zero_rejected("walk_len", |c| c.walk_len = 0);
+    }
+
+    /// Both fit entries refuse a config with `field` zeroed by `zero`.
+    fn assert_zero_rejected(field: &'static str, zero: impl Fn(&mut TdConfig)) {
+        let (first, second) = corpora();
+        let mut config = TdConfig::for_tests();
+        zero(&mut config);
+        let trainer = TdMatch::new(config);
+        let want = TdError::ZeroSetting { field };
+        assert_eq!(trainer.fit(&first, &second).unwrap_err(), want);
+        let graph = TdMatch::new(TdConfig::for_tests()).fit(&first, &second).unwrap().graph;
+        assert_eq!(trainer.fit_prebuilt(graph).unwrap_err(), want);
     }
 
     #[test]

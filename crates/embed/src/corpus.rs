@@ -120,17 +120,10 @@ impl FlatCorpus {
 
     /// Iterates over all sentences as slices.
     pub fn sentences(&self) -> Sentences<'_> {
-        self.sentences_range(0, self.len())
-    }
-
-    /// Iterates over sentences `lo..hi` (the worker-chunk view used by the
-    /// parallel trainers).
-    pub fn sentences_range(&self, lo: usize, hi: usize) -> Sentences<'_> {
-        debug_assert!(lo <= hi && hi <= self.len());
         Sentences {
             corpus: self,
-            next: lo,
-            end: hi,
+            next: 0,
+            end: self.len(),
         }
     }
 
@@ -244,13 +237,5 @@ mod tests {
         let c = FlatCorpus::from_nested(&[vec![0, 1, 1], vec![2]]);
         assert_eq!(c.token_counts(4, false), vec![1, 2, 1, 0]);
         assert_eq!(c.token_counts(4, true), vec![1, 2, 1, 1]);
-    }
-
-    #[test]
-    fn range_iteration_is_a_window() {
-        let c = FlatCorpus::from_nested(&[vec![1], vec![2], vec![3], vec![4]]);
-        let window: Vec<&[u32]> = c.sentences_range(1, 3).collect();
-        assert_eq!(window, vec![&[2][..], &[3][..]]);
-        assert_eq!(c.sentences_range(2, 2).count(), 0);
     }
 }

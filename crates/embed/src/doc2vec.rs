@@ -8,9 +8,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::corpus::FlatCorpus;
-use crate::hogwild::{OwnedMatrix, Rows};
 use crate::neg_table::NegativeTable;
 use crate::vocab::Vocab;
+use crate::weights::OwnedMatrix;
 use crate::word2vec::NegativeStep;
 
 /// Hyper-parameters for PV-DBOW training.
@@ -120,7 +120,7 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
         return vec![0.0; n_docs * config.dim];
     }
     // Training is single-threaded, so the weights are plain owned `f32`
-    // and the row kernels vectorize (see `crate::hogwild`).
+    // and the row kernels vectorize (see `crate::weights`).
     let mut docs_mat = OwnedMatrix::uniform_init(n_docs, config.dim, config.seed);
     let mut words_mat = OwnedMatrix::zeroed(counts.len(), config.dim);
     let neg_table = NegativeTable::new(counts, (counts.len() * 32).max(1 << 18));

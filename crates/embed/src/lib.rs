@@ -9,10 +9,9 @@
 //!
 //! * [`vocab`] — frequency-ranked vocabulary construction;
 //! * [`corpus`] — the [`FlatCorpus`] token arena all trainers consume;
-//! * [`word2vec`] — Skip-gram & CBOW with negative sampling: one worker
-//!   trains over plain `f32` weights it owns (vectorized, deterministic),
-//!   several train Hogwild-style over a lock-free shared matrix
-//!   ([`hogwild`] holds both storages);
+//! * [`word2vec`] — Skip-gram & CBOW with negative sampling, trained by
+//!   one worker over plain `f32` weights it owns (`weights`):
+//!   vectorized, and deterministic at any walk thread count;
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
 //! * [`walks`] — parallel random-walk corpus generation over a
 //!   [`tdmatch_graph::Graph`] or its [`tdmatch_graph::CsrGraph`] snapshot;
@@ -43,12 +42,12 @@
 pub mod ann;
 pub mod corpus;
 pub mod doc2vec;
-pub mod hogwild;
 pub mod neg_table;
 pub mod score;
 pub mod vectors;
 pub mod vocab;
 pub mod walks;
+mod weights;
 pub mod word2vec;
 
 pub use ann::{HnswIndex, HnswParams};

@@ -52,7 +52,7 @@ pub struct WalkConfig {
     pub walk_len: usize,
     /// Seed for deterministic generation.
     pub seed: u64,
-    /// Worker threads.
+    /// Worker threads. The corpus is the same at any count.
     pub threads: usize,
     /// Transition rule (uniform unless configured otherwise).
     pub strategy: WalkStrategy,
@@ -64,10 +64,18 @@ impl Default for WalkConfig {
             walks_per_node: 100,
             walk_len: 30,
             seed: 42,
-            threads: crate::word2vec::default_threads(),
+            threads: default_threads(),
             strategy: WalkStrategy::Uniform,
         }
     }
+}
+
+/// Half the available parallelism, at least 1: the default walk-thread
+/// count.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| (n.get() / 2).max(1))
+        .unwrap_or(1)
 }
 
 /// Mixes the walk identity into a per-walk RNG seed.

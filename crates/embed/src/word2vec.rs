@@ -1,22 +1,23 @@
 //! Word2Vec from scratch: Skip-gram and CBOW with negative sampling.
 //!
 //! This is a faithful re-implementation of the word2vec.c / gensim training
-//! procedure: random reduced windows, unigram^0.75 negative sampling, linear
-//! learning-rate decay, and Hogwild multi-threading over a shared parameter
-//! matrix (see [`crate::hogwild`]). TDmatch trains it on random-walk
+//! procedure: random reduced windows, unigram^0.75 negative sampling and
+//! linear learning-rate decay. TDmatch trains it on random-walk
 //! "sentences" (Alg. 4); the W2VEC baseline trains it on serialized
 //! documents.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//!
+//! Training runs on one worker over weights it owns (see
+//! `crate::weights`), so the row kernels vectorize and the trained
+//! matrix is a function of (corpus, counts, config) alone, bit for bit.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::corpus::FlatCorpus;
-use crate::hogwild::{OwnedMatrix, Rows, SharedMatrix};
 use crate::neg_table::NegativeTable;
 use crate::vectors::Embeddings;
 use crate::vocab::Vocab;
+use crate::weights::OwnedMatrix;
 
 /// Training objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,10 +48,7 @@ pub struct Word2VecConfig {
     pub min_count: u64,
     /// Skip-gram or CBOW.
     pub mode: W2vMode,
-    /// Worker threads (1 = fully deterministic training).
-    pub threads: usize,
-    /// RNG seed (initialization is always deterministic; the training
-    /// trajectory is deterministic when `threads == 1`).
+    /// RNG seed; training is single-threaded and fully deterministic.
     pub seed: u64,
     /// Frequency subsampling threshold (`0.0` disables it). Disabled by
     /// default: metadata nodes are deliberately frequent in walk corpora
@@ -68,19 +66,10 @@ impl Default for Word2VecConfig {
             initial_lr: 0.025,
             min_count: 1,
             mode: W2vMode::SkipGram,
-            threads: default_threads(),
             seed: 42,
             subsample: 0.0,
         }
     }
-}
-
-/// Half the available parallelism, at least 1 — training saturates memory
-/// bandwidth before cores.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| (n.get() / 2).max(1))
-        .unwrap_or(1)
 }
 
 /// Precomputed sigmoid, word2vec.c style: 512 buckets over `[-6, 6]`.
@@ -90,9 +79,6 @@ struct SigmoidTable {
 
 const MAX_EXP: f32 = 6.0;
 const SIGMOID_BUCKETS: usize = 512;
-
-/// Tokens a worker trains between flushes of the shared progress counter.
-const PROGRESS_FLUSH_TOKENS: u64 = 10_000;
 
 impl SigmoidTable {
     fn new() -> Self {
@@ -128,7 +114,7 @@ pub struct Word2Vec {
 
 impl Word2Vec {
     /// Builds the vocabulary from `sentences` and trains the model.
-    pub fn train<S: AsRef<str> + Sync>(sentences: &[Vec<S>], config: Word2VecConfig) -> Self {
+    pub fn train<S: AsRef<str>>(sentences: &[Vec<S>], config: Word2VecConfig) -> Self {
         let vocab = Vocab::build(sentences, config.min_count);
         let mut encoded = FlatCorpus::with_capacity(
             sentences.len(),
@@ -166,30 +152,24 @@ impl Word2Vec {
 /// (`counts.len() × config.dim`, row-major).
 ///
 /// This is the entry point TDmatch uses for graph walks, where token ids
-/// are node ids and no string vocabulary is needed. Workers stream
-/// contiguous sentence ranges straight out of the arena — no per-sentence
-/// pointer chasing.
-///
-/// When training resolves to one worker — the only configuration with a
-/// determinism contract — the weights are plain `f32` the worker owns, so
-/// the row kernels vectorize; several workers share atomic cells
-/// Hogwild-style (see [`crate::hogwild`]). One worker produces the same
-/// bits over either storage.
+/// are node ids and no string vocabulary is needed. The worker streams
+/// sentences straight out of the arena — no per-sentence pointer
+/// chasing — over plain `f32` weights it owns, so the row kernels
+/// vectorize (see `crate::weights`).
 pub fn train_corpus(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig) -> Vec<f32> {
     if counts.is_empty() || corpus.is_empty() {
         return Vec::new();
     }
     let job = TrainJob::new(corpus, counts, config);
-    match config.threads.max(1).min(corpus.len()) {
-        1 => job.run_owned(),
-        threads => job.run_shared(threads),
-    }
+    let mut worker = Worker::new(&job);
+    worker.train();
+    worker.syn0.into_vec()
 }
 
-/// Everything the workers of one training run read but never write, plus
-/// the progress counter they share. All of it is small — the negative
-/// sampler is a ~27 KB index, the sigmoid 2 KB — so what a step pulls
-/// through the cache is the weight rows it trains and little else.
+/// Everything a training run reads but never writes. All of it is small
+/// — the negative sampler is a ~27 KB index, the sigmoid 2 KB — so what a
+/// step pulls through the cache is the weight rows it trains and little
+/// else.
 struct TrainJob<'a> {
     corpus: &'a FlatCorpus,
     counts: &'a [u64],
@@ -198,7 +178,6 @@ struct TrainJob<'a> {
     sigmoid: SigmoidTable,
     total_count: u64,
     total_work: u64,
-    processed: AtomicU64,
 }
 
 impl<'a> TrainJob<'a> {
@@ -211,66 +190,29 @@ impl<'a> TrainJob<'a> {
             sigmoid: SigmoidTable::new(),
             total_count: counts.iter().sum(),
             total_work: ((corpus.total_tokens() as u64) * config.epochs as u64).max(1),
-            processed: AtomicU64::new(0),
         }
-    }
-
-    /// One worker over weights it owns.
-    fn run_owned(&self) -> Vec<f32> {
-        let (rows, dim) = (self.counts.len(), self.config.dim);
-        let mut worker = Worker::new(
-            self,
-            OwnedMatrix::uniform_init(rows, dim, self.config.seed),
-            OwnedMatrix::zeroed(rows, dim),
-        );
-        worker.train_range(0, 0, self.corpus.len());
-        worker.syn0.into_vec()
-    }
-
-    /// `threads` Hogwild workers, each over its own contiguous sentence
-    /// range, sharing lock-free atomic weights.
-    fn run_shared(&self, threads: usize) -> Vec<f32> {
-        let (rows, dim) = (self.counts.len(), self.config.dim);
-        let syn0 = SharedMatrix::uniform_init(rows, dim, self.config.seed);
-        let syn1 = SharedMatrix::zeroed(rows, dim);
-        let chunk_size = self.corpus.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for tid in 0..threads {
-                let (lo, hi) = (
-                    tid * chunk_size,
-                    ((tid + 1) * chunk_size).min(self.corpus.len()),
-                );
-                if lo >= hi {
-                    continue;
-                }
-                let (syn0, syn1) = (&syn0, &syn1);
-                scope.spawn(move |_| Worker::new(self, syn0, syn1).train_range(tid, lo, hi));
-            }
-        })
-        .expect("word2vec worker thread panicked");
-        syn0.to_vec()
     }
 }
 
-/// Per-thread training state (scratch buffers reused across pairs),
-/// generic over the weight storage so the training step is written once.
-struct Worker<'a, M> {
+/// The training state: both weight matrices and the scratch buffers
+/// reused across pairs.
+struct Worker<'a> {
     job: &'a TrainJob<'a>,
-    syn0: M,
-    syn1: M,
+    syn0: OwnedMatrix,
+    syn1: OwnedMatrix,
     step: NegativeStep<'a>,
     buf_in: Vec<f32>,
     neu1: Vec<f32>,
     err: Vec<f32>,
 }
 
-impl<'a, M: Rows> Worker<'a, M> {
-    fn new(job: &'a TrainJob<'a>, syn0: M, syn1: M) -> Self {
-        let dim = job.config.dim;
+impl<'a> Worker<'a> {
+    fn new(job: &'a TrainJob<'a>) -> Self {
+        let (rows, dim) = (job.counts.len(), job.config.dim);
         Self {
             job,
-            syn0,
-            syn1,
+            syn0: OwnedMatrix::uniform_init(rows, dim, job.config.seed),
+            syn1: OwnedMatrix::zeroed(rows, dim),
             step: NegativeStep::new(&job.neg_table, job.config.negative),
             buf_in: vec![0.0; dim],
             neu1: vec![0.0; dim],
@@ -278,43 +220,30 @@ impl<'a, M: Rows> Worker<'a, M> {
         }
     }
 
-    /// Trains every epoch over sentences `lo..hi` as worker `tid`.
-    fn train_range(&mut self, tid: usize, lo: usize, hi: usize) {
+    /// Trains every epoch over the whole corpus.
+    fn train(&mut self) {
         let TrainJob {
             corpus,
             config,
             total_work,
-            processed,
             ..
         } = self.job;
-        let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(0x9E37 * (tid as u64 + 1)));
-        // Batched progress accounting (word2vec.c style): a contended
-        // fetch_add per sentence would bounce the counter's cache line
-        // between workers, so each thread accumulates locally and flushes
-        // every ~10k tokens. `base + local` never decreases (the global
-        // counter only grows, and a flush folds `local` into `base`), so
-        // the lr-decay schedule stays monotone per worker.
-        let mut base = processed.load(Ordering::Relaxed);
-        let mut local: u64 = 0;
+        // The seed offset is part of the pinned trajectory.
+        let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(0x9E37));
+        // Tokens trained so far, for the linear lr decay.
+        let mut done: u64 = 0;
         for _ in 0..config.epochs {
-            for sent in corpus.sentences_range(lo, hi) {
-                let progress = (base + local) as f32 / *total_work as f32;
+            for sent in corpus.sentences() {
+                let progress = done as f32 / *total_work as f32;
                 let lr = (config.initial_lr * (1.0 - progress)).max(config.initial_lr * 1e-4);
                 self.train_sentence(sent, lr, &mut rng);
-                local += sent.len() as u64;
-                if local >= PROGRESS_FLUSH_TOKENS {
-                    base = processed.fetch_add(local, Ordering::Relaxed) + local;
-                    local = 0;
-                }
+                done += sent.len() as u64;
             }
             // One draw between epochs, so the next pass over the same
             // sentences does not replay this one's window draws. The
             // value is unused; the draw itself is part of the pinned
-            // single-worker trajectory.
+            // trajectory.
             let _ = rng.random::<u64>();
-        }
-        if local > 0 {
-            processed.fetch_add(local, Ordering::Relaxed);
         }
     }
 
@@ -444,19 +373,19 @@ impl<'a> NegativeStep<'a> {
     /// place and the input-side gradient is left in `err`.
     ///
     /// Every draw is taken first, one per negative and in order, as the
-    /// pinned single-worker trajectory requires; nothing else draws from
-    /// `rng` in between. When the targets are distinct, no update can
-    /// reach another target's dot, so the dots are taken four rows at a
-    /// time ([`Rows::dot_with_rows4`]) against the unchanged `input`
+    /// pinned trajectory requires; nothing else draws from `rng` in
+    /// between. When the targets are distinct, no update can reach
+    /// another target's dot, so the dots are taken four rows at a time
+    /// ([`OwnedMatrix::dot_with_rows4`]) against the unchanged `input`
     /// before any update. A repeated target needs its second dot to see
     /// its first update, so such a step dots and updates one target at a
     /// time. Both orders give the same bits.
     // `syn1`, `input` and `err` are borrowed from disjoint worker fields.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn run<M: Rows>(
+    pub(crate) fn run(
         &mut self,
-        syn1: &mut M,
+        syn1: &mut OwnedMatrix,
         input: &[f32],
         err: &mut [f32],
         output: usize,
@@ -530,7 +459,6 @@ mod tests {
                 negative: 5,
                 epochs: 8,
                 mode,
-                threads: 1,
                 seed: 3,
                 ..Default::default()
             },
@@ -557,12 +485,11 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_training_is_deterministic() {
+    fn training_is_deterministic() {
         let corpus = topic_corpus(20);
         let cfg = Word2VecConfig {
             dim: 8,
             epochs: 2,
-            threads: 1,
             ..Default::default()
         };
         let m1 = Word2Vec::train(&corpus, cfg.clone());
@@ -588,63 +515,11 @@ mod tests {
             Word2VecConfig {
                 min_count: 2,
                 dim: 4,
-                threads: 1,
                 ..Default::default()
             },
         );
         assert!(m.vector("rare").is_none());
         assert!(m.vector("a").is_some());
-    }
-
-    #[test]
-    fn multithreaded_training_runs() {
-        let corpus = topic_corpus(50);
-        let m = Word2Vec::train(
-            &corpus,
-            Word2VecConfig {
-                dim: 8,
-                epochs: 2,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(m.embeddings().len(), 10);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// One worker computes the same weights, bit for bit, whether it
-        /// owns plain `f32` or goes through the Hogwild atomic cells — so
-        /// choosing the storage by worker count cannot move a result.
-        #[test]
-        fn one_worker_is_bit_identical_over_either_storage(
-            sentences in prop::collection::vec(prop::collection::vec(0u32..24, 0..20), 1..24),
-            mode in prop::sample::select(vec![W2vMode::SkipGram, W2vMode::Cbow]),
-            dim in prop::sample::select(vec![1usize, 7, 8, 9, 100]),
-            subsample in prop::sample::select(vec![0.0f64, 5e-3]),
-            window in 1usize..16,
-            seed in 0u64..1000,
-        ) {
-            let corpus = FlatCorpus::from_nested(&sentences);
-            let counts = corpus.token_counts(24, true);
-            let config = Word2VecConfig {
-                dim,
-                window,
-                epochs: 2,
-                mode,
-                threads: 1,
-                seed,
-                subsample,
-                ..Default::default()
-            };
-            // A job per run: each carries its own progress counter.
-            let owned = TrainJob::new(&corpus, &counts, &config).run_owned();
-            let shared = TrainJob::new(&corpus, &counts, &config).run_shared(1);
-            prop_assert_eq!(owned.len(), 24 * dim);
-            let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&owned), bits(&shared));
-        }
     }
 
     /// The negative-sampling loop as it was before targets were drawn
@@ -764,7 +639,6 @@ mod tests {
             Word2VecConfig {
                 dim: 8,
                 epochs: 2,
-                threads: 1,
                 subsample: 1e-3,
                 ..Default::default()
             },
@@ -780,7 +654,6 @@ mod tests {
             Word2VecConfig {
                 dim: 16,
                 epochs: 3,
-                threads: 2,
                 ..Default::default()
             },
         );

@@ -87,7 +87,7 @@ pub fn bench_config(base: &TdConfig) -> TdConfig {
         epochs: env_usize("TDMATCH_EPOCHS", epochs),
         threads: env_usize(
             "TDMATCH_THREADS",
-            tdmatch_embed::word2vec::default_threads(),
+            tdmatch_embed::walks::default_threads(),
         ),
         ..base.clone()
     }

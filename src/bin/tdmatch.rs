@@ -90,7 +90,8 @@ RUN OPTIONS:
     --walk-len N       steps per walk
     --dim N            embedding dimensionality
     --epochs N         Word2Vec epochs
-    --threads N        worker threads
+    --threads N        walk-generation threads; training runs on one, so
+                       any N gives the same fit
     --save PATH        write the fitted match artifact to PATH
     --save-graph PATH  write the fitted joint graph to PATH (reusable via `resume`)
     --stats            print graph composition (node/edge kinds, degrees, components)

@@ -1,14 +1,14 @@
-//! Root-level contract: single-worker Word2Vec training is a pinned
+//! Root-level contract: Word2Vec training (one worker) is a pinned
 //! function of (corpus, config), bit for bit.
 //!
 //! Every golden, ranking metric and delta ≡ refit proof in this repo
-//! rests on `train_corpus` at `threads = 1` producing the same matrix on
-//! every build. The crate-level property tests compare one build's
-//! storages with each other; this test pins the *absolute* trajectory so
+//! rests on `train_corpus` producing the same matrix on every build.
+//! The crate-level property tests compare one build's kernels with each
+//! other; this test pins the *absolute* trajectory so
 //! tier-1 cannot go green while a kernel change silently moves it.
 //!
 //! The expected hashes were recorded on the parent commit (9d58ffe, all
-//! weights in `AtomicU32` cells, scalar kernels), *before* the row
+//! weights in atomic cells, scalar kernels), *before* the row
 //! kernels were touched; the vectorized plain-`f32` path must reproduce
 //! them. Dim 80 is what the benchmark fits use; dim 100 (100 % 8 = 4)
 //! exercises the dot's scalar remainder loop and the 4-wide kernels'
@@ -83,7 +83,6 @@ fn trained_hash(mode: W2vMode, window: usize, dim: usize) -> u64 {
         initial_lr: 0.025,
         min_count: 1,
         mode,
-        threads: 1,
         seed: 7,
         subsample: 0.0,
     };
