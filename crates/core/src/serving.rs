@@ -33,7 +33,7 @@
 //! [`MatchArtifact::match_top_k`] ranking for the same document, at any
 //! batch composition. The protocol tests in `crates/serve` pin this.
 
-use tdmatch_embed::score::QueryBlock;
+use tdmatch_embed::score::{dot_unrolled, QueryBlock};
 
 use crate::artifact::{AnnSearch, AnnUsage, MatchArtifact, PersistError};
 
@@ -66,6 +66,11 @@ pub enum QueryError {
         /// The artifact's embedding dimensionality.
         want: usize,
     },
+    /// A [`Query::ByVector`] whose squared norm is not finite: an
+    /// infinite or NaN element, or finite elements whose squares
+    /// overflow `f32`. It has no direction to rank by; scored, it would
+    /// give every target NaN or `0.0`.
+    NonFinite,
 }
 
 impl std::fmt::Display for QueryError {
@@ -76,6 +81,9 @@ impl std::fmt::Display for QueryError {
             }
             QueryError::DimMismatch { got, want } => {
                 write!(f, "query vector has dim {got}, artifact expects {want}")
+            }
+            QueryError::NonFinite => {
+                write!(f, "query vector's squared norm is not a finite f32")
             }
         }
     }
@@ -251,14 +259,16 @@ impl Matcher {
 
     /// Embeds pre-processed tokens (mean of known term vectors, as in
     /// [`MatchArtifact::embed_tokens`]) and ranks the top-`k` targets.
-    /// All-unknown tokens yield an empty ranking. Tokenize with
-    /// `tdmatch-text`'s `Preprocessor::base_tokens` to match the fitted
-    /// vocabulary.
+    /// All-unknown tokens yield an empty ranking, and so does an
+    /// embedding that is not finite ([`QueryError::NonFinite`], which
+    /// only an artifact with huge term vectors can produce). Tokenize
+    /// with `tdmatch-text`'s `Preprocessor::base_tokens` to match the
+    /// fitted vocabulary.
     pub fn query_by_tokens<S: AsRef<str>>(&self, tokens: &[S], k: usize) -> Ranked {
         match self.artifact.embed_tokens(tokens) {
-            Some(v) => self
-                .query_by_vector(&v, k)
-                .expect("embed_tokens returns artifact-dim vectors"),
+            // `embed_tokens` returns artifact-dim vectors, so the only
+            // possible error is `NonFinite`.
+            Some(v) => self.query_by_vector(&v, k).unwrap_or_default(),
             None => Vec::new(),
         }
     }
@@ -329,6 +339,10 @@ impl Matcher {
                                 got: v.len(),
                                 want: self.dim(),
                             })
+                        } else if !dot_unrolled(v, v).is_finite() {
+                            // The squared norm `push_raw` normalizes by.
+                            block.push_missing();
+                            Some(QueryError::NonFinite)
                         } else {
                             block.push_raw(v);
                             None
@@ -508,6 +522,31 @@ mod tests {
             got[m.queries() + 2],
             Err(QueryError::DimMismatch { got: 1, want: 2 })
         );
+    }
+
+    #[test]
+    fn non_finite_vectors_are_rejected_and_the_batch_still_answers() {
+        let m = Matcher::new(artifact());
+        // `1e300` decodes from JSON to `inf`; `3e38` is finite, but its
+        // square overflows, so the norm would be `inf` and every score 0.
+        let overflowing = [
+            vec![f32::INFINITY, 0.5],
+            vec![f32::NAN, 0.5],
+            vec![3e38, 3e38],
+        ];
+        let mut queries: Vec<Query> = overflowing.iter().cloned().map(Query::ByVector).collect();
+        queries.push(Query::ById(0));
+        queries.push(Query::ByVector(vec![1e19, 0.5])); // large, but its square is finite
+        let got = batch(&m, &queries, 4);
+        for r in &got[..3] {
+            assert_eq!(r, &Err(QueryError::NonFinite));
+        }
+        assert_eq!(got[3], m.query_by_id(0, 4));
+        let ranked = got[4].as_ref().unwrap();
+        assert!(ranked.iter().all(|&(_, s)| s.is_finite()) && ranked[0].1 > 0.99);
+        for v in &overflowing {
+            assert_eq!(m.query_by_vector(v, 4), Err(QueryError::NonFinite));
+        }
     }
 
     #[test]
@@ -701,5 +740,6 @@ mod tests {
         assert!(e.contains('9') && e.contains('2'));
         let e = QueryError::DimMismatch { got: 3, want: 80 }.to_string();
         assert!(e.contains('3') && e.contains("80"));
+        assert!(QueryError::NonFinite.to_string().contains("finite"));
     }
 }

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use crate::corpus::FlatCorpus;
 use crate::neg_table::NegativeTable;
 use crate::vocab::Vocab;
-use crate::weights::OwnedMatrix;
+use crate::weights::{self, OwnedMatrix, Train};
 use crate::word2vec::NegativeStep;
 
 /// Hyper-parameters for PV-DBOW training.
@@ -119,35 +119,8 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
     if n_docs == 0 || counts.is_empty() || total_tokens == 0 {
         return vec![0.0; n_docs * config.dim];
     }
-    // Training is single-threaded, so the weights are plain owned `f32`
-    // and the row kernels vectorize (see `crate::weights`).
-    let mut docs_mat = OwnedMatrix::uniform_init(n_docs, config.dim, config.seed);
-    let mut words_mat = OwnedMatrix::zeroed(counts.len(), config.dim);
     let neg_table = NegativeTable::new(counts, (counts.len() * 32).max(1 << 18));
-    let mut step = NegativeStep::new(&neg_table, config.negative);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    // PV-DBOW evaluates the exact sigmoid, not Word2Vec's table.
-    let sigmoid = |f: f32| 1.0 / (1.0 + (-f).exp());
-
-    let total_pairs: u64 = total_tokens as u64 * config.epochs as u64;
-    let mut done = 0u64;
-    let mut buf = vec![0.0f32; config.dim];
-    let mut err = vec![0.0f32; config.dim];
-
-    for _ in 0..config.epochs {
-        for (doc_id, &words) in docs.iter().enumerate() {
-            for &word in words {
-                let lr = (config.initial_lr
-                    * (1.0 - done as f32 / total_pairs.max(1) as f32))
-                    .max(config.initial_lr * 1e-4);
-                done += 1;
-                docs_mat.read_row(doc_id, &mut buf);
-                step.run(&mut words_mat, &buf, &mut err, word as usize, lr, &mut rng, sigmoid);
-                docs_mat.add_to_row(doc_id, &err);
-            }
-        }
-    }
-    let mut out = docs_mat.into_vec();
+    let mut out = trained(docs, counts, config, &neg_table).docs_mat.into_vec();
     // Empty documents never trained: return zeros, not the random init
     // (consumers reading the full matrix must not see noise rows).
     for (doc_id, &words) in docs.iter().enumerate() {
@@ -156,6 +129,87 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
         }
     }
     out
+}
+
+/// A PV-DBOW model that has run every epoch, through the dispatched
+/// instantiation of its loop (see `crate::weights`).
+fn trained<'a>(
+    docs: &'a [&'a [u32]],
+    counts: &[u64],
+    config: &'a Doc2VecConfig,
+    neg_table: &'a NegativeTable,
+) -> PvDbow<'a> {
+    let mut model = PvDbow::new(docs, counts, config, neg_table);
+    weights::dispatch(&mut model);
+    model
+}
+
+/// PV-DBOW's training state. Training is single-threaded, so the weights
+/// are plain owned `f32` and the row kernels vectorize.
+struct PvDbow<'a> {
+    docs: &'a [&'a [u32]],
+    config: &'a Doc2VecConfig,
+    /// One row per document: the product.
+    docs_mat: OwnedMatrix,
+    /// One output row per word.
+    words_mat: OwnedMatrix,
+    step: NegativeStep<'a>,
+    rng: SmallRng,
+}
+
+impl<'a> PvDbow<'a> {
+    fn new(
+        docs: &'a [&'a [u32]],
+        counts: &[u64],
+        config: &'a Doc2VecConfig,
+        neg_table: &'a NegativeTable,
+    ) -> Self {
+        Self {
+            docs,
+            config,
+            docs_mat: OwnedMatrix::uniform_init(docs.len(), config.dim, config.seed),
+            words_mat: OwnedMatrix::zeroed(counts.len(), config.dim),
+            step: NegativeStep::new(neg_table, config.negative),
+            rng: SmallRng::seed_from_u64(config.seed),
+        }
+    }
+}
+
+impl Train for PvDbow<'_> {
+    /// Trains every epoch over every document.
+    #[inline(always)]
+    fn train(&mut self) {
+        let config = self.config;
+        // PV-DBOW evaluates the exact sigmoid, not Word2Vec's table.
+        let sigmoid = |f: f32| 1.0 / (1.0 + (-f).exp());
+        let total_tokens: usize = self.docs.iter().map(|d| d.len()).sum();
+        let total_pairs: u64 = total_tokens as u64 * config.epochs as u64;
+        let mut done = 0u64;
+        let mut buf = vec![0.0f32; config.dim];
+        let mut err = vec![0.0f32; config.dim];
+
+        for _ in 0..config.epochs {
+            for (doc_id, &words) in self.docs.iter().enumerate() {
+                for &word in words {
+                    let lr = (config.initial_lr
+                        * (1.0 - done as f32 / total_pairs.max(1) as f32))
+                        .max(config.initial_lr * 1e-4);
+                    done += 1;
+                    self.docs_mat.read_row(doc_id, &mut buf);
+                    self.step.run(
+                        &mut self.words_mat,
+                        &buf,
+                        &mut err,
+                        word as usize,
+                        lr,
+                        &mut self.rng,
+                        sigmoid,
+                    );
+                    self.docs_mat.add_to_row(doc_id, &err);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -212,6 +266,41 @@ mod tests {
         let m = Doc2Vec::train::<String>(&[], Doc2VecConfig::default());
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
+    }
+
+    /// On an AVX2 CPU, `train_bits` only ever runs PV-DBOW's AVX2
+    /// instantiation; this holds the default-target body to it, in both
+    /// matrices.
+    #[test]
+    fn dispatched_training_equals_the_plain_body() {
+        if !weights::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: dispatch runs the plain body, comparison skipped");
+            return;
+        }
+        // 30 documents of 0–11 word ids below 25, one of them empty.
+        let docs: Vec<Vec<u32>> = (0..30u32)
+            .map(|d| (0..(d * 5) % 12).map(|i| (d * 7 + i * i) % 25).collect())
+            .collect();
+        let slices: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
+        let mut counts = vec![1u64; 25];
+        for &w in docs.iter().flatten() {
+            counts[w as usize] += 1;
+        }
+        let bits = |m: OwnedMatrix| m.into_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for dim in [8, 80] {
+            let config = Doc2VecConfig {
+                dim,
+                epochs: 3,
+                seed: 4,
+                ..Default::default()
+            };
+            let neg_table = NegativeTable::new(&counts, 1 << 12);
+            let mut plain = PvDbow::new(&slices, &counts, &config, &neg_table);
+            plain.train();
+            let dispatched = trained(&slices, &counts, &config, &neg_table);
+            assert!(bits(plain.docs_mat) == bits(dispatched.docs_mat), "dim {dim}: documents");
+            assert!(bits(plain.words_mat) == bits(dispatched.words_mat), "dim {dim}: words");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`corpus`] — the [`FlatCorpus`] token arena all trainers consume;
 //! * [`word2vec`] — Skip-gram & CBOW with negative sampling, trained by
 //!   one worker over plain `f32` weights it owns (`weights`):
-//!   vectorized, and deterministic at any walk thread count;
+//!   vectorized (at AVX2 width when the CPU has it, chosen at run time,
+//!   the same bits either way), and deterministic at any walk thread
+//!   count;
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
 //! * [`walks`] — parallel random-walk corpus generation over a
 //!   [`tdmatch_graph::Graph`] or its [`tdmatch_graph::CsrGraph`] snapshot;

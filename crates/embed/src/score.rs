@@ -63,10 +63,14 @@ const TARGET_BLOCK_BYTES: usize = 32 * 1024;
 /// target-feature=+fma`).
 ///
 /// This is the one-row reference every dot in the crate reproduces bit
-/// for bit, [`dot_unrolled4`] included. At the default target it is
-/// bound by its add chain, not by memory: each lane pair lives in one
-/// `xmm` register, so a 96-dim dot is 12 dependent `addps` and scans
-/// an L2-resident matrix no faster than one streamed from memory.
+/// for bit, [`dot_unrolled4`] included. At the default `x86_64` target
+/// (SSE2, no flags), which is what the scan and the HNSW walk always
+/// run, it is bound by its add chain, not by memory: each lane pair
+/// lives in one `xmm` register, so a 96-dim dot is 12 dependent `addps`
+/// and scans an L2-resident matrix no faster than one streamed from
+/// memory. Training on a CPU with AVX2 runs it compiled for AVX2, where
+/// the 8 lanes fill one `ymm` register; the lanes, the reduction tree
+/// and the bits are the same (see `weights.rs`).
 #[inline]
 pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());

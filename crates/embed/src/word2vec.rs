@@ -9,6 +9,13 @@
 //! Training runs on one worker over weights it owns (see
 //! `crate::weights`), so the row kernels vectorize and the trained
 //! matrix is a function of (corpus, counts, config) alone, bit for bit.
+//! The worker's epoch loop runs through `weights::dispatch`: at AVX2
+//! width on a CPU that has it, at the default target's SSE2 width
+//! otherwise, with the same bits either way. What that loop calls per
+//! token — `train_sentence`, `train_pair`, `train_cbow`,
+//! `NegativeStep::run` and the row kernels — is `#[inline(always)]`,
+//! so it is compiled into the AVX2 instantiation. The four-row dot is
+//! the one exception (see `crate::weights`).
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -17,7 +24,7 @@ use crate::corpus::FlatCorpus;
 use crate::neg_table::NegativeTable;
 use crate::vectors::Embeddings;
 use crate::vocab::Vocab;
-use crate::weights::OwnedMatrix;
+use crate::weights::{self, OwnedMatrix, Train};
 
 /// Training objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,15 +162,22 @@ impl Word2Vec {
 /// are node ids and no string vocabulary is needed. The worker streams
 /// sentences straight out of the arena — no per-sentence pointer
 /// chasing — over plain `f32` weights it owns, so the row kernels
-/// vectorize (see `crate::weights`).
+/// vectorize, at the widest width this CPU offers that keeps the bits
+/// (see `crate::weights`).
 pub fn train_corpus(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig) -> Vec<f32> {
     if counts.is_empty() || corpus.is_empty() {
         return Vec::new();
     }
     let job = TrainJob::new(corpus, counts, config);
-    let mut worker = Worker::new(&job);
-    worker.train();
-    worker.syn0.into_vec()
+    trained(&job).syn0.into_vec()
+}
+
+/// A worker that has run every epoch of `job`, through the dispatched
+/// instantiation of its loop.
+fn trained<'a>(job: &'a TrainJob<'a>) -> Worker<'a> {
+    let mut worker = Worker::new(job);
+    weights::dispatch(&mut worker);
+    worker
 }
 
 /// Everything a training run reads but never writes. All of it is small
@@ -219,8 +233,11 @@ impl<'a> Worker<'a> {
             err: vec![0.0; dim],
         }
     }
+}
 
+impl Train for Worker<'_> {
     /// Trains every epoch over the whole corpus.
+    #[inline(always)]
     fn train(&mut self) {
         let TrainJob {
             corpus,
@@ -246,9 +263,12 @@ impl<'a> Worker<'a> {
             let _ = rng.random::<u64>();
         }
     }
+}
 
+impl Worker<'_> {
     // Index loops: positions matter (skip `pos`) and this is the hot path.
     #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
     fn train_sentence(&mut self, sent: &[u32], lr: f32, rng: &mut SmallRng) {
         let TrainJob {
             counts,
@@ -299,6 +319,7 @@ impl<'a> Worker<'a> {
     }
 
     /// One (input word, output word) update with negative sampling.
+    #[inline(always)]
     fn train_pair(&mut self, input: usize, output: usize, lr: f32, rng: &mut SmallRng) {
         let sigmoid = |f| self.job.sigmoid.get(f);
         self.syn0.read_row(input, &mut self.buf_in);
@@ -309,6 +330,7 @@ impl<'a> Worker<'a> {
     /// One CBOW update: mean of context predicts the center word.
     // Index loops: positions matter (skip `pos`) and this is the hot path.
     #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
     fn train_cbow(
         &mut self,
         sent: &[u32],
@@ -382,7 +404,7 @@ impl<'a> NegativeStep<'a> {
     /// time. Both orders give the same bits.
     // `syn1`, `input` and `err` are borrowed from disjoint worker fields.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     pub(crate) fn run(
         &mut self,
         syn1: &mut OwnedMatrix,
@@ -409,7 +431,12 @@ impl<'a> NegativeStep<'a> {
             for t in &mut fours {
                 self.dots.extend(syn1.dot_with_rows4([t[0], t[1], t[2], t[3]], input));
             }
-            self.dots.extend(fours.remainder().iter().map(|&t| syn1.dot_with_row(t, input)));
+            // A plain loop, not `extend(map(..))`: that compiles to an
+            // out-of-line `spec_extend`, which runs these dots at the
+            // default target's width whatever the dispatch.
+            for &t in fours.remainder() {
+                self.dots.push(syn1.dot_with_row(t, input));
+            }
         }
         err.fill(0.0);
         for (i, &target) in targets.iter().enumerate() {
@@ -610,6 +637,71 @@ mod tests {
             prop_assert_eq!(bits(&syn1.into_vec()), bits(&syn1_ref.into_vec()));
             prop_assert_eq!(bits(&syn0.into_vec()), bits(&syn0_ref.into_vec()));
             prop_assert_eq!(rng.random::<u64>(), rng_ref.random::<u64>());
+        }
+    }
+
+    /// `sentences` sentences of `len` word ids below `vocab`, skewed
+    /// towards low ids as walk corpora skew towards hubs, with counts.
+    fn id_corpus(vocab: u32, sentences: usize, len: usize, seed: u64) -> (FlatCorpus, Vec<u64>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut corpus = FlatCorpus::with_capacity(sentences, sentences * len);
+        for _ in 0..sentences {
+            let sent: Vec<u32> = (0..len)
+                .map(|_| rng.random_range(0..vocab).min(rng.random_range(0..vocab)))
+                .collect();
+            corpus.push(&sent);
+        }
+        let counts = corpus.token_counts(vocab as usize, true);
+        (corpus, counts)
+    }
+
+    /// Trains `config` over one corpus through the plain body, compiled
+    /// for the default target, and through the dispatched entry
+    /// `train_corpus` takes; both weight matrices must be the same bits.
+    fn assert_dispatch_keeps_bits(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig) {
+        let job = TrainJob::new(corpus, counts, config);
+        let mut plain = Worker::new(&job);
+        plain.train();
+        let dispatched = trained(&job);
+        let bits = |m: OwnedMatrix| m.into_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let what = format!("{:?}, dim {}, negative {}", config.mode, config.dim, config.negative);
+        assert!(bits(plain.syn0) == bits(dispatched.syn0), "{what}: syn0 differs");
+        assert!(bits(plain.syn1) == bits(dispatched.syn1), "{what}: syn1 differs");
+    }
+
+    /// On an AVX2 CPU, `train_bits` and `fit_bits` only ever run the
+    /// AVX2 instantiation; this holds the default-target body to it.
+    #[test]
+    fn dispatched_training_equals_the_plain_body() {
+        if !weights::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: dispatch runs the plain body, comparison skipped");
+            return;
+        }
+        let (corpus, counts) = id_corpus(40, 60, 12, 5);
+        // Three words and eight negatives: nearly every step repeats a
+        // target, so it dots and updates one target at a time.
+        let (tiny, tiny_counts) = id_corpus(3, 20, 8, 6);
+        for mode in [W2vMode::SkipGram, W2vMode::Cbow] {
+            let config = |dim, negative| Word2VecConfig {
+                dim,
+                window: 4,
+                negative,
+                epochs: 2,
+                mode,
+                seed: 9,
+                ..Default::default()
+            };
+            for dim in [1, 7, 8, 9, 17, 80, 96] {
+                assert_dispatch_keeps_bits(&corpus, &counts, &config(dim, 5));
+            }
+            for dim in [8, 17] {
+                assert_dispatch_keeps_bits(&tiny, &tiny_counts, &config(dim, 8));
+            }
+            let subsampled = Word2VecConfig {
+                subsample: 1e-2,
+                ..config(17, 5)
+            };
+            assert_dispatch_keeps_bits(&corpus, &counts, &subsampled);
         }
     }
 

@@ -57,10 +57,13 @@ impl Json {
         }
     }
 
-    /// This value as a `u64`, if it is a non-negative integral number.
+    /// This value as a `u64`, if it is a non-negative integral number
+    /// below 2^64.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, so the bound is strict:
+            // 2^64 itself would saturate to `u64::MAX` in the cast.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -498,5 +501,19 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_num(), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("n"), None);
+
+        // 2^64 and above are out of `u64` range, not saturated to its max.
+        let v = parse(
+            r#"{"top": 18446744073709551615, "two64": 18446744073709551616, "big": 1e20,
+                "exact": 9007199254740992, "below": 18446744073709549568}"#,
+        )
+        .unwrap();
+        // 2^64 − 1 has no f64 form: the literal parses to 2^64.
+        assert_eq!(v.get("top").unwrap().as_u64(), None);
+        assert_eq!(v.get("two64").unwrap().as_u64(), None);
+        assert_eq!(v.get("big").unwrap().as_u64(), None);
+        assert_eq!(v.get("exact").unwrap().as_u64(), Some(1 << 53));
+        // The largest f64 below 2^64.
+        assert_eq!(v.get("below").unwrap().as_u64(), Some(u64::MAX - 2047));
     }
 }

@@ -54,7 +54,9 @@ pub enum ErrorCode {
     UnknownOp,
     /// A `query_id` document index at or beyond the query corpus.
     UnknownId,
-    /// A `query_vector` vector whose length is not the artifact dim.
+    /// A `query_vector` vector whose length is not the artifact dim, or
+    /// whose squared norm is not a finite `f32` (an element beyond
+    /// `f32`'s range decodes to infinity).
     BadVector,
     /// The daemon is draining and no longer accepts queries.
     ShuttingDown,
@@ -941,6 +943,14 @@ mod tests {
             }
         );
         assert_eq!(r.id, 0);
+    }
+
+    #[test]
+    fn an_id_past_u64_reads_as_absent_not_saturated() {
+        let r = Request::decode(br#"{"id":18446744073709551616,"op":"ping"}"#).unwrap();
+        assert_eq!(r.id, 0);
+        let r = Request::decode(br#"{"id":18446744073709549568,"op":"ping"}"#).unwrap();
+        assert_eq!(r.id, u64::MAX - 2047);
     }
 
     #[test]

@@ -997,7 +997,9 @@ fn answer_batch(inner: &ServerInner, block: &mut Option<QueryBlock>, batch: Vec<
                     ResponseBody::Error {
                         code: match e {
                             QueryError::UnknownId { .. } => ErrorCode::UnknownId,
-                            QueryError::DimMismatch { .. } => ErrorCode::BadVector,
+                            QueryError::DimMismatch { .. } | QueryError::NonFinite => {
+                                ErrorCode::BadVector
+                            }
                         },
                         message: e.to_string(),
                     }

@@ -253,6 +253,39 @@ fn per_request_errors_use_the_spec_codes_and_keep_the_connection() {
     drop(server);
 }
 
+#[test]
+fn non_finite_vectors_answer_bad_vector_and_keep_the_connection() {
+    let (server, socket) = start("nonfinite", BatchOptions::default());
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut exchange = |payload: &str| {
+        stream.write_all(&frame(payload.as_bytes())).expect("write");
+        let payload = read_frame(&mut stream).expect("readable").expect("answer");
+        Response::decode(&payload).expect("a decodable response")
+    };
+    // `1e300` is past f32 range and decodes to `inf`; `3e38` is finite,
+    // but its square overflows, so the norm would.
+    let requests = [
+        r#"{"id":1,"op":"query_vector","k":3,"vector":[1e300,0.5,0,0,0,0,0,0]}"#,
+        r#"{"id":2,"op":"query_vector","k":3,"vector":[3e38,3e38,0,0,0,0,0,0]}"#,
+    ];
+    for (id, request) in (1..).zip(requests) {
+        let r = exchange(request);
+        assert_eq!(r.id, id);
+        match r.body {
+            ResponseBody::Error { code, .. } => assert_eq!(code, ErrorCode::BadVector),
+            other => panic!("expected bad_vector, got {other:?}"),
+        }
+    }
+    // The same connection still serves good queries afterwards.
+    let r = exchange(r#"{"id":3,"op":"query_id","doc":0,"k":3}"#);
+    assert_eq!(r.id, 3);
+    match r.body {
+        ResponseBody::Matches { matches, .. } => assert_eq!(matches.len(), 3),
+        other => panic!("expected matches, got {other:?}"),
+    }
+    drop(server);
+}
+
 /// Writes raw bytes and reads one response frame off the same stream.
 fn raw_exchange(socket: &PathBuf, bytes: &[u8]) -> Option<Response> {
     let mut stream = UnixStream::connect(socket).expect("connect");

@@ -77,6 +77,8 @@ fn hash_answers(h: &mut Fnv, answers: &[Result<Ranked, QueryError>]) {
                 h.word(*got as u64);
                 h.word(*want as u64);
             }
+            // The pinned batch holds no non-finite vector.
+            Err(QueryError::NonFinite) => h.word(u64::MAX - 2),
         }
     }
 }

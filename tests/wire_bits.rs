@@ -98,7 +98,9 @@ fn facade(a: &MatchArtifact, ann: bool) -> Vec<Answer> {
         .map(|r| match r {
             Ok(ranked) => Ok(bits(&ranked)),
             Err(QueryError::UnknownId { .. }) => Err(ErrorCode::UnknownId),
-            Err(QueryError::DimMismatch { .. }) => Err(ErrorCode::BadVector),
+            Err(QueryError::DimMismatch { .. } | QueryError::NonFinite) => {
+                Err(ErrorCode::BadVector)
+            }
         })
         .collect()
 }
