@@ -67,6 +67,9 @@ pub mod batch;
 pub mod json;
 pub mod protocol;
 
+#[cfg(test)]
+mod codec_prop;
+
 #[cfg(unix)]
 pub mod client;
 #[cfg(unix)]

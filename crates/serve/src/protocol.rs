@@ -18,6 +18,17 @@
 //! [`ErrorCode::Oversized`] / [`ErrorCode::BadFrame`] and closes the
 //! connection, since the stream can no longer be trusted.
 //!
+//! # Payloads
+//!
+//! Encoders stream through [`json::Writer`] and decoders pull through
+//! [`json::Reader`]; no JSON tree is built either way.
+//! Members are written in key order, so the bytes are the ones the tree
+//! would print. A decoder accepts members in any order (the last
+//! duplicate of a key wins), skips unknown members after checking their
+//! syntax, and reads the whole document before judging its shape: any
+//! syntax error is [`ErrorCode::BadJson`] with id 0, whatever else is
+//! wrong with the message.
+//!
 //! # Score fidelity
 //!
 //! Scores are `f32`s widened to `f64` before encoding (exact) and
@@ -27,7 +38,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::json::{obj, parse, Json};
+use crate::json::{self, ParseError, Reader, Writer};
 
 /// Hard ceiling on a frame's payload size (1 MiB). A `query_vector`
 /// request for the largest supported artifact dim fits comfortably;
@@ -36,6 +47,11 @@ pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Default `k` when a query request omits it.
 pub const DEFAULT_K: usize = 5;
+
+/// Request ids must stay below 2^53, where JSON numbers stop being
+/// exact integers; a request whose id is a number at or above it is
+/// answered `bad_request` with id 0 rather than echoed rounded.
+pub const ID_LIMIT: u64 = 1 << 53;
 
 /// Machine-readable failure classes, carried in the `code` field of
 /// error responses.
@@ -172,8 +188,9 @@ pub enum RequestBody {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id (0 if omitted). Must stay below
-    /// 2^53: ids travel as JSON numbers, so larger values lose
-    /// precision in any standards-conforming peer.
+    /// [`ID_LIMIT`] (2^53): ids travel as JSON numbers, so larger values
+    /// lose precision in any standards-conforming peer, and the daemon
+    /// refuses them.
     pub id: u64,
     /// The operation.
     pub body: RequestBody,
@@ -515,121 +532,168 @@ fn malformed(code: ErrorCode, id: u64, message: impl Into<String>) -> MalformedM
     }
 }
 
-/// Extracts `id` (default 0) from a JSON message, if it is an object.
-fn message_id(v: &Json) -> u64 {
-    v.get("id").and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn parse_payload(payload: &[u8]) -> Result<Json, MalformedMessage> {
+/// Reads a whole payload with `read`, then checks that nothing follows
+/// the document. Any syntax error anywhere is `bad_json` with id 0, so a
+/// decoder makes no shape decision before the whole document is read.
+fn read_payload<'a>(
+    payload: &'a [u8],
+    read: impl FnOnce(&mut Reader<'a>) -> Result<bool, ParseError>,
+) -> Result<bool, MalformedMessage> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| malformed(ErrorCode::BadJson, 0, "payload is not UTF-8"))?;
-    parse(text).map_err(|e| malformed(ErrorCode::BadJson, 0, e.to_string()))
+    let mut r = Reader::new(text);
+    read(&mut r)
+        .and_then(|read_obj| r.end().map(|()| read_obj))
+        .map_err(|e| malformed(ErrorCode::BadJson, 0, e.to_string()))
 }
 
-fn field_k(v: &Json, id: u64) -> Result<usize, MalformedMessage> {
-    match v.get("k") {
-        None => Ok(DEFAULT_K),
-        Some(k) => k
-            .as_usize()
-            .ok_or_else(|| malformed(ErrorCode::BadRequest, id, "k must be a non-negative integer")),
-    }
+/// A `vector` member: `None` when it is not an array, `Some(None)` when
+/// an element is not a number.
+fn read_vector(r: &mut Reader) -> Result<Option<Option<Vec<f32>>>, ParseError> {
+    let mut vector = Some(Vec::new());
+    let read_arr = r.arr(|r| {
+        match (r.num()?, &mut vector) {
+            (Some(x), Some(v)) => v.push(x as f32),
+            (None, _) => vector = None,
+            (Some(_), None) => {}
+        }
+        Ok(())
+    })?;
+    Ok(read_arr.then_some(vector))
 }
 
-fn field_ann(v: &Json, id: u64) -> Result<Option<bool>, MalformedMessage> {
-    match v.get("ann") {
-        None => Ok(None),
-        Some(Json::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(malformed(ErrorCode::BadRequest, id, "ann must be a boolean")),
-    }
+/// A ranking as read, or what is wrong with its first bad entry.
+type Ranking = Result<Vec<(usize, f32)>, &'static str>;
+
+/// A `matches` member: `None` when it is not an array.
+fn read_matches(r: &mut Reader) -> Result<Option<Ranking>, ParseError> {
+    let mut matches = Ok(Vec::new());
+    let read_arr = r.arr(|r| {
+        let (mut len, mut target, mut score) = (0, None, None);
+        let pair = r.arr(|r| {
+            match len {
+                0 => target = r.num()?,
+                1 => score = r.num()?,
+                _ => r.skip()?,
+            }
+            len += 1;
+            Ok(())
+        })?;
+        let entry = match (target.and_then(json::as_usize), score) {
+            _ if !pair || len != 2 => Err("matches entries must be [target, score] pairs"),
+            (None, _) => Err("bad target index"),
+            (_, None) => Err("bad score"),
+            (Some(t), Some(s)) => Ok((t, s as f32)),
+        };
+        if let Ok(list) = &mut matches {
+            match entry {
+                Ok(entry) => list.push(entry),
+                Err(why) => matches = Err(why),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(read_arr.then_some(matches))
 }
 
 impl Request {
     /// Encodes to the wire JSON text.
     pub fn encode(&self) -> String {
-        let mut members = vec![("id", Json::Num(self.id as f64))];
-        let push_ann = |members: &mut Vec<(&str, Json)>, ann: &Option<bool>| {
-            if let Some(ann) = ann {
-                members.push(("ann", Json::Bool(*ann)));
-            }
+        let (op, k, ann) = match &self.body {
+            RequestBody::QueryId { k, ann, .. } => ("query_id", Some(*k), *ann),
+            RequestBody::QueryText { k, ann, .. } => ("query_text", Some(*k), *ann),
+            RequestBody::QueryVector { k, ann, .. } => ("query_vector", Some(*k), *ann),
+            RequestBody::Ping => ("ping", None, None),
+            RequestBody::Stats => ("stats", None, None),
+            RequestBody::Reload => ("reload", None, None),
+            RequestBody::Shutdown => ("shutdown", None, None),
         };
-        match &self.body {
-            RequestBody::QueryId { doc, k, ann } => {
-                members.push(("op", Json::Str("query_id".into())));
-                members.push(("doc", Json::Num(*doc as f64)));
-                members.push(("k", Json::Num(*k as f64)));
-                push_ann(&mut members, ann);
+        let mut out = String::with_capacity(64);
+        // Members in key order: ann, doc, id, k, op, text, vector.
+        Writer::new(&mut out).obj(|w| {
+            if let Some(ann) = ann {
+                w.key("ann").bool(ann);
             }
-            RequestBody::QueryText { text, k, ann } => {
-                members.push(("op", Json::Str("query_text".into())));
-                members.push(("text", Json::Str(text.clone())));
-                members.push(("k", Json::Num(*k as f64)));
-                push_ann(&mut members, ann);
+            if let RequestBody::QueryId { doc, .. } = &self.body {
+                w.key("doc").num(*doc as f64);
             }
-            RequestBody::QueryVector { vector, k, ann } => {
-                members.push(("op", Json::Str("query_vector".into())));
-                members.push((
-                    "vector",
-                    Json::Arr(vector.iter().map(|&x| Json::Num(x as f64)).collect()),
-                ));
-                members.push(("k", Json::Num(*k as f64)));
-                push_ann(&mut members, ann);
+            w.key("id").num(self.id as f64);
+            if let Some(k) = k {
+                w.key("k").num(k as f64);
             }
-            RequestBody::Ping => members.push(("op", Json::Str("ping".into()))),
-            RequestBody::Stats => members.push(("op", Json::Str("stats".into()))),
-            RequestBody::Reload => members.push(("op", Json::Str("reload".into()))),
-            RequestBody::Shutdown => members.push(("op", Json::Str("shutdown".into()))),
-        }
-        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).encode()
+            w.key("op").str(op);
+            match &self.body {
+                RequestBody::QueryText { text, .. } => w.key("text").str(text),
+                RequestBody::QueryVector { vector, .. } => w
+                    .key("vector")
+                    .arr(|w| vector.iter().for_each(|&x| w.num(x as f64))),
+                _ => {}
+            }
+        });
+        out
     }
 
     /// Decodes a request payload. On failure the error carries the best
     /// available correlation id and the protocol error class to answer
     /// with.
     pub fn decode(payload: &[u8]) -> Result<Self, MalformedMessage> {
-        let v = parse_payload(payload)?;
-        if !matches!(v, Json::Obj(_)) {
+        // Every member is read first (the last duplicate of a key wins,
+        // unknown members are skipped); the shape is judged after.
+        let (mut id, mut op, mut doc, mut text) = (None, None, None, None);
+        let (mut k, mut ann, mut vector) = (None, None, None);
+        let read_obj = read_payload(payload, |r| {
+            r.obj(|r, key| {
+                match &*key {
+                    "id" => id = r.num()?,
+                    "op" => op = r.str()?,
+                    "doc" => doc = r.num()?,
+                    "text" => text = r.str()?,
+                    "k" => k = Some(r.num()?),
+                    "ann" => ann = Some(r.bool()?),
+                    "vector" => vector = read_vector(r)?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+        })?;
+        if !read_obj {
             return Err(malformed(ErrorCode::BadRequest, 0, "request must be an object"));
         }
-        let id = message_id(&v);
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| malformed(ErrorCode::BadRequest, id, "missing op field"))?;
-        let body = match op {
+        if id.is_some_and(|n| n >= ID_LIMIT as f64) {
+            return Err(malformed(ErrorCode::BadRequest, 0, "id must be below 2^53"));
+        }
+        let id = id.and_then(json::as_u64).unwrap_or(0);
+        let bad = |message: &str| malformed(ErrorCode::BadRequest, id, message);
+        let op = op.ok_or_else(|| bad("missing op field"))?;
+        let k = || match k {
+            None => Ok(DEFAULT_K),
+            Some(k) => k
+                .and_then(json::as_usize)
+                .ok_or_else(|| bad("k must be a non-negative integer")),
+        };
+        let ann = || ann.map(|ann| ann.ok_or_else(|| bad("ann must be a boolean"))).transpose();
+        let body = match &*op {
             "query_id" => RequestBody::QueryId {
-                doc: v
-                    .get("doc")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| malformed(ErrorCode::BadRequest, id, "query_id requires a doc index"))?,
-                k: field_k(&v, id)?,
-                ann: field_ann(&v, id)?,
+                doc: doc
+                    .and_then(json::as_usize)
+                    .ok_or_else(|| bad("query_id requires a doc index"))?,
+                k: k()?,
+                ann: ann()?,
             },
             "query_text" => RequestBody::QueryText {
-                text: v
-                    .get("text")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| malformed(ErrorCode::BadRequest, id, "query_text requires a text string"))?
-                    .to_string(),
-                k: field_k(&v, id)?,
-                ann: field_ann(&v, id)?,
+                text: text
+                    .ok_or_else(|| bad("query_text requires a text string"))?
+                    .into_owned(),
+                k: k()?,
+                ann: ann()?,
             },
-            "query_vector" => {
-                let arr = v
-                    .get("vector")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| malformed(ErrorCode::BadRequest, id, "query_vector requires a vector array"))?;
-                let mut vector = Vec::with_capacity(arr.len());
-                for x in arr {
-                    vector.push(x.as_num().ok_or_else(|| {
-                        malformed(ErrorCode::BadRequest, id, "vector elements must be numbers")
-                    })? as f32);
-                }
-                RequestBody::QueryVector {
-                    vector,
-                    k: field_k(&v, id)?,
-                    ann: field_ann(&v, id)?,
-                }
-            }
+            "query_vector" => RequestBody::QueryVector {
+                vector: vector
+                    .ok_or_else(|| bad("query_vector requires a vector array"))?
+                    .ok_or_else(|| bad("vector elements must be numbers"))?,
+                k: k()?,
+                ann: ann()?,
+            },
             "ping" => RequestBody::Ping,
             "stats" => RequestBody::Stats,
             "reload" => RequestBody::Reload,
@@ -647,186 +711,207 @@ impl Request {
 }
 
 impl StatsSnapshot {
-    fn to_json(self) -> Json {
-        obj([
-            ("requests", Json::Num(self.requests as f64)),
-            ("batched_requests", Json::Num(self.batched_requests as f64)),
-            ("batches", Json::Num(self.batches as f64)),
-            ("coalesced", Json::Num(self.coalesced as f64)),
-            ("errors", Json::Num(self.errors as f64)),
-            ("max_batch", Json::Num(self.max_batch as f64)),
-            ("mean_batch", Json::Num(self.mean_batch())),
-            ("shed", Json::Num(self.shed as f64)),
-            ("evicted", Json::Num(self.evicted as f64)),
-            ("reloads", Json::Num(self.reloads as f64)),
-            ("reload_failures", Json::Num(self.reload_failures as f64)),
-            ("generation", Json::Num(self.generation as f64)),
-            ("ann_queries", Json::Num(self.ann_queries as f64)),
-            ("exact_queries", Json::Num(self.exact_queries as f64)),
-            ("pooled", Json::Num(self.pooled as f64)),
-            ("mean_pool", Json::Num(self.mean_pool())),
-            ("workers", Json::Num(self.workers as f64)),
-            ("shards", Json::Num(self.shards as f64)),
-            ("inflight", Json::Num(self.inflight as f64)),
-            ("queue_depth", Json::Num(self.queue_depth as f64)),
-            ("uptime_secs", Json::Num(self.uptime_secs)),
-        ])
+    /// The wire members, in key order.
+    fn members(&self) -> [(&'static str, f64); 21] {
+        [
+            ("ann_queries", self.ann_queries as f64),
+            ("batched_requests", self.batched_requests as f64),
+            ("batches", self.batches as f64),
+            ("coalesced", self.coalesced as f64),
+            ("errors", self.errors as f64),
+            ("evicted", self.evicted as f64),
+            ("exact_queries", self.exact_queries as f64),
+            ("generation", self.generation as f64),
+            ("inflight", self.inflight as f64),
+            ("max_batch", self.max_batch as f64),
+            ("mean_batch", self.mean_batch()),
+            ("mean_pool", self.mean_pool()),
+            ("pooled", self.pooled as f64),
+            ("queue_depth", self.queue_depth as f64),
+            ("reload_failures", self.reload_failures as f64),
+            ("reloads", self.reloads as f64),
+            ("requests", self.requests as f64),
+            ("shards", self.shards as f64),
+            ("shed", self.shed as f64),
+            ("uptime_secs", self.uptime_secs),
+            ("workers", self.workers as f64),
+        ]
     }
 
-    fn from_json(v: &Json) -> Option<Self> {
+    /// Reads a snapshot object; `None` when the value is not one.
+    fn read(r: &mut Reader) -> Result<Option<Self>, ParseError> {
+        let mut seen = Vec::new();
+        let read_obj = r.obj(|r, key| {
+            seen.push((key, r.num()?));
+            Ok(())
+        })?;
+        // The last duplicate of a key wins, as everywhere.
+        let num = |key: &str| seen.iter().rev().find(|(k, _)| k == key).and_then(|(_, n)| *n);
+        let count = |key: &str| num(key).and_then(json::as_u64);
         // Counters added after the first release (the ANN trio, then
         // the scoring-pool quartet) default to zero so snapshots
         // emitted by older daemons still parse.
-        let u64_or_zero = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-        Some(StatsSnapshot {
-            requests: v.get("requests")?.as_u64()?,
-            batched_requests: v.get("batched_requests")?.as_u64()?,
-            batches: v.get("batches")?.as_u64()?,
-            coalesced: v.get("coalesced")?.as_u64()?,
-            errors: v.get("errors")?.as_u64()?,
-            max_batch: v.get("max_batch")?.as_u64()?,
-            shed: v.get("shed")?.as_u64()?,
-            evicted: v.get("evicted")?.as_u64()?,
-            reloads: v.get("reloads")?.as_u64()?,
-            reload_failures: v.get("reload_failures")?.as_u64()?,
-            generation: v.get("generation")?.as_u64()?,
-            ann_queries: u64_or_zero("ann_queries"),
-            exact_queries: u64_or_zero("exact_queries"),
-            pooled: u64_or_zero("pooled"),
-            workers: u64_or_zero("workers"),
-            shards: u64_or_zero("shards"),
-            inflight: u64_or_zero("inflight"),
-            queue_depth: u64_or_zero("queue_depth"),
-            uptime_secs: v.get("uptime_secs")?.as_num()?,
-        })
+        let count_or_zero = |key: &str| count(key).unwrap_or(0);
+        let snapshot = || {
+            Some(StatsSnapshot {
+                requests: count("requests")?,
+                batched_requests: count("batched_requests")?,
+                batches: count("batches")?,
+                coalesced: count("coalesced")?,
+                errors: count("errors")?,
+                max_batch: count("max_batch")?,
+                shed: count("shed")?,
+                evicted: count("evicted")?,
+                reloads: count("reloads")?,
+                reload_failures: count("reload_failures")?,
+                generation: count("generation")?,
+                ann_queries: count_or_zero("ann_queries"),
+                exact_queries: count_or_zero("exact_queries"),
+                pooled: count_or_zero("pooled"),
+                workers: count_or_zero("workers"),
+                shards: count_or_zero("shards"),
+                inflight: count_or_zero("inflight"),
+                queue_depth: count_or_zero("queue_depth"),
+                uptime_secs: num("uptime_secs")?,
+            })
+        };
+        Ok(if read_obj { snapshot() } else { None })
     }
 }
 
 impl Response {
     /// Encodes to the wire JSON text.
     pub fn encode(&self) -> String {
-        let mut members = vec![("id", Json::Num(self.id as f64))];
-        match &self.body {
+        let id = self.id as f64;
+        let listed = match &self.body {
+            ResponseBody::Matches { matches, .. } => matches.len(),
+            _ => 0,
+        };
+        let mut out = String::with_capacity(64 + 28 * listed);
+        // Members in key order: batch, code, error, generation, id,
+        // matches, ok, pong, reloaded, stats, stopping.
+        Writer::new(&mut out).obj(|w| match &self.body {
             ResponseBody::Matches { matches, batch } => {
-                members.push(("ok", Json::Bool(true)));
-                members.push((
-                    "matches",
-                    Json::Arr(
-                        matches
-                            .iter()
-                            .map(|&(t, s)| {
-                                Json::Arr(vec![Json::Num(t as f64), Json::Num(s as f64)])
-                            })
-                            .collect(),
-                    ),
-                ));
-                members.push(("batch", Json::Num(*batch as f64)));
+                w.key("batch").num(*batch as f64);
+                w.key("id").num(id);
+                w.key("matches").arr(|w| {
+                    for &(t, s) in matches {
+                        w.arr(|w| {
+                            w.num(t as f64);
+                            w.num(s as f64);
+                        });
+                    }
+                });
+                w.key("ok").bool(true);
             }
             ResponseBody::Pong => {
-                members.push(("ok", Json::Bool(true)));
-                members.push(("pong", Json::Bool(true)));
+                w.key("id").num(id);
+                w.key("ok").bool(true);
+                w.key("pong").bool(true);
             }
             ResponseBody::Stats(stats) => {
-                members.push(("ok", Json::Bool(true)));
-                members.push(("stats", stats.to_json()));
+                w.key("id").num(id);
+                w.key("ok").bool(true);
+                w.key("stats").obj(|w| {
+                    for (key, n) in stats.members() {
+                        w.key(key).num(n);
+                    }
+                });
             }
             ResponseBody::Reloaded { generation } => {
-                members.push(("ok", Json::Bool(true)));
-                members.push(("reloaded", Json::Bool(true)));
-                members.push(("generation", Json::Num(*generation as f64)));
+                w.key("generation").num(*generation as f64);
+                w.key("id").num(id);
+                w.key("ok").bool(true);
+                w.key("reloaded").bool(true);
             }
             ResponseBody::Stopping => {
-                members.push(("ok", Json::Bool(true)));
-                members.push(("stopping", Json::Bool(true)));
+                w.key("id").num(id);
+                w.key("ok").bool(true);
+                w.key("stopping").bool(true);
             }
             ResponseBody::Error { code, message } => {
-                members.push(("ok", Json::Bool(false)));
-                members.push(("code", Json::Str(code.as_str().into())));
-                members.push(("error", Json::Str(message.clone())));
+                w.key("code").str(code.as_str());
+                w.key("error").str(message);
+                w.key("id").num(id);
+                w.key("ok").bool(false);
             }
-        }
-        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).encode()
+        });
+        out
     }
 
     /// Decodes a response payload (the client side).
     pub fn decode(payload: &[u8]) -> Result<Self, MalformedMessage> {
-        let v = parse_payload(payload)?;
-        let id = message_id(&v);
-        let bad = |msg: &str| malformed(ErrorCode::BadRequest, id, msg);
-        let ok = v
-            .get("ok")
-            .and_then(|b| match b {
-                Json::Bool(b) => Some(*b),
-                _ => None,
+        // As for requests: read every member, then judge the shape.
+        let (mut id, mut ok, mut code, mut error) = (None, None, None, None);
+        let (mut matches, mut batch, mut stats, mut generation) = (None, None, None, None);
+        let (mut pong, mut reloaded, mut stopping) = (false, false, false);
+        read_payload(payload, |r| {
+            r.obj(|r, key| {
+                match &*key {
+                    "id" => id = r.num()?,
+                    "ok" => ok = r.bool()?,
+                    "code" => code = r.str()?,
+                    "error" => error = r.str()?,
+                    "matches" => matches = read_matches(r)?,
+                    "batch" => batch = r.num()?,
+                    "stats" => stats = Some(StatsSnapshot::read(r)?),
+                    "generation" => generation = r.num()?,
+                    // Presence alone marks these shapes.
+                    "pong" => {
+                        pong = true;
+                        r.skip()?
+                    }
+                    "reloaded" => {
+                        reloaded = true;
+                        r.skip()?
+                    }
+                    "stopping" => {
+                        stopping = true;
+                        r.skip()?
+                    }
+                    _ => r.skip()?,
+                }
+                Ok(())
             })
-            .ok_or_else(|| bad("missing ok field"))?;
-        if !ok {
-            let code = v
-                .get("code")
-                .and_then(Json::as_str)
-                .and_then(ErrorCode::parse)
-                .ok_or_else(|| bad("error response without a known code"))?;
-            let message = v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            return Ok(Response {
-                id,
-                body: ResponseBody::Error { code, message },
-            });
-        }
-        if let Some(arr) = v.get("matches").and_then(Json::as_arr) {
-            let mut matches = Vec::with_capacity(arr.len());
-            for pair in arr {
-                let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                    bad("matches entries must be [target, score] pairs")
-                })?;
-                let t = pair[0].as_usize().ok_or_else(|| bad("bad target index"))?;
-                let s = pair[1].as_num().ok_or_else(|| bad("bad score"))? as f32;
-                matches.push((t, s));
+        })?;
+        let id = id.and_then(json::as_u64).unwrap_or(0);
+        let bad = |message: &str| malformed(ErrorCode::BadRequest, id, message);
+        let body = if !ok.ok_or_else(|| bad("missing ok field"))? {
+            ResponseBody::Error {
+                code: code
+                    .as_deref()
+                    .and_then(ErrorCode::parse)
+                    .ok_or_else(|| bad("error response without a known code"))?,
+                message: error.unwrap_or_default().into_owned(),
             }
-            let batch = v
-                .get("batch")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad("matches response without batch size"))?;
-            return Ok(Response {
-                id,
-                body: ResponseBody::Matches { matches, batch },
-            });
-        }
-        if v.get("pong").is_some() {
-            return Ok(Response {
-                id,
-                body: ResponseBody::Pong,
-            });
-        }
-        if let Some(stats) = v.get("stats") {
-            let stats = StatsSnapshot::from_json(stats).ok_or_else(|| bad("bad stats object"))?;
-            return Ok(Response {
-                id,
-                body: ResponseBody::Stats(stats),
-            });
-        }
-        if v.get("reloaded").is_some() {
-            let generation = v
-                .get("generation")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("reloaded response without a generation"))?;
-            return Ok(Response {
-                id,
-                body: ResponseBody::Reloaded { generation },
-            });
-        }
-        if v.get("stopping").is_some() {
-            return Ok(Response {
-                id,
-                body: ResponseBody::Stopping,
-            });
-        }
-        Err(bad("unrecognized response shape"))
+        } else if let Some(matches) = matches {
+            ResponseBody::Matches {
+                matches: matches.map_err(bad)?,
+                batch: batch
+                    .and_then(json::as_usize)
+                    .ok_or_else(|| bad("matches response without batch size"))?,
+            }
+        } else if pong {
+            ResponseBody::Pong
+        } else if let Some(stats) = stats {
+            ResponseBody::Stats(stats.ok_or_else(|| bad("bad stats object"))?)
+        } else if reloaded {
+            ResponseBody::Reloaded {
+                generation: generation
+                    .and_then(json::as_u64)
+                    .ok_or_else(|| bad("reloaded response without a generation"))?,
+            }
+        } else if stopping {
+            ResponseBody::Stopping
+        } else {
+            return Err(bad("unrecognized response shape"));
+        };
+        Ok(Response { id, body })
     }
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -946,11 +1031,33 @@ mod tests {
     }
 
     #[test]
-    fn an_id_past_u64_reads_as_absent_not_saturated() {
-        let r = Request::decode(br#"{"id":18446744073709551616,"op":"ping"}"#).unwrap();
-        assert_eq!(r.id, 0);
-        let r = Request::decode(br#"{"id":18446744073709549568,"op":"ping"}"#).unwrap();
-        assert_eq!(r.id, u64::MAX - 2047);
+    fn ids_at_or_past_2_pow_53_are_refused_not_echoed_rounded() {
+        for id in [
+            "9007199254740992",
+            "9007199254740993",
+            "1152921504606846977",
+            "18446744073709549568",
+            "18446744073709551616",
+            "1e300",
+        ] {
+            let payload = format!(r#"{{"id":{id},"op":"ping"}}"#);
+            for err in [
+                Request::decode(payload.as_bytes()).unwrap_err(),
+                reference::decode_request(payload.as_bytes()).unwrap_err(),
+            ] {
+                assert_eq!((err.code, err.id), (ErrorCode::BadRequest, 0), "{payload}");
+            }
+        }
+        // 2^53 − 1 is the largest id carried, and echoed verbatim.
+        let r = Request::decode(br#"{"id":9007199254740991,"op":"ping"}"#).unwrap();
+        assert_eq!(r.id, ID_LIMIT - 1);
+        let echoed = Response { id: r.id, body: ResponseBody::Pong }.encode();
+        assert_eq!(Response::decode(echoed.as_bytes()).unwrap().id, ID_LIMIT - 1);
+        // Ids that are no unsigned integer at all still read as absent.
+        for id in ["-1", "1.5", "\"7\"", "null"] {
+            let payload = format!(r#"{{"id":{id},"op":"ping"}}"#);
+            assert_eq!(Request::decode(payload.as_bytes()).unwrap().id, 0, "{payload}");
+        }
     }
 
     #[test]
