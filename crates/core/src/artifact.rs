@@ -597,9 +597,13 @@ impl MatchArtifact {
 
     /// Loads from container storage, zero-copy: both document matrices
     /// become views into `storage`'s buffer (kept alive by the artifact).
-    /// This is the warm-start path: one linear CRC pass over the buffer
-    /// plus O(terms) label decoding — the document matrices are never
-    /// copied, re-allocated, or re-normalized.
+    /// This is the warm-start path: each section's CRC is checked once,
+    /// when this call first reads the section (at open instead, for
+    /// eagerly verified storage), plus O(terms) label decoding and the
+    /// structural validators — the document matrices are never copied,
+    /// re-allocated, or re-normalized. An ANN index whose entry point or
+    /// any neighbor is a row the first matrix marks missing is
+    /// [`PersistError::Invalid`].
     pub fn from_storage(storage: &Storage) -> Result<Self, PersistError> {
         let container = storage.container()?;
         let header = container.require(SEC_ARTIFACT_HEADER)?.as_u64s()?;
@@ -643,11 +647,7 @@ impl MatchArtifact {
             return Err(PersistError::Invalid("matrix dim disagrees with header"));
         }
         let ann = if HnswIndex::present(&container, FIRST_SLOT) {
-            let index = HnswIndex::from_sections(storage, &container, FIRST_SLOT)?;
-            if index.rows() != first.rows() {
-                return Err(PersistError::Invalid("ann index shape disagrees with matrix"));
-            }
-            Some(index)
+            Some(HnswIndex::from_sections(storage, &container, FIRST_SLOT, &first)?)
         } else {
             None
         };

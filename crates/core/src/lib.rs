@@ -54,7 +54,7 @@
 //!    persisted HNSW index incrementally, and republishes atomically —
 //!    bit-identical to a full refit of the final corpus
 //!    (`crates/core/tests/delta_prop.rs`), at a fraction of the cost
-//!    (2.6 ms delta-to-visible at the median: `op_p50_ms` of the
+//!    (1.25 ms delta-to-visible at the median: `op_p50_ms` of the
 //!    repository benchmark's `ingest` workload).
 //!
 //! Two heavier warm-start paths complement the artifact, both `TDZ1`

@@ -44,9 +44,11 @@
 //! array, per-layer CSR offsets, and the neighbor array itself. All
 //! arrays load as zero-copy [`FlatBuf`] views, and
 //! [`from_sections`](HnswIndex::from_sections) fully validates the
-//! structure (monotone offsets, in-range neighbors, entry point) so
-//! search over a mapped index is panic-free; the sections' CRCs are
-//! verified on that first access per the container's lazy-CRC contract.
+//! structure against the target matrix (row count, monotone offsets,
+//! neighbors and entry point in range and present) so search over a
+//! mapped index is panic-free and pools no row twice; the sections'
+//! CRCs are verified on that first access per the container's lazy-CRC
+//! contract.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -973,15 +975,20 @@ impl HnswIndex {
         w.add_pod(Self::neighbors_tag(slot), &self.neighbors);
     }
 
-    /// Reassembles an index from container sections under `slot`,
-    /// zero-copy, and validates the whole structure — segment starts,
-    /// per-layer offset monotonicity, neighbor ranges, entry point — so
-    /// [`search`](HnswIndex::search) over a mapped index cannot go out
-    /// of bounds. Section CRCs are verified here, on first access.
+    /// Reassembles an index over `targets` from container sections under
+    /// `slot`, zero-copy, and validates the whole structure — row count,
+    /// segment starts, per-layer offset monotonicity, neighbor ranges,
+    /// entry point — so [`search`](HnswIndex::search) over a mapped index
+    /// cannot go out of bounds. The entry point and every neighbor must
+    /// be a row `targets` holds: no build or insert links a missing row,
+    /// and a walk that pooled one would rank it twice, once more among
+    /// the missing rows a pool is extended with. Section CRCs are
+    /// verified here, on first access.
     pub fn from_sections(
         storage: &Storage,
         container: &Container<'_>,
         slot: u8,
+        targets: &ScoreMatrix,
     ) -> Result<Self, DecodeError> {
         let header = container.require(Self::header_tag(slot))?.as_u64s()?;
         let &[version, m, ef_construction, seed, rows, count, layers, entry] = header else {
@@ -994,6 +1001,9 @@ impl HnswIndex {
         let count = usize::try_from(count).map_err(|_| DecodeError::Corrupt)?;
         let layers = usize::try_from(layers).map_err(|_| DecodeError::Corrupt)?;
         let entry = usize::try_from(entry).map_err(|_| DecodeError::Corrupt)?;
+        if rows != targets.rows() {
+            return Err(DecodeError::Invalid("ann index shape disagrees with matrix"));
+        }
         if m < 2 || ef_construction < m || layers > 64 || count > rows {
             return Err(DecodeError::Invalid("ann header out of range"));
         }
@@ -1002,6 +1012,9 @@ impl HnswIndex {
         }
         if layers > 0 && entry >= rows {
             return Err(DecodeError::Invalid("ann entry point out of range"));
+        }
+        if layers > 0 && !targets.is_valid(entry) {
+            return Err(DecodeError::Invalid("ann entry point is a missing row"));
         }
         let seg = FlatBuf::<u64>::from_section(storage, container.require(Self::seg_tag(slot))?)?;
         let offsets =
@@ -1035,8 +1048,15 @@ impl HnswIndex {
                 return Err(DecodeError::Invalid("ann layer offsets not monotone"));
             }
         }
-        if neighbors.iter().any(|&n| n as usize >= rows) {
-            return Err(DecodeError::Invalid("ann neighbor index out of range"));
+        if let Some(&n) = neighbors
+            .iter()
+            .find(|&&n| n as usize >= rows || !targets.is_valid(n as usize))
+        {
+            return Err(DecodeError::Invalid(if n as usize >= rows {
+                "ann neighbor index out of range"
+            } else {
+                "ann neighbor is a missing row"
+            }));
         }
         Ok(HnswIndex {
             m,
@@ -1346,7 +1366,7 @@ mod tests {
             let bytes = w.finish();
             let storage = Storage::from_bytes(&bytes);
             let container = storage.container().expect("parse");
-            let loaded = HnswIndex::from_sections(&storage, &container, 0).expect("valid");
+            let loaded = HnswIndex::from_sections(&storage, &container, 0, &mat).expect("valid");
             assert_eq!(idx, loaded, "m {m}");
             assert!(!idx.search(&mat, mat.row(25), 4).is_empty());
         }
@@ -1471,7 +1491,7 @@ mod tests {
         let bytes = w.finish();
         let storage = Storage::from_bytes(&bytes);
         let container = storage.container().expect("parse");
-        let loaded = HnswIndex::from_sections(&storage, &container, 0)
+        let loaded = HnswIndex::from_sections(&storage, &container, 0, &m)
             .expect("post-insert index must satisfy full structural validation");
         assert_eq!(idx, loaded);
     }
@@ -1485,7 +1505,7 @@ mod tests {
         let bytes = w.finish();
         let storage = Storage::from_bytes(&bytes);
         let container = storage.container().expect("parse");
-        let loaded = HnswIndex::from_sections(&storage, &container, 0).expect("load");
+        let loaded = HnswIndex::from_sections(&storage, &container, 0, &m).expect("load");
         assert!(loaded.is_zero_copy());
         assert_eq!(idx, loaded);
         // A loaded index searches identically.
@@ -1505,7 +1525,7 @@ mod tests {
         let bytes = w.finish();
         let storage = Storage::from_bytes(&bytes);
         let container = storage.container().expect("parse");
-        assert!(HnswIndex::from_sections(&storage, &container, 0).is_err());
+        assert!(HnswIndex::from_sections(&storage, &container, 0, &m).is_err());
 
         // Non-monotone offsets.
         let mut bad = idx.clone();
@@ -1518,7 +1538,7 @@ mod tests {
         let bytes = w.finish();
         let storage = Storage::from_bytes(&bytes);
         let container = storage.container().expect("parse");
-        assert!(HnswIndex::from_sections(&storage, &container, 0).is_err());
+        assert!(HnswIndex::from_sections(&storage, &container, 0, &m).is_err());
 
         // Missing section.
         let mut w = ContainerWriter::new();
@@ -1526,6 +1546,6 @@ mod tests {
         let bytes = w.finish();
         let storage = Storage::from_bytes(&bytes);
         let container = storage.container().expect("parse");
-        assert!(HnswIndex::from_sections(&storage, &container, 1).is_err());
+        assert!(HnswIndex::from_sections(&storage, &container, 1, &m).is_err());
     }
 }

@@ -660,18 +660,17 @@ impl TopK {
     }
 
     /// Empties the accumulator into a ranked `(index, score)` list:
-    /// decreasing score, ties by ascending index.
+    /// decreasing score, ties by ascending index. Scores compare by
+    /// `total_cmp`, the IEEE order on every number here (`push` turned
+    /// -0.0 into 0.0) that also places a NaN, which only a non-finite
+    /// stored row produces, above them all.
     pub fn drain_sorted(&mut self) -> Vec<(usize, f32)> {
         let mut out: Vec<(usize, f32)> = self
             .heap
             .drain(..)
             .map(|(s, i)| (i as usize, s))
             .collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 }
@@ -940,6 +939,21 @@ mod tests {
         });
         sorted.truncate(7);
         assert_eq!(select_top_k(scores, 7), sorted);
+    }
+
+    /// Regression: a NaN score — a non-finite row in a CRC-valid file —
+    /// made the final sort's comparator inconsistent, and the sort
+    /// panicked. NaN now ranks by `total_cmp`, above every number.
+    #[test]
+    fn nan_scores_rank_without_panicking() {
+        let scores: Vec<(usize, f32)> = (0..40)
+            .map(|i| (i, if i % 3 == 0 { f32::NAN } else { ((i * 7) % 13) as f32 / 13.0 }))
+            .collect();
+        let ranked = select_top_k(scores, 40);
+        let ids: std::collections::BTreeSet<usize> = ranked.iter().map(|&(i, _)| i).collect();
+        assert_eq!(ids.len(), 40);
+        assert!(ranked[..14].iter().all(|&(_, s)| s.is_nan()));
+        assert!(ranked[14..].windows(2).all(|w| w[0].1 >= w[1].1));
     }
 
     #[test]

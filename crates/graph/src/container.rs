@@ -61,10 +61,11 @@
 //! # Lazy, per-section CRC verification
 //!
 //! [`Container::parse`] verifies everything up front — one linear CRC
-//! pass over the whole buffer, about 0.5 ms per MB
-//! ([`crc32`]). That is the right trade for a one-shot
-//! load, but wrong for serving: opening a multi-GB artifact should not
-//! touch every page before the first query. [`Storage::open`] therefore
+//! pass over the whole buffer, about 0.04 ms per MB on an `x86_64` CPU
+//! with PCLMULQDQ and 0.5 ms per MB elsewhere ([`crc32`]). That is the
+//! right trade for a one-shot load, but wrong for serving: opening a
+//! multi-GB artifact should not touch every page before the first
+//! query. [`Storage::open`] therefore
 //! parses **lazily**: the header and section table are verified
 //! immediately (O(sections), independent of payload bytes), while each
 //! payload CRC is checked on the section's *first access* and remembered

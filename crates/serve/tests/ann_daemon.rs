@@ -239,6 +239,65 @@ fn mid_batch_reload_answers_from_exactly_one_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `artifact`'s sections with the ANN sections of `index_from` in place
+/// of its own, written as a fresh (CRC-valid) container.
+fn with_index_of(artifact: &MatchArtifact, index_from: &MatchArtifact) -> Vec<u8> {
+    use tdmatch_graph::container::{Container, ContainerWriter};
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    artifact.write_to(&mut a).expect("write");
+    index_from.write_to(&mut b).expect("write");
+    let (a, b) = (Container::parse(&a).unwrap(), Container::parse(&b).unwrap());
+    let mut w = ContainerWriter::new();
+    for tag in a.tags().filter(|t| !t.starts_with(b"AN")) {
+        w.add(tag, a.require(tag).unwrap().payload().unwrap());
+    }
+    for tag in b.tags().filter(|t| t.starts_with(b"AN")) {
+        w.add(tag, b.require(tag).unwrap().payload().unwrap());
+    }
+    w.finish()
+}
+
+/// Regression: a CRC-valid artifact whose index links rows the matrix
+/// marks missing used to load, and its ANN rankings repeated those ids.
+/// A `reload` of one must fail and keep the previous snapshot serving.
+#[test]
+fn reload_refuses_an_index_linking_missing_rows() {
+    let dir = std::env::temp_dir().join(format!("tdmatch-reload-holed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("artifact.tdm");
+    let served = indexed_artifact(60, 4);
+    let reference = Matcher::new(served.clone()).with_ann_pool(50);
+    let want = bits(&reference.query_by_id(0, 60).expect("doc"));
+    served.save(&path).expect("save generation 0");
+
+    let socket = socket_path("holed-reload");
+    let server = Server::start(
+        Matcher::new(served.clone()),
+        ServeOptions::at(&socket).artifact(&path).ann_pool(50),
+    )
+    .expect("daemon starts");
+
+    // The same rows with every third one missing, under the index of the
+    // all-present rows.
+    let every_third = (2..60)
+        .step_by(3)
+        .fold(tdmatch_core::delta::DeltaBatch::new(), |batch, i| batch.tombstone(i));
+    let mut holed = served.clone();
+    holed.apply_delta(&every_third).expect("tombstones apply");
+    std::fs::write(&path, with_index_of(&holed, &served)).expect("publish the bad file");
+
+    let mut client = Client::connect(&socket).expect("connect");
+    assert!(client.reload().is_err(), "the bad index must be refused");
+    let (got, _) = client.query_id(0, 60).expect("query");
+    assert_eq!(bits(&got), want, "the previous snapshot keeps serving");
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.generation, stats.reload_failures), (0, 1));
+
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ann_request_against_an_unindexed_daemon_scans_exactly() {
     let mut artifact = indexed_artifact(60, 4);

@@ -14,10 +14,14 @@
 //! way `train_bits.rs` pinned training. Prefix lengths 0..=48 cover the
 //! bytewise tail alone (< 16), one to three 16-byte steps, and every
 //! tail length after them; the 1 MiB buffer covers the steady state.
+//! Two hashes recorded on 9d5caa6 (slice-by-16), before the folding
+//! kernel, pin every length up to 1 KiB at every start offset mod 16 —
+//! across the fold's 64-byte threshold and every tail after it — and
+//! the running `Crc32` fed in seeded random pieces.
 
 use tdmatch::core::artifact::MatchArtifact;
 use tdmatch::embed::ann::HnswParams;
-use tdmatch::graph::codec::crc32;
+use tdmatch::graph::codec::{crc32, Crc32};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -67,6 +71,16 @@ const MIB_CRC: u32 = 0x7122_96A1;
 const ARTIFACT_FILE_HASH: u64 = 0x6F2F_752C_DF2C_0ABF;
 const ARTIFACT_FILE_LEN: usize = 22_336;
 
+/// FNV-1a over the little-endian `crc32(&buf[off..off + len])` for every
+/// `off` in `0..=15` (outer) and `len` in `0..=1024` (inner), recorded on
+/// 9d5caa6 (the slice-by-16 table loop) before the folding kernel: every
+/// length across the fold threshold and every tail after it.
+const WINDOW_CRCS_HASH: u64 = 0xD216_0338_2EBE_DAA2;
+
+/// FNV-1a over the little-endian checksums of 64 seeded buffers, each fed
+/// to `Crc32` in seeded random pieces, recorded on 9d5caa6.
+const SPLIT_CRCS_HASH: u64 = 0x7F51_5CE8_0FE4_29E3;
+
 #[test]
 fn checksums_of_a_seeded_buffer_are_pinned() {
     let buf = seeded_bytes(1 << 20, 0xC4C3_2B17);
@@ -74,6 +88,47 @@ fn checksums_of_a_seeded_buffer_are_pinned() {
     assert_eq!(prefixes, PREFIX_CRCS, "prefix checksums 0..=48");
     assert_eq!(crc32(&buf), MIB_CRC, "1 MiB checksum");
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "CRC-32/ISO-HDLC check value");
+}
+
+#[test]
+fn checksums_at_every_length_and_offset_to_1_kib_are_pinned() {
+    let buf = seeded_bytes(1024 + 15, 0x0FF5_E7C4);
+    let mut crcs = Vec::with_capacity(16 * 1025 * 4);
+    for off in 0..=15 {
+        for len in 0..=1024 {
+            crcs.extend_from_slice(&crc32(&buf[off..off + len]).to_le_bytes());
+        }
+    }
+    assert_eq!(fnv1a(&crcs), WINDOW_CRCS_HASH, "{:#018X}", fnv1a(&crcs));
+}
+
+#[test]
+fn running_checksums_over_seeded_splits_are_pinned() {
+    let mut state = 0x5B17_C0DEu64;
+    let mut crcs = Vec::with_capacity(64 * 4);
+    for round in 0..64 {
+        let len = (splitmix64(&mut state) % 6000) as usize;
+        let buf = seeded_bytes(len, round);
+        let mut crc = Crc32::new();
+        let mut at = 0;
+        while at < len {
+            let r = splitmix64(&mut state);
+            // Short tails, pieces around the 64-byte fold block, and long runs.
+            let piece = match r % 4 {
+                0 => (r >> 8) % 16,
+                1 => 40 + (r >> 8) % 48,
+                2 => (r >> 8) % 300,
+                _ => (r >> 8) % 3000,
+            } as usize;
+            let end = (at + piece).min(len);
+            crc.update(&buf[at..end]);
+            at = end;
+        }
+        let sum = crc.finish();
+        assert_eq!(sum, crc32(&buf), "round {round}: split ≡ one pass");
+        crcs.extend_from_slice(&sum.to_le_bytes());
+    }
+    assert_eq!(fnv1a(&crcs), SPLIT_CRCS_HASH, "{:#018X}", fnv1a(&crcs));
 }
 
 fn vector(state: &mut u64, dim: usize) -> Vec<f32> {
