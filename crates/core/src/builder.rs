@@ -488,6 +488,44 @@ mod tests {
         assert!(has_bucket);
     }
 
+    /// Regression: a digit string past `f64::MAX` parsed as +inf, pushed
+    /// the fitted upper quartile (of 1, 99, inf) and so the bucket width
+    /// to infinity, and every number landed in one bucket, `num[NaN..NaN)`.
+    #[test]
+    fn an_overflowing_cell_leaves_the_other_numbers_bucketed_apart() {
+        let hostile = "9".repeat(400);
+        let table = Table::new(
+            "counts",
+            vec!["n".into()],
+            ["1", "99", &hostile].iter().map(|c| vec![c.to_string()]).collect(),
+        );
+        let text = TextCorpus::new(vec!["no numbers".into()]);
+        let cfg = TdConfig {
+            bucket_numbers: true,
+            filtering: FilterMode::None,
+            ..config()
+        };
+        let built = build_graph(&Corpus::Table(table), &Corpus::Text(text), &cfg, None);
+        let g = &built.graph;
+        assert!(built.stats.bucketing_active);
+        let bucket_of = |row: &str| {
+            let doc = g.meta_node(row).unwrap();
+            let labels: Vec<&str> = g
+                .neighbors(doc)
+                .iter()
+                .map(|&n| g.label(n))
+                .filter(|l| l.starts_with("num["))
+                .collect();
+            assert_eq!(labels.len(), 1, "{row}: {labels:?}");
+            labels[0].to_string()
+        };
+        let (one, ninety_nine) = (bucket_of("A:doc0"), bucket_of("A:doc1"));
+        assert_ne!(one, ninety_nine);
+        assert!(!one.contains("inf") && !ninety_nine.contains("inf"), "{one} {ninety_nine}");
+        // The overflowing cell stays a plain term.
+        assert!(g.data_node(&hostile).is_some());
+    }
+
     #[test]
     fn empty_corpora_build_empty_graphs() {
         let built = build_graph(

@@ -225,6 +225,26 @@ mod tests {
         assert_eq!(b.ops[2], DeltaOp::Tombstone { target: 0 });
     }
 
+    /// A row index is `str::parse::<usize>` of the field trimmed of
+    /// whitespace: a leading `+` and surrounding blanks are accepted;
+    /// signs below zero, values past `usize::MAX`, other digits and NUL
+    /// are refused.
+    #[test]
+    fn tsv_row_indices_at_the_edges() {
+        let pre = Preprocessor::default();
+        let row = |index: &str| {
+            DeltaBatch::from_tsv(&format!("tombstone\t{index}"), &pre)
+                .ok()
+                .map(|b| b.ops[0].clone())
+        };
+        for (index, want) in [("+5", 5), (" 5", 5), ("5 ", 5), ("5\r", 5), ("007", 7)] {
+            assert_eq!(row(index), Some(DeltaOp::Tombstone { target: want }), "{index:?}");
+        }
+        for index in ["-1", "18446744073709551616", "", "\0", "5\0", "0x5", "1e3", "٣"] {
+            assert_eq!(row(index), None, "{index:?}");
+        }
+    }
+
     #[test]
     fn tsv_rejects_malformed_lines() {
         let pre = Preprocessor::default();

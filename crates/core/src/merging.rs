@@ -91,25 +91,52 @@ pub struct MergeStats {
     pub merged: usize,
 }
 
+/// A candidate merge: similarity, then the two data-node positions.
+type Scored = (f32, usize, usize);
+
 /// Merges data nodes whose labels are similar under the pre-trained model
 /// (cosine ≥ `gamma`, §II-C) or, for OOV single tokens, under normalized
 /// edit distance (typos). The better-connected node of each pair survives.
+///
+/// Cost: each data node's label is embedded once, up front, into one
+/// arena ([`PretrainedModel::label_vectors`]), which is dropped before
+/// the merges are applied; a candidate pair then costs one cosine over
+/// two cached rows, with the same bits `label_similarity` gives.
 pub fn similarity_merge(
     g: &mut Graph,
     model: &PretrainedModel,
     gamma: f32,
 ) -> MergeStats {
-    // Candidate generation: inverted index token → data-node labels, plus
-    // a (prefix, length-band) bucket for single-token typo candidates.
-    let data_nodes: Vec<(NodeId, String)> = g
-        .nodes()
+    let (ids, labels) = data_nodes(g);
+    let (scored, mut stats) = {
+        let vectors = model.label_vectors(&labels);
+        score_candidates(&labels, gamma, |a, b| vectors.similarity(a, b))
+    };
+    stats.merged = apply_merges(g, &ids, scored);
+    stats
+}
+
+/// The live data nodes of `g` and their labels, in id order.
+fn data_nodes(g: &Graph) -> (Vec<NodeId>, Vec<String>) {
+    g.nodes()
         .filter(|&n| !g.kind(n).is_metadata())
         .map(|n| (n, g.label(n).to_string()))
-        .collect();
+        .unzip()
+}
 
+/// Every candidate pair at or above `gamma`, best first. `similarity(a,
+/// b)` is the pre-trained cosine of labels `a` and `b`, `None` if either
+/// is fully OOV.
+fn score_candidates(
+    labels: &[String],
+    gamma: f32,
+    similarity: impl Fn(usize, usize) -> Option<f32>,
+) -> (Vec<Scored>, MergeStats) {
+    // Candidate generation: inverted index token → data-node labels, plus
+    // a (prefix, length-band) bucket for single-token typo candidates.
     let mut token_buckets: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut typo_buckets: HashMap<(char, usize), Vec<usize>> = HashMap::new();
-    for (i, (_, label)) in data_nodes.iter().enumerate() {
+    for (i, label) in labels.iter().enumerate() {
         for tok in label.split_whitespace() {
             token_buckets.entry(tok).or_default().push(i);
         }
@@ -121,10 +148,9 @@ pub fn similarity_merge(
     }
 
     let mut stats = MergeStats::default();
-    let mut scored: Vec<(f32, usize, usize)> = Vec::new();
-    let consider = |a: usize, b: usize, scored: &mut Vec<(f32, usize, usize)>,
-                        stats: &mut MergeStats| {
-        let (la, lb) = (&data_nodes[a].1, &data_nodes[b].1);
+    let mut scored: Vec<Scored> = Vec::new();
+    let consider = |a: usize, b: usize, scored: &mut Vec<Scored>, stats: &mut MergeStats| {
+        let (la, lb) = (&labels[a], &labels[b]);
         if la == lb {
             return;
         }
@@ -132,7 +158,7 @@ pub fn similarity_merge(
         // One label contained in the other as a token subset is the name-
         // variant case (B. Willis vs Bruce Willis); otherwise rely on the
         // pre-trained space, then the typo fallback.
-        let sim = match model.label_similarity(la, lb) {
+        let sim = match similarity(a, b) {
             Some(s) => s,
             None => {
                 if !la.contains(' ') && !lb.contains(' ') {
@@ -180,8 +206,15 @@ pub fn similarity_merge(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
     });
+    (scored, stats)
+}
+
+/// Applies `scored` in order to the data nodes `ids`; returns how many
+/// pairs merged.
+fn apply_merges(g: &mut Graph, ids: &[NodeId], scored: Vec<Scored>) -> usize {
+    let mut merged = 0;
     for (_, a, b) in scored {
-        let (na, nb) = (data_nodes[a].0, data_nodes[b].0);
+        let (na, nb) = (ids[a], ids[b]);
         if g.is_removed(na) || g.is_removed(nb) {
             continue;
         }
@@ -191,9 +224,9 @@ pub fn similarity_merge(
             (nb, na)
         };
         g.merge_nodes(keep, remove);
-        stats.merged += 1;
+        merged += 1;
     }
-    stats
+    merged
 }
 
 /// Collects every numeric value appearing as a token in the given term
@@ -208,6 +241,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tdmatch_graph::{CorpusSide, MetaKind};
 
     #[test]
@@ -292,6 +326,158 @@ mod tests {
         similarity_merge(&mut g, &model, 0.95);
         assert!(g.data_node("movie night").is_some());
         assert!(g.data_node("movie budget").is_some());
+    }
+
+    /// `similarity_merge` as it was before the label arena: every
+    /// candidate pair embeds both labels again through
+    /// `PretrainedModel::label_similarity`.
+    fn per_pair_merge(g: &mut Graph, model: &PretrainedModel, gamma: f32) -> MergeStats {
+        let (ids, labels) = data_nodes(g);
+        let (scored, mut stats) = score_candidates(&labels, gamma, |a, b| {
+            model.label_similarity(&labels[a], &labels[b])
+        });
+        stats.merged = apply_merges(g, &ids, scored);
+        stats
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(state: &mut u64, n: usize) -> usize {
+        (splitmix(state) % n as u64) as usize
+    }
+
+    /// One of three models: dims 8, 17 (a lane remainder) and 32, each
+    /// with its own seed; built once.
+    fn model(i: usize) -> &'static PretrainedModel {
+        static MODELS: std::sync::OnceLock<Vec<PretrainedModel>> = std::sync::OnceLock::new();
+        &MODELS.get_or_init(|| {
+            [(8, 1), (17, 2), (32, 3)]
+                .map(|(dim, seed)| PretrainedModel::standard(dim, seed, 0.3))
+                .into()
+        })[i]
+    }
+
+    /// Known words (synonyms among them), OOV words, and typos of both.
+    const WORDS: &[&str] = &[
+        "big", "large", "huge", "movie", "film", "picture", "great", "excellent",
+        "terrible", "awful", "willis", "tarantino", "smith", "germany", "germny",
+        "france", "frannce", "zorblat", "zorblatt", "materiality", "materiallity",
+        "workpaper", "workpapers", "qwertyx", "night", "budget",
+    ];
+
+    /// Labels of one to three tokens, some repeated; with `crowd`, one
+    /// token shared by exactly `crowd` labels, which puts a bucket at
+    /// (or just past) `MAX_BUCKET`.
+    fn random_labels(state: &mut u64, crowd: Option<usize>) -> Vec<String> {
+        let n = 2 + below(state, 60);
+        let mut labels: Vec<String> = (0..n)
+            .map(|_| {
+                let tokens = 1 + below(state, 3);
+                (0..tokens)
+                    .map(|_| WORDS[below(state, WORDS.len())])
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        for _ in 0..below(state, 4) {
+            let dup = labels[below(state, labels.len())].clone();
+            labels.push(dup);
+        }
+        if let Some(crowd) = crowd {
+            labels.extend((0..crowd).map(|i| format!("crowd {}", WORDS[i % WORDS.len()])));
+        }
+        labels
+    }
+
+    /// A graph over distinct random labels, with random edges so that
+    /// degrees (which node of a pair survives) differ.
+    fn random_graph(state: &mut u64) -> Graph {
+        let mut g = Graph::new();
+        let metas: Vec<NodeId> = (0..4)
+            .map(|i| g.add_meta(&format!("m{i}"), CorpusSide::First, MetaKind::Tuple, i))
+            .collect();
+        let data: Vec<NodeId> = random_labels(state, None)
+            .iter()
+            .map(|label| g.intern_data(label))
+            .collect();
+        for &d in &data {
+            for _ in 0..1 + below(state, 3) {
+                g.add_edge(metas[below(state, metas.len())], d);
+            }
+            if below(state, 3) == 0 {
+                g.add_edge(d, data[below(state, data.len())]);
+            }
+        }
+        g
+    }
+
+    fn graph_state(g: &Graph) -> Vec<(String, bool, Vec<NodeId>)> {
+        (0..g.id_bound() as u32)
+            .map(NodeId)
+            .map(|n| (g.label(n).to_string(), g.is_removed(n), g.neighbors(n).to_vec()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The arena gives every pair of labels the bits
+        /// `label_similarity` gives it, so candidate scoring keeps and
+        /// orders the same pairs with the same scores.
+        #[test]
+        fn label_arena_scores_every_pair_like_label_similarity(seed in 0u64..u64::MAX) {
+            let mut state = seed;
+            let model = model(below(&mut state, 3));
+            let crowd = [None, Some(MAX_BUCKET - 1), Some(MAX_BUCKET), Some(MAX_BUCKET + 1)]
+                [below(&mut state, 4)];
+            let labels = random_labels(&mut state, crowd);
+            let gamma = [0.3f32, 0.57, 0.8][below(&mut state, 3)];
+            let vectors = model.label_vectors(&labels);
+            // Every pair among the first labels; the candidate pairs of
+            // all of them below.
+            let head = labels.len().min(24);
+            for a in 0..head {
+                prop_assert_eq!(vectors.is_present(a), model.label_vector(&labels[a]).is_some());
+                for b in 0..head {
+                    let want = model.label_similarity(&labels[a], &labels[b]);
+                    let got = vectors.similarity(a, b);
+                    let (la, lb) = (&labels[a], &labels[b]);
+                    prop_assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "{la} / {lb}");
+                }
+            }
+            let bits = |(scored, stats): (Vec<Scored>, MergeStats)| {
+                (scored.iter().map(|&(s, a, b)| (s.to_bits(), a, b)).collect::<Vec<_>>(), stats)
+            };
+            let arena = bits(score_candidates(&labels, gamma, |a, b| vectors.similarity(a, b)));
+            let per_pair = bits(score_candidates(&labels, gamma, |a, b| {
+                model.label_similarity(&labels[a], &labels[b])
+            }));
+            prop_assert_eq!(arena, per_pair);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Whole merges agree with the per-pair path: the same stats and
+        /// the same graph, label, removed flag and adjacency of every node.
+        #[test]
+        fn similarity_merge_equals_the_per_pair_merge(seed in 0u64..u64::MAX) {
+            let mut state = seed;
+            let model = model(below(&mut state, 3));
+            let gamma = [0.3f32, 0.57][below(&mut state, 2)];
+            let mut g = random_graph(&mut state);
+            let mut reference = g.clone();
+            let stats = similarity_merge(&mut g, model, gamma);
+            prop_assert_eq!(stats, per_pair_merge(&mut reference, model, gamma));
+            prop_assert_eq!(graph_state(&g), graph_state(&reference));
+        }
     }
 
     #[test]

@@ -7,32 +7,45 @@
 //!
 //! The table itself is never materialized. Words take their runs in id
 //! order, so the table is fully described by where each run starts; a
-//! draw finds its run through a coarse index (the word owning every
-//! 256th slot) and a short forward walk. That is `4·V + size/64` bytes —
-//! 27 KB at the benchmark's `V = 2792`, `size = 1 << 20` — instead of
-//! `4·size` (4 MiB), which did not fit beside the weight rows in a
-//! 2 MiB L2: every draw used to evict rows being trained. The slot → word
-//! map is bit for bit the one word2vec.c's loop fills in (the test-only
-//! `materialize` is that loop, and the index is held against it slot by
-//! slot).
+//! draw finds its run through an index (the word owning every 16th slot)
+//! and a forward walk over the run starts inside that 16-slot bucket.
+//! Every run is at least one slot long, so the walk takes at most 15
+//! steps, and on the benchmark's counts it is almost always zero. That is
+//! `4·(V + 1) + size/4` bytes — 296 KiB at `fit-table`'s `V = 10297`,
+//! `size = 1 << 20` — instead of `4·size` (4 MiB), which did not fit
+//! beside the weight rows in a 2 MiB L2: every draw used to evict rows
+//! being trained. The slot → word map is bit for bit the one word2vec.c's
+//! loop fills in (the test-only `materialize` is that loop, and the index
+//! is held against it slot by slot).
+//!
+//! `V` counts every id of the walk vocabulary, the data nodes §II-C
+//! similarity merging removed included: 10,297 ids at `fit-table`, 3,715
+//! at `fit-text`. A merged id never appears in a walk, so its count is 0
+//! and word2vec.c's loop still gives it exactly one slot; at `fit-table`
+//! 8,084 of the 10,297 counts are 0. Those one-slot runs bunch together in
+//! id order, and with 256-slot buckets a draw walked over them: 1.22
+//! steps on average and up to 180 (0.43 and 255 at `fit-text`). With
+//! 16-slot buckets the mean is 0.074 (0.025 at `fit-text`).
 
 use rand::{Rng, RngExt};
 
 /// Power applied to unigram counts (word2vec.c constant).
 const POWER: f64 = 0.75;
 
-/// `log2` of the slots per index bucket. 256 slots keep the index at
-/// `size / 64` bytes and the walk after it short: a word owns
-/// `size / V ≥ 32` slots on average, so a bucket spans few runs.
-const BUCKET_SHIFT: u32 = 8;
+/// `log2` of the slots per index bucket. 16 slots bound the walk after
+/// the index at 15 steps, for an index of `size / 4` bytes. On
+/// `fit-table`, 16 slots trained faster than 32 in 6 of 7 paired runs,
+/// and 64 slots were slower than both.
+const BUCKET_SHIFT: u32 = 4;
 
 /// A sampled-unigram table over word ids `0..counts.len()`.
 #[derive(Debug, Clone)]
 pub struct NegativeTable {
     /// Slots in the (virtual) table.
     size: usize,
-    /// `starts[w]` is the first slot word `w` owns; strictly ascending.
-    /// Shorter than the vocabulary when its tail never gets a slot.
+    /// `starts[w]` is the first slot word `w` owns; strictly ascending,
+    /// then `size` as a sentinel that ends every walk. Shorter than the
+    /// vocabulary (plus one) when its tail never gets a slot.
     starts: Vec<u32>,
     /// `bucket[b]` is the word owning slot `b << BUCKET_SHIFT`.
     bucket: Vec<u32>,
@@ -66,14 +79,18 @@ impl NegativeTable {
                 cumulative += (counts[word] as f64).powf(POWER) / norm;
             }
         }
+        starts.push(size as u32);
         Self { size, starts, bucket }
     }
 
-    /// The word owning slot `slot` (`slot < self.len()`).
+    /// The word owning slot `slot` (`slot < self.len()`): the bucket's
+    /// word, then one step per run start between the bucket's first slot
+    /// and `slot` — fewer than `1 << BUCKET_SHIFT`, since run starts are
+    /// distinct slots. The sentinel start (`size > slot`) stops the walk.
     #[inline]
     fn word_at(&self, slot: usize) -> u32 {
         let mut w = self.bucket[slot >> BUCKET_SHIFT] as usize;
-        while w + 1 < self.starts.len() && self.starts[w + 1] as usize <= slot {
+        while self.starts[w + 1] as usize <= slot {
             w += 1;
         }
         w as u32
@@ -123,17 +140,26 @@ mod tests {
         table
     }
 
-    /// Every slot of the index against the materialized table, and the
-    /// allocation bound that makes it an index rather than a table.
+    /// Walk steps behind the draw of `slot`: how many run starts
+    /// `word_at` passes after its bucket's word.
+    fn walk_steps(t: &NegativeTable, slot: usize) -> usize {
+        (t.word_at(slot) - t.bucket[slot >> BUCKET_SHIFT]) as usize
+    }
+
+    /// Every slot of the index against the materialized table, the walk
+    /// bound, and the allocation bound that makes it an index rather than
+    /// a table: a start per word plus the sentinel, a word per bucket.
     fn assert_matches_table(counts: &[u64], size: usize) {
         let t = NegativeTable::new(counts, size);
         let table = materialize(counts, size);
         assert_eq!(t.len(), table.len());
         for (slot, &word) in table.iter().enumerate() {
             assert_eq!(t.word_at(slot), word, "V {} size {size} slot {slot}", counts.len());
+            assert!(walk_steps(&t, slot) < 1 << BUCKET_SHIFT, "slot {slot}");
         }
         assert!(
-            t.starts.len() + t.bucket.len() <= counts.len() + t.len() / 256 + 1,
+            t.starts.len() + t.bucket.len()
+                <= counts.len() + 1 + t.len().div_ceil(1 << BUCKET_SHIFT),
             "V {} size {size}: {} starts + {} buckets",
             counts.len(),
             t.starts.len(),
@@ -163,17 +189,60 @@ mod tests {
         // All-zero counts: `norm == 0`, every share is NaN, no
         // comparison ever advances — word 0 owns the whole table.
         assert_matches_table(&[0, 0, 0], 300);
-        assert_eq!(NegativeTable::new(&[0, 0, 0], 300).starts, [0]);
+        assert_eq!(NegativeTable::new(&[0, 0, 0], 300).starts, [0, 300]);
         // A single word.
         assert_matches_table(&[5], 100);
         // A head so heavy that the tail never gets a slot.
         let mut counts = vec![1u64; 40];
         counts[0] = u64::MAX;
         assert_matches_table(&counts, 40);
-        assert!(NegativeTable::new(&counts, 40).starts.len() < 40);
+        assert!(NegativeTable::new(&counts, 40).starts.len() - 1 < 40);
         // Zeros at the head, in the middle and at the tail.
         assert_matches_table(&[0, 0, 9, 0, 4, 4, 0, 0], 300);
         assert_matches_table(&[0, 0, 9, 0, 4, 4, 0, 0], 8);
+    }
+
+    /// The vocabulary a fit on a merged graph trains over: live ids in
+    /// short runs with Zipf-like counts, and the ids similarity merging
+    /// removed in runs of up to 200 with count 0 — over 70% zeros, the
+    /// shape of `fit-table`'s counts (8,084 zeros of 10,297).
+    fn merged_counts() -> Vec<u64> {
+        let mut state = 0x5EED_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut counts = Vec::new();
+        while counts.len() < 10_000 {
+            let live = 1 + next(40);
+            for _ in 0..live {
+                counts.push(1 + 20_000 / (counts.len() as u64 + 1) + next(30));
+            }
+            let dead = 1 + next(200);
+            counts.extend((0..dead).map(|_| 0));
+        }
+        counts
+    }
+
+    #[test]
+    fn index_equals_the_table_on_merged_counts() {
+        let counts = merged_counts();
+        let zeros = counts.iter().filter(|&&c| c == 0).count();
+        assert!(zeros * 10 >= counts.len() * 7, "{zeros} zeros of {}", counts.len());
+        // The size `train_corpus` builds for this vocabulary.
+        let size = (counts.len() * 32).max(1 << 20);
+        assert_matches_table(&counts, size);
+        // The fixture is one the coarse index walks far on: from the word
+        // at every 256th slot, some draw passes more run starts than the
+        // shipped bucket can hold.
+        let t = NegativeTable::new(&counts, size);
+        let coarse = (0..size)
+            .map(|slot| t.word_at(slot) - t.word_at(slot & !255))
+            .max()
+            .unwrap();
+        assert!(coarse >= 1 << BUCKET_SHIFT, "256-slot walk at most {coarse}");
+        let mean = (0..size).map(|s| walk_steps(&t, s)).sum::<usize>() as f64 / size as f64;
+        assert!(mean < 0.5, "mean walk {mean}");
     }
 
     #[test]

@@ -181,9 +181,8 @@ fn trained<'a>(job: &'a TrainJob<'a>) -> Worker<'a> {
 }
 
 /// Everything a training run reads but never writes. All of it is small
-/// — the negative sampler is a ~27 KB index, the sigmoid 2 KB — so what a
-/// step pulls through the cache is the weight rows it trains and little
-/// else.
+/// — the negative sampler is a ~300 KB index, the sigmoid 2 KB — so what
+/// a step pulls through the cache is mostly the weight rows it trains.
 struct TrainJob<'a> {
     corpus: &'a FlatCorpus,
     counts: &'a [u64],

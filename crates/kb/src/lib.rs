@@ -25,7 +25,7 @@ pub mod wordnet;
 
 pub use conceptnet::SyntheticConceptNet;
 pub use dbpedia::SyntheticDbpedia;
-pub use pretrained::PretrainedModel;
+pub use pretrained::{LabelVectors, PretrainedModel};
 pub use wordnet::SyntheticWordNet;
 
 /// A single relation fetched from an external resource.

@@ -76,6 +76,11 @@ const WORD_NOISE: f32 = 0.95;
 const OOV_WEIGHT: f32 = 0.6;
 
 /// The simulated pre-trained model.
+///
+/// A label's vector costs one hash lookup per token (two, and a `stem`
+/// allocation, on a miss) and a fresh `dim`-float mean. Code comparing
+/// many pairs over a fixed set of labels embeds each label once with
+/// [`label_vectors`](Self::label_vectors), so a pair costs one cosine.
 #[derive(Debug, Clone)]
 pub struct PretrainedModel {
     dim: usize,
@@ -186,8 +191,10 @@ impl PretrainedModel {
     }
 
     /// Similarity between two multi-token labels (mean-of-tokens on each
-    /// side); `None` if either side is fully OOV. This is what the merging
-    /// step compares against γ.
+    /// side); `None` if either side is fully OOV. This is the cosine the
+    /// merging step compares against γ; it embeds both labels on every
+    /// call, so a caller scoring many pairs over the same labels embeds
+    /// them once with [`label_vectors`](Self::label_vectors) instead.
     pub fn label_similarity(&self, a: &str, b: &str) -> Option<f32> {
         let va = self.label_vector(a)?;
         let vb = self.label_vector(b)?;
@@ -197,6 +204,12 @@ impl PretrainedModel {
     /// Mean vector of the known tokens of a label; `None` if all OOV.
     pub fn label_vector(&self, label: &str) -> Option<Vec<f32>> {
         let mut acc = vec![0.0f32; self.dim];
+        self.mean_into(label, &mut acc).then_some(acc)
+    }
+
+    /// Writes the mean vector of `label`'s known tokens into the zeroed
+    /// `acc`; false (and `acc` left zero) if every token is OOV.
+    fn mean_into(&self, label: &str, acc: &mut [f32]) -> bool {
         let mut n = 0usize;
         for tok in label.split_whitespace() {
             if let Some(v) = self.word_vector(tok) {
@@ -207,13 +220,47 @@ impl PretrainedModel {
             }
         }
         if n == 0 {
-            return None;
+            return false;
         }
         let inv = 1.0 / n as f32;
-        for a in &mut acc {
+        for a in acc {
             *a *= inv;
         }
-        Some(acc)
+        true
+    }
+
+    /// Embeds every label once: the [`label_vector`](Self::label_vector)
+    /// of each, in one flat arena, with its norm cached. Scoring a pair
+    /// through [`LabelVectors::similarity`] then costs one dot product,
+    /// and gives the same bits as [`label_similarity`](Self::label_similarity)
+    /// on the two labels.
+    pub fn label_vectors<S: AsRef<str>>(&self, labels: &[S]) -> LabelVectors {
+        let mut arena = Vec::new();
+        let mut norms = Vec::new();
+        let rows = labels
+            .iter()
+            .map(|label| {
+                let start = arena.len();
+                arena.resize(start + self.dim, 0.0);
+                if !self.mean_into(label.as_ref(), &mut arena[start..]) {
+                    arena.truncate(start);
+                    return None;
+                }
+                // `cosine`'s own sum, in its order.
+                let mut sq = 0.0f32;
+                for &x in &arena[start..] {
+                    sq += x * x;
+                }
+                norms.push(sq.sqrt());
+                Some(u32::try_from(norms.len() - 1).expect("fewer than 2^32 labels"))
+            })
+            .collect();
+        LabelVectors {
+            dim: self.dim,
+            arena,
+            norms,
+            rows,
+        }
     }
 
     /// Sentence embedding: mean over token vectors, with OOV tokens
@@ -270,6 +317,43 @@ impl PretrainedModel {
 
 /// Salt separating the OOV fallback space from concept vectors.
 const OOV_SALT: u64 = 0xF00D;
+
+/// The label vectors of a list of labels, each computed once
+/// ([`PretrainedModel::label_vectors`]). Fully-OOV labels take no space.
+#[derive(Debug, Clone)]
+pub struct LabelVectors {
+    dim: usize,
+    /// One `dim`-float row per label that has a vector, in label order.
+    arena: Vec<f32>,
+    /// `√Σx²` of each arena row, summed in `cosine`'s order.
+    norms: Vec<f32>,
+    /// Each label's arena row; `None` when every token is OOV.
+    rows: Vec<Option<u32>>,
+}
+
+impl LabelVectors {
+    /// Whether label `i` has a vector (some token is known).
+    pub fn is_present(&self, i: usize) -> bool {
+        self.rows[i].is_some()
+    }
+
+    /// The cosine between labels `a` and `b`; `None` if either is fully
+    /// OOV. The same bits as `label_similarity` on the two labels: the dot
+    /// runs in `cosine`'s order, and each norm's sum never depended on
+    /// the other vector, so caching its root changes nothing — nor does
+    /// the zero rule, since `√s == 0` exactly when `s == 0`.
+    pub fn similarity(&self, a: usize, b: usize) -> Option<f32> {
+        let (ra, rb) = (self.rows[a]? as usize, self.rows[b]? as usize);
+        let va = &self.arena[ra * self.dim..(ra + 1) * self.dim];
+        let vb = &self.arena[rb * self.dim..(rb + 1) * self.dim];
+        let mut dot = 0.0f32;
+        for (&x, &y) in va.iter().zip(vb) {
+            dot += x * y;
+        }
+        let (na, nb) = (self.norms[ra], self.norms[rb]);
+        Some(if na == 0.0 || nb == 0.0 { 0.0 } else { dot / (na * nb) })
+    }
+}
 
 #[cfg(test)]
 mod tests {

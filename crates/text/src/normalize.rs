@@ -31,7 +31,9 @@ pub fn parse_number(token: &str) -> Option<f64> {
     if !body.chars().any(|c| c.is_ascii_digit()) {
         return None;
     }
-    cleaned.parse().ok()
+    // A digit string past `f64::MAX` parses to ±inf; one such value in
+    // a fitted set would stretch every bucket to infinity.
+    cleaned.parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 /// Returns true if the token parses as a number.
@@ -108,6 +110,16 @@ mod tests {
         assert_eq!(parse_number(""), None);
         assert_eq!(parse_number("-"), None);
         assert_eq!(parse_number("."), None);
+    }
+
+    #[test]
+    fn rejects_digit_strings_past_f64() {
+        let nines = "9".repeat(400);
+        assert_eq!(parse_number(&nines), None);
+        assert_eq!(parse_number(&format!("-{nines}")), None);
+        assert_eq!(parse_number(&format!("{nines}.5")), None);
+        // The largest finite spelling still parses.
+        assert_eq!(parse_number(&format!("{}", f64::MAX)), Some(f64::MAX));
     }
 
     #[test]
