@@ -7,8 +7,7 @@
 //! pool width: every swept point reports wall time, per-query
 //! throughput, speedup over the exact scan, mean pool size actually
 //! offered, and mean recall@k against the exact top-k. Results land in
-//! `BENCH_ann.json` at the repository root so the retrieval tradeoff is
-//! tracked from PR to PR.
+//! `BENCH_ann.json` at the repository root.
 //!
 //! Run with `cargo bench -p tdmatch-bench --bench bench_ann`.
 //! Environment knobs (all optional):
@@ -20,67 +19,17 @@
 //! * `TDMATCH_ANN_QUERIES` — queries per batch (default 256);
 //! * `TDMATCH_DIM` — embedding dimensionality (default 96).
 //!
-//! Both paths are timed on the same sequential matrix kernel
-//! ([`top_k_matches_matrix`]) — the ANN path differs only by the
-//! candidate closure, exactly like the serving integration — so the
+//! Both paths are the shipped one, [`MatchArtifact::rank`]: `None` scans
+//! exactly, `Some(AnnSearch { pool, ef: pool })` rescores the index's
+//! pool plus every invalid row on the same sequential kernel — so the
 //! speedup isolates what the index buys, not a threading difference.
+//! The mean pool is what `rank` reports offering the rescorer
+//! ([`AnnUsage`]).
 
-use std::time::Instant;
-
-use tdmatch_bench::alloc_probe::{AllocProbe, CountingAlloc};
-use tdmatch_core::matcher::{top_k_matches_matrix, MatchResult};
-use tdmatch_embed::ann::{HnswIndex, HnswParams, SearchScratch};
-use tdmatch_embed::score::ScoreMatrix;
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(state: &mut u64) -> f32 {
-    (splitmix(state) >> 40) as f32 / (1u64 << 23) as f32 - 1.0
-}
-
-/// Cluster centers for one tier, entries in [-1, 1).
-fn gen_centers(count: usize, dim: usize, state: &mut u64) -> Vec<Vec<f32>> {
-    (0..count)
-        .map(|_| (0..dim).map(|_| unit(state)).collect())
-        .collect()
-}
-
-/// Synthetic embeddings with planted cluster structure — the shape
-/// fitted score matrices take (documents about one entity embed near
-/// each other), and the standard ANN-benchmark workload. Each row is a
-/// shared center plus ±0.3 per-dim noise (≈17° angular spread after
-/// normalization); ~2% of rows are missing. Queries draw from the same
-/// centers, so the exact top-k is intra-cluster and recall@k measures
-/// whether the index navigates to the right region. Uniform random
-/// vectors would instead concentrate all pairwise distances — a
-/// workload where *no* metric index can beat a linear scan and which no
-/// real embedding matrix resembles.
-fn gen_side(
-    n: usize,
-    dim: usize,
-    centers: &[Vec<f32>],
-    state: &mut u64,
-) -> Vec<Option<Vec<f32>>> {
-    (0..n)
-        .map(|_| {
-            if splitmix(state).is_multiple_of(50) {
-                None
-            } else {
-                let c = &centers[(splitmix(state) % centers.len() as u64) as usize];
-                Some((0..dim).map(|j| c[j] + 0.3 * unit(state)).collect())
-            }
-        })
-        .collect()
-}
+use tdmatch_bench::record::{best_of, gen_centers, gen_side, round, write_bench_json};
+use tdmatch_core::artifact::{AnnSearch, AnnUsage, MatchArtifact};
+use tdmatch_core::matcher::MatchResult;
+use tdmatch_embed::ann::HnswParams;
 
 fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
     match std::env::var(name) {
@@ -97,19 +46,6 @@ fn env_num(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Best-of-N wall time for one path.
-fn measure<F: FnMut() -> Vec<MatchResult>>(reps: usize, mut f: F) -> (Vec<MatchResult>, f64) {
-    let t = Instant::now();
-    let out = f();
-    let mut secs = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        secs = secs.min(t.elapsed().as_secs_f64());
-    }
-    (out, secs)
 }
 
 /// Mean recall@k of `got` against the exact `truth` rankings.
@@ -133,6 +69,26 @@ fn mean_recall(truth: &[MatchResult], got: &[MatchResult]) -> f64 {
     }
 }
 
+/// One swept pool width.
+struct SweepPoint {
+    pool: usize,
+    secs: f64,
+    speedup: f64,
+    recall: f64,
+    mean_pool: f64,
+}
+
+/// One corpus tier.
+struct Tier {
+    targets: usize,
+    valid_targets: usize,
+    build_secs: f64,
+    layers: usize,
+    edges: usize,
+    exact_secs: f64,
+    sweep: Vec<SweepPoint>,
+}
+
 fn main() {
     let tiers = env_list("TDMATCH_ANN_TARGETS", &[16_384, 65_536, 262_144]);
     let pools = env_list("TDMATCH_ANN_POOLS", &[128, 256, 512, 1024, 2048, 4096]);
@@ -141,162 +97,113 @@ fn main() {
     let k = 20usize;
     let params = HnswParams::default();
 
-    let mut tier_json = Vec::new();
+    let mut recorded = Vec::new();
     for &n_targets in &tiers {
         let mut state = 0xA220_5EEDu64 ^ (n_targets as u64);
         // ~256 rows per cluster at every tier (clamped for tiny smokes).
         let centers = gen_centers((n_targets / 256).clamp(8, 4096), dim, &mut state);
         let targets = gen_side(n_targets, dim, &centers, &mut state);
         let queries = gen_side(n_queries, dim, &centers, &mut state);
-        let tm = ScoreMatrix::from_options_dim(&targets, dim);
-        let qm = ScoreMatrix::from_options_dim(&queries, dim);
-        let invalid: Vec<usize> = (0..tm.rows()).filter(|&t| !tm.is_valid(t)).collect();
+        let mut artifact = MatchArtifact::new(dim, Vec::new(), targets, queries);
+        let (tm, qm) = (artifact.first_matrix(), artifact.second_matrix());
+        let invalid = tm.invalid_rows().count();
+        let valid_targets = n_targets - invalid;
+        let valid_queries = (0..qm.rows()).filter(|&q| qm.is_valid(q)).count() as u64;
 
-        let t = Instant::now();
-        let index = HnswIndex::build(&tm, &params);
-        let build_secs = t.elapsed().as_secs_f64();
+        let ((), build_secs) = best_of(1, || artifact.build_ann(&params));
+        let index = artifact.ann().expect("index just built");
+        let (layers, edges) = (index.layers(), index.edges());
         println!(
             "tier {n_targets}: index built in {build_secs:.2}s \
-             ({} layers, {} edges, m {}, ef {})",
-            index.layers(),
-            index.edges(),
+             ({layers} layers, {edges} edges, m {}, ef {})",
             index.m(),
             index.ef_construction(),
         );
 
-        // Scratch-reuse probe: `search` allocates a fresh scratch (the
-        // ~rows-byte visited set, heaps and layer buffers) per query;
-        // `search_with` + one warm scratch allocates only the returned
-        // pool. Count both over one pass of the query batch at the
-        // narrowest pool.
-        let probe_pool = pools.first().copied().unwrap_or(128);
-        let valid_queries: Vec<usize> = (0..qm.rows()).filter(|&q| qm.is_valid(q)).collect();
-        let probe = AllocProbe::start();
-        for &q in &valid_queries {
-            std::hint::black_box(index.search(&tm, qm.row(q), probe_pool));
-        }
-        let (fresh_allocs, fresh_peak) = probe.finish();
-        let mut scratch = SearchScratch::new();
-        // Warm the scratch so the probe sees the steady state a batch
-        // worker reaches after its first query.
-        if let Some(&q) = valid_queries.first() {
-            std::hint::black_box(index.search_with(&tm, qm.row(q), probe_pool, probe_pool, &mut scratch));
-        }
-        let probe = AllocProbe::start();
-        for &q in &valid_queries {
-            std::hint::black_box(index.search_with(
-                &tm,
-                qm.row(q),
-                probe_pool,
-                probe_pool,
-                &mut scratch,
-            ));
-        }
-        let (reused_allocs, reused_peak) = probe.finish();
-        println!(
-            "tier {n_targets} pool {probe_pool}: scratch reuse saves {:.1} allocs/query \
-             ({fresh_allocs} -> {reused_allocs} over {} queries)",
-            (fresh_allocs.saturating_sub(reused_allocs)) as f64
-                / valid_queries.len().max(1) as f64,
-            valid_queries.len(),
-        );
-        assert!(
-            reused_allocs < fresh_allocs,
-            "scratch reuse must cut allocations ({reused_allocs} !< {fresh_allocs})"
-        );
-
         let reps = if n_targets >= 100_000 { 2 } else { 3 };
-        let (truth, exact_secs) =
-            measure(reps, || top_k_matches_matrix(&qm, &tm, k, None, None));
+        let qm = artifact.second_matrix();
+        let (truth, exact_secs) = best_of(reps, || artifact.rank(qm, k, None).0);
         println!(
             "tier {n_targets}: exact scan {exact_secs:.3}s ({:.0} queries/s)",
             n_queries as f64 / exact_secs
         );
 
-        let mut sweep_json = Vec::new();
+        let mut sweep = Vec::new();
         for &pool in &pools {
-            // The production candidate closure: ANN pool plus every
-            // invalid row, so rescoring semantics match the exact scan.
-            let pooled_total = std::sync::atomic::AtomicU64::new(0);
-            let cand = |q: usize| {
-                let mut c = index.search(&tm, qm.row(q), pool);
-                c.extend(invalid.iter().copied());
-                pooled_total.fetch_add(c.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                c
-            };
-            let (got, ann_secs) =
-                measure(reps, || top_k_matches_matrix(&qm, &tm, k, None, Some(&cand)));
-            let calls = pooled_total.load(std::sync::atomic::Ordering::Relaxed);
-            let mean_pool = if got.is_empty() {
-                0.0
-            } else {
-                // Every rep runs the closure once per valid query.
-                calls as f64 / (reps * got.len()).max(1) as f64
-            };
+            let search = Some(AnnSearch { pool, ef: pool });
+            let ((got, usage), secs) = best_of(reps, || artifact.rank(qm, k, search));
+            let AnnUsage { queries, pooled } = usage;
+            assert_eq!(
+                queries, valid_queries,
+                "every valid query walks the index once"
+            );
+            if pool <= valid_targets {
+                assert_eq!(
+                    pooled,
+                    queries * (pool + invalid) as u64,
+                    "each walk offers its full pool plus every invalid row"
+                );
+            }
+            let mean_pool = pooled as f64 / queries.max(1) as f64;
             let recall = mean_recall(&truth, &got);
-            let speedup = exact_secs / ann_secs;
+            let speedup = exact_secs / secs;
             println!(
-                "tier {n_targets} pool {pool}: {ann_secs:.3}s \
+                "tier {n_targets} pool {pool}: {secs:.3}s \
                  ({speedup:.2}x, recall@{k} {recall:.4}, mean pool {mean_pool:.0})"
             );
-            sweep_json.push(format!(
-                "      {{\"pool\": {pool}, \"secs\": {ann_secs:.6}, \
-                 \"queries_per_sec\": {:.1}, \"speedup\": {speedup:.3}, \
-                 \"recall_at_k\": {recall:.6}, \"mean_pool\": {mean_pool:.1}}}",
-                n_queries as f64 / ann_secs
-            ));
+            sweep.push(SweepPoint {
+                pool,
+                secs,
+                speedup,
+                recall,
+                mean_pool,
+            });
         }
-        tier_json.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"targets\": {},\n",
-                "      \"valid_targets\": {},\n",
-                "      \"index_build_secs\": {:.3},\n",
-                "      \"index_layers\": {},\n",
-                "      \"index_edges\": {},\n",
-                "      \"exact_secs\": {:.6},\n",
-                "      \"exact_queries_per_sec\": {:.1},\n",
-                "      \"scratch_alloc\": {{\"pool\": {}, \"queries\": {}, ",
-                "\"fresh_allocs\": {}, \"reused_allocs\": {}, ",
-                "\"fresh_peak_bytes\": {}, \"reused_peak_bytes\": {}}},\n",
-                "      \"sweep\": [\n{}\n      ]\n",
-                "    }}"
-            ),
-            n_targets,
-            n_targets - invalid.len(),
+        recorded.push(Tier {
+            targets: n_targets,
+            valid_targets,
             build_secs,
-            index.layers(),
-            index.edges(),
+            layers,
+            edges,
             exact_secs,
-            n_queries as f64 / exact_secs,
-            probe_pool,
-            valid_queries.len(),
-            fresh_allocs,
-            reused_allocs,
-            fresh_peak,
-            reused_peak,
-            sweep_json.join(",\n"),
-        ));
+            sweep,
+        });
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"ann_retrieval\",\n",
-            "  \"workload\": {{\"queries\": {}, \"dim\": {}, \"k\": {}, ",
-            "\"m\": {}, \"ef_construction\": {}, \"seed\": {}}},\n",
-            "  \"tiers\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        n_queries,
-        dim,
-        k,
-        params.m,
-        params.ef_construction,
-        params.seed,
-        tier_json.join(",\n"),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ann.json");
-    std::fs::write(out, &json).expect("write BENCH_ann.json");
-    println!("wrote {out}");
+    let per_sec = |secs: f64| round(n_queries as f64 / secs, 1);
+    write_bench_json("ann", "ann_retrieval", |w| {
+        w.key("tiers").arr(|w| {
+            for t in &recorded {
+                w.obj(|w| {
+                    w.key("exact_queries_per_sec").num(per_sec(t.exact_secs));
+                    w.key("exact_secs").num(round(t.exact_secs, 6));
+                    w.key("index_build_secs").num(round(t.build_secs, 3));
+                    w.key("index_edges").num(t.edges as f64);
+                    w.key("index_layers").num(t.layers as f64);
+                    w.key("sweep").arr(|w| {
+                        for p in &t.sweep {
+                            w.obj(|w| {
+                                w.key("mean_pool").num(round(p.mean_pool, 1));
+                                w.key("pool").num(p.pool as f64);
+                                w.key("queries_per_sec").num(per_sec(p.secs));
+                                w.key("recall_at_k").num(round(p.recall, 6));
+                                w.key("secs").num(round(p.secs, 6));
+                                w.key("speedup").num(round(p.speedup, 3));
+                            });
+                        }
+                    });
+                    w.key("targets").num(t.targets as f64);
+                    w.key("valid_targets").num(t.valid_targets as f64);
+                });
+            }
+        });
+        w.key("workload").obj(|w| {
+            w.key("dim").num(dim as f64);
+            w.key("ef_construction").num(params.ef_construction as f64);
+            w.key("k").num(k as f64);
+            w.key("m").num(params.m as f64);
+            w.key("queries").num(n_queries as f64);
+            w.key("seed").num(params.seed as f64);
+        });
+    });
 }

@@ -1,82 +1,31 @@
-//! Persistence recorder: cold pipeline fit vs warm artifact load.
+//! Persistence recorder: what the repository benchmark cannot see of an
+//! artifact *file* — how long it takes to open, and what each serving
+//! process pays to hold it.
 //!
-//! The pipeline is fit-once / match-many, so the number that matters for
-//! serving is not how fast a fit is but how fast a *saved* fit comes
-//! back. This recorder measures, on a `fig8_scaling`-sized STS workload:
+//! On a synthetic artifact of `serve-scan`'s size (32,768 × 96 target
+//! rows, 256 queries, built with [`MatchArtifact::new`]) it records:
 //!
-//! * **cold** — graph build + walks + Word2Vec training + normalization
-//!   (`TdMatch::fit`), the price of not having a snapshot;
-//! * **warm** — `TDZ1` container bytes → zero-copy `MatchArtifact`
-//!   (`from_storage`: borrowed matrices, no re-normalization);
-//! * **load-then-match** — warm load followed by a full `match_top_k`
-//!   sweep, i.e. end-to-end time-to-first-ranking from bytes;
-//! * **CSR snapshot** — freeze-from-graph vs zero-copy snapshot load;
-//! * **serving opens** — mapped-lazy vs mapped-eager vs heap open of the
-//!   artifact *file*, plus an O(1)-open check (mapped open latency on a
-//!   small vs a 64× larger synthetic container must not scale);
-//! * **RSS per process** — reader subprocesses open the same artifact
-//!   file mapped vs heap and report their own `/proc/self/smaps_rollup`
+//! * **opens** — mapped-lazy vs mapped-eager vs heap open of the file;
+//! * **O(1) open** — mapped-lazy open latency on a small vs a 64× larger
+//!   synthetic container must not scale (asserted when the file maps);
+//! * **memory per reader** — reader subprocesses open the same file
+//!   mapped vs heap and report their own `/proc/self/smaps_rollup`
 //!   footprint: mapped readers carry file-backed shared pages (one
 //!   physical copy for the whole fleet), heap readers each pay a private
 //!   anonymous copy.
 //!
-//! The warm rankings are asserted identical to the live model's before
-//! anything is recorded. Results land in `BENCH_persist.json` at the
-//! repository root so the warm-start trajectory is tracked from PR to PR.
-//!
-//! Run with `cargo bench -p tdmatch-bench --bench bench_persist`.
-//! `TDMATCH_BENCH_COPIES` (default 2) scales the corpus pair like
-//! Figure 8's union-of-scenarios construction; `TDMATCH_SCALE` /
-//! `TDMATCH_DIM` / … behave as in the other recorders.
+//! Results land in `BENCH_persist.json` at the repository root. Run with
+//! `cargo bench -p tdmatch-bench --bench bench_persist`.
 
-use std::time::Instant;
-
-use tdmatch_bench::alloc_probe::{AllocProbe, CountingAlloc};
-use tdmatch_bench::bench_config;
+use tdmatch_bench::record::{best_of, gen_centers, gen_side, round, write_bench_json, Writer};
 use tdmatch_core::artifact::MatchArtifact;
-use tdmatch_core::corpus::{Corpus, TextCorpus};
-use tdmatch_core::pipeline::TdMatch;
-use tdmatch_datasets::{sts, Scale};
 use tdmatch_graph::container::{Storage, Verification};
-use tdmatch_graph::{ContainerWriter, CsrGraph};
+use tdmatch_graph::ContainerWriter;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-struct LoadStats {
-    secs: f64,
-    allocations: u64,
-    peak_bytes: u64,
-}
-
-fn json_load_stats(s: &LoadStats) -> String {
-    format!(
-        "{{\"secs\": {:.6}, \"allocations\": {}, \"peak_bytes\": {}}}",
-        s.secs, s.allocations, s.peak_bytes,
-    )
-}
-
-/// Best-of-N wall time + first-run allocation counters.
-fn measure<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (T, LoadStats) {
-    let probe = AllocProbe::start();
-    let t = Instant::now();
-    let out = f();
-    let mut secs = t.elapsed().as_secs_f64();
-    let (allocations, peak_bytes) = probe.finish();
-    for _ in 1..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        secs = secs.min(t.elapsed().as_secs_f64());
-    }
-    (
-        out,
-        LoadStats {
-            secs,
-            allocations,
-            peak_bytes,
-        },
-    )
-}
+/// `serve-scan`'s corpus shape.
+const TARGETS: usize = 32_768;
+const QUERIES: usize = 256;
+const DIM: usize = 96;
 
 /// One process's memory footprint in kB, from `/proc/self/smaps_rollup`.
 #[derive(Clone, Copy, Default)]
@@ -85,13 +34,6 @@ struct MemFootprint {
     pss_kb: u64,
     private_kb: u64,
     shared_clean_kb: u64,
-}
-
-fn json_footprint(m: &MemFootprint) -> String {
-    format!(
-        "{{\"rss_kb\": {}, \"pss_kb\": {}, \"private_kb\": {}, \"shared_clean_kb\": {}}}",
-        m.rss_kb, m.pss_kb, m.private_kb, m.shared_clean_kb
-    )
 }
 
 #[cfg(target_os = "linux")]
@@ -254,6 +196,27 @@ fn reader_fleet(_path: &std::path::Path, _mode: &str, _n: usize) -> Vec<MemFootp
     Vec::new()
 }
 
+/// Writes a reader fleet's footprints, or `null` when none reported.
+fn write_fleet(w: &mut Writer, readers: &[MemFootprint]) {
+    if readers.is_empty() {
+        return w.null();
+    }
+    w.obj(|w| {
+        w.key("pss_total_kb")
+            .num(readers.iter().map(|m| m.pss_kb).sum::<u64>() as f64);
+        w.key("readers").arr(|w| {
+            for m in readers {
+                w.obj(|w| {
+                    w.key("private_kb").num(m.private_kb as f64);
+                    w.key("pss_kb").num(m.pss_kb as f64);
+                    w.key("rss_kb").num(m.rss_kb as f64);
+                    w.key("shared_clean_kb").num(m.shared_clean_kb as f64);
+                });
+            }
+        });
+    });
+}
+
 fn main() {
     // Reader-subprocess mode for the RSS measurement (see child_serve).
     if let (Ok(path), Ok(mode)) = (
@@ -264,103 +227,36 @@ fn main() {
         return;
     }
 
-    let copies: usize = std::env::var("TDMATCH_BENCH_COPIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let k = 20usize;
-    const REPS: usize = 5;
+    let mut state = 0x5E4E_5CA7u64;
+    let centers = gen_centers(TARGETS / 256, DIM, &mut state);
+    let targets = gen_side(TARGETS, DIM, &centers, &mut state);
+    let queries = gen_side(QUERIES, DIM, &centers, &mut state);
+    let artifact = MatchArtifact::new(DIM, Vec::new(), targets, queries);
 
-    // Figure-8-sized corpus pair: a union of independently seeded STS
-    // corpora, exactly like fig8_scaling / bench_walks build theirs.
-    let mut first_docs = Vec::new();
-    let mut second_docs = Vec::new();
-    for seed in 0..copies as u64 {
-        let s = sts::generate(Scale::Small, 100 + seed, 2);
-        let Corpus::Text(f) = s.first else { unreachable!() };
-        let Corpus::Text(snd) = s.second else { unreachable!() };
-        first_docs.extend(f.docs);
-        second_docs.extend(snd.docs);
-    }
-    let first = Corpus::Text(TextCorpus::new(first_docs));
-    let second = Corpus::Text(TextCorpus::new(second_docs));
-    let base = sts::generate(Scale::Tiny, 1, 2);
-    let config = bench_config(&base.config);
-    let dim = config.dim;
-    println!(
-        "persist workload: {} targets × {} queries, dim {dim}, k {k} ({copies} copies)",
-        first.len(),
-        second.len(),
-    );
-
-    // --- Cold: the full fit (build + walks + train + normalize) --------
-    let trainer = TdMatch::new(config);
-    let t = Instant::now();
-    let model = trainer.fit(&first, &second).expect("pipeline fit failed");
-    let cold_secs = t.elapsed().as_secs_f64();
-    let live = model.match_top_k(k);
-
-    // --- Artifact save ---------------------------------------------------
-    let artifact = model.artifact();
-    let t = Instant::now();
-    let mut v2_bytes = Vec::new();
-    artifact.write_to(&mut v2_bytes).unwrap();
-    let save_secs = t.elapsed().as_secs_f64();
-
-    // --- Warm: zero-copy container load ---------------------------------
-    let (warm, v2_load) = measure(REPS, || {
-        let storage = Storage::from_bytes(&v2_bytes);
-        MatchArtifact::from_storage(&storage).unwrap()
-    });
-    assert!(warm.is_zero_copy(), "v2 load fell off the zero-copy path");
-
-    // The warm artifact must rank exactly like the live model.
-    let warm_results = warm.match_top_k(k);
-    assert_eq!(live, warm_results, "warm artifact diverged from the live model");
-
-    // --- Load-then-match: time-to-first-ranking from bytes -------------
-    let pairs = (first.len() * second.len()) as f64;
-    let (_, load_match) = measure(REPS, || {
-        let storage = Storage::from_bytes(&v2_bytes);
-        let a = MatchArtifact::from_storage(&storage).unwrap();
-        a.match_top_k(k)
-    });
-
-    // --- CSR snapshot: cold (build graph + freeze) vs zero-copy load ----
-    // The cold path to a walkable CsrGraph from scratch is graph
-    // creation plus the freeze; the snapshot replaces both.
-    let (csr, csr_cold) = measure(1, || {
-        let built =
-            tdmatch_core::builder::build_graph(&first, &second, trainer.config(), None);
-        CsrGraph::from_graph(&built.graph)
-    });
-    let mut w = ContainerWriter::new();
-    csr.write_sections(&mut w);
-    let csr_bytes = w.finish();
-    let (_, csr_load) = measure(REPS, || {
-        let storage = Storage::from_bytes(&csr_bytes);
-        let c = storage.container().unwrap();
-        CsrGraph::from_sections(&storage, &c).unwrap()
-    });
-
-    // --- Serving opens: mapped (lazy / eager) vs heap, on a real file ---
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
     let artifact_path = tmp.join(format!("tdmatch-bench-artifact-{pid}.tdm"));
-    std::fs::write(&artifact_path, &v2_bytes).expect("write artifact file");
+    artifact.save(&artifact_path).expect("write artifact file");
+    let artifact_bytes = std::fs::metadata(&artifact_path)
+        .expect("stat artifact")
+        .len();
+    println!("persist workload: {TARGETS} targets × {QUERIES} queries, dim {DIM}, {artifact_bytes} bytes");
+
+    // --- Opens: mapped (lazy / eager) vs heap, on a real file -----------
     const OPEN_REPS: usize = 50;
-    let probe_storage = Storage::open_with(&artifact_path, Verification::Lazy).unwrap();
-    let serving_is_mapped = probe_storage.is_mapped();
-    drop(probe_storage);
-    let (_, open_mapped_lazy) = measure(OPEN_REPS, || {
+    const REPS: usize = 5;
+    let serving_is_mapped = Storage::open_with(&artifact_path, Verification::Lazy)
+        .unwrap()
+        .is_mapped();
+    let (_, open_mapped_lazy) = best_of(OPEN_REPS, || {
         let s = Storage::open_with(&artifact_path, Verification::Lazy).unwrap();
         s.container().unwrap().section_count()
     });
-    let (_, open_mapped_eager) = measure(OPEN_REPS, || {
+    let (_, open_mapped_eager) = best_of(OPEN_REPS, || {
         let s = Storage::open_verified(&artifact_path).unwrap();
         s.container().unwrap().section_count()
     });
-    let (_, open_heap) = measure(OPEN_REPS, || {
+    let (_, open_heap) = best_of(OPEN_REPS, || {
         let s = Storage::read_file(&artifact_path).unwrap();
         s.container().unwrap().section_count()
     });
@@ -377,24 +273,23 @@ fn main() {
     };
     let small_path = synthetic(1 << 18, "small"); // 1 MiB payload
     let large_path = synthetic(1 << 24, "large"); // 64 MiB payload
-    let (_, o1_small) = measure(OPEN_REPS, || {
-        let s = Storage::open_with(&small_path, Verification::Lazy).unwrap();
-        s.container().unwrap().section_count()
-    });
-    let (_, o1_large) = measure(OPEN_REPS, || {
-        let s = Storage::open_with(&large_path, Verification::Lazy).unwrap();
-        s.container().unwrap().section_count()
-    });
-    let (_, o1_small_heap) = measure(REPS, || {
-        let s = Storage::read_file(&small_path).unwrap();
-        s.container().unwrap().section_count()
-    });
-    let (_, o1_large_heap) = measure(REPS, || {
-        let s = Storage::read_file(&large_path).unwrap();
-        s.container().unwrap().section_count()
-    });
-    let o1_ratio = o1_large.secs / o1_small.secs;
-    let heap_ratio = o1_large_heap.secs / o1_small_heap.secs;
+    let open_secs = |path: &std::path::Path, reps: usize, mapped: bool| {
+        best_of(reps, || {
+            let s = if mapped {
+                Storage::open_with(path, Verification::Lazy).unwrap()
+            } else {
+                Storage::read_file(path).unwrap()
+            };
+            s.container().unwrap().section_count()
+        })
+        .1
+    };
+    let o1_small = open_secs(&small_path, OPEN_REPS, true);
+    let o1_large = open_secs(&large_path, OPEN_REPS, true);
+    let o1_small_heap = open_secs(&small_path, REPS, false);
+    let o1_large_heap = open_secs(&large_path, REPS, false);
+    let o1_ratio = o1_large / o1_small;
+    let heap_ratio = o1_large_heap / o1_small_heap;
     if serving_is_mapped {
         assert!(
             o1_ratio < 16.0,
@@ -403,128 +298,55 @@ fn main() {
     }
     std::fs::remove_file(&small_path).ok();
     std::fs::remove_file(&large_path).ok();
+    println!(
+        "opens: mapped-lazy {open_mapped_lazy:.6}s vs heap {open_heap:.6}s \
+         (eager mapped {open_mapped_eager:.6}s) | O(1) check: 64x payload -> \
+         mapped open x{o1_ratio:.2}, heap open x{heap_ratio:.2}",
+    );
 
     // --- RSS per reader process: a concurrent fleet per backing ---------
     const FLEET: usize = 2;
     let mapped_readers = reader_fleet(&artifact_path, "mapped", FLEET);
     let heap_readers = reader_fleet(&artifact_path, "heap", FLEET);
-    let pss_total = |readers: &[MemFootprint]| readers.iter().map(|m| m.pss_kb).sum::<u64>();
-    if !mapped_readers.is_empty() && !heap_readers.is_empty() {
-        println!(
-            "serving fleet ({FLEET} readers, {} KiB artifact): mapped pss/reader {:?} KiB \
-             (total {}) vs heap {:?} KiB (total {})",
-            v2_bytes.len() / 1024,
-            mapped_readers.iter().map(|m| m.pss_kb).collect::<Vec<_>>(),
-            pss_total(&mapped_readers),
-            heap_readers.iter().map(|m| m.pss_kb).collect::<Vec<_>>(),
-            pss_total(&heap_readers),
-        );
-    }
-    let rss_json = |readers: &[MemFootprint]| -> String {
-        if readers.is_empty() {
-            return "null".into();
-        }
-        let parts: Vec<String> = readers.iter().map(json_footprint).collect();
-        format!(
-            "{{\"pss_total_kb\": {}, \"readers\": [{}]}}",
-            readers.iter().map(|m| m.pss_kb).sum::<u64>(),
-            parts.join(", ")
-        )
-    };
-    let rss_mapped = rss_json(&mapped_readers);
-    let rss_heap = rss_json(&heap_readers);
-
+    let pss = |readers: &[MemFootprint]| readers.iter().map(|m| m.pss_kb).collect::<Vec<_>>();
+    println!(
+        "serving fleet ({FLEET} readers, {} KiB artifact): mapped pss/reader {:?} KiB \
+         vs heap {:?} KiB",
+        artifact_bytes / 1024,
+        pss(&mapped_readers),
+        pss(&heap_readers),
+    );
     std::fs::remove_file(&artifact_path).ok();
 
-    let serving_json = format!(
-        concat!(
-            "{{\n",
-            "    \"is_mapped\": {},\n",
-            "    \"artifact_file_open\": {{\"mapped_lazy\": {}, \"mapped_eager\": {}, ",
-            "\"heap\": {}}},\n",
-            "    \"o1_open\": {{\"small_bytes\": {}, \"large_bytes\": {}, ",
-            "\"mapped_small_secs\": {:.9}, \"mapped_large_secs\": {:.9}, ",
-            "\"mapped_large_over_small\": {:.2}, ",
-            "\"heap_small_secs\": {:.9}, \"heap_large_secs\": {:.9}, ",
-            "\"heap_large_over_small\": {:.2}}},\n",
-            "    \"rss_per_reader\": {{\"mapped\": {}, \"heap\": {}}}\n",
-            "  }}"
-        ),
-        serving_is_mapped,
-        json_load_stats(&open_mapped_lazy),
-        json_load_stats(&open_mapped_eager),
-        json_load_stats(&open_heap),
-        1usize << 20,
-        1usize << 26,
-        o1_small.secs,
-        o1_large.secs,
-        o1_ratio,
-        o1_small_heap.secs,
-        o1_large_heap.secs,
-        heap_ratio,
-        rss_mapped,
-        rss_heap,
-    );
-    println!(
-        "serving: mapped-lazy open {:.6}s vs heap open {:.6}s (eager mapped {:.6}s) | \
-         O(1) check: 64x payload -> mapped open x{o1_ratio:.2}, heap open x{heap_ratio:.2}",
-        open_mapped_lazy.secs, open_heap.secs, open_mapped_eager.secs,
-    );
-
-    let speedup_warm_vs_cold = cold_secs / v2_load.secs;
-    let speedup_csr = csr_cold.secs / csr_load.secs;
-    println!(
-        "cold fit: {cold_secs:.3}s | warm v2 load: {:.6}s ({speedup_warm_vs_cold:.0}x) | \
-         load+match: {:.4}s \
-         ({:.1}M pairs/s) | csr build+freeze {:.4}s vs load {:.6}s ({speedup_csr:.1}x)",
-        v2_load.secs,
-        load_match.secs,
-        pairs / load_match.secs / 1e6,
-        csr_cold.secs,
-        csr_load.secs,
-    );
-    assert!(
-        speedup_warm_vs_cold >= 10.0,
-        "warm load regressed: only {speedup_warm_vs_cold:.1}x faster than the cold fit"
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"persistence\",\n",
-            "  \"workload\": {{\"targets\": {}, \"queries\": {}, \"dim\": {}, \"k\": {}, ",
-            "\"copies\": {}}},\n",
-            "  \"cold_fit_secs\": {:.6},\n",
-            "  \"artifact_bytes\": {},\n",
-            "  \"artifact_save_secs\": {:.6},\n",
-            "  \"warm_load_v2\": {},\n",
-            "  \"load_then_match\": {{\"secs\": {:.6}, \"pairs_per_sec\": {:.1}}},\n",
-            "  \"csr_snapshot\": {{\"bytes\": {}, \"build_freeze_secs\": {:.6}, ",
-            "\"load_secs\": {:.6}}},\n",
-            "  \"serving\": {},\n",
-            "  \"speedup_warm_vs_cold\": {:.1},\n",
-            "  \"speedup_csr_load_vs_build\": {:.2}\n",
-            "}}\n"
-        ),
-        first.len(),
-        second.len(),
-        dim,
-        k,
-        copies,
-        cold_secs,
-        v2_bytes.len(),
-        save_secs,
-        json_load_stats(&v2_load),
-        load_match.secs,
-        pairs / load_match.secs,
-        csr_bytes.len(),
-        csr_cold.secs,
-        csr_load.secs,
-        serving_json,
-        speedup_warm_vs_cold,
-        speedup_csr,
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persist.json");
-    std::fs::write(out, &json).expect("write BENCH_persist.json");
-    println!("wrote {out}");
+    let secs = |w: &mut Writer, secs: f64| w.obj(|w| w.key("secs").num(round(secs, 9)));
+    write_bench_json("persist", "persistence", |w| {
+        w.key("serving").obj(|w| {
+            w.key("artifact_file_open").obj(|w| {
+                secs(w.key("heap"), open_heap);
+                secs(w.key("mapped_eager"), open_mapped_eager);
+                secs(w.key("mapped_lazy"), open_mapped_lazy);
+            });
+            w.key("is_mapped").bool(serving_is_mapped);
+            w.key("o1_open").obj(|w| {
+                w.key("heap_large_over_small").num(round(heap_ratio, 2));
+                w.key("heap_large_secs").num(round(o1_large_heap, 9));
+                w.key("heap_small_secs").num(round(o1_small_heap, 9));
+                w.key("large_bytes").num((1u64 << 26) as f64);
+                w.key("mapped_large_over_small").num(round(o1_ratio, 2));
+                w.key("mapped_large_secs").num(round(o1_large, 9));
+                w.key("mapped_small_secs").num(round(o1_small, 9));
+                w.key("small_bytes").num((1u64 << 20) as f64);
+            });
+            w.key("rss_per_reader").obj(|w| {
+                write_fleet(w.key("heap"), &heap_readers);
+                write_fleet(w.key("mapped"), &mapped_readers);
+            });
+        });
+        w.key("workload").obj(|w| {
+            w.key("artifact_bytes").num(artifact_bytes as f64);
+            w.key("dim").num(DIM as f64);
+            w.key("queries").num(QUERIES as f64);
+            w.key("targets").num(TARGETS as f64);
+        });
+    });
 }

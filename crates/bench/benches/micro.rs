@@ -12,12 +12,9 @@ use tdmatch_compress::{msp_compress, MspConfig};
 use tdmatch_core::builder::build_graph;
 use tdmatch_core::config::TdConfig;
 use tdmatch_datasets::{imdb, Scale};
-use tdmatch_embed::corpus::FlatCorpus;
 use tdmatch_embed::neg_table::NegativeTable;
 use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, dot_unrolled4, ScoreMatrix};
-use tdmatch_embed::walks::{
-    generate_walk_corpus, generate_walks, walk_counts, WalkConfig, WalkStrategy,
-};
+use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
 use tdmatch_embed::word2vec::{train_corpus, Word2VecConfig};
 use tdmatch_graph::codec::crc32;
 use tdmatch_graph::traverse::{all_shortest_paths, bfs_distances};
@@ -71,34 +68,10 @@ fn bench_traversal(c: &mut Criterion) {
     });
 }
 
+/// Walk generation over the CSR snapshot for each strategy, the
+/// snapshot freeze, corpus iteration and counting, and one Word2Vec
+/// epoch over the walked corpus.
 fn bench_walks_and_train(c: &mut Criterion) {
-    let g = tiny_graph();
-    let cfg = WalkConfig {
-        walks_per_node: 5,
-        walk_len: 10,
-        seed: 1,
-        threads: 1,
-        strategy: WalkStrategy::Uniform,
-    };
-    c.bench_function("embed/generate_walks", |b| {
-        b.iter(|| black_box(generate_walks(&g, &cfg)))
-    });
-    let corpus = generate_walks(&g, &cfg);
-    let counts = walk_counts(&corpus, g.id_bound(), false);
-    let w2v = Word2VecConfig {
-        dim: 32,
-        epochs: 1,
-        ..Default::default()
-    };
-    let flat = FlatCorpus::from_nested(&corpus);
-    c.bench_function("embed/w2v_epoch_flat", |b| {
-        b.iter(|| black_box(train_corpus(&flat, &counts, &w2v)))
-    });
-}
-
-/// Walk generation and corpus iteration over both graph representations:
-/// nested `Vec<Vec<u32>>` over `Graph` vs flat arena over `CsrGraph`.
-fn bench_walk_representations(c: &mut Criterion) {
     let g = tiny_graph();
     let csr = CsrGraph::from_graph(&g);
     for (tag, strategy) in [
@@ -113,9 +86,6 @@ fn bench_walk_representations(c: &mut Criterion) {
             threads: 1,
             strategy,
         };
-        c.bench_function(&format!("walks/{tag}/nested_graph"), |b| {
-            b.iter(|| black_box(generate_walks(&g, &cfg)))
-        });
         c.bench_function(&format!("walks/{tag}/flat_csr"), |b| {
             b.iter(|| black_box(generate_walk_corpus(&csr, &cfg)))
         });
@@ -132,19 +102,7 @@ fn bench_walk_representations(c: &mut Criterion) {
         threads: 1,
         strategy: WalkStrategy::Uniform,
     };
-    let nested = generate_walks(&g, &cfg);
     let flat = generate_walk_corpus(&csr, &cfg);
-    c.bench_function("corpus/iterate_nested", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for sent in &nested {
-                for &tok in sent {
-                    acc = acc.wrapping_add(tok as u64);
-                }
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("corpus/iterate_flat", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -156,11 +114,18 @@ fn bench_walk_representations(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("corpus/counts_nested", |b| {
-        b.iter(|| black_box(walk_counts(&nested, g.id_bound(), false)))
-    });
     c.bench_function("corpus/counts_flat", |b| {
         b.iter(|| black_box(flat.token_counts(g.id_bound(), false)))
+    });
+
+    let counts = flat.token_counts(g.id_bound(), false);
+    let w2v = Word2VecConfig {
+        dim: 32,
+        epochs: 1,
+        ..Default::default()
+    };
+    c.bench_function("embed/w2v_epoch_flat", |b| {
+        b.iter(|| black_box(train_corpus(&flat, &counts, &w2v)))
     });
 }
 
@@ -342,7 +307,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_preprocess, bench_graph_build, bench_traversal,
-              bench_walks_and_train, bench_walk_representations, bench_topk,
+              bench_walks_and_train, bench_topk,
               bench_neg_table, bench_compression, bench_crc32,
               bench_scan_roofline
 }

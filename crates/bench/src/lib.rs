@@ -4,7 +4,8 @@
 //! metric evaluation, table printing, the scenario registry) lives in
 //! [`tdmatch_scenarios`] so the conformance suite and the CLI share it;
 //! this crate re-exports that surface for the `harness = false` bench
-//! targets in `benches/` and adds the bench-only allocation probe.
+//! targets in `benches/`, and holds what the two perf recorders share
+//! ([`record`]).
 //!
 //! Scales are controlled by environment variables so a paper-scale run is
 //! one `TDMATCH_SCALE=paper cargo bench` away (the tiers' presets are
@@ -14,7 +15,7 @@
 //! * `TDMATCH_WALKS`, `TDMATCH_WALK_LEN`, `TDMATCH_DIM`,
 //!   `TDMATCH_EPOCHS`, `TDMATCH_THREADS` — pipeline overrides.
 
-pub mod alloc_probe;
+pub mod record;
 
 pub use tdmatch_scenarios::{
     audit_eval, bench_config, evaluate, print_prf_header, print_prf_row, print_ranking_header,

@@ -415,8 +415,8 @@ impl MatchArtifact {
     /// rows too (they score exactly `-1.0`), so appending them keeps
     /// missing-target semantics identical, and a pool widened to the
     /// corpus size reproduces the exact scan bit-for-bit. A `scratch`
-    /// reused across queries allocates nothing for the walk once warm
-    /// (only the returned pool is new), bit-identical results either way.
+    /// reused across queries keeps the walk's buffers between queries
+    /// (see [`SearchScratch`]), bit-identical results either way.
     ///
     /// [`rank`](MatchArtifact::rank) is the caller, with its thread's
     /// scratch; public so a recorder can time the walk on its own.

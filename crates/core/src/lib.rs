@@ -44,8 +44,10 @@
 //!    the container back *zero-copy*: the document matrices are borrowed
 //!    views into the shared storage buffer, so time-to-first-ranking is
 //!    load + dot-many — no graph rebuild, no re-normalization, no
-//!    per-row allocation (`BENCH_persist.json` tracks the warm/cold
-//!    ratio). `TDZ1` is the only format read: any other file is
+//!    per-row allocation. The root test `fit_bits` holds the loaded
+//!    file to the fitted model bit for bit, and the repository
+//!    benchmark's `ingest` workload times the load (`artifact.load_ms`).
+//!    `TDZ1` is the only format read: any other file is
 //!    [`artifact::PersistError::BadMagic`].
 //! 5. **Delta ingest** — when the target corpus changes, a
 //!    [`delta::DeltaBatch`] (append / update / tombstone ops) applied

@@ -63,7 +63,7 @@ use crate::score::{dot_unrolled, dot_unrolled4, ScoreMatrix};
 /// Default widened candidate-pool size for ANN retrieval (~4k): a
 /// recall-first default — recall@20 ≈ 1.0 on every benchmarked tier,
 /// at worst break-even with the exact scan. Narrower pools buy the
-/// speed (≈20× at 256k targets with pool 256); see `BENCH_ann.json`
+/// speed (≈18× at 256k targets with pool 256); see `BENCH_ann.json`
 /// for the measured recall/speedup curve.
 pub const DEFAULT_POOL: usize = 4096;
 
@@ -203,8 +203,9 @@ impl Visited {
 /// layer's result to the next layer as its entry points.
 /// [`HnswIndex::search_with`], [`HnswIndex::build`] and
 /// [`HnswIndex::insert`] all walk through one, which clears its buffers
-/// between walks instead of reallocating them, so a scratch allocates
-/// nothing once warm. Reuse never changes results — the visited set is
+/// between walks instead of reallocating them, so a warm scratch keeps
+/// its capacity from walk to walk (`BENCH_ann.json` last measured the
+/// saving, as `scratch_alloc`, at 6d7e77d). Reuse never changes results — the visited set is
 /// logically cleared (by generation bump) at every layer walk — and a
 /// scratch sized for one matrix re-sizes itself when handed a matrix
 /// with a different row count.
@@ -891,9 +892,9 @@ impl HnswIndex {
     /// `ef == pool` — the [`search`](HnswIndex::search) default — is
     /// the floor, and raising `ef` buys recall without widening the
     /// exact-rescore pool downstream. A `scratch` reused across queries
-    /// allocates nothing once warm — only the returned pool is new — and
-    /// is bit-identical to a fresh scratch per call, whatever `pool`,
-    /// `ef` or matrix it walked before.
+    /// keeps its buffers between walks, so the returned pool is the only
+    /// buffer each call must create, and it is bit-identical to a fresh
+    /// scratch per call, whatever `pool`, `ef` or matrix it walked before.
     pub fn search_with(
         &self,
         matrix: &ScoreMatrix,

@@ -38,17 +38,6 @@ impl FlatCorpus {
         }
     }
 
-    /// Copies a nested corpus into a flat arena (compatibility path for
-    /// callers still producing `Vec<Vec<u32>>`).
-    pub fn from_nested(sentences: &[Vec<u32>]) -> Self {
-        let total: usize = sentences.iter().map(Vec::len).sum();
-        let mut corpus = Self::with_capacity(sentences.len(), total);
-        for s in sentences {
-            corpus.push(s);
-        }
-        corpus
-    }
-
     /// Appends one sentence.
     pub fn push(&mut self, sentence: &[u32]) {
         self.tokens.extend_from_slice(sentence);
@@ -127,9 +116,8 @@ impl FlatCorpus {
         }
     }
 
-    /// Token frequencies sized to `id_bound`, the flat-arena equivalent of
-    /// [`walk_counts`](crate::walks::walk_counts): counts index by token
-    /// value so they double as a Word2Vec vocabulary over node ids. With
+    /// Token frequencies sized to `id_bound`: counts index by token value
+    /// so they double as a Word2Vec vocabulary over node ids. With
     /// `floor_missing`, absent tokens get a floor count of 1.
     pub fn token_counts(&self, id_bound: usize, floor_missing: bool) -> Vec<u64> {
         let mut counts = vec![0u64; id_bound];
@@ -144,11 +132,6 @@ impl FlatCorpus {
             }
         }
         counts
-    }
-
-    /// Copies out to the nested representation (compatibility path).
-    pub fn to_nested(&self) -> Vec<Vec<u32>> {
-        self.sentences().map(<[u32]>::to_vec).collect()
     }
 }
 
@@ -199,13 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn nested_roundtrip() {
-        let nested = vec![vec![5, 6], vec![], vec![7, 8, 9]];
-        let c = FlatCorpus::from_nested(&nested);
-        assert_eq!(c.to_nested(), nested);
+    fn sentences_iterate_in_order() {
+        let mut c = FlatCorpus::with_capacity(3, 5);
+        for s in [&[5, 6][..], &[], &[7, 8, 9]] {
+            c.push(s);
+        }
         let slices: Vec<&[u32]> = c.sentences().collect();
-        assert_eq!(slices.len(), 3);
-        assert_eq!(slices[2], &[7, 8, 9]);
+        assert_eq!(slices, [&[5, 6][..], &[], &[7, 8, 9]]);
+        assert_eq!(c.sentences().len(), 3);
     }
 
     #[test]
@@ -233,8 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn token_counts_match_walk_counts_semantics() {
-        let c = FlatCorpus::from_nested(&[vec![0, 1, 1], vec![2]]);
+    fn token_counts_index_by_token() {
+        let mut c = FlatCorpus::new();
+        c.push(&[0, 1, 1]);
+        c.push(&[2]);
         assert_eq!(c.token_counts(4, false), vec![1, 2, 1, 0]);
         assert_eq!(c.token_counts(4, true), vec![1, 2, 1, 1]);
     }

@@ -16,7 +16,7 @@
 //!   count;
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
 //! * [`walks`] — parallel random-walk corpus generation over a
-//!   [`tdmatch_graph::Graph`] or its [`tdmatch_graph::CsrGraph`] snapshot;
+//!   [`tdmatch_graph::CsrGraph`] snapshot;
 //! * [`vectors`] — dense embedding stores and cosine similarity;
 //! * [`score`] — the flat similarity engine: pre-normalized
 //!   [`ScoreMatrix`] rows, unrolled dot kernels, and bounded top-k batch
@@ -32,14 +32,14 @@
 //! [`tdmatch_graph::CsrGraph`] once and then:
 //!
 //! 1. [`walks::generate_walk_corpus`] streams all random walks into one
-//!    [`FlatCorpus`] arena (two allocations, any thread count, corpus
-//!    byte-identical to the legacy nested path);
+//!    [`FlatCorpus`] arena (two allocations, the same corpus at any
+//!    thread count);
 //! 2. [`word2vec::train_corpus`] / [`doc2vec::train_pv_dbow`] train
 //!    straight off the arena via sentence-slice iterators.
 //!
-//! The nested `Vec<Vec<u32>>` walk generator ([`walks::generate_walks`])
-//! remains as a compatibility shim for baselines and as an equivalence
-//! oracle in tests.
+//! That is the only walk path. The property suite
+//! `tests/flat_prop.rs` holds it to a serial reference over the mutable
+//! graph, kept there as test code.
 
 pub mod ann;
 pub mod corpus;

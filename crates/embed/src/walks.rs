@@ -12,11 +12,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use tdmatch_graph::sample::{
-    random_walk, random_walk_csr_into, random_walk_edge_typed, random_walk_edge_typed_csr_into,
-    random_walk_node2vec, random_walk_node2vec_csr_into,
-};
-use tdmatch_graph::{CsrGraph, EdgeTypeWeights, Graph, NodeId};
+use tdmatch_graph::sample::{random_walk_edge_typed_csr_into, random_walk_node2vec_csr_into};
+use tdmatch_graph::{CsrGraph, EdgeTypeWeights, NodeId};
 
 use crate::corpus::FlatCorpus;
 
@@ -150,18 +147,37 @@ fn uniform_walks_interleaved(
     }
 }
 
+/// Runs `walk` once per `(start node, walk index)` of `chunk`, in order,
+/// each time with that walk's own RNG, and records each walk's length.
+fn walk_each(
+    chunk: &[NodeId],
+    config: &WalkConfig,
+    tokens: &mut Vec<u32>,
+    lens: &mut Vec<u32>,
+    mut walk: impl FnMut(NodeId, &mut SmallRng, &mut Vec<u32>),
+) {
+    for &node in chunk {
+        for w in 0..config.walks_per_node {
+            let mut rng = SmallRng::seed_from_u64(walk_seed(config.seed, node, w));
+            let start = tokens.len();
+            walk(node, &mut rng, tokens);
+            lens.push((tokens.len() - start) as u32);
+        }
+    }
+}
+
 /// Generates the full walk corpus over a [`CsrGraph`] snapshot into a
-/// [`FlatCorpus`] arena — the allocation-free hot path the pipeline uses.
+/// [`FlatCorpus`] arena: `walks_per_node` walks from every live node, as
+/// sentences of node-id tokens — the one walk path a fit runs.
 ///
 /// Each worker thread walks a contiguous chunk of start nodes and streams
 /// tokens into one pre-reserved per-chunk buffer (no per-walk `Vec`);
 /// chunks are then concatenated in node order. Because every walk's RNG is
 /// seeded from `(seed, start node, walk index)`, the corpus is *identical*
-/// for any thread count, and byte-identical to [`generate_walks`] over the
-/// graph the snapshot was frozen from. Uniform walks additionally step
-/// `WALK_LANES` (8) independent walks per node in lockstep to overlap
-/// their memory latencies — the corpus is unchanged because walk RNG
-/// streams never interact.
+/// for any thread count. Uniform walks additionally step `WALK_LANES` (8)
+/// independent walks per node in lockstep to overlap their memory
+/// latencies — the corpus is unchanged because walk RNG streams never
+/// interact.
 pub fn generate_walk_corpus(g: &CsrGraph, config: &WalkConfig) -> FlatCorpus {
     let nodes: Vec<NodeId> = g.nodes().collect();
     let threads = config.threads.max(1).min(nodes.len().max(1));
@@ -186,71 +202,48 @@ pub fn generate_walk_corpus(g: &CsrGraph, config: &WalkConfig) -> FlatCorpus {
                     let mut tokens: Vec<u32> =
                         Vec::with_capacity(walks * (config.walk_len + 1));
                     let mut lens: Vec<u32> = Vec::with_capacity(walks);
-                    let mut scratch: Vec<f32> = Vec::new();
-                    if matches!(config.strategy, WalkStrategy::Uniform) {
-                        let mut rng_pool: Vec<SmallRng> = Vec::with_capacity(WALK_LANES);
-                        let mut lane_buf: Vec<u32> = Vec::new();
-                        let mut seeds = [0u64; WALK_LANES];
-                        for &node in chunk {
-                            let mut w = 0;
-                            while w < config.walks_per_node {
-                                let lanes = WALK_LANES.min(config.walks_per_node - w);
-                                for (lane, s) in seeds.iter_mut().take(lanes).enumerate() {
-                                    *s = walk_seed(config.seed, node, w + lane);
+                    let len = config.walk_len;
+                    match config.strategy {
+                        WalkStrategy::Uniform => {
+                            let mut rng_pool: Vec<SmallRng> = Vec::with_capacity(WALK_LANES);
+                            let mut lane_buf: Vec<u32> = Vec::new();
+                            let mut seeds = [0u64; WALK_LANES];
+                            for &node in chunk {
+                                let mut w = 0;
+                                while w < config.walks_per_node {
+                                    let lanes = WALK_LANES.min(config.walks_per_node - w);
+                                    for (lane, s) in seeds.iter_mut().take(lanes).enumerate() {
+                                        *s = walk_seed(config.seed, node, w + lane);
+                                    }
+                                    uniform_walks_interleaved(
+                                        g,
+                                        node,
+                                        &seeds[..lanes],
+                                        len,
+                                        &mut rng_pool,
+                                        &mut lane_buf,
+                                        &mut tokens,
+                                        &mut lens,
+                                    );
+                                    w += lanes;
                                 }
-                                uniform_walks_interleaved(
-                                    g,
-                                    node,
-                                    &seeds[..lanes],
-                                    config.walk_len,
-                                    &mut rng_pool,
-                                    &mut lane_buf,
-                                    &mut tokens,
-                                    &mut lens,
-                                );
-                                w += lanes;
                             }
                         }
-                        return (tokens, lens);
-                    }
-                    for &node in chunk {
-                        for w in 0..config.walks_per_node {
-                            let mut rng =
-                                SmallRng::seed_from_u64(walk_seed(config.seed, node, w));
-                            let start = tokens.len();
-                            match config.strategy {
-                                WalkStrategy::Uniform => random_walk_csr_into(
-                                    g,
-                                    node,
-                                    config.walk_len,
-                                    &mut rng,
-                                    &mut tokens,
-                                ),
-                                WalkStrategy::Node2Vec { p, q } => {
-                                    random_walk_node2vec_csr_into(
-                                        g,
-                                        node,
-                                        config.walk_len,
-                                        p,
-                                        q,
-                                        &mut rng,
-                                        &mut scratch,
-                                        &mut tokens,
-                                    )
-                                }
-                                WalkStrategy::EdgeTyped(weights) => {
-                                    random_walk_edge_typed_csr_into(
-                                        g,
-                                        node,
-                                        config.walk_len,
-                                        &weights,
-                                        cum.expect("cum table built for EdgeTyped"),
-                                        &mut rng,
-                                        &mut tokens,
-                                    )
-                                }
-                            }
-                            lens.push((tokens.len() - start) as u32);
+                        WalkStrategy::Node2Vec { p, q } => {
+                            let mut scratch: Vec<f32> = Vec::new();
+                            walk_each(chunk, config, &mut tokens, &mut lens, |node, rng, out| {
+                                random_walk_node2vec_csr_into(
+                                    g, node, len, p, q, rng, &mut scratch, out,
+                                )
+                            });
+                        }
+                        WalkStrategy::EdgeTyped(weights) => {
+                            let cum = cum.expect("cum table built for EdgeTyped");
+                            walk_each(chunk, config, &mut tokens, &mut lens, |node, rng, out| {
+                                random_walk_edge_typed_csr_into(
+                                    g, node, len, &weights, cum, rng, out,
+                                )
+                            });
                         }
                     }
                     (tokens, lens)
@@ -267,89 +260,10 @@ pub fn generate_walk_corpus(g: &CsrGraph, config: &WalkConfig) -> FlatCorpus {
     corpus
 }
 
-/// Generates the full walk corpus: `walks_per_node` walks from every live
-/// node, as sentences of node-id tokens.
-///
-/// This is the nested-representation reference path, kept for baselines
-/// and as the equivalence oracle for [`generate_walk_corpus`]; new code
-/// should snapshot the graph and use the flat variant.
-pub fn generate_walks(g: &Graph, config: &WalkConfig) -> Vec<Vec<u32>> {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let threads = config.threads.max(1).min(nodes.len().max(1));
-    let chunk_size = nodes.len().div_ceil(threads.max(1)).max(1);
-    let mut corpus = Vec::with_capacity(nodes.len() * config.walks_per_node);
-
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = nodes
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move |_| {
-                    let mut local =
-                        Vec::with_capacity(chunk.len() * config.walks_per_node);
-                    for &node in chunk {
-                        for w in 0..config.walks_per_node {
-                            let mut rng =
-                                SmallRng::seed_from_u64(walk_seed(config.seed, node, w));
-                            let walk = match config.strategy {
-                                WalkStrategy::Uniform => {
-                                    random_walk(g, node, config.walk_len, &mut rng)
-                                }
-                                WalkStrategy::Node2Vec { p, q } => random_walk_node2vec(
-                                    g,
-                                    node,
-                                    config.walk_len,
-                                    p,
-                                    q,
-                                    &mut rng,
-                                ),
-                                WalkStrategy::EdgeTyped(weights) => random_walk_edge_typed(
-                                    g,
-                                    node,
-                                    config.walk_len,
-                                    &weights,
-                                    &mut rng,
-                                ),
-                            };
-                            local.push(walk.into_iter().map(|n| n.0).collect::<Vec<u32>>());
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            corpus.extend(h.join().expect("walk worker panicked"));
-        }
-    })
-    .expect("walk generation scope failed");
-
-    corpus
-}
-
-/// Token frequencies over a walk corpus, sized to `id_bound` so the counts
-/// can double as a Word2Vec "vocabulary" indexed by node id. Nodes that
-/// never appear get count 0 and are excluded from negative sampling by
-/// giving them a floor of 1 only when `floor_missing` is set.
-pub fn walk_counts(corpus: &[Vec<u32>], id_bound: usize, floor_missing: bool) -> Vec<u64> {
-    let mut counts = vec![0u64; id_bound];
-    for sent in corpus {
-        for &tok in sent {
-            counts[tok as usize] += 1;
-        }
-    }
-    if floor_missing {
-        for c in &mut counts {
-            if *c == 0 {
-                *c = 1;
-            }
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdmatch_graph::{EdgeKind, Graph};
 
     fn ring(n: usize) -> Graph {
         let mut g = Graph::new();
@@ -360,65 +274,86 @@ mod tests {
         g
     }
 
-    #[test]
-    fn corpus_size_and_lengths() {
-        let g = ring(10);
-        let cfg = WalkConfig {
-            walks_per_node: 3,
-            walk_len: 5,
-            seed: 1,
-            threads: 2,
-            strategy: WalkStrategy::Uniform,
+    fn path(n: usize) -> Graph {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..n).map(|i| g.intern_data(&format!("n{i}"))).collect();
+        for w in ids.windows(2) {
+            g.add_edge(w[0], w[1]);
+        }
+        g
+    }
+
+    fn walk(
+        g: &Graph,
+        walks_per_node: usize,
+        walk_len: usize,
+        strategy: WalkStrategy,
+    ) -> FlatCorpus {
+        let config = WalkConfig {
+            walks_per_node,
+            walk_len,
+            seed: 7,
+            threads: 1,
+            strategy,
         };
-        let corpus = generate_walks(&g, &cfg);
-        assert_eq!(corpus.len(), 30);
-        assert!(corpus.iter().all(|w| w.len() == 6));
+        generate_walk_corpus(&CsrGraph::from_graph(g), &config)
+    }
+
+    fn strategies() -> [WalkStrategy; 3] {
+        [
+            WalkStrategy::Uniform,
+            WalkStrategy::Node2Vec { p: 0.25, q: 4.0 },
+            WalkStrategy::EdgeTyped(EdgeTypeWeights::uniform()),
+        ]
+    }
+
+    #[test]
+    fn walks_have_full_length_follow_edges_and_are_deterministic() {
+        // A ring with chords: no dead ends, so every walk runs its length.
+        let mut g = ring(10);
+        for i in 0..10 {
+            g.add_edge(NodeId(i), NodeId((i + 3) % 10));
+        }
+        for strategy in strategies() {
+            // Eleven walks: a full batch of uniform lanes plus a tail.
+            let corpus = walk(&g, 11, 20, strategy);
+            assert_eq!(corpus.len(), 110, "{strategy:?}");
+            for sent in corpus.sentences() {
+                assert_eq!(sent.len(), 21, "{strategy:?}");
+                for pair in sent.windows(2) {
+                    assert!(g.has_edge(NodeId(pair[0]), NodeId(pair[1])), "{strategy:?}");
+                }
+            }
+            assert_eq!(corpus, walk(&g, 11, 20, strategy), "{strategy:?} is not deterministic");
+        }
+    }
+
+    #[test]
+    fn an_isolated_start_walks_a_singleton() {
+        let mut g = Graph::new();
+        let a = g.intern_data("a");
+        for strategy in strategies() {
+            let corpus = walk(&g, 3, 5, strategy);
+            assert!(corpus.sentences().all(|s| s == [a.0]), "{strategy:?}");
+        }
     }
 
     #[test]
     fn walks_are_thread_count_independent() {
         let g = ring(12);
-        let mut c1 = generate_walks(
-            &g,
-            &WalkConfig {
+        let csr = CsrGraph::from_graph(&g);
+        for strategy in strategies() {
+            let config = WalkConfig {
                 walks_per_node: 2,
                 walk_len: 4,
                 seed: 9,
                 threads: 1,
-                strategy: WalkStrategy::Uniform,
-            },
-        );
-        let mut c4 = generate_walks(
-            &g,
-            &WalkConfig {
-                walks_per_node: 2,
-                walk_len: 4,
-                seed: 9,
-                threads: 4,
-                strategy: WalkStrategy::Uniform,
-            },
-        );
-        c1.sort();
-        c4.sort();
-        assert_eq!(c1, c4);
-    }
-
-    #[test]
-    fn walk_steps_follow_edges() {
-        let g = ring(6);
-        let corpus = generate_walks(
-            &g,
-            &WalkConfig {
-                walks_per_node: 1,
-                walk_len: 8,
-                seed: 2,
-                threads: 1,
-                strategy: WalkStrategy::Uniform,
-            },
-        );
-        for sent in &corpus {
-            for pair in sent.windows(2) {
-                assert!(g.has_edge(NodeId(pair[0]), NodeId(pair[1])));
+                strategy,
+            };
+            let one = generate_walk_corpus(&csr, &config);
+            for threads in [2, 4, 12, 40] {
+                let many = generate_walk_corpus(&csr, &WalkConfig { threads, ..config });
+                assert_eq!(one, many, "{strategy:?} at {threads} threads");
             }
         }
     }
@@ -426,131 +361,68 @@ mod tests {
     #[test]
     fn counts_cover_all_visited_nodes() {
         let g = ring(5);
-        let corpus = generate_walks(
-            &g,
-            &WalkConfig {
-                walks_per_node: 4,
-                walk_len: 6,
-                seed: 3,
-                threads: 1,
-                strategy: WalkStrategy::Uniform,
-            },
-        );
-        let counts = walk_counts(&corpus, g.id_bound(), false);
+        let corpus = walk(&g, 4, 6, WalkStrategy::Uniform);
+        let counts = corpus.token_counts(g.id_bound(), false);
         let total: u64 = counts.iter().sum();
-        assert_eq!(total as usize, corpus.iter().map(|s| s.len()).sum::<usize>());
+        assert_eq!(total as usize, corpus.total_tokens());
         // Every node starts 4 walks, so every node appears.
         assert!(counts.iter().all(|&c| c >= 4));
     }
 
     #[test]
     fn floor_missing_gives_min_one() {
-        let counts = walk_counts(&[], 3, true);
-        assert_eq!(counts, vec![1, 1, 1]);
+        assert_eq!(FlatCorpus::new().token_counts(3, true), vec![1, 1, 1]);
     }
 
     #[test]
-    fn node2vec_strategy_produces_valid_deterministic_corpus() {
-        let g = ring(10);
-        let cfg = WalkConfig {
-            walks_per_node: 2,
-            walk_len: 6,
-            seed: 5,
-            threads: 2,
-            strategy: WalkStrategy::Node2Vec { p: 0.25, q: 4.0 },
-        };
-        let c1 = generate_walks(&g, &cfg);
-        let c2 = generate_walks(&g, &cfg);
-        assert_eq!(c1, c2, "node2vec corpus must be deterministic");
-        assert_eq!(c1.len(), 20);
-        for sent in &c1 {
-            for pair in sent.windows(2) {
-                assert!(g.has_edge(NodeId(pair[0]), NodeId(pair[1])));
-            }
+    fn edge_typed_walks_never_cross_zero_weight_kinds() {
+        // a —Contains— b —External— c. Forbidding External traps every
+        // walk that starts on {a, b}.
+        let mut g = Graph::new();
+        let a = g.intern_data("a");
+        let b = g.intern_data("b");
+        let c = g.intern_data("c");
+        g.add_edge_typed(a, b, EdgeKind::Contains);
+        g.add_edge_typed(b, c, EdgeKind::External);
+        let weights = EdgeTypeWeights::uniform().with(EdgeKind::External, 0.0);
+        let corpus = walk(&g, 10, 12, WalkStrategy::EdgeTyped(weights));
+        for sent in corpus.sentences() {
+            let from_c = sent[0] == c.0;
+            assert!(sent.iter().all(|&t| (t == c.0) == from_c), "crossed External: {sent:?}");
         }
-    }
-
-    #[test]
-    fn edge_typed_strategy_with_uniform_weights_is_complete() {
-        use tdmatch_graph::EdgeTypeWeights;
-        let g = ring(8);
-        let cfg = WalkConfig {
-            walks_per_node: 2,
-            walk_len: 5,
-            seed: 6,
-            threads: 1,
-            strategy: WalkStrategy::EdgeTyped(EdgeTypeWeights::uniform()),
-        };
-        let corpus = generate_walks(&g, &cfg);
-        assert_eq!(corpus.len(), 16);
-        assert!(corpus.iter().all(|w| w.len() == 6));
     }
 
     #[test]
     fn forbidding_all_kinds_yields_singleton_walks() {
-        use tdmatch_graph::{EdgeKind, EdgeTypeWeights};
-        let g = ring(5);
         // Ring edges are Generic; weight 0 strands every walker at start.
         let weights = EdgeTypeWeights::uniform().with(EdgeKind::Generic, 0.0);
-        let cfg = WalkConfig {
-            walks_per_node: 1,
-            walk_len: 5,
-            seed: 7,
-            threads: 1,
-            strategy: WalkStrategy::EdgeTyped(weights),
-        };
-        let corpus = generate_walks(&g, &cfg);
-        assert!(corpus.iter().all(|w| w.len() == 1));
+        let corpus = walk(&ring(5), 1, 5, WalkStrategy::EdgeTyped(weights));
+        assert_eq!(corpus.len(), 5);
+        assert!(corpus.sentences().all(|w| w.len() == 1));
     }
 
     #[test]
-    fn flat_corpus_matches_nested_for_every_strategy() {
-        use tdmatch_graph::{CsrGraph, EdgeKind, EdgeTypeWeights};
-        let mut g = ring(14);
-        // Add typed chords so the strategies actually diverge.
-        for i in 0..14 {
-            let a = g.data_node(&format!("n{i}")).unwrap();
-            let b = g.data_node(&format!("n{}", (i + 4) % 14)).unwrap();
-            g.add_edge_typed(a, b, EdgeKind::External);
-        }
-        let csr = CsrGraph::from_graph(&g);
-        for strategy in [
-            WalkStrategy::Uniform,
-            WalkStrategy::Node2Vec { p: 0.5, q: 2.0 },
-            WalkStrategy::EdgeTyped(EdgeTypeWeights::uniform().with(EdgeKind::External, 0.25)),
-        ] {
-            let cfg = WalkConfig {
-                // Above WALK_LANES so uniform runs a full batch + tail.
-                walks_per_node: 11,
-                walk_len: 7,
-                seed: 13,
-                threads: 1,
-                strategy,
-            };
-            let nested = generate_walks(&g, &cfg);
-            for threads in [1, 2, 5] {
-                let flat = generate_walk_corpus(&csr, &WalkConfig { threads, ..cfg });
-                assert_eq!(flat.to_nested(), nested, "{strategy:?} threads={threads}");
+    fn node2vec_low_p_returns_more_often() {
+        // On a path, a walker either returns (weight 1/p) or moves on
+        // (weight 1/q: the two ends of a path share no neighbors). With p
+        // tiny, returning dominates.
+        let g = path(30);
+        let return_share = |p: f32| {
+            let corpus = walk(&g, 2, 10, WalkStrategy::Node2Vec { p, q: 1.0 });
+            let (mut returns, mut steps) = (0usize, 0usize);
+            for sent in corpus.sentences() {
+                for win in sent.windows(3) {
+                    steps += 1;
+                    returns += usize::from(win[0] == win[2]);
+                }
             }
-        }
-    }
-
-    #[test]
-    fn flat_corpus_counts_match_nested_counts() {
-        let g = ring(9);
-        let cfg = WalkConfig {
-            walks_per_node: 2,
-            walk_len: 5,
-            seed: 21,
-            threads: 3,
-            strategy: WalkStrategy::Uniform,
+            returns as f64 / steps.max(1) as f64
         };
-        let nested = generate_walks(&g, &cfg);
-        let flat =
-            generate_walk_corpus(&tdmatch_graph::CsrGraph::from_graph(&g), &cfg);
-        assert_eq!(
-            flat.token_counts(g.id_bound(), false),
-            walk_counts(&nested, g.id_bound(), false)
+        let returny = return_share(0.05);
+        let explorey = return_share(20.0);
+        assert!(
+            returny > explorey + 0.2,
+            "low p should return far more often: {returny} vs {explorey}"
         );
     }
 
@@ -559,17 +431,10 @@ mod tests {
         let mut g = ring(6);
         let victim = g.data_node("n0").unwrap();
         g.remove_node(victim);
-        let corpus = generate_walks(
-            &g,
-            &WalkConfig {
-                walks_per_node: 1,
-                walk_len: 3,
-                seed: 4,
-                threads: 1,
-                strategy: WalkStrategy::Uniform,
-            },
-        );
-        assert_eq!(corpus.len(), 5);
-        assert!(corpus.iter().all(|s| !s.contains(&victim.0)));
+        for strategy in strategies() {
+            let corpus = walk(&g, 1, 3, strategy);
+            assert_eq!(corpus.len(), 5, "{strategy:?}");
+            assert!(corpus.tokens().iter().all(|&t| t != victim.0), "{strategy:?}");
+        }
     }
 }

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use tdmatch_embed::neg_table::NegativeTable;
 use tdmatch_embed::vectors::{cosine, mean_of, normalize};
 use tdmatch_embed::vocab::Vocab;
-use tdmatch_embed::walks::{generate_walks, walk_counts, WalkConfig, WalkStrategy};
-use tdmatch_graph::{Graph, NodeId};
+use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
+use tdmatch_graph::{CsrGraph, Graph, NodeId};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -99,7 +99,7 @@ proptest! {
         for &(a, b) in &ring_extra {
             g.add_edge(ids[a % n], ids[b % n]);
         }
-        let corpus = generate_walks(&g, &WalkConfig {
+        let corpus = generate_walk_corpus(&CsrGraph::from_graph(&g), &WalkConfig {
             walks_per_node: walks,
             walk_len: len,
             seed: 11,
@@ -107,14 +107,14 @@ proptest! {
             strategy: WalkStrategy::Uniform,
         });
         prop_assert_eq!(corpus.len(), n * walks);
-        for sent in &corpus {
+        for sent in corpus.sentences() {
             prop_assert_eq!(sent.len(), len + 1);
             for w in sent.windows(2) {
                 prop_assert!(g.has_edge(NodeId(w[0]), NodeId(w[1])));
             }
         }
-        let counts = walk_counts(&corpus, g.id_bound(), false);
+        let counts = corpus.token_counts(g.id_bound(), false);
         let total: u64 = counts.iter().sum();
-        prop_assert_eq!(total as usize, corpus.iter().map(|s| s.len()).sum::<usize>());
+        prop_assert_eq!(total as usize, corpus.sentences().map(<[u32]>::len).sum::<usize>());
     }
 }

@@ -20,9 +20,9 @@
 //!
 //! `targets` deliberately preserves the mutable graph's insertion order
 //! (the sorted copy is a *separate* index): random walks pick neighbors by
-//! index, so keeping the order identical is what makes CSR-backed walks
-//! byte-identical to walks over the original [`Graph`] under the same
-//! seed. The property tests in `tests/csr_prop.rs` pin both guarantees.
+//! index, so a walk is a function of the graph as built and the seed.
+//! The property tests in `tests/csr_prop.rs` pin the snapshot to its
+//! source edge for edge.
 //!
 //! Lifecycle: mutate [`Graph`] (build → expand → merge → compress), then
 //! freeze once via [`CsrGraph::from_graph`] and run all read-heavy work
@@ -380,9 +380,9 @@ impl CsrGraph {
     ///
     /// For each node the table holds the running prefix sum of its
     /// incident edges' kind weights, accumulated in insertion order with
-    /// plain `f32` addition — the *same* fold the per-step sampler used to
-    /// recompute, so sampling from the table is bit-identical to the
-    /// recomputing path while costing O(log degree) per step.
+    /// plain `f32` addition — the *same* fold a per-step linear sampler
+    /// would recompute, so sampling from the table picks what that linear
+    /// sampler picks while costing O(log degree) per step.
     pub fn edge_type_cum(&self, weights: &EdgeTypeWeights) -> EdgeTypeCum {
         let mut cum = Vec::with_capacity(self.kinds.len());
         for u in 0..self.id_bound() {

@@ -11,7 +11,8 @@
 //! This crate provides the graph itself ([`Graph`]), an immutable
 //! compressed-sparse-row snapshot for read-heavy phases ([`CsrGraph`]),
 //! breadth-first search and all-shortest-path enumeration ([`traverse`]),
-//! and random-neighbor sampling used by the walk generator ([`sample`]).
+//! and the biased transition sampling used by the walk generator
+//! ([`sample`]).
 //!
 //! # Snapshot lifecycle
 //!
@@ -24,8 +25,9 @@
 //!    biased walks, embedding training — against the snapshot.
 //!
 //! The snapshot is immutable: further `Graph` mutations require a fresh
-//! freeze. Walks over the snapshot are byte-identical to walks over the
-//! source graph under the same seed (see [`csr`] for why).
+//! freeze. Walks run over the snapshot only; it keeps the source graph's
+//! neighbor order, so they are a function of the graph and the seed (see
+//! [`csr`]).
 
 //!
 //! # Persistence

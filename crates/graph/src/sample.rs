@@ -1,51 +1,15 @@
-//! Random sampling over the graph: neighbors and random walks (Alg. 4),
-//! plus the biased variants (node2vec second-order walks, edge-type
-//! weighted walks) that plug into the embedding generator.
+//! Transition sampling for the biased walks over a [`CsrGraph`] snapshot
+//! (Alg. 4's random walks with the node2vec second-order bias and the
+//! edge-type weights that plug into the embedding generator). The
+//! uniform walk needs no helper here: the generator picks a uniformly
+//! random neighbor slice element itself.
 
 use rand::seq::IndexedRandom;
 use rand::{Rng, RngExt};
 
 use crate::csr::{CsrGraph, EdgeTypeCum};
 use crate::edge::EdgeTypeWeights;
-use crate::graph::Graph;
 use crate::node::NodeId;
-
-/// Picks a uniformly random neighbor of `node`, or `None` for isolated /
-/// removed nodes.
-#[inline]
-pub fn random_neighbor<R: Rng + ?Sized>(g: &Graph, node: NodeId, rng: &mut R) -> Option<NodeId> {
-    g.neighbors(node).choose(rng).copied()
-}
-
-/// Generates one random walk of exactly `len` *steps* starting at `start`
-/// (the paper's Alg. 4 appends `len` randomly chosen neighbors). The walk
-/// includes the start node followed by up to `len` sampled nodes; it stops
-/// early only if it reaches an isolated node.
-pub fn random_walk<R: Rng + ?Sized>(
-    g: &Graph,
-    start: NodeId,
-    len: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let mut walk = Vec::with_capacity(len + 1);
-    walk.push(start);
-    let mut cur = start;
-    for _ in 0..len {
-        match random_neighbor(g, cur, rng) {
-            Some(next) => {
-                walk.push(next);
-                cur = next;
-            }
-            None => break,
-        }
-    }
-    walk
-}
-
-/// Picks a uniformly random element of `items`.
-pub fn choose<'a, T, R: Rng + ?Sized>(items: &'a [T], rng: &mut R) -> Option<&'a T> {
-    items.choose(rng)
-}
 
 /// Samples an index from unnormalized non-negative `weights` by cumulative
 /// sum. Returns `None` when all weights are zero (or the slice is empty).
@@ -53,8 +17,8 @@ pub fn choose<'a, T, R: Rng + ?Sized>(items: &'a [T], rng: &mut R) -> Option<&'a
 /// The selection rule is "first index whose running prefix sum exceeds
 /// `r · total`", with the prefix accumulated by sequential `f32` addition.
 /// [`sample_cumulative`] applies the same rule to a *precomputed* prefix
-/// table; keeping both on one arithmetic definition is what makes walks
-/// over a [`CsrGraph`] byte-identical to walks over the mutable graph.
+/// table and draws from the RNG the same way, so the two pick the same
+/// index under the same RNG stream.
 fn sample_weighted<R: Rng + ?Sized>(weights: &[f32], rng: &mut R) -> Option<usize> {
     let mut total = 0.0f32;
     for &w in weights {
@@ -98,124 +62,11 @@ fn sample_cumulative<R: Rng + ?Sized>(
     (0..cum.len()).rev().find(|&i| positive(i))
 }
 
-/// One random walk where each transition is weighted by the edge's
-/// [`EdgeKind`](crate::edge::EdgeKind) via `weights`. With uniform weights
-/// this is exactly [`random_walk`]. Edges whose kind has weight `0.0` are
-/// never crossed; the walk stops early if no crossable edge remains.
-pub fn random_walk_edge_typed<R: Rng + ?Sized>(
-    g: &Graph,
-    start: NodeId,
-    len: usize,
-    weights: &EdgeTypeWeights,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let mut walk = Vec::with_capacity(len + 1);
-    walk.push(start);
-    let mut cur = start;
-    let mut buf: Vec<f32> = Vec::new();
-    for _ in 0..len {
-        let neighbors = g.neighbors(cur);
-        if neighbors.is_empty() {
-            break;
-        }
-        buf.clear();
-        buf.extend(g.neighbor_kinds(cur).iter().map(|&k| weights.get(k)));
-        match sample_weighted(&buf, rng) {
-            Some(i) => {
-                cur = neighbors[i];
-                walk.push(cur);
-            }
-            None => break,
-        }
-    }
-    walk
-}
-
-/// One node2vec-style second-order random walk (Grover & Leskovec, KDD'16
-/// — cited by the paper as an alternative embedding generator, §IV-A).
-///
-/// Given the previous node `t` and current node `v`, the unnormalized
-/// probability of stepping to neighbor `x` is:
-///
-/// * `1/p` when `x == t` (return),
-/// * `1`   when `x` is a neighbor of `t` (stay close),
-/// * `1/q` otherwise (explore).
-///
-/// `p` is the *return* parameter, `q` the *in-out* parameter; `p = q = 1`
-/// reduces to the paper's uniform walk. Both must be positive.
-pub fn random_walk_node2vec<R: Rng + ?Sized>(
-    g: &Graph,
-    start: NodeId,
-    len: usize,
-    p: f32,
-    q: f32,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    debug_assert!(p > 0.0 && q > 0.0, "node2vec parameters must be positive");
-    let mut walk = Vec::with_capacity(len + 1);
-    walk.push(start);
-    // First step has no history: uniform.
-    let Some(first) = random_neighbor(g, start, rng) else {
-        return walk;
-    };
-    walk.push(first);
-    let (mut prev, mut cur) = (start, first);
-    let (inv_p, inv_q) = (1.0 / p, 1.0 / q);
-    let mut buf: Vec<f32> = Vec::new();
-    for _ in 1..len {
-        let neighbors = g.neighbors(cur);
-        if neighbors.is_empty() {
-            break;
-        }
-        buf.clear();
-        buf.extend(neighbors.iter().map(|&x| {
-            if x == prev {
-                inv_p
-            } else if g.has_edge(prev, x) {
-                1.0
-            } else {
-                inv_q
-            }
-        }));
-        match sample_weighted(&buf, rng) {
-            Some(i) => {
-                prev = cur;
-                cur = neighbors[i];
-                walk.push(cur);
-            }
-            None => break,
-        }
-    }
-    walk
-}
-
-/// One uniform random walk over a CSR snapshot, appended to `out` as raw
-/// `u32` tokens (no per-walk allocation). Byte-identical to
-/// [`random_walk`] over the source graph under the same RNG stream.
-pub fn random_walk_csr_into<R: Rng + ?Sized>(
-    g: &CsrGraph,
-    start: NodeId,
-    len: usize,
-    rng: &mut R,
-    out: &mut Vec<u32>,
-) {
-    out.push(start.0);
-    let mut cur = start;
-    for _ in 0..len {
-        match g.neighbors(cur).choose(rng) {
-            Some(&next) => {
-                out.push(next.0);
-                cur = next;
-            }
-            None => break,
-        }
-    }
-}
-
 /// One edge-type-weighted walk over a CSR snapshot using a precomputed
 /// cumulative weight table ([`CsrGraph::edge_type_cum`]): each transition
 /// samples by binary search over the node's prefix sums, O(log degree).
-/// Byte-identical to [`random_walk_edge_typed`] under the same RNG stream.
+/// Edges whose kind has weight `0.0` are never crossed; the walk stops
+/// early if no crossable edge remains.
 pub fn random_walk_edge_typed_csr_into<R: Rng + ?Sized>(
     g: &CsrGraph,
     start: NodeId,
@@ -244,11 +95,22 @@ pub fn random_walk_edge_typed_csr_into<R: Rng + ?Sized>(
     }
 }
 
-/// One node2vec second-order walk over a CSR snapshot. The `prev`-neighbor
-/// probe uses the snapshot's binary-search [`has_edge`], so each step costs
-/// O(degree · log degree) instead of O(degree²); `buf` is caller-provided
-/// scratch reused across walks. Byte-identical to [`random_walk_node2vec`]
-/// under the same RNG stream.
+/// One node2vec second-order walk over a CSR snapshot (Grover &
+/// Leskovec, KDD'16 — cited by the paper as an alternative embedding
+/// generator, §IV-A).
+///
+/// Given the previous node `t` and current node `v`, the unnormalized
+/// probability of stepping to neighbor `x` is:
+///
+/// * `1/p` when `x == t` (return),
+/// * `1`   when `x` is a neighbor of `t` (stay close),
+/// * `1/q` otherwise (explore).
+///
+/// `p` is the *return* parameter, `q` the *in-out* parameter; `p = q = 1`
+/// reduces to the paper's uniform walk. Both must be positive. The
+/// `prev`-neighbor probe uses the snapshot's binary-search [`has_edge`],
+/// so each step costs O(degree · log degree); `buf` is caller-provided
+/// scratch reused across walks.
 ///
 /// [`has_edge`]: CsrGraph::has_edge
 #[allow(clippy::too_many_arguments)] // mirrors the walk-primitive family's flat signatures
@@ -300,46 +162,10 @@ pub fn random_walk_node2vec_csr_into<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge::EdgeKind;
+    use crate::graph::Graph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn walk_has_expected_length_and_valid_edges() {
-        let mut g = Graph::new();
-        let nodes: Vec<NodeId> = (0..10).map(|i| g.intern_data(&format!("n{i}"))).collect();
-        for w in nodes.windows(2) {
-            g.add_edge(w[0], w[1]);
-        }
-        let mut rng = SmallRng::seed_from_u64(7);
-        let walk = random_walk(&g, nodes[0], 20, &mut rng);
-        assert_eq!(walk.len(), 21);
-        for pair in walk.windows(2) {
-            assert!(g.has_edge(pair[0], pair[1]));
-        }
-    }
-
-    #[test]
-    fn walk_from_isolated_node_is_singleton() {
-        let mut g = Graph::new();
-        let a = g.intern_data("a");
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(random_walk(&g, a, 5, &mut rng), vec![a]);
-        assert_eq!(random_neighbor(&g, a, &mut rng), None);
-    }
-
-    #[test]
-    fn walks_are_deterministic_under_seed() {
-        let mut g = Graph::new();
-        let a = g.intern_data("a");
-        let b = g.intern_data("b");
-        let c = g.intern_data("c");
-        g.add_edge(a, b);
-        g.add_edge(a, c);
-        g.add_edge(b, c);
-        let w1 = random_walk(&g, a, 10, &mut SmallRng::seed_from_u64(42));
-        let w2 = random_walk(&g, a, 10, &mut SmallRng::seed_from_u64(42));
-        assert_eq!(w1, w2);
-    }
 
     #[test]
     fn weighted_sampler_respects_zero_and_point_masses() {
@@ -352,165 +178,29 @@ mod tests {
     }
 
     #[test]
-    fn edge_typed_walk_never_crosses_zero_weight_edges() {
-        use crate::edge::EdgeKind;
-        // a —Contains— b —External— c. Forbidding External traps the walk
-        // on {a, b}.
-        let mut g = Graph::new();
-        let a = g.intern_data("a");
-        let b = g.intern_data("b");
-        let c = g.intern_data("c");
-        g.add_edge_typed(a, b, EdgeKind::Contains);
-        g.add_edge_typed(b, c, EdgeKind::External);
-        let weights = EdgeTypeWeights::uniform().with(EdgeKind::External, 0.0);
-        let mut rng = SmallRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let walk = random_walk_edge_typed(&g, a, 12, &weights, &mut rng);
-            assert!(!walk.contains(&c), "walk crossed a zero-weight edge");
+    fn cumulative_sampler_draws_like_the_linear_one() {
+        let weights = [0.0, 2.5, 0.0, 0.5, 1.0, 0.0, 3.25];
+        let mut running = 0.0f32;
+        let cum: Vec<f32> = weights
+            .iter()
+            .map(|&w| {
+                running += w;
+                running
+            })
+            .collect();
+        for seed in 0..200 {
+            let linear = sample_weighted(&weights, &mut SmallRng::seed_from_u64(seed));
+            let binary =
+                sample_cumulative(&cum, |i| weights[i] > 0.0, &mut SmallRng::seed_from_u64(seed));
+            assert_eq!(linear, binary, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn edge_typed_walk_with_uniform_weights_matches_plain_walk() {
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..8).map(|i| g.intern_data(&format!("n{i}"))).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1]);
-        }
-        let weights = EdgeTypeWeights::uniform();
-        let walk = random_walk_edge_typed(&g, ids[0], 15, &weights, &mut SmallRng::seed_from_u64(11));
-        assert_eq!(walk.len(), 16);
-        for pair in walk.windows(2) {
-            assert!(g.has_edge(pair[0], pair[1]));
-        }
-    }
-
-    #[test]
-    fn node2vec_walk_follows_edges_and_is_deterministic() {
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..10).map(|i| g.intern_data(&format!("n{i}"))).collect();
-        for i in 0..10 {
-            g.add_edge(ids[i], ids[(i + 1) % 10]);
-            g.add_edge(ids[i], ids[(i + 3) % 10]);
-        }
-        let w1 = random_walk_node2vec(&g, ids[0], 20, 0.5, 2.0, &mut SmallRng::seed_from_u64(7));
-        let w2 = random_walk_node2vec(&g, ids[0], 20, 0.5, 2.0, &mut SmallRng::seed_from_u64(7));
-        assert_eq!(w1, w2);
-        assert_eq!(w1.len(), 21);
-        for pair in w1.windows(2) {
-            assert!(g.has_edge(pair[0], pair[1]));
-        }
-    }
-
-    #[test]
-    fn node2vec_low_p_returns_more_often() {
-        // On a path graph, the middle node's walker either returns (weight
-        // 1/p) or moves on (weight 1/q since endpoints of a path share no
-        // neighbors). With p tiny, returning dominates.
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..30).map(|i| g.intern_data(&format!("n{i}"))).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1]);
-        }
-        let count_returns = |p: f32, q: f32, seed: u64| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut returns = 0usize;
-            let mut steps = 0usize;
-            for _ in 0..50 {
-                let walk = random_walk_node2vec(&g, ids[15], 10, p, q, &mut rng);
-                for win in walk.windows(3) {
-                    steps += 1;
-                    if win[0] == win[2] {
-                        returns += 1;
-                    }
-                }
-            }
-            returns as f64 / steps.max(1) as f64
-        };
-        let returny = count_returns(0.05, 1.0, 9);
-        let explorey = count_returns(20.0, 1.0, 9);
-        assert!(
-            returny > explorey + 0.2,
-            "low p should return far more often: {returny} vs {explorey}"
-        );
-    }
-
-    #[test]
-    fn csr_walks_match_graph_walks_token_for_token() {
-        use crate::csr::CsrGraph;
-        use crate::edge::EdgeKind;
-        // A messy graph: ring + chords + typed edges + a tombstone.
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..12).map(|i| g.intern_data(&format!("n{i}"))).collect();
-        for i in 0..12 {
-            g.add_edge_typed(
-                ids[i],
-                ids[(i + 1) % 12],
-                if i % 2 == 0 { EdgeKind::Contains } else { EdgeKind::External },
-            );
-            g.add_edge_typed(ids[i], ids[(i + 5) % 12], EdgeKind::Hierarchy);
-        }
-        g.remove_node(ids[7]);
-        let csr = CsrGraph::from_graph(&g);
-        let weights = EdgeTypeWeights::uniform()
-            .with(EdgeKind::External, 2.5)
-            .with(EdgeKind::Hierarchy, 0.5);
-        let cum = csr.edge_type_cum(&weights);
-        let mut buf = Vec::new();
-        for seed in 0..40u64 {
-            let start = ids[(seed % 12) as usize];
-            if g.is_removed(start) {
-                continue;
-            }
-            let reference: Vec<u32> = random_walk(&g, start, 9, &mut SmallRng::seed_from_u64(seed))
-                .into_iter()
-                .map(|n| n.0)
-                .collect();
-            let mut flat = Vec::new();
-            random_walk_csr_into(&csr, start, 9, &mut SmallRng::seed_from_u64(seed), &mut flat);
-            assert_eq!(flat, reference, "uniform seed {seed}");
-
-            let reference: Vec<u32> =
-                random_walk_edge_typed(&g, start, 9, &weights, &mut SmallRng::seed_from_u64(seed))
-                    .into_iter()
-                    .map(|n| n.0)
-                    .collect();
-            let mut flat = Vec::new();
-            random_walk_edge_typed_csr_into(
-                &csr,
-                start,
-                9,
-                &weights,
-                &cum,
-                &mut SmallRng::seed_from_u64(seed),
-                &mut flat,
-            );
-            assert_eq!(flat, reference, "edge-typed seed {seed}");
-
-            let reference: Vec<u32> =
-                random_walk_node2vec(&g, start, 9, 0.3, 2.0, &mut SmallRng::seed_from_u64(seed))
-                    .into_iter()
-                    .map(|n| n.0)
-                    .collect();
-            let mut flat = Vec::new();
-            random_walk_node2vec_csr_into(
-                &csr,
-                start,
-                9,
-                0.3,
-                2.0,
-                &mut SmallRng::seed_from_u64(seed),
-                &mut buf,
-                &mut flat,
-            );
-            assert_eq!(flat, reference, "node2vec seed {seed}");
-        }
+        let mut rng = SmallRng::seed_from_u64(1);
+        assert_eq!(sample_cumulative(&[], |_| true, &mut rng), None);
+        assert_eq!(sample_cumulative(&[0.0, 0.0], |_| false, &mut rng), None);
     }
 
     #[test]
     fn csr_zero_weight_edges_strand_walkers() {
-        use crate::csr::CsrGraph;
-        use crate::edge::EdgeKind;
         let mut g = Graph::new();
         let a = g.intern_data("a");
         let b = g.intern_data("b");
@@ -532,15 +222,18 @@ mod tests {
     }
 
     #[test]
-    fn node2vec_from_isolated_node_is_singleton() {
+    fn biased_walks_from_an_isolated_node_are_singletons() {
         let mut g = Graph::new();
         let a = g.intern_data("a");
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(random_walk_node2vec(&g, a, 5, 1.0, 1.0, &mut rng), vec![a]);
+        let csr = CsrGraph::from_graph(&g);
         let weights = EdgeTypeWeights::uniform();
-        assert_eq!(
-            random_walk_edge_typed(&g, a, 5, &weights, &mut rng),
-            vec![a]
-        );
+        let cum = csr.edge_type_cum(&weights);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut out = Vec::new();
+        random_walk_node2vec_csr_into(&csr, a, 5, 1.0, 1.0, &mut rng, &mut Vec::new(), &mut out);
+        assert_eq!(out, vec![a.0]);
+        out.clear();
+        random_walk_edge_typed_csr_into(&csr, a, 5, &weights, &cum, &mut rng, &mut out);
+        assert_eq!(out, vec![a.0]);
     }
 }

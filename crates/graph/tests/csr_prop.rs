@@ -1,16 +1,11 @@
 //! Property tests pinning the [`CsrGraph`] snapshot to its source
-//! [`Graph`]: edge-for-edge structural equivalence, and RNG-stream
-//! equivalence of every walk primitive.
+//! [`Graph`], edge for edge. The walks over the snapshot are held to a
+//! serial reference over the source graph in `tdmatch-embed`'s
+//! `tests/flat_prop.rs`.
 
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-use tdmatch_graph::sample::{
-    random_walk, random_walk_csr_into, random_walk_edge_typed, random_walk_edge_typed_csr_into,
-    random_walk_node2vec, random_walk_node2vec_csr_into,
-};
-use tdmatch_graph::{CsrGraph, EdgeKind, EdgeTypeWeights, Graph, NodeId};
+use tdmatch_graph::{CsrGraph, EdgeKind, Graph, NodeId};
 
 /// Builds a graph from arbitrary typed edge pairs (mod `n`), optionally
 /// tombstoning some nodes afterwards.
@@ -64,52 +59,5 @@ proptest! {
             }
         }
         prop_assert_eq!(csr.metadata_nodes(None), g.metadata_nodes(None));
-    }
-
-    /// Every walk primitive over the snapshot emits the same token stream
-    /// as its mutable-graph reference under the same RNG seed.
-    #[test]
-    fn csr_walk_primitives_match_reference(
-        n in 2usize..14,
-        edges in prop::collection::vec((0usize..14, 0usize..14, 0u8..8), 1..40),
-        removals in prop::collection::vec(0usize..14, 0..3),
-        seed in 0u64..1000,
-        len in 1usize..12,
-        w_ext in 0.0f32..3.0,
-    ) {
-        let g = build(n, &edges, &removals);
-        let csr = CsrGraph::from_graph(&g);
-        let weights = EdgeTypeWeights::uniform().with(EdgeKind::External, w_ext);
-        let cum = csr.edge_type_cum(&weights);
-        let mut scratch = Vec::new();
-
-        for start in g.nodes() {
-            let reference: Vec<u32> =
-                random_walk(&g, start, len, &mut SmallRng::seed_from_u64(seed))
-                    .into_iter().map(|x| x.0).collect();
-            let mut flat = Vec::new();
-            random_walk_csr_into(&csr, start, len, &mut SmallRng::seed_from_u64(seed), &mut flat);
-            prop_assert_eq!(&flat, &reference, "uniform from {}", start);
-
-            let reference: Vec<u32> =
-                random_walk_edge_typed(&g, start, len, &weights, &mut SmallRng::seed_from_u64(seed))
-                    .into_iter().map(|x| x.0).collect();
-            let mut flat = Vec::new();
-            random_walk_edge_typed_csr_into(
-                &csr, start, len, &weights, &cum,
-                &mut SmallRng::seed_from_u64(seed), &mut flat,
-            );
-            prop_assert_eq!(&flat, &reference, "edge-typed from {}", start);
-
-            let reference: Vec<u32> =
-                random_walk_node2vec(&g, start, len, 0.4, 1.7, &mut SmallRng::seed_from_u64(seed))
-                    .into_iter().map(|x| x.0).collect();
-            let mut flat = Vec::new();
-            random_walk_node2vec_csr_into(
-                &csr, start, len, 0.4, 1.7,
-                &mut SmallRng::seed_from_u64(seed), &mut scratch, &mut flat,
-            );
-            prop_assert_eq!(&flat, &reference, "node2vec from {}", start);
-        }
     }
 }
