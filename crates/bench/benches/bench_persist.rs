@@ -5,8 +5,10 @@
 //! On a synthetic artifact of `serve-scan`'s size (32,768 × 96 target
 //! rows, 256 queries, built with [`MatchArtifact::new`]) it records:
 //!
-//! * **opens** — mapped-lazy vs mapped-eager vs heap open of the file;
-//! * **O(1) open** — mapped-lazy open latency on a small vs a 64× larger
+//! * **opens** — a mapped open of the file, the same open followed by the
+//!   verifying parse every load runs (`Storage::container`, all CRCs), and
+//!   a heap read plus that parse;
+//! * **O(1) open** — mapped open latency on a small vs a 64× larger
 //!   synthetic container must not scale (asserted when the file maps);
 //! * **memory per reader** — reader subprocesses open the same file
 //!   mapped vs heap and report their own `/proc/self/smaps_rollup`
@@ -19,7 +21,7 @@
 
 use tdmatch_bench::record::{best_of, gen_centers, gen_side, round, write_bench_json, Writer};
 use tdmatch_core::artifact::MatchArtifact;
-use tdmatch_graph::container::{Storage, Verification};
+use tdmatch_graph::container::Storage;
 use tdmatch_graph::ContainerWriter;
 
 /// `serve-scan`'s corpus shape.
@@ -71,7 +73,7 @@ fn self_footprint() -> Option<MemFootprint> {
 fn child_serve(path: &str, mode: &str) {
     use std::io::BufRead;
     let storage = match mode {
-        "mapped" => Storage::open_with(path, Verification::Lazy).expect("child open mapped"),
+        "mapped" => Storage::open(path).expect("child open mapped"),
         _ => Storage::read_file(path).expect("child open heap"),
     };
     let artifact = MatchArtifact::from_storage(&storage).expect("child load artifact");
@@ -242,18 +244,15 @@ fn main() {
         .len();
     println!("persist workload: {TARGETS} targets × {QUERIES} queries, dim {DIM}, {artifact_bytes} bytes");
 
-    // --- Opens: mapped (lazy / eager) vs heap, on a real file -----------
+    // --- Opens: mapped (bare / parsed) vs heap, on a real file ---------
     const OPEN_REPS: usize = 50;
     const REPS: usize = 5;
-    let serving_is_mapped = Storage::open_with(&artifact_path, Verification::Lazy)
-        .unwrap()
-        .is_mapped();
-    let (_, open_mapped_lazy) = best_of(OPEN_REPS, || {
-        let s = Storage::open_with(&artifact_path, Verification::Lazy).unwrap();
-        s.container().unwrap().section_count()
+    let serving_is_mapped = Storage::open(&artifact_path).unwrap().is_mapped();
+    let (_, open_mapped) = best_of(OPEN_REPS, || {
+        Storage::open(&artifact_path).unwrap().as_bytes().len()
     });
-    let (_, open_mapped_eager) = best_of(OPEN_REPS, || {
-        let s = Storage::open_verified(&artifact_path).unwrap();
+    let (_, open_mapped_parsed) = best_of(OPEN_REPS, || {
+        let s = Storage::open(&artifact_path).unwrap();
         s.container().unwrap().section_count()
     });
     let (_, open_heap) = best_of(OPEN_REPS, || {
@@ -261,7 +260,7 @@ fn main() {
         s.container().unwrap().section_count()
     });
 
-    // --- O(1) open: mapped-lazy open latency must not scale with size ---
+    // --- O(1) open: mapped open latency must not scale with size -------
     let synthetic = |elems: usize, name: &str| {
         let data = vec![1.0f32; elems];
         let mut w = ContainerWriter::new();
@@ -276,11 +275,11 @@ fn main() {
     let open_secs = |path: &std::path::Path, reps: usize, mapped: bool| {
         best_of(reps, || {
             let s = if mapped {
-                Storage::open_with(path, Verification::Lazy).unwrap()
+                Storage::open(path).unwrap()
             } else {
                 Storage::read_file(path).unwrap()
             };
-            s.container().unwrap().section_count()
+            s.as_bytes().len()
         })
         .1
     };
@@ -299,8 +298,8 @@ fn main() {
     std::fs::remove_file(&small_path).ok();
     std::fs::remove_file(&large_path).ok();
     println!(
-        "opens: mapped-lazy {open_mapped_lazy:.6}s vs heap {open_heap:.6}s \
-         (eager mapped {open_mapped_eager:.6}s) | O(1) check: 64x payload -> \
+        "opens: mapped {open_mapped:.6}s vs heap {open_heap:.6}s \
+         (mapped + parse {open_mapped_parsed:.6}s) | O(1) check: 64x payload -> \
          mapped open x{o1_ratio:.2}, heap open x{heap_ratio:.2}",
     );
 
@@ -323,8 +322,8 @@ fn main() {
         w.key("serving").obj(|w| {
             w.key("artifact_file_open").obj(|w| {
                 secs(w.key("heap"), open_heap);
-                secs(w.key("mapped_eager"), open_mapped_eager);
-                secs(w.key("mapped_lazy"), open_mapped_lazy);
+                secs(w.key("mapped"), open_mapped);
+                secs(w.key("mapped_parsed"), open_mapped_parsed);
             });
             w.key("is_mapped").bool(serving_is_mapped);
             w.key("o1_open").obj(|w| {

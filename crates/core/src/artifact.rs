@@ -597,10 +597,9 @@ impl MatchArtifact {
 
     /// Loads from container storage, zero-copy: both document matrices
     /// become views into `storage`'s buffer (kept alive by the artifact).
-    /// This is the warm-start path: each section's CRC is checked once,
-    /// when this call first reads the section (at open instead, for
-    /// eagerly verified storage), plus O(terms) label decoding and the
-    /// structural validators — the document matrices are never copied,
+    /// This is the warm-start path: one [`Storage::container`] parse,
+    /// which checks every section's CRC, plus O(terms) label decoding and
+    /// the structural validators — the document matrices are never copied,
     /// re-allocated, or re-normalized. An ANN index whose entry point or
     /// any neighbor is a row the first matrix marks missing is
     /// [`PersistError::Invalid`].
@@ -628,7 +627,7 @@ impl MatchArtifact {
         if vecs.len() != expect {
             return Err(PersistError::Invalid("term vector length mismatch"));
         }
-        let mut labels = container.require(SEC_TERM_LABELS)?.reader()?;
+        let mut labels = container.require(SEC_TERM_LABELS)?.reader();
         let mut terms = Vec::with_capacity(n_terms.min(1 << 20));
         for i in 0..n_terms {
             let label = labels.string().map_err(|e| match e {
@@ -680,12 +679,10 @@ impl MatchArtifact {
     /// ([`Storage::open`]; heap read elsewhere or when mapping fails):
     /// every serving process that loads the same artifact file shares one
     /// physical copy of the matrices through the OS page cache, and the
-    /// mapping stays alive for as long as the artifact does. Section
-    /// CRCs are checked lazily, on each section's first access — which
-    /// for an artifact means during this call, since loading touches
-    /// every artifact section; corruption anywhere still fails the load.
-    /// Set `TDMATCH_EAGER_CRC=1` to force the historical
-    /// verify-everything-at-open behaviour.
+    /// mapping stays alive for as long as the artifact does. Opening
+    /// only maps the file; this call then parses the container once,
+    /// which checks every CRC (sections no reader knows included), so
+    /// corruption anywhere fails the load.
     ///
     /// ```
     /// use tdmatch_core::artifact::MatchArtifact;

@@ -59,13 +59,10 @@
 //!    (1.25 ms delta-to-visible at the median: `op_p50_ms` of the
 //!    repository benchmark's `ingest` workload).
 //!
-//! Two heavier warm-start paths complement the artifact, both `TDZ1`
-//! files too: a mutable graph saved with
-//! `tdmatch_graph::Graph::save_snapshot` resumes the *training* side via
-//! [`pipeline::TdMatch::fit_prebuilt`] (walks + training, no graph
-//! build), and the same file — or a label-less
-//! `tdmatch_graph::CsrGraph::save_snapshot` — maps the walk substrate
-//! back as a frozen `CsrGraph` without even re-freezing.
+//! A heavier warm start complements the artifact, a `TDZ1` file too: a
+//! mutable graph saved with `tdmatch_graph::Graph::save_snapshot`
+//! resumes the *training* side via [`pipeline::TdMatch::fit_prebuilt`]
+//! (walks + training, no graph build).
 //!
 //! Entry point: [`pipeline::TdMatch`].
 

@@ -1,5 +1,7 @@
-//! Cross-process serving smoke test: two reader processes map the same
-//! artifact file and both serve correct top-k rankings from it.
+//! Cross-process serving tests: two reader processes map the same
+//! artifact file and both serve correct top-k rankings from it; a
+//! corrupt section no loader reads still fails the load; and a reader
+//! whose file is truncated in place dies of `SIGBUS`.
 //!
 //! The test re-executes its own binary (filtered to this test with
 //! `--exact`) with `TDMATCH_SERVING_CHILD_PATH` set; in child mode the
@@ -8,9 +10,10 @@
 
 use std::process::{Command, Stdio};
 
-use tdmatch_core::artifact::MatchArtifact;
+use tdmatch_core::artifact::{MatchArtifact, PersistError};
 use tdmatch_core::matcher::MatchResult;
-use tdmatch_graph::container::Storage;
+use tdmatch_graph::container::{Container, ContainerWriter, Storage};
+use tdmatch_graph::DecodeError;
 
 const CHILD_ENV: &str = "TDMATCH_SERVING_CHILD_PATH";
 
@@ -121,39 +124,103 @@ fn two_processes_serve_one_mapped_snapshot() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The `TDMATCH_EAGER_CRC` escape hatch flips `Storage::open` onto the
-/// eager path — checked in a child process so the env var can't race
-/// other tests in this one.
+/// Readers ignore unknown tags, but their CRCs still count: an artifact
+/// carrying one extra section whose payload has a corrupt byte fails the
+/// parse on mapped and heap storage alike, and fails the load.
 #[test]
-fn eager_crc_env_forces_eager_verification() {
-    if let Ok(path) = std::env::var("TDMATCH_EAGER_CHILD_PATH") {
+fn a_corrupt_unknown_section_fails_the_artifact_load() {
+    let mut clean = Vec::new();
+    sample_artifact().write_to(&mut clean).unwrap();
+    let container = Container::parse(&clean).unwrap();
+    let mut w = ContainerWriter::new();
+    for tag in container.tags() {
+        w.add(tag, container.require(tag).unwrap().bytes());
+    }
+    w.add(*b"XTRA", vec![7u8; 100]);
+    let mut bytes = w.finish();
+    let last = Container::parse(&bytes)
+        .unwrap()
+        .require(*b"XTRA")
+        .unwrap()
+        .bytes()
+        .as_ptr();
+    let offset = last as usize - bytes.as_ptr() as usize;
+    let path = std::env::temp_dir().join(format!(
+        "tdmatch-unknown-section-{}.tdm",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    // Unmodified, the extra section is ignored.
+    MatchArtifact::load(&path).unwrap();
+
+    bytes[offset + 50] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = Storage::open(&path).unwrap();
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    assert!(mapped.is_mapped());
+    assert!(matches!(mapped.container(), Err(DecodeError::Corrupt)));
+    let heap = Storage::read_file(&path).unwrap();
+    assert!(matches!(heap.container(), Err(DecodeError::Corrupt)));
+    let err = MatchArtifact::load(&path).unwrap_err();
+    assert!(matches!(err, PersistError::Corrupt), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// The one hazard the CRC cannot cover: a served file rewritten in place
+/// after the load parsed it. Truncating a mapped artifact (what
+/// `cp new.tdm served.tdm` does first) leaves the mapping pointing past
+/// the end of the file, and the reader's next scan dies of `SIGBUS`.
+/// Publishing by rename (`publish_atomic`) never does this; this test
+/// pins what happens when an operator does.
+#[cfg(target_os = "linux")]
+#[test]
+fn truncating_a_served_file_in_place_kills_the_reader_with_sigbus() {
+    use std::os::unix::process::ExitStatusExt;
+    use tdmatch_testutil::respawn;
+
+    const ROLE: &str = "TDMATCH_TRUNCATE_CHILD_PATH";
+    const SIGBUS: i32 = 7;
+    if let Some(path) = respawn::role(ROLE) {
         let storage = Storage::open(&path).expect("child: open");
-        println!("EAGER lazy={}", storage.lazy_verification());
+        assert!(storage.is_mapped(), "child: the artifact is not mapped");
+        let artifact = MatchArtifact::from_storage(&storage).expect("child: load");
+        println!("CHILD loaded {} rankings", artifact.match_top_k(3).len());
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(0))
+            .expect("child: truncate in place");
+        let survived = artifact.match_top_k(3);
+        println!("CHILD survived with {} rankings", survived.len());
         return;
     }
 
-    let path = std::env::temp_dir().join(format!(
-        "tdmatch-eager-env-{}.tdm",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("tdmatch-truncated-{}.tdm", std::process::id()));
     sample_artifact().save(&path).unwrap();
-
-    let exe = std::env::current_exe().unwrap();
-    let run = |eager: Option<&str>| {
-        let mut cmd = Command::new(&exe);
-        cmd.args(["--exact", "eager_crc_env_forces_eager_verification", "--nocapture"])
-            .env("TDMATCH_EAGER_CHILD_PATH", path.to_str().unwrap())
-            .env_remove("TDMATCH_EAGER_CRC");
-        if let Some(v) = eager {
-            cmd.env("TDMATCH_EAGER_CRC", v);
-        }
-        let out = cmd.output().expect("spawn env-hatch child");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8_lossy(&out.stdout).to_string()
-    };
-
-    assert!(run(None).contains("EAGER lazy=true"), "default open must be lazy");
-    assert!(run(Some("1")).contains("EAGER lazy=false"), "env hatch ignored");
-    assert!(run(Some("0")).contains("EAGER lazy=true"), "'0' must not enable it");
+    // Under AddressSanitizer, let the signal through instead of ASan's
+    // own report, so the child dies the way a plain build does.
+    let asan = format!(
+        "{}:handle_sigbus=0",
+        std::env::var("ASAN_OPTIONS").unwrap_or_default()
+    );
+    let out = respawn::spawn_self(
+        "truncating_a_served_file_in_place_kills_the_reader_with_sigbus",
+        ROLE,
+        path.to_str().unwrap(),
+        &[("ASAN_OPTIONS", &asan)],
+    )
+    .expect("spawn the reader")
+    .wait_with_output()
+    .expect("reader exited");
     std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("CHILD loaded 3 rankings"), "{stdout}");
+    assert!(!stdout.contains("CHILD survived"), "{stdout}");
+    assert_eq!(
+        out.status.signal(),
+        Some(SIGBUS),
+        "{:?}\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -3,21 +3,26 @@
 //! A bit flip or a truncation never reaches a structural validator: the
 //! section CRC rejects it first. Here every mutation is *re-stamped* —
 //! the file is written again around the mutated payload, so its section
-//! CRCs and header CRC are valid — and the `from_sections` validators of
-//! `ScoreMatrix`, `HnswIndex` and `CsrGraph` are what decides. Mutations
-//! are bit flips and aligned `u32`/`u64` fields set to 0, 1, rows − 1,
-//! rows and the type's maximum, one or two per file. The oracle is what
-//! serving needs from whatever the validators accept:
+//! CRCs and header CRC are valid — and the loaders' structural validators
+//! are what decides: the artifact's header, term table, `ScoreMatrix` and
+//! `HnswIndex` sections, and a saved graph's `CsrGraph` and label
+//! sections. Mutations are bit flips and aligned `u32`/`u64` fields set
+//! to 0, 1, rows − 1, rows and the type's maximum, one or two per file.
+//! Every mutant loads or is refused with an error, never a panic. The
+//! oracle is what serving needs from whatever the validators accept:
 //!
 //! * an accepted artifact answers every query without panicking, exact
 //!   and ANN at pools {1, 8, rows} and k ∈ {1, 5, rows + 3}: ids are
 //!   distinct and in range; an exact ranking of a present query is
 //!   exactly `min(k, rows)` long (missing targets rank at −1); an ANN
 //!   ranking is at most that long and at least `min(k, missing rows)`,
-//!   the missing rows every pool is extended with;
+//!   the missing rows every pool is extended with. Every stored term
+//!   embeds as a one-token text and ranks the same way, or is refused as
+//!   non-finite;
 //! * walks over an accepted CSR snapshot stay in range under every walk
 //!   strategy, and its adjacency and weight-table accessors answer
-//!   without panicking.
+//!   without panicking; a graph that `Graph::load_snapshot` accepts finds
+//!   every node by its label and walks in range the same way.
 //!
 //! The vendored proptest shim does not shrink: a failing case prints its
 //! input (the seed) and each mutation (section, offset, old → new bytes).
@@ -27,11 +32,13 @@ use std::panic::AssertUnwindSafe;
 use proptest::prelude::*;
 
 use tdmatch_core::artifact::{MatchArtifact, PersistError};
-use tdmatch_core::serving::{Matcher, Query};
+use tdmatch_core::serving::{Matcher, Query, QueryError};
 use tdmatch_embed::ann::HnswParams;
 use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
 use tdmatch_graph::container::{Container, ContainerWriter, SectionTag, Storage};
-use tdmatch_graph::{CorpusSide, CsrGraph, EdgeKind, EdgeTypeWeights, Graph, MetaKind, NodeId};
+use tdmatch_graph::{
+    CorpusSide, CsrGraph, EdgeKind, EdgeTypeWeights, Graph, MetaKind, NodeId, NodeKind,
+};
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -59,12 +66,7 @@ fn sections(bytes: &[u8]) -> Sections {
     let container = Container::parse(bytes).expect("a valid container");
     let tags: Vec<SectionTag> = container.tags().collect();
     tags.into_iter()
-        .map(|tag| {
-            (
-                tag,
-                container.require(tag).unwrap().payload().unwrap().to_vec(),
-            )
-        })
+        .map(|tag| (tag, container.require(tag).unwrap().bytes().to_vec()))
         .collect()
 }
 
@@ -147,10 +149,12 @@ fn load(bytes: &[u8]) -> Result<MatchArtifact, PersistError> {
 const TARGETS: usize = 40;
 const QUERIES: usize = 6;
 const DIM: usize = 6;
+/// Term labels of the fixture, of assorted lengths (one not ASCII).
+const TERMS: [&str; 6] = ["t", "willis", "a longer term", "ü", "pulp fiction", "zz"];
 
 /// 40 × 6 targets (every seventh missing) under an HNSW index of `m` 2,
-/// deep enough for every layer kind to be mutated, and 6 queries (the
-/// last missing).
+/// deep enough for every layer kind to be mutated, 6 queries (the last
+/// missing) and 6 terms.
 fn fixture_artifact() -> MatchArtifact {
     let mut state = 0x7D21_0A11u64;
     let first = (0..TARGETS)
@@ -159,7 +163,10 @@ fn fixture_artifact() -> MatchArtifact {
     let second = (0..QUERIES)
         .map(|i| (i != QUERIES - 1).then(|| row(&mut state, DIM)))
         .collect();
-    let terms = vec![("t".to_string(), row(&mut state, DIM))];
+    let terms = TERMS
+        .iter()
+        .map(|t| (t.to_string(), row(&mut state, DIM)))
+        .collect();
     let mut artifact = MatchArtifact::new(DIM, terms, first, second);
     artifact.build_ann(&HnswParams {
         m: 2,
@@ -183,7 +190,9 @@ fn assert_ranking(ranked: &[(usize, f32)], rows: usize, len: std::ops::RangeIncl
     assert_eq!(ids.len(), ranked.len(), "a repeated id: {ranked:?}");
 }
 
-/// Every query of an accepted artifact, exact and ANN.
+/// Every query of an accepted artifact, exact and ANN: each query row by
+/// id, two random vectors, and each stored term embedded as a one-token
+/// text (refused as non-finite when its vector is).
 fn answer_everything(artifact: MatchArtifact) {
     let rows = artifact.first_matrix().rows();
     let missing = artifact.first_matrix().invalid_rows().count();
@@ -191,6 +200,17 @@ fn answer_everything(artifact: MatchArtifact) {
     let mut state = 0xA11_u64;
     let mut queries: Vec<Query> = (0..second.rows()).map(Query::ById).collect();
     queries.extend((0..2).map(|_| Query::ByVector(row(&mut state, artifact.dim()))));
+    let texts = queries.len();
+    for label in artifact.term_labels() {
+        let vector = artifact
+            .term_vector(label)
+            .expect("a listed term has a vector");
+        assert_eq!(vector.len(), artifact.dim(), "term {label:?}");
+        let embedded = artifact
+            .embed_tokens(&[label])
+            .expect("a known term embeds");
+        queries.push(Query::ByVector(embedded));
+    }
     let present = |q: &Query| match q {
         Query::ById(id) => second.is_valid(*id),
         Query::ByVector(_) => true,
@@ -201,8 +221,11 @@ fn answer_everything(artifact: MatchArtifact) {
         for k in [1, 5, rows + 3] {
             for ann in [false, true] {
                 let (answers, _) = matcher.query_batch_with_mode(&mut block, &queries, k, ann);
-                for (q, answer) in queries.iter().zip(&answers) {
-                    let ranked = answer.as_ref().expect("every query is well-formed");
+                for (i, (q, answer)) in queries.iter().zip(&answers).enumerate() {
+                    let ranked = match answer {
+                        Err(QueryError::NonFinite) if i >= texts => continue,
+                        answer => answer.as_ref().expect("every query is well-formed"),
+                    };
                     let most = if present(q) { k.min(rows) } else { 0 };
                     let least = match (present(q), ann) {
                         (false, _) => 0,
@@ -216,17 +239,20 @@ fn answer_everything(artifact: MatchArtifact) {
     }
 }
 
-/// Score-matrix and HNSW sections of either slot.
+/// Every artifact section: header, term labels and vectors, and the
+/// score-matrix and HNSW sections of either slot.
 fn artifact_target(tag: SectionTag) -> bool {
-    tag.starts_with(b"SM") || tag.starts_with(b"AN")
+    tag.starts_with(b"A") || tag.starts_with(b"SM")
 }
 
-/// The row count a field of `tag` is about: the slot's matrix rows.
+/// The count a field of `tag` is about: the term count for the header
+/// and term table (the header's dim is 6 too), else the slot's matrix
+/// rows.
 fn artifact_rows(tag: SectionTag) -> u64 {
-    if tag[3] == 1 {
-        QUERIES as u64
-    } else {
-        TARGETS as u64
+    match &tag {
+        b"AHDR" | b"ALBL" | b"AVEC" => TERMS.len() as u64,
+        _ if tag[3] == 1 => QUERIES as u64,
+        _ => TARGETS as u64,
     }
 }
 
@@ -280,7 +306,7 @@ fn fixture_graph() -> Graph {
 
 /// Every accessor over an accepted snapshot, then walks under every
 /// strategy: each token a node id below the id bound.
-fn walk_everything(csr: &CsrGraph, storage: &Storage) {
+fn walk_everything(csr: &CsrGraph) {
     let bound = csr.id_bound();
     for id in (0..bound as u32).map(NodeId) {
         let _ = (csr.kind(id), csr.is_removed(id), csr.neighbor_kinds(id));
@@ -290,10 +316,9 @@ fn walk_everything(csr: &CsrGraph, storage: &Storage) {
         }
     }
     let _ = (csr.metadata_nodes(None), csr.nodes().count());
-    if let Ok(Some(cum)) = csr.cum_from_sections(storage, &storage.container().unwrap(), 0) {
-        for id in (0..bound as u32).map(NodeId) {
-            let _ = csr.cum_slice(&cum, id);
-        }
+    let cum = csr.edge_type_cum(&EdgeTypeWeights::uniform().with(EdgeKind::External, 2.0));
+    for id in (0..bound as u32).map(NodeId) {
+        let _ = csr.cum_slice(&cum, id);
     }
     let stranding = EdgeTypeWeights::uniform().with(EdgeKind::Generic, 0.0);
     for strategy in [
@@ -318,28 +343,60 @@ fn walk_everything(csr: &CsrGraph, storage: &Storage) {
     }
 }
 
+/// A graph `Graph::load_snapshot` accepted: every node found again by
+/// its label, every neighbour in range, then the walks of
+/// [`walk_everything`] over its frozen snapshot.
+fn use_everything(g: &Graph) {
+    for n in g.nodes() {
+        let label = g.label(n);
+        let found = match g.kind(n) {
+            NodeKind::Meta { .. } => g.meta_node(label),
+            _ => g.data_node(label),
+        };
+        assert_eq!(found, Some(n), "label {label:?}");
+        assert!(g.neighbors(n).iter().all(|m| m.index() < g.id_bound()));
+    }
+    walk_everything(&CsrGraph::from_graph(g));
+}
+
+/// The bytes of `fixture_graph()` saved with `Graph::save_snapshot`: the
+/// `CsrGraph` sections plus the `GLBL` label section.
+fn saved_fixture_graph() -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("tdmatch-mutation-{}.tdz", std::process::id()));
+    fixture_graph().save_snapshot(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
-    /// Whatever a re-stamped CSR mutation gets past the validators walks
-    /// in range.
+    /// Whatever a re-stamped mutation of a saved graph gets past the
+    /// validators walks in range, read as a frozen snapshot
+    /// (`CsrGraph::from_sections`) and as a mutable graph
+    /// (`Graph::load_snapshot`).
     #[test]
-    fn an_accepted_csr_snapshot_walks_in_range(seed in 0u64..u64::MAX) {
-        let csr = CsrGraph::from_graph(&fixture_graph());
-        let cum = csr.edge_type_cum(&EdgeTypeWeights::uniform().with(EdgeKind::External, 2.0));
-        let mut w = ContainerWriter::new();
-        csr.write_sections(&mut w);
-        csr.write_cum_section(&cum, 0, &mut w);
-        let base = sections(&w.finish());
-        let bound = csr.id_bound() as u64;
+    fn an_accepted_saved_graph_walks_in_range(seed in 0u64..u64::MAX) {
+        let base = sections(&saved_fixture_graph());
+        let bound = CsrGraph::from_graph(&fixture_graph()).id_bound() as u64;
         let (bytes, what) = mutated(&base, seed, |_| true, |_| bound);
         let storage = Storage::from_bytes(&bytes);
         let accepted = storage
             .container()
             .and_then(|c| CsrGraph::from_sections(&storage, &c));
         if let Ok(csr) = accepted {
-            checked(&what, || walk_everything(&csr, &storage));
+            checked(&what, || walk_everything(&csr));
         }
+        let path = std::env::temp_dir()
+            .join(format!("tdmatch-mutation-{}-{seed}.tdz", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        checked(&what, || {
+            if let Ok(g) = Graph::load_snapshot(&path) {
+                use_everything(&g);
+            }
+        });
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -47,8 +47,7 @@
 //! structure against the target matrix (row count, monotone offsets,
 //! neighbors and entry point in range and present) so search over a
 //! mapped index is panic-free and pools no row twice; the sections'
-//! CRCs are verified on that first access per the container's lazy-CRC
-//! contract.
+//! CRCs were checked when the container was parsed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -983,8 +982,8 @@ impl HnswIndex {
     /// cannot go out of bounds. The entry point and every neighbor must
     /// be a row `targets` holds: no build or insert links a missing row,
     /// and a walk that pooled one would rank it twice, once more among
-    /// the missing rows a pool is extended with. Section CRCs are
-    /// verified here, on first access.
+    /// the missing rows a pool is extended with. Section CRCs were
+    /// checked when `container` was parsed.
     pub fn from_sections(
         storage: &Storage,
         container: &Container<'_>,

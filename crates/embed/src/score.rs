@@ -381,9 +381,9 @@ impl ScoreMatrix {
     ///
     /// With storage opened through `Storage::open`, the views point
     /// straight into a read-only file mapping — serving processes
-    /// loading the same matrix share one physical copy of its rows —
-    /// and the three sections' CRCs are verified here, on first access
-    /// (the lazy-CRC contract in `tdmatch_graph::container`).
+    /// loading the same matrix share one physical copy of its rows. The
+    /// sections' CRCs were checked when `container` was parsed
+    /// (`tdmatch_graph::container`).
     pub fn from_sections(
         storage: &Storage,
         container: &Container<'_>,

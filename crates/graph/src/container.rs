@@ -5,8 +5,9 @@
 //! request. Warm starts therefore want persisted state that can be
 //! *mapped* back, not re-deserialized. This module provides the shared
 //! on-disk container every flat structure in the workspace serializes
-//! into: [`CsrGraph`](crate::CsrGraph) snapshots, `tdmatch_embed`'s
-//! `ScoreMatrix`, and `tdmatch_core`'s `MatchArtifact`.
+//! into: saved graphs ([`CsrGraph`](crate::CsrGraph) sections plus
+//! labels), `tdmatch_embed`'s `ScoreMatrix`, and `tdmatch_core`'s
+//! `MatchArtifact`.
 //!
 //! # Layout
 //!
@@ -41,9 +42,8 @@
 //!
 //! * **heap** ([`Storage::from_bytes`] / [`Storage::read_file`]) — an
 //!   8-byte-aligned private buffer ([`AlignedBytes`]), read in one pass;
-//! * **mapped** ([`Storage::open`] / [`Storage::open_verified`]) — a
-//!   read-only OS memory map of the file ([`crate::mmap::MmapRegion`],
-//!   64-bit unix targets). Every process that opens the same snapshot
+//! * **mapped** ([`Storage::open`]) — a read-only OS memory map of the
+//!   file ([`crate::mmap::MmapRegion`], 64-bit unix targets). Every process that opens the same snapshot
 //!   shares **one** physical copy of its pages through the OS page
 //!   cache; opening falls back to the heap read when mapping is
 //!   unavailable (non-unix, empty file, mmap-refusing filesystem).
@@ -58,41 +58,22 @@
 //! alignment (8-byte heap, page-aligned map) guarantee the checks pass
 //! for buffers loaded through [`Storage`].
 //!
-//! # Lazy, per-section CRC verification
+//! # Verification
 //!
-//! [`Container::parse`] verifies everything up front — one linear CRC
-//! pass over the whole buffer, about 0.04 ms per MB on an `x86_64` CPU
-//! with PCLMULQDQ and 0.5 ms per MB elsewhere ([`crc32`]). That is the
-//! right trade for a one-shot load, but wrong for serving: opening a
-//! multi-GB artifact should not touch every page before the first
-//! query. [`Storage::open`] therefore
-//! parses **lazily**: the header and section table are verified
-//! immediately (O(sections), independent of payload bytes), while each
-//! payload CRC is checked on the section's *first access* and remembered
-//! in a once-per-section atomic bitmap shared by every handle cloned
-//! from the same storage.
+//! [`Container::parse`] checks every CRC: the header CRC, then each
+//! payload's CRC in one linear pass over the buffer — about 0.04 ms per
+//! MB on an `x86_64` CPU with PCLMULQDQ and 0.5 ms per MB elsewhere
+//! ([`crc32`]). Readers ignore unknown tags, but their CRCs still count:
+//! a corrupt byte in a section no reader knows fails the parse.
+//! [`Storage`] only holds bytes; [`Storage::container`] runs that one
+//! verifying parse, and every loader calls it once and then reads its
+//! sections, so section access never checks anything again.
 //!
-//! The safety contract, precisely:
-//!
-//! * every accessor that **interprets** payload bytes —
-//!   [`SectionView::as_pod`] and the typed views over it,
-//!   [`SectionView::reader`], [`SectionView::payload`], and
-//!   [`FlatBuf::from_section`] — verifies the section's CRC before
-//!   returning (a no-op after the first time); corruption surfaces as
-//!   [`DecodeError::Corrupt`] at that call, *not* at open;
-//! * [`SectionView::bytes`] is the raw escape hatch: it returns the
-//!   payload **without** triggering verification (call
-//!   [`SectionView::verify`] first when it matters);
-//! * verification is per *section*: bytes are checked before the first
-//!   typed access hands them out, but a mapped file mutated in place
-//!   *after* a section verified is outside the CRC's protection (see
-//!   [`crate::mmap`] — treat published snapshots as immutable,
-//!   rename-into-place on update).
-//!
-//! [`Storage::open_verified`] keeps the eager behaviour for mapped
-//! files, and the `TDMATCH_EAGER_CRC` environment variable forces every
-//! [`Storage::open`] in the process onto the eager path — an operational
-//! escape hatch when a storage layer is suspected of corrupting files.
+//! Opening stays O(1): [`Storage::open`] maps the file without touching
+//! its pages, and the checksum runs in the load that follows. A mapped
+//! file mutated in place *after* that parse is outside the CRC's
+//! protection (see [`crate::mmap`] — treat published snapshots as
+//! immutable, rename-into-place on update).
 //!
 //! # Example: save → map → read back
 //!
@@ -106,7 +87,7 @@
 //! w.write_to(&mut std::fs::File::create(&path)?)?;
 //!
 //! // …and map it back: O(1) in the payload size, shared page-cache
-//! // pages across processes, CRC checked on first access.
+//! // pages across processes; `container()` checks every CRC.
 //! let storage = Storage::open(&path)?;
 //! let container = storage.container()?;
 //! let section = container.require(*b"DEMO")?;
@@ -117,7 +98,6 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::codec::{crc32, put_u32, put_u64, ByteReader, Crc32, DecodeError};
@@ -139,11 +119,6 @@ pub const SECTION_ALIGN: usize = 64;
 /// Hard cap on the section count — far above any real container, small
 /// enough that a hostile header cannot request a huge table allocation.
 pub const MAX_SECTIONS: usize = 4096;
-
-/// Environment variable forcing [`Storage::open`] onto the eager
-/// (verify-everything-at-open) path. Any value other than `0` or the
-/// empty string enables it.
-pub const EAGER_CRC_ENV: &str = "TDMATCH_EAGER_CRC";
 
 const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 24;
@@ -236,17 +211,6 @@ impl std::ops::Deref for AlignedBytes {
     }
 }
 
-/// How [`Storage`] schedules payload CRC verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verification {
-    /// Check each section's CRC on its first access (recorded in a
-    /// shared atomic bitmap); opening is O(sections), not O(bytes).
-    Lazy,
-    /// Check every payload CRC up front, at open / parse time — the
-    /// historical behaviour of [`Storage::read_file`].
-    Eager,
-}
-
 /// The bytes behind a [`Storage`]: a private heap buffer or a shared
 /// read-only file mapping.
 #[derive(Debug)]
@@ -267,104 +231,33 @@ impl Backing {
     }
 }
 
-/// Once-per-section "payload CRC already checked" bitmap, shared by
-/// every [`Storage`] clone (and every structure loaded from it).
-#[derive(Debug)]
-pub(crate) struct LazyCrcs {
-    bits: Box<[AtomicU64]>,
-}
-
-impl LazyCrcs {
-    /// Sizes the bitmap from the (untrusted) header's section count.
-    /// A garbage count is clamped to [`MAX_SECTIONS`]; if the count byte
-    /// disagrees with what parsing later finds, out-of-range sections
-    /// simply never memoize (they re-verify on every access).
-    fn for_buffer(buf: &[u8]) -> Self {
-        let count = if buf.len() >= 12 {
-            u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize
-        } else {
-            0
-        };
-        let words = count.min(MAX_SECTIONS).div_ceil(64);
-        let mut bits = Vec::with_capacity(words);
-        bits.resize_with(words, || AtomicU64::new(0));
-        Self {
-            bits: bits.into_boxed_slice(),
-        }
-    }
-
-    #[inline]
-    fn is_verified(&self, index: usize) -> bool {
-        self.bits
-            .get(index / 64)
-            .is_some_and(|w| (w.load(Ordering::Acquire) >> (index % 64)) & 1 == 1)
-    }
-
-    #[inline]
-    fn mark_verified(&self, index: usize) {
-        if let Some(w) = self.bits.get(index / 64) {
-            w.fetch_or(1 << (index % 64), Ordering::Release);
-        }
-    }
-
-    /// Marks every section verified — used after an eager open's full
-    /// verifying parse, so later `container()` calls skip the payload
-    /// pass instead of repeating it.
-    fn mark_all(&self) {
-        for w in &self.bits {
-            w.store(u64::MAX, Ordering::Release);
-        }
-    }
-}
-
-#[derive(Debug)]
-struct StorageInner {
-    backing: Backing,
-    /// `Some` ⇔ payload CRC state is tracked per section in this shared
-    /// bitmap (unset bits are checked by [`SectionGuard`] on access)
-    /// rather than re-checked on every [`Storage::container`] parse.
-    crcs: Option<LazyCrcs>,
-    /// True ⇔ verification is deferred to first access (as opposed to
-    /// having been completed at open).
-    lazy: bool,
-}
-
 /// Reference-counted container storage: one shared buffer (heap or
 /// memory-mapped) behind every structure loaded from it. Cloning is an
-/// `Arc` bump; the lazy-verification bitmap is part of the shared state,
-/// so a section verified through one handle stays verified for all.
+/// `Arc` bump. Storage only holds bytes; [`container`](Storage::container)
+/// verifies them.
 ///
-/// | constructor | backing | verification |
-/// |---|---|---|
-/// | [`from_bytes`](Storage::from_bytes) | heap copy | eager (at [`container`](Storage::container)) |
-/// | [`read_file`](Storage::read_file) | heap read | eager (at [`container`](Storage::container)) |
-/// | [`open`](Storage::open) | mmap, heap fallback | lazy (or eager via `TDMATCH_EAGER_CRC`) |
-/// | [`open_verified`](Storage::open_verified) | mmap, heap fallback | eager, checked at open |
-///
-/// See the [module docs](self) for the lazy-CRC safety contract.
+/// | constructor | backing |
+/// |---|---|
+/// | [`from_bytes`](Storage::from_bytes) | heap copy |
+/// | [`read_file`](Storage::read_file) | heap read |
+/// | [`open`](Storage::open) | mmap, heap fallback |
 #[derive(Debug, Clone)]
 pub struct Storage {
-    inner: Arc<StorageInner>,
+    backing: Arc<Backing>,
 }
 
 impl Storage {
-    /// Wraps a byte slice (copied once into aligned heap storage);
-    /// verification stays eager, as with [`read_file`](Storage::read_file).
+    /// Wraps a byte slice (copied once into aligned heap storage).
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Self {
-            inner: Arc::new(StorageInner {
-                backing: Backing::Heap(AlignedBytes::from_bytes(bytes)),
-                crcs: None,
-                lazy: false,
-            }),
+            backing: Arc::new(Backing::Heap(AlignedBytes::from_bytes(bytes))),
         }
     }
 
     /// Reads a container file into a private heap buffer — straight into
     /// the aligned buffer (sized from file metadata), with no
-    /// intermediate copy. Verification stays eager. Prefer
-    /// [`open`](Storage::open) for serving: it shares one physical copy
-    /// across processes and defers payload CRCs.
+    /// intermediate copy. Prefer [`open`](Storage::open) for serving: it
+    /// shares one physical copy across processes.
     pub fn read_file<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         let mut f = std::fs::File::open(path)?;
         let len = usize::try_from(f.metadata()?.len())
@@ -372,73 +265,29 @@ impl Storage {
         let mut bytes = AlignedBytes::zeroed(len);
         f.read_exact(bytes.as_mut_slice())?;
         Ok(Self {
-            inner: Arc::new(StorageInner {
-                backing: Backing::Heap(bytes),
-                crcs: None,
-                lazy: false,
-            }),
+            backing: Arc::new(Backing::Heap(bytes)),
         })
     }
 
     /// Opens a container file for serving: memory-mapped read-only where
     /// the platform supports it (64-bit unix; heap read elsewhere or
-    /// when mapping fails), with **lazy** per-section CRC verification —
-    /// opening is O(sections), independent of payload size, and N
-    /// processes opening the same file share one physical copy of its
-    /// pages.
-    ///
-    /// Setting the `TDMATCH_EAGER_CRC` environment variable (to anything
-    /// but `0` or the empty string) forces the eager path,
-    /// [`open_verified`](Storage::open_verified).
+    /// when mapping fails). Opening maps without reading — O(1) in the
+    /// payload size — and N processes opening the same file share one
+    /// physical copy of its pages. Nothing is verified here: a file that
+    /// is not a container at all fails at [`container`](Storage::container).
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
-        let eager = std::env::var(EAGER_CRC_ENV).is_ok_and(|v| !v.is_empty() && v != "0");
-        Self::open_with(path, if eager { Verification::Eager } else { Verification::Lazy })
-    }
-
-    /// Opens a container file (mapped where possible, like
-    /// [`open`](Storage::open)) and verifies **every** payload CRC before
-    /// returning. The whole file is touched — O(bytes) — so corruption
-    /// anywhere fails here rather than at first access, and a file that
-    /// is not a container at all is [`DecodeError::BadMagic`] here.
-    pub fn open_verified<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
-        Self::open_with(path, Verification::Eager)
-    }
-
-    /// Opens a container file with an explicit [`Verification`] mode —
-    /// the env-independent form of [`open`](Storage::open) /
-    /// [`open_verified`](Storage::open_verified).
-    pub fn open_with<P: AsRef<Path>>(
-        path: P,
-        mode: Verification,
-    ) -> Result<Self, DecodeError> {
-        let backing = Self::open_backing(path.as_ref())?;
-        let crcs = LazyCrcs::for_buffer(backing.as_slice());
-        let lazy = mode == Verification::Lazy;
-        if !lazy {
-            // Fail fast: one full verifying parse up front, memoized in
-            // a fully-marked bitmap so later `container()` calls (and
-            // section accesses) never repeat the payload pass.
-            Container::parse(backing.as_slice())?;
-            crcs.mark_all();
-        }
-        Ok(Self {
-            inner: Arc::new(StorageInner { backing, crcs: Some(crcs), lazy }),
-        })
-    }
-
-    /// Maps the file if the platform allows, else reads it onto the heap.
-    fn open_backing(path: &Path) -> std::io::Result<Backing> {
+        let path = path.as_ref();
         #[cfg(all(unix, target_pointer_width = "64"))]
         if let Ok(f) = std::fs::File::open(path) {
             if let Ok(region) = crate::mmap::MmapRegion::map_file(&f) {
-                return Ok(Backing::Mapped(region));
+                return Ok(Self {
+                    backing: Arc::new(Backing::Mapped(region)),
+                });
             }
         }
         // Fallback: empty files, mmap-refusing filesystems, non-unix
         // targets — and genuine open errors, which surface here.
-        let storage = Self::read_file(path)?;
-        let inner = Arc::try_unwrap(storage.inner).expect("freshly built storage is unshared");
-        Ok(inner.backing)
+        Ok(Self::read_file(path)?)
     }
 
     /// True when the storage is an OS memory mapping (shared page-cache
@@ -446,7 +295,7 @@ impl Storage {
     pub fn is_mapped(&self) -> bool {
         #[cfg(all(unix, target_pointer_width = "64"))]
         {
-            matches!(self.inner.backing, Backing::Mapped(_))
+            matches!(*self.backing, Backing::Mapped(_))
         }
         #[cfg(not(all(unix, target_pointer_width = "64")))]
         {
@@ -454,30 +303,17 @@ impl Storage {
         }
     }
 
-    /// True when payload CRCs are verified lazily, on first section
-    /// access (see the [module docs](self) for the exact contract).
-    /// False for eagerly-opened storage, whose payloads were all
-    /// verified at open.
-    pub fn lazy_verification(&self) -> bool {
-        self.inner.lazy
-    }
-
     /// The raw container bytes.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        self.inner.backing.as_slice()
+        self.backing.as_slice()
     }
 
-    /// Parses the container held in this storage. Heap storage from
-    /// [`from_bytes`](Storage::from_bytes) /
-    /// [`read_file`](Storage::read_file) gets a full checksum pass;
-    /// storage from [`open`](Storage::open) /
-    /// [`open_verified`](Storage::open_verified) gets the O(sections)
-    /// structural parse, with payload CRCs tracked in the shared
-    /// bitmap — deferred to first access for lazy opens, already marked
-    /// done for eager ones.
+    /// Parses the container held in this storage with
+    /// [`Container::parse`], which checks every CRC. Loaders call this
+    /// once per load.
     pub fn container(&self) -> Result<Container<'_>, DecodeError> {
-        Container::parse_inner(self.as_bytes(), self.inner.crcs.as_ref())
+        Container::parse(self.as_bytes())
     }
 
     /// True when `slice` lies inside this storage's buffer.
@@ -488,39 +324,12 @@ impl Storage {
     }
 }
 
-/// Verify-on-first-access handle for one lazily-checked section: the
-/// shared atomic bitmap plus the section's table CRC. Copied into every
-/// [`SectionView`] handed out by a lazily-parsed [`Container`].
-#[derive(Debug, Clone, Copy)]
-pub struct SectionGuard<'a> {
-    crcs: &'a LazyCrcs,
-    index: usize,
-    crc: u32,
-}
-
-impl SectionGuard<'_> {
-    /// Checks `payload`'s CRC unless this section already verified;
-    /// memoizes success in the shared bitmap.
-    fn ensure(&self, payload: &[u8]) -> Result<(), DecodeError> {
-        if self.crcs.is_verified(self.index) {
-            return Ok(());
-        }
-        if crc32(payload) != self.crc {
-            return Err(DecodeError::Corrupt);
-        }
-        self.crcs.mark_verified(self.index);
-        Ok(())
-    }
-}
-
-/// One parsed section: a borrowed payload, CRC-verified either at parse
-/// time (eager) or on first interpreting access (lazy; see the
-/// [module docs](self)).
+/// One section of a parsed [`Container`]: a borrowed payload whose CRC
+/// the parse already checked.
 #[derive(Debug, Clone, Copy)]
 pub struct SectionView<'a> {
     tag: SectionTag,
     bytes: &'a [u8],
-    guard: Option<SectionGuard<'a>>,
 }
 
 impl<'a> SectionView<'a> {
@@ -530,28 +339,10 @@ impl<'a> SectionView<'a> {
         self.tag
     }
 
-    /// The raw payload, **without** triggering lazy verification — the
-    /// escape hatch for code that wants the bytes regardless (tooling,
-    /// forwarding). Call [`verify`](SectionView::verify) first, or use
-    /// [`payload`](SectionView::payload), when integrity matters.
+    /// The payload.
     #[inline]
     pub fn bytes(&self) -> &'a [u8] {
         self.bytes
-    }
-
-    /// Ensures this section's payload CRC has been checked (a no-op for
-    /// eagerly-parsed containers and on every access after the first).
-    pub fn verify(&self) -> Result<(), DecodeError> {
-        match &self.guard {
-            Some(g) => g.ensure(self.bytes),
-            None => Ok(()),
-        }
-    }
-
-    /// The verified payload.
-    pub fn payload(&self) -> Result<&'a [u8], DecodeError> {
-        self.verify()?;
-        Ok(self.bytes)
     }
 
     /// Payload length in bytes.
@@ -566,20 +357,17 @@ impl<'a> SectionView<'a> {
         self.bytes.is_empty()
     }
 
-    /// A [`ByteReader`] over the verified payload, for variable-length
-    /// encodings (length-prefixed labels etc.).
-    pub fn reader(&self) -> Result<ByteReader<'a>, DecodeError> {
-        self.verify()?;
-        Ok(ByteReader::new(self.bytes, 0))
+    /// A [`ByteReader`] over the payload, for variable-length encodings
+    /// (length-prefixed labels etc.).
+    pub fn reader(&self) -> ByteReader<'a> {
+        ByteReader::new(self.bytes, 0)
     }
 
-    /// Zero-copy typed view over the verified payload. Errors when the
-    /// payload length is not a multiple of the element size, the base
-    /// pointer is misaligned (can only happen for buffers not loaded
-    /// through [`Storage`]), or lazy verification finds a corrupt
-    /// payload.
+    /// Zero-copy typed view over the payload. Errors when the payload
+    /// length is not a multiple of the element size or the base pointer
+    /// is misaligned (can only happen for buffers not loaded through
+    /// [`Storage`]).
     pub fn as_pod<T: Pod>(&self) -> Result<&'a [T], DecodeError> {
-        self.verify()?;
         let size = std::mem::size_of::<T>();
         if size == 0 || !self.bytes.len().is_multiple_of(size) {
             return Err(DecodeError::Invalid("section length not a multiple of element size"));
@@ -616,35 +404,24 @@ struct SectionMeta {
     tag: SectionTag,
     offset: usize,
     len: usize,
-    crc: u32,
 }
 
 /// A parsed `TDZ1` container: the section table over a borrowed buffer.
 ///
 /// [`parse`](Container::parse) validates everything up front — magic,
-/// version, header CRC, section bounds, per-section payload CRCs, zero
-/// padding, and exact total length — so section access is infallible
-/// afterwards. Containers obtained from a lazily-verified [`Storage`]
-/// (via [`Storage::container`]) defer the payload CRCs to each section's
-/// first access instead; see the [module docs](self).
+/// version, header CRC, section bounds, every payload CRC (unknown tags
+/// included), zero padding, and exact total length — so section access
+/// is infallible afterwards.
 #[derive(Debug)]
 pub struct Container<'a> {
     buf: &'a [u8],
     sections: Vec<SectionMeta>,
-    lazy: Option<&'a LazyCrcs>,
 }
 
 impl<'a> Container<'a> {
     /// Parses and fully verifies a container (every payload CRC checked
     /// here, in one linear pass).
     pub fn parse(buf: &'a [u8]) -> Result<Self, DecodeError> {
-        Self::parse_inner(buf, None)
-    }
-
-    /// Structural parse; `lazy = Some` defers payload CRCs to first
-    /// section access (guarded by the shared bitmap), `None` checks them
-    /// all here.
-    fn parse_inner(buf: &'a [u8], lazy: Option<&'a LazyCrcs>) -> Result<Self, DecodeError> {
         if buf.len() < HEADER_LEN || buf[..4] != CONTAINER_MAGIC {
             return Err(DecodeError::BadMagic);
         }
@@ -686,22 +463,16 @@ impl<'a> Container<'a> {
             if end > buf.len() {
                 return Err(DecodeError::Corrupt);
             }
-            if lazy.is_none() && crc32(&buf[offset..end]) != stored_crc {
+            if crc32(&buf[offset..end]) != stored_crc {
                 return Err(DecodeError::Corrupt);
             }
-            sections.push(SectionMeta {
-                tag,
-                offset,
-                len,
-                crc: stored_crc,
-            });
+            sections.push(SectionMeta { tag, offset, len });
             expected_offset = align_up(end);
         }
 
         // The container ends exactly at the last section's aligned end
-        // (or the aligned table end when empty): no trailing bytes. The
-        // padding zones are each < SECTION_ALIGN bytes, so checking them
-        // stays O(sections) on the lazy path too.
+        // (or the aligned table end when empty): no trailing bytes, and
+        // every padding zone is zero.
         let content_end = sections.last().map_or(table_end, |m| m.offset + m.len);
         if buf.len() != align_up(content_end) {
             return Err(DecodeError::Corrupt);
@@ -717,11 +488,7 @@ impl<'a> Container<'a> {
             return Err(DecodeError::Corrupt);
         }
 
-        Ok(Self {
-            buf,
-            sections,
-            lazy,
-        })
+        Ok(Self { buf, sections })
     }
 
     /// Number of sections.
@@ -734,22 +501,14 @@ impl<'a> Container<'a> {
         self.sections.iter().map(|m| m.tag)
     }
 
-    /// The first section with `tag`, if present. The view's payload is
-    /// CRC-verified lazily, at its first interpreting access (eager
-    /// containers verified everything at parse already).
+    /// The first section with `tag`, if present.
     pub fn section(&self, tag: SectionTag) -> Option<SectionView<'a>> {
         self.sections
             .iter()
-            .enumerate()
-            .find(|(_, m)| m.tag == tag)
-            .map(|(index, m)| SectionView {
+            .find(|m| m.tag == tag)
+            .map(|m| SectionView {
                 tag: m.tag,
                 bytes: &self.buf[m.offset..m.offset + m.len],
-                guard: self.lazy.map(|crcs| SectionGuard {
-                    crcs,
-                    index,
-                    crc: m.crc,
-                }),
             })
     }
 
@@ -961,17 +720,14 @@ impl<T> FlatBuf<T> {
 
 impl<T: Pod> FlatBuf<T> {
     /// A zero-copy view of `view`'s payload, kept alive by `storage`.
-    /// `view` must have been obtained from `storage.container()`. The
-    /// section is CRC-verified here if the storage is lazily verified
-    /// (see the [module docs](self)).
+    /// `view` must have been obtained from `storage.container()`.
     pub fn from_section(storage: &Storage, view: SectionView<'_>) -> Result<Self, DecodeError> {
         if !storage.contains(view.bytes()) {
             return Err(DecodeError::Invalid("section view does not belong to this storage"));
         }
         let typed = view.as_pod::<T>()?;
-        // Safety: as_pod checked alignment/size (and the payload CRC);
-        // containment checked above; the storage clone keeps the buffer
-        // alive.
+        // Safety: as_pod checked alignment/size; containment checked
+        // above; the storage clone keeps the buffer alive.
         Ok(unsafe { Self::from_raw_shared(storage.clone(), typed.as_ptr(), typed.len()) })
     }
 }
@@ -987,12 +743,6 @@ impl<T: Clone> FlatBuf<T> {
             Repr::Owned(v) => v,
             Repr::Shared { .. } => unreachable!(),
         }
-    }
-
-    /// Converts to the owned representation (no-op when already owned).
-    pub fn into_owned(mut self) -> Self {
-        self.make_mut();
-        self
     }
 }
 
@@ -1091,7 +841,6 @@ mod tests {
         assert_eq!(c.section(tag(b"F32S")).unwrap().as_f32s().unwrap(), &[0.5, -1.5]);
         assert_eq!(c.section(tag(b"U64S")).unwrap().as_u64s().unwrap(), &[u64::MAX]);
         assert_eq!(c.section(tag(b"RAWB")).unwrap().bytes(), &[9, 8, 7]);
-        assert_eq!(c.section(tag(b"RAWB")).unwrap().payload().unwrap(), &[9, 8, 7]);
         // Wrong element size is rejected.
         assert!(c.section(tag(b"RAWB")).unwrap().as_u32s().is_err());
     }
@@ -1166,7 +915,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let storage = Storage::read_file(&path).unwrap();
         assert!(!storage.is_mapped());
-        assert!(!storage.lazy_verification());
         let c = storage.container().unwrap();
         assert_eq!(c.section(tag(b"DATA")).unwrap().as_u64s().unwrap(), &[42]);
         std::fs::remove_file(&path).ok();
@@ -1179,70 +927,17 @@ mod tests {
     }
 
     #[test]
-    fn open_maps_and_defers_payload_crcs() {
+    fn open_maps_and_reads_sections() {
         let mut w = ContainerWriter::new();
         w.add_pod(tag(b"GOOD"), &[1u32, 2, 3]);
         w.add_pod(tag(b"ALSO"), &[4u64]);
         let path = write_temp("tdmatch-container-open.tdz", &w.finish());
-        let storage = Storage::open_with(&path, Verification::Lazy).unwrap();
-        assert!(storage.lazy_verification());
+        let storage = Storage::open(&path).unwrap();
         #[cfg(all(unix, target_pointer_width = "64"))]
         assert!(storage.is_mapped());
         let c = storage.container().unwrap();
         assert_eq!(c.section(tag(b"GOOD")).unwrap().as_u32s().unwrap(), &[1, 2, 3]);
         assert_eq!(c.section(tag(b"ALSO")).unwrap().as_u64s().unwrap(), &[4]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn lazy_open_detects_corruption_on_first_access_not_open() {
-        let mut w = ContainerWriter::new();
-        w.add_pod(tag(b"GOOD"), &[1u32, 2, 3]);
-        w.add_pod(tag(b"EVIL"), &[7u32; 64]);
-        let mut bytes = w.finish();
-        // Corrupt one payload byte inside EVIL (the second section).
-        let c = Container::parse(&bytes).unwrap();
-        let base = bytes.as_ptr() as usize;
-        let evil_off = c.section(tag(b"EVIL")).unwrap().bytes().as_ptr() as usize - base;
-        drop(c);
-        bytes[evil_off + 5] ^= 0xFF;
-
-        let path = write_temp("tdmatch-container-lazy-corrupt.tdz", &bytes);
-        // Eager open refuses the file outright…
-        assert!(Storage::open_verified(&path).is_err());
-        // …while the lazy open succeeds (header + table are intact)…
-        let storage = Storage::open_with(&path, Verification::Lazy).unwrap();
-        let container = storage.container().unwrap();
-        // …the clean section serves…
-        assert_eq!(
-            container.require(tag(b"GOOD")).unwrap().as_u32s().unwrap(),
-            &[1, 2, 3]
-        );
-        // …and the corrupt one fails at first (and every later) access,
-        // through every interpreting accessor.
-        let evil = container.require(tag(b"EVIL")).unwrap();
-        assert!(matches!(evil.as_u32s(), Err(DecodeError::Corrupt)));
-        assert!(matches!(evil.verify(), Err(DecodeError::Corrupt)));
-        assert!(matches!(evil.payload(), Err(DecodeError::Corrupt)));
-        assert!(matches!(evil.reader(), Err(DecodeError::Corrupt)));
-        assert!(FlatBuf::<u32>::from_section(&storage, evil).is_err());
-        // The raw escape hatch stays raw.
-        assert_eq!(evil.bytes().len(), 256);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn lazy_verification_memoizes_per_section() {
-        let mut w = ContainerWriter::new();
-        w.add_pod(tag(b"DATA"), &[9u32; 16]);
-        let path = write_temp("tdmatch-container-lazy-memo.tdz", &w.finish());
-        let storage = Storage::open_with(&path, Verification::Lazy).unwrap();
-        // Two containers parsed from the same storage share the bitmap:
-        // verification through the first is visible to the second.
-        let c1 = storage.container().unwrap();
-        c1.require(tag(b"DATA")).unwrap().verify().unwrap();
-        let c2 = storage.container().unwrap();
-        c2.require(tag(b"DATA")).unwrap().verify().unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1253,16 +948,13 @@ mod tests {
         w.add_pod(tag(b"F32S"), &[-0.0f32, f32::MIN_POSITIVE, 2.5]);
         let bytes = w.finish();
         let path = write_temp("tdmatch-container-equiv.tdz", &bytes);
-        let mapped = Storage::open_with(&path, Verification::Lazy).unwrap();
+        let mapped = Storage::open(&path).unwrap();
         let heap = Storage::read_file(&path).unwrap();
         assert_eq!(mapped.as_bytes(), heap.as_bytes());
         assert_eq!(mapped.as_bytes(), &bytes[..]);
         let (cm, ch) = (mapped.container().unwrap(), heap.container().unwrap());
         for t in [tag(b"U32S"), tag(b"F32S")] {
-            assert_eq!(
-                cm.require(t).unwrap().payload().unwrap(),
-                ch.require(t).unwrap().payload().unwrap()
-            );
+            assert_eq!(cm.require(t).unwrap().bytes(), ch.require(t).unwrap().bytes());
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1274,22 +966,19 @@ mod tests {
     }
 
     #[test]
-    fn open_verified_accepts_clean_files_and_rejects_non_containers() {
+    fn open_accepts_any_file_and_container_rejects_non_containers() {
         let mut w = ContainerWriter::new();
         w.add_pod(tag(b"DATA"), &[1u32]);
         let path = write_temp("tdmatch-container-verified.tdz", &w.finish());
-        let storage = Storage::open_verified(&path).unwrap();
-        assert!(!storage.lazy_verification());
-        storage.container().unwrap();
+        Storage::open(&path).unwrap().container().unwrap();
         std::fs::remove_file(&path).ok();
         // Anything that is not a TDZ1 container — the retired TDM1 and
-        // TDG1 magics included — fails at open, not at first use.
+        // TDG1 magics and the empty file included — opens (opening only
+        // maps or reads) and fails at the parse.
         for bytes in [&b"TDM1 something else"[..], b"TDG1 something else", b""] {
             let path = write_temp("tdmatch-container-retired.bin", bytes);
-            assert!(matches!(Storage::open_verified(&path), Err(DecodeError::BadMagic)));
-            // The lazy open defers the same verdict to the first parse.
-            let lazy = Storage::open_with(&path, Verification::Lazy).unwrap();
-            assert!(matches!(lazy.container(), Err(DecodeError::BadMagic)));
+            let storage = Storage::open(&path).unwrap();
+            assert!(matches!(storage.container(), Err(DecodeError::BadMagic)));
             std::fs::remove_file(&path).ok();
         }
     }

@@ -32,28 +32,19 @@
 //! # Persistence
 //!
 //! Every array in the snapshot is flat and typed, so the snapshot
-//! serializes *as-is* into the `TDZ1` container
-//! ([`write_sections`] / [`save_snapshot`]) and loads back zero-copy
-//! ([`from_sections`] / [`load_snapshot`]): the loaded snapshot's arrays
-//! are views into the shared [`Storage`] buffer — memory-mapped by
-//! [`load_snapshot`], so concurrent serving processes share one physical
-//! copy — and a warm start skips graph creation and the freeze entirely:
-//! one linear validation + checksum scan, no per-element copies or
-//! allocation.
-//! Node *labels* are not part of the frozen snapshot (walks and sampling
-//! never touch them). A warm start that must *resume training* — and so
-//! needs the mutable, label-indexed [`Graph`] back — saves through
-//! [`Graph::save_snapshot`], which writes the same sections plus one
-//! label section ([`SEC_GRAPH_LABELS`]); [`Graph::load_snapshot`]
-//! rebuilds the graph from it, and the file still opens with
-//! [`load_snapshot`] (readers ignore unknown tags).
+//! serializes *as-is* into `TDZ1` container sections
+//! ([`write_sections`]) and loads back zero-copy ([`from_sections`]):
+//! the loaded arrays are views into the shared [`Storage`] buffer, and
+//! loading is one linear validation pass with no per-element copies.
+//! These sections are the body of a saved graph: [`Graph::save_snapshot`]
+//! writes them plus one label section ([`SEC_GRAPH_LABELS`]), and
+//! [`Graph::load_snapshot`] rebuilds the mutable, label-indexed [`Graph`]
+//! from them (`tdmatch run --save-graph` / `tdmatch resume`).
 //!
 //! [`has_edge`]: CsrGraph::has_edge
 //! [`edge_type_cum`]: CsrGraph::edge_type_cum
 //! [`write_sections`]: CsrGraph::write_sections
 //! [`from_sections`]: CsrGraph::from_sections
-//! [`save_snapshot`]: CsrGraph::save_snapshot
-//! [`load_snapshot`]: CsrGraph::load_snapshot
 
 use std::path::Path;
 
@@ -84,11 +75,6 @@ pub const SEC_CSR_REMOVED: SectionTag = *b"CRMV";
 /// every live node in ascending id order, each a `u32` length followed by
 /// that many UTF-8 bytes. The count is the header's live-node count.
 pub const SEC_GRAPH_LABELS: SectionTag = *b"GLBL";
-
-/// Tag for a persisted cumulative edge-type weight table in `slot`.
-pub fn cum_section_tag(slot: u8) -> SectionTag {
-    [b'W', b'C', b'M', slot]
-}
 
 /// A [`NodeKind`] packed into one `u64` for flat, zero-copy storage:
 /// byte 0 = tag (0 data / 1 external / 2 meta), byte 1 = corpus side,
@@ -393,7 +379,7 @@ impl CsrGraph {
                 cum.push(running);
             }
         }
-        EdgeTypeCum { cum: cum.into() }
+        EdgeTypeCum { cum }
     }
 
     /// The slice of an [`EdgeTypeCum`] table covering node `id`.
@@ -422,38 +408,6 @@ impl CsrGraph {
         w.add(SEC_CSR_SORTED_KINDS, edge_kinds_as_bytes(&self.sorted_kinds));
         w.add_pod(SEC_CSR_NODE_KINDS, &self.node_kinds);
         w.add_pod(SEC_CSR_REMOVED, &self.removed);
-    }
-
-    /// Serializes a cumulative weight table into the container under
-    /// `slot` (so several weight configurations can coexist in one file).
-    /// The table must have been built by
-    /// [`edge_type_cum`](CsrGraph::edge_type_cum) on this snapshot.
-    pub fn write_cum_section<'a>(
-        &self,
-        cum: &'a EdgeTypeCum,
-        slot: u8,
-        w: &mut ContainerWriter<'a>,
-    ) {
-        assert_eq!(cum.cum.len(), self.targets.len(), "cum table shape mismatch");
-        w.add_pod(cum_section_tag(slot), &cum.cum);
-    }
-
-    /// Loads a cumulative weight table persisted under `slot`, zero-copy.
-    /// Returns `Ok(None)` when the container has no such section.
-    pub fn cum_from_sections(
-        &self,
-        storage: &Storage,
-        container: &Container<'_>,
-        slot: u8,
-    ) -> Result<Option<EdgeTypeCum>, DecodeError> {
-        let Some(view) = container.section(cum_section_tag(slot)) else {
-            return Ok(None);
-        };
-        let cum = FlatBuf::<f32>::from_section(storage, view)?;
-        if cum.len() != self.targets.len() {
-            return Err(DecodeError::Invalid("cum table length mismatch"));
-        }
-        Ok(Some(EdgeTypeCum { cum }))
     }
 
     /// Reassembles a snapshot from container sections, zero-copy: every
@@ -559,73 +513,6 @@ impl CsrGraph {
             edge_count: usize::try_from(edge_count).map_err(|_| DecodeError::Corrupt)?,
         })
     }
-
-    /// Converts every zero-copy array into an owned `Vec`, detaching the
-    /// snapshot from its container storage. No-op for built snapshots.
-    pub fn into_owned(self) -> Self {
-        Self {
-            offsets: self.offsets.into_owned(),
-            targets: self.targets.into_owned(),
-            kinds: self.kinds.into_owned(),
-            sorted_targets: self.sorted_targets.into_owned(),
-            sorted_kinds: self.sorted_kinds.into_owned(),
-            node_kinds: self.node_kinds.into_owned(),
-            removed: self.removed.into_owned(),
-            ..self
-        }
-    }
-
-    /// True when any array still borrows container storage.
-    pub fn is_zero_copy(&self) -> bool {
-        self.offsets.is_shared()
-            || self.targets.is_shared()
-            || self.kinds.is_shared()
-            || self.sorted_targets.is_shared()
-            || self.sorted_kinds.is_shared()
-            || self.node_kinds.is_shared()
-            || self.removed.is_shared()
-    }
-
-    /// Writes a one-snapshot container file, crash-safely: the container
-    /// is assembled in a same-directory temp file, fsynced, and renamed
-    /// over `path` ([`publish_atomic`](crate::publish::publish_atomic)) —
-    /// a writer killed mid-save leaves the old snapshot intact, never a
-    /// torn file.
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
-        let mut w = ContainerWriter::new();
-        self.write_sections(&mut w);
-        crate::publish::publish_atomic(path.as_ref(), |f| w.write_to(f))
-    }
-
-    /// Loads a snapshot saved by [`save_snapshot`](CsrGraph::save_snapshot),
-    /// zero-copy: the file is memory-mapped where the platform allows
-    /// ([`Storage::open`] — heap read elsewhere), so every process
-    /// loading the same snapshot shares one physical copy of the arrays
-    /// through the OS page cache, and the mapping stays alive inside the
-    /// snapshot for as long as any of its arrays does.
-    ///
-    /// ```
-    /// use tdmatch_graph::{CsrGraph, Graph};
-    ///
-    /// let mut g = Graph::new();
-    /// let a = g.intern_data("tarantino");
-    /// let b = g.intern_data("thriller");
-    /// g.add_edge(a, b);
-    /// let csr = CsrGraph::from_graph(&g);
-    ///
-    /// let path = std::env::temp_dir().join("tdmatch-doc-csr.tdz");
-    /// csr.save_snapshot(&path)?;
-    /// let warm = CsrGraph::load_snapshot(&path)?;   // mapped, no rebuild
-    /// assert!(warm.is_zero_copy());
-    /// assert_eq!(warm.neighbors(a), csr.neighbors(a));
-    /// # std::fs::remove_file(&path).ok();
-    /// # Ok::<(), tdmatch_graph::DecodeError>(())
-    /// ```
-    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
-        let storage = Storage::open(path)?;
-        let container = storage.container()?;
-        Self::from_sections(&storage, &container)
-    }
 }
 
 impl Graph {
@@ -667,7 +554,7 @@ impl Graph {
         let mut labels = container
             .section(SEC_GRAPH_LABELS)
             .ok_or(DecodeError::Invalid("snapshot has no graph label section"))?
-            .reader()?;
+            .reader();
 
         let mut g = Graph::with_capacity(csr.node_count());
         let mut dense: Vec<Option<NodeId>> = vec![None; csr.id_bound()];
@@ -722,11 +609,10 @@ impl Graph {
 }
 
 /// Precomputed per-node cumulative edge-type weights; build once per
-/// (snapshot, weight table) pair via [`CsrGraph::edge_type_cum`], or load
-/// a persisted one via [`CsrGraph::cum_from_sections`].
+/// (snapshot, weight table) pair via [`CsrGraph::edge_type_cum`].
 #[derive(Debug, Clone)]
 pub struct EdgeTypeCum {
-    cum: FlatBuf<f32>,
+    cum: Vec<f32>,
 }
 
 #[cfg(test)]
@@ -856,6 +742,17 @@ mod tests {
         }
     }
 
+    /// True when every array borrows container storage.
+    fn is_zero_copy(c: &CsrGraph) -> bool {
+        c.offsets.is_shared()
+            && c.targets.is_shared()
+            && c.kinds.is_shared()
+            && c.sorted_targets.is_shared()
+            && c.sorted_kinds.is_shared()
+            && c.node_kinds.is_shared()
+            && c.removed.is_shared()
+    }
+
     #[test]
     fn snapshot_roundtrips_through_container() {
         let (mut g, _, b, ..) = diamond();
@@ -864,31 +761,20 @@ mod tests {
         let csr = CsrGraph::from_graph(&g);
         let mut w = ContainerWriter::new();
         csr.write_sections(&mut w);
-        let weights = EdgeTypeWeights::uniform().with(EdgeKind::External, 2.5);
-        let cum = csr.edge_type_cum(&weights);
-        csr.write_cum_section(&cum, 0, &mut w);
 
         let storage = Storage::from_bytes(&w.finish());
         let container = storage.container().unwrap();
         let loaded = CsrGraph::from_sections(&storage, &container).unwrap();
-        assert!(loaded.is_zero_copy());
+        assert!(is_zero_copy(&loaded));
         snapshot_eq(&csr, &loaded);
 
-        let loaded_cum = loaded
-            .cum_from_sections(&storage, &container, 0)
-            .unwrap()
-            .unwrap();
+        // The weight table built over the loaded arrays is the table
+        // built over the original, bit for bit.
+        let weights = EdgeTypeWeights::uniform().with(EdgeKind::External, 2.5);
+        let (cum, loaded_cum) = (csr.edge_type_cum(&weights), loaded.edge_type_cum(&weights));
         for id in csr.nodes() {
             assert_eq!(csr.cum_slice(&cum, id), loaded.cum_slice(&loaded_cum, id));
         }
-        assert!(loaded
-            .cum_from_sections(&storage, &container, 1)
-            .unwrap()
-            .is_none());
-
-        let owned = loaded.clone().into_owned();
-        assert!(!owned.is_zero_copy());
-        snapshot_eq(&csr, &owned);
     }
 
     #[test]
@@ -1004,10 +890,10 @@ mod tests {
         let g = labelled();
         let path = temp("as-csr");
         g.save_snapshot(&path).unwrap();
-        Storage::open_verified(&path).unwrap();
-        let csr = CsrGraph::load_snapshot(&path).unwrap();
+        let storage = Storage::open(&path).unwrap();
+        let csr = CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(csr.is_zero_copy());
+        assert!(is_zero_copy(&csr));
         snapshot_eq(&csr, &CsrGraph::from_graph(&g));
     }
 
@@ -1108,16 +994,5 @@ mod tests {
         let storage = Storage::from_bytes(&bad);
         CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
         assert!(matches!(load_bytes(&bad, "rows"), Err(DecodeError::Invalid(_))));
-    }
-
-    #[test]
-    fn snapshot_file_save_and_load() {
-        let (g, ..) = diamond();
-        let csr = CsrGraph::from_graph(&g);
-        let path = std::env::temp_dir().join("tdmatch-csr-snapshot-test.tdz");
-        csr.save_snapshot(&path).unwrap();
-        let loaded = CsrGraph::load_snapshot(&path).unwrap();
-        snapshot_eq(&csr, &loaded);
-        std::fs::remove_file(&path).ok();
     }
 }

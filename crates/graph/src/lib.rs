@@ -41,10 +41,10 @@
 //! without rebuilding ([`CsrGraph::from_sections`]). Serving processes
 //! open snapshots through [`container::Storage::open`], which
 //! memory-maps the file ([`mmap`]) so N processes share one physical
-//! copy through the OS page cache and defers per-section CRC checks to
-//! first access. The *mutable* [`Graph`] — labels included, for resuming
-//! training after an expensive expansion — saves as the same sections
-//! plus one label section ([`Graph::save_snapshot`] /
+//! copy through the OS page cache; [`container::Storage::container`]
+//! then checks every CRC, once per load. The *mutable* [`Graph`] — labels
+//! included, for resuming training after an expensive expansion — saves
+//! as the sections of its frozen [`CsrGraph`] plus one label section ([`Graph::save_snapshot`] /
 //! [`Graph::load_snapshot`]). Snapshot files are published crash-safely via
 //! [`publish::publish_atomic`] (same-directory temp file, fsync,
 //! rename): a writer killed mid-save can never leave a torn file at a
@@ -63,7 +63,7 @@ pub mod stats;
 pub mod traverse;
 
 pub use codec::DecodeError;
-pub use container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage, Verification};
+pub use container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
 pub use csr::{CsrGraph, EdgeTypeCum};
 pub use edge::{EdgeKind, EdgeTypeWeights};
 pub use graph::Graph;

@@ -26,8 +26,8 @@
 //! rewriting it in place changes mapped bytes under the reader. Treat
 //! published snapshot files as immutable — write to a temp path and
 //! `rename(2)` into place, never rewrite in place. (The CRC layer above
-//! detects in-place rewrites that happen *before* a section's first
-//! access, but cannot protect reads after verification.)
+//! detects an in-place rewrite that happens *before* a load parses the
+//! container, but cannot protect reads after that parse.)
 
 #![cfg(all(unix, target_pointer_width = "64"))]
 

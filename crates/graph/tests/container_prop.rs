@@ -1,5 +1,5 @@
 //! Property tests for the `TDZ1` zero-copy container and the CSR
-//! snapshot's section round-trip: write → load (borrowed *and* owned) →
+//! snapshot's section round-trip: save → map → load zero-copy →
 //! bit-identical structure, and no corrupted or truncated byte stream
 //! ever parses.
 
@@ -131,12 +131,13 @@ proptest! {
         prop_assert!(Container::parse(&bytes).is_err());
     }
 
-    /// A CSR snapshot round-trips through the container bit-identically,
-    /// both on the borrowed (zero-copy) and the owned path: structure,
-    /// edge relation, and cumulative weight tables all match the
-    /// in-memory original exactly.
+    /// A CSR snapshot round-trips bit-identically through a saved graph
+    /// file opened mapped: structure, edge relation, and the cumulative
+    /// weight tables built over it all match the in-memory original
+    /// exactly, and the loaded rows are read straight out of the file's
+    /// storage.
     #[test]
-    fn csr_snapshot_roundtrips_borrowed_and_owned(
+    fn csr_snapshot_roundtrips_through_a_saved_graph(
         n in 2usize..16,
         edges in prop::collection::vec((0usize..16, 0usize..16, 0u8..8), 0..50),
         removals in prop::collection::vec(0usize..16, 0..4),
@@ -145,33 +146,31 @@ proptest! {
     ) {
         let g = build(n, &edges, &removals);
         let csr = CsrGraph::from_graph(&g);
+        let path = std::env::temp_dir()
+            .join(format!("tdmatch-container-prop-{}.tdz", std::process::id()));
+        g.save_snapshot(&path).unwrap();
+        let storage = Storage::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let loaded = CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
+        assert_snapshot_eq(&csr, &loaded);
+
+        // Zero copy: every non-empty row lies inside the storage.
+        let bytes = storage.as_bytes().as_ptr_range();
+        for id in loaded.nodes() {
+            let row = loaded.neighbors(id);
+            if !row.is_empty() {
+                let row = row.as_ptr_range();
+                prop_assert!(bytes.start <= row.start.cast() && row.end.cast() <= bytes.end);
+            }
+        }
+
+        // The weight table over the loaded arrays is bit-identical per
+        // node slice.
         let weights = EdgeTypeWeights::uniform().with(EdgeKind::External, w_ext);
-        let cum = csr.edge_type_cum(&weights);
-
-        let mut w = ContainerWriter::new();
-        csr.write_sections(&mut w);
-        csr.write_cum_section(&cum, 0, &mut w);
-        let storage = Storage::from_bytes(&w.finish());
-        let container = storage.container().unwrap();
-
-        // Borrowed (zero-copy) load.
-        let borrowed = CsrGraph::from_sections(&storage, &container).unwrap();
-        prop_assert!(borrowed.is_zero_copy());
-        assert_snapshot_eq(&csr, &borrowed);
-
-        // Owned load.
-        let owned = borrowed.clone().into_owned();
-        prop_assert!(!owned.is_zero_copy());
-        assert_snapshot_eq(&csr, &owned);
-
-        // The persisted cum table is bit-identical per node slice.
-        let loaded_cum = borrowed
-            .cum_from_sections(&storage, &container, 0)
-            .unwrap()
-            .unwrap();
+        let (cum, loaded_cum) = (csr.edge_type_cum(&weights), loaded.edge_type_cum(&weights));
         for id in csr.nodes() {
             let a = csr.cum_slice(&cum, id);
-            let b = borrowed.cum_slice(&loaded_cum, id);
+            let b = loaded.cum_slice(&loaded_cum, id);
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -179,11 +178,11 @@ proptest! {
         }
 
         // The edge relation (what biased walks actually sample from)
-        // agrees on arbitrary probes, on both loads.
+        // agrees on arbitrary probes.
         for &(a, b) in &probes {
             let (a, b) = (NodeId((a % n) as u32), NodeId((b % n) as u32));
-            prop_assert_eq!(csr.has_edge(a, b), borrowed.has_edge(a, b));
-            prop_assert_eq!(csr.edge_kind(a, b), owned.edge_kind(a, b));
+            prop_assert_eq!(csr.has_edge(a, b), loaded.has_edge(a, b));
+            prop_assert_eq!(csr.edge_kind(a, b), loaded.edge_kind(a, b));
         }
     }
 

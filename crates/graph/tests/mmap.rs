@@ -1,13 +1,13 @@
 //! Integration tests for the cross-process mmap serving path: mapping
 //! lifetime (unmap exactly when the last view drops), heap-fallback
-//! equivalence, and lazy CRC behaviour through a real consumer
-//! (`CsrGraph`).
+//! equivalence, and whole-container verification through a real
+//! consumer (`CsrGraph` over a saved `Graph`).
 
-use tdmatch_graph::container::{ContainerWriter, Storage, Verification};
+use tdmatch_graph::container::{Container, ContainerWriter, Storage};
 use tdmatch_graph::{CsrGraph, DecodeError, Graph};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(name)
+    std::env::temp_dir().join(format!("{name}-{}.tdz", std::process::id()))
 }
 
 fn sample_graph() -> Graph {
@@ -21,6 +21,17 @@ fn sample_graph() -> Graph {
     g
 }
 
+/// Saves the sample graph to `name` and returns the path.
+fn saved_sample(name: &str) -> std::path::PathBuf {
+    let path = temp_path(name);
+    sample_graph().save_snapshot(&path).unwrap();
+    path
+}
+
+fn load_csr(storage: &Storage) -> Result<CsrGraph, DecodeError> {
+    CsrGraph::from_sections(storage, &storage.container()?)
+}
+
 /// True when `/proc/self/maps` has a mapping starting at `addr`.
 #[cfg(target_os = "linux")]
 fn is_mapped_at(addr: usize) -> bool {
@@ -32,19 +43,15 @@ fn is_mapped_at(addr: usize) -> bool {
 
 #[test]
 fn mapped_and_heap_snapshots_are_bit_identical() {
-    let csr = CsrGraph::from_graph(&sample_graph());
-    let path = temp_path("tdmatch-mmap-equiv.tdz");
-    csr.save_snapshot(&path).unwrap();
-
-    let mapped = Storage::open_with(&path, Verification::Lazy).unwrap();
+    let path = saved_sample("tdmatch-mmap-equiv");
+    let mapped = Storage::open(&path).unwrap();
     let heap = Storage::read_file(&path).unwrap();
     assert!(!heap.is_mapped());
     // Identical raw bytes…
     assert_eq!(mapped.as_bytes(), heap.as_bytes());
     // …and identical loaded views through a real consumer.
-    let from_mapped =
-        CsrGraph::from_sections(&mapped, &mapped.container().unwrap()).unwrap();
-    let from_heap = CsrGraph::from_sections(&heap, &heap.container().unwrap()).unwrap();
+    let from_mapped = load_csr(&mapped).unwrap();
+    let from_heap = load_csr(&heap).unwrap();
     assert_eq!(from_mapped.id_bound(), from_heap.id_bound());
     assert_eq!(from_mapped.edge_count(), from_heap.edge_count());
     for id in from_mapped.nodes() {
@@ -57,16 +64,18 @@ fn mapped_and_heap_snapshots_are_bit_identical() {
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 #[test]
-fn load_snapshot_serves_from_a_mapping() {
-    let csr = CsrGraph::from_graph(&sample_graph());
-    let path = temp_path("tdmatch-mmap-load-snapshot.tdz");
-    csr.save_snapshot(&path).unwrap();
+fn a_saved_graph_serves_its_csr_from_the_mapping() {
+    let path = saved_sample("tdmatch-mmap-serves");
     let storage = Storage::open(&path).unwrap();
     assert!(storage.is_mapped(), "snapshot open fell off the mmap path");
-    let warm = CsrGraph::load_snapshot(&path).unwrap();
-    assert!(warm.is_zero_copy());
+    let warm = load_csr(&storage).unwrap();
+    let csr = CsrGraph::from_graph(&sample_graph());
+    let mapping = storage.as_bytes().as_ptr_range();
     for id in csr.nodes() {
         assert_eq!(warm.neighbors(id), csr.neighbors(id));
+        // Zero copy: the rows are read straight out of the mapping.
+        let row = warm.neighbors(id).as_ptr_range();
+        assert!(mapping.start <= row.start.cast() && row.end.cast() <= mapping.end);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -77,19 +86,13 @@ fn load_snapshot_serves_from_a_mapping() {
 #[cfg(target_os = "linux")]
 #[test]
 fn mapping_unmaps_only_after_the_last_view_drops() {
-    let csr = CsrGraph::from_graph(&sample_graph());
-    let path = temp_path("tdmatch-mmap-lifetime.tdz");
-    csr.save_snapshot(&path).unwrap();
-
-    let storage = Storage::open_with(&path, Verification::Lazy).unwrap();
+    let path = saved_sample("tdmatch-mmap-lifetime");
+    let storage = Storage::open(&path).unwrap();
     assert!(storage.is_mapped());
     let addr = storage.as_bytes().as_ptr() as usize;
     assert!(is_mapped_at(addr), "mapping missing while storage is alive");
 
-    let loaded = {
-        let container = storage.container().unwrap();
-        CsrGraph::from_sections(&storage, &container).unwrap()
-    };
+    let loaded = load_csr(&storage).unwrap();
     drop(storage);
     // The loaded graph's FlatBufs keep the mapping alive.
     assert!(
@@ -106,46 +109,43 @@ fn mapping_unmaps_only_after_the_last_view_drops() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Corruption in a section a consumer never touches is invisible to a
-/// lazy open (O(1) open does not scan payloads) — but the moment the
-/// corrupt section is accessed, it fails, on every access path.
+/// Readers ignore unknown tags, but their CRCs still count: a corrupt
+/// byte in a section no loader reads fails the parse on mapped and heap
+/// storage alike, and so fails `Graph::load_snapshot`.
 #[test]
-fn corrupt_unused_section_does_not_block_open_but_fails_on_access() {
-    let csr = CsrGraph::from_graph(&sample_graph());
+fn a_corrupt_unknown_section_fails_every_load() {
+    let path = saved_sample("tdmatch-mmap-unknown");
+    let clean = std::fs::read(&path).unwrap();
+    let container = Container::parse(&clean).unwrap();
     let mut w = ContainerWriter::new();
-    csr.write_sections(&mut w);
-    // An extra optional section (cum table slot 0) that loading the bare
-    // snapshot never touches.
-    let weights = tdmatch_graph::EdgeTypeWeights::uniform();
-    let cum = csr.edge_type_cum(&weights);
-    csr.write_cum_section(&cum, 0, &mut w);
+    for tag in container.tags() {
+        w.add(tag, container.require(tag).unwrap().bytes());
+    }
+    w.add(*b"XTRA", vec![7u8; 100]);
     let mut bytes = w.finish();
-
-    // Corrupt the *last* payload byte region (the cum table payload sits
-    // last in the container).
-    let container = tdmatch_graph::Container::parse(&bytes).unwrap();
-    let base = bytes.as_ptr() as usize;
-    let cum_view = container.section(tdmatch_graph::csr::cum_section_tag(0)).unwrap();
-    let off = cum_view.bytes().as_ptr() as usize - base;
-    drop(container);
-    bytes[off] ^= 0x40;
-
-    let path = temp_path("tdmatch-mmap-lazy-cum.tdz");
+    // The unknown section's payload sits last, ahead of its padding.
+    let last = Container::parse(&bytes)
+        .unwrap()
+        .require(*b"XTRA")
+        .unwrap()
+        .bytes()
+        .as_ptr();
+    let offset = last as usize - bytes.as_ptr() as usize;
     std::fs::write(&path, &bytes).unwrap();
+    // Unmodified, the extra section is ignored.
+    Graph::load_snapshot(&path).unwrap();
 
-    // Eager modes refuse the whole file…
-    assert!(Storage::open_verified(&path).is_err());
-    assert!(Storage::read_file(&path).unwrap().container().is_err());
-
-    // …lazy open + snapshot load succeed (the snapshot sections are
-    // clean and verified on access during from_sections)…
-    let storage = Storage::open_with(&path, Verification::Lazy).unwrap();
-    let c = storage.container().unwrap();
-    let loaded = CsrGraph::from_sections(&storage, &c).unwrap();
-    assert_eq!(loaded.edge_count(), 3);
-
-    // …and the corrupt optional section fails exactly when requested.
-    let err = loaded.cum_from_sections(&storage, &c, 0).unwrap_err();
-    assert!(matches!(err, DecodeError::Corrupt), "got {err:?}");
+    bytes[offset + 50] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = Storage::open(&path).unwrap();
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    assert!(mapped.is_mapped());
+    assert!(matches!(mapped.container(), Err(DecodeError::Corrupt)));
+    let heap = Storage::read_file(&path).unwrap();
+    assert!(matches!(heap.container(), Err(DecodeError::Corrupt)));
+    assert!(matches!(
+        Graph::load_snapshot(&path),
+        Err(DecodeError::Corrupt)
+    ));
     std::fs::remove_file(&path).ok();
 }

@@ -5,7 +5,7 @@
 //!
 //! The pipeline is fit-once / match-many, and PRs 3–4 made the "many"
 //! side cheap to *open* (zero-copy containers, shared-mmap `Storage`
-//! with ~15 µs lazy-CRC opens) — but a one-shot CLI invocation still
+//! whose open only maps the file) — but a one-shot CLI invocation still
 //! pays process startup per query, burying the open cost under
 //! millisecond-scale exec costs. `tdmatch serve` amortizes startup the
 //! rest of the way: the artifact is mapped **once**, and queries arrive

@@ -249,10 +249,10 @@ fn with_index_of(artifact: &MatchArtifact, index_from: &MatchArtifact) -> Vec<u8
     let (a, b) = (Container::parse(&a).unwrap(), Container::parse(&b).unwrap());
     let mut w = ContainerWriter::new();
     for tag in a.tags().filter(|t| !t.starts_with(b"AN")) {
-        w.add(tag, a.require(tag).unwrap().payload().unwrap());
+        w.add(tag, a.require(tag).unwrap().bytes());
     }
     for tag in b.tags().filter(|t| t.starts_with(b"AN")) {
-        w.add(tag, b.require(tag).unwrap().payload().unwrap());
+        w.add(tag, b.require(tag).unwrap().bytes());
     }
     w.finish()
 }

@@ -48,9 +48,8 @@ fn main() {
         std::fs::metadata(&path).expect("stat").len()
     );
 
-    // Two independent serving handles open the same file. Each load is
-    // O(1) in the artifact size: the file is mapped, not read, and
-    // section checksums verify on first access.
+    // Two independent serving handles open the same file. The file is
+    // mapped, not read; each load checks the section checksums once.
     let serve_a = MatchArtifact::load(&path).expect("reader A");
     let serve_b = MatchArtifact::load(&path).expect("reader B");
     assert!(serve_a.is_zero_copy() && serve_b.is_zero_copy());
@@ -59,9 +58,8 @@ fn main() {
     // to report the backing.)
     let storage = Storage::open(&path).expect("probe storage");
     println!(
-        "backing: {} | lazy per-section CRC: {}\n",
+        "backing: {}\n",
         if storage.is_mapped() { "mmap (one shared physical copy)" } else { "heap (no mmap on this target)" },
-        storage.lazy_verification(),
     );
 
     // Handle A sweeps the whole query corpus…

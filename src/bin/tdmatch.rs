@@ -189,10 +189,9 @@ SERVING:
     `match`, `query`, `serve`, and `info` memory-map TDZ1 artifacts
     read-only, so concurrent tdmatch processes (or N daemons) serving one
     artifact file share a single physical copy via the OS page cache.
-    Section checksums are verified lazily on first access — for the
-    daemon that means once, at startup, since loading touches every
-    artifact section; set TDMATCH_EAGER_CRC=1 to verify the whole file
-    at open instead. Protocol and operations guide: docs/SERVING.md."
+    Opening only maps the file; every section checksum is verified once,
+    when the artifact loads (for the daemon: at startup and at each
+    reload). Protocol and operations guide: docs/SERVING.md."
     );
 }
 
@@ -810,11 +809,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let storage =
         tdmatch::graph::container::Storage::open(path).map_err(|e| e.to_string())?;
     let backing = if storage.is_mapped() { "mmap (shared)" } else { "heap (private)" };
-    let verify = if storage.lazy_verification() {
-        "lazy (per-section, on first access)"
-    } else {
-        "eager"
-    };
     let bytes = storage.as_bytes().len();
     let artifact = MatchArtifact::from_storage(&storage).map_err(|e| e.to_string())?;
     let (first, second) = artifact.corpus_sizes();
@@ -824,7 +818,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("queries: {second}");
     println!("bytes:   {bytes}");
     println!("backing: {backing}");
-    println!("crc:     {verify}");
     match artifact.ann() {
         Some(index) => println!(
             "ann:     hnsw ({} layers, {} edges, m {}, ef {})",
