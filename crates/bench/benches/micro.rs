@@ -83,7 +83,6 @@ fn bench_walks_and_train(c: &mut Criterion) {
             walks_per_node: 5,
             walk_len: 10,
             seed: 1,
-            threads: 1,
             strategy,
         };
         c.bench_function(&format!("walks/{tag}/flat_csr"), |b| {
@@ -99,7 +98,6 @@ fn bench_walks_and_train(c: &mut Criterion) {
         walks_per_node: 5,
         walk_len: 10,
         seed: 1,
-        threads: 1,
         strategy: WalkStrategy::Uniform,
     };
     let flat = generate_walk_corpus(&csr, &cfg);

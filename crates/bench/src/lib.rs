@@ -13,7 +13,7 @@
 //!
 //! * `TDMATCH_SCALE` — `tiny` | `small` (default) | `paper`;
 //! * `TDMATCH_WALKS`, `TDMATCH_WALK_LEN`, `TDMATCH_DIM`,
-//!   `TDMATCH_EPOCHS`, `TDMATCH_THREADS` — pipeline overrides.
+//!   `TDMATCH_EPOCHS` — pipeline overrides.
 
 pub mod record;
 

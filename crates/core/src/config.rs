@@ -1,6 +1,6 @@
 //! Pipeline configuration.
 
-use tdmatch_embed::walks::{default_threads, WalkConfig, WalkStrategy};
+use tdmatch_embed::walks::{WalkConfig, WalkStrategy};
 use tdmatch_embed::word2vec::{W2vMode, Word2VecConfig};
 use tdmatch_text::PreprocessOptions;
 
@@ -80,10 +80,6 @@ pub struct TdConfig {
     pub epochs: usize,
     /// Negative samples per positive pair.
     pub negative: usize,
-    /// Walk-generation threads. Training runs on one, and the walk
-    /// corpus is the same at any count, so a fit is the same bits at any
-    /// `threads`.
-    pub threads: usize,
     /// Master seed (walks, training init, compression sampling).
     pub seed: u64,
     /// Connect taxonomy metadata nodes to their parents (§II-A). On by
@@ -115,7 +111,6 @@ impl TdConfig {
             dim: 100,
             epochs: 5,
             negative: 5,
-            threads: default_threads(),
             seed: 42,
             taxonomy_edges: true,
             max_relations_per_node: 64,
@@ -142,7 +137,6 @@ impl TdConfig {
             walk_len: 8,
             dim: 32,
             epochs: 3,
-            threads: 1,
             ..Self::text_to_data()
         }
     }
@@ -153,7 +147,6 @@ impl TdConfig {
             walks_per_node: self.walks_per_node,
             walk_len: self.walk_len,
             seed: self.seed,
-            threads: self.threads,
             strategy: self.walk_strategy,
         }
     }

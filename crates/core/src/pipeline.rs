@@ -4,9 +4,10 @@
 use std::time::Instant;
 
 use tdmatch_compress::{msp_compress, ssp_compress, ssum_compress, MspConfig, SspConfig, SsumConfig};
-use tdmatch_embed::corpus::FlatCorpus;
+use tdmatch_embed::corpus::SentenceSource;
+use tdmatch_embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
 use tdmatch_embed::score::ScoreMatrix;
-use tdmatch_embed::walks::generate_walk_corpus;
+use tdmatch_embed::walks::WalkStream;
 use tdmatch_embed::word2vec::train_corpus;
 use tdmatch_graph::{CorpusSide, CsrGraph, Graph, NodeId};
 use tdmatch_kb::{KnowledgeBase, PretrainedModel};
@@ -41,9 +42,9 @@ pub struct StageTimings {
     pub expand: f64,
     /// Compression (Alg. 3).
     pub compress: f64,
-    /// Random-walk generation.
+    /// Freezing the graph and the walk stream's counting pass.
     pub walks: f64,
-    /// Word2Vec training.
+    /// Training, including the walks each epoch regenerates.
     pub train: f64,
     /// Tokens the training stage streamed: walk tokens × epochs.
     pub train_tokens: u64,
@@ -166,57 +167,28 @@ impl TdMatch {
         )
     }
 
-    /// Trains node embeddings from the walk corpus with the configured
+    /// Trains node embeddings on the walk stream with the configured
     /// [`EmbedMethod`], returning an `id_bound × dim` row-major matrix.
-    fn train_matrix(&self, graph: &Graph, walk_corpus: &FlatCorpus) -> Vec<f32> {
+    fn train_matrix(&self, walks: &WalkStream<'_>) -> Vec<f32> {
+        let counts = walks.token_counts();
         match self.config.embed_method {
-            EmbedMethod::WalkWord2Vec => {
-                let counts = walk_corpus.token_counts(graph.id_bound(), false);
-                train_corpus(walk_corpus, &counts, &self.config.w2v_config())
-            }
-            EmbedMethod::WalkDoc2Vec => {
-                // Each node's "document" is the bag of all walks starting
-                // at it; PV-DBOW then trains one vector per node. Walks
-                // from one start node are contiguous in the corpus arena,
-                // so each document is a zero-copy token range over it —
-                // ids without walks (tombstones) get empty documents.
-                let id_bound = graph.id_bound();
-                let mut ranges: Vec<Option<(usize, usize)>> = vec![None; id_bound];
-                let mut pos = 0usize;
-                for sent in walk_corpus.sentences() {
-                    let next = pos + sent.len();
-                    if let Some(&start) = sent.first() {
-                        let r = ranges[start as usize].get_or_insert((pos, pos));
-                        assert_eq!(
-                            r.1, pos,
-                            "walk corpus no longer contiguous per start node"
-                        );
-                        r.1 = next;
-                    }
-                    pos = next;
-                }
-                let arena = walk_corpus.tokens();
-                let docs: Vec<&[u32]> = ranges
-                    .iter()
-                    .map(|r| match *r {
-                        Some((lo, hi)) => &arena[lo..hi],
-                        None => &[][..],
-                    })
-                    .collect();
-                let counts = walk_corpus.token_counts(id_bound, false);
-                tdmatch_embed::doc2vec::train_pv_dbow_docs(
-                    &docs,
-                    &counts,
-                    &tdmatch_embed::doc2vec::Doc2VecConfig {
-                        dim: self.config.dim,
-                        negative: self.config.negative,
-                        epochs: self.config.epochs,
-                        initial_lr: 0.025,
-                        min_count: 1,
-                        seed: self.config.seed,
-                    },
-                )
-            }
+            EmbedMethod::WalkWord2Vec => train_corpus(walks, counts, &self.config.w2v_config()),
+            // Each node's "document" is the bag of all walks starting at
+            // it, which the stream yields together; PV-DBOW then trains
+            // one vector per node. Ids without walks (tombstones) get
+            // empty documents.
+            EmbedMethod::WalkDoc2Vec => train_pv_dbow(
+                walks,
+                counts,
+                &Doc2VecConfig {
+                    dim: self.config.dim,
+                    negative: self.config.negative,
+                    epochs: self.config.epochs,
+                    initial_lr: 0.025,
+                    min_count: 1,
+                    seed: self.config.seed,
+                },
+            ),
         }
     }
 
@@ -300,6 +272,12 @@ impl TdMatch {
     /// walks → train → the match artifact (normalized document rows and
     /// the data nodes' term vectors, copied out of the trained matrix,
     /// which is then dropped).
+    ///
+    /// The walk corpus is never stored: a [`WalkStream`] counts it in one
+    /// pass, and training regenerates it once per epoch from its per-walk
+    /// seeds — the same sentences in the same order as a stored corpus,
+    /// so the same bits. A fit's memory is the model and the graph,
+    /// whatever its token count.
     fn embed_and_index(
         &self,
         graph: Graph,
@@ -319,21 +297,22 @@ impl TdMatch {
                 return Err(TdError::ZeroSetting { field });
             }
         }
-        // Random walks (Alg. 4, first half): freeze once and run walk
-        // generation on the CSR snapshot.
+        // Random walks (Alg. 4, first half): freeze once and count the
+        // walks over the CSR snapshot.
         let t = Instant::now();
         let csr = CsrGraph::from_graph(&graph);
-        let walk_corpus = generate_walk_corpus(&csr, &self.config.walk_config());
+        let walks = WalkStream::new(&csr, &self.config.walk_config());
         timings.walks = t.elapsed().as_secs_f64();
-        if walk_corpus.is_empty() {
+        if walks.total_tokens() == 0 {
             return Err(TdError::EmptyWalkCorpus);
         }
 
-        // Embedding model over walks (Alg. 4, second half).
+        // Embedding model over walks (Alg. 4, second half), each epoch
+        // walking them again.
         let t = Instant::now();
-        let matrix = self.train_matrix(&graph, &walk_corpus);
+        let matrix = self.train_matrix(&walks);
         timings.train = t.elapsed().as_secs_f64();
-        timings.train_tokens = walk_corpus.total_tokens() as u64 * self.config.epochs as u64;
+        timings.train_tokens = walks.total_tokens() * self.config.epochs as u64;
 
         let dim = self.config.dim;
         let node_row = |n: NodeId| &matrix[n.index() * dim..(n.index() + 1) * dim];

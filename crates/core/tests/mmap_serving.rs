@@ -12,6 +12,7 @@ use std::process::{Command, Stdio};
 
 use tdmatch_core::artifact::{MatchArtifact, PersistError};
 use tdmatch_core::matcher::MatchResult;
+use tdmatch_core::serving::Matcher;
 use tdmatch_graph::container::{Container, ContainerWriter, Storage};
 use tdmatch_graph::DecodeError;
 
@@ -164,6 +165,38 @@ fn a_corrupt_unknown_section_fails_the_artifact_load() {
     let err = MatchArtifact::load(&path).unwrap_err();
     assert!(matches!(err, PersistError::Corrupt), "{err}");
     std::fs::remove_file(&path).ok();
+}
+
+/// A path that holds no artifact fails both loaders with an error,
+/// never a panic or a fault: a zero-length file (the open falls back to
+/// the heap and finds no magic), a directory, and a missing path.
+#[test]
+fn empty_files_directories_and_missing_paths_fail_the_loaders() {
+    let dir = std::env::temp_dir().join(format!("tdmatch-loader-edges-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.tdm");
+    std::fs::write(&empty, b"").unwrap();
+    let missing = dir.join("missing.tdm");
+
+    let artifact = |path: &std::path::Path| MatchArtifact::load(path).map(|_| ()).unwrap_err();
+    let matcher = |path: &std::path::Path| Matcher::load(path).map(|_| ()).unwrap_err();
+    for (what, load) in [("artifact", &artifact as &dyn Fn(&_) -> _), ("matcher", &matcher)] {
+        let err = load(&empty);
+        assert!(matches!(err, PersistError::BadMagic), "{what}: {err}");
+        assert_eq!(err.to_string(), "not a TDmatch artifact (bad magic)");
+
+        let err = load(&dir);
+        assert!(matches!(err, PersistError::Io(_)), "{what}: {err}");
+        #[cfg(target_os = "linux")]
+        assert_eq!(err.to_string(), "I/O error: Is a directory (os error 21)", "{what}");
+
+        let err = load(&missing);
+        assert!(
+            matches!(&err, PersistError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+            "{what}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The one hazard the CRC cannot cover: a served file rewritten in place

@@ -331,7 +331,6 @@ fn walk_everything(csr: &CsrGraph) {
             walks_per_node: 2,
             walk_len: 8,
             seed: 3,
-            threads: 1,
             strategy,
         };
         let corpus = generate_walk_corpus(csr, &config);

@@ -1,12 +1,38 @@
-//! Flat arena storage for token-sequence corpora.
+//! Token-sequence corpora as the trainers read them.
 //!
-//! A walk corpus at paper scale is `nodes × 100` sentences of ~31 tokens.
-//! Holding it as `Vec<Vec<u32>>` costs one heap allocation per sentence
-//! and scatters sentences across the heap, so the trainers' inner loops
-//! pay a pointer chase per sentence. [`FlatCorpus`] stores every token in
-//! one contiguous `tokens` array with an `offsets` fence table — two
-//! allocations total, cache-linear iteration, and cheap concatenation of
-//! per-thread partial corpora.
+//! A trainer reads its corpus once per epoch, in order, through
+//! [`SentenceSource`]; it never needs the whole corpus at hand. Two
+//! sources matter:
+//!
+//! * [`FlatCorpus`], a stored corpus: every token in one contiguous
+//!   `tokens` array with an `offsets` fence table — two allocations and
+//!   cache-linear iteration. Strings encoded by a [`Vocab`](crate::Vocab)
+//!   (the baselines) and stored walk corpora (benches, tests) live here.
+//! * [`WalkStream`](crate::walks::WalkStream), the walks of a fit,
+//!   regenerated on every pass from their per-walk seeds, so a fit's
+//!   memory does not grow with its token count.
+
+/// A corpus a trainer reads in order, once per pass, without holding
+/// it: documents, each a run of sentences.
+///
+/// Word2Vec trains on the sentences and ignores where documents begin;
+/// PV-DBOW trains one row per document on its tokens. The methods the
+/// trainers call per pass are `#[inline(always)]` in every
+/// implementation, and so are the callbacks the trainers pass, so the
+/// per-token loop is compiled into each trainer's dispatched
+/// instantiation (see `crate::weights`).
+pub trait SentenceSource {
+    /// Number of documents; every document index is below it.
+    fn documents(&self) -> usize;
+    /// Whether document `doc` has no tokens.
+    fn is_empty_document(&self, doc: usize) -> bool;
+    /// Tokens in one pass.
+    fn total_tokens(&self) -> u64;
+    /// Calls `f(doc, tokens, lens)` for every document in index order
+    /// (an empty one may be skipped): `tokens` holds its sentences back
+    /// to back, `lens` their lengths.
+    fn for_each_document(&self, f: impl FnMut(usize, &[u32], &[u32]));
+}
 
 /// A corpus of token sentences in one flat arena.
 ///
@@ -45,8 +71,7 @@ impl FlatCorpus {
     }
 
     /// Appends raw tokens without closing a sentence; pair with
-    /// [`push_fence`](FlatCorpus::push_fence). Used by writers that stream
-    /// tokens (e.g. the walk generator) straight into the arena.
+    /// [`push_fence`](FlatCorpus::push_fence).
     #[inline]
     pub fn extend_tokens(&mut self, tokens: &[u32]) {
         self.tokens.extend_from_slice(tokens);
@@ -60,9 +85,9 @@ impl FlatCorpus {
         self.offsets.push(end);
     }
 
-    /// Appends a partial corpus produced by another builder: `tokens` is
-    /// its arena, `lens` its per-sentence lengths. This is how per-thread
-    /// corpora are merged in chunk order.
+    /// Appends a run of sentences: `tokens` holds them back to back,
+    /// `lens` their lengths. This is how a stored walk corpus takes one
+    /// chunk of walks at a time.
     pub fn append_parts(&mut self, tokens: &[u32], lens: &[u32]) {
         debug_assert_eq!(lens.iter().map(|&l| l as usize).sum::<usize>(), tokens.len());
         let mut end = self.tokens.len() as u64;
@@ -163,6 +188,28 @@ impl<'a> Iterator for Sentences<'a> {
 }
 
 impl ExactSizeIterator for Sentences<'_> {}
+
+/// Each sentence is its own document.
+impl SentenceSource for FlatCorpus {
+    fn documents(&self) -> usize {
+        self.len()
+    }
+
+    fn is_empty_document(&self, doc: usize) -> bool {
+        self.sentence(doc).is_empty()
+    }
+
+    fn total_tokens(&self) -> u64 {
+        self.tokens.len() as u64
+    }
+
+    #[inline(always)]
+    fn for_each_document(&self, mut f: impl FnMut(usize, &[u32], &[u32])) {
+        for (doc, sent) in self.sentences().enumerate() {
+            f(doc, sent, &[sent.len() as u32]);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::corpus::FlatCorpus;
+use crate::corpus::{FlatCorpus, SentenceSource};
 use crate::neg_table::NegativeTable;
 use crate::vocab::Vocab;
 use crate::weights::{self, OwnedMatrix, Train};
@@ -98,33 +98,31 @@ impl Doc2Vec {
     }
 }
 
-/// PV-DBOW core over pre-encoded id documents in a flat arena: document
-/// `i` is `docs.sentence(i)`, token values index `counts`. Returns the
-/// trained `docs.len() × config.dim` row-major document matrix.
-pub fn train_pv_dbow(docs: &FlatCorpus, counts: &[u64], config: &Doc2VecConfig) -> Vec<f32> {
-    let slices: Vec<&[u32]> = docs.sentences().collect();
-    train_pv_dbow_docs(&slices, counts, config)
-}
-
-/// PV-DBOW core over document token slices (which may be zero-copy views
-/// into a shared arena): document `i` is `docs[i]`, token values index
-/// `counts`. Returns the trained `docs.len() × config.dim` row-major
+/// PV-DBOW core over the documents of `docs`, token values indexing
+/// `counts`: one trained row per document, each predicting the tokens of
+/// its sentences. Returns the `docs.documents() × config.dim` row-major
 /// document matrix; rows of empty documents are zero, not noise.
 ///
-/// This is the entry point the pipeline's `WalkDoc2Vec` method uses, with
-/// node ids as tokens — no string vocabulary round-trip.
-pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfig) -> Vec<f32> {
-    let n_docs = docs.len();
-    let total_tokens: usize = docs.iter().map(|d| d.len()).sum();
-    if n_docs == 0 || counts.is_empty() || total_tokens == 0 {
+/// For a [`FlatCorpus`] document `i` is `docs.sentence(i)`. A fit's
+/// `WalkDoc2Vec` method passes its
+/// [`WalkStream`](crate::walks::WalkStream): node `n`'s document is the
+/// walks that start at it, node ids are the tokens, and the walks are
+/// regenerated every epoch, never stored.
+pub fn train_pv_dbow<S: SentenceSource>(
+    docs: &S,
+    counts: &[u64],
+    config: &Doc2VecConfig,
+) -> Vec<f32> {
+    let n_docs = docs.documents();
+    if n_docs == 0 || counts.is_empty() || docs.total_tokens() == 0 {
         return vec![0.0; n_docs * config.dim];
     }
     let neg_table = NegativeTable::new(counts, (counts.len() * 32).max(1 << 18));
     let mut out = trained(docs, counts, config, &neg_table).docs_mat.into_vec();
     // Empty documents never trained: return zeros, not the random init
     // (consumers reading the full matrix must not see noise rows).
-    for (doc_id, &words) in docs.iter().enumerate() {
-        if words.is_empty() {
+    for doc_id in 0..n_docs {
+        if docs.is_empty_document(doc_id) {
             out[doc_id * config.dim..(doc_id + 1) * config.dim].fill(0.0);
         }
     }
@@ -133,12 +131,12 @@ pub fn train_pv_dbow_docs(docs: &[&[u32]], counts: &[u64], config: &Doc2VecConfi
 
 /// A PV-DBOW model that has run every epoch, through the dispatched
 /// instantiation of its loop (see `crate::weights`).
-fn trained<'a>(
-    docs: &'a [&'a [u32]],
+fn trained<'a, S: SentenceSource>(
+    docs: &'a S,
     counts: &[u64],
     config: &'a Doc2VecConfig,
     neg_table: &'a NegativeTable,
-) -> PvDbow<'a> {
+) -> PvDbow<'a, S> {
     let mut model = PvDbow::new(docs, counts, config, neg_table);
     weights::dispatch(&mut model);
     model
@@ -146,8 +144,8 @@ fn trained<'a>(
 
 /// PV-DBOW's training state. Training is single-threaded, so the weights
 /// are plain owned `f32` and the row kernels vectorize.
-struct PvDbow<'a> {
-    docs: &'a [&'a [u32]],
+struct PvDbow<'a, S> {
+    docs: &'a S,
     config: &'a Doc2VecConfig,
     /// One row per document: the product.
     docs_mat: OwnedMatrix,
@@ -157,9 +155,9 @@ struct PvDbow<'a> {
     rng: SmallRng,
 }
 
-impl<'a> PvDbow<'a> {
+impl<'a, S: SentenceSource> PvDbow<'a, S> {
     fn new(
-        docs: &'a [&'a [u32]],
+        docs: &'a S,
         counts: &[u64],
         config: &'a Doc2VecConfig,
         neg_table: &'a NegativeTable,
@@ -167,7 +165,7 @@ impl<'a> PvDbow<'a> {
         Self {
             docs,
             config,
-            docs_mat: OwnedMatrix::uniform_init(docs.len(), config.dim, config.seed),
+            docs_mat: OwnedMatrix::uniform_init(docs.documents(), config.dim, config.seed),
             words_mat: OwnedMatrix::zeroed(counts.len(), config.dim),
             step: NegativeStep::new(neg_table, config.negative),
             rng: SmallRng::seed_from_u64(config.seed),
@@ -175,39 +173,41 @@ impl<'a> PvDbow<'a> {
     }
 }
 
-impl Train for PvDbow<'_> {
+impl<S: SentenceSource> Train for PvDbow<'_, S> {
     /// Trains every epoch over every document.
     #[inline(always)]
     fn train(&mut self) {
-        let config = self.config;
+        let (config, docs) = (self.config, self.docs);
         // PV-DBOW evaluates the exact sigmoid, not Word2Vec's table.
         let sigmoid = |f: f32| 1.0 / (1.0 + (-f).exp());
-        let total_tokens: usize = self.docs.iter().map(|d| d.len()).sum();
-        let total_pairs: u64 = total_tokens as u64 * config.epochs as u64;
+        let total_pairs: u64 = docs.total_tokens() * config.epochs as u64;
         let mut done = 0u64;
         let mut buf = vec![0.0f32; config.dim];
         let mut err = vec![0.0f32; config.dim];
 
         for _ in 0..config.epochs {
-            for (doc_id, &words) in self.docs.iter().enumerate() {
-                for &word in words {
-                    let lr = (config.initial_lr
-                        * (1.0 - done as f32 / total_pairs.max(1) as f32))
-                        .max(config.initial_lr * 1e-4);
-                    done += 1;
-                    self.docs_mat.read_row(doc_id, &mut buf);
-                    self.step.run(
-                        &mut self.words_mat,
-                        &buf,
-                        &mut err,
-                        word as usize,
-                        lr,
-                        &mut self.rng,
-                        sigmoid,
-                    );
-                    self.docs_mat.add_to_row(doc_id, &err);
-                }
-            }
+            docs.for_each_document(
+                #[inline(always)]
+                |doc_id, words, _| {
+                    for &word in words {
+                        let lr = (config.initial_lr
+                            * (1.0 - done as f32 / total_pairs.max(1) as f32))
+                            .max(config.initial_lr * 1e-4);
+                        done += 1;
+                        self.docs_mat.read_row(doc_id, &mut buf);
+                        self.step.run(
+                            &mut self.words_mat,
+                            &buf,
+                            &mut err,
+                            word as usize,
+                            lr,
+                            &mut self.rng,
+                            sigmoid,
+                        );
+                        self.docs_mat.add_to_row(doc_id, &err);
+                    }
+                },
+            );
         }
     }
 }
@@ -281,7 +281,10 @@ mod tests {
         let docs: Vec<Vec<u32>> = (0..30u32)
             .map(|d| (0..(d * 5) % 12).map(|i| (d * 7 + i * i) % 25).collect())
             .collect();
-        let slices: Vec<&[u32]> = docs.iter().map(Vec::as_slice).collect();
+        let mut corpus = FlatCorpus::new();
+        for doc in &docs {
+            corpus.push(doc);
+        }
         let mut counts = vec![1u64; 25];
         for &w in docs.iter().flatten() {
             counts[w as usize] += 1;
@@ -295,11 +298,23 @@ mod tests {
                 ..Default::default()
             };
             let neg_table = NegativeTable::new(&counts, 1 << 12);
-            let mut plain = PvDbow::new(&slices, &counts, &config, &neg_table);
+            let mut plain = PvDbow::new(&corpus, &counts, &config, &neg_table);
             plain.train();
-            let dispatched = trained(&slices, &counts, &config, &neg_table);
+            let dispatched = trained(&corpus, &counts, &config, &neg_table);
             assert!(bits(plain.docs_mat) == bits(dispatched.docs_mat), "dim {dim}: documents");
             assert!(bits(plain.words_mat) == bits(dispatched.words_mat), "dim {dim}: words");
+
+            // A fit's source: node documents of walks regenerated every
+            // epoch.
+            use crate::word2vec::tests::{ring_with_chords, RING_WALKS};
+            let graph = ring_with_chords(30);
+            let walks = crate::walks::WalkStream::new(&graph, &RING_WALKS);
+            let neg_table = NegativeTable::new(walks.token_counts(), 1 << 12);
+            let mut plain = PvDbow::new(&walks, walks.token_counts(), &config, &neg_table);
+            plain.train();
+            let dispatched = trained(&walks, walks.token_counts(), &config, &neg_table);
+            assert!(bits(plain.docs_mat) == bits(dispatched.docs_mat), "dim {dim}: walk documents");
+            assert!(bits(plain.words_mat) == bits(dispatched.words_mat), "dim {dim}: walk words");
         }
     }
 

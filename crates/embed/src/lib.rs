@@ -8,15 +8,15 @@
 //! Everything here is built from scratch:
 //!
 //! * [`vocab`] — frequency-ranked vocabulary construction;
-//! * [`corpus`] — the [`FlatCorpus`] token arena all trainers consume;
+//! * [`corpus`] — [`SentenceSource`], how trainers read a corpus once
+//!   per epoch, and the [`FlatCorpus`] token arena that stores one;
 //! * [`word2vec`] — Skip-gram & CBOW with negative sampling, trained by
 //!   one worker over plain `f32` weights it owns (`weights`):
 //!   vectorized (at AVX2 width when the CPU has it, chosen at run time,
-//!   the same bits either way), and deterministic at any walk thread
-//!   count;
+//!   the same bits either way), and deterministic;
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
-//! * [`walks`] — parallel random-walk corpus generation over a
-//!   [`tdmatch_graph::CsrGraph`] snapshot;
+//! * [`walks`] — random walks over a [`tdmatch_graph::CsrGraph`]
+//!   snapshot, streamed ([`walks::WalkStream`]) or stored;
 //! * [`vectors`] — dense embedding stores and cosine similarity;
 //! * [`score`] — the flat similarity engine: pre-normalized
 //!   [`ScoreMatrix`] rows, unrolled dot kernels, and bounded top-k batch
@@ -31,15 +31,20 @@
 //! freezes the built/expanded/merged [`tdmatch_graph::Graph`] into a
 //! [`tdmatch_graph::CsrGraph`] once and then:
 //!
-//! 1. [`walks::generate_walk_corpus`] streams all random walks into one
-//!    [`FlatCorpus`] arena (two allocations, the same corpus at any
-//!    thread count);
-//! 2. [`word2vec::train_corpus`] / [`doc2vec::train_pv_dbow`] train
-//!    straight off the arena via sentence-slice iterators.
+//! 1. [`walks::WalkStream::new`] makes one counting pass over the
+//!    walks: per-id counts and the total token count;
+//! 2. [`word2vec::train_corpus`] / [`doc2vec::train_pv_dbow`] train on
+//!    the stream, which walks the corpus again for every epoch, a chunk
+//!    of start nodes at a time into one reused buffer of about 16K
+//!    tokens.
 //!
-//! That is the only walk path. The property suite
-//! `tests/flat_prop.rs` holds it to a serial reference over the mutable
-//! graph, kept there as test code.
+//! The corpus is never stored, so a fit's memory is the model and the
+//! graph, whatever its token count. [`walks::generate_walk_corpus`]
+//! keeps one pass of the same stream in a [`FlatCorpus`] arena for what
+//! needs the walks at hand (benches, tests); the trainers read that
+//! arena through the same [`SentenceSource`]. The property suite
+//! `tests/flat_prop.rs` holds the stream to a serial reference over the
+//! mutable graph, kept there as test code.
 
 pub mod ann;
 pub mod corpus;
@@ -53,7 +58,7 @@ mod weights;
 pub mod word2vec;
 
 pub use ann::{HnswIndex, HnswParams};
-pub use corpus::FlatCorpus;
+pub use corpus::{FlatCorpus, SentenceSource};
 pub use score::{QueryBlock, ScoreMatrix};
 pub use vectors::{cosine, Embeddings};
 pub use vocab::Vocab;

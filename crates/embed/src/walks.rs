@@ -5,17 +5,23 @@
 //! [`WalkStrategy`] — uniformly by default (the paper's Alg. 4), biased by
 //! node2vec `p`/`q` parameters, or weighted by edge kind (the typed-edge
 //! future-work extension). The resulting node-id sequences are the
-//! "sentences" Word2Vec trains on. Generation is parallel *and*
-//! deterministic: each `(seed, start node, walk index)` triple seeds its
-//! own RNG, so the corpus does not depend on thread count.
+//! "sentences" Word2Vec trains on. Each `(seed, start node, walk index)`
+//! triple seeds its own RNG, so every walk is a pure function of it, and
+//! the corpus can be walked again instead of stored.
+//!
+//! A fit never stores its corpus: a [`WalkStream`] walks it a chunk of
+//! start nodes at a time, once to count it and once more per training
+//! epoch, and each pass is the same sentences in the same order.
+//! [`generate_walk_corpus`] is one such pass kept in a [`FlatCorpus`],
+//! for what needs the walks at hand.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tdmatch_graph::sample::{random_walk_edge_typed_csr_into, random_walk_node2vec_csr_into};
-use tdmatch_graph::{CsrGraph, EdgeTypeWeights, NodeId};
+use tdmatch_graph::{CsrGraph, EdgeTypeCum, EdgeTypeWeights, NodeId};
 
-use crate::corpus::FlatCorpus;
+use crate::corpus::{FlatCorpus, SentenceSource};
 
 /// How the next node of a walk is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -49,8 +55,6 @@ pub struct WalkConfig {
     pub walk_len: usize,
     /// Seed for deterministic generation.
     pub seed: u64,
-    /// Worker threads. The corpus is the same at any count.
-    pub threads: usize,
     /// Transition rule (uniform unless configured otherwise).
     pub strategy: WalkStrategy,
 }
@@ -61,18 +65,9 @@ impl Default for WalkConfig {
             walks_per_node: 100,
             walk_len: 30,
             seed: 42,
-            threads: default_threads(),
             strategy: WalkStrategy::Uniform,
         }
     }
-}
-
-/// Half the available parallelism, at least 1: the default walk-thread
-/// count.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| (n.get() / 2).max(1))
-        .unwrap_or(1)
 }
 
 /// Mixes the walk identity into a per-walk RNG seed.
@@ -92,20 +87,21 @@ const WALK_LANES: usize = 8;
 
 /// Steps up to [`WALK_LANES`] uniform walks from `start` in lockstep,
 /// appending each finished walk (in walk-index order) to `tokens` /
-/// `lens`. `rng_pool` and `lane_buf` are caller-owned scratch reused
-/// across calls.
-#[allow(clippy::too_many_arguments)] // all-scratch-by-ref keeps the hot loop allocation-free
+/// `lens`. `scratch` is reused across calls, so the hot loop does not
+/// allocate.
 fn uniform_walks_interleaved(
     g: &CsrGraph,
     start: NodeId,
     seeds: &[u64],
     walk_len: usize,
-    rng_pool: &mut Vec<SmallRng>,
-    lane_buf: &mut Vec<u32>,
+    scratch: &mut Scratch,
     tokens: &mut Vec<u32>,
     lens: &mut Vec<u32>,
 ) {
     use rand::seq::IndexedRandom;
+    let Scratch {
+        rng_pool, lane_buf, ..
+    } = scratch;
     let lanes = seeds.len();
     debug_assert!(lanes <= WALK_LANES);
     let stride = walk_len + 1;
@@ -147,16 +143,17 @@ fn uniform_walks_interleaved(
     }
 }
 
-/// Runs `walk` once per `(start node, walk index)` of `chunk`, in order,
-/// each time with that walk's own RNG, and records each walk's length.
+/// Runs `walk` once per `(start node, walk index)` of `starts`, in
+/// order, each time with that walk's own RNG, and records each walk's
+/// length.
 fn walk_each(
-    chunk: &[NodeId],
+    starts: &[NodeId],
     config: &WalkConfig,
     tokens: &mut Vec<u32>,
     lens: &mut Vec<u32>,
     mut walk: impl FnMut(NodeId, &mut SmallRng, &mut Vec<u32>),
 ) {
-    for &node in chunk {
+    for &node in starts {
         for w in 0..config.walks_per_node {
             let mut rng = SmallRng::seed_from_u64(walk_seed(config.seed, node, w));
             let start = tokens.len();
@@ -166,97 +163,206 @@ fn walk_each(
     }
 }
 
+/// Buffers a [`Walker`] reuses from one call to the next.
+#[derive(Default)]
+struct Scratch {
+    rng_pool: Vec<SmallRng>,
+    lane_buf: Vec<u32>,
+    weights: Vec<f32>,
+}
+
+/// The one walker: a snapshot, the walk settings and, for edge-typed
+/// walks, the cumulative weight table built once per (snapshot,
+/// weights). The stream ([`WalkStream`]) and the stored corpus
+/// ([`generate_walk_corpus`]) are its passes.
+struct Walker<'a> {
+    g: &'a CsrGraph,
+    config: WalkConfig,
+    cum: Option<EdgeTypeCum>,
+}
+
+/// Start nodes one [`Walker::walk`] call of a pass walks: as many as
+/// fill this many tokens (64 KiB), at least one. Against a stored
+/// corpus, walking one start node per call won 10 of 48 benchmark timing
+/// pairs (`fit-table` 1.06× in its steadiest series); these chunks won
+/// 20 of 44. Why is unverified (the measuring host has no cache
+/// counters).
+const STREAM_CHUNK_TOKENS: usize = 1 << 14;
+
+impl<'a> Walker<'a> {
+    fn new(g: &'a CsrGraph, config: &WalkConfig) -> Self {
+        let cum = match config.strategy {
+            WalkStrategy::EdgeTyped(weights) => Some(g.edge_type_cum(&weights)),
+            _ => None,
+        };
+        Self {
+            g,
+            config: *config,
+            cum,
+        }
+    }
+
+    /// Appends the `walks_per_node` walks of every node of `starts`, in
+    /// order, to `tokens`, and their lengths to `lens`. Kept out of line
+    /// so the trainers that consume a [`WalkStream`] call it rather than
+    /// compiling a copy of it into their own loops.
+    #[inline(never)]
+    fn walk(
+        &self,
+        starts: &[NodeId],
+        scratch: &mut Scratch,
+        tokens: &mut Vec<u32>,
+        lens: &mut Vec<u32>,
+    ) {
+        let (g, config, len) = (self.g, &self.config, self.config.walk_len);
+        match config.strategy {
+            WalkStrategy::Uniform => {
+                let mut seeds = [0u64; WALK_LANES];
+                for &node in starts {
+                    let mut w = 0;
+                    while w < config.walks_per_node {
+                        let lanes = WALK_LANES.min(config.walks_per_node - w);
+                        for (lane, s) in seeds.iter_mut().take(lanes).enumerate() {
+                            *s = walk_seed(config.seed, node, w + lane);
+                        }
+                        uniform_walks_interleaved(
+                            g,
+                            node,
+                            &seeds[..lanes],
+                            len,
+                            scratch,
+                            tokens,
+                            lens,
+                        );
+                        w += lanes;
+                    }
+                }
+            }
+            WalkStrategy::Node2Vec { p, q } => {
+                walk_each(starts, config, tokens, lens, |node, rng, out| {
+                    random_walk_node2vec_csr_into(g, node, len, p, q, rng, &mut scratch.weights, out)
+                });
+            }
+            WalkStrategy::EdgeTyped(weights) => {
+                let cum = self.cum.as_ref().expect("cum table built for EdgeTyped");
+                walk_each(starts, config, tokens, lens, |node, rng, out| {
+                    random_walk_edge_typed_csr_into(g, node, len, &weights, cum, rng, out)
+                });
+            }
+        }
+    }
+
+    /// One pass over the corpus: calls `f(node, tokens, lens)` for every
+    /// live start node in `g.nodes()` order, with its walks back to back
+    /// in `tokens` and their lengths in `lens`. The walks are made a
+    /// chunk of start nodes at a time into one reused buffer of about
+    /// [`STREAM_CHUNK_TOKENS`] tokens (one node's
+    /// `walks_per_node × (walk_len + 1)` if that is more).
+    #[inline(always)]
+    fn pass(&self, mut f: impl FnMut(NodeId, &[u32], &[u32])) {
+        let config = &self.config;
+        let per_node = config.walks_per_node * (config.walk_len + 1);
+        let chunk = (STREAM_CHUNK_TOKENS / per_node.max(1)).max(1);
+        let mut starts = Vec::with_capacity(chunk);
+        let mut tokens = Vec::with_capacity(chunk * per_node);
+        let mut lens = Vec::with_capacity(chunk * config.walks_per_node);
+        let mut scratch = Scratch::default();
+        let mut nodes = self.g.nodes();
+        loop {
+            starts.clear();
+            starts.extend(nodes.by_ref().take(chunk));
+            if starts.is_empty() {
+                return;
+            }
+            tokens.clear();
+            lens.clear();
+            self.walk(&starts, &mut scratch, &mut tokens, &mut lens);
+            // Every start node walks `walks_per_node` walks, in order.
+            let mut at = 0;
+            for (&node, lens) in starts.iter().zip(lens.chunks(config.walks_per_node.max(1))) {
+                let len: usize = lens.iter().map(|&l| l as usize).sum();
+                f(node, &tokens[at..at + len], lens);
+                at += len;
+            }
+        }
+    }
+}
+
 /// Generates the full walk corpus over a [`CsrGraph`] snapshot into a
 /// [`FlatCorpus`] arena: `walks_per_node` walks from every live node, as
-/// sentences of node-id tokens — the one walk path a fit runs.
-///
-/// Each worker thread walks a contiguous chunk of start nodes and streams
-/// tokens into one pre-reserved per-chunk buffer (no per-walk `Vec`);
-/// chunks are then concatenated in node order. Because every walk's RNG is
-/// seeded from `(seed, start node, walk index)`, the corpus is *identical*
-/// for any thread count. Uniform walks additionally step `WALK_LANES` (8)
-/// independent walks per node in lockstep to overlap their memory
-/// latencies — the corpus is unchanged because walk RNG streams never
-/// interact.
+/// sentences of node-id tokens, in the order and with the bits of a
+/// [`WalkStream`] pass. A fit does not call it: it streams the walks.
+/// The stored corpus is for what needs the walks at hand (benches, the
+/// benchmark's traced replay, the tests that pin the walks). Uniform
+/// walks step `WALK_LANES` (8) independent walks per node in lockstep to
+/// overlap their memory latencies — the corpus is unchanged because walk
+/// RNG streams never interact.
 pub fn generate_walk_corpus(g: &CsrGraph, config: &WalkConfig) -> FlatCorpus {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let threads = config.threads.max(1).min(nodes.len().max(1));
-    let chunk_size = nodes.len().div_ceil(threads.max(1)).max(1);
-    // Per-(snapshot, weights) cumulative tables, built once up front.
-    let cum = match config.strategy {
-        WalkStrategy::EdgeTyped(weights) => Some(g.edge_type_cum(&weights)),
-        _ => None,
-    };
-    let mut corpus = FlatCorpus::with_capacity(
-        nodes.len() * config.walks_per_node,
-        nodes.len() * config.walks_per_node * (config.walk_len + 1),
-    );
-
-    std::thread::scope(|scope| {
-        let cum = cum.as_ref();
-        let handles: Vec<_> = nodes
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let walks = chunk.len() * config.walks_per_node;
-                    let mut tokens: Vec<u32> =
-                        Vec::with_capacity(walks * (config.walk_len + 1));
-                    let mut lens: Vec<u32> = Vec::with_capacity(walks);
-                    let len = config.walk_len;
-                    match config.strategy {
-                        WalkStrategy::Uniform => {
-                            let mut rng_pool: Vec<SmallRng> = Vec::with_capacity(WALK_LANES);
-                            let mut lane_buf: Vec<u32> = Vec::new();
-                            let mut seeds = [0u64; WALK_LANES];
-                            for &node in chunk {
-                                let mut w = 0;
-                                while w < config.walks_per_node {
-                                    let lanes = WALK_LANES.min(config.walks_per_node - w);
-                                    for (lane, s) in seeds.iter_mut().take(lanes).enumerate() {
-                                        *s = walk_seed(config.seed, node, w + lane);
-                                    }
-                                    uniform_walks_interleaved(
-                                        g,
-                                        node,
-                                        &seeds[..lanes],
-                                        len,
-                                        &mut rng_pool,
-                                        &mut lane_buf,
-                                        &mut tokens,
-                                        &mut lens,
-                                    );
-                                    w += lanes;
-                                }
-                            }
-                        }
-                        WalkStrategy::Node2Vec { p, q } => {
-                            let mut scratch: Vec<f32> = Vec::new();
-                            walk_each(chunk, config, &mut tokens, &mut lens, |node, rng, out| {
-                                random_walk_node2vec_csr_into(
-                                    g, node, len, p, q, rng, &mut scratch, out,
-                                )
-                            });
-                        }
-                        WalkStrategy::EdgeTyped(weights) => {
-                            let cum = cum.expect("cum table built for EdgeTyped");
-                            walk_each(chunk, config, &mut tokens, &mut lens, |node, rng, out| {
-                                random_walk_edge_typed_csr_into(
-                                    g, node, len, &weights, cum, rng, out,
-                                )
-                            });
-                        }
-                    }
-                    (tokens, lens)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (tokens, lens) = h.join().expect("walk worker panicked");
-            corpus.append_parts(&tokens, &lens);
-        }
-    });
-
+    let mut corpus = FlatCorpus::new();
+    Walker::new(g, config).pass(|_, tokens, lens| corpus.append_parts(tokens, lens));
     corpus
+}
+
+/// The walk corpus of a [`CsrGraph`] snapshot, regenerated on every pass
+/// instead of stored: the sentences of [`generate_walk_corpus`], in its
+/// order and with its bits. This is what a fit trains on.
+///
+/// [`new`](WalkStream::new) makes one counting pass, which gives the
+/// per-id counts and the total token count; a trainer then makes one
+/// pass per epoch. Memory is the counts and one chunk's buffer, whatever
+/// the token count.
+///
+/// As a [`SentenceSource`], the document of start node `n` is its walks,
+/// indexed `n` among `id_bound` documents; a tombstoned id's document is
+/// empty. That is PV-DBOW's node document.
+pub struct WalkStream<'a> {
+    walker: Walker<'a>,
+    counts: Vec<u64>,
+    total_tokens: u64,
+}
+
+impl<'a> WalkStream<'a> {
+    /// The stream of `config`'s walks over `g`, after its counting pass.
+    pub fn new(g: &'a CsrGraph, config: &WalkConfig) -> Self {
+        let walker = Walker::new(g, config);
+        let mut counts = vec![0u64; g.id_bound()];
+        walker.pass(|_, tokens, _| {
+            for &t in tokens {
+                counts[t as usize] += 1;
+            }
+        });
+        Self {
+            walker,
+            total_tokens: counts.iter().sum(),
+            counts,
+        }
+    }
+
+    /// How often each id occurs in one pass, indexed by id (`id_bound`
+    /// entries, zero for ids no walk visits): the trainers' vocabulary
+    /// counts.
+    pub fn token_counts(&self) -> &[u64] {
+        &self.counts
+    }
+}
+
+impl SentenceSource for WalkStream<'_> {
+    fn documents(&self) -> usize {
+        self.walker.g.id_bound()
+    }
+
+    fn is_empty_document(&self, doc: usize) -> bool {
+        self.walker.config.walks_per_node == 0 || self.walker.g.is_removed(NodeId(doc as u32))
+    }
+
+    fn total_tokens(&self) -> u64 {
+        self.total_tokens
+    }
+
+    #[inline(always)]
+    fn for_each_document(&self, mut f: impl FnMut(usize, &[u32], &[u32])) {
+        self.walker.pass(|node, tokens, lens| f(node.index(), tokens, lens));
+    }
 }
 
 #[cfg(test)]
@@ -292,7 +398,6 @@ mod tests {
             walks_per_node,
             walk_len,
             seed: 7,
-            threads: 1,
             strategy,
         };
         generate_walk_corpus(&CsrGraph::from_graph(g), &config)
@@ -334,26 +439,6 @@ mod tests {
         for strategy in strategies() {
             let corpus = walk(&g, 3, 5, strategy);
             assert!(corpus.sentences().all(|s| s == [a.0]), "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn walks_are_thread_count_independent() {
-        let g = ring(12);
-        let csr = CsrGraph::from_graph(&g);
-        for strategy in strategies() {
-            let config = WalkConfig {
-                walks_per_node: 2,
-                walk_len: 4,
-                seed: 9,
-                threads: 1,
-                strategy,
-            };
-            let one = generate_walk_corpus(&csr, &config);
-            for threads in [2, 4, 12, 40] {
-                let many = generate_walk_corpus(&csr, &WalkConfig { threads, ..config });
-                assert_eq!(one, many, "{strategy:?} at {threads} threads");
-            }
         }
     }
 

@@ -20,7 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::corpus::FlatCorpus;
+use crate::corpus::{FlatCorpus, SentenceSource};
 use crate::neg_table::NegativeTable;
 use crate::vectors::Embeddings;
 use crate::vocab::Vocab;
@@ -155,17 +155,24 @@ impl Word2Vec {
     }
 }
 
-/// Trains over a flat token arena and returns the input matrix
-/// (`counts.len() × config.dim`, row-major).
+/// Trains over the sentences of `corpus`, token values indexing
+/// `counts`, and returns the input matrix (`counts.len() × config.dim`,
+/// row-major). A corpus with no documents trains nothing and returns an
+/// empty matrix.
 ///
-/// This is the entry point TDmatch uses for graph walks, where token ids
-/// are node ids and no string vocabulary is needed. The worker streams
-/// sentences straight out of the arena — no per-sentence pointer
-/// chasing — over plain `f32` weights it owns, so the row kernels
-/// vectorize, at the widest width this CPU offers that keeps the bits
-/// (see `crate::weights`).
-pub fn train_corpus(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig) -> Vec<f32> {
-    if counts.is_empty() || corpus.is_empty() {
+/// Token ids need no string vocabulary: a fit passes its
+/// [`WalkStream`](crate::walks::WalkStream), whose tokens are node ids,
+/// and so trains on walks that are never stored; a [`FlatCorpus`] (what
+/// [`Word2Vec::train`] encodes, and stored walk corpora) trains the same
+/// way. The worker reads each epoch's sentences in order, over plain
+/// `f32` weights it owns, so the row kernels vectorize, at the widest
+/// width this CPU offers that keeps the bits (see `crate::weights`).
+pub fn train_corpus<S: SentenceSource>(
+    corpus: &S,
+    counts: &[u64],
+    config: &Word2VecConfig,
+) -> Vec<f32> {
+    if counts.is_empty() || corpus.documents() == 0 {
         return Vec::new();
     }
     let job = TrainJob::new(corpus, counts, config);
@@ -174,7 +181,7 @@ pub fn train_corpus(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig
 
 /// A worker that has run every epoch of `job`, through the dispatched
 /// instantiation of its loop.
-fn trained<'a>(job: &'a TrainJob<'a>) -> Worker<'a> {
+fn trained<'a, S: SentenceSource>(job: &'a TrainJob<'a, S>) -> Worker<'a, S> {
     let mut worker = Worker::new(job);
     weights::dispatch(&mut worker);
     worker
@@ -183,8 +190,8 @@ fn trained<'a>(job: &'a TrainJob<'a>) -> Worker<'a> {
 /// Everything a training run reads but never writes. All of it is small
 /// — the negative sampler is a ~300 KB index, the sigmoid 2 KB — so what
 /// a step pulls through the cache is mostly the weight rows it trains.
-struct TrainJob<'a> {
-    corpus: &'a FlatCorpus,
+struct TrainJob<'a, S> {
+    corpus: &'a S,
     counts: &'a [u64],
     config: &'a Word2VecConfig,
     neg_table: NegativeTable,
@@ -193,8 +200,8 @@ struct TrainJob<'a> {
     total_work: u64,
 }
 
-impl<'a> TrainJob<'a> {
-    fn new(corpus: &'a FlatCorpus, counts: &'a [u64], config: &'a Word2VecConfig) -> Self {
+impl<'a, S: SentenceSource> TrainJob<'a, S> {
+    fn new(corpus: &'a S, counts: &'a [u64], config: &'a Word2VecConfig) -> Self {
         Self {
             corpus,
             counts,
@@ -202,15 +209,15 @@ impl<'a> TrainJob<'a> {
             neg_table: NegativeTable::new(counts, (counts.len() * 32).max(1 << 20)),
             sigmoid: SigmoidTable::new(),
             total_count: counts.iter().sum(),
-            total_work: ((corpus.total_tokens() as u64) * config.epochs as u64).max(1),
+            total_work: (corpus.total_tokens() * config.epochs as u64).max(1),
         }
     }
 }
 
 /// The training state: both weight matrices and the scratch buffers
 /// reused across pairs.
-struct Worker<'a> {
-    job: &'a TrainJob<'a>,
+struct Worker<'a, S> {
+    job: &'a TrainJob<'a, S>,
     syn0: OwnedMatrix,
     syn1: OwnedMatrix,
     step: NegativeStep<'a>,
@@ -219,8 +226,8 @@ struct Worker<'a> {
     err: Vec<f32>,
 }
 
-impl<'a> Worker<'a> {
-    fn new(job: &'a TrainJob<'a>) -> Self {
+impl<'a, S> Worker<'a, S> {
+    fn new(job: &'a TrainJob<'a, S>) -> Self {
         let (rows, dim) = (job.counts.len(), job.config.dim);
         Self {
             job,
@@ -234,7 +241,7 @@ impl<'a> Worker<'a> {
     }
 }
 
-impl Train for Worker<'_> {
+impl<S: SentenceSource> Train for Worker<'_, S> {
     /// Trains every epoch over the whole corpus.
     #[inline(always)]
     fn train(&mut self) {
@@ -249,12 +256,21 @@ impl Train for Worker<'_> {
         // Tokens trained so far, for the linear lr decay.
         let mut done: u64 = 0;
         for _ in 0..config.epochs {
-            for sent in corpus.sentences() {
-                let progress = done as f32 / *total_work as f32;
-                let lr = (config.initial_lr * (1.0 - progress)).max(config.initial_lr * 1e-4);
-                self.train_sentence(sent, lr, &mut rng);
-                done += sent.len() as u64;
-            }
+            corpus.for_each_document(
+                #[inline(always)]
+                |_, tokens, lens| {
+                    let mut at = 0;
+                    for &len in lens {
+                        let sent = &tokens[at..at + len as usize];
+                        at += len as usize;
+                        let progress = done as f32 / *total_work as f32;
+                        let lr =
+                            (config.initial_lr * (1.0 - progress)).max(config.initial_lr * 1e-4);
+                        self.train_sentence(sent, lr, &mut rng);
+                        done += sent.len() as u64;
+                    }
+                },
+            );
             // One draw between epochs, so the next pass over the same
             // sentences does not replay this one's window draws. The
             // value is unused; the draw itself is part of the pinned
@@ -264,7 +280,7 @@ impl Train for Worker<'_> {
     }
 }
 
-impl Worker<'_> {
+impl<S> Worker<'_, S> {
     // Index loops: positions matter (skip `pos`) and this is the hot path.
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
@@ -451,7 +467,7 @@ impl<'a> NegativeStep<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::vectors::cosine;
     use proptest::prelude::*;
@@ -657,7 +673,11 @@ mod tests {
     /// Trains `config` over one corpus through the plain body, compiled
     /// for the default target, and through the dispatched entry
     /// `train_corpus` takes; both weight matrices must be the same bits.
-    fn assert_dispatch_keeps_bits(corpus: &FlatCorpus, counts: &[u64], config: &Word2VecConfig) {
+    fn assert_dispatch_keeps_bits<S: SentenceSource>(
+        corpus: &S,
+        counts: &[u64],
+        config: &Word2VecConfig,
+    ) {
         let job = TrainJob::new(corpus, counts, config);
         let mut plain = Worker::new(&job);
         plain.train();
@@ -668,8 +688,30 @@ mod tests {
         assert!(bits(plain.syn1) == bits(dispatched.syn1), "{what}: syn1 differs");
     }
 
+    /// Short uniform walks over [`ring_with_chords`].
+    pub(crate) const RING_WALKS: crate::walks::WalkConfig = crate::walks::WalkConfig {
+        walks_per_node: 3,
+        walk_len: 9,
+        seed: 2,
+        strategy: crate::walks::WalkStrategy::Uniform,
+    };
+
+    /// A `CsrGraph` of a ring of `n` nodes with a chord from every node.
+    pub(crate) fn ring_with_chords(n: u32) -> tdmatch_graph::CsrGraph {
+        use tdmatch_graph::{Graph, NodeId};
+        let mut g = Graph::new();
+        for i in 0..n {
+            g.intern_data(&format!("n{i}"));
+        }
+        for i in 0..n {
+            g.add_edge(NodeId(i), NodeId((i + 1) % n));
+            g.add_edge(NodeId(i), NodeId((i * 7 + 3) % n));
+        }
+        tdmatch_graph::CsrGraph::from_graph(&g)
+    }
+
     /// On an AVX2 CPU, `train_bits` and `fit_bits` only ever run the
-    /// AVX2 instantiation; this holds the default-target body to it.
+    /// AVX2 instantiations; this holds the default-target body to them.
     #[test]
     fn dispatched_training_equals_the_plain_body() {
         if !weights::avx2_detected() {
@@ -680,6 +722,7 @@ mod tests {
         // Three words and eight negatives: nearly every step repeats a
         // target, so it dots and updates one target at a time.
         let (tiny, tiny_counts) = id_corpus(3, 20, 8, 6);
+        let graph = ring_with_chords(30);
         for mode in [W2vMode::SkipGram, W2vMode::Cbow] {
             let config = |dim, negative| Word2VecConfig {
                 dim,
@@ -701,6 +744,9 @@ mod tests {
                 ..config(17, 5)
             };
             assert_dispatch_keeps_bits(&corpus, &counts, &subsampled);
+            // A fit's source: walks regenerated every epoch.
+            let walks = crate::walks::WalkStream::new(&graph, &RING_WALKS);
+            assert_dispatch_keeps_bits(&walks, walks.token_counts(), &config(17, 5));
         }
     }
 

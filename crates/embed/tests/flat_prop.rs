@@ -1,11 +1,14 @@
 //! Property tests pinning the CSR-backed walk generator to a serial
 //! reference over the mutable graph: same seed ⇒ identical corpus, for
-//! every strategy, at any thread count.
+//! every strategy. The walk stream a fit trains on
+//! is held to the same reference: the same sentences in the same order,
+//! counts equal to the stored corpus's, node documents equal to ranges
+//! of the stored arena, and the same trained bits.
 //!
 //! The reference below is the walk definition written plainly — one walk
 //! at a time, straight over [`Graph`]'s adjacency, biased steps drawn by
 //! a linear scan of the running weight sum — with none of the generator's
-//! machinery (thread chunks, lockstep lanes, prefix tables, the sorted
+//! machinery (stream chunks, lockstep lanes, prefix tables, the sorted
 //! neighbor index).
 
 use proptest::prelude::*;
@@ -13,7 +16,10 @@ use rand::rngs::SmallRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
+use tdmatch_embed::corpus::{FlatCorpus, SentenceSource};
+use tdmatch_embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
+use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStream, WalkStrategy};
+use tdmatch_embed::word2vec::{train_corpus, W2vMode, Word2VecConfig};
 use tdmatch_graph::{CsrGraph, EdgeKind, EdgeTypeWeights, Graph, NodeId};
 
 fn build(n: usize, edges: &[(usize, usize, u8)], removals: &[usize]) -> Graph {
@@ -112,11 +118,49 @@ fn reference_corpus(g: &Graph, config: &WalkConfig) -> Vec<Vec<u32>> {
     corpus
 }
 
+/// The sentences of one pass over `source`, in order.
+fn sentences(source: &impl SentenceSource) -> Vec<Vec<u32>> {
+    let mut out = Vec::new();
+    source.for_each_document(|_, tokens, lens| {
+        let mut at = 0;
+        for &len in lens {
+            out.push(tokens[at..at + len as usize].to_vec());
+            at += len as usize;
+        }
+    });
+    out
+}
+
+/// Node `n`'s document as a fit built it from a stored corpus, as
+/// sentence `n` of a corpus of documents: the arena range its walks
+/// occupy (they are contiguous), empty for ids that start no walk.
+fn arena_documents(corpus: &FlatCorpus, id_bound: usize) -> FlatCorpus {
+    let mut ranges: Vec<Option<(usize, usize)>> = vec![None; id_bound];
+    let mut pos = 0usize;
+    for sent in corpus.sentences() {
+        let next = pos + sent.len();
+        if let Some(&start) = sent.first() {
+            let r = ranges[start as usize].get_or_insert((pos, pos));
+            assert_eq!(r.1, pos, "walk corpus not contiguous per start node");
+            r.1 = next;
+        }
+        pos = next;
+    }
+    let mut docs = FlatCorpus::new();
+    for r in ranges {
+        docs.push(r.map_or(&[][..], |(lo, hi)| &corpus.tokens()[lo..hi]));
+    }
+    docs
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CSR-backed generation is corpus-identical to the serial reference
-    /// and independent of thread count.
+    /// CSR-backed generation is corpus-identical to the serial reference.
     #[test]
     fn corpus_equals_the_serial_reference(
         n in 2usize..14,
@@ -133,22 +177,13 @@ proptest! {
         let csr = CsrGraph::from_graph(&g);
         for tag in 0u8..3 {
             let strategy = strategy_from(tag, w_ext);
-            let base = WalkConfig {
-                walks_per_node,
-                walk_len,
-                seed,
-                threads: 1,
-                strategy,
-            };
-            let reference = reference_corpus(&g, &base);
-            for threads in [1usize, 2, 3, 7] {
-                let flat = generate_walk_corpus(&csr, &WalkConfig { threads, ..base });
-                let got: Vec<&[u32]> = flat.sentences().collect();
-                prop_assert_eq!(
-                    got, reference.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-                    "strategy {:?} threads {}", strategy, threads
-                );
-            }
+            let config = WalkConfig { walks_per_node, walk_len, seed, strategy };
+            let flat = generate_walk_corpus(&csr, &config);
+            let got: Vec<&[u32]> = flat.sentences().collect();
+            prop_assert_eq!(
+                got, reference_corpus(&g, &config).iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                "strategy {:?}", strategy
+            );
         }
     }
 
@@ -164,7 +199,6 @@ proptest! {
             walks_per_node: 2,
             walk_len: 5,
             seed,
-            threads: 3,
             strategy: WalkStrategy::Uniform,
         };
         let flat = generate_walk_corpus(&CsrGraph::from_graph(&g), &cfg);
@@ -175,5 +209,122 @@ proptest! {
         let floored: Vec<u64> = folded.iter().map(|&c| c.max(1)).collect();
         prop_assert_eq!(flat.token_counts(g.id_bound(), false), folded);
         prop_assert_eq!(flat.token_counts(g.id_bound(), true), floored);
+    }
+}
+
+/// The stream yields the reference corpus's sentences in order, twice;
+/// its counting pass equals the stored corpus's counts and token total;
+/// its node documents, in index order, equal the stored arena's ranges.
+fn assert_stream_is_the_stored_corpus(g: &Graph, config: &WalkConfig) {
+    let csr = CsrGraph::from_graph(g);
+    let stream = WalkStream::new(&csr, config);
+    let flat = generate_walk_corpus(&csr, config);
+    let strategy = config.strategy;
+    assert_eq!(sentences(&stream), reference_corpus(g, config), "{strategy:?}");
+    assert_eq!(sentences(&stream), sentences(&flat), "{strategy:?}: second pass");
+    assert_eq!(stream.token_counts(), &flat.token_counts(g.id_bound(), false)[..]);
+    assert_eq!(stream.total_tokens(), flat.total_tokens() as u64);
+
+    let arena = arena_documents(&flat, g.id_bound());
+    let mut docs: Vec<Vec<u32>> = vec![Vec::new(); stream.documents()];
+    let mut last = None;
+    stream.for_each_document(|doc, tokens, lens| {
+        assert!(last < Some(doc), "documents out of order");
+        assert_eq!(lens.iter().map(|&l| l as usize).sum::<usize>(), tokens.len());
+        last = Some(doc);
+        docs[doc] = tokens.to_vec();
+    });
+    assert_eq!(docs.len(), arena.len());
+    for (doc, (got, want)) in docs.iter().zip(arena.sentences()).enumerate() {
+        assert_eq!(&got[..], want, "{strategy:?} document {doc}");
+        assert_eq!(stream.is_empty_document(doc), want.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The stream is the stored corpus on graphs with tombstoned ids,
+    /// isolated nodes and (for the biased strategies) dead ends, every
+    /// start node in one chunk.
+    #[test]
+    fn the_stream_is_the_stored_corpus(
+        n in 2usize..14,
+        edges in prop::collection::vec((0usize..14, 0usize..14, 0u8..8), 0..40),
+        removals in prop::collection::vec(0usize..14, 0..4),
+        seed in 0u64..1000,
+        walks_per_node in 0usize..12,
+        walk_len in 1usize..12,
+        w_ext in 0.0f32..3.0,
+    ) {
+        let g = build(n, &edges, &removals);
+        for tag in 0u8..3 {
+            let strategy = strategy_from(tag, w_ext);
+            let config = WalkConfig { walks_per_node, walk_len, seed, strategy };
+            assert_stream_is_the_stored_corpus(&g, &config);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Long walks: the stream walks from one start node per chunk to
+    /// dozens, with a short last chunk, and is still the stored corpus.
+    #[test]
+    fn the_stream_is_the_stored_corpus_across_chunks(
+        n in 2usize..30,
+        edges in prop::collection::vec((0usize..30, 0usize..30, 0u8..8), 20..90),
+        removals in prop::collection::vec(0usize..30, 0..4),
+        seed in 0u64..1000,
+        walks_per_node in 1usize..20,
+        walk_len in 100usize..1200,
+        tag in 0u8..3,
+    ) {
+        let g = build(n, &edges, &removals);
+        let strategy = strategy_from(tag, 0.5);
+        let config = WalkConfig { walks_per_node, walk_len, seed, strategy };
+        assert_stream_is_the_stored_corpus(&g, &config);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Training on the stream gives the bits of training on the stored
+    /// corpus, for both Word2Vec objectives and for PV-DBOW over the
+    /// arena's node documents.
+    #[test]
+    fn training_on_the_stream_equals_training_on_the_stored_corpus(
+        n in 2usize..14,
+        edges in prop::collection::vec((0usize..14, 0usize..14, 0u8..8), 1..40),
+        removals in prop::collection::vec(0usize..14, 0..3),
+        seed in 0u64..1000,
+        tag in 0u8..3,
+    ) {
+        let g = build(n, &edges, &removals);
+        let csr = CsrGraph::from_graph(&g);
+        let config = WalkConfig {
+            walks_per_node: 5,
+            walk_len: 6,
+            seed,
+            strategy: strategy_from(tag, 0.5),
+        };
+        let stream = WalkStream::new(&csr, &config);
+        let flat = generate_walk_corpus(&csr, &config);
+        let counts = flat.token_counts(g.id_bound(), false);
+        for mode in [W2vMode::SkipGram, W2vMode::Cbow] {
+            let w2v = Word2VecConfig { dim: 9, window: 3, epochs: 2, mode, seed, ..Default::default() };
+            prop_assert_eq!(
+                bits(&train_corpus(&stream, stream.token_counts(), &w2v)),
+                bits(&train_corpus(&flat, &counts, &w2v)),
+                "{:?}", mode
+            );
+        }
+        let d2v = Doc2VecConfig { dim: 9, epochs: 2, seed, ..Default::default() };
+        prop_assert_eq!(
+            bits(&train_pv_dbow(&stream, stream.token_counts(), &d2v)),
+            bits(&train_pv_dbow(&arena_documents(&flat, g.id_bound()), &counts, &d2v))
+        );
     }
 }

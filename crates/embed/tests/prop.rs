@@ -103,7 +103,6 @@ proptest! {
             walks_per_node: walks,
             walk_len: len,
             seed: 11,
-            threads: 2,
             strategy: WalkStrategy::Uniform,
         });
         prop_assert_eq!(corpus.len(), n * walks);

@@ -149,3 +149,33 @@ fn a_corrupt_unknown_section_fails_every_load() {
     ));
     std::fs::remove_file(&path).ok();
 }
+
+/// A path that holds no container is an error at the open or at the
+/// parse, never a panic or a fault: a zero-length file (it cannot be
+/// mapped, so the open falls back to the heap, and the parse finds no
+/// magic), a directory, and a missing path.
+#[test]
+fn empty_files_directories_and_missing_paths_are_errors() {
+    let empty = temp_path("tdmatch-empty-storage");
+    std::fs::write(&empty, b"").unwrap();
+    let storage = Storage::open(&empty).unwrap();
+    assert!(!storage.is_mapped());
+    assert!(storage.as_bytes().is_empty());
+    let err = storage.container().unwrap_err();
+    assert!(matches!(err, DecodeError::BadMagic), "{err}");
+    std::fs::remove_file(&empty).ok();
+
+    let dir = temp_path("tdmatch-dir-storage");
+    std::fs::create_dir_all(&dir).unwrap();
+    let err = Storage::open(&dir).unwrap_err();
+    assert!(matches!(err, DecodeError::Io(_)), "{err}");
+    #[cfg(target_os = "linux")]
+    assert_eq!(err.to_string(), "I/O error: Is a directory (os error 21)");
+    std::fs::remove_dir(&dir).ok();
+
+    let err = Storage::open(temp_path("tdmatch-no-such-storage")).unwrap_err();
+    assert!(
+        matches!(&err, DecodeError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+        "{err}"
+    );
+}

@@ -14,7 +14,7 @@
 //!
 //! * `TDMATCH_SCALE` — `tiny` | `small` (default) | `paper`;
 //! * `TDMATCH_WALKS`, `TDMATCH_WALK_LEN`, `TDMATCH_DIM`,
-//!   `TDMATCH_EPOCHS`, `TDMATCH_THREADS` — pipeline overrides.
+//!   `TDMATCH_EPOCHS` — pipeline overrides.
 
 use std::collections::HashSet;
 
@@ -85,10 +85,6 @@ pub fn bench_config(base: &TdConfig) -> TdConfig {
         walk_len: env_usize("TDMATCH_WALK_LEN", len),
         dim: env_usize("TDMATCH_DIM", dim),
         epochs: env_usize("TDMATCH_EPOCHS", epochs),
-        threads: env_usize(
-            "TDMATCH_THREADS",
-            tdmatch_embed::walks::default_threads(),
-        ),
         ..base.clone()
     }
 }

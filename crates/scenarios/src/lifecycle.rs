@@ -142,9 +142,7 @@ pub struct ScenarioReport {
 }
 
 /// The deterministic pipeline configuration the conformance harness
-/// fits with: the shared per-scale presets, one walk thread (a fit is
-/// the same bits at any count, and the repository benchmark pins each
-/// run to one CPU), and the run's seed. Unlike
+/// fits with: the shared per-scale presets and the run's seed. Unlike
 /// [`bench_config`](crate::harness::bench_config) this reads no
 /// environment variables — a stray `TDMATCH_DIM` cannot silently
 /// invalidate the committed goldens.
@@ -155,7 +153,6 @@ pub fn conformance_config(base: &TdConfig, scale: Scale, seed: u64) -> TdConfig 
         walk_len: len,
         dim,
         epochs,
-        threads: 1,
         seed,
         ..base.clone()
     }

@@ -90,8 +90,6 @@ RUN OPTIONS:
     --walk-len N       steps per walk
     --dim N            embedding dimensionality
     --epochs N         Word2Vec epochs
-    --threads N        walk-generation threads; training runs on one, so
-                       any N gives the same fit
     --save PATH        write the fitted match artifact to PATH
     --save-graph PATH  write the fitted joint graph to PATH (reusable via `resume`)
     --stats            print graph composition (node/edge kinds, degrees, components)
@@ -260,7 +258,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     config.walk_len = usize_flag("--walk-len", config.walk_len)?;
     config.dim = usize_flag("--dim", config.dim)?;
     config.epochs = usize_flag("--epochs", config.epochs)?;
-    config.threads = usize_flag("--threads", config.threads)?;
 
     eprintln!(
         "fitting {} ({} targets, {} queries){}…",

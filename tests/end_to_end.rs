@@ -16,7 +16,6 @@ fn test_config(base: &TdConfig) -> TdConfig {
         walk_len: 10,
         dim: 48,
         epochs: 3,
-        threads: 2,
         ..base.clone()
     }
 }
@@ -125,10 +124,7 @@ fn compression_preserves_matchability() {
 #[test]
 fn fits_are_deterministic_with_one_thread() {
     let scenario = sts::generate(Scale::Tiny, 24, 2);
-    let config = TdConfig {
-        threads: 1,
-        ..test_config(&scenario.config)
-    };
+    let config = test_config(&scenario.config);
     let run = || {
         let model = TdMatch::new(config.clone())
             .fit(&scenario.first, &scenario.second)

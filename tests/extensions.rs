@@ -17,7 +17,6 @@ fn test_config(base: &TdConfig) -> TdConfig {
         walk_len: 10,
         dim: 48,
         epochs: 3,
-        threads: 2,
         ..base.clone()
     }
 }

@@ -7,9 +7,7 @@
 //! compare those views with each other inside one build; this test pins
 //! the *absolute* answers of two tiny fits so tier-1 cannot go green
 //! while the extraction (which rows, which term order, which
-//! normalization, which section layout) silently moves. Each fit runs
-//! at `threads` 1 and 3 against the same constants: `threads` sets the
-//! walk workers only, and neither walks nor training depend on it.
+//! normalization, which section layout) silently moves.
 //!
 //! The constants were recorded on the parent commit (7d38f94), where the
 //! model still kept its embeddings in five fields and rebuilt the
@@ -32,21 +30,17 @@ const IMDB_EXPANDED: (u64, u64) = (0x7096_CF1F_84FF_D200, 0xE2AF_BF4E_A1C3_73D3)
 /// sts2 tiny, seed 7, plain `fit` (CBOW window 15), recorded on 7d38f94.
 const STS2_PLAIN: (u64, u64) = (0xEA78_132C_723D_31EB, 0xDAA5_9A1E_61EF_3674);
 
-/// `resume_bits.rs`'s configuration, at `threads` walk workers.
-fn config(base: &TdConfig, threads: usize) -> TdConfig {
+/// `resume_bits.rs`'s configuration.
+fn config(base: &TdConfig) -> TdConfig {
     TdConfig {
         walks_per_node: 12,
         walk_len: 10,
         dim: 32,
         epochs: 2,
-        threads,
         seed: 7,
         ..base.clone()
     }
 }
-
-/// Any thread count the fits run at gives the same bits.
-const THREADS: [usize; 2] = [1, 3];
 
 /// FNV-1a, bytewise.
 struct Fnv(u64);
@@ -133,33 +127,29 @@ fn assert_model_is_its_artifact(model: &TdModel, tag: &str) {
 #[test]
 fn expanded_table_fit_bits_are_pinned() {
     let scenario = imdb::generate(Scale::Tiny, 7, true);
-    for threads in THREADS {
-        let model = TdMatch::new(config(&scenario.config, threads))
-            .fit_with(
-                &scenario.first,
-                &scenario.second,
-                FitOptions {
-                    kb: Some(scenario.kb.as_ref()),
-                    compression: None,
-                    merge: Some((&scenario.pretrained, scenario.gamma)),
-                },
-            )
-            .unwrap();
-        assert_model_is_its_artifact(&model, "imdb");
-        let got = fit_hashes(&model);
-        assert_eq!(got, IMDB_EXPANDED, "threads {threads}: got ({:#018X}, {:#018X})", got.0, got.1);
-    }
+    let model = TdMatch::new(config(&scenario.config))
+        .fit_with(
+            &scenario.first,
+            &scenario.second,
+            FitOptions {
+                kb: Some(scenario.kb.as_ref()),
+                compression: None,
+                merge: Some((&scenario.pretrained, scenario.gamma)),
+            },
+        )
+        .unwrap();
+    assert_model_is_its_artifact(&model, "imdb");
+    let got = fit_hashes(&model);
+    assert_eq!(got, IMDB_EXPANDED, "got ({:#018X}, {:#018X})", got.0, got.1);
 }
 
 #[test]
 fn plain_text_fit_bits_are_pinned() {
     let scenario = sts::generate(Scale::Tiny, 7, 2);
-    for threads in THREADS {
-        let model = TdMatch::new(config(&scenario.config, threads))
-            .fit(&scenario.first, &scenario.second)
-            .unwrap();
-        assert_model_is_its_artifact(&model, "sts2");
-        let got = fit_hashes(&model);
-        assert_eq!(got, STS2_PLAIN, "threads {threads}: got ({:#018X}, {:#018X})", got.0, got.1);
-    }
+    let model = TdMatch::new(config(&scenario.config))
+        .fit(&scenario.first, &scenario.second)
+        .unwrap();
+    assert_model_is_its_artifact(&model, "sts2");
+    let got = fit_hashes(&model);
+    assert_eq!(got, STS2_PLAIN, "got ({:#018X}, {:#018X})", got.0, got.1);
 }

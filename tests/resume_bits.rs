@@ -37,7 +37,6 @@ fn config(base: &TdConfig) -> TdConfig {
         walk_len: 10,
         dim: 32,
         epochs: 2,
-        threads: 1,
         seed: 7,
         ..base.clone()
     }

@@ -1,12 +1,12 @@
 //! Root-level contract: the walk corpus a fit trains on is a pinned
-//! function of (graph, walk config), bit for bit, at any thread count.
+//! function of (graph, walk config), bit for bit.
 //!
-//! Training runs on one worker, so walk generation is the only stage a
-//! fit runs on several threads. `fit_bits` holds a fit to the same bits
-//! at any `threads`, but only through the two strategies its fits use;
-//! this test pins each `WalkStrategy` directly: `generate_walk_corpus`
-//! over one fixed built graph (imdb tiny, merged and expanded, so it
-//! carries tombstones and external edges), at one thread and at three.
+//! A fit streams its walks and never stores them; `generate_walk_corpus`
+//! keeps one pass of the same stream. `fit_bits` holds a fit to its bits
+//! only through the two strategies its fits use; this test pins each
+//! `WalkStrategy` directly: `generate_walk_corpus` over one fixed built
+//! graph (imdb tiny, merged and expanded, so it carries tombstones and
+//! external edges).
 //!
 //! The constants were recorded on 09f9d2e.
 
@@ -54,22 +54,16 @@ fn hash_walks<'a>(walks: impl Iterator<Item = &'a [u32]>) -> u64 {
 fn assert_pinned(strategy: WalkStrategy, want: u64) {
     let graph = fixture();
     let csr = CsrGraph::from_graph(&graph);
-    let base = WalkConfig {
+    let config = WalkConfig {
         // Above the uniform path's eight lanes: a full batch and a tail.
         walks_per_node: 11,
         walk_len: 9,
         seed: 7,
-        threads: 1,
         strategy,
     };
-    for threads in [1, 3] {
-        let corpus = generate_walk_corpus(&csr, &WalkConfig { threads, ..base });
-        let got = hash_walks(corpus.sentences());
-        assert_eq!(
-            got, want,
-            "{strategy:?} at {threads} threads: got {got:#018X}"
-        );
-    }
+    let corpus = generate_walk_corpus(&csr, &config);
+    let got = hash_walks(corpus.sentences());
+    assert_eq!(got, want, "{strategy:?}: got {got:#018X}");
 }
 
 #[test]
