@@ -496,12 +496,28 @@ impl MatchArtifact {
             }
         }
 
-        // Pre-delta index membership (= row validity, the invariant the
-        // build and every previous delta maintain), captured before any
-        // row changes: `HnswIndex::insert` wants `removed` to name
-        // *current* members.
-        let members: Vec<bool> = if self.ann.is_some() {
-            (0..old_rows).map(|i| self.first.is_valid(i)).collect()
+        // The index members this batch touches, in row order: the
+        // pre-delta rows it updates or tombstones that are valid (= index
+        // membership, the invariant the build and every previous delta
+        // maintain), captured before any row changes, because
+        // `HnswIndex::insert` wants `removed` to name *current* members.
+        // A re-embedded member leaves and re-enters: its stored adjacency
+        // described the old vector. O(batch), whatever the row count.
+        let removed: Vec<usize> = if self.ann.is_some() {
+            let mut rows: Vec<usize> = batch
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    DeltaOp::Update { target, .. } | DeltaOp::Tombstone { target } => {
+                        Some(*target)
+                    }
+                    DeltaOp::Append { .. } => None,
+                })
+                .filter(|&i| i < old_rows && self.first.is_valid(i))
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows
         } else {
             Vec::new()
         };
@@ -539,13 +555,6 @@ impl MatchArtifact {
         if let Some(ann) = self.ann.as_mut() {
             touched.sort_unstable();
             touched.dedup();
-            // A re-embedded member leaves and re-enters: its stored
-            // adjacency described the old vector.
-            let removed: Vec<usize> = touched
-                .iter()
-                .copied()
-                .filter(|&i| i < old_rows && members[i])
-                .collect();
             let added: Vec<usize> = touched
                 .iter()
                 .copied()

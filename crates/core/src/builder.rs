@@ -146,7 +146,9 @@ pub fn build_graph(
         );
     }
 
-    // 7. Similarity merging (§II-C) over the finished graph.
+    // 7. Similarity merging (§II-C) over the finished graph. The token
+    //    lists are done with; the merge's scratch takes their place.
+    drop(tokens);
     if let Some((model, gamma)) = merge {
         stats.merge = similarity_merge(&mut graph, model, gamma);
     }

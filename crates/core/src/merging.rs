@@ -92,26 +92,31 @@ pub struct MergeStats {
 }
 
 /// A candidate merge: similarity, then the two data-node positions.
-type Scored = (f32, usize, usize);
+type Scored = (f32, u32, u32);
 
 /// Merges data nodes whose labels are similar under the pre-trained model
 /// (cosine ≥ `gamma`, §II-C) or, for OOV single tokens, under normalized
 /// edit distance (typos). The better-connected node of each pair survives.
 ///
 /// Cost: each data node's label is embedded once, up front, into one
-/// arena ([`PretrainedModel::label_vectors`]), which is dropped before
-/// the merges are applied; a candidate pair then costs one cosine over
-/// two cached rows, with the same bits `label_similarity` gives.
+/// arena of exactly the present labels' rows
+/// ([`PretrainedModel::label_vectors`]); a candidate pair then costs one
+/// cosine over two cached rows, with the same bits `label_similarity`
+/// gives. Memory is freed as the merge goes: the arena and the labels
+/// are dropped once every pair is scored, before the candidates (12
+/// bytes each) are sorted in place, so the graph, the candidates and the
+/// node ids are all that is live while the merges are applied.
 pub fn similarity_merge(
     g: &mut Graph,
     model: &PretrainedModel,
     gamma: f32,
 ) -> MergeStats {
     let (ids, labels) = data_nodes(g);
-    let (scored, mut stats) = {
-        let vectors = model.label_vectors(&labels);
-        score_candidates(&labels, gamma, |a, b| vectors.similarity(a, b))
-    };
+    let vectors = model.label_vectors(&labels);
+    let (mut scored, mut stats) = score_candidates(&labels, gamma, |a, b| vectors.similarity(a, b));
+    drop(vectors);
+    drop(labels);
+    sort_candidates(&mut scored);
     stats.merged = apply_merges(g, &ids, scored);
     stats
 }
@@ -124,9 +129,10 @@ fn data_nodes(g: &Graph) -> (Vec<NodeId>, Vec<String>) {
         .unzip()
 }
 
-/// Every candidate pair at or above `gamma`, best first. `similarity(a,
-/// b)` is the pre-trained cosine of labels `a` and `b`, `None` if either
-/// is fully OOV.
+/// Every candidate pair at or above `gamma`, in no particular order
+/// ([`sort_candidates`] orders them). `similarity(a, b)` is the
+/// pre-trained cosine of labels `a` and `b`, `None` if either is fully
+/// OOV.
 fn score_candidates(
     labels: &[String],
     gamma: f32,
@@ -134,6 +140,7 @@ fn score_candidates(
 ) -> (Vec<Scored>, MergeStats) {
     // Candidate generation: inverted index token → data-node labels, plus
     // a (prefix, length-band) bucket for single-token typo candidates.
+    u32::try_from(labels.len()).expect("fewer than 2^32 data nodes");
     let mut token_buckets: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut typo_buckets: HashMap<(char, usize), Vec<usize>> = HashMap::new();
     for (i, label) in labels.iter().enumerate() {
@@ -175,7 +182,7 @@ fn score_candidates(
             }
         };
         if sim >= gamma {
-            scored.push((sim, a, b));
+            scored.push((sim, a as u32, b as u32));
         }
     };
 
@@ -194,19 +201,27 @@ fn score_candidates(
         }
     }
 
-    // Apply best-first; a node participates in at most one merge round but
-    // chains resolve because merge_nodes tolerates removed nodes. The
-    // (a, b) tie-break matters: candidates arrive in HashMap-bucket order,
-    // which varies per process, and equal-similarity merges are not
-    // commutative — without the tie-break the final graph differs from
-    // run to run.
-    scored.sort_by(|x, y| {
+    (scored, stats)
+}
+
+/// Orders candidates best first: similarity descending, then `(a, b)`.
+/// A node participates in at most one merge round but chains resolve
+/// because merge_nodes tolerates removed nodes. The (a, b) tie-break
+/// matters: candidates arrive in HashMap-bucket order, which varies per
+/// process, and equal-similarity merges are not commutative — without
+/// the tie-break the final graph differs from run to run.
+///
+/// The key is a total order on what scoring keeps: a NaN similarity
+/// never passes `sim >= gamma`, and two candidates with equal keys are
+/// the same pair scored twice, so the same tuple. An unstable sort
+/// therefore gives the stable sort's order, in place.
+fn sort_candidates(scored: &mut [Scored]) {
+    scored.sort_unstable_by(|x, y| {
         y.0
             .partial_cmp(&x.0)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
     });
-    (scored, stats)
 }
 
 /// Applies `scored` in order to the data nodes `ids`; returns how many
@@ -214,7 +229,7 @@ fn score_candidates(
 fn apply_merges(g: &mut Graph, ids: &[NodeId], scored: Vec<Scored>) -> usize {
     let mut merged = 0;
     for (_, a, b) in scored {
-        let (na, nb) = (ids[a], ids[b]);
+        let (na, nb) = (ids[a as usize], ids[b as usize]);
         if g.is_removed(na) || g.is_removed(nb) {
             continue;
         }
@@ -328,16 +343,28 @@ mod tests {
         assert!(g.data_node("movie budget").is_some());
     }
 
-    /// `similarity_merge` as it was before the label arena: every
-    /// candidate pair embeds both labels again through
-    /// `PretrainedModel::label_similarity`.
+    /// `similarity_merge` as it was before the label arena and the
+    /// in-place sort: every candidate pair embeds both labels again
+    /// through `PretrainedModel::label_similarity`, and the candidates
+    /// are ordered by a stable sort.
     fn per_pair_merge(g: &mut Graph, model: &PretrainedModel, gamma: f32) -> MergeStats {
         let (ids, labels) = data_nodes(g);
-        let (scored, mut stats) = score_candidates(&labels, gamma, |a, b| {
+        let (mut scored, mut stats) = score_candidates(&labels, gamma, |a, b| {
             model.label_similarity(&labels[a], &labels[b])
         });
+        stable_sort(&mut scored);
         stats.merged = apply_merges(g, &ids, scored);
         stats
+    }
+
+    /// The candidate order as a stable sort under the same key.
+    fn stable_sort(scored: &mut [Scored]) {
+        scored.sort_by(|x, y| {
+            y.0
+                .partial_cmp(&x.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
+        });
     }
 
     fn splitmix(state: &mut u64) -> u64 {
@@ -451,7 +478,8 @@ mod tests {
                     prop_assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "{la} / {lb}");
                 }
             }
-            let bits = |(scored, stats): (Vec<Scored>, MergeStats)| {
+            let bits = |(mut scored, stats): (Vec<Scored>, MergeStats)| {
+                sort_candidates(&mut scored);
                 (scored.iter().map(|&(s, a, b)| (s.to_bits(), a, b)).collect::<Vec<_>>(), stats)
             };
             let arena = bits(score_candidates(&labels, gamma, |a, b| vectors.similarity(a, b)));

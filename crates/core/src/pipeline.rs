@@ -1,6 +1,7 @@
 //! The end-to-end TDmatch pipeline (Fig. 3): graph → (expand) →
 //! (compress) → walks → Word2Vec → match.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use tdmatch_compress::{msp_compress, ssp_compress, ssum_compress, MspConfig, SspConfig, SsumConfig};
@@ -8,7 +9,7 @@ use tdmatch_embed::corpus::SentenceSource;
 use tdmatch_embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
 use tdmatch_embed::score::ScoreMatrix;
 use tdmatch_embed::walks::WalkStream;
-use tdmatch_embed::word2vec::train_corpus;
+use tdmatch_embed::word2vec::{train_rows, InputVectors};
 use tdmatch_graph::{CorpusSide, CsrGraph, Graph, NodeId};
 use tdmatch_kb::{KnowledgeBase, PretrainedModel};
 
@@ -168,18 +169,22 @@ impl TdMatch {
     }
 
     /// Trains node embeddings on the walk stream with the configured
-    /// [`EmbedMethod`], returning an `id_bound × dim` row-major matrix.
-    fn train_matrix(&self, walks: &WalkStream<'_>) -> Vec<f32> {
-        let counts = walks.token_counts();
+    /// [`EmbedMethod`], read back by node id.
+    fn train_vectors<'w>(&self, walks: &'w WalkStream<'_>) -> NodeVectors<'w> {
         match self.config.embed_method {
-            EmbedMethod::WalkWord2Vec => train_corpus(walks, counts, &self.config.w2v_config()),
+            // Input rows for the ids the walks visit only.
+            EmbedMethod::WalkWord2Vec => NodeVectors::Rows(train_rows(
+                &walks.rows(),
+                walks.layout(),
+                &self.config.w2v_config(),
+            )),
             // Each node's "document" is the bag of all walks starting at
             // it, which the stream yields together; PV-DBOW then trains
             // one vector per node. Ids without walks (tombstones) get
             // empty documents.
-            EmbedMethod::WalkDoc2Vec => train_pv_dbow(
+            EmbedMethod::WalkDoc2Vec => NodeVectors::ById(train_pv_dbow(
                 walks,
-                counts,
+                walks.token_counts(),
                 &Doc2VecConfig {
                     dim: self.config.dim,
                     negative: self.config.negative,
@@ -188,7 +193,7 @@ impl TdMatch {
                     min_count: 1,
                     seed: self.config.seed,
                 },
-            ),
+            )),
         }
     }
 
@@ -277,7 +282,10 @@ impl TdMatch {
     /// pass, and training regenerates it once per epoch from its per-walk
     /// seeds — the same sentences in the same order as a stored corpus,
     /// so the same bits. A fit's memory is the model and the graph,
-    /// whatever its token count.
+    /// whatever its token count. Word2Vec keeps input rows only for the
+    /// ids the walks visit (the stream's dense layout), and the artifact
+    /// reads each node's row through that layout, once per node: no
+    /// id-order copy of the trained matrix is made.
     fn embed_and_index(
         &self,
         graph: Graph,
@@ -310,12 +318,12 @@ impl TdMatch {
         // Embedding model over walks (Alg. 4, second half), each epoch
         // walking them again.
         let t = Instant::now();
-        let matrix = self.train_matrix(&walks);
+        let vectors = self.train_vectors(&walks);
         timings.train = t.elapsed().as_secs_f64();
         timings.train_tokens = walks.total_tokens() * self.config.epochs as u64;
 
         let dim = self.config.dim;
-        let node_row = |n: NodeId| &matrix[n.index() * dim..(n.index() + 1) * dim];
+        let node_row = |n: NodeId| vectors.vector(n.index(), dim);
 
         // Metadata vectors per (side, document index), normalized once:
         // every subsequent match call is dot-many over these rows. A
@@ -325,7 +333,7 @@ impl TdMatch {
             let mut rows = ScoreMatrix::invalid(len, dim);
             for i in 0..len {
                 if let Some(n) = graph.meta_node(&doc_label(side, i)) {
-                    rows.set_row(i, node_row(n));
+                    rows.set_row(i, &node_row(n));
                 }
             }
             rows
@@ -349,6 +357,24 @@ impl TdMatch {
             expand_stats,
             timings,
         })
+    }
+}
+
+/// A fit's trained node vectors.
+enum NodeVectors<'w> {
+    /// Word2Vec's input rows, over the walk stream's dense layout.
+    Rows(InputVectors<'w>),
+    /// An `id_bound × dim` matrix in id order (PV-DBOW's documents).
+    ById(Vec<f32>),
+}
+
+impl NodeVectors<'_> {
+    /// The vector of node `id`.
+    fn vector(&self, id: usize, dim: usize) -> Cow<'_, [f32]> {
+        match self {
+            NodeVectors::Rows(rows) => rows.vector(id),
+            NodeVectors::ById(matrix) => Cow::Borrowed(&matrix[id * dim..(id + 1) * dim]),
+        }
     }
 }
 

@@ -17,6 +17,8 @@
 //! * [`doc2vec`] — PV-DBOW document embeddings (the D2VEC baseline);
 //! * [`walks`] — random walks over a [`tdmatch_graph::CsrGraph`]
 //!   snapshot, streamed ([`walks::WalkStream`]) or stored;
+//! * [`rows`] — [`RowLayout`], where each token id's weights live during
+//!   training;
 //! * [`vectors`] — dense embedding stores and cosine similarity;
 //! * [`score`] — the flat similarity engine: pre-normalized
 //!   [`ScoreMatrix`] rows, unrolled dot kernels, and bounded top-k batch
@@ -33,10 +35,12 @@
 //!
 //! 1. [`walks::WalkStream::new`] makes one counting pass over the
 //!    walks: per-id counts and the total token count;
-//! 2. [`word2vec::train_corpus`] / [`doc2vec::train_pv_dbow`] train on
+//! 2. [`word2vec::train_rows`] / [`doc2vec::train_pv_dbow`] train on
 //!    the stream, which walks the corpus again for every epoch, a chunk
 //!    of start nodes at a time into one reused buffer of about 16K
-//!    tokens.
+//!    tokens. Word2Vec reads the stream's tokens as rows of its dense
+//!    [`RowLayout`] (ids the walks visit first), so it keeps input rows
+//!    for those ids only.
 //!
 //! The corpus is never stored, so a fit's memory is the model and the
 //! graph, whatever its token count. [`walks::generate_walk_corpus`]
@@ -50,6 +54,7 @@ pub mod ann;
 pub mod corpus;
 pub mod doc2vec;
 pub mod neg_table;
+pub mod rows;
 pub mod score;
 pub mod vectors;
 pub mod vocab;
@@ -59,6 +64,7 @@ pub mod word2vec;
 
 pub use ann::{HnswIndex, HnswParams};
 pub use corpus::{FlatCorpus, SentenceSource};
+pub use rows::RowLayout;
 pub use score::{QueryBlock, ScoreMatrix};
 pub use vectors::{cosine, Embeddings};
 pub use vocab::Vocab;

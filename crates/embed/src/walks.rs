@@ -22,6 +22,7 @@ use tdmatch_graph::sample::{random_walk_edge_typed_csr_into, random_walk_node2ve
 use tdmatch_graph::{CsrGraph, EdgeTypeCum, EdgeTypeWeights, NodeId};
 
 use crate::corpus::{FlatCorpus, SentenceSource};
+use crate::rows::RowLayout;
 
 /// How the next node of a walk is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -203,18 +204,21 @@ impl<'a> Walker<'a> {
     }
 
     /// Appends the `walks_per_node` walks of every node of `starts`, in
-    /// order, to `tokens`, and their lengths to `lens`. Kept out of line
-    /// so the trainers that consume a [`WalkStream`] call it rather than
-    /// compiling a copy of it into their own loops.
+    /// order, to `tokens`, and their lengths to `lens`; with `rows`, each
+    /// token is the row `rows` gives its node id. Kept out of line so the
+    /// trainers that consume a [`WalkStream`] call it rather than
+    /// compiling a copy of it (and of the row map) into their own loops.
     #[inline(never)]
     fn walk(
         &self,
         starts: &[NodeId],
+        rows: Option<&[u32]>,
         scratch: &mut Scratch,
         tokens: &mut Vec<u32>,
         lens: &mut Vec<u32>,
     ) {
         let (g, config, len) = (self.g, &self.config, self.config.walk_len);
+        let from = tokens.len();
         match config.strategy {
             WalkStrategy::Uniform => {
                 let mut seeds = [0u64; WALK_LANES];
@@ -250,16 +254,22 @@ impl<'a> Walker<'a> {
                 });
             }
         }
+        if let Some(rows) = rows {
+            for t in &mut tokens[from..] {
+                *t = rows[*t as usize];
+            }
+        }
     }
 
     /// One pass over the corpus: calls `f(node, tokens, lens)` for every
     /// live start node in `g.nodes()` order, with its walks back to back
-    /// in `tokens` and their lengths in `lens`. The walks are made a
-    /// chunk of start nodes at a time into one reused buffer of about
-    /// [`STREAM_CHUNK_TOKENS`] tokens (one node's
-    /// `walks_per_node × (walk_len + 1)` if that is more).
+    /// in `tokens` (node ids, or with `rows` their rows) and their
+    /// lengths in `lens`. The walks are made a chunk of start nodes at a
+    /// time into one reused buffer of about [`STREAM_CHUNK_TOKENS`]
+    /// tokens (one node's `walks_per_node × (walk_len + 1)` if that is
+    /// more).
     #[inline(always)]
-    fn pass(&self, mut f: impl FnMut(NodeId, &[u32], &[u32])) {
+    fn pass(&self, rows: Option<&[u32]>, mut f: impl FnMut(NodeId, &[u32], &[u32])) {
         let config = &self.config;
         let per_node = config.walks_per_node * (config.walk_len + 1);
         let chunk = (STREAM_CHUNK_TOKENS / per_node.max(1)).max(1);
@@ -276,7 +286,7 @@ impl<'a> Walker<'a> {
             }
             tokens.clear();
             lens.clear();
-            self.walk(&starts, &mut scratch, &mut tokens, &mut lens);
+            self.walk(&starts, rows, &mut scratch, &mut tokens, &mut lens);
             // Every start node walks `walks_per_node` walks, in order.
             let mut at = 0;
             for (&node, lens) in starts.iter().zip(lens.chunks(config.walks_per_node.max(1))) {
@@ -299,7 +309,7 @@ impl<'a> Walker<'a> {
 /// RNG streams never interact.
 pub fn generate_walk_corpus(g: &CsrGraph, config: &WalkConfig) -> FlatCorpus {
     let mut corpus = FlatCorpus::new();
-    Walker::new(g, config).pass(|_, tokens, lens| corpus.append_parts(tokens, lens));
+    Walker::new(g, config).pass(None, |_, tokens, lens| corpus.append_parts(tokens, lens));
     corpus
 }
 
@@ -308,16 +318,19 @@ pub fn generate_walk_corpus(g: &CsrGraph, config: &WalkConfig) -> FlatCorpus {
 /// order and with its bits. This is what a fit trains on.
 ///
 /// [`new`](WalkStream::new) makes one counting pass, which gives the
-/// per-id counts and the total token count; a trainer then makes one
-/// pass per epoch. Memory is the counts and one chunk's buffer, whatever
-/// the token count.
+/// per-id counts, the total token count and the dense [`RowLayout`] of
+/// the counts; a trainer then makes one pass per epoch. Memory is the
+/// counts, the layout and one chunk's buffer, whatever the token count.
 ///
-/// As a [`SentenceSource`], the document of start node `n` is its walks,
-/// indexed `n` among `id_bound` documents; a tombstoned id's document is
-/// empty. That is PV-DBOW's node document.
+/// As a [`SentenceSource`], the stream's tokens are node ids, and the
+/// document of start node `n` is its walks, indexed `n` among
+/// `id_bound` documents; a tombstoned id's document is empty. That is
+/// PV-DBOW's node document. [`rows`](WalkStream::rows) is the same
+/// stream with each token replaced by its row, which Word2Vec trains on.
 pub struct WalkStream<'a> {
     walker: Walker<'a>,
     counts: Vec<u64>,
+    layout: RowLayout,
     total_tokens: u64,
 }
 
@@ -326,7 +339,7 @@ impl<'a> WalkStream<'a> {
     pub fn new(g: &'a CsrGraph, config: &WalkConfig) -> Self {
         let walker = Walker::new(g, config);
         let mut counts = vec![0u64; g.id_bound()];
-        walker.pass(|_, tokens, _| {
+        walker.pass(None, |_, tokens, _| {
             for &t in tokens {
                 counts[t as usize] += 1;
             }
@@ -334,6 +347,7 @@ impl<'a> WalkStream<'a> {
         Self {
             walker,
             total_tokens: counts.iter().sum(),
+            layout: RowLayout::dense(&counts),
             counts,
         }
     }
@@ -343,6 +357,17 @@ impl<'a> WalkStream<'a> {
     /// counts.
     pub fn token_counts(&self) -> &[u64] {
         &self.counts
+    }
+
+    /// The ids that occur first, then the rest: [`RowLayout::dense`] of
+    /// the counts.
+    pub fn layout(&self) -> &RowLayout {
+        &self.layout
+    }
+
+    /// The stream with its tokens in [`layout`](Self::layout)'s rows.
+    pub fn rows(&self) -> RowWalks<'_, 'a> {
+        RowWalks(self)
     }
 }
 
@@ -361,7 +386,32 @@ impl SentenceSource for WalkStream<'_> {
 
     #[inline(always)]
     fn for_each_document(&self, mut f: impl FnMut(usize, &[u32], &[u32])) {
-        self.walker.pass(|node, tokens, lens| f(node.index(), tokens, lens));
+        self.walker.pass(None, |node, tokens, lens| f(node.index(), tokens, lens));
+    }
+}
+
+/// A [`WalkStream`] whose tokens are rows of its
+/// [`layout`](WalkStream::layout): each chunk of walks is mapped once,
+/// as the walker makes it, so a trainer reads rows without a lookup.
+pub struct RowWalks<'s, 'a>(&'s WalkStream<'a>);
+
+impl SentenceSource for RowWalks<'_, '_> {
+    fn documents(&self) -> usize {
+        self.0.documents()
+    }
+
+    fn is_empty_document(&self, doc: usize) -> bool {
+        self.0.is_empty_document(doc)
+    }
+
+    fn total_tokens(&self) -> u64 {
+        self.0.total_tokens
+    }
+
+    #[inline(always)]
+    fn for_each_document(&self, mut f: impl FnMut(usize, &[u32], &[u32])) {
+        let rows = self.0.layout.rows_by_id();
+        self.0.walker.pass(Some(rows), |node, tokens, lens| f(node.index(), tokens, lens));
     }
 }
 

@@ -103,6 +103,13 @@ fn init_cell(seed: u64, i: usize, scale: f32) -> f32 {
     (unit - 0.5) * 2.0 * scale
 }
 
+/// Row `id` of the uniform initialization: the `dim` cells from
+/// `id × dim` on.
+pub(crate) fn init_row(seed: u64, id: usize, dim: usize) -> impl Iterator<Item = f32> {
+    let scale = 0.5 / dim as f32;
+    (id * dim..(id + 1) * dim).map(move |i| init_cell(seed, i, scale))
+}
+
 /// A `rows × dim` matrix of plain `f32` owned by the training worker.
 pub(crate) struct OwnedMatrix {
     data: Vec<f32>,
@@ -120,11 +127,24 @@ impl OwnedMatrix {
 
     /// Creates a matrix with the word2vec.c uniform initialization.
     pub(crate) fn uniform_init(rows: usize, dim: usize, seed: u64) -> Self {
-        let scale = 0.5 / dim as f32;
-        Self {
-            data: (0..rows * dim).map(|i| init_cell(seed, i, scale)).collect(),
-            dim,
+        Self::uniform_init_rows(0..rows, rows, dim, seed)
+    }
+
+    /// The rows of [`uniform_init`](Self::uniform_init)'s matrix whose
+    /// indices `ids` yields (`rows` of them), in that order: row `r`
+    /// holds the cells id `ids[r]` has there.
+    pub(crate) fn uniform_init_rows(
+        ids: impl Iterator<Item = usize>,
+        rows: usize,
+        dim: usize,
+        seed: u64,
+    ) -> Self {
+        let mut data = Vec::with_capacity(rows * dim);
+        for id in ids {
+            data.extend(init_row(seed, id, dim));
         }
+        assert_eq!(data.len(), rows * dim, "one id per row");
+        Self { data, dim }
     }
 
     /// The full matrix as a dense row-major `Vec<f32>`.
@@ -238,6 +258,17 @@ mod tests {
         assert!(a.iter().all(|x| x.abs() <= bound));
         // Not all zero.
         assert!(a.iter().any(|x| x.abs() > 1e-6));
+    }
+
+    #[test]
+    fn init_rows_are_their_ids_rows_of_the_full_init() {
+        let full = OwnedMatrix::uniform_init(10, 7, 42).into_vec();
+        let ids = [1, 4, 5, 9];
+        let picked = OwnedMatrix::uniform_init_rows(ids.into_iter(), ids.len(), 7, 42).into_vec();
+        for (r, &id) in ids.iter().enumerate() {
+            assert_eq!(picked[r * 7..(r + 1) * 7], full[id * 7..(id + 1) * 7], "id {id}");
+            assert_eq!(init_row(42, id, 7).collect::<Vec<_>>(), full[id * 7..(id + 1) * 7]);
+        }
     }
 
     #[test]

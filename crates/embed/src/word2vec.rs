@@ -17,11 +17,14 @@
 //! so it is compiled into the AVX2 instantiation. The four-row dot is
 //! the one exception (see `crate::weights`).
 
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::corpus::{FlatCorpus, SentenceSource};
 use crate::neg_table::NegativeTable;
+use crate::rows::RowLayout;
 use crate::vectors::Embeddings;
 use crate::vocab::Vocab;
 use crate::weights::{self, OwnedMatrix, Train};
@@ -157,16 +160,15 @@ impl Word2Vec {
 
 /// Trains over the sentences of `corpus`, token values indexing
 /// `counts`, and returns the input matrix (`counts.len() × config.dim`,
-/// row-major). A corpus with no documents trains nothing and returns an
-/// empty matrix.
+/// row-major, in id order). A corpus with no documents trains nothing
+/// and returns an empty matrix.
 ///
-/// Token ids need no string vocabulary: a fit passes its
-/// [`WalkStream`](crate::walks::WalkStream), whose tokens are node ids,
-/// and so trains on walks that are never stored; a [`FlatCorpus`] (what
-/// [`Word2Vec::train`] encodes, and stored walk corpora) trains the same
-/// way. The worker reads each epoch's sentences in order, over plain
-/// `f32` weights it owns, so the row kernels vectorize, at the widest
-/// width this CPU offers that keeps the bits (see `crate::weights`).
+/// Token ids need no string vocabulary: stored walk corpora and what
+/// [`Word2Vec::train`] encodes ([`FlatCorpus`]) train here. Every id
+/// gets an input row, so an id with count 0 keeps its initialization.
+/// This is [`train_rows`] over [`RowLayout::identity`]; a fit trains
+/// over its walk stream's dense layout instead, with the same bits for
+/// every id.
 pub fn train_corpus<S: SentenceSource>(
     corpus: &S,
     counts: &[u64],
@@ -175,8 +177,63 @@ pub fn train_corpus<S: SentenceSource>(
     if counts.is_empty() || corpus.documents() == 0 {
         return Vec::new();
     }
-    let job = TrainJob::new(corpus, counts, config);
-    trained(&job).syn0.into_vec()
+    train_rows(corpus, &RowLayout::identity(counts), config).rows
+}
+
+/// Trains over the sentences of `corpus`, whose tokens are rows of
+/// `layout`, and returns the input vectors: `layout.live()` rows.
+///
+/// A fit passes its [`WalkStream`](crate::walks::WalkStream)'s
+/// [`rows`](crate::walks::WalkStream::rows), so it trains on walks that
+/// are never stored, over input rows for the ids its walks visit only.
+/// Every id keeps an output row: ids with count 0 are drawn as
+/// negatives. Input row `r` starts from the cells its id has in the
+/// id-order initialization, and subsampling reads each row's count, so
+/// every id trains to the bits an id-order trainer gives it
+/// (`tests/flat_prop.rs` holds the two to each other). The worker reads
+/// each epoch's sentences in order, over plain `f32` weights it owns, so
+/// the row kernels vectorize, at the widest width this CPU offers that
+/// keeps the bits (see `crate::weights`).
+pub fn train_rows<'a, S: SentenceSource>(
+    corpus: &S,
+    layout: &'a RowLayout,
+    config: &Word2VecConfig,
+) -> InputVectors<'a> {
+    let rows = if layout.ids() == 0 {
+        Vec::new()
+    } else {
+        let job = TrainJob::new(corpus, layout, config);
+        trained(&job).syn0.into_vec()
+    };
+    InputVectors {
+        layout,
+        rows,
+        dim: config.dim,
+        seed: config.seed,
+    }
+}
+
+/// The input vectors [`train_rows`] trained: one row per live id of its
+/// layout, read back by id.
+pub struct InputVectors<'a> {
+    layout: &'a RowLayout,
+    rows: Vec<f32>,
+    dim: usize,
+    seed: u64,
+}
+
+impl InputVectors<'_> {
+    /// The input vector of `id`: its trained row, or, for an id without
+    /// an input row (count 0 in a dense layout), the initialization no
+    /// update ever reached — what an id-order trainer returns for it.
+    pub fn vector(&self, id: usize) -> Cow<'_, [f32]> {
+        let row = self.layout.row(id);
+        if row < self.layout.live() {
+            Cow::Borrowed(&self.rows[row * self.dim..(row + 1) * self.dim])
+        } else {
+            Cow::Owned(weights::init_row(self.seed, id, self.dim).collect())
+        }
+    }
 }
 
 /// A worker that has run every epoch of `job`, through the dispatched
@@ -188,10 +245,12 @@ fn trained<'a, S: SentenceSource>(job: &'a TrainJob<'a, S>) -> Worker<'a, S> {
 }
 
 /// Everything a training run reads but never writes. All of it is small
-/// — the negative sampler is a ~300 KB index, the sigmoid 2 KB — so what
+/// — the negative sampler is a ~340 KB index, the sigmoid 2 KB — so what
 /// a step pulls through the cache is mostly the weight rows it trains.
 struct TrainJob<'a, S> {
     corpus: &'a S,
+    layout: &'a RowLayout,
+    /// Each row's count, for subsampling.
     counts: &'a [u64],
     config: &'a Word2VecConfig,
     neg_table: NegativeTable,
@@ -201,12 +260,14 @@ struct TrainJob<'a, S> {
 }
 
 impl<'a, S: SentenceSource> TrainJob<'a, S> {
-    fn new(corpus: &'a S, counts: &'a [u64], config: &'a Word2VecConfig) -> Self {
+    fn new(corpus: &'a S, layout: &'a RowLayout, config: &'a Word2VecConfig) -> Self {
+        let counts = layout.counts_by_row();
         Self {
             corpus,
+            layout,
             counts,
             config,
-            neg_table: NegativeTable::new(counts, (counts.len() * 32).max(1 << 20)),
+            neg_table: NegativeTable::over_rows(layout, (layout.ids() * 32).max(1 << 20)),
             sigmoid: SigmoidTable::new(),
             total_count: counts.iter().sum(),
             total_work: (corpus.total_tokens() * config.epochs as u64).max(1),
@@ -215,7 +276,8 @@ impl<'a, S: SentenceSource> TrainJob<'a, S> {
 }
 
 /// The training state: both weight matrices and the scratch buffers
-/// reused across pairs.
+/// reused across pairs. `syn0` has the layout's live rows only; `syn1`
+/// has every row.
 struct Worker<'a, S> {
     job: &'a TrainJob<'a, S>,
     syn0: OwnedMatrix,
@@ -228,11 +290,11 @@ struct Worker<'a, S> {
 
 impl<'a, S> Worker<'a, S> {
     fn new(job: &'a TrainJob<'a, S>) -> Self {
-        let (rows, dim) = (job.counts.len(), job.config.dim);
+        let (layout, dim, seed) = (job.layout, job.config.dim, job.config.seed);
         Self {
             job,
-            syn0: OwnedMatrix::uniform_init(rows, dim, job.config.seed),
-            syn1: OwnedMatrix::zeroed(rows, dim),
+            syn0: OwnedMatrix::uniform_init_rows(layout.live_ids(), layout.live(), dim, seed),
+            syn1: OwnedMatrix::zeroed(layout.ids(), dim),
             step: NegativeStep::new(&job.neg_table, job.config.negative),
             buf_in: vec![0.0; dim],
             neu1: vec![0.0; dim],
@@ -675,10 +737,10 @@ pub(crate) mod tests {
     /// `train_corpus` takes; both weight matrices must be the same bits.
     fn assert_dispatch_keeps_bits<S: SentenceSource>(
         corpus: &S,
-        counts: &[u64],
+        layout: &RowLayout,
         config: &Word2VecConfig,
     ) {
-        let job = TrainJob::new(corpus, counts, config);
+        let job = TrainJob::new(corpus, layout, config);
         let mut plain = Worker::new(&job);
         plain.train();
         let dispatched = trained(&job);
@@ -722,6 +784,7 @@ pub(crate) mod tests {
         // Three words and eight negatives: nearly every step repeats a
         // target, so it dots and updates one target at a time.
         let (tiny, tiny_counts) = id_corpus(3, 20, 8, 6);
+        let (counts, tiny_counts) = (RowLayout::identity(&counts), RowLayout::identity(&tiny_counts));
         let graph = ring_with_chords(30);
         for mode in [W2vMode::SkipGram, W2vMode::Cbow] {
             let config = |dim, negative| Word2VecConfig {
@@ -744,9 +807,9 @@ pub(crate) mod tests {
                 ..config(17, 5)
             };
             assert_dispatch_keeps_bits(&corpus, &counts, &subsampled);
-            // A fit's source: walks regenerated every epoch.
+            // A fit's source: walks regenerated every epoch, as rows.
             let walks = crate::walks::WalkStream::new(&graph, &RING_WALKS);
-            assert_dispatch_keeps_bits(&walks, walks.token_counts(), &config(17, 5));
+            assert_dispatch_keeps_bits(&walks.rows(), walks.layout(), &config(17, 5));
         }
     }
 

@@ -5,6 +5,12 @@
 //! counts equal to the stored corpus's, node documents equal to ranges
 //! of the stored arena, and the same trained bits.
 //!
+//! Training on dense rows — input rows only for the ids the walks
+//! visit, tokens mapped to rows by the stream — is held to the id-order
+//! trainer (`train_corpus` over the stored corpus, an input row per id,
+//! whose trajectory `tests/train_bits.rs` pins) bit for bit, for every
+//! id, on graphs where many ids are tombstoned or merged away.
+//!
 //! The reference below is the walk definition written plainly — one walk
 //! at a time, straight over [`Graph`]'s adjacency, biased steps drawn by
 //! a linear scan of the running weight sum — with none of the generator's
@@ -19,7 +25,7 @@ use rand::{RngExt, SeedableRng};
 use tdmatch_embed::corpus::{FlatCorpus, SentenceSource};
 use tdmatch_embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
 use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStream, WalkStrategy};
-use tdmatch_embed::word2vec::{train_corpus, W2vMode, Word2VecConfig};
+use tdmatch_embed::word2vec::{train_corpus, train_rows, W2vMode, Word2VecConfig};
 use tdmatch_graph::{CsrGraph, EdgeKind, EdgeTypeWeights, Graph, NodeId};
 
 fn build(n: usize, edges: &[(usize, usize, u8)], removals: &[usize]) -> Graph {
@@ -326,5 +332,75 @@ proptest! {
             bits(&train_pv_dbow(&stream, stream.token_counts(), &d2v)),
             bits(&train_pv_dbow(&arena_documents(&flat, g.id_bound()), &counts, &d2v))
         );
+    }
+}
+
+/// `build`'s graph, then each `(keep, remove)` of `merges` applied with
+/// [`Graph::merge_nodes`] (a no-op on equal or removed ids): tombstones
+/// between live ids, as §II-C similarity merging leaves them.
+fn build_merged(
+    n: usize,
+    edges: &[(usize, usize, u8)],
+    removals: &[usize],
+    merges: &[(usize, usize)],
+) -> Graph {
+    let mut g = build(n, edges, removals);
+    for &(keep, remove) in merges {
+        g.merge_nodes(NodeId((keep % n) as u32), NodeId((remove % n) as u32));
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Word2Vec over the stream's dense rows gives every id the bits the
+    /// id-order trainer gives it over the stored corpus: a walked id its
+    /// trained row, a tombstoned one its untouched initialization. Both
+    /// objectives, with and without frequency subsampling (which reads
+    /// each row's count), on graphs with up to half their ids
+    /// tombstoned or merged away.
+    #[test]
+    fn training_on_dense_rows_equals_the_id_order_trainer(
+        n in 4usize..28,
+        edges in prop::collection::vec((0usize..28, 0usize..28, 0u8..8), 1..60),
+        removals in prop::collection::vec(0usize..28, 0..8),
+        merges in prop::collection::vec((0usize..28, 0usize..28), 0..8),
+        seed in 0u64..1000,
+        tag in 0u8..3,
+        subsample in prop::sample::select(vec![0.0f64, 0.02, 0.3]),
+        dim in prop::sample::select(vec![9usize, 16]),
+    ) {
+        let g = build_merged(n, &edges, &removals, &merges);
+        let csr = CsrGraph::from_graph(&g);
+        let config = WalkConfig {
+            walks_per_node: 4,
+            walk_len: 7,
+            seed,
+            strategy: strategy_from(tag, 0.5),
+        };
+        let stream = WalkStream::new(&csr, &config);
+        let flat = generate_walk_corpus(&csr, &config);
+        if flat.is_empty() {
+            // Every node removed: the id-order trainer returns nothing.
+            return;
+        }
+        let counts = flat.token_counts(g.id_bound(), false);
+        let layout = stream.layout();
+        prop_assert_eq!(layout.live(), counts.iter().filter(|&&c| c > 0).count());
+        for mode in [W2vMode::SkipGram, W2vMode::Cbow] {
+            let w2v = Word2VecConfig {
+                dim, window: 3, epochs: 2, mode, seed, subsample, ..Default::default()
+            };
+            let dense = train_rows(&stream.rows(), layout, &w2v);
+            let by_id = train_corpus(&flat, &counts, &w2v);
+            for id in 0..g.id_bound() {
+                prop_assert_eq!(
+                    bits(&dense.vector(id)),
+                    bits(&by_id[id * dim..(id + 1) * dim]),
+                    "{:?}, subsample {}, id {} (count {})", mode, subsample, id, counts[id]
+                );
+            }
+        }
     }
 }

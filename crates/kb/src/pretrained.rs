@@ -234,23 +234,31 @@ impl PretrainedModel {
     /// through [`LabelVectors::similarity`] then costs one dot product,
     /// and gives the same bits as [`label_similarity`](Self::label_similarity)
     /// on the two labels.
+    ///
+    /// The arena is sized exactly: a first pass finds the labels with a
+    /// known token, so it holds one row per such label and nothing more
+    /// (growing it by doubling held up to twice that).
     pub fn label_vectors<S: AsRef<str>>(&self, labels: &[S]) -> LabelVectors {
-        let mut arena = Vec::new();
-        let mut norms = Vec::new();
+        let present = labels
+            .iter()
+            .filter(|label| label.as_ref().split_whitespace().any(|tok| self.knows(tok)))
+            .count();
+        let mut arena = Vec::with_capacity(present * self.dim);
+        let mut norms = Vec::with_capacity(present);
+        let mut acc = vec![0.0f32; self.dim];
         let rows = labels
             .iter()
             .map(|label| {
-                let start = arena.len();
-                arena.resize(start + self.dim, 0.0);
-                if !self.mean_into(label.as_ref(), &mut arena[start..]) {
-                    arena.truncate(start);
+                if !self.mean_into(label.as_ref(), &mut acc) {
                     return None;
                 }
+                arena.extend_from_slice(&acc);
                 // `cosine`'s own sum, in its order.
                 let mut sq = 0.0f32;
-                for &x in &arena[start..] {
+                for &x in &acc {
                     sq += x * x;
                 }
+                acc.fill(0.0);
                 norms.push(sq.sqrt());
                 Some(u32::try_from(norms.len() - 1).expect("fewer than 2^32 labels"))
             })
@@ -362,6 +370,17 @@ mod tests {
 
     fn model() -> PretrainedModel {
         PretrainedModel::standard(64, 42, 0.25)
+    }
+
+    #[test]
+    fn the_label_arena_holds_exactly_the_present_rows() {
+        let m = model();
+        let labels = ["big", "zorblat qwx", "large doctor", "", "qqqq", "zorblat big"];
+        let v = m.label_vectors(&labels);
+        let present: Vec<bool> = (0..labels.len()).map(|i| v.is_present(i)).collect();
+        assert_eq!(present, [true, false, true, false, false, true]);
+        assert_eq!(v.arena.capacity(), 3 * m.dim());
+        assert_eq!(v.norms.capacity(), 3);
     }
 
     #[test]

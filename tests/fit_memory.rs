@@ -9,73 +9,16 @@
 //! storing the extra tokens would take (4 bytes each). A fit that stores
 //! its corpus grows by at least the extra tokens' bytes.
 //!
-//! This file holds one test: the counter sees every thread, so nothing
-//! else may allocate while it measures.
+//! This file holds one test: the counter (`counting/mod.rs`) sees every
+//! thread, so nothing else may allocate while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting;
 
 use tdmatch::core::config::TdConfig;
 use tdmatch::core::pipeline::TdMatch;
 use tdmatch::datasets::{sts, Scale};
 
-/// Live heap bytes and their peak since the last [`reset_peak`].
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters
-// only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                grew(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Starts a new peak at the current live bytes, which it returns.
-fn reset_peak() -> usize {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    live
-}
+use counting::{peak, reset_peak};
 
 /// `(peak heap bytes above the start of the fit, walk tokens)` of one
 /// `sts2` fit at `walks_per_node`.
@@ -92,8 +35,7 @@ fn fit_peak(walks_per_node: usize) -> (usize, u64) {
     let trainer = TdMatch::new(config);
     let before = reset_peak();
     let model = trainer.fit(&scenario.first, &scenario.second).unwrap();
-    let peak = PEAK.load(Ordering::Relaxed) - before;
-    (peak, model.timings.train_tokens)
+    (peak() - before, model.timings.train_tokens)
 }
 
 #[test]
