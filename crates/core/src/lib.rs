@@ -60,9 +60,11 @@
 //!    repository benchmark's `ingest` workload).
 //!
 //! A heavier warm start complements the artifact, a `TDZ1` file too: a
-//! mutable graph saved with `tdmatch_graph::Graph::save_snapshot`
-//! resumes the *training* side via [`pipeline::TdMatch::fit_prebuilt`]
-//! (walks + training, no graph build).
+//! fitted model's graph (`TdModel::graph`, the frozen CSR with its
+//! labels) saved with `tdmatch_graph::FrozenGraph::save` and read back
+//! by `tdmatch_graph::Graph::load_snapshot` resumes the *training* side
+//! via [`pipeline::TdMatch::fit_prebuilt`] (walks + training, no graph
+//! build).
 //!
 //! Entry point: [`pipeline::TdMatch`].
 

@@ -10,7 +10,7 @@ use tdmatch_embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
 use tdmatch_embed::score::ScoreMatrix;
 use tdmatch_embed::walks::WalkStream;
 use tdmatch_embed::word2vec::{train_rows, InputVectors};
-use tdmatch_graph::{CorpusSide, CsrGraph, Graph, NodeId};
+use tdmatch_graph::{CorpusSide, FrozenGraph, Graph, NodeId};
 use tdmatch_kb::{KnowledgeBase, PretrainedModel};
 
 use crate::artifact::MatchArtifact;
@@ -127,10 +127,11 @@ impl TdMatch {
         )
     }
 
-    /// Resumes the pipeline from a pre-built graph — e.g. one saved with
-    /// [`Graph::save_snapshot`] after an expensive
-    /// expansion/compression — skipping graph creation entirely. Runs
-    /// walks, training, and vector extraction on `graph` as-is.
+    /// Resumes the pipeline from a pre-built graph — e.g. a model's graph
+    /// saved with [`FrozenGraph::save`] after an expensive
+    /// expansion/compression and loaded with [`Graph::load_snapshot`] —
+    /// skipping graph creation entirely. Runs walks, training, and vector
+    /// extraction on `graph` as-is.
     ///
     /// Corpus sizes are recovered from the metadata nodes' document
     /// indices.
@@ -278,14 +279,20 @@ impl TdMatch {
     /// the data nodes' term vectors, copied out of the trained matrix,
     /// which is then dropped).
     ///
+    /// The mutable `graph` is dropped at the freeze, before any walk:
+    /// what extraction and `--save-graph` need of it — each document's
+    /// metadata node, and every live node's label — is taken first, and
+    /// the model keeps the [`FrozenGraph`] (the CSR snapshot plus those
+    /// labels), so a fit holds one graph from its first walk on.
+    ///
     /// The walk corpus is never stored: a [`WalkStream`] counts it in one
     /// pass, and training regenerates it once per epoch from its per-walk
     /// seeds — the same sentences in the same order as a stored corpus,
-    /// so the same bits. A fit's memory is the model and the graph,
-    /// whatever its token count. Word2Vec keeps input rows only for the
-    /// ids the walks visit (the stream's dense layout), and the artifact
-    /// reads each node's row through that layout, once per node: no
-    /// id-order copy of the trained matrix is made.
+    /// so the same bits. A fit's memory is the model and the frozen
+    /// graph, whatever its token count. Word2Vec keeps input rows only
+    /// for the ids the walks visit (the stream's dense layout), and the
+    /// artifact reads each node's row through that layout, once per node:
+    /// no id-order copy of the trained matrix is made.
     fn embed_and_index(
         &self,
         graph: Graph,
@@ -305,11 +312,22 @@ impl TdMatch {
                 return Err(TdError::ZeroSetting { field });
             }
         }
-        // Random walks (Alg. 4, first half): freeze once and count the
-        // walks over the CSR snapshot.
+        // Random walks (Alg. 4, first half): freeze once, drop the
+        // mutable graph, and count the walks over the snapshot. A
+        // document whose metadata node did not survive maps to `None`.
         let t = Instant::now();
-        let csr = CsrGraph::from_graph(&graph);
-        let walks = WalkStream::new(&csr, &self.config.walk_config());
+        let doc_nodes = |side: CorpusSide, len: usize| -> Vec<Option<NodeId>> {
+            (0..len)
+                .map(|i| graph.meta_node(&doc_label(side, i)))
+                .collect()
+        };
+        let doc_nodes = [
+            doc_nodes(CorpusSide::First, first_len),
+            doc_nodes(CorpusSide::Second, second_len),
+        ];
+        let frozen = FrozenGraph::freeze(&graph);
+        drop(graph);
+        let walks = WalkStream::new(&frozen, &self.config.walk_config());
         timings.walks = t.elapsed().as_secs_f64();
         if walks.total_tokens() == 0 {
             return Err(TdError::EmptyWalkCorpus);
@@ -327,31 +345,28 @@ impl TdMatch {
 
         // Metadata vectors per (side, document index), normalized once:
         // every subsequent match call is dot-many over these rows. A
-        // document whose metadata node did not survive keeps an invalid
-        // row.
-        let extract = |side: CorpusSide, len: usize| -> ScoreMatrix {
-            let mut rows = ScoreMatrix::invalid(len, dim);
-            for i in 0..len {
-                if let Some(n) = graph.meta_node(&doc_label(side, i)) {
+        // document without a metadata node keeps an invalid row.
+        let [first, second] = doc_nodes.map(|nodes| {
+            let mut rows = ScoreMatrix::invalid(nodes.len(), dim);
+            for (i, n) in nodes.into_iter().enumerate() {
+                if let Some(n) = n {
                     rows.set_row(i, &node_row(n));
                 }
             }
             rows
-        };
-        let first = extract(CorpusSide::First, first_len);
-        let second = extract(CorpusSide::Second, second_len);
+        });
 
         // Term vectors (data nodes), raw.
-        let terms = graph
-            .nodes()
-            .filter(|&n| !graph.kind(n).is_metadata())
-            .map(|n| (graph.label(n).to_string(), node_row(n).to_vec()))
+        let terms = frozen
+            .labels()
+            .filter(|&(n, _)| !frozen.kind(n).is_metadata())
+            .map(|(n, label)| (label.to_string(), node_row(n).to_vec()))
             .collect();
         let artifact = MatchArtifact::from_matrices(dim, terms, first, second);
 
         Ok(TdModel {
             config: self.config.clone(),
-            graph,
+            graph: frozen,
             artifact,
             build_stats,
             expand_stats,
@@ -378,16 +393,20 @@ impl NodeVectors<'_> {
     }
 }
 
-/// A fitted TDmatch model: the final graph plus the [`MatchArtifact`]
-/// built from its trained embeddings. The artifact is the model's only
-/// copy of those embeddings — matching, the vector accessors and
-/// [`save_artifact`](TdModel::save_artifact) all read it — so what a
-/// saved file answers is what the live model answers, by construction.
+/// A fitted TDmatch model: the final graph, frozen, plus the
+/// [`MatchArtifact`] built from its trained embeddings. The artifact is
+/// the model's only copy of those embeddings — matching, the vector
+/// accessors and [`save_artifact`](TdModel::save_artifact) all read it —
+/// so what a saved file answers is what the live model answers, by
+/// construction.
 #[derive(Debug)]
 pub struct TdModel {
     config: TdConfig,
-    /// The graph embeddings were trained on (post expansion/compression).
-    pub graph: Graph,
+    /// The graph embeddings were trained on (post expansion/compression)
+    /// as its CSR snapshot plus node labels: what `GraphStats` reads and
+    /// what [`FrozenGraph::save`] writes for a later
+    /// [`fit_prebuilt`](TdMatch::fit_prebuilt).
+    pub graph: FrozenGraph,
     /// Term vectors (raw) and both corpora's document rows
     /// (pre-normalized), built once at fit time.
     artifact: MatchArtifact,
@@ -561,7 +580,7 @@ mod tests {
         let trainer = TdMatch::new(config);
         let want = TdError::ZeroSetting { field };
         assert_eq!(trainer.fit(&first, &second).unwrap_err(), want);
-        let graph = TdMatch::new(TdConfig::for_tests()).fit(&first, &second).unwrap().graph;
+        let graph = build_graph(&first, &second, &TdConfig::for_tests(), None).graph;
         assert_eq!(trainer.fit_prebuilt(graph).unwrap_err(), want);
     }
 
@@ -640,7 +659,7 @@ mod tests {
         // Persist the fitted graph and resume from it.
         let path = std::env::temp_dir()
             .join(format!("tdmatch-fit-prebuilt-{}.tdz", std::process::id()));
-        model.graph.save_snapshot(&path).unwrap();
+        model.graph.save(&path).unwrap();
         let restored = Graph::load_snapshot(&path);
         std::fs::remove_file(&path).ok();
         let resumed = trainer.fit_prebuilt(restored.unwrap()).unwrap();

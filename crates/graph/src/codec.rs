@@ -313,11 +313,16 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
+    /// A `u32`-length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.bytes(len)?)
+            .map_err(|_| DecodeError::Invalid("non-UTF-8 label"))
+    }
+
     /// A `u32`-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.bytes(len)?.to_vec())
-            .map_err(|_| DecodeError::Invalid("non-UTF-8 label"))
+        self.str().map(str::to_owned)
     }
 }
 

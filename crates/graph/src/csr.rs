@@ -26,8 +26,9 @@
 //!
 //! Lifecycle: mutate [`Graph`] (build → expand → merge → compress), then
 //! freeze once via [`CsrGraph::from_graph`] and run all read-heavy work
-//! (walk generation, embedding) against the snapshot. The snapshot does
-//! not observe later mutations — re-freeze after further changes.
+//! (walk generation, embedding, [`GraphStats`](crate::stats::GraphStats))
+//! against the snapshot. The snapshot does not observe later mutations —
+//! re-freeze after further changes.
 //!
 //! # Persistence
 //!
@@ -36,8 +37,10 @@
 //! ([`write_sections`]) and loads back zero-copy ([`from_sections`]):
 //! the loaded arrays are views into the shared [`Storage`] buffer, and
 //! loading is one linear validation pass with no per-element copies.
-//! These sections are the body of a saved graph: [`Graph::save_snapshot`]
-//! writes them plus one label section ([`SEC_GRAPH_LABELS`]), and
+//! These sections are the body of a saved graph: a [`FrozenGraph`] (the
+//! snapshot plus its node labels, what a fitted model keeps) writes them
+//! plus one label section ([`SEC_GRAPH_LABELS`]) — the one writer, which
+//! [`Graph::save_snapshot`] calls after freezing — and
 //! [`Graph::load_snapshot`] rebuilds the mutable, label-indexed [`Graph`]
 //! from them (`tdmatch run --save-graph` / `tdmatch resume`).
 //!
@@ -48,7 +51,7 @@
 
 use std::path::Path;
 
-use crate::codec::{put_str, DecodeError};
+use crate::codec::{put_str, ByteReader, DecodeError};
 use crate::container::{Container, ContainerWriter, FlatBuf, Pod, SectionTag, Storage};
 use crate::edge::{EdgeKind, EdgeTypeWeights};
 use crate::graph::Graph;
@@ -71,7 +74,7 @@ pub const SEC_CSR_NODE_KINDS: SectionTag = *b"CNKD";
 /// Section: tombstone bitmap (`u64` words, bit `i` set ⇔ node `i` removed).
 pub const SEC_CSR_REMOVED: SectionTag = *b"CRMV";
 
-/// Section of a saved *graph* ([`Graph::save_snapshot`]): the label of
+/// Section of a saved *graph* ([`FrozenGraph::save`]): the label of
 /// every live node in ascending id order, each a `u32` length followed by
 /// that many UTF-8 bytes. The count is the header's live-node count.
 pub const SEC_GRAPH_LABELS: SectionTag = *b"GLBL";
@@ -361,6 +364,20 @@ impl CsrGraph {
             .collect()
     }
 
+    /// Counts undirected edges per [`EdgeKind`], indexed by
+    /// [`EdgeKind::index`]: each edge once, from its smaller endpoint.
+    pub fn edge_kind_histogram(&self) -> [usize; EdgeKind::ALL.len()] {
+        let mut hist = [0usize; EdgeKind::ALL.len()];
+        for a in self.nodes() {
+            for (&b, &kind) in self.neighbors(a).iter().zip(self.neighbor_kinds(a)) {
+                if a < b {
+                    hist[kind.index()] += 1;
+                }
+            }
+        }
+        hist
+    }
+
     /// Per-edge cumulative transition weights for one [`EdgeTypeWeights`]
     /// configuration, aligned with [`neighbors`](CsrGraph::neighbors).
     ///
@@ -515,22 +532,69 @@ impl CsrGraph {
     }
 }
 
-impl Graph {
-    /// Saves the graph — labels included — so a later process can resume
-    /// training from it (`tdmatch run --save-graph` / `tdmatch resume`):
-    /// the frozen [`CsrGraph`] sections plus [`SEC_GRAPH_LABELS`], in one
-    /// `TDZ1` container published crash-safely
-    /// ([`publish_atomic`](crate::publish::publish_atomic)).
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
-        let csr = CsrGraph::from_graph(self);
-        let mut labels: Vec<u8> = Vec::new();
-        for n in self.nodes() {
-            put_str(&mut labels, self.label(n));
+/// A frozen graph with its labels: the [`CsrGraph`] plus the
+/// [`SEC_GRAPH_LABELS`] payload, which is what a saved graph file holds
+/// ([`save`](FrozenGraph::save)). A fit keeps this, not the mutable
+/// [`Graph`], once walks begin; it reads as its [`CsrGraph`] (`Deref`).
+#[derive(Debug)]
+pub struct FrozenGraph {
+    csr: CsrGraph,
+    /// The label of every live node in ascending id order, each a `u32`
+    /// length and that many UTF-8 bytes.
+    labels: Vec<u8>,
+}
+
+impl FrozenGraph {
+    /// Freezes `g` and encodes its live nodes' labels.
+    pub fn freeze(g: &Graph) -> Self {
+        let mut labels = Vec::with_capacity(g.nodes().map(|n| 4 + g.label(n).len()).sum());
+        for n in g.nodes() {
+            put_str(&mut labels, g.label(n));
         }
+        Self {
+            csr: CsrGraph::from_graph(g),
+            labels,
+        }
+    }
+
+    /// Live nodes with their labels, in ascending id order.
+    pub fn labels(&self) -> impl Iterator<Item = (NodeId, &str)> + '_ {
+        let mut reader = ByteReader::new(&self.labels, 0);
+        self.csr.nodes().map(move |n| {
+            let label = reader
+                .str()
+                .expect("`freeze` encoded a label per live node");
+            (n, label)
+        })
+    }
+
+    /// Saves the snapshot — labels included — so a later process can
+    /// resume training from it (`tdmatch run --save-graph` / `tdmatch
+    /// resume`, through [`Graph::load_snapshot`]): the [`CsrGraph`]
+    /// sections plus [`SEC_GRAPH_LABELS`], in one `TDZ1` container
+    /// published crash-safely
+    /// ([`publish_atomic`](crate::publish::publish_atomic)).
+    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
         let mut w = ContainerWriter::new();
-        csr.write_sections(&mut w);
-        w.add(SEC_GRAPH_LABELS, labels);
+        self.csr.write_sections(&mut w);
+        w.add(SEC_GRAPH_LABELS, &self.labels[..]);
         crate::publish::publish_atomic(path.as_ref(), |f| w.write_to(f))
+    }
+}
+
+impl std::ops::Deref for FrozenGraph {
+    type Target = CsrGraph;
+
+    fn deref(&self) -> &CsrGraph {
+        &self.csr
+    }
+}
+
+impl Graph {
+    /// Saves the graph: [`FrozenGraph::freeze`], then
+    /// [`FrozenGraph::save`].
+    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
+        FrozenGraph::freeze(self).save(path)
     }
 
     /// Loads a graph saved by [`save_snapshot`](Graph::save_snapshot).
@@ -562,15 +626,15 @@ impl Graph {
         for (i, old) in csr.nodes().enumerate() {
             // The section passed its CRC, so running out of bytes here is
             // a structural fault of the file, not bit rot.
-            let label = labels.string().map_err(|e| match e {
+            let label = labels.str().map_err(|e| match e {
                 DecodeError::Corrupt => DecodeError::Invalid("fewer labels than live nodes"),
                 other => other,
             })?;
             let expected = NodeId(i as u32);
             let new = match csr.kind(old) {
-                NodeKind::Data => g.intern_data(&label),
-                NodeKind::External => g.intern_external(&label),
-                NodeKind::Meta { side, kind, index } => g.add_meta(&label, side, kind, index),
+                NodeKind::Data => g.intern_data(label),
+                NodeKind::External => g.intern_external(label),
+                NodeKind::Meta { side, kind, index } => g.add_meta(label, side, kind, index),
             };
             // The interning mutators hand back the existing node for a
             // label they already hold.
@@ -687,6 +751,23 @@ mod tests {
             csr.metadata_nodes(Some(CorpusSide::First)),
             g.metadata_nodes(Some(CorpusSide::First))
         );
+    }
+
+    #[test]
+    fn edge_kind_histogram_counts_each_edge_once() {
+        let (mut g, a, _, c, d) = diamond();
+        g.add_edge_typed(a, d, EdgeKind::Contains);
+        let csr = CsrGraph::from_graph(&g);
+        let hist = csr.edge_kind_histogram();
+        assert_eq!(hist[EdgeKind::Contains.index()], 2);
+        assert_eq!(hist[EdgeKind::External.index()], 1);
+        assert_eq!(hist.iter().sum::<usize>(), csr.edge_count());
+        // A tombstone's edges leave the count.
+        g.remove_node(c);
+        let hist = CsrGraph::from_graph(&g).edge_kind_histogram();
+        assert_eq!(hist[EdgeKind::External.index()], 0);
+        assert_eq!(hist[EdgeKind::Generic.index()], 0);
+        assert_eq!(hist.iter().sum::<usize>(), g.edge_count());
     }
 
     #[test]
@@ -883,6 +964,23 @@ mod tests {
         // An empty graph saves and loads too.
         let empty = load_bytes(&saved_bytes(&Graph::new(), "roundtrip"), "roundtrip").unwrap();
         assert_eq!((empty.node_count(), empty.edge_count()), (0, 0));
+    }
+
+    #[test]
+    fn a_frozen_graph_keeps_the_live_labels_and_saves_without_its_source() {
+        let g = labelled();
+        let want: Vec<(NodeId, String)> = g.nodes().map(|n| (n, g.label(n).to_string())).collect();
+        let graph_bytes = saved_bytes(&g, "frozen");
+        let frozen = FrozenGraph::freeze(&g);
+        drop(g);
+        let got: Vec<(NodeId, String)> =
+            frozen.labels().map(|(n, label)| (n, label.to_string())).collect();
+        assert_eq!(got, want);
+        let path = temp("frozen");
+        frozen.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(bytes, graph_bytes);
     }
 
     #[test]

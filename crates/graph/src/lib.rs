@@ -25,9 +25,9 @@
 //!    biased walks, embedding training — against the snapshot.
 //!
 //! The snapshot is immutable: further `Graph` mutations require a fresh
-//! freeze. Walks run over the snapshot only; it keeps the source graph's
-//! neighbor order, so they are a function of the graph and the seed (see
-//! [`csr`]).
+//! freeze. Walks and graph statistics ([`GraphStats`]) run over the
+//! snapshot only; it keeps the source graph's neighbor order, so walks
+//! are a function of the graph and the seed (see [`csr`]).
 
 //!
 //! # Persistence
@@ -42,10 +42,13 @@
 //! open snapshots through [`container::Storage::open`], which
 //! memory-maps the file ([`mmap`]) so N processes share one physical
 //! copy through the OS page cache; [`container::Storage::container`]
-//! then checks every CRC, once per load. The *mutable* [`Graph`] — labels
-//! included, for resuming training after an expensive expansion — saves
-//! as the sections of its frozen [`CsrGraph`] plus one label section ([`Graph::save_snapshot`] /
-//! [`Graph::load_snapshot`]). Snapshot files are published crash-safely via
+//! then checks every CRC, once per load. A saved graph — labels
+//! included, for resuming training after an expensive expansion — is a
+//! [`FrozenGraph`]: the sections of a [`CsrGraph`] plus one label
+//! section, written by [`FrozenGraph::save`] (a fitted model keeps the
+//! `FrozenGraph`, not the mutable [`Graph`]; [`Graph::save_snapshot`]
+//! freezes, then calls it) and read back into a mutable [`Graph`] by
+//! [`Graph::load_snapshot`]. Snapshot files are published crash-safely via
 //! [`publish::publish_atomic`] (same-directory temp file, fsync,
 //! rename): a writer killed mid-save can never leave a torn file at a
 //! published path.
@@ -64,7 +67,7 @@ pub mod traverse;
 
 pub use codec::DecodeError;
 pub use container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
-pub use csr::{CsrGraph, EdgeTypeCum};
+pub use csr::{CsrGraph, EdgeTypeCum, FrozenGraph};
 pub use edge::{EdgeKind, EdgeTypeWeights};
 pub use graph::Graph;
 pub use node::{CorpusSide, MetaKind, NodeId, NodeKind};

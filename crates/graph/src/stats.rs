@@ -3,11 +3,11 @@
 //! The paper's evaluation reports graph sizes and density continuously
 //! (Table VIII's #N/#E, §V-F1's "most sparse graph with an average of
 //! four edges per node", "IMDb graph is the biggest…"). This module
-//! computes those numbers for any graph so experiments and the CLI can
-//! print them without ad-hoc counting.
+//! computes those numbers for a frozen graph, so experiments and the CLI
+//! can print them without ad-hoc counting.
 
+use crate::csr::CsrGraph;
 use crate::edge::EdgeKind;
-use crate::graph::Graph;
 use crate::node::NodeKind;
 use crate::traverse::connected_components;
 
@@ -38,7 +38,7 @@ pub struct GraphStats {
 
 impl GraphStats {
     /// Computes statistics for `g`. Cost: `O(|V| + |E|)`.
-    pub fn of(g: &Graph) -> Self {
+    pub fn of(g: &CsrGraph) -> Self {
         let mut data_nodes = 0usize;
         let mut external_nodes = 0usize;
         let mut meta_nodes = 0usize;
@@ -106,7 +106,12 @@ impl std::fmt::Display for GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::node::{CorpusSide, MetaKind};
+
+    fn stats(g: &Graph) -> GraphStats {
+        GraphStats::of(&CsrGraph::from_graph(g))
+    }
 
     fn sample() -> Graph {
         let mut g = Graph::new();
@@ -124,7 +129,7 @@ mod tests {
 
     #[test]
     fn counts_by_node_and_edge_kind() {
-        let s = GraphStats::of(&sample());
+        let s = stats(&sample());
         assert_eq!(s.nodes, 5);
         assert_eq!(s.edges, 3);
         assert_eq!(s.data_nodes, 2);
@@ -136,7 +141,7 @@ mod tests {
 
     #[test]
     fn degree_and_component_stats() {
-        let s = GraphStats::of(&sample());
+        let s = stats(&sample());
         assert_eq!(s.max_degree, 3); // "willis" touches t, p, pulp
         assert!((s.mean_degree - 6.0 / 5.0).abs() < 1e-12);
         assert_eq!(s.components, 2);
@@ -146,7 +151,7 @@ mod tests {
 
     #[test]
     fn empty_graph_stats_are_zero() {
-        let s = GraphStats::of(&Graph::new());
+        let s = stats(&Graph::new());
         assert_eq!(s.nodes, 0);
         assert_eq!(s.mean_degree, 0.0);
         assert_eq!(s.components, 0);
@@ -155,7 +160,7 @@ mod tests {
 
     #[test]
     fn display_mentions_all_sections() {
-        let text = GraphStats::of(&sample()).to_string();
+        let text = stats(&sample()).to_string();
         assert!(text.contains("5 nodes"));
         assert!(text.contains("contains=2"));
         assert!(text.contains("external=1"));
@@ -167,7 +172,7 @@ mod tests {
         let mut g = sample();
         let island = g.data_node("island").unwrap();
         g.remove_node(island);
-        let s = GraphStats::of(&g);
+        let s = stats(&g);
         assert_eq!(s.nodes, 4);
         assert_eq!(s.components, 1);
         assert!(s.is_connected());

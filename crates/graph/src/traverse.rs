@@ -5,6 +5,7 @@
 
 use std::collections::VecDeque;
 
+use crate::csr::CsrGraph;
 use crate::graph::Graph;
 use crate::node::NodeId;
 
@@ -115,9 +116,9 @@ fn collect_paths(
     }
 }
 
-/// Connected components over live nodes. Returns one `Vec<NodeId>` per
-/// component, in discovery order.
-pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
+/// Connected components over live nodes of a frozen graph. Returns one
+/// `Vec<NodeId>` per component, in discovery order.
+pub fn connected_components(g: &CsrGraph) -> Vec<Vec<NodeId>> {
     let mut seen = vec![false; g.id_bound()];
     let mut components = Vec::new();
     for start in g.nodes() {
@@ -280,7 +281,7 @@ mod tests {
     fn components_partition_nodes() {
         let (mut g, _, _, _) = fixture();
         let lonely = g.intern_data("island");
-        let comps = connected_components(&g);
+        let comps = connected_components(&CsrGraph::from_graph(&g));
         assert_eq!(comps.len(), 2);
         let total: usize = comps.iter().map(|c| c.len()).sum();
         assert_eq!(total, g.node_count());

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use tdmatch_graph::traverse::{all_shortest_paths, bfs_distances, connected_components, shortest_path_len};
-use tdmatch_graph::{CorpusSide, EdgeKind, Graph, MetaKind, NodeId, NodeKind};
+use tdmatch_graph::{CorpusSide, CsrGraph, EdgeKind, Graph, MetaKind, NodeId, NodeKind};
 
 /// Builds a graph from `n` nodes and arbitrary edge pairs (mod n).
 fn build(n: usize, edges: &[(usize, usize)]) -> Graph {
@@ -105,7 +105,7 @@ proptest! {
         edges in prop::collection::vec((0usize..15, 0usize..15), 0..30),
     ) {
         let g = build(n, &edges);
-        let comps = connected_components(&g);
+        let comps = connected_components(&CsrGraph::from_graph(&g));
         let total: usize = comps.iter().map(|c| c.len()).sum();
         prop_assert_eq!(total, g.node_count());
         let mut seen = std::collections::HashSet::new();
@@ -165,7 +165,7 @@ proptest! {
             }
         }
         prop_assert_eq!(live_edges, 2 * g.edge_count());
-        let hist = g.edge_kind_histogram();
+        let hist = CsrGraph::from_graph(&g).edge_kind_histogram();
         prop_assert_eq!(hist.iter().sum::<usize>(), g.edge_count());
     }
 

@@ -310,7 +310,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag_value(args, "--save-graph")? {
         model
             .graph
-            .save_snapshot(path)
+            .save(path)
             .map_err(|e| format!("saving graph: {e}"))?;
         eprintln!("graph written to {path}");
     }

@@ -21,7 +21,7 @@
 use tdmatch::core::config::TdConfig;
 use tdmatch::core::pipeline::{FitOptions, TdMatch};
 use tdmatch::datasets::{imdb, Scale};
-use tdmatch::graph::Graph;
+use tdmatch::graph::{FrozenGraph, Graph};
 
 const K: usize = 5;
 
@@ -42,9 +42,9 @@ fn config(base: &TdConfig) -> TdConfig {
     }
 }
 
-fn save_then_load(graph: &Graph) -> Graph {
+fn save_then_load(graph: &FrozenGraph) -> Graph {
     let path = std::env::temp_dir().join(format!("tdmatch-resume-bits-{}.tdz", std::process::id()));
-    graph.save_snapshot(&path).unwrap();
+    graph.save(&path).unwrap();
     let loaded = Graph::load_snapshot(&path);
     std::fs::remove_file(&path).ok();
     loaded.unwrap()
