@@ -16,18 +16,60 @@
 //!   physical copy for the whole fleet), heap readers each pay a private
 //!   anonymous copy.
 //!
+//! On a term-heavy artifact (`imdb-wt` at `Scale::Small`, fitted: 1,883
+//! terms × 80, 69% of the file term vectors) it records the full load
+//! (`MatchArtifact::load` mapped, and a heap read plus `from_storage`),
+//! one lookup of every term, and the same reader fleets, whose private
+//! KB per mapped reader is what a loaded vocabulary costs each process.
+//!
 //! Results land in `BENCH_persist.json` at the repository root. Run with
 //! `cargo bench -p tdmatch-bench --bench bench_persist`.
 
 use tdmatch_bench::record::{best_of, gen_centers, gen_side, round, write_bench_json, Writer};
 use tdmatch_core::artifact::MatchArtifact;
+use tdmatch_core::{FitOptions, TdConfig, TdMatch};
+use tdmatch_datasets::Scale;
 use tdmatch_graph::container::Storage;
 use tdmatch_graph::ContainerWriter;
+use tdmatch_scenarios::lifecycle::conformance_config;
+use tdmatch_scenarios::registry;
 
 /// `serve-scan`'s corpus shape.
 const TARGETS: usize = 32_768;
 const QUERIES: usize = 256;
 const DIM: usize = 96;
+
+/// The term-heavy artifact: `imdb-wt` at `Scale::Small`, generated and
+/// fitted as `tdmatch run` fits it by default (seed 42, similarity
+/// merge, no expansion), with one walk per node and one epoch. Its
+/// vocabulary is the graph's, whatever the training: 1,883 terms × 80.
+fn term_heavy_artifact() -> MatchArtifact {
+    let scenario = registry::by_key("imdb-wt")
+        .expect("a registered scenario")
+        .generate(Scale::Small, 42);
+    let config = TdConfig {
+        walks_per_node: 1,
+        epochs: 1,
+        ..conformance_config(&scenario.config, Scale::Small, 42)
+    };
+    let options = FitOptions {
+        kb: None,
+        compression: None,
+        merge: Some((&scenario.pretrained, scenario.gamma)),
+    };
+    TdMatch::new(config)
+        .fit_with(&scenario.first, &scenario.second, options)
+        .expect("fit imdb-wt")
+        .artifact()
+}
+
+/// Looks every term up once; how many were found.
+fn look_up_every_term(artifact: &MatchArtifact) -> usize {
+    artifact
+        .term_labels()
+        .filter(|label| artifact.term_vector(label).is_some())
+        .count()
+}
 
 /// One process's memory footprint in kB, from `/proc/self/smaps_rollup`.
 #[derive(Clone, Copy, Default)]
@@ -63,10 +105,11 @@ fn self_footprint() -> Option<MemFootprint> {
 }
 
 /// Child mode for the RSS-per-process measurement: open the artifact
-/// file (mapped or heap per `mode`), serve a full top-k sweep so every
-/// page is touched, then signal readiness and **wait** — the parent
-/// releases all readers only once the whole fleet is resident, so the
-/// footprints are measured while the snapshot is concurrently held.
+/// file (mapped or heap per `mode`), serve a full top-k sweep and look
+/// every term up so every page is touched, then signal readiness and
+/// **wait** — the parent releases all readers only once the whole fleet
+/// is resident, so the footprints are measured while the snapshot is
+/// concurrently held.
 /// (That concurrency is what the kernel's accounting keys sharing on:
 /// mapped readers then split the file pages' Pss between them, while
 /// heap readers each keep a full private copy.)
@@ -78,12 +121,13 @@ fn child_serve(path: &str, mode: &str) {
     };
     let artifact = MatchArtifact::from_storage(&storage).expect("child load artifact");
     let results = artifact.match_top_k(5);
+    let terms = look_up_every_term(&artifact);
     println!("PERSIST_CHILD_READY");
     let mut line = String::new();
     std::io::stdin().lock().read_line(&mut line).expect("await release");
     let m = self_footprint().unwrap_or_default();
     println!(
-        "PERSIST_CHILD mode={mode} is_mapped={} results={} rss_kb={} pss_kb={} \
+        "PERSIST_CHILD mode={mode} is_mapped={} results={} terms={terms} rss_kb={} pss_kb={} \
          private_kb={} shared_clean_kb={}",
         storage.is_mapped(),
         results.len(),
@@ -317,6 +361,36 @@ fn main() {
     );
     std::fs::remove_file(&artifact_path).ok();
 
+    // --- Term-heavy tier: a fitted vocabulary, loaded and held ----------
+    let vocab_path = tmp.join(format!("tdmatch-bench-vocab-{pid}.tdm"));
+    let vocab = term_heavy_artifact();
+    vocab.save(&vocab_path).expect("write term-heavy artifact");
+    let vocab_bytes = std::fs::metadata(&vocab_path)
+        .expect("stat term-heavy artifact")
+        .len();
+    let (loaded, load_mapped) = best_of(OPEN_REPS, || MatchArtifact::load(&vocab_path).unwrap());
+    let (_, load_heap) = best_of(OPEN_REPS, || {
+        let s = Storage::read_file(&vocab_path).unwrap();
+        MatchArtifact::from_storage(&s).unwrap().term_count()
+    });
+    let (found, lookup) = best_of(OPEN_REPS, || look_up_every_term(&loaded));
+    assert_eq!(found, vocab.term_count(), "every stored term is found");
+    let lookup_ns = lookup * 1e9 / found.max(1) as f64;
+    let vocab_mapped = reader_fleet(&vocab_path, "mapped", FLEET);
+    let vocab_heap = reader_fleet(&vocab_path, "heap", FLEET);
+    let private =
+        |readers: &[MemFootprint]| readers.iter().map(|m| m.private_kb).collect::<Vec<_>>();
+    println!(
+        "term-heavy (imdb-wt small, {} terms × {}, {vocab_bytes} bytes): load mapped \
+         {load_mapped:.6}s vs heap {load_heap:.6}s, {lookup_ns:.0} ns per lookup | \
+         private KiB per reader: mapped {:?} vs heap {:?}",
+        vocab.term_count(),
+        vocab.dim(),
+        private(&vocab_mapped),
+        private(&vocab_heap),
+    );
+    std::fs::remove_file(&vocab_path).ok();
+
     let secs = |w: &mut Writer, secs: f64| w.obj(|w| w.key("secs").num(round(secs, 9)));
     write_bench_json("persist", "persistence", |w| {
         w.key("serving").obj(|w| {
@@ -339,6 +413,23 @@ fn main() {
             w.key("rss_per_reader").obj(|w| {
                 write_fleet(w.key("heap"), &heap_readers);
                 write_fleet(w.key("mapped"), &mapped_readers);
+            });
+        });
+        w.key("term_heavy").obj(|w| {
+            w.key("load").obj(|w| {
+                secs(w.key("heap"), load_heap);
+                secs(w.key("mapped"), load_mapped);
+            });
+            w.key("lookup_ns_per_term").num(round(lookup_ns, 1));
+            w.key("rss_per_reader").obj(|w| {
+                write_fleet(w.key("heap"), &vocab_heap);
+                write_fleet(w.key("mapped"), &vocab_mapped);
+            });
+            w.key("workload").obj(|w| {
+                w.key("artifact_bytes").num(vocab_bytes as f64);
+                w.key("dim").num(vocab.dim() as f64);
+                w.key("scenario").str("imdb-wt small, seed 42");
+                w.key("terms").num(vocab.term_count() as f64);
             });
         });
         w.key("workload").obj(|w| {

@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! AHDR   u64 × 3: format version (2), dim, term count
-//! ALBL   per term: u32 label length, UTF-8 label (sorted by label)
+//! ALBL   per term: u32 label length, UTF-8 label (strictly ascending)
 //! AVEC   term vectors, term-major f32, term count × dim
 //! SMH0/SMD0/SMV0   first-corpus ScoreMatrix (header/rows/bitmap)
 //! SMH1/SMD1/SMV1   second-corpus ScoreMatrix
@@ -32,29 +32,32 @@
 //! their absence.
 //!
 //! Loading via [`MatchArtifact::from_storage`] is zero-copy: both
-//! document matrices are views into the container buffer. `TDZ1` is the
-//! only format read or written; anything else — the retired `TDM1`
-//! stream included — is [`PersistError::BadMagic`].
+//! document matrices and the term table (`ALBL`, `AVEC`) are views into
+//! the container buffer, and a term is found by binary search over its
+//! label, so a label section that is not strictly ascending (bytewise)
+//! is refused. `TDZ1` is the only format read or written; anything
+//! else — the retired `TDM1` stream included — is
+//! [`PersistError::BadMagic`].
 //!
 //! # Cross-process serving
 //!
 //! [`MatchArtifact::load`] opens the file through
 //! `tdmatch_graph::container::Storage::open`, which memory-maps it on
 //! 64-bit unix: N serving processes loading the same artifact share
-//! **one** physical copy of the matrices through the OS page cache
+//! **one** physical copy of the matrices and the vocabulary through the
+//! OS page cache
 //! (private heap copies appear only on platforms without mmap, or when
 //! mapping fails). The byte-level container spec lives in
 //! `docs/FORMAT.md` at the repository root.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 use tdmatch_embed::ann::{HnswIndex, HnswParams, SearchScratch};
 use tdmatch_embed::score::ScoreMatrix;
-use tdmatch_graph::codec::{put_str, DecodeError};
-use tdmatch_graph::container::{pod_bytes, ContainerWriter, SectionTag, Storage};
+use tdmatch_graph::codec::{put_str, ByteReader, DecodeError};
+use tdmatch_graph::container::{pod_bytes, ContainerWriter, FlatBuf, SectionTag, Storage};
 
 use crate::delta::{DeltaBatch, DeltaOp, DeltaSummary};
 use crate::matcher::{top_k_matches_matrix, MatchResult};
@@ -68,7 +71,7 @@ pub const MAX_DIM: usize = 1 << 20;
 
 /// Section: `[format_version, dim, term count]` as `u64`s.
 pub const SEC_ARTIFACT_HEADER: SectionTag = *b"AHDR";
-/// Section: length-prefixed term labels, sorted.
+/// Section: length-prefixed term labels, strictly ascending.
 pub const SEC_TERM_LABELS: SectionTag = *b"ALBL";
 /// Section: flat term vectors (`f32`, term-major).
 pub const SEC_TERM_VECTORS: SectionTag = *b"AVEC";
@@ -198,9 +201,15 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct MatchArtifact {
     dim: usize,
-    /// Term label → embedding, sorted by label for deterministic files.
-    terms: Vec<(String, Vec<f32>)>,
-    term_index: HashMap<String, usize>,
+    /// The frozen vocabulary's labels as the `ALBL` section holds them:
+    /// per term a `u32` length and the UTF-8 label, strictly ascending
+    /// bytewise. Owned when built, a view into the container when loaded.
+    labels: FlatBuf<u8>,
+    /// Per term, in term order: its label's `prefix_key` and where its
+    /// length prefix starts in `labels`.
+    term_keys: Vec<(u64, u32)>,
+    /// The terms' raw vectors, term-major (`AVEC`), owned or a view.
+    term_vecs: FlatBuf<f32>,
     first: ScoreMatrix,
     second: ScoreMatrix,
     /// Optional HNSW index over the first (target-side) corpus.
@@ -210,25 +219,55 @@ pub struct MatchArtifact {
 impl PartialEq for MatchArtifact {
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim
-            && self.terms == other.terms
+            && self.labels == other.labels
+            && self.term_vecs == other.term_vecs
             && self.first == other.first
             && self.second == other.second
             && self.ann == other.ann
     }
 }
 
-/// Term label → embedding pairs, sorted by label.
-type TermTable = Vec<(String, Vec<f32>)>;
+/// A label's first 8 bytes as a big-endian integer, zero-padded. Keys
+/// order like their labels up to ties (a label and its extensions past
+/// 8 bytes, or by a NUL), so a search compares labels only on a tie.
+fn prefix_key(label: &[u8]) -> u64 {
+    let mut key = [0u8; 8];
+    let n = label.len().min(8);
+    key[..n].copy_from_slice(&label[..n]);
+    u64::from_be_bytes(key)
+}
 
-fn sort_and_index(mut terms: TermTable) -> (TermTable, HashMap<String, usize>) {
-    terms.sort_by(|a, b| a.0.cmp(&b.0));
-    terms.dedup_by(|b, a| a.0 == b.0);
-    let index = terms
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| (label.clone(), i))
-        .collect();
-    (terms, index)
+/// One pass over an `ALBL` payload of `n` labels: each label's key and
+/// where its length prefix starts. Every label must be UTF-8 and
+/// strictly greater than the one before it (bytewise), and the labels
+/// must fill the payload exactly.
+fn term_keys(labels: &[u8], n: usize) -> Result<Vec<(u64, u32)>, PersistError> {
+    if u32::try_from(labels.len()).is_err() {
+        return Err(PersistError::Invalid("label section too large"));
+    }
+    // Each label takes at least its 4-byte prefix, whatever `n` claims.
+    let mut keys = Vec::with_capacity(n.min(labels.len() / 4));
+    let mut reader = ByteReader::new(labels, 0);
+    let mut prev: Option<&[u8]> = None;
+    for _ in 0..n {
+        let start = (labels.len() - reader.remaining()) as u32;
+        let label = reader
+            .str()
+            .map_err(|e| match e {
+                DecodeError::Invalid(_) => PersistError::BadLabel,
+                other => other.into(),
+            })?
+            .as_bytes();
+        if prev.is_some_and(|p| p >= label) {
+            return Err(PersistError::Invalid("term labels not strictly ascending"));
+        }
+        prev = Some(label);
+        keys.push((prefix_key(label), start));
+    }
+    if reader.remaining() != 0 {
+        return Err(PersistError::Invalid("trailing bytes in label section"));
+    }
+    Ok(keys)
 }
 
 impl MatchArtifact {
@@ -257,7 +296,7 @@ impl MatchArtifact {
     /// would save a file no loader accepts.
     pub fn from_matrices(
         dim: usize,
-        terms: Vec<(String, Vec<f32>)>,
+        mut terms: Vec<(String, Vec<f32>)>,
         first: ScoreMatrix,
         second: ScoreMatrix,
     ) -> Self {
@@ -270,11 +309,23 @@ impl MatchArtifact {
         }
         assert_eq!(first.dim(), dim, "first matrix dim must equal artifact dim");
         assert_eq!(second.dim(), dim, "second matrix dim must equal artifact dim");
-        let (terms, term_index) = sort_and_index(terms);
+        // The file's order, ascending by label; the sort is stable, so
+        // the first of equal labels is the one kept.
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        terms.dedup_by(|b, a| a.0 == b.0);
+        let mut labels = Vec::new();
+        let mut term_vecs = Vec::with_capacity(terms.len() * dim);
+        for (label, v) in &terms {
+            put_str(&mut labels, label);
+            term_vecs.extend_from_slice(v);
+        }
+        let term_keys = term_keys(&labels, terms.len())
+            .expect("sorted, unique labels are refused only past 4 GiB");
         Self {
             dim,
-            terms,
-            term_index,
+            labels: labels.into(),
+            term_keys,
+            term_vecs: term_vecs.into(),
             first,
             second,
             ann: None,
@@ -288,13 +339,25 @@ impl MatchArtifact {
 
     /// Number of stored term vectors.
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.term_keys.len()
     }
 
     /// The frozen vocabulary's labels, in stored (sorted) order — the
     /// terms a delta batch can embed against.
     pub fn term_labels(&self) -> impl Iterator<Item = &str> {
-        self.terms.iter().map(|(label, _)| label.as_str())
+        let mut reader = ByteReader::new(&self.labels, 0);
+        self.term_keys.iter().map(move |_| {
+            reader
+                .str()
+                .expect("labels are checked at load or built from strings")
+        })
+    }
+
+    /// The label bytes after the length prefix at `start` in `labels`.
+    fn label_at(&self, start: u32) -> &[u8] {
+        let rest = &self.labels[start as usize..];
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("a 4-byte prefix")) as usize;
+        &rest[4..4 + len]
     }
 
     /// `(first corpus size, second corpus size)`.
@@ -318,11 +381,15 @@ impl MatchArtifact {
         self.first.is_zero_copy() || self.second.is_zero_copy()
     }
 
-    /// The stored (raw) embedding of a term, if present.
+    /// The stored (raw) embedding of a term, if present: a binary search
+    /// over the ascending labels, by key first.
     pub fn term_vector(&self, term: &str) -> Option<&[f32]> {
-        self.term_index
-            .get(term)
-            .map(|&i| self.terms[i].1.as_slice())
+        let (term, key) = (term.as_bytes(), prefix_key(term.as_bytes()));
+        let i = self
+            .term_keys
+            .binary_search_by(|&(k, at)| k.cmp(&key).then_with(|| self.label_at(at).cmp(term)))
+            .ok()?;
+        Some(&self.term_vecs[i * self.dim..(i + 1) * self.dim])
     }
 
     /// The stored normalized embedding of document `idx` in the first
@@ -568,26 +635,21 @@ impl MatchArtifact {
     }
 
     /// Serializes into any writer as a `TDZ1` container (format v2). See
-    /// the module docs for the section layout. The document matrices are
-    /// borrowed by the writer and streamed out — no assembled copy.
+    /// the module docs for the section layout. The term table and the
+    /// document matrices are borrowed by the writer and streamed out — no
+    /// assembled copy.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
-        let mut labels: Vec<u8> = Vec::new();
-        let mut vecs: Vec<f32> = Vec::with_capacity(self.terms.len() * self.dim);
-        for (label, vec) in &self.terms {
-            put_str(&mut labels, label);
-            vecs.extend_from_slice(vec);
-        }
         let mut cw = ContainerWriter::new();
         cw.add(
             SEC_ARTIFACT_HEADER,
             pod_bytes(&[
                 FORMAT_VERSION as u64,
                 self.dim as u64,
-                self.terms.len() as u64,
+                self.term_count() as u64,
             ]),
         );
-        cw.add(SEC_TERM_LABELS, labels);
-        cw.add_pod(SEC_TERM_VECTORS, &vecs);
+        cw.add(SEC_TERM_LABELS, &self.labels[..]);
+        cw.add_pod(SEC_TERM_VECTORS, &self.term_vecs);
         self.first.write_sections(FIRST_SLOT, &mut cw);
         self.second.write_sections(SECOND_SLOT, &mut cw);
         if let Some(ann) = &self.ann {
@@ -604,14 +666,16 @@ impl MatchArtifact {
         Self::from_storage(&Storage::from_bytes(&buf))
     }
 
-    /// Loads from container storage, zero-copy: both document matrices
-    /// become views into `storage`'s buffer (kept alive by the artifact).
-    /// This is the warm-start path: one [`Storage::container`] parse,
-    /// which checks every section's CRC, plus O(terms) label decoding and
-    /// the structural validators — the document matrices are never copied,
-    /// re-allocated, or re-normalized. An ANN index whose entry point or
-    /// any neighbor is a row the first matrix marks missing is
-    /// [`PersistError::Invalid`].
+    /// Loads from container storage, zero-copy: the term table and both
+    /// document matrices become views into `storage`'s buffer (kept alive
+    /// by the artifact). This is the warm-start path: one
+    /// [`Storage::container`] parse, which checks every section's CRC,
+    /// plus one pass over the labels (UTF-8, strictly ascending, a key
+    /// and a start each) and the structural validators — no term, label
+    /// or row is copied, re-allocated, or re-normalized. A label section
+    /// out of order or with a repeated label is [`PersistError::Invalid`],
+    /// and so is an ANN index whose entry point or any neighbor is a row
+    /// the first matrix marks missing.
     pub fn from_storage(storage: &Storage) -> Result<Self, PersistError> {
         let container = storage.container()?;
         let header = container.require(SEC_ARTIFACT_HEADER)?.as_u64s()?;
@@ -629,25 +693,16 @@ impl MatchArtifact {
         }
         let n_terms = usize::try_from(n_terms).map_err(|_| PersistError::Corrupt)?;
 
-        let vecs = container.require(SEC_TERM_VECTORS)?.as_f32s()?;
+        let term_vecs =
+            FlatBuf::<f32>::from_section(storage, container.require(SEC_TERM_VECTORS)?)?;
         let expect = n_terms
             .checked_mul(dim)
             .ok_or(PersistError::Invalid("term section shape overflows"))?;
-        if vecs.len() != expect {
+        if term_vecs.len() != expect {
             return Err(PersistError::Invalid("term vector length mismatch"));
         }
-        let mut labels = container.require(SEC_TERM_LABELS)?.reader();
-        let mut terms = Vec::with_capacity(n_terms.min(1 << 20));
-        for i in 0..n_terms {
-            let label = labels.string().map_err(|e| match e {
-                DecodeError::Invalid(_) => PersistError::BadLabel,
-                other => other.into(),
-            })?;
-            terms.push((label, vecs[i * dim..(i + 1) * dim].to_vec()));
-        }
-        if labels.remaining() != 0 {
-            return Err(PersistError::Invalid("trailing bytes in label section"));
-        }
+        let labels = FlatBuf::<u8>::from_section(storage, container.require(SEC_TERM_LABELS)?)?;
+        let term_keys = term_keys(&labels, n_terms)?;
 
         let first = ScoreMatrix::from_sections(storage, &container, FIRST_SLOT)?;
         let second = ScoreMatrix::from_sections(storage, &container, SECOND_SLOT)?;
@@ -659,11 +714,11 @@ impl MatchArtifact {
         } else {
             None
         };
-        let (terms, term_index) = sort_and_index(terms);
         Ok(Self {
             dim,
-            terms,
-            term_index,
+            labels,
+            term_keys,
+            term_vecs,
             first,
             second,
             ann,
@@ -866,7 +921,54 @@ mod tests {
             vec![],
         );
         assert_eq!(a.term_count(), 2);
-        assert!(a.term_vector("a").is_some());
+        assert_eq!(a.term_vector("a"), Some(&[1.0f32][..]));
+        assert_eq!(a.term_labels().collect::<Vec<_>>(), ["a", "b"]);
+    }
+
+    /// A container whose term table holds `labels` in the given order,
+    /// one 1-wide vector each, over an empty corpus.
+    fn with_labels(labels: &[&str]) -> Vec<u8> {
+        let mut albl = Vec::new();
+        for label in labels {
+            put_str(&mut albl, label);
+        }
+        let vecs: Vec<f32> = (0..labels.len()).map(|i| i as f32).collect();
+        let empty = ScoreMatrix::invalid(0, 1);
+        let mut cw = ContainerWriter::new();
+        cw.add(
+            SEC_ARTIFACT_HEADER,
+            pod_bytes(&[FORMAT_VERSION as u64, 1, labels.len() as u64]),
+        );
+        cw.add(SEC_TERM_LABELS, albl);
+        cw.add_pod(SEC_TERM_VECTORS, &vecs);
+        empty.write_sections(FIRST_SLOT, &mut cw);
+        empty.write_sections(SECOND_SLOT, &mut cw);
+        cw.finish()
+    }
+
+    #[test]
+    fn a_file_with_two_equal_labels_fails_the_load() {
+        let load = |labels: &[&str]| {
+            MatchArtifact::from_storage(&Storage::from_bytes(&with_labels(labels)))
+        };
+        let ok = load(&["a", "ab", "b", "ü"]).expect("strictly ascending labels load");
+        assert_eq!(ok.term_vector("b"), Some(&[2.0f32][..]));
+        // Repeated, swapped and out of order (a longer label before its
+        // prefix): a binary search over these could miss or mis-serve.
+        let refused: [&[&str]; 5] = [
+            &["a", "a"],
+            &["a", "b", "b"],
+            &["b", "a"],
+            &["ab", "a"],
+            &["ü", "z"],
+        ];
+        for labels in refused {
+            let err = load(labels).expect_err("a label section not strictly ascending");
+            assert!(
+                matches!(err, PersistError::Invalid(what) if what.contains("strictly ascending")),
+                "{labels:?}: {err}"
+            );
+        }
     }
 
     fn sample_with_ann(targets: usize, dim: usize) -> MatchArtifact {

@@ -1,6 +1,10 @@
-//! Property-based tests for graph creation (Alg. 1) invariants.
+//! Property-based tests for graph creation (Alg. 1) invariants, and for
+//! the artifact's term table and file round trip.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
+use proptest::TestRng;
 
 use tdmatch_core::artifact::MatchArtifact;
 use tdmatch_core::builder::{build_graph, doc_label};
@@ -251,6 +255,63 @@ proptest! {
                 false,
                 "corrupted byte {pos} loaded silently: {loaded:?}"
             ),
+        }
+    }
+}
+
+/// A stem and up to three letters, from an alphabet with non-ASCII
+/// ones, so vocabularies hold the empty label, labels that are prefixes
+/// of others, repeats, and labels that share their first 8 bytes.
+fn label(rng: &mut TestRng) -> String {
+    const STEMS: [&str; 3] = ["", "abcdefg", "日日日"];
+    const LETTERS: [&str; 6] = ["a", "b", "é", "z", "ü", "日"];
+    let stem = STEMS[rng.below(STEMS.len() as u64) as usize];
+    let letters = (0..rng.below(4)).map(|_| LETTERS[rng.below(LETTERS.len() as u64) as usize]);
+    std::iter::once(stem).chain(letters).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// A term's binary search over the ascending labels finds what a
+    /// `HashMap` of the input finds (the first of repeated labels kept),
+    /// built in memory and loaded from its bytes alike: every stored
+    /// label, fresh labels, probes just past a stored label (between it
+    /// and its successor), and probes below and above every label.
+    #[test]
+    fn term_lookup_matches_a_hash_map(seed in 0u64..u64::MAX) {
+        let rng = &mut TestRng::new(seed);
+        let dim = 1 + rng.below(3) as usize;
+        let terms: Vec<(String, Vec<f32>)> = (0..rng.below(24) as usize)
+            .map(|i| (label(rng), (0..dim).map(|j| (i * dim + j) as f32).collect()))
+            .collect();
+        let mut oracle: HashMap<&str, &[f32]> = HashMap::new();
+        for (l, v) in &terms {
+            oracle.entry(l.as_str()).or_insert(v.as_slice());
+        }
+        let built = MatchArtifact::new(dim, terms.clone(), Vec::new(), Vec::new());
+        let mut buf = Vec::new();
+        built.write_to(&mut buf).unwrap();
+        let loaded = MatchArtifact::read_from(&mut buf.as_slice()).unwrap();
+
+        let mut probes: Vec<String> = terms.iter().map(|(l, _)| l.clone()).collect();
+        probes.extend(terms.iter().map(|(l, _)| format!("{l}\0")));
+        probes.extend((0..8).map(|_| label(rng)));
+        probes.extend(["".to_string(), "\u{10FFFF}".to_string()]);
+        for artifact in [&built, &loaded] {
+            prop_assert_eq!(artifact.term_count(), oracle.len(), "seed {}", seed);
+            let mut keys: Vec<&str> = oracle.keys().copied().collect();
+            keys.sort_unstable();
+            prop_assert_eq!(artifact.term_labels().collect::<Vec<_>>(), keys, "seed {}", seed);
+            for probe in &probes {
+                prop_assert_eq!(
+                    artifact.term_vector(probe),
+                    oracle.get(probe.as_str()).copied(),
+                    "seed {} probe {:?}",
+                    seed,
+                    probe
+                );
+            }
         }
     }
 }

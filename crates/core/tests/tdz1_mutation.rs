@@ -16,9 +16,10 @@
 //!   distinct and in range; an exact ranking of a present query is
 //!   exactly `min(k, rows)` long (missing targets rank at −1); an ANN
 //!   ranking is at most that long and at least `min(k, missing rows)`,
-//!   the missing rows every pool is extended with. Every stored term
-//!   embeds as a one-token text and ranks the same way, or is refused as
-//!   non-finite;
+//!   the missing rows every pool is extended with. Its labels are
+//!   strictly ascending, each found by its binary search at its own row
+//!   of the term vectors. Every stored term embeds as a one-token text
+//!   and ranks the same way, or is refused as non-finite;
 //! * walks over an accepted CSR snapshot stay in range under every walk
 //!   strategy, and its adjacency and weight-table accessors answer
 //!   without panicking; a graph that `Graph::load_snapshot` accepts finds
@@ -35,6 +36,7 @@ use tdmatch_core::artifact::{MatchArtifact, PersistError};
 use tdmatch_core::serving::{Matcher, Query, QueryError};
 use tdmatch_embed::ann::HnswParams;
 use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
+use tdmatch_graph::codec::put_str;
 use tdmatch_graph::container::{Container, ContainerWriter, SectionTag, Storage};
 use tdmatch_graph::{
     CorpusSide, CsrGraph, EdgeKind, EdgeTypeWeights, Graph, MetaKind, NodeId, NodeKind,
@@ -201,11 +203,28 @@ fn answer_everything(artifact: MatchArtifact) {
     let mut queries: Vec<Query> = (0..second.rows()).map(Query::ById).collect();
     queries.extend((0..2).map(|_| Query::ByVector(row(&mut state, artifact.dim()))));
     let texts = queries.len();
-    for label in artifact.term_labels() {
+    let labels: Vec<&str> = artifact.term_labels().collect();
+    assert_eq!(labels.len(), artifact.term_count());
+    assert!(
+        labels.windows(2).all(|w| w[0].as_bytes() < w[1].as_bytes()),
+        "an accepted term table out of order: {labels:?}"
+    );
+    let mut row_at = None;
+    for &label in &labels {
         let vector = artifact
             .term_vector(label)
             .expect("a listed term has a vector");
         assert_eq!(vector.len(), artifact.dim(), "term {label:?}");
+        // Term i's vector is row i: each lookup lands one row further.
+        let at = vector.as_ptr() as usize;
+        if let (Some(prev), true) = (row_at, artifact.dim() > 0) {
+            assert_eq!(
+                at,
+                prev + artifact.dim() * 4,
+                "term {label:?} served another row"
+            );
+        }
+        row_at = Some(at);
         let embedded = artifact
             .embed_tokens(&[label])
             .expect("a known term embeds");
@@ -274,6 +293,44 @@ proptest! {
         if let Ok(artifact) = load(&bytes) {
             checked(&what, || answer_everything(artifact));
         }
+    }
+}
+
+/// Re-stamped term tables with the fixture's labels out of order — two
+/// neighbours swapped, one repeated in its neighbour's place, the last
+/// moved to the front — are refused, however they sit in the table: a
+/// binary search over them could miss a term or serve another's vector.
+#[test]
+fn a_term_table_out_of_order_is_refused() {
+    let base = sections(&artifact_bytes(&fixture_artifact()));
+    let labels: Vec<String> = fixture_artifact()
+        .term_labels()
+        .map(str::to_string)
+        .collect();
+    let n = labels.len();
+    let mut orders: Vec<Vec<usize>> = Vec::new();
+    for i in 0..n - 1 {
+        let mut swapped: Vec<usize> = (0..n).collect();
+        swapped.swap(i, i + 1);
+        let mut repeated: Vec<usize> = (0..n).collect();
+        repeated[i + 1] = i;
+        orders.extend([swapped, repeated]);
+    }
+    orders.push((0..n).map(|i| (i + n - 1) % n).collect());
+    for order in orders {
+        let mut albl = Vec::new();
+        for &i in &order {
+            put_str(&mut albl, &labels[i]);
+        }
+        // Same count, so the term vectors still fit: only the order decides.
+        let mut mutant = base.clone();
+        let (_, payload) = mutant.iter_mut().find(|(tag, _)| tag == b"ALBL").unwrap();
+        *payload = albl;
+        let err = load(&restamp(&mutant)).expect_err("labels out of order");
+        assert!(
+            matches!(err, PersistError::Invalid(what) if what.contains("strictly ascending")),
+            "order {order:?}: {err}"
+        );
     }
 }
 

@@ -916,6 +916,7 @@ pub(crate) mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::TestRng;
 
     fn roundtrip_request(r: Request) {
         let text = r.encode();
@@ -1304,6 +1305,125 @@ mod tests {
         }
         assert_eq!(frames, 2);
         assert_eq!(starts, 2);
+    }
+
+    /// A hostile stream: well-formed frames, length prefixes at and
+    /// around the limits (0, 1, just under, at and just over
+    /// [`MAX_FRAME`], `u32::MAX`) with or without their payload, and
+    /// arbitrary bytes, possibly cut anywhere.
+    fn hostile_stream(rng: &mut TestRng) -> Vec<u8> {
+        let mut s = Vec::new();
+        for _ in 0..rng.below(6) {
+            match rng.below(4) {
+                0 => {
+                    let len = 1 + rng.below(64) as u32;
+                    s.extend_from_slice(&len.to_le_bytes());
+                    s.extend((0..len).map(|_| rng.next_u64() as u8));
+                }
+                1 => {
+                    const LENS: [u32; 6] =
+                        [0, 1, MAX_FRAME - 1, MAX_FRAME, MAX_FRAME + 1, u32::MAX];
+                    let len = LENS[rng.below(LENS.len() as u64) as usize];
+                    s.extend_from_slice(&len.to_le_bytes());
+                    if len <= MAX_FRAME && rng.below(2) == 0 {
+                        s.resize(s.len() + len as usize, b' ');
+                    }
+                }
+                _ => s.extend((0..rng.below(16)).map(|_| rng.next_u64() as u8)),
+            }
+        }
+        if rng.below(3) == 0 {
+            s.truncate(rng.below(s.len() as u64 + 1) as usize);
+        }
+        s
+    }
+
+    /// A reader that hands `stream` out in pieces cut at random points,
+    /// timing out (`WouldBlock`) before some of them.
+    struct Chunked<'a> {
+        pieces: std::collections::VecDeque<Option<&'a [u8]>>,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(rng: &mut TestRng, mut stream: &'a [u8]) -> Self {
+            let mut pieces = std::collections::VecDeque::new();
+            while !stream.is_empty() {
+                if rng.below(3) == 0 {
+                    pieces.push_back(None);
+                }
+                let most = stream.len() as u64;
+                let len = match rng.below(4) {
+                    0 => 1 + rng.below(most),
+                    _ => 1 + rng.below(most.min(8)),
+                };
+                let (piece, rest) = stream.split_at(len as usize);
+                pieces.push_back(Some(piece));
+                stream = rest;
+            }
+            Self { pieces }
+        }
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.pieces.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::Error::new(io::ErrorKind::WouldBlock, "rcvtimeo")),
+                Some(Some(piece)) => {
+                    let n = piece.len().min(buf.len());
+                    buf[..n].copy_from_slice(&piece[..n]);
+                    if n < piece.len() {
+                        self.pieces.push_front(Some(&piece[n..]));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// Frames read until the stream ends or fails, then how it ended: a
+    /// clean end (`None`) or the error, spelled out.
+    fn frames_until_end(
+        mut next: impl FnMut() -> Result<Option<Vec<u8>>, FrameError>,
+    ) -> (Vec<Vec<u8>>, Option<String>) {
+        let mut frames = Vec::new();
+        loop {
+            match next() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => return (frames, None),
+                Err(e) => return (frames, Some(format!("{e:?}"))),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// `FrameReader` fed a hostile stream in random pieces, with
+        /// timeouts between them, reads exactly what `read_frame` reads
+        /// off the whole stream: the same frames, then the same clean end
+        /// or the same error. Its frame-start hook fires once per frame
+        /// begun — every frame read, plus the one an error cut short.
+        #[test]
+        fn a_chunked_frame_reader_reads_like_read_frame(seed in 0u64..u64::MAX) {
+            let rng = &mut TestRng::new(seed);
+            let stream = hostile_stream(rng);
+            let mut rest = &stream[..];
+            let whole = frames_until_end(|| read_frame(&mut rest));
+            let mut chunked = Chunked::new(rng, &stream);
+            let mut reader = FrameReader::new();
+            let mut starts = 0;
+            let resumed = frames_until_end(|| loop {
+                match reader.next_with(&mut chunked, || starts += 1) {
+                    Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    other => return other,
+                }
+            });
+            let shown = || format!("seed {seed}, stream {:?}", &stream[..stream.len().min(64)]);
+            proptest::prop_assert_eq!(&resumed, &whole, "{}", shown());
+            let begun = resumed.0.len() + usize::from(resumed.1.is_some());
+            proptest::prop_assert_eq!(starts, begun, "{}", shown());
+        }
     }
 
     #[test]
