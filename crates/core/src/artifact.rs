@@ -51,7 +51,7 @@
 //! `docs/FORMAT.md` at the repository root.
 
 use std::cell::{Cell, RefCell};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use tdmatch_embed::ann::{HnswIndex, HnswParams, SearchScratch};
@@ -658,14 +658,6 @@ impl MatchArtifact {
         cw.write_to(w).map_err(PersistError::from)
     }
 
-    /// Deserializes from a reader: one buffer read into aligned storage,
-    /// then the zero-copy [`from_storage`](MatchArtifact::from_storage).
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_storage(&Storage::from_bytes(&buf))
-    }
-
     /// Loads from container storage, zero-copy: the term table and both
     /// document matrices become views into `storage`'s buffer (kept alive
     /// by the artifact). This is the warm-start path: one
@@ -792,7 +784,7 @@ mod tests {
     fn roundtrip(a: &MatchArtifact) -> MatchArtifact {
         let mut buf = Vec::new();
         a.write_to(&mut buf).unwrap();
-        MatchArtifact::read_from(&mut buf.as_slice()).unwrap()
+        MatchArtifact::from_storage(&Storage::from_bytes(&buf)).unwrap()
     }
 
     #[test]
@@ -810,7 +802,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "term \"t\" has a vector of length 3, artifact dim is 2")]
     fn term_vector_of_the_wrong_length_is_rejected_at_construction() {
-        // Accepted, this saved a file `read_from` refuses to load.
+        // Accepted, this saved a file `from_storage` refuses to load.
         MatchArtifact::new(2, vec![("t".into(), vec![1.0, 2.0, 3.0])], vec![], vec![]);
     }
 
@@ -857,7 +849,7 @@ mod tests {
         // The retired `TDM1` magic is what any other non-container is.
         for magic in [b"XDZ1", b"TDM1"] {
             buf[..4].copy_from_slice(magic);
-            let err = MatchArtifact::read_from(&mut buf.as_slice()).unwrap_err();
+            let err = MatchArtifact::from_storage(&Storage::from_bytes(&buf)).unwrap_err();
             assert!(matches!(err, PersistError::BadMagic));
         }
     }
@@ -871,7 +863,7 @@ mod tests {
         for pos in 4..clean.len() {
             let mut buf = clean.clone();
             buf[pos] ^= 0x01;
-            match MatchArtifact::read_from(&mut buf.as_slice()) {
+            match MatchArtifact::from_storage(&Storage::from_bytes(&buf)) {
                 Err(_) => {}
                 Ok(loaded) => panic!(
                     "bit flip at {pos} loaded successfully (CRC missed it): {loaded:?}"
@@ -887,7 +879,7 @@ mod tests {
         for cut in [1usize, 4, buf.len() / 2, buf.len() - 1] {
             let short = &buf[..cut];
             assert!(
-                MatchArtifact::read_from(&mut &short[..]).is_err(),
+                MatchArtifact::from_storage(&Storage::from_bytes(short)).is_err(),
                 "truncated file of {cut} bytes loaded"
             );
         }
@@ -1074,7 +1066,7 @@ mod tests {
             let mut buf = clean.clone();
             buf[pos] ^= 0x01;
             assert!(
-                MatchArtifact::read_from(&mut buf.as_slice()).is_err(),
+                MatchArtifact::from_storage(&Storage::from_bytes(&buf)).is_err(),
                 "bit flip at {pos} loaded silently"
             );
         }

@@ -20,7 +20,7 @@ use crate::corpus::Corpus;
 use crate::merging::{similarity_merge, MergeStats, NumericBuckets};
 
 /// Stable label of the metadata node for document `i` of a corpus side.
-pub fn doc_label(side: CorpusSide, i: usize) -> String {
+fn doc_label(side: CorpusSide, i: usize) -> String {
     match side {
         CorpusSide::First => format!("A:doc{i}"),
         CorpusSide::Second => format!("B:doc{i}"),
@@ -28,7 +28,7 @@ pub fn doc_label(side: CorpusSide, i: usize) -> String {
 }
 
 /// Stable label of the metadata node for column `j` of a corpus side.
-pub fn col_label(side: CorpusSide, j: usize) -> String {
+fn col_label(side: CorpusSide, j: usize) -> String {
     match side {
         CorpusSide::First => format!("A:col{j}"),
         CorpusSide::Second => format!("B:col{j}"),
@@ -363,8 +363,10 @@ mod tests {
         assert_eq!(g.edge_kind(t1, tarantino), Some(EdgeKind::Contains));
         assert_eq!(g.edge_kind(col_director, tarantino), Some(EdgeKind::ColumnOf));
         // Every edge in a freshly built graph has a non-Generic kind.
-        for (a, b, kind) in g.edges_with_kinds() {
-            assert_ne!(kind, EdgeKind::Generic, "untyped edge {a}-{b}");
+        for a in g.nodes() {
+            for (&b, &kind) in g.neighbors(a).iter().zip(g.neighbor_kinds(a)) {
+                assert_ne!(kind, EdgeKind::Generic, "untyped edge {a}-{b}");
+            }
         }
     }
 

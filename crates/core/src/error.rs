@@ -19,6 +19,14 @@ pub enum TdError {
         /// The `TdConfig` field (`dim`, `epochs` or `walk_len`).
         field: &'static str,
     },
+    /// Two live matchable nodes of a prebuilt graph claim the same
+    /// document, so neither can stand for it.
+    DuplicateDocument {
+        /// Which corpus ("first" / "second").
+        side: &'static str,
+        /// The document index both claim.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for TdError {
@@ -30,6 +38,12 @@ impl std::fmt::Display for TdError {
             }
             TdError::EmptyWalkCorpus => write!(f, "random-walk corpus is empty"),
             TdError::ZeroSetting { field } => write!(f, "`{field}` must be at least 1"),
+            TdError::DuplicateDocument { side, index } => {
+                write!(
+                    f,
+                    "two graph nodes are document {index} of the {side} corpus"
+                )
+            }
         }
     }
 }

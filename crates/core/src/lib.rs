@@ -61,10 +61,12 @@
 //!
 //! A heavier warm start complements the artifact, a `TDZ1` file too: a
 //! fitted model's graph (`TdModel::graph`, the frozen CSR with its
-//! labels) saved with `tdmatch_graph::FrozenGraph::save` and read back
-//! by `tdmatch_graph::Graph::load_snapshot` resumes the *training* side
-//! via [`pipeline::TdMatch::fit_prebuilt`] (walks + training, no graph
-//! build).
+//! labels) saved with `tdmatch_graph::CsrGraph::save` and read straight
+//! back into the frozen form by `tdmatch_graph::CsrGraph::load` resumes
+//! the *training* side via [`pipeline::TdMatch::fit_prebuilt`] (walks +
+//! training, no graph build). Every fit ends in the same function over
+//! the frozen graph; the mutable `Graph` exists only while a fit builds,
+//! merges, expands and compresses.
 //!
 //! Entry point: [`pipeline::TdMatch`].
 

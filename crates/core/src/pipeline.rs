@@ -10,11 +10,11 @@ use tdmatch_embed::doc2vec::{train_pv_dbow, Doc2VecConfig};
 use tdmatch_embed::score::ScoreMatrix;
 use tdmatch_embed::walks::WalkStream;
 use tdmatch_embed::word2vec::{train_rows, InputVectors};
-use tdmatch_graph::{CorpusSide, FrozenGraph, Graph, NodeId};
+use tdmatch_graph::{CorpusSide, CsrGraph, NodeId, NodeKind};
 use tdmatch_kb::{KnowledgeBase, PretrainedModel};
 
 use crate::artifact::MatchArtifact;
-use crate::builder::{build_graph, doc_label, BuildStats};
+use crate::builder::{build_graph, BuildStats};
 use crate::config::{Compression, EmbedMethod, TdConfig};
 use crate::corpus::Corpus;
 use crate::error::TdError;
@@ -110,59 +110,38 @@ impl TdMatch {
         self.fit_with(first, second, FitOptions::default())
     }
 
-    /// Fits with expansion — the paper's **W-RW-EX**.
-    pub fn fit_expanded(
-        &self,
-        first: &Corpus,
-        second: &Corpus,
-        kb: &dyn KnowledgeBase,
-    ) -> Result<TdModel, TdError> {
-        self.fit_with(
-            first,
-            second,
-            FitOptions {
-                kb: Some(kb),
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Resumes the pipeline from a pre-built graph — e.g. a model's graph
-    /// saved with [`FrozenGraph::save`] after an expensive
-    /// expansion/compression and loaded with [`Graph::load_snapshot`] —
+    /// Resumes the pipeline from a finished graph — e.g. a model's graph
+    /// saved with [`CsrGraph::save`] after an expensive
+    /// expansion/compression and read back with [`CsrGraph::load`] —
     /// skipping graph creation entirely. Runs walks, training, and vector
     /// extraction on `graph` as-is.
     ///
-    /// Corpus sizes are recovered from the metadata nodes' document
-    /// indices.
-    pub fn fit_prebuilt(&self, graph: Graph) -> Result<TdModel, TdError> {
+    /// Corpus sizes are recovered from the matchable metadata nodes'
+    /// document indices, and each document's node is the live matchable
+    /// node of its `(side, index)`: a graph in which two share one is
+    /// refused ([`TdError::DuplicateDocument`]).
+    pub fn fit_prebuilt(&self, graph: CsrGraph) -> Result<TdModel, TdError> {
         let has_terms = graph.nodes().any(|n| !graph.kind(n).is_metadata());
         if !has_terms {
             return Err(TdError::NoSharedTerms);
         }
         // Recover corpus sizes: max matchable document index + 1 per side.
-        let side_len = |side: CorpusSide| -> usize {
-            graph
-                .matchable_nodes(side)
-                .iter()
-                .filter_map(|&n| match graph.kind(n) {
-                    tdmatch_graph::NodeKind::Meta { index, .. } => Some(index as usize + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        let (first_len, second_len) = (side_len(CorpusSide::First), side_len(CorpusSide::Second));
-        if first_len == 0 {
+        let mut lens = [0usize; 2];
+        for n in graph.nodes() {
+            if let Some((side, index)) = document(graph.kind(n)) {
+                lens[side] = lens[side].max(index + 1);
+            }
+        }
+        if lens[0] == 0 {
             return Err(TdError::EmptyCorpus { which: "first" });
         }
-        if second_len == 0 {
+        if lens[1] == 0 {
             return Err(TdError::EmptyCorpus { which: "second" });
         }
 
         self.embed_and_index(
             graph,
-            (first_len, second_len),
+            (lens[0], lens[1]),
             BuildStats::default(),
             ExpandStats::default(),
             StageTimings::default(),
@@ -265,8 +244,15 @@ impl TdMatch {
             timings.compress = t.elapsed().as_secs_f64();
         }
 
+        // The graph is final: freeze it (timed with the walks) and drop
+        // the mutable form before the first walk.
+        let t = Instant::now();
+        let frozen = CsrGraph::from_graph(&graph);
+        drop(graph);
+        timings.walks = t.elapsed().as_secs_f64();
+
         self.embed_and_index(
-            graph,
+            frozen,
             (first.len(), second.len()),
             build_stats,
             expand_stats,
@@ -274,16 +260,15 @@ impl TdMatch {
         )
     }
 
-    /// The stages every fit ends with, on a graph that is final: freeze →
+    /// The stages every fit ends with, on a frozen graph that is final:
     /// walks → train → the match artifact (normalized document rows and
     /// the data nodes' term vectors, copied out of the trained matrix,
-    /// which is then dropped).
+    /// which is then dropped). The model keeps `graph`, whose labels
+    /// name the term vectors and which `--save-graph` writes.
     ///
-    /// The mutable `graph` is dropped at the freeze, before any walk:
-    /// what extraction and `--save-graph` need of it — each document's
-    /// metadata node, and every live node's label — is taken first, and
-    /// the model keeps the [`FrozenGraph`] (the CSR snapshot plus those
-    /// labels), so a fit holds one graph from its first walk on.
+    /// Each document's node is the live matchable node of its
+    /// `(side, index)`, found in one pass over the node kinds; a document
+    /// without one keeps an invalid row.
     ///
     /// The walk corpus is never stored: a [`WalkStream`] counts it in one
     /// pass, and training regenerates it once per epoch from its per-walk
@@ -295,7 +280,7 @@ impl TdMatch {
     /// no id-order copy of the trained matrix is made.
     fn embed_and_index(
         &self,
-        graph: Graph,
+        graph: CsrGraph,
         (first_len, second_len): (usize, usize),
         build_stats: BuildStats,
         expand_stats: ExpandStats,
@@ -312,23 +297,20 @@ impl TdMatch {
                 return Err(TdError::ZeroSetting { field });
             }
         }
-        // Random walks (Alg. 4, first half): freeze once, drop the
-        // mutable graph, and count the walks over the snapshot. A
-        // document whose metadata node did not survive maps to `None`.
+        // Random walks (Alg. 4, first half): find the documents' nodes
+        // and count the walks over the frozen graph.
         let t = Instant::now();
-        let doc_nodes = |side: CorpusSide, len: usize| -> Vec<Option<NodeId>> {
-            (0..len)
-                .map(|i| graph.meta_node(&doc_label(side, i)))
-                .collect()
-        };
-        let doc_nodes = [
-            doc_nodes(CorpusSide::First, first_len),
-            doc_nodes(CorpusSide::Second, second_len),
-        ];
-        let frozen = FrozenGraph::freeze(&graph);
-        drop(graph);
-        let walks = WalkStream::new(&frozen, &self.config.walk_config());
-        timings.walks = t.elapsed().as_secs_f64();
+        let mut doc_nodes = [vec![None; first_len], vec![None; second_len]];
+        for n in graph.nodes() {
+            if let Some((side, index)) = document(graph.kind(n)) {
+                if doc_nodes[side][index].replace(n).is_some() {
+                    let side = ["first", "second"][side];
+                    return Err(TdError::DuplicateDocument { side, index });
+                }
+            }
+        }
+        let walks = WalkStream::new(&graph, &self.config.walk_config());
+        timings.walks += t.elapsed().as_secs_f64();
         if walks.total_tokens() == 0 {
             return Err(TdError::EmptyWalkCorpus);
         }
@@ -357,21 +339,32 @@ impl TdMatch {
         });
 
         // Term vectors (data nodes), raw.
-        let terms = frozen
+        let terms = graph
             .labels()
-            .filter(|&(n, _)| !frozen.kind(n).is_metadata())
+            .filter(|&(n, _)| !graph.kind(n).is_metadata())
             .map(|(n, label)| (label.to_string(), node_row(n).to_vec()))
             .collect();
         let artifact = MatchArtifact::from_matrices(dim, terms, first, second);
 
         Ok(TdModel {
             config: self.config.clone(),
-            graph: frozen,
+            graph,
             artifact,
             build_stats,
             expand_stats,
             timings,
         })
+    }
+}
+
+/// The `(side, document index)` of a matchable metadata node, the side
+/// as `CorpusSide`'s declaration order: 0 the first corpus, 1 the second.
+fn document(kind: NodeKind) -> Option<(usize, usize)> {
+    match kind {
+        NodeKind::Meta { side, index, .. } if kind.is_matchable() => {
+            Some((side as usize, index as usize))
+        }
+        _ => None,
     }
 }
 
@@ -402,11 +395,11 @@ impl NodeVectors<'_> {
 #[derive(Debug)]
 pub struct TdModel {
     config: TdConfig,
-    /// The graph embeddings were trained on (post expansion/compression)
-    /// as its CSR snapshot plus node labels: what `GraphStats` reads and
-    /// what [`FrozenGraph::save`] writes for a later
+    /// The graph embeddings were trained on (post expansion/compression),
+    /// frozen, with its node labels: what `GraphStats` reads and what
+    /// [`CsrGraph::save`] writes for a later
     /// [`fit_prebuilt`](TdMatch::fit_prebuilt).
-    pub graph: FrozenGraph,
+    pub graph: CsrGraph,
     /// Term vectors (raw) and both corpora's document rows
     /// (pre-normalized), built once at fit time.
     artifact: MatchArtifact,
@@ -581,7 +574,7 @@ mod tests {
         let want = TdError::ZeroSetting { field };
         assert_eq!(trainer.fit(&first, &second).unwrap_err(), want);
         let graph = build_graph(&first, &second, &TdConfig::for_tests(), None).graph;
-        assert_eq!(trainer.fit_prebuilt(graph).unwrap_err(), want);
+        assert_eq!(trainer.fit_prebuilt(CsrGraph::from_graph(&graph)).unwrap_err(), want);
     }
 
     #[test]
@@ -660,7 +653,7 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("tdmatch-fit-prebuilt-{}.tdz", std::process::id()));
         model.graph.save(&path).unwrap();
-        let restored = Graph::load_snapshot(&path);
+        let restored = CsrGraph::load(&path);
         std::fs::remove_file(&path).ok();
         let resumed = trainer.fit_prebuilt(restored.unwrap()).unwrap();
 
@@ -685,9 +678,42 @@ mod tests {
         let d = g.intern_data("term");
         g.add_edge(m, d);
         assert_eq!(
-            TdMatch::new(TdConfig::for_tests()).fit_prebuilt(g).unwrap_err(),
+            TdMatch::new(TdConfig::for_tests())
+                .fit_prebuilt(CsrGraph::from_graph(&g))
+                .unwrap_err(),
             TdError::EmptyCorpus { which: "second" }
         );
+    }
+
+    #[test]
+    fn fit_prebuilt_refuses_two_nodes_for_one_document() {
+        use tdmatch_graph::MetaKind;
+        let mut g = tdmatch_graph::Graph::new();
+        let term = g.intern_data("term");
+        for (label, side, kind, index) in [
+            ("A:doc0", CorpusSide::First, MetaKind::Tuple, 0),
+            ("B:doc0", CorpusSide::Second, MetaKind::TextDoc, 0),
+            // An attribute is not a document: its index is a column.
+            ("B:col1", CorpusSide::Second, MetaKind::Attribute, 1),
+            ("B:doc1", CorpusSide::Second, MetaKind::TextDoc, 1),
+        ] {
+            let m = g.add_meta(label, side, kind, index);
+            g.add_edge(m, term);
+        }
+        let trainer = TdMatch::new(TdConfig::for_tests());
+        let model = trainer.fit_prebuilt(CsrGraph::from_graph(&g)).unwrap();
+        assert!(model.doc_vector(CorpusSide::Second, 1).is_some());
+        // A second live node that claims to be document 1 of the second
+        // corpus, whatever its label.
+        let twin = g.add_meta("B:doc1 again", CorpusSide::Second, MetaKind::Taxonomy, 1);
+        g.add_edge(twin, term);
+        assert_eq!(
+            trainer.fit_prebuilt(CsrGraph::from_graph(&g)).unwrap_err(),
+            TdError::DuplicateDocument { side: "second", index: 1 }
+        );
+        // Once it is gone, the graph fits again.
+        g.remove_node(twin);
+        trainer.fit_prebuilt(CsrGraph::from_graph(&g)).unwrap();
     }
 
     #[test]

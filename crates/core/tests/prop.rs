@@ -7,10 +7,11 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use tdmatch_core::artifact::MatchArtifact;
-use tdmatch_core::builder::{build_graph, doc_label};
+use tdmatch_core::builder::build_graph;
 use tdmatch_core::config::{FilterMode, TdConfig};
 use tdmatch_core::corpus::{Corpus, Table, TextCorpus};
-use tdmatch_graph::CorpusSide;
+use tdmatch_graph::container::Storage;
+use tdmatch_graph::{CorpusSide, NodeKind};
 
 /// A word pool small enough to force overlap between corpora.
 fn word(i: usize) -> String {
@@ -76,12 +77,19 @@ proptest! {
         let built = build_graph(&first, &second, &config, None);
         let g = &built.graph;
 
-        // Every document has its metadata node.
-        for i in 0..first.len() {
-            prop_assert!(g.meta_node(&doc_label(CorpusSide::First, i)).is_some());
-        }
-        for i in 0..second.len() {
-            prop_assert!(g.meta_node(&doc_label(CorpusSide::Second, i)).is_some());
+        // Every document has exactly one matchable metadata node, whose
+        // `(side, index)` is how a fit finds it.
+        for (side, len) in [(CorpusSide::First, first.len()), (CorpusSide::Second, second.len())] {
+            let mut indices: Vec<u32> = g
+                .matchable_nodes(side)
+                .iter()
+                .filter_map(|&n| match g.kind(n) {
+                    NodeKind::Meta { index, .. } => Some(index),
+                    _ => None,
+                })
+                .collect();
+            indices.sort_unstable();
+            prop_assert_eq!(indices, (0..len as u32).collect::<Vec<_>>());
         }
 
         // No cross-corpus metadata edges.
@@ -170,7 +178,7 @@ proptest! {
         let a = MatchArtifact::new(dim, terms, first, second);
         let mut buf = Vec::new();
         a.write_to(&mut buf).unwrap();
-        let b = MatchArtifact::read_from(&mut buf.as_slice()).unwrap();
+        let b = MatchArtifact::from_storage(&Storage::from_bytes(&buf)).unwrap();
         prop_assert_eq!(&a, &b);
         let (ra, rb) = (a.match_top_k(5), b.match_top_k(5));
         for (x, y) in ra.iter().zip(&rb) {
@@ -194,7 +202,6 @@ proptest! {
     ) {
         use tdmatch_core::matcher::top_k_matches_matrix;
         use tdmatch_embed::score::ScoreMatrix;
-        use tdmatch_graph::container::Storage;
 
         let mut it = fill.into_iter().cycle();
         let mut vec_of = || -> Vec<f32> {
@@ -249,7 +256,7 @@ proptest! {
         a.write_to(&mut buf).unwrap();
         let pos = flip_byte % buf.len();
         buf[pos] ^= 1 << flip_bit;
-        match MatchArtifact::read_from(&mut buf.as_slice()) {
+        match MatchArtifact::from_storage(&Storage::from_bytes(&buf)) {
             Err(_) => {}
             Ok(loaded) => prop_assert!(
                 false,
@@ -292,7 +299,7 @@ proptest! {
         let built = MatchArtifact::new(dim, terms.clone(), Vec::new(), Vec::new());
         let mut buf = Vec::new();
         built.write_to(&mut buf).unwrap();
-        let loaded = MatchArtifact::read_from(&mut buf.as_slice()).unwrap();
+        let loaded = MatchArtifact::from_storage(&Storage::from_bytes(&buf)).unwrap();
 
         let mut probes: Vec<String> = terms.iter().map(|(l, _)| l.clone()).collect();
         probes.extend(terms.iter().map(|(l, _)| format!("{l}\0")));

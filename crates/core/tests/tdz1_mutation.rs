@@ -22,8 +22,9 @@
 //!   and ranks the same way, or is refused as non-finite;
 //! * walks over an accepted CSR snapshot stay in range under every walk
 //!   strategy, and its adjacency and weight-table accessors answer
-//!   without panicking; a graph that `Graph::load_snapshot` accepts finds
-//!   every node by its label and walks in range the same way.
+//!   without panicking; a graph that `CsrGraph::load` accepts has dense
+//!   ids, symmetric rows between live nodes and no label repeated within
+//!   its family, and walks in range the same way.
 //!
 //! The vendored proptest shim does not shrink: a failing case prints its
 //! input (the seed) and each mutation (section, offset, old → new bytes).
@@ -32,15 +33,13 @@ use std::panic::AssertUnwindSafe;
 
 use proptest::prelude::*;
 
-use tdmatch_core::artifact::{MatchArtifact, PersistError};
+use tdmatch_core::artifact::{AnnSearch, MatchArtifact, PersistError};
 use tdmatch_core::serving::{Matcher, Query, QueryError};
 use tdmatch_embed::ann::HnswParams;
 use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
 use tdmatch_graph::codec::put_str;
 use tdmatch_graph::container::{Container, ContainerWriter, SectionTag, Storage};
-use tdmatch_graph::{
-    CorpusSide, CsrGraph, EdgeKind, EdgeTypeWeights, Graph, MetaKind, NodeId, NodeKind,
-};
+use tdmatch_graph::{CorpusSide, CsrGraph, EdgeKind, EdgeTypeWeights, Graph, MetaKind, NodeId};
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -372,7 +371,7 @@ fn walk_everything(csr: &CsrGraph) {
             let _ = (csr.has_edge(id, t), csr.edge_kind(id, t));
         }
     }
-    let _ = (csr.metadata_nodes(None), csr.nodes().count());
+    let _ = csr.nodes().count();
     let cum = csr.edge_type_cum(&EdgeTypeWeights::uniform().with(EdgeKind::External, 2.0));
     for id in (0..bound as u32).map(NodeId) {
         let _ = csr.cum_slice(&cum, id);
@@ -399,27 +398,35 @@ fn walk_everything(csr: &CsrGraph) {
     }
 }
 
-/// A graph `Graph::load_snapshot` accepted: every node found again by
-/// its label, every neighbour in range, then the walks of
-/// [`walk_everything`] over its frozen snapshot.
-fn use_everything(g: &Graph) {
-    for n in g.nodes() {
-        let label = g.label(n);
-        let found = match g.kind(n) {
-            NodeKind::Meta { .. } => g.meta_node(label),
-            _ => g.data_node(label),
-        };
-        assert_eq!(found, Some(n), "label {label:?}");
-        assert!(g.neighbors(n).iter().all(|m| m.index() < g.id_bound()));
+/// A graph `CsrGraph::load` accepted: dense ids, one label per live
+/// node and none repeated among the terms or among the metadata, every
+/// edge between live nodes and entered from both ends, then the walks of
+/// [`walk_everything`].
+fn use_everything(g: &CsrGraph) {
+    assert_eq!(g.id_bound(), g.node_count(), "loaded ids are dense");
+    let mut seen = std::collections::HashSet::new();
+    for (n, label) in g.labels() {
+        let family = g.kind(n).is_metadata();
+        assert!(
+            seen.insert((family, label.to_string())),
+            "label {label:?} repeated"
+        );
+        for &m in g.neighbors(n) {
+            assert!(m.index() < g.id_bound() && m != n, "{n} lists {m}");
+            assert!(
+                g.neighbors(m).contains(&n),
+                "{n} lists {m}, not the reverse"
+            );
+        }
     }
-    walk_everything(&CsrGraph::from_graph(g));
+    walk_everything(g);
 }
 
-/// The bytes of `fixture_graph()` saved with `Graph::save_snapshot`: the
-/// `CsrGraph` sections plus the `GLBL` label section.
+/// The bytes of `fixture_graph()` saved with `CsrGraph::save`: the CSR
+/// sections plus the `GLBL` label section.
 fn saved_fixture_graph() -> Vec<u8> {
     let path = std::env::temp_dir().join(format!("tdmatch-mutation-{}.tdz", std::process::id()));
-    fixture_graph().save_snapshot(&path).unwrap();
+    CsrGraph::from_graph(&fixture_graph()).save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
@@ -429,9 +436,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
     /// Whatever a re-stamped mutation of a saved graph gets past the
-    /// validators walks in range, read as a frozen snapshot
-    /// (`CsrGraph::from_sections`) and as a mutable graph
-    /// (`Graph::load_snapshot`).
+    /// validators walks in range, read as zero-copy sections
+    /// (`CsrGraph::from_sections`) and loaded for a resumed fit
+    /// (`CsrGraph::load`).
     #[test]
     fn an_accepted_saved_graph_walks_in_range(seed in 0u64..u64::MAX) {
         let base = sections(&saved_fixture_graph());
@@ -448,7 +455,7 @@ proptest! {
             .join(format!("tdmatch-mutation-{}-{seed}.tdz", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         checked(&what, || {
-            if let Ok(g) = Graph::load_snapshot(&path) {
+            if let Ok(g) = CsrGraph::load(&path) {
                 use_everything(&g);
             }
         });
@@ -491,6 +498,79 @@ fn nan_target_rows_answer_every_query() {
     }
     let artifact = load(&restamp(&spliced)).expect("no validator reads the row values");
     answer_everything(artifact);
+}
+
+/// What the score-matrix validator accepts by design. It checks shapes
+/// and the validity bitmap, never a row's values, so that a mapped open
+/// stays O(1) in the matrix size: NaN and ±inf in present rows load, and
+/// so do any bytes in a missing row. Such an artifact loads from a mapped
+/// file and from heap bytes alike, every ranking repeats bit for bit and
+/// is the same from either storage, and the missing row's bytes are never
+/// read: it stays out of every top 5, and where a ranking reaches it, it
+/// scores exactly -1.
+#[test]
+fn non_finite_rows_and_junk_in_a_missing_row_load_and_rank_the_same_everywhere() {
+    let mut spliced = sections(&artifact_bytes(&fixture_artifact()));
+    let (_, data) = spliced.iter_mut().find(|(tag, _)| tag == b"SMD\0").unwrap();
+    let mut put = |row: usize, col: usize, value: f32| {
+        data[(row * DIM + col) * 4..][..4].copy_from_slice(&value.to_le_bytes());
+    };
+    put(0, 0, f32::NAN);
+    put(8, 1, f32::INFINITY);
+    put(32, 2, f32::NEG_INFINITY);
+    // Target 3 is missing (every seventh, from 3).
+    const MISSING: usize = 3;
+    for (col, junk) in [7.5, f32::NAN, f32::INFINITY, -2.0, 1e30, 0.25]
+        .into_iter()
+        .enumerate()
+    {
+        put(MISSING, col, junk);
+    }
+    let bytes = restamp(&spliced);
+    let heap = load(&bytes).expect("no validator reads the row values");
+    assert!(!heap.first_matrix().is_valid(MISSING));
+    let path = std::env::temp_dir().join(format!(
+        "tdmatch-mutation-non-finite-{}.tdm",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = MatchArtifact::load(&path);
+    std::fs::remove_file(&path).ok();
+    let mapped = mapped.expect("a mapped open reads no row values either");
+
+    let ranked = |artifact: &MatchArtifact, k: usize, ann: Option<AnnSearch>| {
+        let (results, _) = artifact.rank(artifact.second_matrix(), k, ann);
+        results
+            .iter()
+            .map(|r| {
+                r.ranked
+                    .iter()
+                    .map(|&(t, s)| (t, s.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    for ann in [None, Some(AnnSearch { pool: 8, ef: 16 })] {
+        for k in [5, TARGETS] {
+            let first = ranked(&heap, k, ann);
+            assert_eq!(
+                first,
+                ranked(&heap, k, ann),
+                "k {k}, {ann:?}: a ranking changed"
+            );
+            assert_eq!(
+                first,
+                ranked(&mapped, k, ann),
+                "k {k}, {ann:?}: mapped ≠ heap"
+            );
+            for &(t, score) in first.iter().flatten() {
+                if t == MISSING {
+                    assert_eq!(k, TARGETS, "the missing row reached a top {k}, {ann:?}");
+                    assert_eq!(score, (-1.0f32).to_bits(), "the missing row was scored");
+                }
+            }
+        }
+    }
 }
 
 /// Regression: an index linking rows the matrix marks missing used to

@@ -565,11 +565,26 @@ impl QueryBlock {
     }
 }
 
-/// `(score, index)` entry ordering: `a` strictly better than `b`.
-/// IEEE `==`/`<` comparisons keep `-0.0 == 0.0` ties index-broken.
+/// `(score key, index)` entry ordering: `a` strictly better than `b`.
 #[inline]
-fn better(a: (f32, u32), b: (f32, u32)) -> bool {
+fn better(a: (i32, u32), b: (i32, u32)) -> bool {
     a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// A score as an integer in IEEE `totalOrder`, `-0.0` made `0.0` first:
+/// the IEEE order on numbers, ties included, and a NaN (only a non-finite
+/// stored row scores one) above them all, or below if its sign bit is
+/// set. Compared as a float, a NaN at the heap's root refused every score.
+#[inline]
+fn score_key(score: f32) -> i32 {
+    let bits = (score + 0.0).to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The score of a [`score_key`] (the map is its own inverse).
+#[inline]
+fn key_score(key: i32) -> f32 {
+    f32::from_bits((key ^ (((key >> 31) as u32) >> 1) as i32) as u32)
 }
 
 /// A bounded top-k accumulator: a binary max-heap *on badness*, so the
@@ -580,8 +595,8 @@ fn better(a: (f32, u32), b: (f32, u32)) -> bool {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    /// `heap[0]` is the worst kept `(score, index)` entry.
-    heap: Vec<(f32, u32)>,
+    /// `heap[0]` is the worst kept `(score key, index)` entry.
+    heap: Vec<(i32, u32)>,
 }
 
 impl TopK {
@@ -615,8 +630,7 @@ impl TopK {
     /// like the sort-based path did.
     #[inline]
     pub fn push(&mut self, idx: usize, score: f32) {
-        // `+ 0.0` canonicalizes -0.0 so tie-breaks match IEEE equality.
-        let entry = (score + 0.0, idx as u32);
+        let entry = (score_key(score), idx as u32);
         if self.heap.len() < self.k {
             self.heap.push(entry);
             self.sift_up(self.heap.len() - 1);
@@ -660,18 +674,14 @@ impl TopK {
     }
 
     /// Empties the accumulator into a ranked `(index, score)` list:
-    /// decreasing score, ties by ascending index. Scores compare by
-    /// `total_cmp`, the IEEE order on every number here (`push` turned
-    /// -0.0 into 0.0) that also places a NaN, which only a non-finite
-    /// stored row produces, above them all.
+    /// decreasing score as [`score_key`] orders it, ties by ascending
+    /// index.
     pub fn drain_sorted(&mut self) -> Vec<(usize, f32)> {
-        let mut out: Vec<(usize, f32)> = self
-            .heap
+        self.heap.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        self.heap
             .drain(..)
-            .map(|(s, i)| (i as usize, s))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
+            .map(|(key, i)| (i as usize, key_score(key)))
+            .collect()
     }
 }
 
@@ -927,6 +937,20 @@ mod tests {
         assert_eq!(top.drain_sorted(), vec![(0, 0.0), (1, 0.0)]);
     }
 
+    /// Regression: a NaN kept first compared false against every later
+    /// score, so at the heap's root it refused them all, and the ranking
+    /// kept whatever came before it.
+    #[test]
+    fn a_nan_at_the_root_does_not_refuse_later_scores() {
+        let mut top = TopK::new(3);
+        for (i, s) in [(0, f32::NAN), (1, 0.1), (2, 0.2), (3, 0.9), (4, 0.5), (5, -f32::NAN)] {
+            top.push(i, s);
+        }
+        let ranked = top.drain_sorted();
+        assert!(ranked[0].0 == 0 && ranked[0].1.is_nan());
+        assert_eq!(ranked[1..], [(3, 0.9), (4, 0.5)]);
+    }
+
     #[test]
     fn select_top_k_equals_sort_truncate() {
         let scores: Vec<(usize, f32)> =
@@ -943,7 +967,7 @@ mod tests {
 
     /// Regression: a NaN score — a non-finite row in a CRC-valid file —
     /// made the final sort's comparator inconsistent, and the sort
-    /// panicked. NaN now ranks by `total_cmp`, above every number.
+    /// panicked. NaN now ranks above every number.
     #[test]
     fn nan_scores_rank_without_panicking() {
         let scores: Vec<(usize, f32)> = (0..40)

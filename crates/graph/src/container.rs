@@ -167,16 +167,6 @@ impl AlignedBytes {
         out
     }
 
-    /// Reads a whole stream into an aligned buffer (one intermediate
-    /// copy; prefer [`Storage::read_file`] for files, which reads
-    /// straight into the aligned buffer, or [`Storage::open`], which
-    /// maps the file without reading it at all).
-    pub fn from_reader<R: Read>(r: &mut R) -> std::io::Result<Self> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Ok(Self::from_bytes(&bytes))
-    }
-
     /// Mutable access, for filling the buffer before sharing it.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         // Safety: the Vec<u64> allocation covers `len` bytes, and u64 →
@@ -907,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_loads_from_reader_and_file() {
+    fn storage_reads_a_file_onto_the_heap() {
         let mut w = ContainerWriter::new();
         w.add_pod(tag(b"DATA"), &[42u64]);
         let bytes = w.finish();

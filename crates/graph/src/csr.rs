@@ -1,4 +1,5 @@
-//! Immutable compressed-sparse-row snapshot of a [`Graph`].
+//! The frozen graph: an immutable compressed-sparse-row form of a
+//! [`Graph`] plus its node labels.
 //!
 //! The walk generator reads adjacency hundreds of times per node
 //! (§IV-A / Alg. 4: 100 walks × length 30 from *every* node), which makes
@@ -24,31 +25,32 @@
 //! The property tests in `tests/csr_prop.rs` pin the snapshot to its
 //! source edge for edge.
 //!
-//! Lifecycle: mutate [`Graph`] (build → expand → merge → compress), then
+//! Lifecycle: mutate [`Graph`] (build → merge → expand → compress), then
 //! freeze once via [`CsrGraph::from_graph`] and run all read-heavy work
 //! (walk generation, embedding, [`GraphStats`](crate::stats::GraphStats))
-//! against the snapshot. The snapshot does not observe later mutations —
-//! re-freeze after further changes.
+//! against the frozen form. It does not observe later mutations. A fit
+//! drops the `Graph` at the freeze; nothing reads a finished graph
+//! through it.
 //!
 //! # Persistence
 //!
-//! Every array in the snapshot is flat and typed, so the snapshot
-//! serializes *as-is* into `TDZ1` container sections
-//! ([`write_sections`]) and loads back zero-copy ([`from_sections`]):
-//! the loaded arrays are views into the shared [`Storage`] buffer, and
-//! loading is one linear validation pass with no per-element copies.
-//! These sections are the body of a saved graph: a [`FrozenGraph`] (the
-//! snapshot plus its node labels, what a fitted model keeps) writes them
-//! plus one label section ([`SEC_GRAPH_LABELS`]) — the one writer, which
-//! [`Graph::save_snapshot`] calls after freezing — and
-//! [`Graph::load_snapshot`] rebuilds the mutable, label-indexed [`Graph`]
-//! from them (`tdmatch run --save-graph` / `tdmatch resume`).
+//! Every array is flat and typed, so the frozen graph serializes *as-is*
+//! into `TDZ1` container sections ([`write_sections`]: the CSR arrays
+//! plus the [`SEC_GRAPH_LABELS`] label section) and loads back zero-copy
+//! ([`from_sections`]): the loaded arrays are views into the shared
+//! [`Storage`] buffer, and loading is one linear validation pass with no
+//! per-element copies. [`save`] writes those sections as a saved graph
+//! (`tdmatch run --save-graph`), and [`load`] reads one back for a
+//! resumed fit (`tdmatch resume`), renumbering the live nodes densely.
 //!
 //! [`has_edge`]: CsrGraph::has_edge
 //! [`edge_type_cum`]: CsrGraph::edge_type_cum
 //! [`write_sections`]: CsrGraph::write_sections
 //! [`from_sections`]: CsrGraph::from_sections
+//! [`save`]: CsrGraph::save
+//! [`load`]: CsrGraph::load
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use crate::codec::{put_str, ByteReader, DecodeError};
@@ -74,9 +76,9 @@ pub const SEC_CSR_NODE_KINDS: SectionTag = *b"CNKD";
 /// Section: tombstone bitmap (`u64` words, bit `i` set ⇔ node `i` removed).
 pub const SEC_CSR_REMOVED: SectionTag = *b"CRMV";
 
-/// Section of a saved *graph* ([`FrozenGraph::save`]): the label of
-/// every live node in ascending id order, each a `u32` length followed by
-/// that many UTF-8 bytes. The count is the header's live-node count.
+/// Section: the label of every live node in ascending id order, each a
+/// `u32` length followed by that many UTF-8 bytes. The count is the
+/// header's live-node count.
 pub const SEC_GRAPH_LABELS: SectionTag = *b"GLBL";
 
 /// A [`NodeKind`] packed into one `u64` for flat, zero-copy storage:
@@ -176,14 +178,16 @@ fn edge_kinds_from_section(
     Ok(unsafe { FlatBuf::from_raw_shared(storage.clone(), ptr as *const EdgeKind, len) })
 }
 
-/// An immutable CSR view of a [`Graph`], sharing its node ids.
+/// A frozen graph: an immutable CSR view of a [`Graph`], sharing its
+/// node ids, plus the labels of its live nodes.
 ///
 /// Tombstoned nodes keep their id slot (with an empty adjacency range), so
 /// any table indexed by [`NodeId`] works unchanged against the snapshot.
 ///
 /// The flat arrays are [`FlatBuf`]s: owned when built by
-/// [`from_graph`](CsrGraph::from_graph), zero-copy views into container
-/// [`Storage`] when loaded by [`from_sections`](CsrGraph::from_sections).
+/// [`from_graph`](CsrGraph::from_graph) or [`load`](CsrGraph::load),
+/// zero-copy views into container [`Storage`] when read by
+/// [`from_sections`](CsrGraph::from_sections).
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `offsets[u] .. offsets[u + 1]` is node `u`'s range in `targets`,
@@ -203,12 +207,16 @@ pub struct CsrGraph {
     node_kinds: FlatBuf<PackedNodeKind>,
     /// Tombstone bitmap: bit `i` set ⇔ node `i` was removed.
     removed: FlatBuf<u64>,
+    /// The [`SEC_GRAPH_LABELS`] payload: each live node's label in
+    /// ascending id order, a `u32` length and that many UTF-8 bytes.
+    labels: FlatBuf<u8>,
     live_nodes: usize,
     edge_count: usize,
 }
 
 impl CsrGraph {
-    /// Freezes `g` into a CSR snapshot in one pass over its adjacency.
+    /// Freezes `g` in one pass over its adjacency, and encodes its live
+    /// nodes' labels.
     pub fn from_graph(g: &Graph) -> Self {
         let n = g.id_bound();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -235,13 +243,29 @@ impl CsrGraph {
                 removed[id.index() / 64] |= 1 << (id.index() % 64);
             }
         }
+        let mut labels = Vec::with_capacity(g.nodes().map(|n| 4 + g.label(n).len()).sum());
+        for id in g.nodes() {
+            put_str(&mut labels, g.label(id));
+        }
+        Self::from_rows(offsets, targets, kinds, node_kinds, removed, labels, g.edge_count())
+    }
 
-        // Sorted index: per-node (target, kind) pairs ordered by target.
+    /// Wraps owned rows and builds their sorted neighbor index: each
+    /// node's `(target, kind)` pairs ordered by target.
+    fn from_rows(
+        offsets: Vec<u32>,
+        targets: Vec<NodeId>,
+        kinds: Vec<EdgeKind>,
+        node_kinds: Vec<PackedNodeKind>,
+        removed: Vec<u64>,
+        labels: Vec<u8>,
+        edge_count: usize,
+    ) -> Self {
         let mut sorted_targets = targets.clone();
         let mut sorted_kinds = kinds.clone();
         let mut pairs: Vec<(NodeId, EdgeKind)> = Vec::new();
-        for u in 0..n {
-            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+        for w in offsets.windows(2) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
             pairs.clear();
             pairs.extend(targets[lo..hi].iter().copied().zip(kinds[lo..hi].iter().copied()));
             pairs.sort_unstable_by_key(|&(t, _)| t);
@@ -250,8 +274,9 @@ impl CsrGraph {
                 sorted_kinds[lo + i] = k;
             }
         }
-
+        let removed_count: usize = removed.iter().map(|w| w.count_ones() as usize).sum();
         Self {
+            live_nodes: node_kinds.len() - removed_count,
             offsets: offsets.into(),
             targets: targets.into(),
             kinds: kinds.into(),
@@ -259,8 +284,8 @@ impl CsrGraph {
             sorted_kinds: sorted_kinds.into(),
             node_kinds: node_kinds.into(),
             removed: removed.into(),
-            live_nodes: g.node_count(),
-            edge_count: g.edge_count(),
+            labels: labels.into(),
+            edge_count,
         }
     }
 
@@ -353,17 +378,6 @@ impl CsrGraph {
             .map(|pos| self.sorted_kinds[lo + pos])
     }
 
-    /// All live metadata nodes, optionally restricted to one corpus side
-    /// (mirrors [`Graph::metadata_nodes`]).
-    pub fn metadata_nodes(&self, side: Option<CorpusSide>) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|&id| {
-                let k = self.kind(id);
-                k.is_metadata() && (side.is_none() || k.side() == side)
-            })
-            .collect()
-    }
-
     /// Counts undirected edges per [`EdgeKind`], indexed by
     /// [`EdgeKind::index`]: each edge once, from its smaller endpoint.
     pub fn edge_kind_histogram(&self) -> [usize; EdgeKind::ALL.len()] {
@@ -406,9 +420,10 @@ impl CsrGraph {
         &cum.cum[lo..hi]
     }
 
-    /// Serializes the snapshot's flat arrays as `TDZ1` container
-    /// sections. The large arrays are *borrowed* by the writer — saving
-    /// streams them out without a second in-memory copy.
+    /// Serializes the frozen graph as `TDZ1` container sections: the CSR
+    /// arrays, then the [`SEC_GRAPH_LABELS`] labels. The large arrays are
+    /// *borrowed* by the writer — saving streams them out without a
+    /// second in-memory copy.
     pub fn write_sections<'a>(&'a self, w: &mut ContainerWriter<'a>) {
         w.add(
             SEC_CSR_HEADER,
@@ -425,17 +440,18 @@ impl CsrGraph {
         w.add(SEC_CSR_SORTED_KINDS, edge_kinds_as_bytes(&self.sorted_kinds));
         w.add_pod(SEC_CSR_NODE_KINDS, &self.node_kinds);
         w.add_pod(SEC_CSR_REMOVED, &self.removed);
+        w.add(SEC_GRAPH_LABELS, &self.labels[..]);
     }
 
-    /// Reassembles a snapshot from container sections, zero-copy: every
-    /// array is a validated view into `storage`'s buffer. `container`
-    /// must have been parsed from the same storage
+    /// Reassembles a frozen graph from container sections, zero-copy:
+    /// every array is a validated view into `storage`'s buffer.
+    /// `container` must have been parsed from the same storage
     /// (`storage.container()`).
     ///
     /// Validation is one O(V + E) pass (monotone offsets, in-range
     /// target ids, per-node sortedness of the sorted index, legal kind
     /// tags, bitmap consistency) so that later indexing is panic-free on
-    /// any input that parses.
+    /// any input that parses, then [`check_labels`](Self::check_labels).
     pub fn from_sections(
         storage: &Storage,
         container: &Container<'_>,
@@ -518,7 +534,10 @@ impl CsrGraph {
             return Err(DecodeError::Invalid("CSR live node count mismatch"));
         }
 
-        Ok(Self {
+        let labels = container
+            .section(SEC_GRAPH_LABELS)
+            .ok_or(DecodeError::Invalid("snapshot has no graph label section"))?;
+        let graph = Self {
             offsets,
             targets,
             kinds,
@@ -526,149 +545,138 @@ impl CsrGraph {
             sorted_kinds,
             node_kinds,
             removed,
+            labels: FlatBuf::<u8>::from_section(storage, labels)?,
             live_nodes: live_nodes as usize,
             edge_count: usize::try_from(edge_count).map_err(|_| DecodeError::Corrupt)?,
-        })
+        };
+        graph.check_labels()?;
+        Ok(graph)
     }
-}
 
-/// A frozen graph with its labels: the [`CsrGraph`] plus the
-/// [`SEC_GRAPH_LABELS`] payload, which is what a saved graph file holds
-/// ([`save`](FrozenGraph::save)). A fit keeps this, not the mutable
-/// [`Graph`], once walks begin; it reads as its [`CsrGraph`] (`Deref`).
-#[derive(Debug)]
-pub struct FrozenGraph {
-    csr: CsrGraph,
-    /// The label of every live node in ascending id order, each a `u32`
-    /// length and that many UTF-8 bytes.
-    labels: Vec<u8>,
-}
-
-impl FrozenGraph {
-    /// Freezes `g` and encodes its live nodes' labels.
-    pub fn freeze(g: &Graph) -> Self {
-        let mut labels = Vec::with_capacity(g.nodes().map(|n| 4 + g.label(n).len()).sum());
-        for n in g.nodes() {
-            put_str(&mut labels, g.label(n));
+    /// One label per live node, valid UTF-8, nothing after the last, and
+    /// none repeated within its family: the data and external nodes share
+    /// one label space (a term is one node), the metadata nodes another.
+    fn check_labels(&self) -> Result<(), DecodeError> {
+        let mut reader = ByteReader::new(&self.labels, 0);
+        let (mut terms, mut metadata) = (HashSet::new(), HashSet::new());
+        for n in self.nodes() {
+            // The section passed its CRC, so running out of bytes here is
+            // a structural fault of the file, not bit rot.
+            let label = reader.str().map_err(|e| match e {
+                DecodeError::Corrupt => DecodeError::Invalid("fewer labels than live nodes"),
+                other => other,
+            })?;
+            let family = if self.kind(n).is_metadata() { &mut metadata } else { &mut terms };
+            if !family.insert(label) {
+                return Err(DecodeError::Invalid("duplicate node label"));
+            }
         }
-        Self {
-            csr: CsrGraph::from_graph(g),
-            labels,
+        if reader.remaining() != 0 {
+            return Err(DecodeError::Invalid("trailing bytes in graph label section"));
         }
+        Ok(())
     }
 
     /// Live nodes with their labels, in ascending id order.
     pub fn labels(&self) -> impl Iterator<Item = (NodeId, &str)> + '_ {
         let mut reader = ByteReader::new(&self.labels, 0);
-        self.csr.nodes().map(move |n| {
-            let label = reader
-                .str()
-                .expect("`freeze` encoded a label per live node");
-            (n, label)
-        })
+        self.nodes()
+            .map(move |n| (n, reader.str().expect("a frozen graph holds a label per live node")))
     }
 
-    /// Saves the snapshot — labels included — so a later process can
-    /// resume training from it (`tdmatch run --save-graph` / `tdmatch
-    /// resume`, through [`Graph::load_snapshot`]): the [`CsrGraph`]
-    /// sections plus [`SEC_GRAPH_LABELS`], in one `TDZ1` container
-    /// published crash-safely
-    /// ([`publish_atomic`](crate::publish::publish_atomic)).
+    /// Saves the frozen graph, labels included, as one `TDZ1` container
+    /// ([`write_sections`](CsrGraph::write_sections)) published
+    /// crash-safely: what `tdmatch run --save-graph` writes.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
         let mut w = ContainerWriter::new();
-        self.csr.write_sections(&mut w);
-        w.add(SEC_GRAPH_LABELS, &self.labels[..]);
+        self.write_sections(&mut w);
         crate::publish::publish_atomic(path.as_ref(), |f| w.write_to(f))
     }
-}
 
-impl std::ops::Deref for FrozenGraph {
-    type Target = CsrGraph;
-
-    fn deref(&self) -> &CsrGraph {
-        &self.csr
-    }
-}
-
-impl Graph {
-    /// Saves the graph: [`FrozenGraph::freeze`], then
-    /// [`FrozenGraph::save`].
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), DecodeError> {
-        FrozenGraph::freeze(self).save(path)
-    }
-
-    /// Loads a graph saved by [`save_snapshot`](Graph::save_snapshot).
+    /// Loads a graph saved by [`save`](CsrGraph::save) for a resumed fit:
+    /// [`from_sections`](CsrGraph::from_sections), then the live nodes
+    /// renumbered densely into owned arrays. Live node `i` becomes node
+    /// `i`, with its kind and label. Only each node's entries to higher
+    /// ids are read as edges, and node `x`'s row becomes its lower
+    /// neighbours in ascending order, each with the kind from that
+    /// neighbour's row, then its upper neighbours in its saved order: a
+    /// function of the file alone, so a resumed fit repeats bit for bit.
     ///
-    /// Node ids are *not* preserved: tombstones are skipped and live
-    /// nodes are renumbered densely, in ascending id order; every
-    /// label-based lookup (`data_node`, `meta_node`) behaves as before
-    /// the save. The graph is rebuilt through the public mutators — live
-    /// nodes in ascending id order, then per node `a` its neighbours `b`
-    /// with `a < b` in row order (the order of
-    /// [`edges_with_kinds`](Graph::edges_with_kinds) on the saved graph)
-    /// — so the result is a function of the saved graph alone, and a fit
-    /// resumed from it is reproducible bit for bit.
-    ///
-    /// Any file that fails [`CsrGraph::from_sections`], or whose label
-    /// section disagrees with the snapshot, is an error, never a panic.
-    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
+    /// Refused, besides what `from_sections` refuses: an entry to a
+    /// tombstone, and rows that are not the simple undirected graph the
+    /// read edges make — each node's degree must equal its saved row's
+    /// length, which a repeated entry (read once) or a self-loop (never
+    /// read) breaks, and the edge count the header's.
+    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, DecodeError> {
         let storage = Storage::open(path)?;
-        let container = storage.container()?;
-        let csr = CsrGraph::from_sections(&storage, &container)?;
-        let mut labels = container
-            .section(SEC_GRAPH_LABELS)
-            .ok_or(DecodeError::Invalid("snapshot has no graph label section"))?
-            .reader();
+        Self::from_sections(&storage, &storage.container()?)?.renumbered()
+    }
 
-        let mut g = Graph::with_capacity(csr.node_count());
-        let mut dense: Vec<Option<NodeId>> = vec![None; csr.id_bound()];
-        // The i-th live node becomes node i.
-        for (i, old) in csr.nodes().enumerate() {
-            // The section passed its CRC, so running out of bytes here is
-            // a structural fault of the file, not bit rot.
-            let label = labels.str().map_err(|e| match e {
-                DecodeError::Corrupt => DecodeError::Invalid("fewer labels than live nodes"),
-                other => other,
-            })?;
-            let expected = NodeId(i as u32);
-            let new = match csr.kind(old) {
-                NodeKind::Data => g.intern_data(label),
-                NodeKind::External => g.intern_external(label),
-                NodeKind::Meta { side, kind, index } => g.add_meta(label, side, kind, index),
-            };
-            // The interning mutators hand back the existing node for a
-            // label they already hold.
-            if new != expected {
-                return Err(DecodeError::Invalid("duplicate node label"));
-            }
-            dense[old.index()] = Some(new);
+    /// The dense renumbering of [`load`](CsrGraph::load).
+    fn renumbered(&self) -> Result<Self, DecodeError> {
+        let live: Vec<NodeId> = self.nodes().collect();
+        let n = live.len();
+        let mut dense = vec![u32::MAX; self.id_bound()];
+        for (i, &old) in live.iter().enumerate() {
+            dense[old.index()] = i as u32;
         }
-        if labels.remaining() != 0 {
-            return Err(DecodeError::Invalid("trailing bytes in graph label section"));
-        }
-
-        for (i, a) in csr.nodes().enumerate() {
-            let na = NodeId(i as u32);
-            for (&b, &kind) in csr.neighbors(a).iter().zip(csr.neighbor_kinds(a)) {
-                if a < b {
-                    let nb = dense[b.index()]
-                        .ok_or(DecodeError::Invalid("edge references a removed node"))?;
-                    g.add_edge_typed(na, nb, kind);
+        // The edges in the order they are met: live nodes in id order,
+        // each one's entries to higher ids in row order. An edge `{a, b}`
+        // is only met in `a`'s row, so `entered[b] == a` marks a repeat.
+        let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        let mut entered = vec![u32::MAX; n];
+        for (a, &old) in live.iter().enumerate() {
+            for (&b, &kind) in self.neighbors(old).iter().zip(self.neighbor_kinds(old)) {
+                if old < b {
+                    let b = dense[b.index()];
+                    if b == u32::MAX {
+                        return Err(DecodeError::Invalid("edge references a removed node"));
+                    }
+                    if entered[b as usize] != a as u32 {
+                        entered[b as usize] = a as u32;
+                        edges.push((a as u32, b, kind));
+                    }
                 }
             }
         }
-        // `add_edge_typed` drops self-loops and duplicates, and only the
-        // `a < b` half of each row was replayed: the degrees agree with
-        // the rows exactly when the rows describe a simple undirected
-        // graph, which is what a genuine snapshot holds.
-        let rows_agree = csr
-            .nodes()
-            .enumerate()
-            .all(|(i, a)| g.degree(NodeId(i as u32)) == csr.degree(a));
-        if !rows_agree || g.edge_count() != csr.edge_count() {
+        let mut degree = vec![0u32; n];
+        for &(a, b, _) in &edges {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
+        }
+        let rows_agree = live
+            .iter()
+            .zip(&degree)
+            .all(|(&old, &d)| d as usize == self.degree(old));
+        if !rows_agree || edges.len() != self.edge_count {
             return Err(DecodeError::Invalid("snapshot rows are not an undirected simple graph"));
         }
-        Ok(g)
+
+        // The degrees are the saved rows' lengths, which fit `u32`
+        // offsets. Placing the edges in the order they were met puts each
+        // node's lower neighbours first, in ascending order, then its own
+        // row's entries.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        for &d in &degree {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        let total = offsets[n] as usize;
+        let mut targets = vec![NodeId(0); total];
+        let mut kinds = vec![EdgeKind::Generic; total];
+        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
+        for &(a, b, kind) in &edges {
+            for (row, other) in [(a, b), (b, a)] {
+                let at = &mut cursor[row as usize];
+                targets[*at] = NodeId(other);
+                kinds[*at] = kind;
+                *at += 1;
+            }
+        }
+        let node_kinds = live.iter().map(|&old| self.node_kinds[old.index()]).collect();
+        let removed = vec![0u64; n.div_ceil(64)];
+        let labels = self.labels.to_vec();
+        Ok(Self::from_rows(offsets, targets, kinds, node_kinds, removed, labels, edges.len()))
     }
 }
 
@@ -735,22 +743,6 @@ mod tests {
         assert!(!csr.has_edge(a, b));
         assert!(csr.nodes().all(|n| n != b));
         assert_eq!(csr.degree(d), 1);
-    }
-
-    #[test]
-    fn metadata_queries_match_source() {
-        let mut g = Graph::new();
-        let t = g.add_meta("t1", CorpusSide::First, MetaKind::Tuple, 0);
-        let p = g.add_meta("p1", CorpusSide::Second, MetaKind::TextDoc, 0);
-        let term = g.intern_data("term");
-        g.add_edge(t, term);
-        g.add_edge(p, term);
-        let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.metadata_nodes(None), g.metadata_nodes(None));
-        assert_eq!(
-            csr.metadata_nodes(Some(CorpusSide::First)),
-            g.metadata_nodes(Some(CorpusSide::First))
-        );
     }
 
     #[test]
@@ -821,6 +813,7 @@ mod tests {
             assert_eq!(a.neighbors(id), b.neighbors(id));
             assert_eq!(a.neighbor_kinds(id), b.neighbor_kinds(id));
         }
+        assert!(a.labels().eq(b.labels()));
     }
 
     /// True when every array borrows container storage.
@@ -832,6 +825,7 @@ mod tests {
             && c.sorted_kinds.is_shared()
             && c.node_kinds.is_shared()
             && c.removed.is_shared()
+            && c.labels.is_shared()
     }
 
     #[test]
@@ -885,6 +879,7 @@ mod tests {
                 SEC_CSR_SORTED_KINDS,
                 SEC_CSR_NODE_KINDS,
                 SEC_CSR_REMOVED,
+                SEC_GRAPH_LABELS,
             ] {
                 w2.add(tag, valid.section(tag).unwrap().bytes().to_vec());
             }
@@ -922,47 +917,56 @@ mod tests {
         std::env::temp_dir().join(format!("tdmatch-graph-{name}-{}.tdz", std::process::id()))
     }
 
-    fn saved_bytes(g: &Graph, name: &str) -> Vec<u8> {
+    fn saved_bytes(g: &CsrGraph, name: &str) -> Vec<u8> {
         let path = temp(name);
-        g.save_snapshot(&path).unwrap();
+        g.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         bytes
     }
 
-    fn load_bytes(bytes: &[u8], name: &str) -> Result<Graph, DecodeError> {
+    fn load_bytes(bytes: &[u8], name: &str) -> Result<CsrGraph, DecodeError> {
         let path = temp(name);
         std::fs::write(&path, bytes).unwrap();
-        let loaded = Graph::load_snapshot(&path);
+        let loaded = CsrGraph::load(&path);
         std::fs::remove_file(&path).ok();
         loaded
     }
 
     #[test]
-    fn graph_snapshot_roundtrips_labels_kinds_and_drops_tombstones() {
+    fn a_saved_graph_loads_with_dense_ids_and_its_labels_kinds_and_edges() {
         let g = labelled();
-        let bytes = saved_bytes(&g, "roundtrip");
+        let bytes = saved_bytes(&CsrGraph::from_graph(&g), "roundtrip");
         assert_eq!(&bytes[..4], b"TDZ1");
         let h = load_bytes(&bytes, "roundtrip").unwrap();
         assert_eq!((h.node_count(), h.edge_count()), (g.node_count(), g.edge_count()));
         assert_eq!(h.id_bound(), h.node_count(), "loaded ids are dense");
-        assert!(h.data_node("ephemeral").is_none());
-        for n in g.nodes() {
-            let label = g.label(n);
-            let m = match g.kind(n) {
-                NodeKind::Meta { .. } => h.meta_node(label),
-                _ => h.data_node(label),
-            }
-            .unwrap_or_else(|| panic!("node {label} missing after the round-trip"));
-            assert_eq!(g.kind(n), h.kind(m), "kind of {label}");
-            assert_eq!(g.degree(n), h.degree(m), "degree of {label}");
+        // The i-th live node is node i, with its label and kind.
+        let live: Vec<NodeId> = g.nodes().collect();
+        let labels: Vec<(NodeId, &str)> = h.labels().collect();
+        assert_eq!(labels.len(), live.len());
+        for (i, (&old, &(new, label))) in live.iter().zip(&labels).enumerate() {
+            assert_eq!((new, label), (NodeId(i as u32), g.label(old)));
+            assert_eq!(h.kind(new), g.kind(old), "kind of {label}");
+            assert_eq!(h.degree(new), g.degree(old), "degree of {label}");
         }
-        // Dense ids are canonical: a second save of the loaded graph is
-        // byte-identical to a save of its own reload.
+        // "ephemeral" (id 2) was removed: "B:doc0" (3) became 2, and so
+        // on. "willis" (old 5, new 4) lists its lower neighbours in
+        // ascending order, each with the kind from that neighbour's row,
+        // then its upper neighbour "pulp fiction" (old 6).
+        let willis = NodeId(4);
+        assert_eq!(h.neighbors(willis), &[NodeId(0), NodeId(1), NodeId(2), NodeId(5)]);
+        assert_eq!(
+            h.neighbor_kinds(willis),
+            &[EdgeKind::Contains, EdgeKind::ColumnOf, EdgeKind::Contains, EdgeKind::External]
+        );
+        // Dense ids are canonical: the loaded graph saves to a file that
+        // loads back to itself.
         let again = saved_bytes(&h, "roundtrip");
         assert_eq!(again, saved_bytes(&load_bytes(&again, "roundtrip").unwrap(), "roundtrip"));
         // An empty graph saves and loads too.
-        let empty = load_bytes(&saved_bytes(&Graph::new(), "roundtrip"), "roundtrip").unwrap();
+        let empty = saved_bytes(&CsrGraph::from_graph(&Graph::new()), "roundtrip");
+        let empty = load_bytes(&empty, "roundtrip").unwrap();
         assert_eq!((empty.node_count(), empty.edge_count()), (0, 0));
     }
 
@@ -970,24 +974,20 @@ mod tests {
     fn a_frozen_graph_keeps_the_live_labels_and_saves_without_its_source() {
         let g = labelled();
         let want: Vec<(NodeId, String)> = g.nodes().map(|n| (n, g.label(n).to_string())).collect();
-        let graph_bytes = saved_bytes(&g, "frozen");
-        let frozen = FrozenGraph::freeze(&g);
+        let frozen = CsrGraph::from_graph(&g);
         drop(g);
         let got: Vec<(NodeId, String)> =
             frozen.labels().map(|(n, label)| (n, label.to_string())).collect();
         assert_eq!(got, want);
-        let path = temp("frozen");
-        frozen.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(bytes, graph_bytes);
+        let bytes = saved_bytes(&frozen, "frozen");
+        assert_eq!(bytes, saved_bytes(&CsrGraph::from_graph(&labelled()), "frozen"));
     }
 
     #[test]
     fn saved_graph_opens_as_a_zero_copy_csr_snapshot() {
         let g = labelled();
         let path = temp("as-csr");
-        g.save_snapshot(&path).unwrap();
+        CsrGraph::from_graph(&g).save(&path).unwrap();
         let storage = Storage::open(&path).unwrap();
         let csr = CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
@@ -997,7 +997,7 @@ mod tests {
 
     #[test]
     fn every_truncation_and_bit_flip_of_a_saved_graph_is_an_error() {
-        let clean = saved_bytes(&labelled(), "damage");
+        let clean = saved_bytes(&CsrGraph::from_graph(&labelled()), "damage");
         for cut in 0..clean.len() {
             assert!(load_bytes(&clean[..cut], "damage").is_err(), "truncation at {cut}");
         }
@@ -1032,7 +1032,7 @@ mod tests {
 
     #[test]
     fn crc_valid_but_malformed_label_sections_are_invalid() {
-        let clean = saved_bytes(&labelled(), "labels");
+        let clean = saved_bytes(&CsrGraph::from_graph(&labelled()), "labels");
         let labels = {
             let storage = Storage::from_bytes(&clean);
             let container = storage.container().unwrap();
@@ -1061,10 +1061,28 @@ mod tests {
                 matches!(load_bytes(&bad, "labels"), Err(DecodeError::Invalid(_))),
                 "{what} was not rejected as Invalid"
             );
-            // The CSR half of the same file is untouched and still loads.
+            // The labels are part of the frozen graph: reading the
+            // sections refuses them too, though the CSR half is intact.
             let storage = Storage::from_bytes(&bad);
-            CsrGraph::from_sections(&storage, &storage.container().unwrap()).unwrap();
+            assert!(
+                CsrGraph::from_sections(&storage, &storage.container().unwrap()).is_err(),
+                "{what} was read"
+            );
         }
+        // A data label may repeat a metadata label ("audit" the term and
+        // "audit" the taxonomy node), and an external node is a term.
+        let mut g = Graph::new();
+        g.intern_data("audit");
+        g.add_meta("audit", CorpusSide::First, MetaKind::Taxonomy, 0);
+        g.intern_external("pulp");
+        let h = load_bytes(&saved_bytes(&CsrGraph::from_graph(&g), "labels"), "labels").unwrap();
+        assert!(h.labels().map(|(_, l)| l).eq(["audit", "audit", "pulp"]));
+        // …but a term and an external node may not share one.
+        let clean = saved_bytes(&CsrGraph::from_graph(&g), "labels");
+        let payload = [label(b"pulp"), label(b"audit"), label(b"pulp")].concat();
+        let bad = with_section(&clean, SEC_GRAPH_LABELS, Some(payload));
+        let refused = load_bytes(&bad, "labels");
+        assert!(matches!(refused, Err(DecodeError::Invalid("duplicate node label"))));
     }
 
     #[test]
@@ -1077,7 +1095,7 @@ mod tests {
         let c = g.intern_data("c");
         g.add_edge(a, b);
         g.add_edge(b, c);
-        let clean = saved_bytes(&g, "rows");
+        let clean = saved_bytes(&CsrGraph::from_graph(&g), "rows");
         let u32s = |v: &[u32]| crate::container::pod_bytes(v);
         // Rows: a → [b], b → [], c → [b]; one directed entry each way short.
         let mut bad = with_section(&clean, SEC_CSR_OFFSETS, Some(u32s(&[0, 1, 1, 2])));

@@ -287,19 +287,6 @@ impl Graph {
         })
     }
 
-    /// Iterates over live undirected edges with their kinds, each reported
-    /// once with `a < b`.
-    pub fn edges_with_kinds(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeKind)> + '_ {
-        self.nodes().flat_map(move |a| {
-            self.adj[a.index()]
-                .iter()
-                .copied()
-                .zip(self.akind[a.index()].iter().copied())
-                .filter(move |&(b, _)| a < b)
-                .map(move |(b, kind)| (a, b, kind))
-        })
-    }
-
     /// All live metadata nodes, optionally restricted to one corpus side.
     pub fn metadata_nodes(&self, side: Option<CorpusSide>) -> Vec<NodeId> {
         self.nodes()
@@ -623,21 +610,6 @@ mod tests {
         g.add_edge_typed(remove, m, EdgeKind::Contains);
         g.merge_nodes(keep, remove);
         assert_eq!(g.edge_kind(keep, m), Some(EdgeKind::Contains));
-    }
-
-    #[test]
-    fn edges_with_kinds_agree_with_edge_kind() {
-        let mut g = Graph::new();
-        let a = g.intern_data("a");
-        let b = g.intern_data("b");
-        let c = g.intern_data("c");
-        g.add_edge_typed(a, b, EdgeKind::Contains);
-        g.add_edge_typed(b, c, EdgeKind::Contains);
-        g.add_edge_typed(a, c, EdgeKind::External);
-        assert_eq!(g.edges_with_kinds().count(), g.edge_count());
-        for (x, y, kind) in g.edges_with_kinds() {
-            assert_eq!(g.edge_kind(x, y), Some(kind));
-        }
     }
 
     #[test]

@@ -9,26 +9,28 @@
 //!   and taxonomy nodes.
 //!
 //! This crate provides the graph itself ([`Graph`]), an immutable
-//! compressed-sparse-row snapshot for read-heavy phases ([`CsrGraph`]),
+//! compressed-sparse-row form with its node labels for read-heavy phases
+//! and persistence ([`CsrGraph`]),
 //! breadth-first search and all-shortest-path enumeration ([`traverse`]),
 //! and the biased transition sampling used by the walk generator
 //! ([`sample`]).
 //!
-//! # Snapshot lifecycle
+//! # Lifecycle
 //!
-//! The intended flow separates the *mutation* phase from the *read* phase:
+//! The flow separates the *mutation* phase from the *read* phase:
 //!
-//! 1. build the [`Graph`] (Alg. 1), then expand (Alg. 2), merge (§II-C)
+//! 1. build the [`Graph`] (Alg. 1), then merge (§II-C), expand (Alg. 2)
 //!    and/or compress (Alg. 3) it — all mutating operations;
-//! 2. freeze the result once with [`CsrGraph::from_graph`];
+//! 2. freeze the result once with [`CsrGraph::from_graph`], which also
+//!    encodes the live nodes' labels, and drop the `Graph`;
 //! 3. run all read-heavy work — random-walk generation, `has_edge`-heavy
-//!    biased walks, embedding training — against the snapshot.
+//!    biased walks, embedding training, [`GraphStats`] — against the
+//!    frozen graph.
 //!
-//! The snapshot is immutable: further `Graph` mutations require a fresh
-//! freeze. Walks and graph statistics ([`GraphStats`]) run over the
-//! snapshot only; it keeps the source graph's neighbor order, so walks
-//! are a function of the graph and the seed (see [`csr`]).
-
+//! The frozen graph is immutable, and nothing reads a finished graph
+//! through the mutable `Graph`: a saved graph loads straight into a
+//! [`CsrGraph`]. It keeps the source graph's neighbor order, so walks are
+//! a function of the graph and the seed (see [`csr`]).
 //!
 //! # Persistence
 //!
@@ -36,22 +38,18 @@
 //! section container shared by the whole workspace (byte-level spec:
 //! `docs/FORMAT.md` at the repository root). Anything else — the retired
 //! `TDM1` / `TDG1` magics included — is [`DecodeError::BadMagic`]. A
-//! frozen [`CsrGraph`] serializes its flat arrays straight into
-//! it ([`CsrGraph::write_sections`]) and a warm start maps them back
+//! frozen [`CsrGraph`] serializes its flat arrays and its label section
+//! straight into it ([`CsrGraph::write_sections`]), and maps them back
 //! without rebuilding ([`CsrGraph::from_sections`]). Serving processes
-//! open snapshots through [`container::Storage::open`], which
-//! memory-maps the file ([`mmap`]) so N processes share one physical
-//! copy through the OS page cache; [`container::Storage::container`]
-//! then checks every CRC, once per load. A saved graph — labels
-//! included, for resuming training after an expensive expansion — is a
-//! [`FrozenGraph`]: the sections of a [`CsrGraph`] plus one label
-//! section, written by [`FrozenGraph::save`] (a fitted model keeps the
-//! `FrozenGraph`, not the mutable [`Graph`]; [`Graph::save_snapshot`]
-//! freezes, then calls it) and read back into a mutable [`Graph`] by
-//! [`Graph::load_snapshot`]. Snapshot files are published crash-safely via
-//! [`publish::publish_atomic`] (same-directory temp file, fsync,
-//! rename): a writer killed mid-save can never leave a torn file at a
-//! published path.
+//! open files through [`container::Storage::open`], which memory-maps
+//! the file ([`mmap`]) so N processes share one physical copy through
+//! the OS page cache; [`container::Storage::container`] then checks
+//! every CRC, once per load. A saved graph — for resuming training after
+//! an expensive expansion — is written by [`CsrGraph::save`] and read
+//! back by [`CsrGraph::load`], which renumbers the live nodes densely.
+//! Files are published crash-safely via [`publish::publish_atomic`]
+//! (same-directory temp file, fsync, rename): a writer killed mid-save
+//! can never leave a torn file at a published path.
 
 pub mod codec;
 pub mod container;
@@ -67,7 +65,7 @@ pub mod traverse;
 
 pub use codec::DecodeError;
 pub use container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
-pub use csr::{CsrGraph, EdgeTypeCum, FrozenGraph};
+pub use csr::{CsrGraph, EdgeTypeCum};
 pub use edge::{EdgeKind, EdgeTypeWeights};
 pub use graph::Graph;
 pub use node::{CorpusSide, MetaKind, NodeId, NodeKind};

@@ -58,6 +58,5 @@ proptest! {
                 prop_assert_eq!(csr.edge_kind(a, b), g.edge_kind(a, b));
             }
         }
-        prop_assert_eq!(csr.metadata_nodes(None), g.metadata_nodes(None));
     }
 }

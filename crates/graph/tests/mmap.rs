@@ -24,7 +24,7 @@ fn sample_graph() -> Graph {
 /// Saves the sample graph to `name` and returns the path.
 fn saved_sample(name: &str) -> std::path::PathBuf {
     let path = temp_path(name);
-    sample_graph().save_snapshot(&path).unwrap();
+    CsrGraph::from_graph(&sample_graph()).save(&path).unwrap();
     path
 }
 
@@ -111,7 +111,7 @@ fn mapping_unmaps_only_after_the_last_view_drops() {
 
 /// Readers ignore unknown tags, but their CRCs still count: a corrupt
 /// byte in a section no loader reads fails the parse on mapped and heap
-/// storage alike, and so fails `Graph::load_snapshot`.
+/// storage alike, and so fails `CsrGraph::load`.
 #[test]
 fn a_corrupt_unknown_section_fails_every_load() {
     let path = saved_sample("tdmatch-mmap-unknown");
@@ -133,7 +133,7 @@ fn a_corrupt_unknown_section_fails_every_load() {
     let offset = last as usize - bytes.as_ptr() as usize;
     std::fs::write(&path, &bytes).unwrap();
     // Unmodified, the extra section is ignored.
-    Graph::load_snapshot(&path).unwrap();
+    CsrGraph::load(&path).unwrap();
 
     bytes[offset + 50] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
@@ -143,10 +143,7 @@ fn a_corrupt_unknown_section_fails_every_load() {
     assert!(matches!(mapped.container(), Err(DecodeError::Corrupt)));
     let heap = Storage::read_file(&path).unwrap();
     assert!(matches!(heap.container(), Err(DecodeError::Corrupt)));
-    assert!(matches!(
-        Graph::load_snapshot(&path),
-        Err(DecodeError::Corrupt)
-    ));
+    assert!(matches!(CsrGraph::load(&path), Err(DecodeError::Corrupt)));
     std::fs::remove_file(&path).ok();
 }
 

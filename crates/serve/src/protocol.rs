@@ -355,41 +355,21 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Reads one frame's payload. `Ok(None)` is a clean end-of-stream (the
-/// peer closed between frames); ending *inside* a frame is
-/// [`FrameError::Truncated`].
+/// Reads one frame's payload from a blocking reader: a fresh
+/// [`FrameReader`]'s [`next`](FrameReader::next). `Ok(None)` is a clean
+/// end-of-stream (the peer closed between frames); ending *inside* a
+/// frame is [`FrameError::Truncated`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 || len > MAX_FRAME {
-        return Err(FrameError::Oversized { len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
-    Ok(Some(payload))
+    FrameReader::new().next(r)
 }
 
 /// A *resumable* frame decoder for sockets with read deadlines.
 ///
-/// [`read_frame`] assumes a blocking reader: a timeout mid-prefix would
-/// lose the bytes already consumed and desynchronize the stream.
-/// `FrameReader` keeps the partial state across calls instead, so a
+/// Each frame is a little-endian `u32` length in `1..=MAX_FRAME`, then
+/// that many payload bytes. [`read_frame`] reads one with a fresh
+/// decoder, which suits a blocking reader: a timeout mid-prefix would
+/// lose the bytes already consumed and desynchronize the stream. A kept
+/// `FrameReader` holds the partial state across calls instead, so a
 /// server can read with `SO_RCVTIMEO` armed and distinguish the two
 /// timeout cases:
 ///
@@ -401,7 +381,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
 /// A successful [`next`](FrameReader::next) resets the state for the
 /// following frame. Timeouts surface as [`FrameError::Io`] with kind
 /// `WouldBlock` or `TimedOut` (platforms differ); every other error is
-/// terminal exactly as with [`read_frame`].
+/// terminal.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     prefix: [u8; 4],
@@ -422,10 +402,12 @@ impl FrameReader {
         self.prefix_got > 0
     }
 
-    /// Reads (or resumes reading) one frame. Same contract as
-    /// [`read_frame`], except that `WouldBlock`/`TimedOut` I/O errors
-    /// leave the decoder resumable: call `next` again to continue the
-    /// same frame.
+    /// Reads (or resumes reading) one frame. `Ok(None)` is a clean
+    /// end-of-stream (at a frame boundary), an end inside a frame is
+    /// [`FrameError::Truncated`], and a length of 0 or over
+    /// [`MAX_FRAME`] is [`FrameError::Oversized`]. `WouldBlock`/`TimedOut`
+    /// I/O errors leave the decoder resumable: call `next` again to
+    /// continue the same frame.
     pub fn next<R: Read>(&mut self, r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
         self.next_with(r, || {})
     }
@@ -1396,18 +1378,47 @@ mod tests {
         }
     }
 
+    /// The oracle: the framing rule walked over the whole buffer by its
+    /// length prefixes, with no reader. Each frame is a little-endian
+    /// length in `1..=MAX_FRAME` and that many bytes; the buffer ending at
+    /// a frame boundary is a clean end, ending anywhere else a truncation.
+    fn frames_by_prefix(stream: &[u8]) -> (Vec<Vec<u8>>, Option<String>) {
+        let mut frames = Vec::new();
+        let mut rest = stream;
+        let end = loop {
+            if rest.is_empty() {
+                break None;
+            }
+            let Some((prefix, after)) = rest.split_first_chunk::<4>() else {
+                break Some(FrameError::Truncated);
+            };
+            let len = u32::from_le_bytes(*prefix);
+            if len == 0 || len > MAX_FRAME {
+                break Some(FrameError::Oversized { len });
+            }
+            let Some((payload, after)) = after.split_at_checked(len as usize) else {
+                break Some(FrameError::Truncated);
+            };
+            frames.push(payload.to_vec());
+            rest = after;
+        };
+        (frames, end.map(|e| format!("{e:?}")))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
 
-        /// `FrameReader` fed a hostile stream in random pieces, with
-        /// timeouts between them, reads exactly what `read_frame` reads
-        /// off the whole stream: the same frames, then the same clean end
-        /// or the same error. Its frame-start hook fires once per frame
-        /// begun — every frame read, plus the one an error cut short.
+        /// A hostile stream reads as its length prefixes say, whether
+        /// `read_frame` takes it whole or a `FrameReader` is fed it in
+        /// random pieces with timeouts between them: the same frames,
+        /// then the same clean end or the same error. The reader's
+        /// frame-start hook fires once per frame begun — every frame
+        /// read, plus the one an error cut short.
         #[test]
-        fn a_chunked_frame_reader_reads_like_read_frame(seed in 0u64..u64::MAX) {
+        fn frame_readers_read_what_the_length_prefixes_say(seed in 0u64..u64::MAX) {
             let rng = &mut TestRng::new(seed);
             let stream = hostile_stream(rng);
+            let want = frames_by_prefix(&stream);
             let mut rest = &stream[..];
             let whole = frames_until_end(|| read_frame(&mut rest));
             let mut chunked = Chunked::new(rng, &stream);
@@ -1420,7 +1431,8 @@ mod tests {
                 }
             });
             let shown = || format!("seed {seed}, stream {:?}", &stream[..stream.len().min(64)]);
-            proptest::prop_assert_eq!(&resumed, &whole, "{}", shown());
+            proptest::prop_assert_eq!(&whole, &want, "{}", shown());
+            proptest::prop_assert_eq!(&resumed, &want, "{}", shown());
             let begun = resumed.0.len() + usize::from(resumed.1.is_some());
             proptest::prop_assert_eq!(starts, begun, "{}", shown());
         }

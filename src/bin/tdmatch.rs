@@ -323,7 +323,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         Some(s) => parse_num(s, "k")?,
         None => 5,
     };
-    let graph = tdmatch::graph::Graph::load_snapshot(path).map_err(|e| e.to_string())?;
+    let graph = tdmatch::graph::CsrGraph::load(path).map_err(|e| e.to_string())?;
     eprintln!(
         "loaded graph: {} nodes, {} edges",
         graph.node_count(),

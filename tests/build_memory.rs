@@ -11,12 +11,13 @@
 //!   (A build that keeps its token lists, a doubled label arena and
 //!   24-byte candidates through a stable sort peaks at 5.3 times its
 //!   graph.)
-//! * The training stage (`fit_prebuilt` on the expanded graph: freeze,
-//!   walk counts, Word2Vec, the artifact) peaks below
+//! * The training stage (the expanded graph frozen and dropped, as a fit
+//!   does, then `fit_prebuilt`: walk counts, Word2Vec, the artifact)
+//!   peaks below
 //!   `(live ids + id bound) × dim × 4` bytes of weights, plus the
 //!   negative-sampling index, plus [`SLACK`]. Input rows exist only for
 //!   the ids the walks visit (8,084 of 10,297 ids are merged away), and
-//!   the mutable `Graph` handed in is dropped at the freeze: measured
+//!   the mutable `Graph` is dropped at the freeze: measured
 //!   from the scenario, a `Graph` kept alive through training counts,
 //!   and a fit that keeps it (2.6 MB) fails the bound.
 //! * The fitted model's heap is below that of the `Graph` it was fitted
@@ -32,6 +33,7 @@ use tdmatch::core::config::TdConfig;
 use tdmatch::core::expand::expand_graph;
 use tdmatch::core::pipeline::TdMatch;
 use tdmatch::datasets::Scale;
+use tdmatch::graph::CsrGraph;
 use tdmatch::scenarios::lifecycle::conformance_config;
 use tdmatch::scenarios::registry;
 
@@ -75,7 +77,9 @@ fn the_build_peak_and_the_training_weights_follow_the_live_graph() {
     assert!(live_ids * 2 < ids, "{live_ids} live ids of {ids}: too few merged to see");
 
     let expanded_graph = reset_peak() - start;
-    let model = TdMatch::new(config.clone()).fit_prebuilt(graph).unwrap();
+    let frozen = CsrGraph::from_graph(&graph);
+    drop(graph);
+    let model = TdMatch::new(config.clone()).fit_prebuilt(frozen).unwrap();
     let training = peak() - start;
     let fitted_model = live() - start;
     assert!(model.timings.train_tokens > 0);

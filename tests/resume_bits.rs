@@ -21,7 +21,7 @@
 use tdmatch::core::config::TdConfig;
 use tdmatch::core::pipeline::{FitOptions, TdMatch};
 use tdmatch::datasets::{imdb, Scale};
-use tdmatch::graph::{FrozenGraph, Graph};
+use tdmatch::graph::CsrGraph;
 
 const K: usize = 5;
 
@@ -30,6 +30,11 @@ const RESUMED_GRAPH_SIZE: (usize, usize) = (319, 1163);
 /// FNV-1a over `(query, target, score.to_bits())` of the resumed fit's
 /// `match_top_k(K)`, recorded on bcffb6c.
 const RESUMED_RANKING_HASH: u64 = 0x3E76_C846_8032_6AF0;
+/// FNV-1a over the bytes of the resumed model's own saved graph file —
+/// every array of the reloaded graph, its labels and its sorted index,
+/// which the rankings only sample. Recorded on ec0e2be, through the
+/// loader that rebuilt a mutable graph and froze it again.
+const RESUMED_GRAPH_FILE_HASH: u64 = 0xAFC6_A065_EA47_8522;
 
 fn config(base: &TdConfig) -> TdConfig {
     TdConfig {
@@ -42,12 +47,31 @@ fn config(base: &TdConfig) -> TdConfig {
     }
 }
 
-fn save_then_load(graph: &FrozenGraph) -> Graph {
-    let path = std::env::temp_dir().join(format!("tdmatch-resume-bits-{}.tdz", std::process::id()));
+fn temp() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("tdmatch-resume-bits-{}.tdz", std::process::id()))
+}
+
+fn save_then_load(graph: &CsrGraph) -> CsrGraph {
+    let path = temp();
     graph.save(&path).unwrap();
-    let loaded = Graph::load_snapshot(&path);
+    let loaded = CsrGraph::load(&path);
     std::fs::remove_file(&path).ok();
     loaded.unwrap()
+}
+
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
 }
 
 #[test]
@@ -73,23 +97,30 @@ fn resumed_fit_bits_are_pinned() {
     let resumed = trainer.fit_prebuilt(save_then_load(&model.graph)).unwrap();
     assert_eq!(resumed.graph_size(), model.graph_size());
 
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = Fnv::new();
     for result in resumed.match_top_k(K) {
         for (target, score) in result.ranked {
-            mix(result.query as u64);
-            mix(target as u64);
-            mix(score.to_bits() as u64);
+            h.bytes(&(result.query as u64).to_le_bytes());
+            h.bytes(&(target as u64).to_le_bytes());
+            h.bytes(&(score.to_bits() as u64).to_le_bytes());
         }
     }
+    let path = temp();
+    resumed.graph.save(&path).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut file_hash = Fnv::new();
+    file_hash.bytes(&file);
     assert_eq!(
-        (resumed.graph_size(), h),
-        (RESUMED_GRAPH_SIZE, RESUMED_RANKING_HASH),
-        "got graph size {:?}, ranking hash {h:#018X}",
-        resumed.graph_size()
+        (resumed.graph_size(), h.0, file_hash.0),
+        (
+            RESUMED_GRAPH_SIZE,
+            RESUMED_RANKING_HASH,
+            RESUMED_GRAPH_FILE_HASH
+        ),
+        "got graph size {:?}, ranking hash {:#018X}, graph file hash {:#018X}",
+        resumed.graph_size(),
+        h.0,
+        file_hash.0
     );
 }

@@ -3,10 +3,10 @@
 //! fitted on.
 //!
 //! A fit drops its mutable `Graph` at the freeze and keeps the frozen
-//! CSR with the node labels it took from the graph first; those are what
-//! `FrozenGraph::save` writes. This test rebuilds the same graph through
-//! the public stage functions (`build_graph`, then `expand_graph`) and
-//! holds the model's file to `Graph::save_snapshot` of it. The fit is
+//! CSR with its node labels; that is what `CsrGraph::save` writes. This
+//! test rebuilds the same graph through the public stage functions
+//! (`build_graph`, then `expand_graph`) and holds the model's file to
+//! the save of that graph, frozen. The fit is
 //! `imdb-wt` at `Scale::Small` with merge and expansion, as the
 //! benchmark's `fit-table` fits it, so the snapshot carries tombstones,
 //! external nodes and every document of both sides.
@@ -16,6 +16,7 @@ use tdmatch::core::config::TdConfig;
 use tdmatch::core::expand::expand_graph;
 use tdmatch::core::pipeline::{FitOptions, TdMatch};
 use tdmatch::datasets::Scale;
+use tdmatch::graph::CsrGraph;
 use tdmatch::scenarios::lifecycle::conformance_config;
 use tdmatch::scenarios::registry;
 
@@ -62,7 +63,7 @@ fn a_models_saved_graph_equals_the_snapshot_of_the_rebuilt_graph() {
 
     let (saved, rebuilt) = (temp("model"), temp("rebuilt"));
     model.graph.save(&saved).unwrap();
-    graph.save_snapshot(&rebuilt).unwrap();
+    CsrGraph::from_graph(&graph).save(&rebuilt).unwrap();
     let bytes = (
         std::fs::read(&saved).unwrap(),
         std::fs::read(&rebuilt).unwrap(),
