@@ -13,7 +13,7 @@ use tdmatch_core::builder::build_graph;
 use tdmatch_core::config::TdConfig;
 use tdmatch_datasets::{imdb, Scale};
 use tdmatch_embed::neg_table::NegativeTable;
-use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, dot_unrolled4, ScoreMatrix};
+use tdmatch_embed::score::{batch_top_k_seq, dot_unrolled, dot_unrolled4, QueryBlock, ScoreMatrix};
 use tdmatch_embed::walks::{generate_walk_corpus, WalkConfig, WalkStrategy};
 use tdmatch_embed::word2vec::{train_corpus, Word2VecConfig};
 use tdmatch_graph::codec::crc32;
@@ -254,7 +254,9 @@ fn stream_sum(data: &[f32]) -> f32 {
 /// size: a 32,768 × 96 matrix, 12.6 MB against a 4 MiB L2. The
 /// roofline is [`stream_sum`] over the same bytes; the scan is one query
 /// dotted with every row, per row through `dot_unrolled` and four rows
-/// at a time through `dot_unrolled4` (the exact scan's tile fill). Timed
+/// at a time through `dot_unrolled4` (the kernel alone), and then the
+/// scan a request runs: `batch_top_k_seq` over a [`QueryBlock`] holding
+/// one query, at k = 20, tiles, top-k feed and dispatch included. Timed
 /// by hand like the checksum, because the figure of merit is GB/s and
 /// the scan's share of the roofline.
 fn bench_scan_roofline(_: &mut Criterion) {
@@ -286,11 +288,18 @@ fn bench_scan_roofline(_: &mut Criterion) {
         black_box(&scores);
     });
     assert_eq!(scores, want, "the four-row kernel must match the per-row kernel");
+    let targets = ScoreMatrix::from_rows(matrix.chunks_exact(dim), dim);
+    let mut block = QueryBlock::new(dim);
+    block.push_raw(&query);
+    let served = best_of_12(|| {
+        black_box(batch_top_k_seq(block.matrix(), &targets, 20, None, None));
+    });
 
     for (name, secs) in [
         ("score/read_roofline_12mb", roofline),
         ("score/scan_32k_x96/per_row", per_row),
         ("score/scan_32k_x96/four_row", four_row),
+        ("score/scan_32k_x96/served_k20", served),
     ] {
         println!(
             "{name:<40} min {:>9.3} ms  {:>6.2} GB/s  {:>5.1}% of roofline",

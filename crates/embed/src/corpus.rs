@@ -20,7 +20,7 @@
 /// trainers call per pass are `#[inline(always)]` in every
 /// implementation, and so are the callbacks the trainers pass, so the
 /// per-token loop is compiled into each trainer's dispatched
-/// instantiation (see `crate::weights`).
+/// instantiation (see `crate::simd`).
 pub trait SentenceSource {
     /// Number of documents; every document index is below it.
     fn documents(&self) -> usize;

@@ -10,7 +10,8 @@ use rand::SeedableRng;
 use crate::corpus::{FlatCorpus, SentenceSource};
 use crate::neg_table::NegativeTable;
 use crate::vocab::Vocab;
-use crate::weights::{self, OwnedMatrix, Train};
+use crate::simd::{self, Kernel};
+use crate::weights::OwnedMatrix;
 use crate::word2vec::NegativeStep;
 
 /// Hyper-parameters for PV-DBOW training.
@@ -130,7 +131,7 @@ pub fn train_pv_dbow<S: SentenceSource>(
 }
 
 /// A PV-DBOW model that has run every epoch, through the dispatched
-/// instantiation of its loop (see `crate::weights`).
+/// instantiation of its loop (see `crate::simd`).
 fn trained<'a, S: SentenceSource>(
     docs: &'a S,
     counts: &[u64],
@@ -138,7 +139,7 @@ fn trained<'a, S: SentenceSource>(
     neg_table: &'a NegativeTable,
 ) -> PvDbow<'a, S> {
     let mut model = PvDbow::new(docs, counts, config, neg_table);
-    weights::dispatch(&mut model);
+    simd::dispatch(&mut model);
     model
 }
 
@@ -173,10 +174,10 @@ impl<'a, S: SentenceSource> PvDbow<'a, S> {
     }
 }
 
-impl<S: SentenceSource> Train for PvDbow<'_, S> {
+impl<S: SentenceSource> Kernel for PvDbow<'_, S> {
     /// Trains every epoch over every document.
     #[inline(always)]
-    fn train(&mut self) {
+    fn run(&mut self) {
         let (config, docs) = (self.config, self.docs);
         // PV-DBOW evaluates the exact sigmoid, not Word2Vec's table.
         let sigmoid = |f: f32| 1.0 / (1.0 + (-f).exp());
@@ -273,7 +274,7 @@ mod tests {
     /// matrices.
     #[test]
     fn dispatched_training_equals_the_plain_body() {
-        if !weights::avx2_detected() {
+        if !simd::avx2_detected() {
             eprintln!("no AVX2 on this CPU: dispatch runs the plain body, comparison skipped");
             return;
         }
@@ -299,7 +300,7 @@ mod tests {
             };
             let neg_table = NegativeTable::new(&counts, 1 << 12);
             let mut plain = PvDbow::new(&corpus, &counts, &config, &neg_table);
-            plain.train();
+            plain.run();
             let dispatched = trained(&corpus, &counts, &config, &neg_table);
             assert!(bits(plain.docs_mat) == bits(dispatched.docs_mat), "dim {dim}: documents");
             assert!(bits(plain.words_mat) == bits(dispatched.words_mat), "dim {dim}: words");
@@ -311,7 +312,7 @@ mod tests {
             let walks = crate::walks::WalkStream::new(&graph, &RING_WALKS);
             let neg_table = NegativeTable::new(walks.token_counts(), 1 << 12);
             let mut plain = PvDbow::new(&walks, walks.token_counts(), &config, &neg_table);
-            plain.train();
+            plain.run();
             let dispatched = trained(&walks, walks.token_counts(), &config, &neg_table);
             assert!(bits(plain.docs_mat) == bits(dispatched.docs_mat), "dim {dim}: walk documents");
             assert!(bits(plain.words_mat) == bits(dispatched.words_mat), "dim {dim}: walk words");

@@ -59,6 +59,7 @@ pub mod score;
 pub mod vectors;
 pub mod vocab;
 pub mod walks;
+mod simd;
 mod weights;
 pub mod word2vec;
 

@@ -45,10 +45,32 @@
 //! ranking is computed independently of its batch neighbours, so
 //! however a caller groups queries into batches (the daemon's workers
 //! each score whichever batch they take), the answers are bit-identical.
+//!
+//! # Vector width
+//!
+//! Which width a path runs at, on an `x86_64` CPU with AVX2:
+//!
+//! * the exact dense scan (no `extra`, no `candidates`: what `match`,
+//!   `query` and the daemon's exact mode run) goes through
+//!   `simd::dispatch` and runs at AVX2 width, with the four-row kernel
+//!   and the top-k feed inlined; without AVX2 it runs the same source at
+//!   the default target's (SSE2) width;
+//! * the candidate rescore (an ANN pool) and the `extra`-combined scan
+//!   stay at the default target's width and dot one row at a time;
+//! * the HNSW walk (`ann.rs`) stays at the default width too, and calls
+//!   [`dot_unrolled4`] out of line.
+//!
+//! Every path gives the same bits at either width (see `crate::simd`).
+//!
+//! The dense scan feeds each query's [`TopK`] a tile at a time. Targets
+//! arrive in ascending index order, so an offer is kept exactly when its
+//! key beats the heap's floor (the worst kept key once `k` are kept): a
+//! tile whose best key does not is skipped without touching the heap.
 
 use tdmatch_graph::container::{Container, ContainerWriter, FlatBuf, SectionTag, Storage};
 use tdmatch_graph::DecodeError;
 
+use crate::simd::{self, Kernel};
 use crate::vectors::cosine;
 
 /// Queries scored together against one cached target block.
@@ -64,13 +86,14 @@ const TARGET_BLOCK_BYTES: usize = 32 * 1024;
 ///
 /// This is the one-row reference every dot in the crate reproduces bit
 /// for bit, [`dot_unrolled4`] included. At the default `x86_64` target
-/// (SSE2, no flags), which is what the scan and the HNSW walk always
-/// run, it is bound by its add chain, not by memory: each lane pair
-/// lives in one `xmm` register, so a 96-dim dot is 12 dependent `addps`
-/// and scans an L2-resident matrix no faster than one streamed from
-/// memory. Training on a CPU with AVX2 runs it compiled for AVX2, where
-/// the 8 lanes fill one `ymm` register; the lanes, the reduction tree
-/// and the bits are the same (see `weights.rs`).
+/// (SSE2, no flags), which is what the HNSW walk and the candidate
+/// rescore run, it is bound by its add chain, not by memory: each lane
+/// pair lives in one `xmm` register, so a 96-dim dot is 12 dependent
+/// `addps` and scans an L2-resident matrix no faster than one streamed
+/// from memory. Training and the exact dense scan, on a CPU with AVX2,
+/// run it compiled for AVX2, where the 8 lanes fill one `ymm` register;
+/// the lanes, the reduction tree and the bits are the same (see
+/// `crate::simd`).
 #[inline]
 pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -96,6 +119,46 @@ fn reduce_lanes(lanes: &[f32; 8]) -> f32 {
         + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]))
 }
 
+/// The one source of the four-row kernel, expanded into
+/// [`dot_unrolled4`] and [`dot4`]. A macro rather than one function
+/// calling the other: an `#[inline]` entry around an `#[inline(always)]`
+/// body is inlined into every caller, the trainers and the HNSW walk
+/// included, and an `#[inline(never)]` entry becomes one exported copy
+/// that those callers reach through the GOT, with their register
+/// allocation changed around the call.
+macro_rules! four_row_kernel {
+    ($a:ident, $rows:ident) => {{
+        let (a, rows): (&[f32], [&[f32]; 4]) = ($a, $rows);
+        debug_assert!(rows.iter().all(|r| r.len() == a.len()));
+        let body = a.len() / 8 * 8;
+        let [r0, r1, r2, r3] = rows.map(|r| &r[..body]);
+        let chunks = a[..body]
+            .chunks_exact(8)
+            .zip(r0.chunks_exact(8))
+            .zip(r1.chunks_exact(8))
+            .zip(r2.chunks_exact(8))
+            .zip(r3.chunks_exact(8));
+        let mut lanes = [[0.0f32; 8]; 4];
+        for ((((xa, x0), x1), x2), x3) in chunks {
+            for (lane, xb) in lanes.iter_mut().zip([x0, x1, x2, x3]) {
+                for l in 0..8 {
+                    lane[l] += xa[l] * xb[l];
+                }
+            }
+        }
+        let lanes = std::hint::black_box(lanes);
+        let mut out = [0.0f32; 4];
+        for ((o, lane), row) in out.iter_mut().zip(&lanes).zip(rows) {
+            let mut acc = reduce_lanes(lane);
+            for (x, y) in a[body..].iter().zip(&row[body..]) {
+                acc += x * y;
+            }
+            *o = acc;
+        }
+        out
+    }};
+}
+
 /// Four dots of `a` against four equal-length `rows` in one pass over
 /// `a`: `[dot_unrolled(a, rows[0]), …, dot_unrolled(a, rows[3])]`, each
 /// result the same bits. (A NaN result, which only non-finite input
@@ -119,35 +182,20 @@ fn reduce_lanes(lanes: &[f32; 8]) -> f32 {
 /// than the per-row kernel. Behind the barrier each row's lanes stay in
 /// their own two registers. The barrier costs one 128-byte spill per
 /// call and changes no result.
+///
+/// The trainers and the HNSW walk call this out of line, at the default
+/// target's width (the compiler declines to inline it). The exact scan
+/// compiles the same source into both of its instantiations instead, as
+/// `dot4` (see `crate::simd`).
 #[inline]
 pub fn dot_unrolled4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    debug_assert!(rows.iter().all(|r| r.len() == a.len()));
-    let body = a.len() / 8 * 8;
-    let [r0, r1, r2, r3] = rows.map(|r| &r[..body]);
-    let chunks = a[..body]
-        .chunks_exact(8)
-        .zip(r0.chunks_exact(8))
-        .zip(r1.chunks_exact(8))
-        .zip(r2.chunks_exact(8))
-        .zip(r3.chunks_exact(8));
-    let mut lanes = [[0.0f32; 8]; 4];
-    for ((((xa, x0), x1), x2), x3) in chunks {
-        for (lane, xb) in lanes.iter_mut().zip([x0, x1, x2, x3]) {
-            for l in 0..8 {
-                lane[l] += xa[l] * xb[l];
-            }
-        }
-    }
-    let lanes = std::hint::black_box(lanes);
-    let mut out = [0.0f32; 4];
-    for ((o, lane), row) in out.iter_mut().zip(&lanes).zip(rows) {
-        let mut acc = reduce_lanes(lane);
-        for (x, y) in a[body..].iter().zip(&row[body..]) {
-            acc += x * y;
-        }
-        *o = acc;
-    }
-    out
+    four_row_kernel!(a, rows)
+}
+
+/// [`dot_unrolled4`], always inlined: the exact scan's tile fill.
+#[inline(always)]
+fn dot4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    four_row_kernel!(a, rows)
 }
 
 /// A flat, row-major, L2-pre-normalized `rows × dim` f32 matrix with a
@@ -640,6 +688,56 @@ impl TopK {
         }
     }
 
+    /// The key an offer must exceed to be kept when offers arrive in
+    /// ascending index order: `i64::MIN` until the accumulator is full,
+    /// then the worst kept key (`i64::MAX` when `k` is 0, which keeps
+    /// nothing). An offer with an equal key and a higher index than
+    /// every kept entry is never better than the worst of them.
+    #[inline(always)]
+    fn floor(&self) -> i64 {
+        if self.heap.len() < self.k {
+            i64::MIN
+        } else if self.k == 0 {
+            i64::MAX
+        } else {
+            self.heap[0].0 as i64
+        }
+    }
+
+    /// Keeps `(key, idx)`, which the caller has checked beats
+    /// [`floor`](Self::floor): appended while the accumulator fills,
+    /// in place of the worst kept entry after that.
+    #[inline(always)]
+    fn keep(&mut self, key: i32, idx: usize) {
+        let entry = (key, idx as u32);
+        if self.heap.len() < self.k {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        } else {
+            self.heap[0] = entry;
+            self.sift_down();
+        }
+    }
+
+    /// Offers a tile of scores for indices `first..`, in ascending index
+    /// order after every earlier offer: the same entries as
+    /// [`push`](Self::push)ing each in turn. A tile whose best key does
+    /// not beat the floor is skipped whole; inside a tile only keys that
+    /// beat the running floor are kept.
+    #[inline(always)]
+    fn push_tile(&mut self, first: usize, tile: &[f32]) {
+        let best = tile.iter().fold(i32::MIN, |m, &s| m.max(score_key(s)));
+        if best as i64 <= self.floor() {
+            return;
+        }
+        for (j, &s) in tile.iter().enumerate() {
+            let key = score_key(s);
+            if key as i64 > self.floor() {
+                self.keep(key, first + j);
+            }
+        }
+    }
+
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
@@ -674,7 +772,7 @@ impl TopK {
     }
 
     /// Empties the accumulator into a ranked `(index, score)` list:
-    /// decreasing score as [`score_key`] orders it, ties by ascending
+    /// decreasing score as `score_key` orders it, ties by ascending
     /// index.
     pub fn drain_sorted(&mut self) -> Vec<(usize, f32)> {
         self.heap.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
@@ -753,74 +851,103 @@ fn score_queries_into(
 
 /// The tiled hot path (no candidate hook, no score combination): query blocks ×
 /// target blocks, so each cache-resident target block is scored against
-/// up to [`QUERY_BLOCK`] queries before the next block streams in.
-///
-/// A tile is filled four target rows at a time through
-/// [`dot_unrolled4`] when all four are present, and row by row through
-/// [`dot_unrolled`] otherwise and for the tile's last `len % 4` rows.
-/// Both kernels give the same bits, so which rows go four at a time
-/// never moves a score; the root `tests/scan_bits.rs` pins the scan at
-/// the edges (lane remainders, tile ends, missing rows inside a group).
+/// up to [`QUERY_BLOCK`] queries before the next block streams in. It
+/// runs through [`simd::dispatch`](crate::simd::dispatch): at AVX2 width
+/// on a CPU that has it, with the same bits.
 fn score_dense_into(
     queries: &ScoreMatrix,
     targets: &ScoreMatrix,
     k: usize,
     out: &mut [Vec<(usize, f32)>],
 ) {
-    let t_rows = targets.rows();
-    let dim = targets.dim();
-    let (data, valid) = (&targets.data[..], &targets.valid[..]);
-    let row = |t: usize| &data[t * dim..(t + 1) * dim];
-    let is_valid = |t: usize| (valid[t / 64] >> (t % 64)) & 1 == 1;
-    let block = target_block_len(dim);
-    let mut scores = vec![0.0f32; block.min(t_rows.max(1))];
-    let mut tops: Vec<TopK> = (0..QUERY_BLOCK.min(out.len())).map(|_| TopK::new(k)).collect();
+    simd::dispatch(&mut DenseScan {
+        queries,
+        targets,
+        k,
+        out,
+    });
+}
 
-    let mut qb = 0;
-    while qb < out.len() {
-        let qe = (qb + QUERY_BLOCK).min(out.len());
-        for top in &mut tops[..qe - qb] {
-            top.clear();
-        }
-        let mut tb = 0;
-        while tb < t_rows {
-            let te = (tb + block).min(t_rows);
-            for (qi, top) in tops[..qe - qb].iter_mut().enumerate() {
-                let q = qb + qi;
-                if !queries.is_valid(q) {
-                    continue;
-                }
-                let qrow = queries.row(q);
-                let tile = &mut scores[..te - tb];
-                // Fill the score tile, then feed the heap. The validity
-                // branch is per-row (well-predicted) and must gate the
-                // dot itself: an invalid row may belong to a matrix whose
-                // inferred dim is 0 (every row missing), where a dot
-                // against a nonzero-dim query would be a length mismatch.
-                // A group only takes the four-row kernel when it is a
-                // full four rows and every one of them is valid.
-                for (s, t) in tile.chunks_mut(4).zip((tb..).step_by(4)) {
-                    if s.len() == 4 && (t..t + 4).all(is_valid) {
-                        let rows = [row(t), row(t + 1), row(t + 2), row(t + 3)];
-                        s.copy_from_slice(&dot_unrolled4(qrow, rows));
+/// [`score_dense_into`]'s arguments, as the kernel it dispatches.
+struct DenseScan<'a> {
+    queries: &'a ScoreMatrix,
+    targets: &'a ScoreMatrix,
+    k: usize,
+    out: &'a mut [Vec<(usize, f32)>],
+}
+
+impl Kernel for DenseScan<'_> {
+    /// A tile is filled four target rows at a time through the inlined
+    /// body of [`dot_unrolled4`] when all four are present, and row by
+    /// row through [`dot_unrolled`] otherwise and for the tile's last
+    /// `len % 4` rows. Both kernels give the same bits, so which rows go
+    /// four at a time never moves a score; the root `tests/scan_bits.rs`
+    /// pins the scan at the edges (lane remainders, tile ends, missing
+    /// rows inside a group). Each filled tile feeds its query's `TopK`
+    /// through `push_tile`, which skips a tile no score of which can
+    /// enter.
+    #[inline(always)]
+    fn run(&mut self) {
+        let Self {
+            queries,
+            targets,
+            k,
+            ref mut out,
+        } = *self;
+        let t_rows = targets.rows();
+        let dim = targets.dim();
+        let (data, valid) = (&targets.data[..], &targets.valid[..]);
+        let row = |t: usize| &data[t * dim..(t + 1) * dim];
+        let is_valid = |t: usize| (valid[t / 64] >> (t % 64)) & 1 == 1;
+        let block = target_block_len(dim);
+        let mut scores = vec![0.0f32; block.min(t_rows.max(1))];
+        let mut tops: Vec<TopK> = (0..QUERY_BLOCK.min(out.len())).map(|_| TopK::new(k)).collect();
+
+        let mut qb = 0;
+        while qb < out.len() {
+            let qe = (qb + QUERY_BLOCK).min(out.len());
+            for top in &mut tops[..qe - qb] {
+                top.clear();
+            }
+            let mut tb = 0;
+            while tb < t_rows {
+                let te = (tb + block).min(t_rows);
+                for (qi, top) in tops[..qe - qb].iter_mut().enumerate() {
+                    let q = qb + qi;
+                    if !queries.is_valid(q) {
                         continue;
                     }
-                    for (s, t) in s.iter_mut().zip(t..) {
-                        *s = if is_valid(t) { dot_unrolled(qrow, row(t)) } else { -1.0 };
+                    let qrow = queries.row(q);
+                    let tile = &mut scores[..te - tb];
+                    // Fill the score tile, then feed the heap. The
+                    // validity branch is per-row (well-predicted) and
+                    // must gate the dot itself: an invalid row may belong
+                    // to a matrix whose inferred dim is 0 (every row
+                    // missing), where a dot against a nonzero-dim query
+                    // would be a length mismatch. A group only takes the
+                    // four-row kernel when it is a full four rows and
+                    // every one of them is valid.
+                    for (s, t) in tile.chunks_mut(4).zip((tb..).step_by(4)) {
+                        if s.len() == 4 && (t..t + 4).all(is_valid) {
+                            let rows = [row(t), row(t + 1), row(t + 2), row(t + 3)];
+                            s.copy_from_slice(&dot4(qrow, rows));
+                            continue;
+                        }
+                        for (s, t) in s.iter_mut().zip(t..) {
+                            *s = if is_valid(t) { dot_unrolled(qrow, row(t)) } else { -1.0 };
+                        }
                     }
+                    top.push_tile(tb, tile);
                 }
-                for (j, &s) in tile.iter().enumerate() {
-                    top.push(tb + j, s);
+                tb = te;
+            }
+            for (qi, top) in tops[..qe - qb].iter_mut().enumerate() {
+                if queries.is_valid(qb + qi) {
+                    out[qb + qi] = top.drain_sorted();
                 }
             }
-            tb = te;
+            qb = qe;
         }
-        for (qi, top) in tops[..qe - qb].iter_mut().enumerate() {
-            if queries.is_valid(qb + qi) {
-                out[qb + qi] = top.drain_sorted();
-            }
-        }
-        qb = qe;
     }
 }
 
@@ -1205,5 +1332,156 @@ mod tests {
         // Target 1: (1 + 1)/2 = 1; target 0 (missing): (-1 + 1)/2 = 0.
         assert_eq!(got[0][0], (1, 1.0));
         assert_eq!(got[0][1], (0, 0.0));
+    }
+
+    /// Targets for the gated-feed tests: `rows × dim`, with row `i`
+    /// missing when `i % 7 == 5` and a copy of row `i - 1` when
+    /// `i % 5 == 2`, so missing rows land inside four-row groups and
+    /// equal scores sit side by side, across tile ends included.
+    fn gated_targets(rows: usize, dim: usize, seed: u32) -> Vec<Option<Vec<f32>>> {
+        let mut out: Vec<Option<Vec<f32>>> = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let row = if i % 7 == 5 {
+                None
+            } else if i % 5 == 2 && i > 0 {
+                out[i - 1].clone()
+            } else {
+                Some((0..dim).map(|d| ((i * 31 + d * 17) as f32 + seed as f32).sin()).collect())
+            };
+            out.push(row);
+        }
+        out
+    }
+
+    /// Every target offered to [`TopK::push`] one at a time, in index
+    /// order, through the plain one-row dot: what the gated feed must
+    /// give, bit for bit.
+    fn pushed_one_by_one(
+        queries: &ScoreMatrix,
+        targets: &ScoreMatrix,
+        k: usize,
+    ) -> Vec<Vec<(usize, u32)>> {
+        (0..queries.rows())
+            .map(|q| {
+                if !queries.is_valid(q) {
+                    return Vec::new();
+                }
+                let scores = (0..targets.rows()).map(|t| {
+                    let valid = targets.is_valid(t);
+                    (t, if valid { dot_unrolled(queries.row(q), targets.row(t)) } else { -1.0 })
+                });
+                select_top_k(scores, k).into_iter().map(|(t, s)| (t, s.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    fn ranked_bits(ranked: &[Vec<(usize, f32)>]) -> Vec<Vec<(usize, u32)>> {
+        ranked
+            .iter()
+            .map(|r| r.iter().map(|&(t, s)| (t, s.to_bits())).collect())
+            .collect()
+    }
+
+    /// On an AVX2 CPU every exact ranking runs the scan's AVX2
+    /// instantiation; this holds the default-target body to it: the same
+    /// `(index, score bits)` at lane remainders, tile ends, missing rows
+    /// inside groups of four, equal scores, a NaN row and an inf row.
+    #[test]
+    fn dispatched_scan_equals_the_plain_body() {
+        if !simd::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: dispatch runs the plain body, comparison skipped");
+            return;
+        }
+        let shapes = [(1, 1100), (7, 40), (8, 1030), (13, 517), (33, 300), (96, 400), (130, 130)];
+        for (dim, rows) in shapes {
+            let mut targets = gated_targets(rows, dim, 3);
+            targets[rows / 2] = Some(vec![f32::NAN; dim]);
+            let mut inf_row = vec![1.0; dim];
+            inf_row[0] = f32::INFINITY;
+            targets[rows / 3] = Some(inf_row);
+            let tm = ScoreMatrix::from_options_dim(&targets, dim);
+            let queries: Vec<Option<Vec<f32>>> = (0..11)
+                .map(|q| (q != 4).then(|| (0..dim).map(|d| ((q * 13 + d) as f32).cos()).collect()))
+                .collect();
+            let qm = ScoreMatrix::from_options_dim(&queries, dim);
+            for k in [0, 1, 20, rows, rows + 5] {
+                let mut plain = vec![Vec::new(); qm.rows()];
+                DenseScan {
+                    queries: &qm,
+                    targets: &tm,
+                    k,
+                    out: &mut plain,
+                }
+                .run();
+                let mut dispatched = vec![Vec::new(); qm.rows()];
+                score_dense_into(&qm, &tm, k, &mut dispatched);
+                assert!(
+                    ranked_bits(&plain) == ranked_bits(&dispatched),
+                    "dim {dim}, {rows} rows, k {k}"
+                );
+            }
+        }
+    }
+
+    /// Equal scores on both sides of a tile end: the floor is the key of
+    /// a kept entry, and an equal key at a higher index must not replace
+    /// it (`key > floor`, not `>=`).
+    #[test]
+    fn equal_scores_across_a_tile_end_keep_the_lower_indices() {
+        let dim = 96;
+        let tile = target_block_len(dim);
+        let row: Vec<f32> = (0..dim).map(|d| (d as f32).sin()).collect();
+        let tm = ScoreMatrix::from_rows((0..3 * tile).map(|_| row.as_slice()), dim);
+        let qm = ScoreMatrix::from_rows([row.as_slice()], dim);
+        for k in [1, 3, tile, tile + 1] {
+            let got = batch_top_k_seq(&qm, &tm, k, None, None);
+            let ids: Vec<usize> = got[0].iter().map(|&(t, _)| t).collect();
+            assert_eq!(ids, (0..k).collect::<Vec<_>>(), "k {k}");
+        }
+    }
+
+    /// A NaN score (a NaN stored row) in a later tile outranks every
+    /// number. The tile's best key is taken over integer keys; taken over
+    /// `f32`, the NaN was dropped and the tile skipped.
+    #[test]
+    fn a_nan_row_in_a_later_tile_enters_the_gated_feed() {
+        let dim = 32;
+        let tile = target_block_len(dim);
+        let mut targets = gated_targets(3 * tile, dim, 5);
+        targets[2 * tile + 3] = Some(vec![f32::NAN; dim]);
+        let tm = ScoreMatrix::from_options_dim(&targets, dim);
+        let qm = ScoreMatrix::from_options_dim(&gated_targets(7, dim, 6)[1..], dim);
+        for k in [1, 2, 20] {
+            let got = batch_top_k_seq(&qm, &tm, k, None, None);
+            for ranked in got.iter().filter(|r| !r.is_empty()) {
+                assert_eq!(ranked[0].0, 2 * tile + 3, "k {k}");
+                assert!(ranked[0].1.is_nan());
+            }
+            assert_eq!(ranked_bits(&got), pushed_one_by_one(&qm, &tm, k), "k {k}");
+        }
+    }
+
+    /// The floor rises inside a tile: with `k = 1` and scores ascending
+    /// and then descending through one tile, only the running floor
+    /// keeps the best. A floor read once per tile keeps the last score
+    /// above the tile's starting floor instead.
+    #[test]
+    fn the_floor_rises_inside_a_tile() {
+        let dim = 2;
+        let n = 40;
+        // Row i makes angle θ_i with the query; θ is smallest at i = 20.
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                let theta = (i as f32 - 20.0).abs() * 0.05;
+                vec![theta.cos(), theta.sin()]
+            })
+            .collect();
+        let tm = ScoreMatrix::from_rows(rows.iter().map(Vec::as_slice), dim);
+        let qm = ScoreMatrix::from_rows([&[1.0f32, 0.0][..]], dim);
+        for k in [1, 2, 5] {
+            let got = batch_top_k_seq(&qm, &tm, k, None, None);
+            assert_eq!(ranked_bits(&got), pushed_one_by_one(&qm, &tm, k), "k {k}");
+            assert_eq!(got[0][0].0, 20);
+        }
     }
 }

@@ -1,5 +1,4 @@
-//! Weight-matrix storage for Word2Vec / PV-DBOW training, and the one
-//! place that picks the vector width training runs at.
+//! Weight-matrix storage for Word2Vec / PV-DBOW training.
 //!
 //! Training runs on one worker, which owns its weights: an
 //! [`OwnedMatrix`] of plain `f32`. The trainers run six row kernels over
@@ -23,75 +22,17 @@
 //!
 //! # Vector width
 //!
-//! Each trainer hands its epoch loop to [`dispatch`], which runs it in
-//! one of two instantiations of the same source. At the default
-//! `x86_64` target (SSE2, no flags) the 8 lanes of a dot live in two
-//! `xmm` registers. On an `x86_64` CPU that reports AVX2 at run time,
-//! `dispatch` runs the loop compiled with AVX2 enabled, and the 8 lanes
-//! fit one `ymm` register. Any other CPU or architecture runs the
-//! default build. Only AVX2 is enabled: AVX-512 would want 16 lanes,
-//! which is a different reduction tree and different bits.
+//! Each trainer hands its epoch loop to [`simd::dispatch`], which runs
+//! it at AVX2 width on a CPU that has it and at the default target's
+//! width otherwise, with the same bits (see `crate::simd`). The kernels
+//! below are `#[inline(always)]`, so they are compiled into both
+//! instantiations. The two dots keep the scoring engine's attributes:
+//! [`dot_unrolled`] is inlined, while [`dot_unrolled4`] stays one
+//! out-of-line SSE2 call.
 //!
-//! Both instantiations give the same bits, by construction: the dots fix
-//! their lanes, reduction tree and remainder in source; every other
-//! kernel works element by element; and Rust never fuses a multiply and
-//! an add into an FMA, nor reassociates a float sum. The
-//! `dispatched_training_equals_the_plain_body` tests in `word2vec.rs`
-//! and `doc2vec.rs` hold the two instantiations to the same bits.
-//!
-//! The trainer's loop, the negative-sampling step and the kernels below
-//! are `#[inline(always)]`, so they are compiled into the AVX2
-//! instantiation rather than called at SSE2 width. The two dots keep the
-//! scoring engine's `#[inline]`, which leaves the choice to the
-//! compiler: [`dot_unrolled`] is inlined, while [`dot_unrolled4`] stays
-//! one out-of-line SSE2 call. That costs nothing here. At SSE2 width its
-//! four rows keep eight `xmm` add chains in flight; at AVX2 width they
-//! would be four `ymm` chains, each waiting on its own adds. Both take
-//! about the same time per 8 elements, and an inlined variant measured
-//! no faster. Forcing it inline would also change how the exact scan
-//! and the HNSW walk inline it.
+//! [`simd::dispatch`]: crate::simd::dispatch
 
 use crate::score::{dot_unrolled, dot_unrolled4};
-
-/// A trainer's state and its epoch loop.
-pub(crate) trait Train {
-    /// Runs every epoch. Implementations are `#[inline(always)]`, as is
-    /// what they call per token, so [`dispatch`] compiles the loop into
-    /// each instantiation. A closure or a function value would not do:
-    /// the compiler inlines those only when it finds them small, and an
-    /// epoch loop is not small.
-    fn train(&mut self);
-}
-
-/// Runs `model`'s epoch loop at the widest vector width this CPU offers
-/// that keeps the trained bits: AVX2 when it has it, the default target
-/// otherwise. See the [module docs](self).
-#[inline(always)]
-pub(crate) fn dispatch(model: &mut impl Train) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_detected() {
-        // SAFETY: `with_avx2` only enables AVX2, which this CPU has.
-        return unsafe { with_avx2(model) };
-    }
-    model.train()
-}
-
-/// Whether [`dispatch`] runs the AVX2 instantiation on this CPU.
-#[cfg(any(test, target_arch = "x86_64"))]
-pub(crate) fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
-/// `model.train()`, compiled with AVX2 enabled: its inlined hot chain is
-/// the AVX2 instantiation.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn with_avx2(model: &mut impl Train) {
-    model.train()
-}
 
 /// The classic word2vec.c initialization: cell `i` uniform in
 /// `[-0.5/dim, 0.5/dim)` from a deterministic per-cell hash of `seed`.

@@ -9,13 +9,13 @@
 //! Training runs on one worker over weights it owns (see
 //! `crate::weights`), so the row kernels vectorize and the trained
 //! matrix is a function of (corpus, counts, config) alone, bit for bit.
-//! The worker's epoch loop runs through `weights::dispatch`: at AVX2
+//! The worker's epoch loop runs through `simd::dispatch`: at AVX2
 //! width on a CPU that has it, at the default target's SSE2 width
 //! otherwise, with the same bits either way. What that loop calls per
 //! token — `train_sentence`, `train_pair`, `train_cbow`,
 //! `NegativeStep::run` and the row kernels — is `#[inline(always)]`,
 //! so it is compiled into the AVX2 instantiation. The four-row dot is
-//! the one exception (see `crate::weights`).
+//! the one exception (see `crate::simd`).
 
 use std::borrow::Cow;
 
@@ -27,7 +27,8 @@ use crate::neg_table::NegativeTable;
 use crate::rows::RowLayout;
 use crate::vectors::Embeddings;
 use crate::vocab::Vocab;
-use crate::weights::{self, OwnedMatrix, Train};
+use crate::simd::{self, Kernel};
+use crate::weights::{self, OwnedMatrix};
 
 /// Training objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +194,7 @@ pub fn train_corpus<S: SentenceSource>(
 /// (`tests/flat_prop.rs` holds the two to each other). The worker reads
 /// each epoch's sentences in order, over plain `f32` weights it owns, so
 /// the row kernels vectorize, at the widest width this CPU offers that
-/// keeps the bits (see `crate::weights`).
+/// keeps the bits (see `crate::simd`).
 pub fn train_rows<'a, S: SentenceSource>(
     corpus: &S,
     layout: &'a RowLayout,
@@ -240,7 +241,7 @@ impl InputVectors<'_> {
 /// instantiation of its loop.
 fn trained<'a, S: SentenceSource>(job: &'a TrainJob<'a, S>) -> Worker<'a, S> {
     let mut worker = Worker::new(job);
-    weights::dispatch(&mut worker);
+    simd::dispatch(&mut worker);
     worker
 }
 
@@ -303,10 +304,10 @@ impl<'a, S> Worker<'a, S> {
     }
 }
 
-impl<S: SentenceSource> Train for Worker<'_, S> {
+impl<S: SentenceSource> Kernel for Worker<'_, S> {
     /// Trains every epoch over the whole corpus.
     #[inline(always)]
-    fn train(&mut self) {
+    fn run(&mut self) {
         let TrainJob {
             corpus,
             config,
@@ -742,7 +743,7 @@ pub(crate) mod tests {
     ) {
         let job = TrainJob::new(corpus, layout, config);
         let mut plain = Worker::new(&job);
-        plain.train();
+        plain.run();
         let dispatched = trained(&job);
         let bits = |m: OwnedMatrix| m.into_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let what = format!("{:?}, dim {}, negative {}", config.mode, config.dim, config.negative);
@@ -776,7 +777,7 @@ pub(crate) mod tests {
     /// AVX2 instantiations; this holds the default-target body to them.
     #[test]
     fn dispatched_training_equals_the_plain_body() {
-        if !weights::avx2_detected() {
+        if !simd::avx2_detected() {
             eprintln!("no AVX2 on this CPU: dispatch runs the plain body, comparison skipped");
             return;
         }

@@ -451,7 +451,7 @@ impl CsrGraph {
     /// Validation is one O(V + E) pass (monotone offsets, in-range
     /// target ids, per-node sortedness of the sorted index, legal kind
     /// tags, bitmap consistency) so that later indexing is panic-free on
-    /// any input that parses, then [`check_labels`](Self::check_labels).
+    /// any input that parses, then `check_labels`.
     pub fn from_sections(
         storage: &Storage,
         container: &Container<'_>,

@@ -16,16 +16,24 @@
 //! tdmatch info --artifact model.tdm
 //! ```
 //!
+//! Every command prints its results through one locked, buffered stdout
+//! ([`Output`]). A reader that closes the pipe early
+//! (`tdmatch match … | head -2`) stops the printing, not the command:
+//! it finishes its other work (`--save` included) and exits with status
+//! 0. Any other error writing stdout exits with status 1.
+//!
 //! Flag parsing is hand-rolled (`--flag value` / boolean `--flag`): a
 //! handful of subcommands and flags do not justify an argument-parsing
 //! dependency, and the offline build would have to vendor a stand-in for
 //! it (README, "Workspace map", `vendor/` row).
 
 use std::collections::HashSet;
+use std::io::{BufWriter, ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
 
 use tdmatch::core::artifact::{AnnSearch, MatchArtifact};
 use tdmatch::core::config::TdConfig;
+use tdmatch::core::matcher::MatchResult;
 use tdmatch::core::pipeline::{FitOptions, TdMatch};
 use tdmatch::core::serving::Matcher;
 use tdmatch::datasets::{Scale, Scenario};
@@ -193,6 +201,52 @@ SERVING:
     );
 }
 
+/// Stdout for results, locked and buffered once (see the [crate
+/// docs](crate)): a closed pipe stops the printing quietly, instead of
+/// the panic `println!` gives.
+struct Output {
+    out: BufWriter<StdoutLock<'static>>,
+    /// The reader closed the pipe; nothing more is written.
+    closed: bool,
+}
+
+impl Output {
+    fn new() -> Self {
+        Self {
+            out: BufWriter::new(std::io::stdout().lock()),
+            closed: false,
+        }
+    }
+
+    /// Writes `line` and a newline, unless the reader has gone.
+    fn line(&mut self, line: std::fmt::Arguments) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        let written = writeln!(self.out, "{line}");
+        self.check(written)
+    }
+
+    /// Flushes what is buffered, unless the reader has gone.
+    fn flush(&mut self) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.out.flush();
+        self.check(flushed)
+    }
+
+    fn check(&mut self, written: std::io::Result<()>) -> Result<(), String> {
+        match written {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            other => other.map_err(|e| format!("writing results: {e}")),
+        }
+    }
+}
+
 /// Minimal `--flag [value]` parser: returns the value after `name`, if any.
 fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
     match args.iter().position(|a| a == name) {
@@ -289,7 +343,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .zip(scenario.truth_sets())
         .collect();
     let m = mean_metrics(&queries);
-    println!(
+    let mut out = Output::new();
+    out.line(format_args!(
         "{:<12} MRR {:.3} | MAP@1 {:.3} MAP@5 {:.3} MAP@20 {:.3} | HP@1 {:.3} HP@5 {:.3} HP@20 {:.3}",
         scenario.name,
         m.mrr,
@@ -299,7 +354,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         m.has_positive_at[0],
         m.has_positive_at[1],
         m.has_positive_at[2],
-    );
+    ))?;
+    out.flush()?;
 
     if let Some(path) = flag_value(args, "--save")? {
         model
@@ -345,14 +401,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         .fit_prebuilt(graph)
         .map_err(|e| e.to_string())?;
     eprintln!("re-embedded: {}", model.timings);
-    for result in model.match_top_k(k) {
-        let ranked: Vec<String> = result
-            .ranked
-            .iter()
-            .map(|(t, s)| format!("{t}:{s:.3}"))
-            .collect();
-        println!("query {:<5} -> {}", result.query, ranked.join(" "));
-    }
+    print_rankings(&model.match_top_k(k))?;
     if let Some(out) = flag_value(args, "--save")? {
         model
             .save_artifact(out)
@@ -394,15 +443,21 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     } else {
         artifact.match_top_k(k)
     };
+    print_rankings(&results)
+}
+
+/// One `query Q -> target:score …` line per query, through [`Output`].
+fn print_rankings(results: &[MatchResult]) -> Result<(), String> {
+    let mut out = Output::new();
     for result in results {
         let ranked: Vec<String> = result
             .ranked
             .iter()
             .map(|(t, s)| format!("{t}:{s:.3}"))
             .collect();
-        println!("query {:<5} -> {}", result.query, ranked.join(" "));
+        out.line(format_args!("query {:<5} -> {}", result.query, ranked.join(" ")))?;
     }
-    Ok(())
+    out.flush()
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -423,10 +478,17 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if ranked.is_empty() {
         return Err("no query token is in the model vocabulary".into());
     }
+    print_ranked(&ranked)
+}
+
+/// One `#rank target T score S` line per ranked target, through
+/// [`Output`].
+fn print_ranked(ranked: &[(usize, f32)]) -> Result<(), String> {
+    let mut out = Output::new();
     for (rank, (target, score)) in ranked.iter().enumerate() {
-        println!("#{:<3} target {:<6} score {score:.3}", rank + 1, target);
+        out.line(format_args!("#{:<3} target {:<6} score {score:.3}", rank + 1, target))?;
     }
-    Ok(())
+    out.flush()
 }
 
 /// `query --socket` / `query --tcp`: one request against a running
@@ -477,32 +539,39 @@ fn cmd_query_socket(args: &[String]) -> Result<(), String> {
     }
     if flag_present(args, "--ping") {
         client.ping().map_err(|e| e.to_string())?;
-        println!("pong");
-        return Ok(());
+        let mut out = Output::new();
+        out.line(format_args!("pong"))?;
+        return out.flush();
     }
     if flag_present(args, "--stats") {
         let s = client.stats().map_err(|e| e.to_string())?;
-        println!("requests:   {}", s.requests);
-        println!("batches:    {}", s.batches);
-        println!("coalesced:  {}", s.coalesced);
-        println!("mean batch: {:.2}", s.mean_batch());
-        println!("max batch:  {}", s.max_batch);
-        println!("errors:     {}", s.errors);
-        println!("shed:       {}", s.shed);
-        println!("evicted:    {}", s.evicted);
-        println!("reloads:    {} ({} failed)", s.reloads, s.reload_failures);
-        println!("generation: {}", s.generation);
-        println!("ann:        {} queries (mean pool {:.0})", s.ann_queries, s.mean_pool());
-        println!("exact:      {} queries", s.exact_queries);
-        println!("workers:    {} ({} engine calls)", s.workers, s.shards);
-        println!("inflight:   {} (queue depth {})", s.inflight, s.queue_depth);
-        println!("uptime:     {:.1}s", s.uptime_secs);
-        return Ok(());
+        let mut out = Output::new();
+        out.line(format_args!("requests:   {}", s.requests))?;
+        out.line(format_args!("batches:    {}", s.batches))?;
+        out.line(format_args!("coalesced:  {}", s.coalesced))?;
+        out.line(format_args!("mean batch: {:.2}", s.mean_batch()))?;
+        out.line(format_args!("max batch:  {}", s.max_batch))?;
+        out.line(format_args!("errors:     {}", s.errors))?;
+        out.line(format_args!("shed:       {}", s.shed))?;
+        out.line(format_args!("evicted:    {}", s.evicted))?;
+        out.line(format_args!("reloads:    {} ({} failed)", s.reloads, s.reload_failures))?;
+        out.line(format_args!("generation: {}", s.generation))?;
+        out.line(format_args!(
+            "ann:        {} queries (mean pool {:.0})",
+            s.ann_queries,
+            s.mean_pool()
+        ))?;
+        out.line(format_args!("exact:      {} queries", s.exact_queries))?;
+        out.line(format_args!("workers:    {} ({} engine calls)", s.workers, s.shards))?;
+        out.line(format_args!("inflight:   {} (queue depth {})", s.inflight, s.queue_depth))?;
+        out.line(format_args!("uptime:     {:.1}s", s.uptime_secs))?;
+        return out.flush();
     }
     if flag_present(args, "--reload") {
         let generation = client.reload().map_err(|e| e.to_string())?;
-        println!("reloaded (generation {generation})");
-        return Ok(());
+        let mut out = Output::new();
+        out.line(format_args!("reloaded (generation {generation})"))?;
+        return out.flush();
     }
     if flag_present(args, "--shutdown") {
         client.shutdown().map_err(|e| e.to_string())?;
@@ -522,9 +591,7 @@ fn cmd_query_socket(args: &[String]) -> Result<(), String> {
     if ranked.is_empty() {
         return Err("no match (query unknown to the model)".into());
     }
-    for (rank, (target, score)) in ranked.iter().enumerate() {
-        println!("#{:<3} target {:<6} score {score:.3}", rank + 1, target);
-    }
+    print_ranked(&ranked)?;
     eprintln!("(answered in a batch of {batch})");
     Ok(())
 }
@@ -809,24 +876,29 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let bytes = storage.as_bytes().len();
     let artifact = MatchArtifact::from_storage(&storage).map_err(|e| e.to_string())?;
     let (first, second) = artifact.corpus_sizes();
-    println!("dim:     {}", artifact.dim());
-    println!("terms:   {}", artifact.term_count());
-    println!("targets: {first}");
-    println!("queries: {second}");
-    println!("bytes:   {bytes}");
-    println!("backing: {backing}");
+    let mut out = Output::new();
+    out.line(format_args!("dim:     {}", artifact.dim()))?;
+    out.line(format_args!("terms:   {}", artifact.term_count()))?;
+    out.line(format_args!("targets: {first}"))?;
+    out.line(format_args!("queries: {second}"))?;
+    out.line(format_args!("bytes:   {bytes}"))?;
+    out.line(format_args!("backing: {backing}"))?;
     match artifact.ann() {
-        Some(index) => println!(
+        Some(index) => out.line(format_args!(
             "ann:     hnsw ({} layers, {} edges, m {}, ef {})",
             index.layers(),
             index.edges(),
             index.m(),
             index.ef_construction(),
-        ),
-        None => println!("ann:     none (build with `tdmatch index --artifact {path}`)"),
+        ))?,
+        None => out.line(format_args!(
+            "ann:     none (build with `tdmatch index --artifact {path}`)"
+        ))?,
     }
-    println!("serve:   tdmatch serve --artifact {path}   (then: tdmatch query --socket …)");
-    Ok(())
+    out.line(format_args!(
+        "serve:   tdmatch serve --artifact {path}   (then: tdmatch query --socket …)"
+    ))?;
+    out.flush()
 }
 
 #[cfg(test)]
